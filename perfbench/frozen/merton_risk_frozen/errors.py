@@ -1,0 +1,79 @@
+"""Domain error types shared across the package."""
+
+from __future__ import annotations
+
+
+class MertonRiskError(Exception):
+    """Base class for all domain errors."""
+
+
+class MismatchedPaths(MertonRiskError):
+    """Coefficient paths disagree on horizon or dimension."""
+
+
+class SingularVolatility(MertonRiskError):
+    """A volatility block is numerically singular."""
+
+
+class TimeOutOfRange(MertonRiskError):
+    """Requested time lies outside [0, T]."""
+
+
+class AlphaOutOfRange(MertonRiskError):
+    """Quantile level outside the supported open interval (0, 1/2)."""
+
+
+class NegativeArgument(MertonRiskError):
+    """Argument required to be nonnegative."""
+
+
+class ConvergenceFailure(MertonRiskError):
+    """A root search failed to reach its residual target."""
+
+
+class NegativeRate(MertonRiskError):
+    """A solver hypothesis requires r_t >= 0 everywhere."""
+
+
+class UnsupportedRegime(MertonRiskError):
+    """Parameter combination outside every closed-form result."""
+
+
+class HypothesisViolated(MertonRiskError):
+    """A structural hypothesis (e.g. |z_alpha| >= 2*theta-norm) fails."""
+
+
+class ConditionViolated(MertonRiskError):
+    """A named solvability condition fails; carries its numeric margin."""
+
+    def __init__(self, condition: str, margin: float, detail: str = ""):
+        self.condition = condition
+        self.margin = float(margin)
+        self.detail = detail
+        msg = f"condition {condition} violated (margin {margin:.6g})"
+        if detail:
+            msg += f": {detail}"
+        super().__init__(msg)
+
+
+class NoClosedFormRegime(MertonRiskError):
+    """Neither the loose-bound nor the tight-bound regime applies."""
+
+    def __init__(self, margins: dict | None = None):
+        self.margins = margins or {}
+        super().__init__(
+            "no closed-form regime applies; margins: "
+            + ", ".join(f"{k}={v:.6g}" for k, v in self.margins.items())
+        )
+
+
+class EmptyFeasibleSet(MertonRiskError):
+    """No grid-search candidate satisfies the risk constraint."""
+
+
+class InsufficientPaths(MertonRiskError):
+    """Too few Monte Carlo paths for a stable tail estimate."""
+
+
+class GridTouchesBreakpoint(MertonRiskError):
+    """A verification grid node coincides with a coefficient breakpoint."""

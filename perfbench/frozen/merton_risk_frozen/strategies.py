@@ -1,0 +1,319 @@
+"""Deterministic control strategies: exposure y_t plus consumption rate v_t.
+
+Wealth under such a control is the exponential of a Gaussian process,
+
+    X_t = x exp(R_t - V_t + (y,theta)_t - ||y||_t^2 / 2 + int y' dW),
+
+so every functional the risk formulas and the closed-form cost need reduces
+to the cumulants
+
+    V_t = int v,   (y,theta)_t = int y'theta,   ||y||_t^2 = int |y|^2,
+
+all of which are exact here: y is piecewise-constant and the supported
+consumption families keep v_t e^{-V_t} exponential-affine per interval.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from ._piecewise import (
+    cumulative_linear,
+    from_ticks,
+    merge_ticks,
+    segment_index,
+    to_ticks,
+)
+from .errors import MismatchedPaths
+from .market import CoefficientPath, MarketModel
+
+_LOG_ZERO = -np.inf
+
+
+# ---------------------------------------------------------------------------
+# Consumption families
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class StepConsumption:
+    """Piecewise-constant nonnegative rate v_t."""
+
+    v_path: CoefficientPath
+
+    def __post_init__(self):
+        if self.v_path.values.ndim != 1 or np.any(self.v_path.values < 0):
+            raise MismatchedPaths("consumption rate must be scalar and >= 0")
+
+    def breakpoints(self) -> np.ndarray:
+        return self.v_path.node_ticks()
+
+    def _cum(self):
+        nodes = self.v_path.node_ticks()
+        return cumulative_linear(nodes, self.v_path.values)
+
+    def v_of(self, model: MarketModel, t):
+        return np.asarray(self.v_path.value_at(to_ticks(t)), dtype=np.float64)
+
+    def V_of(self, model: MarketModel, t):
+        return self._cum()(t)
+
+    def log_affine(self, model: MarketModel, node_ticks: np.ndarray):
+        """(a, b) with v e^{-V} = exp(a_j + b_j (t - node_j)) per interval."""
+        left = node_ticks[:-1]
+        v = self.v_path.value_at(left)
+        V_left = self._cum()(from_ticks(left))
+        with np.errstate(divide="ignore"):
+            a = np.where(v > 0, np.log(np.where(v > 0, v, 1.0)) - V_left, _LOG_ZERO)
+        b = -v
+        return a, b
+
+
+@dataclass(frozen=True)
+class GrowthFractionConsumption:
+    """Equal-exponent optimal rate v_t = G^q(t) / (G^q(T) + int_t^T G^q ds)
+
+    where G is the risk-adjusted growth factor exp(gamma R_t + (q-1)/2 TS_t),
+    q = 1/(1-gamma).  The remaining budget D(t) = G^q(T) + int_t^T G^q has
+    D'(t) = -G^q(t), so V_t = ln D(0) - ln D(t) exactly.
+    """
+
+    gamma: float
+
+    @property
+    def q(self) -> float:
+        return 1.0 / (1.0 - self.gamma)
+
+    def breakpoints(self) -> np.ndarray:
+        return np.array([0], dtype=np.int64)
+
+    def _parts(self, model: MarketModel):
+        q = self.q
+        integ = model.exp_growth_integral(q * self.gamma, 0.5 * q * (q - 1.0))
+        g_pow_T = np.exp(
+            q * self.gamma * model.R(model.horizon)
+            + 0.5 * q * (q - 1.0) * model.theta_sq_cum(model.horizon)
+        )
+        return integ, g_pow_T
+
+    def _D(self, model: MarketModel, t):
+        integ, g_pow_T = self._parts(model)
+        return g_pow_T + integ.end_value - integ(t)
+
+    def v_of(self, model: MarketModel, t):
+        q = self.q
+        t = np.asarray(t, dtype=np.float64)
+        g_pow = np.exp(q * self.gamma * model.R(t)
+                       + 0.5 * q * (q - 1.0) * model.theta_sq_cum(t))
+        return g_pow / self._D(model, t)
+
+    def V_of(self, model: MarketModel, t):
+        return np.log(self._D(model, 0.0)) - np.log(self._D(model, t))
+
+    def log_affine(self, model: MarketModel, node_ticks: np.ndarray):
+        # v e^{-V} = G^q(t) / D(0): exponential-affine on model intervals
+        q = self.q
+        left_t = from_ticks(node_ticks[:-1])
+        a = (q * self.gamma * model.R(left_t)
+             + 0.5 * q * (q - 1.0) * model.theta_sq_cum(left_t)
+             - np.log(self._D(model, 0.0)))
+        idx = segment_index(model.node_ticks, node_ticks[:-1])
+        theta_sq = np.sum(model.theta_step[idx] ** 2, axis=1)
+        b = q * self.gamma * model.r_step[idx] + 0.5 * q * (q - 1.0) * theta_sq
+        return a, b
+
+
+@dataclass(frozen=True)
+class BudgetFractionConsumption:
+    """Riskless tight-regime rate v_t = zeta N^q(t) / (||N||_{q,T}^q - zeta ||N||_{q,t}^q)
+
+    with N(t) = e^{gamma1 R_t}; consumes exactly the fraction zeta of the
+    discounted endowment by T: V_T = -ln(1 - zeta).
+    """
+
+    gamma1: float
+    zeta: float
+
+    @property
+    def q(self) -> float:
+        return 1.0 / (1.0 - self.gamma1)
+
+    def breakpoints(self) -> np.ndarray:
+        return np.array([0], dtype=np.int64)
+
+    def _norm_q(self, model: MarketModel):
+        return model.exp_growth_integral(self.q * self.gamma1, 0.0)
+
+    def v_of(self, model: MarketModel, t):
+        integ = self._norm_q(model)
+        t = np.asarray(t, dtype=np.float64)
+        g_pow = np.exp(self.q * self.gamma1 * model.R(t))
+        return self.zeta * g_pow / (integ.end_value - self.zeta * integ(t))
+
+    def V_of(self, model: MarketModel, t):
+        integ = self._norm_q(model)
+        return -np.log1p(-self.zeta * integ(t) / integ.end_value)
+
+    def log_affine(self, model: MarketModel, node_ticks: np.ndarray):
+        # v e^{-V} = zeta N^q(t) / ||N||_{q,T}^q
+        integ = self._norm_q(model)
+        left_t = from_ticks(node_ticks[:-1])
+        a = (np.log(self.zeta) + self.q * self.gamma1 * model.R(left_t)
+             - np.log(integ.end_value))
+        idx = segment_index(model.node_ticks, node_ticks[:-1])
+        b = self.q * self.gamma1 * model.r_step[idx]
+        return a, b
+
+
+def zero_consumption(horizon: float) -> StepConsumption:
+    return StepConsumption(CoefficientPath.constant(np.array(0.0), horizon))
+
+
+# ---------------------------------------------------------------------------
+# Strategy = exposure path + consumption family
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DeterministicStrategy:
+    """Control in the lognormal class: deterministic (y_t, v_t)."""
+
+    y_path: CoefficientPath     # (k, d) exposure y_t = sigma_t' pi_t
+    consumption: object          # one of the consumption families above
+
+    def dimension(self) -> int:
+        return self.y_path.values.shape[1]
+
+    def y_at(self, t) -> np.ndarray:
+        return np.asarray(self.y_path.value_at(to_ticks(t)), dtype=np.float64)
+
+    def pi_at(self, model: MarketModel, t) -> np.ndarray:
+        """Portfolio fractions pi_t = (sigma_t')^{-1} y_t."""
+        t_ticks = to_ticks(t)
+        idx = segment_index(model.node_ticks, t_ticks)
+        sigmas = model.sigma_step[idx]
+        y = self.y_at(t)
+        return np.linalg.solve(np.swapaxes(sigmas, -1, -2), y[..., None])[..., 0]
+
+    def v_at(self, model: MarketModel, t) -> np.ndarray:
+        return np.asarray(self.consumption.v_of(model, t), dtype=np.float64)
+
+
+def constant_strategy(y, v: float, horizon: float) -> DeterministicStrategy:
+    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    return DeterministicStrategy(
+        y_path=CoefficientPath.constant(y, horizon),
+        consumption=StepConsumption(
+            CoefficientPath.constant(np.array(float(v)), horizon)),
+    )
+
+
+def step_strategy(y_segments, v_segments, horizon: float) -> DeterministicStrategy:
+    """Piecewise-constant strategy from [(t0, y_vec)] and [(t0, v)] lists."""
+    y_segments = [(t, np.atleast_1d(np.asarray(y, dtype=np.float64)))
+                  for t, y in y_segments]
+    return DeterministicStrategy(
+        y_path=CoefficientPath.from_segments(y_segments, horizon),
+        consumption=StepConsumption(
+            CoefficientPath.from_segments(
+                [(t, np.asarray(float(v))) for t, v in v_segments], horizon)),
+    )
+
+
+def theta_direction_strategy(model: MarketModel, rho: float,
+                             consumption=None) -> DeterministicStrategy:
+    """y_t = rho * theta_t / ||theta||_T (requires ||theta||_T > 0)."""
+    tn = model.theta_norm_T
+    if tn <= 0:
+        raise MismatchedPaths("theta-direction strategy needs ||theta||_T > 0")
+    scale = rho / tn
+    y_path = CoefficientPath(
+        breakpoint_ticks=model.node_ticks[:-1],
+        values=scale * model.theta_step,
+        horizon_ticks=int(model.node_ticks[-1]),
+    )
+    if consumption is None:
+        consumption = zero_consumption(model.horizon)
+    return DeterministicStrategy(y_path=y_path, consumption=consumption)
+
+
+def scaled_theta_strategy(model: MarketModel, factor: float,
+                          consumption=None) -> DeterministicStrategy:
+    """y_t = factor * theta_t (e.g. factor = 1/(1-gamma) for the HARA optimum)."""
+    y_path = CoefficientPath(
+        breakpoint_ticks=model.node_ticks[:-1],
+        values=factor * model.theta_step,
+        horizon_ticks=int(model.node_ticks[-1]),
+    )
+    if consumption is None:
+        consumption = zero_consumption(model.horizon)
+    return DeterministicStrategy(y_path=y_path, consumption=consumption)
+
+
+# ---------------------------------------------------------------------------
+# Exact cumulants of a (model, strategy) pair
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Cumulants:
+    """Exact cumulative functionals of a strategy against a market."""
+
+    model: MarketModel
+    strategy: DeterministicStrategy
+    node_ticks: np.ndarray       # merged partition (k+1,)
+    ydt: object                  # piecewise-linear (y,theta)_t
+    ynn: object                  # piecewise-linear ||y||_t^2
+    cons_a: np.ndarray           # per-interval log-affine of v e^{-V}
+    cons_b: np.ndarray
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return from_ticks(self.node_ticks)
+
+    @property
+    def horizon(self) -> float:
+        return self.model.horizon
+
+    def V(self, t):
+        return np.asarray(self.strategy.consumption.V_of(self.model, t),
+                          dtype=np.float64)
+
+    def y_norm(self, t):
+        return np.sqrt(self.ynn(t))
+
+    def y_norm_T(self) -> float:
+        return float(np.sqrt(self.ynn.end_value))
+
+    def V_T(self) -> float:
+        return float(self.V(self.horizon))
+
+    def log_drift(self, t):
+        """mean of ln(X_t/x): R_t - V_t + (y,theta)_t - ||y||_t^2/2."""
+        t = np.asarray(t, dtype=np.float64)
+        return self.model.R(t) - self.V(t) + self.ydt(t) - 0.5 * self.ynn(t)
+
+    def log_var(self, t):
+        """variance of ln X_t: ||y||_t^2."""
+        return self.ynn(t)
+
+
+def cumulants(model: MarketModel, strategy: DeterministicStrategy) -> Cumulants:
+    if strategy.dimension() != model.dimension:
+        raise MismatchedPaths("strategy and market dimensions disagree")
+    if strategy.y_path.horizon_ticks != model.node_ticks[-1]:
+        raise MismatchedPaths("strategy and market horizons disagree")
+    node_ticks = merge_ticks(
+        model.node_ticks,
+        strategy.y_path.node_ticks(),
+        strategy.consumption.breakpoints(),
+    )
+    left = node_ticks[:-1]
+    y = strategy.y_path.value_at(left)
+    theta = model.theta_step[segment_index(model.node_ticks, left)]
+    ydt = cumulative_linear(node_ticks, np.sum(y * theta, axis=1))
+    ynn = cumulative_linear(node_ticks, np.sum(y * y, axis=1))
+    cons_a, cons_b = strategy.consumption.log_affine(model, node_ticks)
+    return Cumulants(
+        model=model, strategy=strategy, node_ticks=node_ticks,
+        ydt=ydt, ynn=ynn, cons_a=cons_a, cons_b=cons_b,
+    )

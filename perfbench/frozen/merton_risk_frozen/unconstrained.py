@@ -1,0 +1,342 @@
+"""Closed-form solutions of the unconstrained consumption-investment problem.
+
+Linear utility: with any excess return available (||theta||_T > 0) the
+supremum of expected wealth-plus-consumption is infinite; otherwise the
+pure bond account is optimal.
+
+Power utility (gamma1, gamma2 < 1): the optimal value is
+
+    z(0, x) = A1(0)/gamma1 * g^{1-q1}(0,x) + A2(0)/gamma2 * g^{1-q2}(0,x)
+
+where g(t,x) > 0 is the unique root of A1 g^{-q1} + A2 g^{-q2} = x, with
+growth coefficients
+
+    A1(t) = gamma1^{q1} int_t^T exp(int_t^s beta1) ds
+    A2(t) = gamma2^{q2} exp(int_t^T beta2)
+    beta_i(t) = (q_i - 1)(r_t + q_i |theta_t|^2 / 2),  q_i = 1/(1-gamma_i).
+
+The optimal feedback control is y*(t,x) = p(t,x)/x * theta_t and
+c*(t,x) = (gamma1/g(t,x))^{q1} with p = q1 A1 g^{-q1} + q2 A2 g^{-q2}.
+For equal exponents everything collapses to an explicit deterministic
+strategy: y* = theta/(1-gamma) and a consumption rate driven by the
+tilted growth factor.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ._piecewise import PiecewiseLinear, cumulative_exp_affine, cumulative_linear, segment_index, to_ticks
+from .errors import ConvergenceFailure, NegativeRate, UnsupportedRegime
+from .market import MarketModel, weighted_g_norm
+from .solution import ConditionCheck, Solution
+from .strategies import (
+    DeterministicStrategy,
+    GrowthFractionConsumption,
+    constant_strategy,
+    scaled_theta_strategy,
+)
+from .utility import UtilityParams
+
+G_RESIDUAL_RTOL = 1e-12
+_G_MAX_ITER = 200
+
+
+@dataclass(frozen=True)
+class HaraCoefficients:
+    """Exact A1, A2 and their derivatives for a market/utility pair."""
+
+    model: MarketModel
+    utility: UtilityParams
+    beta1_step: np.ndarray
+    beta2_step: np.ndarray
+    cum_beta1: PiecewiseLinear
+    cum_beta2: PiecewiseLinear
+    exp_beta1_integral: object      # int_0^t e^{B1(s)} ds
+
+    @classmethod
+    def build(cls, model: MarketModel, utility: UtilityParams) -> "HaraCoefficients":
+        q1, q2 = utility.q1, utility.q2
+        theta_sq = np.sum(model.theta_step ** 2, axis=1)
+        beta1 = (q1 - 1.0) * (model.r_step + 0.5 * q1 * theta_sq)
+        beta2 = (q2 - 1.0) * (model.r_step + 0.5 * q2 * theta_sq)
+        cum_b1 = cumulative_linear(model.node_ticks, beta1)
+        cum_b2 = cumulative_linear(model.node_ticks, beta2)
+        return cls(
+            model=model, utility=utility,
+            beta1_step=beta1, beta2_step=beta2,
+            cum_beta1=cum_b1, cum_beta2=cum_b2,
+            exp_beta1_integral=cumulative_exp_affine(cum_b1),
+        )
+
+    def beta_at(self, t, which: int) -> np.ndarray:
+        idx = segment_index(self.model.node_ticks, to_ticks(t))
+        step = self.beta1_step if which == 1 else self.beta2_step
+        return step[idx]
+
+    def A1(self, t):
+        g1 = self.utility.gamma1 ** self.utility.q1
+        tail = self.exp_beta1_integral.end_value - self.exp_beta1_integral(t)
+        return g1 * np.exp(-self.cum_beta1(t)) * tail
+
+    def A2(self, t):
+        g2 = self.utility.gamma2 ** self.utility.q2
+        return g2 * np.exp(self.cum_beta2.end_value - self.cum_beta2(t))
+
+    def A1_dot(self, t):
+        """Exact derivative at interval interiors: -beta1 A1 - gamma1^{q1}."""
+        g1 = self.utility.gamma1 ** self.utility.q1
+        return -self.beta_at(t, 1) * self.A1(t) - g1
+
+    def A2_dot(self, t):
+        return -self.beta_at(t, 2) * self.A2(t)
+
+
+def _solve_g(A1, A2, q1: float, q2: float, x):
+    """Vectorized root of A1 g^{-q1} + A2 g^{-q2} = x (g > 0, unique).
+
+    Newton iteration on u = ln g (the residual is convex, decreasing in u)
+    clamped to an analytic bracket, with a bisection sweep as fallback.
+    """
+    A1 = np.asarray(A1, dtype=np.float64)
+    A2 = np.asarray(A2, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    A1, A2, x = np.broadcast_arrays(A1, A2, x)
+    if np.any(x <= 0):
+        raise ValueError("wealth argument must be positive")
+
+    # f(g) >= x at g_lo (second term alone reaches x); f(g_hi) <= x.
+    g_lo = (A2 / x) ** (1.0 / q2)
+    with np.errstate(divide="ignore"):
+        h1 = np.where(A1 > 0, (2.0 * A1 / x) ** (1.0 / q1), 0.0)
+    g_hi = np.maximum(h1, (2.0 * A2 / x) ** (1.0 / q2))
+    lo = np.log(g_lo)
+    hi = np.log(np.maximum(g_hi, g_lo * (1 + 1e-12)))
+
+    u = 0.5 * (lo + hi)
+    best_u = u.copy()
+    best_res = np.full(u.shape, np.inf)
+    for _ in range(_G_MAX_ITER):
+        e1 = A1 * np.exp(-q1 * u)
+        e2 = A2 * np.exp(-q2 * u)
+        f = e1 + e2 - x
+        res = np.abs(f)
+        improved = res < best_res
+        best_u = np.where(improved, u, best_u)
+        best_res = np.where(improved, res, best_res)
+        # polish to the float floor; the 1e-12 target is the hard gate
+        if np.all(best_res <= 2e-16 * x) or not np.any(improved):
+            break
+        lo = np.where(f > 0, np.maximum(lo, u), lo)
+        hi = np.where(f < 0, np.minimum(hi, u), hi)
+        fprime = -(q1 * e1 + q2 * e2)
+        u_new = u - f / fprime
+        bad = (u_new <= lo) | (u_new >= hi)
+        u = np.where(bad, 0.5 * (lo + hi), u_new)
+    if np.any(best_res > G_RESIDUAL_RTOL * x):
+        raise ConvergenceFailure("g-root iteration did not converge")
+    return np.exp(best_u)
+
+
+@dataclass(frozen=True)
+class HaraFeedback:
+    """Implicit feedback handles (g, p, c*) over precomputed coefficients."""
+
+    model: MarketModel
+    utility: UtilityParams
+    coeffs: HaraCoefficients
+    x0: float = 1.0
+
+    def g(self, t, x):
+        A1 = self.coeffs.A1(t)
+        A2 = self.coeffs.A2(t)
+        out = _solve_g(A1, A2, self.utility.q1, self.utility.q2, x)
+        return float(out) if out.ndim == 0 else out
+
+    def residual(self, t, x):
+        g = self.g(t, x)
+        A1, A2 = self.coeffs.A1(t), self.coeffs.A2(t)
+        return A1 * g ** -self.utility.q1 + A2 * g ** -self.utility.q2 - x
+
+    def p_from_g(self, t, g):
+        q1, q2 = self.utility.q1, self.utility.q2
+        return (q1 * self.coeffs.A1(t) * g ** -q1
+                + q2 * self.coeffs.A2(t) * g ** -q2)
+
+    def c_from_g(self, g):
+        return (self.utility.gamma1 / g) ** self.utility.q1
+
+    def y_star(self, t, x) -> np.ndarray:
+        g = self.g(t, x)
+        frac = self.p_from_g(t, g) / x
+        return np.asarray(frac)[..., None] * self.model.theta_at(t)
+
+    def c_star(self, t, x):
+        return self.c_from_g(self.g(t, x))
+
+    def value_function(self, t, x):
+        """Candidate value z(t,x); z(0,x) is the optimal cost."""
+        g = self.g(t, x)
+        u = self.utility
+        return (self.coeffs.A1(t) / u.gamma1 * g ** (1.0 - u.q1)
+                + self.coeffs.A2(t) / u.gamma2 * g ** (1.0 - u.q2))
+
+    def z_t(self, t, x):
+        """Exact time partial of z away from coefficient breakpoints."""
+        g = self.g(t, x)
+        u = self.utility
+        return (-self.coeffs.A1_dot(t) / (1.0 - u.q1) * g ** (1.0 - u.q1)
+                - self.coeffs.A2_dot(t) / (1.0 - u.q2) * g ** (1.0 - u.q2))
+
+    def sde_coefficients(self, t, x):
+        """Drift / diffusion of the optimal wealth SDE."""
+        g = self.g(t, x)
+        p = self.p_from_g(t, g)
+        theta = self.model.theta_at(t)
+        theta_sq = np.sum(theta * theta, axis=-1)
+        idx = segment_index(self.model.node_ticks, to_ticks(t))
+        r = self.model.r_step[idx]
+        a = r * x + p * theta_sq - self.c_from_g(g)
+        b = np.asarray(p)[..., None] * theta
+        return a, b
+
+    def wealth_mean(self, t):
+        """E[X*_t] from the exponential-of-Gaussian representation."""
+        t = np.asarray(t, dtype=np.float64)
+        g0 = self.g(0.0, self.x0)
+        q1, q2 = self.utility.q1, self.utility.q2
+        R = self.model.R(t)
+        TS = self.model.theta_sq_cum(t)
+
+        def moment(q):
+            return np.exp(q * (R + 0.5 * TS) + 0.5 * q * q * TS)
+
+        return (self.coeffs.A1(t) * g0 ** -q1 * moment(q1)
+                + self.coeffs.A2(t) * g0 ** -q2 * moment(q2))
+
+
+def hara_g(model: MarketModel, utility: UtilityParams, t, x):
+    """Root g(t,x) of A1(t) g^{-q1} + A2(t) g^{-q2} = x (standalone form).
+
+    Residual is driven below 1e-12 * x; unique by strict monotonicity.
+    """
+    coeffs = HaraCoefficients.build(model, utility)
+    out = _solve_g(coeffs.A1(t), coeffs.A2(t), utility.q1, utility.q2, x)
+    return float(out) if out.ndim == 0 else out
+
+
+def solve_linear_unconstrained(model: MarketModel, x: float) -> Solution:
+    """Linear-utility optimum: unbounded when any excess return exists."""
+    if not model.rate_nonnegative():
+        raise NegativeRate("linear-utility results require r_t >= 0")
+    tn = model.theta_norm_T
+    if tn > 0:
+        return Solution(
+            value=np.inf, regime="unconstrained_linear_unbounded",
+            model=model, x=x,
+            utility=UtilityParams(1.0, 1.0),
+            wealth_law={"kind": "unbounded",
+                        "note": "expected wealth grows without bound in exposure"},
+            conditions=(ConditionCheck("positive_excess_return", True, tn),),
+        )
+    strategy = constant_strategy(np.zeros(model.dimension), 0.0, model.horizon)
+    return Solution(
+        value=x * float(np.exp(model.R(model.horizon))),
+        regime="unconstrained_linear_bond",
+        model=model, x=x,
+        utility=UtilityParams(1.0, 1.0),
+        strategy=strategy,
+        wealth_law={"kind": "lognormal_exact",
+                    "note": "pure bond account; exposure choice is immaterial "
+                            "and fixed to zero"},
+        conditions=(ConditionCheck("zero_excess_return", True, 0.0),),
+    )
+
+
+def solve_hara_unconstrained(model: MarketModel, utility: UtilityParams,
+                             x: float) -> Solution:
+    """Power-utility optimum in implicit feedback form."""
+    if not utility.is_hara:
+        raise UnsupportedRegime(
+            "feedback solution requires gamma1, gamma2 in (0,1); "
+            "use the linear solver for gamma = 1")
+    coeffs = HaraCoefficients.build(model, utility)
+    feedback = HaraFeedback(model=model, utility=utility, coeffs=coeffs, x0=x)
+    value = float(feedback.value_function(0.0, x))
+    g0 = feedback.g(0.0, x)
+    return Solution(
+        value=value, regime="unconstrained_hara",
+        model=model, x=x, utility=utility,
+        feedback=feedback,
+        wealth_law={
+            "kind": "lognormal_mixture_exact",
+            "g0": float(g0),
+            "q1": utility.q1, "q2": utility.q2,
+            "note": "wealth = A1(t) g0^{-q1} e^{-q1 xi_t} + A2(t) g0^{-q2} "
+                    "e^{-q2 xi_t} with xi Gaussian",
+        },
+        conditions=(ConditionCheck("hara_exponents", True,
+                                   min(1.0 - utility.gamma1,
+                                       1.0 - utility.gamma2)),),
+    )
+
+
+def equal_gamma_value(model: MarketModel, gamma: float, x: float) -> float:
+    """x^gamma (||G||_{q,T}^q + G^q(T))^{1/q} for the tilted growth factor G."""
+    q = 1.0 / (1.0 - gamma)
+    norm_q = weighted_g_norm(model, gamma, q, model.horizon, tilted=True)
+    g_T = np.exp(q * gamma * model.R(model.horizon)
+                 + 0.5 * q * (q - 1.0) * model.theta_sq_cum(model.horizon))
+    return float(x ** gamma * (norm_q + g_T) ** (1.0 / q))
+
+
+def kappa_tilde(model: MarketModel, gamma: float) -> float:
+    """Consumed fraction 1 - e^{-V*_T} of the equal-exponent optimum."""
+    q = 1.0 / (1.0 - gamma)
+    norm_q = weighted_g_norm(model, gamma, q, model.horizon, tilted=True)
+    g_T = np.exp(q * gamma * model.R(model.horizon)
+                 + 0.5 * q * (q - 1.0) * model.theta_sq_cum(model.horizon))
+    return float(norm_q / (norm_q + g_T))
+
+
+def equal_gamma_strategy(model: MarketModel, gamma: float) -> DeterministicStrategy:
+    """Explicit optimal control: y* = theta/(1-gamma), growth-fraction v*."""
+    return scaled_theta_strategy(
+        model, 1.0 / (1.0 - gamma),
+        consumption=GrowthFractionConsumption(gamma=gamma))
+
+
+def solve_equal_gamma(model: MarketModel, gamma: float, x: float) -> Solution:
+    """Equal-exponent specialization with explicit deterministic controls."""
+    if not 0.0 < gamma < 1.0:
+        raise UnsupportedRegime("equal-exponent solver needs gamma in (0,1)")
+    strategy = equal_gamma_strategy(model, gamma)
+    value = equal_gamma_value(model, gamma, x)
+    q = 1.0 / (1.0 - gamma)
+    return Solution(
+        value=value, regime="unconstrained_equal_gamma",
+        model=model, x=x,
+        utility=UtilityParams(gamma, gamma),
+        strategy=strategy,
+        wealth_law={
+            "kind": "lognormal_exact",
+            "note": f"dX = X (r - v* + q|theta|^2) dt + X q theta' dW, q={q:.6g}",
+        },
+        conditions=(ConditionCheck("hara_exponents", True, 1.0 - gamma),),
+    )
+
+
+def solve_unconstrained(model: MarketModel, utility: UtilityParams,
+                        x: float) -> Solution:
+    """Dispatch on the exponent pattern; mixed power/linear is not covered."""
+    if utility.is_linear:
+        return solve_linear_unconstrained(model, x)
+    if utility.is_hara:
+        if utility.equal:
+            return solve_equal_gamma(model, utility.gamma1, x)
+        return solve_hara_unconstrained(model, utility, x)
+    raise UnsupportedRegime(
+        "no closed form for mixed linear/power exponents "
+        f"(gamma1={utility.gamma1}, gamma2={utility.gamma2})")
