@@ -60,7 +60,8 @@ class PiecewiseLinear:
     """Continuous piecewise-linear function tabulated at breakpoint nodes.
 
     node_ticks : (k+1,) int64 ascending, node_ticks[0] = 0
-    values     : (k+1,) float, function value at each node
+    values     : (..., k+1) float, function value at each node; leading axes
+                 hold a batch of functions on the same nodes
     """
 
     node_ticks: np.ndarray
@@ -76,8 +77,16 @@ class PiecewiseLinear:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
-        out = np.interp(t, self.nodes, self.values)
-        return out if out.ndim else float(out)
+        nodes = self.nodes
+        if self.values.ndim == 1:
+            out = np.interp(t, nodes, self.values)
+            return out if out.ndim else float(out)
+        # np.interp row by row: slope times offset from the left node, and the
+        # node value itself at T (a zero slope past the last node)
+        j = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 1)
+        pad = np.zeros(self.values.shape[:-1] + (1,))
+        slopes = np.concatenate((self.slopes(), pad), axis=-1)
+        return slopes[..., j] * (t - nodes[j]) + self.values[..., j]
 
     def slopes(self) -> np.ndarray:
         dt = np.diff(self.nodes)
@@ -87,10 +96,11 @@ class PiecewiseLinear:
 def cumulative_linear(node_ticks: np.ndarray, rates: np.ndarray) -> PiecewiseLinear:
     """Antiderivative t -> int_0^t f(u) du of a step function.
 
-    rates : (k,) value of f on [node_j, node_{j+1}).
+    rates : (..., k) value of f on [node_j, node_{j+1}); leading axes batch.
     """
     dt = np.diff(from_ticks(node_ticks))
-    vals = np.concatenate(([0.0], np.cumsum(rates * dt)))
+    steps = np.cumsum(rates * dt, axis=-1)
+    vals = np.concatenate((np.zeros(steps.shape[:-1] + (1,)), steps), axis=-1)
     return PiecewiseLinear(node_ticks=node_ticks, values=vals)
 
 

@@ -35,7 +35,7 @@ from .errors import (
 from .market import MarketModel, market_from_dict
 from .risk import MeasureKind, RiskSpec, constraint_profile
 from .solution import Solution
-from .strategies import DeterministicStrategy, cumulants, step_strategy
+from .strategies import DeterministicStrategy, step_strategy
 from .utility import UtilityParams
 
 
@@ -53,8 +53,8 @@ class ProblemSpec:
             self.x0 = float(doc["x0"])
         except KeyError as exc:
             raise ValueError(f"missing required field {exc}") from exc
-        if self.x0 <= 0:
-            raise ValueError("x0 must be positive")
+        if not np.isfinite(self.x0) or self.x0 <= 0:
+            raise ValueError(f"x0 must be positive and finite, got {self.x0}")
         self.risk: RiskSpec | None = None
         if doc.get("risk") is not None:
             r = doc["risk"]
@@ -64,7 +64,6 @@ class ProblemSpec:
                                      kind=MeasureKind(r["kind"]))
             except (KeyError, ValueError) as exc:
                 raise ValueError(f"malformed risk block: {exc}") from exc
-        self.outputs = doc.get("outputs", [])
 
     @classmethod
     def load(cls, path) -> "ProblemSpec":
@@ -337,6 +336,7 @@ def cmd_verify(args) -> int:
         max_abs_residual=report.max_abs_residual,
         terminal_error=report.terminal_error,
         hamiltonian_gap=gap_report.hamiltonian_gap,
+        excluded_times=report.excluded_times,
     )
     merged.write_json(out_dir / "hjb_report.json")
     merged.write_csv(out_dir / "hjb_residuals.csv")

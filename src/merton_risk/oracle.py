@@ -17,47 +17,46 @@ family brackets the solver optima from below.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy import integrate
 
-from ._piecewise import exp_affine_segment
+from ._piecewise import (
+    exp_affine_segment,
+    from_ticks,
+    merge_ticks,
+    segment_index,
+    to_ticks,
+)
 from .errors import EmptyFeasibleSet
 from .market import MarketModel
 from .risk import (
+    SATURATION_TOL,
     MeasureKind,
     RiskSpec,
-    constraint_profile,
     log_risk_es,
     log_risk_var,
+    max_ratios,
 )
 from .strategies import (
+    Cumulants,
     DeterministicStrategy,
-    constant_strategy,
     cumulants,
+    step_cumulants,
     step_strategy,
-    theta_direction_strategy,
 )
 from .utility import UtilityParams
 
-THREADS_ENV = "MERTON_RISK_THREADS"
+# Oracle candidates screened and costed together: bounds the (candidates x
+# profile grid) arrays of the screen to a few MB.
+_CHUNK = 32
 
 
-def thread_cap() -> int:
-    """Parallelism cap from the environment (>= 1)."""
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _cost_pieces(model: MarketModel, strategy: DeterministicStrategy,
-                 utility: UtilityParams, x: float):
-    cum = cumulants(model, strategy)
+def _cost_pieces(cum: Cumulants, utility: UtilityParams):
+    """Interval lengths, exp-affine offsets and slopes of the consumption
+    integrand, and the terminal term; a batch adds a leading axis."""
+    model = cum.model
     nodes = cum.nodes
     dt = np.diff(nodes)
     g1, g2 = utility.gamma1, utility.gamma2
@@ -71,35 +70,40 @@ def _cost_pieces(model: MarketModel, strategy: DeterministicStrategy,
 
     k1 = 0.5 * g1 * (1.0 - g1)
     offsets = (g1 * cum.cons_a + g1 * R_nodes[:-1]
-               + g1 * ydt_nodes[:-1] - k1 * ynn_nodes[:-1])
+               + g1 * ydt_nodes[..., :-1] - k1 * ynn_nodes[..., :-1])
     slopes = (g1 * cum.cons_b + g1 * r_slope
               + g1 * ydt_slope - k1 * ynn_slope)
 
     V_T = cum.V_T()
     k2 = 0.5 * g2 * (1.0 - g2)
     terminal = np.exp(g2 * (R_nodes[-1] - V_T)
-                      + g2 * ydt_nodes[-1] - k2 * ynn_nodes[-1])
-    return cum, dt, offsets, slopes, terminal
+                      + g2 * ydt_nodes[..., -1] - k2 * ynn_nodes[..., -1])
+    return dt, offsets, slopes, terminal
+
+
+def _cost(cum: Cumulants, utility: UtilityParams, x: float):
+    """J(x, .) for the strategy or each strategy of the batch in cum."""
+    dt, offsets, slopes, terminal = _cost_pieces(cum, utility)
+    # offsets are -inf where nothing is consumed; those intervals add exp(-inf) = 0
+    consumption = np.sum(exp_affine_segment(offsets, slopes, dt), axis=-1)
+    g1, g2 = utility.gamma1, utility.gamma2
+    return x ** g1 * consumption + x ** g2 * terminal
 
 
 def cost_closed_form(model: MarketModel, strategy: DeterministicStrategy,
                      utility: UtilityParams, x: float) -> float:
     """Expected cost J(x, strategy), exact per breakpoint interval."""
-    _, dt, offsets, slopes, terminal = _cost_pieces(model, strategy, utility, x)
-    finite = np.isfinite(offsets)
-    consumption = 0.0
-    if np.any(finite):
-        consumption = float(np.sum(exp_affine_segment(
-            offsets[finite], slopes[finite], dt[finite])))
-    g1, g2 = utility.gamma1, utility.gamma2
-    return x ** g1 * consumption + x ** g2 * float(terminal)
+    return float(_cost(cumulants(model, strategy), utility, x))
 
 
 def cost_quadrature(model: MarketModel, strategy: DeterministicStrategy,
                     utility: UtilityParams, x: float,
                     rtol: float = 1e-10) -> float:
     """Same cost via adaptive quadrature per interval (cross-check route)."""
-    _, dt, offsets, slopes, terminal = _cost_pieces(model, strategy, utility, x)
+    # slow to import, and no command takes this cross-check route
+    from scipy import integrate
+
+    dt, offsets, slopes, terminal = _cost_pieces(cumulants(model, strategy), utility)
     consumption = 0.0
     for j in range(len(dt)):
         if not np.isfinite(offsets[j]):
@@ -175,32 +179,40 @@ class OracleResult:
                 ])
 
 
-def _make_candidate(model: MarketModel, rho: float, levels,
-                    v_pieces: int) -> DeterministicStrategy:
-    horizon = model.horizon
-    levels = np.atleast_1d(np.asarray(levels, dtype=np.float64))
-    if len(levels) == 1 and v_pieces == 1:
-        if rho == 0.0 or model.theta_norm_T == 0.0:
-            return constant_strategy(np.zeros(model.dimension),
-                                     float(levels[0]), horizon)
-        strat = theta_direction_strategy(model, rho)
-        if levels[0] == 0.0:
-            return strat
-        return DeterministicStrategy(
-            y_path=strat.y_path,
-            consumption=constant_strategy(
-                np.zeros(model.dimension), float(levels[0]), horizon
-            ).consumption,
-        )
-    edges = np.linspace(0.0, horizon, len(levels) + 1)[:-1]
-    v_segments = [(float(t0), float(w)) for t0, w in zip(edges, levels)]
-    if rho == 0.0 or model.theta_norm_T == 0.0:
-        y_segments = [(0.0, np.zeros(model.dimension))]
-        return step_strategy(y_segments, v_segments, horizon)
-    base = theta_direction_strategy(model, rho)
-    cons = step_strategy([(0.0, np.zeros(model.dimension))],
-                         v_segments, horizon).consumption
-    return DeterministicStrategy(y_path=base.y_path, consumption=cons)
+def _step_candidate(model: MarketModel, node_ticks: np.ndarray, y, v):
+    """The strategy holding y (k or 1, d) and v (k,) on node_ticks' intervals."""
+    starts = from_ticks(node_ticks[:-1])
+    y = np.broadcast_to(y, v.shape + np.shape(y)[-1:])
+    return step_strategy(list(zip(starts, y)), list(zip(starts, v)), model.horizon)
+
+
+def _theta_exposures(model: MarketModel, node_ticks: np.ndarray, rhos):
+    """(K, k, d) exposures rho theta_t / ||theta||_T on the intervals of
+    node_ticks, zero when theta vanishes."""
+    theta = model.theta_step[segment_index(model.node_ticks, node_ticks[:-1])]
+    tn = model.theta_norm_T
+    scale = np.asarray(rhos) / tn if tn > 0 else np.zeros(len(rhos))
+    return scale[:, None, None] * theta
+
+
+def _evaluate(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
+              x: float, n_profile: int, node_ticks: np.ndarray, y, v):
+    """Feasibility flags and costs (-inf when infeasible) of step candidates.
+
+    y : (K or 1, k, d) exposures and v : (K, k) consumption rates on the
+    intervals of node_ticks; candidates go through in chunks of _CHUNK.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    y = np.broadcast_to(y, v.shape + np.shape(y)[-1:])
+    feasible = np.ones(len(v), dtype=bool)
+    costs = np.empty(len(v))
+    for lo in range(0, len(v), _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        cum = step_cumulants(model, node_ticks, y[rows], v[rows])
+        if spec is not None:
+            feasible[rows] = max_ratios(cum, spec, x, n_profile) <= 1.0 + SATURATION_TOL
+        costs[rows] = _cost(cum, utility, x)
+    return feasible, np.where(feasible, costs, -np.inf)
 
 
 def grid_search_oracle(model: MarketModel, utility: UtilityParams,
@@ -209,8 +221,9 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     """Best feasible candidate in the family; independent solver check.
 
     Raises EmptyFeasibleSet when the family is empty or fully infeasible.
-    Candidate evaluations are pure and run on a deterministic-order thread
-    pool capped by MERTON_RISK_THREADS.
+    The candidates of each search stage share one node partition, so they
+    are screened against the bound and costed as one batch of generic
+    cumulants; no solver formula enters.
     """
     rho_in = np.asarray(config.rho_grid, dtype=np.float64)
     lvl_in = np.asarray(config.v_levels, dtype=np.float64)
@@ -220,17 +233,12 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     if model.theta_norm_T == 0.0:
         rhos = np.array([0.0])
     levels = np.unique(lvl_in) if lvl_in.size else np.array([0.0])
-
-    def evaluate(strategy):
-        if spec is not None:
-            profile = constraint_profile(model, strategy, spec, x,
-                                         n_refine=config.n_profile)
-            if not profile.satisfied():
-                return False, -np.inf
-        return True, cost_closed_form(model, strategy, utility, x)
+    evaluate = partial(_evaluate, model, utility, spec, x, config.n_profile)
+    horizon = model.horizon
+    n_steps = len(model.node_ticks) - 1
 
     records = []
-    best = (-np.inf, None)
+    best = (-np.inf, None)       # cost and (node_ticks, y, v) of the best candidate
 
     # pure investment along theta, pure constant consumption, and a coarse
     # cartesian of the two (the fine cross product is never needed: the
@@ -243,29 +251,33 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     candidates += [(float(r), (float(w),))
                    for r in rho_coarse if r > 0
                    for w in lvl_coarse if w > 0]
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        strategies = [_make_candidate(model, r, w, 1) for r, w in candidates]
-        results = list(pool.map(evaluate, strategies))
-    for (rho, w), strat, (feasible, cost) in zip(candidates, strategies, results):
+    y = _theta_exposures(model, model.node_ticks, [r for r, _ in candidates])
+    v = np.repeat([[w[0]] for _, w in candidates], n_steps, axis=1)
+    feasible, costs = evaluate(model.node_ticks, y, v)
+    for k, ((rho, w), ok, cost) in enumerate(zip(candidates, feasible, costs)):
         records.append(OracleRecord(rho=rho, v_levels=w,
-                                    feasible=feasible, cost=cost))
-        if feasible and cost > best[0]:
-            best = (cost, strat)
+                                    feasible=bool(ok), cost=float(cost)))
+        if ok and cost > best[0]:
+            best = (cost, (model.node_ticks, y[k], v[k]))
 
     if config.random_directions > 0 and model.theta_norm_T > 0:
         rng = np.random.default_rng(config.seed)
-        horizon = model.horizon
+        draw_rho, draw_y = [], []
         for _ in range(config.random_directions):
             u = rng.standard_normal(model.dimension)
             u /= np.linalg.norm(u)
             rho = float(rng.choice(rhos[rhos > 0])) if np.any(rhos > 0) else 0.0
-            strat = constant_strategy(rho * u / np.sqrt(horizon), 0.0, horizon)
-            feasible, cost = evaluate(strat)
+            draw_rho.append(rho)
+            draw_y.append(rho * u / np.sqrt(horizon))
+        y = np.array(draw_y)[:, None, :]
+        v = np.zeros((len(draw_y), n_steps))
+        feasible, costs = evaluate(model.node_ticks, y, v)
+        for k, (rho, ok, cost) in enumerate(zip(draw_rho, feasible, costs)):
             records.append(OracleRecord(rho=rho, v_levels=(0.0,),
-                                        feasible=feasible, cost=cost,
+                                        feasible=bool(ok), cost=float(cost),
                                         label="random_direction"))
-            if feasible and cost > best[0]:
-                best = (cost, strat)
+            if ok and cost > best[0]:
+                best = (cost, (model.node_ticks, y[k], v[k]))
 
     if config.v_pieces > 1 and best[1] is not None:
         # coordinate descent from the best single-level candidate
@@ -275,31 +287,36 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
             best_rho = best_rec.rho
             current = np.full(config.v_pieces, best_rec.v_levels[0])
             best_cost = best_rec.cost
+            piece_ticks = to_ticks(np.linspace(0.0, horizon, config.v_pieces + 1))
+            node_ticks = merge_ticks(model.node_ticks, piece_ticks)
+            piece = segment_index(piece_ticks, node_ticks[:-1])
+            y = _theta_exposures(model, node_ticks, [best_rho])
             for _ in range(config.coordinate_passes):
                 improved = False
                 for i in range(config.v_pieces):
-                    for w in levels:
-                        trial = current.copy()
-                        trial[i] = w
+                    # every level of coordinate i at once, then the sequential
+                    # acceptance rule replayed over the results
+                    trials = np.repeat(current[None, :], len(levels), axis=0)
+                    trials[:, i] = levels
+                    feasible, costs = evaluate(node_ticks, y, trials[:, piece])
+                    for trial, ok, cost in zip(trials, feasible, costs):
                         if np.array_equal(trial, current):
                             continue
-                        strat = _make_candidate(model, best_rho, trial,
-                                                config.v_pieces)
-                        feasible, cost = evaluate(strat)
                         records.append(OracleRecord(
                             rho=best_rho, v_levels=tuple(trial),
-                            feasible=feasible, cost=cost,
+                            feasible=bool(ok), cost=float(cost),
                             label="coordinate_descent"))
-                        if feasible and cost > best_cost + 1e-15:
+                        if ok and cost > best_cost + 1e-15:
                             best_cost, current, improved = cost, trial, True
                 if not improved:
                     break
-            strat = _make_candidate(model, best_rho, current, config.v_pieces)
-            feasible, cost = evaluate(strat)
-            if feasible and cost > best[0]:
-                best = (cost, strat)
+            v = current[None, piece]
+            feasible, costs = evaluate(node_ticks, y, v)
+            if feasible[0] and costs[0] > best[0]:
+                best = (costs[0], (node_ticks, y[0], v[0]))
 
     if best[1] is None:
         raise EmptyFeasibleSet("no candidate in the family satisfies the bound")
-    return OracleResult(best_cost=float(best[0]), best_strategy=best[1],
+    return OracleResult(best_cost=float(best[0]),
+                        best_strategy=_step_candidate(model, *best[1]),
                         records=tuple(records))

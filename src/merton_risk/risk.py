@@ -67,11 +67,14 @@ class RiskSpec:
 # Pointwise closed forms
 # ---------------------------------------------------------------------------
 
+# _lambda_from_cumulants and _shortfall_mean take single strategies and
+# batches alike (a batch adds a leading candidate axis to every curve).
+
 def _lambda_from_cumulants(cum: Cumulants, quantile: Quantile, x: float, t):
     t = np.asarray(t, dtype=np.float64)
-    yn = cum.y_norm(t)
+    ynn = cum.ynn(t)
     expo = (cum.model.R(t) - cum.V(t) + cum.ydt(t)
-            - 0.5 * cum.ynn(t) - quantile.abs_z * yn)
+            - 0.5 * ynn - quantile.abs_z * np.sqrt(ynn))
     return x * np.exp(expo)
 
 
@@ -214,3 +217,19 @@ def constraint_profile(model: MarketModel, strategy: DeterministicStrategy,
         log_curve=log_curve, log_bound=spec.log_bound(),
     )
     return profile
+
+
+def max_ratios(cum: Cumulants, spec: RiskSpec, x: float,
+               n_refine: int = PROFILE_REFINE) -> np.ndarray:
+    """max_t measure_t / (zeta x e^{R_t}) per strategy of a cumulant batch.
+
+    The same grid and formulas as constraint_profile, for the bounded
+    measure only; a strategy is feasible when its entry is <= 1 + tol.
+    """
+    grid = profile_grid(cum, n_refine)
+    bond = x * np.exp(cum.model.R(grid))
+    if spec.kind == MeasureKind.VAR:
+        measure = bond - _lambda_from_cumulants(cum, spec.quantile, x, grid)
+    else:
+        measure = bond - _shortfall_mean(cum, spec.quantile, x, grid)
+    return np.max(measure / (spec.zeta * bond), axis=-1)

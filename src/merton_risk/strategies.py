@@ -15,11 +15,13 @@ consumption families keep v_t e^{-V_t} exponential-affine per interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._piecewise import (
+    PiecewiseLinear,
     cumulative_linear,
     from_ticks,
     merge_ticks,
@@ -63,11 +65,14 @@ class StepConsumption:
         """(a, b) with v e^{-V} = exp(a_j + b_j (t - node_j)) per interval."""
         left = node_ticks[:-1]
         v = self.v_path.value_at(left)
-        V_left = self._cum()(from_ticks(left))
-        with np.errstate(divide="ignore"):
-            a = np.where(v > 0, np.log(np.where(v > 0, v, 1.0)) - V_left, _LOG_ZERO)
-        b = -v
-        return a, b
+        return _step_log_affine(v, self._cum()(from_ticks(left)))
+
+
+def _step_log_affine(v, V_left):
+    """(a, b) of v e^{-V} for a step rate v with V = V_left at each left node."""
+    with np.errstate(divide="ignore"):
+        a = np.where(v > 0, np.log(np.where(v > 0, v, 1.0)) - V_left, _LOG_ZERO)
+    return a, -v
 
 
 @dataclass(frozen=True)
@@ -256,13 +261,18 @@ def scaled_theta_strategy(model: MarketModel, factor: float,
 
 @dataclass(frozen=True)
 class Cumulants:
-    """Exact cumulative functionals of a strategy against a market."""
+    """Exact cumulative functionals of controls against a market.
+
+    Holds one strategy, or a batch of K strategies on one shared partition
+    (see step_cumulants): then every curve and per-interval array carries a
+    leading candidate axis, and the risk and cost formulas broadcast over it.
+    """
 
     model: MarketModel
-    strategy: DeterministicStrategy
     node_ticks: np.ndarray       # merged partition (k+1,)
-    ydt: object                  # piecewise-linear (y,theta)_t
-    ynn: object                  # piecewise-linear ||y||_t^2
+    ydt: PiecewiseLinear         # (y,theta)_t
+    ynn: PiecewiseLinear         # ||y||_t^2
+    V_of: object                 # t -> V_t = int_0^t v
     cons_a: np.ndarray           # per-interval log-affine of v e^{-V}
     cons_b: np.ndarray
 
@@ -275,8 +285,7 @@ class Cumulants:
         return self.model.horizon
 
     def V(self, t):
-        return np.asarray(self.strategy.consumption.V_of(self.model, t),
-                          dtype=np.float64)
+        return np.asarray(self.V_of(t), dtype=np.float64)
 
     def y_norm(self, t):
         return np.sqrt(self.ynn(t))
@@ -284,8 +293,9 @@ class Cumulants:
     def y_norm_T(self) -> float:
         return float(np.sqrt(self.ynn.end_value))
 
-    def V_T(self) -> float:
-        return float(self.V(self.horizon))
+    def V_T(self):
+        end = self.V(self.horizon)
+        return float(end) if end.ndim == 0 else end
 
     def log_drift(self, t):
         """mean of ln(X_t/x): R_t - V_t + (y,theta)_t - ||y||_t^2/2."""
@@ -295,6 +305,13 @@ class Cumulants:
     def log_var(self, t):
         """variance of ln X_t: ||y||_t^2."""
         return self.ynn(t)
+
+
+def _exposure_cumulants(model: MarketModel, node_ticks: np.ndarray, y):
+    """(y,theta)_t and ||y||_t^2 for exposures y (..., k, d) per interval."""
+    theta = model.theta_step[segment_index(model.node_ticks, node_ticks[:-1])]
+    return (cumulative_linear(node_ticks, np.sum(y * theta, axis=-1)),
+            cumulative_linear(node_ticks, np.sum(y * y, axis=-1)))
 
 
 def cumulants(model: MarketModel, strategy: DeterministicStrategy) -> Cumulants:
@@ -307,13 +324,29 @@ def cumulants(model: MarketModel, strategy: DeterministicStrategy) -> Cumulants:
         strategy.y_path.node_ticks(),
         strategy.consumption.breakpoints(),
     )
-    left = node_ticks[:-1]
-    y = strategy.y_path.value_at(left)
-    theta = model.theta_step[segment_index(model.node_ticks, left)]
-    ydt = cumulative_linear(node_ticks, np.sum(y * theta, axis=1))
-    ynn = cumulative_linear(node_ticks, np.sum(y * y, axis=1))
+    ydt, ynn = _exposure_cumulants(model, node_ticks,
+                                   strategy.y_path.value_at(node_ticks[:-1]))
     cons_a, cons_b = strategy.consumption.log_affine(model, node_ticks)
     return Cumulants(
-        model=model, strategy=strategy, node_ticks=node_ticks,
-        ydt=ydt, ynn=ynn, cons_a=cons_a, cons_b=cons_b,
+        model=model, node_ticks=node_ticks, ydt=ydt, ynn=ynn,
+        V_of=partial(strategy.consumption.V_of, model),
+        cons_a=cons_a, cons_b=cons_b,
     )
+
+
+def step_cumulants(model: MarketModel, node_ticks: np.ndarray, y, v) -> Cumulants:
+    """Cumulants of K controls held constant on every interval of node_ticks.
+
+    y : (K, k, d) exposures and v : (K, k) consumption rates, one row per
+    control and one column per interval of the shared partition, which must
+    hold every market breakpoint.  Row i matches cumulants() of the step
+    strategy with those values up to rounding.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    if np.any(v < 0):
+        raise MismatchedPaths("consumption rates must be >= 0")
+    ydt, ynn = _exposure_cumulants(model, node_ticks, y)
+    V = cumulative_linear(node_ticks, v)
+    cons_a, cons_b = _step_log_affine(v, V.values[..., :-1])
+    return Cumulants(model=model, node_ticks=node_ticks, ydt=ydt, ynn=ynn,
+                     V_of=V, cons_a=cons_a, cons_b=cons_b)

@@ -190,18 +190,6 @@ class HaraFeedback:
         return (-self.coeffs.A1_dot(t) / (1.0 - u.q1) * g ** (1.0 - u.q1)
                 - self.coeffs.A2_dot(t) / (1.0 - u.q2) * g ** (1.0 - u.q2))
 
-    def sde_coefficients(self, t, x):
-        """Drift / diffusion of the optimal wealth SDE."""
-        g = self.g(t, x)
-        p = self.p_from_g(t, g)
-        theta = self.model.theta_at(t)
-        theta_sq = np.sum(theta * theta, axis=-1)
-        idx = segment_index(self.model.node_ticks, to_ticks(t))
-        r = self.model.r_step[idx]
-        a = r * x + p * theta_sq - self.c_from_g(g)
-        b = np.asarray(p)[..., None] * theta
-        return a, b
-
     def wealth_mean(self, t):
         """E[X*_t] from the exponential-of-Gaussian representation."""
         t = np.asarray(t, dtype=np.float64)

@@ -80,6 +80,16 @@ def test_solve_missing_field(tmp_path):
     assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("x0", [float("nan"), float("inf")])
+def test_solve_non_finite_x0_is_input_error(tmp_path, x0):
+    spec = write_spec(tmp_path / "p.json",
+                      utility={"gamma1": 0.5, "gamma2": 0.5},
+                      risk={"kind": "var", "alpha": 0.01, "zeta": 0.1}, x0=x0)
+    out = tmp_path / "out"
+    assert main(["solve", str(spec), "--out", str(out)]) == 1
+    assert not (out / "solution.json").exists()
+
+
 def test_solve_no_closed_form_exit2(tmp_path):
     spec = write_spec(tmp_path / "p.json",
                       utility={"gamma1": 0.5, "gamma2": 0.5},
@@ -186,6 +196,22 @@ def test_verify_grid_touches_breakpoint_exit1(tmp_path):
                       utility={"gamma1": 0.5, "gamma2": 0.5}, market=market)
     assert main(["verify", str(spec), "--out", str(tmp_path / "o"),
                  "--t-nodes", "0.25,0.5,0.75"]) == 1
+
+
+def test_verify_reports_excluded_breakpoints(tmp_path):
+    market = {
+        "T": 1.0, "d": 1,
+        "r": [{"t0": 0.0, "value": 0.02}, {"t0": 0.5, "value": 0.04}],
+        "mu": [{"t0": 0.0, "value": [0.08]}],
+        "sigma": [{"t0": 0.0, "value": [[0.2]]}],
+    }
+    spec = write_spec(tmp_path / "p.json",
+                      utility={"gamma1": 0.5, "gamma2": 0.3}, market=market)
+    out = tmp_path / "out"
+    assert main(["verify", str(spec), "--out", str(out),
+                 "--nt", "20", "--nx", "20"]) == 0
+    rep = json.loads((out / "hjb_report.json").read_text())
+    assert rep["excluded_times"] == [0.5]
 
 
 def test_verify_rejects_linear_utility(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from merton_risk import (
+    DeterministicStrategy,
     EmptyFeasibleSet,
     FamilyConfig,
     MeasureKind,
@@ -11,6 +12,7 @@ from merton_risk import (
     SimConfig,
     UtilityParams,
     constant_market,
+    constant_strategy,
     constraint_profile,
     cost_closed_form,
     cost_quadrature,
@@ -22,8 +24,11 @@ from merton_risk import (
     solve_es_linear,
     solve_var_linear,
     solve_var_tight,
+    step_strategy,
+    theta_direction_strategy,
 )
-from merton_risk.var_bound import tight_strategy
+from merton_risk.es_bound import rho_es
+from merton_risk.var_bound import rho_var, tight_strategy
 
 from conftest import bond_strategy, random_market, random_strategy
 
@@ -178,15 +183,65 @@ def test_oracle_tight_instance_structure(standard_market):
     assert cum.V_T() == pytest.approx(-np.log1p(-0.1), abs=5e-3)
 
 
-def test_oracle_thread_cap_determinism(standard_market, monkeypatch):
-    spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
-    u = UtilityParams(1.0, 1.0)
-    config = FamilyConfig(rho_grid=np.arange(0.0, 0.08, 1e-3))
-    res1 = grid_search_oracle(standard_market, u, spec, 1.0, config)
-    monkeypatch.setenv("MERTON_RISK_THREADS", "2")
-    res2 = grid_search_oracle(standard_market, u, spec, 1.0, config)
-    assert res1.best_cost == res2.best_cost
-    assert [r.cost for r in res1.records] == [r.cost for r in res2.records]
+def _rebuild_candidate(model, rec, directions):
+    """The strategy behind an oracle record, built alone from the public
+    constructors."""
+    horizon = model.horizon
+    if rec.label == "random_direction":
+        return constant_strategy(rec.rho * next(directions) / np.sqrt(horizon),
+                                 0.0, horizon)
+    edges = np.linspace(0.0, horizon, len(rec.v_levels) + 1)[:-1]
+    plan = step_strategy([(0.0, np.zeros(model.dimension))],
+                         list(zip(edges, rec.v_levels)), horizon)
+    if rec.rho == 0.0:
+        return plan
+    return DeterministicStrategy(
+        y_path=theta_direction_strategy(model, rec.rho).y_path,
+        consumption=plan.consumption)
+
+
+@pytest.mark.parametrize("kind", [MeasureKind.VAR, MeasureKind.ES])
+@pytest.mark.parametrize("v_pieces,random_directions", [(1, 8), (4, 0)])
+def test_oracle_batched_matches_looped(kind, v_pieces, random_directions):
+    model = random_market(np.random.default_rng(23), d=2, max_pieces=3)
+    spec = RiskSpec(alpha=0.025, zeta=0.15, kind=kind)
+    u = UtilityParams(0.6, 0.4)
+    # exposures just inside and just outside the bound test the verdict there
+    rho_star = (rho_var if kind == MeasureKind.VAR else rho_es)(model, spec)
+    edge = rho_star * np.array([1 - 1e-6, 1 + 1e-6])
+    config = FamilyConfig(rho_grid=np.concatenate([np.arange(0.0, 0.3, 0.02), edge]),
+                          v_levels=np.linspace(0.0, 0.4, 9), v_pieces=v_pieces,
+                          random_directions=random_directions, seed=3)
+    res = grid_search_oracle(model, u, spec, 1.2, config)
+    stage = "random_direction" if random_directions else "coordinate_descent"
+    assert stage in {r.label for r in res.records}
+    # the oracle draws a direction, then a rho, per random candidate
+    rng = np.random.default_rng(config.seed)
+    rhos = np.unique(np.concatenate([[0.0], config.rho_grid]))
+    directions = []
+    for _ in range(random_directions):
+        d = rng.standard_normal(model.dimension)
+        directions.append(d / np.linalg.norm(d))
+        rng.choice(rhos[rhos > 0])
+    directions = iter(directions)
+    feasible = 0
+    for rec in res.records:
+        s = _rebuild_candidate(model, rec, directions)
+        prof = constraint_profile(model, s, spec, 1.2, n_refine=config.n_profile)
+        assert rec.feasible == prof.satisfied()
+        if rec.feasible:
+            feasible += 1
+            cost = cost_closed_form(model, s, u, 1.2)
+            assert rec.cost == pytest.approx(cost, rel=1e-12)
+        else:
+            assert rec.cost == -np.inf
+    assert 0 < feasible < len(res.records)
+    inside, outside = (next(r for r in res.records
+                            if r.rho == rho and r.v_levels == (0.0,))
+                       for rho in edge)
+    assert inside.feasible and not outside.feasible
+    assert res.best_cost == pytest.approx(
+        max(r.cost for r in res.records if r.feasible), rel=1e-12)
 
 
 def test_oracle_random_direction_never_beats_theta(standard_market):
