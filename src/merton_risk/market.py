@@ -241,6 +241,9 @@ def market_from_dict(doc: dict) -> MarketModel:
     try:
         horizon = float(doc["T"])
         d = int(doc["d"])
+        times = [horizon] + [seg["t0"] for k in ("r", "mu", "sigma") for seg in doc[k]]
+        if not np.all(np.isfinite(np.asarray(times, dtype=np.float64))):
+            raise MismatchedPaths("non-finite horizon or breakpoint")
         r_path = CoefficientPath.from_segments(
             [(seg["t0"], float(seg["value"])) for seg in doc["r"]], horizon)
         mu_path = CoefficientPath.from_segments(
@@ -251,6 +254,9 @@ def market_from_dict(doc: dict) -> MarketModel:
              for seg in doc["sigma"]], horizon)
     except (KeyError, TypeError, ValueError) as exc:
         raise MismatchedPaths(f"malformed market document: {exc}") from exc
+    # a NaN or infinite coefficient is an input error, never a regime verdict
+    if not all(np.isfinite(p.values).all() for p in (r_path, mu_path, sg_path)):
+        raise MismatchedPaths("non-finite r, mu or sigma value")
     if mu_path.values.shape[1] != d:
         raise MismatchedPaths("mu entries disagree with declared dimension")
     return build_market(r_path, mu_path, sg_path)

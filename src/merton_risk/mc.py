@@ -9,12 +9,14 @@ cross-check of the closed-form law.
 
 Streams are counter-based (Philox) and indexed by (seed, path block), so
 ensembles are bit-reproducible regardless of how path blocks would be
-scheduled.
+scheduled.  Sampling and cost estimation stream through fixed row chunks
+of the one (n, m) wealth matrix, so memory beyond it (and the feedback
+law's consumption matrix) is a few chunk buffers and per-path vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -28,6 +30,8 @@ from .unconstrained import HaraFeedback, solve_hara_unconstrained
 from .utility import UtilityParams
 
 _BLOCK = 1 << 16
+# rows per streamed chunk; divides _BLOCK, and (chunk, m) temporaries fit L2
+_CHUNK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -48,24 +52,39 @@ class SimConfig:
 def block_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """(n_paths, n_steps) standard normals from per-block Philox streams."""
     base = np.random.Philox(key=seed)
-    rows = []
-    produced = 0
-    block = 0
-    while produced < n_paths:
-        take = min(_BLOCK, n_paths - produced)
-        gen = np.random.Generator(base.jumped(block))
-        rows.append(gen.standard_normal((take, n_steps)))
-        produced += take
-        block += 1
-    return np.vstack(rows)
+    return np.vstack([
+        np.random.Generator(base.jumped(b0 // _BLOCK)).standard_normal(
+            (min(_BLOCK, n_paths - b0), n_steps))
+        for b0 in range(0, n_paths, _BLOCK)])
 
 
-def _draw_increments(config: SimConfig, n_steps: int) -> np.ndarray:
-    if config.antithetic:
-        half = (config.n_paths + 1) // 2
-        z = block_normals(config.seed, half, n_steps)
-        return np.vstack([z, -z])[: config.n_paths]
-    return block_normals(config.seed, config.n_paths, n_steps)
+def _row_chunks(n: int):
+    return (slice(r0, r0 + _CHUNK) for r0 in range(0, n, _CHUNK))
+
+
+def _log_paths(config: SimConfig, mean_inc: np.ndarray, sd_inc: np.ndarray):
+    """Yield (rows, xi): cumulative log increments of block_normals' rows.
+
+    xi is a buffer reused by each _CHUNK rows; antithetic runs mirror each
+    chunk into the second half (increments mean - sd z)."""
+    n = config.n_paths
+    half = (n + 1) // 2 if config.antithetic else n
+    base = np.random.Philox(key=config.seed)
+    buf = np.empty((min(_CHUNK, half), len(mean_inc)))
+    xi = np.zeros((len(buf), len(mean_inc) + 1))
+    for r0 in range(0, half, _CHUNK):
+        if r0 % _BLOCK == 0:
+            gen = np.random.Generator(base.jumped(r0 // _BLOCK))
+        k = min(_CHUNK, half - r0)
+        z = gen.standard_normal(out=buf[:k])
+        z *= sd_inc
+        mirror = min(k, n - half - r0)
+        if mirror > 0:
+            np.cumsum(mean_inc - z[:mirror], axis=1, out=xi[:mirror, 1:])
+            yield slice(half + r0, half + r0 + mirror), xi[:mirror]
+        z += mean_inc
+        np.cumsum(z, axis=1, out=xi[:k, 1:])
+        yield slice(r0, r0 + k), xi[:k]
 
 
 @dataclass(frozen=True)
@@ -74,23 +93,32 @@ class PathEnsemble:
 
     times: np.ndarray            # (m,)
     wealth: np.ndarray           # (n, m), all > 0
-    consumption: np.ndarray      # (n, m) rate c_t at grid times
     terminal: np.ndarray         # (n,)
     kind: str                    # "deterministic" | "feedback"
     antithetic: bool
     seed: int
     # deterministic-strategy metadata for the exact consumption integral
+    v_grid: np.ndarray | None = None          # (m,) rate v_t, c = X v
     V_grid: np.ndarray | None = None          # (m,)
     gross_drift: np.ndarray | None = None     # (m-1,) slope of R+(y,th)-ynn/2
     y_sq_rate: np.ndarray | None = None       # (m-1,) |y|^2 per step
     cons_log0: np.ndarray | None = None       # (m-1,) ln(v e^{-V}) at step start
     cons_slope: np.ndarray | None = None      # (m-1,)
-    # feedback metadata
-    feedback_x0: float | None = None
+    feedback_consumption: np.ndarray | None = None   # (n, m)
 
     @property
     def n_paths(self) -> int:
         return self.wealth.shape[0]
+
+    @property
+    def consumption(self) -> np.ndarray:
+        """(n, m) consumption rate c_t at grid times."""
+        return self._consumption(slice(None))
+
+    def _consumption(self, rows: slice) -> np.ndarray:
+        if self.v_grid is None:
+            return self.feedback_consumption[rows]
+        return self.wealth[rows] * self.v_grid
 
     def write_csv(self, path, max_paths: int | None = None) -> None:
         """Columnar spill (path_id, t, X, c); optionally truncated."""
@@ -98,6 +126,7 @@ class PathEnsemble:
 
         n = self.n_paths if max_paths is None else min(max_paths,
                                                        self.n_paths)
+        consumption = self._consumption(slice(0, n))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["path_id", "t", "X", "c"])
@@ -105,7 +134,7 @@ class PathEnsemble:
                 for k, t in enumerate(self.times):
                     writer.writerow([i, f"{t:.12g}",
                                      f"{self.wealth[i, k]:.12g}",
-                                     f"{self.consumption[i, k]:.12g}"])
+                                     f"{consumption[i, k]:.12g}"])
 
 
 def simulation_grid(model: MarketModel, strategy_nodes: np.ndarray,
@@ -126,18 +155,15 @@ def simulate_deterministic(model: MarketModel,
     """Exact sampling of lognormal wealth under a deterministic strategy."""
     cum = cumulants(model, strategy)
     grid = simulation_grid(model, cum.node_ticks, config)
-    drift = cum.log_drift(grid)
-    var = cum.log_var(grid)
-    mean_inc = np.diff(drift)
-    sd_inc = np.sqrt(np.maximum(np.diff(var), 0.0))
+    mean_inc = np.diff(cum.log_drift(grid))
+    sd_inc = np.sqrt(np.maximum(np.diff(cum.log_var(grid)), 0.0))
 
-    z = _draw_increments(config, len(grid) - 1)
-    wealth = x * np.exp(
-        np.hstack([np.zeros((z.shape[0], 1)),
-                   np.cumsum(mean_inc + sd_inc * z, axis=1)]))
+    wealth = np.empty((config.n_paths, len(grid)))
+    for rows, xi in _log_paths(config, mean_inc, sd_inc):
+        chunk = np.exp(xi, out=wealth[rows])
+        chunk *= x
 
     v_grid = np.broadcast_to(strategy.v_at(model, grid), grid.shape)
-    consumption = wealth * v_grid
 
     V_grid = cum.V(grid)
     R_grid = model.R(grid)
@@ -153,11 +179,11 @@ def simulate_deterministic(model: MarketModel,
     cons_slope = np.where(np.isfinite(cons_log0), cons_slope, 0.0)
 
     return PathEnsemble(
-        times=grid, wealth=wealth, consumption=consumption,
+        times=grid, wealth=wealth,
         terminal=wealth[:, -1], kind="deterministic",
         antithetic=config.antithetic, seed=config.seed,
-        V_grid=V_grid, gross_drift=gross_drift, y_sq_rate=y_sq_rate,
-        cons_log0=cons_log0, cons_slope=cons_slope,
+        v_grid=v_grid, V_grid=V_grid, gross_drift=gross_drift,
+        y_sq_rate=y_sq_rate, cons_log0=cons_log0, cons_slope=cons_slope,
     )
 
 
@@ -172,21 +198,20 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
     mean_inc = -np.diff(R + 0.5 * TS)
     sd_inc = np.sqrt(np.maximum(np.diff(TS), 0.0))
 
-    z = _draw_increments(config, len(grid) - 1)
-    xi = np.hstack([np.zeros((z.shape[0], 1)),
-                    np.cumsum(mean_inc + sd_inc * z, axis=1)])
     g0 = fb.g(0.0, x)
     q1, q2 = utility.q1, utility.q2
-    A1 = fb.coeffs.A1(grid)
-    A2 = fb.coeffs.A2(grid)
-    wealth = (A1 * g0 ** -q1 * np.exp(-q1 * xi)
-              + A2 * g0 ** -q2 * np.exp(-q2 * xi))
-    consumption = (utility.gamma1 / (g0 * np.exp(xi))) ** q1
+    c1 = fb.coeffs.A1(grid) * g0 ** -q1
+    c2 = fb.coeffs.A2(grid) * g0 ** -q2
+    wealth = np.empty((config.n_paths, len(grid)))
+    consumption = np.empty_like(wealth)
+    for rows, xi in _log_paths(config, mean_inc, sd_inc):
+        wealth[rows] = c1 * np.exp(-q1 * xi) + c2 * np.exp(-q2 * xi)
+        consumption[rows] = (utility.gamma1 / (g0 * np.exp(xi))) ** q1
     return PathEnsemble(
-        times=grid, wealth=wealth, consumption=consumption,
+        times=grid, wealth=wealth,
         terminal=wealth[:, -1], kind="feedback",
         antithetic=config.antithetic, seed=config.seed,
-        feedback_x0=x,
+        feedback_consumption=consumption,
     )
 
 
@@ -195,29 +220,25 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
 # ---------------------------------------------------------------------------
 
 def _int_exp_quadratic(B: np.ndarray, A: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """int_0^dt exp(B s - A s^2) ds elementwise, A >= 0.
+    """int_0^dt exp(B s - A s^2) ds for B (paths, steps), A >= 0 and dt per step.
 
-    erf closed form with an affine fallback where the quadratic term is
-    negligible over the step.
+    erf closed form on curved steps, with an affine fallback on steps whose
+    quadratic term is negligible (A dt^2 <= 1e-8).
     """
-    B = np.asarray(B, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64)
-    B, A, dt = np.broadcast_arrays(B, A, dt)
-    out = np.empty(B.shape, dtype=np.float64)
-
+    out = np.empty(B.shape)
     flat = A * dt * dt <= 1e-8
     if np.any(flat):
-        b = B[flat]
+        b = B[:, flat]
         d = dt[flat]
         xbd = b * d
         small = np.abs(xbd) < 1e-12
         safe_b = np.where(small, 1.0, b)
-        val = np.where(small, d * (1.0 + 0.5 * xbd), np.expm1(xbd) / safe_b)
-        out[flat] = val
+        out[:, flat] = np.where(small, d * (1.0 + 0.5 * xbd),
+                                np.expm1(xbd) / safe_b)
     curved = ~flat
     if np.any(curved):
         a = A[curved]
-        b = B[curved]
+        b = B[:, curved]
         d = dt[curved]
         sa = np.sqrt(a)
         h = b / (2.0 * a)
@@ -232,54 +253,55 @@ def _int_exp_quadratic(B: np.ndarray, A: np.ndarray, dt: np.ndarray) -> np.ndarr
         bad = (ssum < 1e-8) | (peak >= 700.0) | ~np.isfinite(val)
         if np.any(bad):
             nodes, weights = np.polynomial.legendre.leggauss(32)
-            ab, bb, db = a[bad], b[bad], d[bad]
+            ab, bb, db = (np.broadcast_to(v, b.shape)[bad] for v in (a, b, d))
             s = 0.5 * db[:, None] * (nodes[None, :] + 1.0)
             expo = bb[:, None] * s - ab[:, None] * s * s
             peak = np.max(expo, axis=1, keepdims=True)
-            val_bad = (0.5 * db * np.exp(peak[:, 0])
-                       * np.sum(weights * np.exp(expo - peak), axis=1))
-            val[bad] = val_bad
-        out[curved] = val
+            val[bad] = (0.5 * db * np.exp(peak[:, 0])
+                        * np.sum(weights * np.exp(expo - peak), axis=1))
+        out[:, curved] = val
     return out
 
 
-def _consumption_integral_exact(ens: PathEnsemble, gamma1: float) -> np.ndarray:
-    """Unbiased per-path value of int_0^T c_t^{gamma1} dt.
+def _consumption_integral_exact(ens: PathEnsemble, g: float) -> np.ndarray:
+    """Unbiased per-path value of int_0^T c_t^g dt.
 
     Conditional on the sampled skeleton, the within-step law of wealth is a
     lognormal bridge, so E[int c^g dt | skeleton] has an erf closed form;
     by the tower property its path average is unbiased for the true cost
     term with strictly smaller variance than any within-step sampling.
     """
-    dt = np.diff(ens.times)
-    live = np.isfinite(ens.cons_log0)
-    if not np.any(live):
-        return np.zeros(ens.n_paths)
-    idx = np.where(live)[0]
-    dts = dt[idx]
+    out = np.empty(ens.n_paths)
+    idx = np.flatnonzero(np.isfinite(ens.cons_log0))
+    dts = np.diff(ens.times)[idx]
     mu = ens.gross_drift[idx]
-    vr = ens.y_sq_rate[idx]
     a0 = ens.cons_log0[idx]
-    b = ens.cons_slope[idx]
-
-    ln_x = np.log(ens.wealth)
-    lnG = ln_x + ens.V_grid[None, :]
-    lnG_a = lnG[:, idx]
-    w = lnG[:, idx + 1] - lnG_a - mu[None, :] * dts[None, :]
-
-    g = gamma1
-    C = g * (a0[None, :] + lnG_a)
-    B = g * (b + mu)[None, :] + g * w / dts[None, :] + 0.5 * g * g * vr[None, :]
-    A = np.broadcast_to(0.5 * g * g * vr[None, :] / dts[None, :], B.shape)
-    seg = _int_exp_quadratic(B, A, np.broadcast_to(dts[None, :], B.shape))
-    return np.sum(np.exp(C) * seg, axis=1)
+    # per-step terms, shared by every path
+    drift = mu * dts
+    B0 = g * (ens.cons_slope[idx] + mu)
+    B2 = 0.5 * g * g * ens.y_sq_rate[idx]
+    A = B2 / dts
+    for rows in _row_chunks(ens.n_paths):
+        lnG = np.log(ens.wealth[rows])
+        lnG += ens.V_grid
+        lnG_a = lnG[:, idx]
+        w = lnG[:, idx + 1] - lnG_a - drift
+        C = g * (a0 + lnG_a)
+        B = B0 + g * w / dts + B2
+        # column-major, so that each path sums its steps left to right
+        seg = np.multiply(np.exp(C), _int_exp_quadratic(B, A, dts), order="F")
+        out[rows] = np.sum(seg, axis=1)
+    return out
 
 
 def _consumption_integral_trapezoid(ens: PathEnsemble,
                                     gamma1: float) -> np.ndarray:
     dt = np.diff(ens.times)
-    cg = ens.consumption ** gamma1
-    return np.sum(0.5 * (cg[:, :-1] + cg[:, 1:]) * dt[None, :], axis=1)
+    out = np.empty(ens.n_paths)
+    for rows in _row_chunks(ens.n_paths):
+        cg = ens.feedback_consumption[rows] ** gamma1
+        out[rows] = np.sum(0.5 * (cg[:, :-1] + cg[:, 1:]) * dt, axis=1)
+    return out
 
 
 def estimate_cost(ensemble: PathEnsemble,
@@ -326,28 +348,42 @@ def empirical_risk_curve(ensemble: PathEnsemble, spec: RiskSpec, x: float,
     bond = x * np.exp(model.R(times))
     level = spec.zeta * bond
 
+    # np.quantile's type-7 position and weight, in its own arithmetic
+    virt = (n - 1) * alpha
+    q_lo = int(np.floor(virt))
+    q_hi = min(q_lo + 1, n - 1)
+    gamma = virt - q_lo
+    # order-statistic normal-approximation band for the quantile
+    j = max(1, int(np.sqrt(n * alpha * (1 - alpha))))
+    band_lo = max(0, int(n * alpha) - j)
+    band_hi = min(n - 1, int(n * alpha) + j)
+
     var_curve = np.zeros_like(times)
     es_curve = np.zeros_like(times)
     var_se = np.zeros_like(times)
     es_se = np.zeros_like(times)
     for k in range(len(times)):
-        col = ensemble.wealth[:, k]
-        lam = float(np.quantile(col, alpha))  # type-7 interpolation
-        tail = col[col <= lam]
+        col = ensemble.wealth[:, k].copy()
+        # select band_hi over the column, the rest within the head below it
+        order = np.partition(col, band_hi)
+        order[:band_hi + 1].partition([band_lo, q_lo, q_hi])
+        lo, hi, b_lo, b_hi = order[[q_lo, q_hi, band_lo, band_hi]]
+        del order
+        diff = hi - lo
+        lam = float(hi - diff * (1 - gamma) if gamma >= 0.5
+                    else lo + diff * gamma)
+        below = col <= lam
+        tail = col[below]
+        # influence function of the tail conditional mean,
+        # X 1{X <= lam} + lam (alpha - 1{X <= lam}), term by term
+        u = np.full(n, lam * alpha)
+        u[below] = tail + lam * (alpha - 1.0)
         if tail.size == 0:
             tail = np.array([lam])
         m = float(np.mean(tail))
         var_curve[k] = bond[k] - lam
         es_curve[k] = bond[k] - m
-        # order-statistic normal-approximation band for the quantile
-        j = max(1, int(np.sqrt(n * alpha * (1 - alpha))))
-        order = np.partition(col, [max(0, int(n * alpha) - j),
-                                   min(n - 1, int(n * alpha) + j)])
-        lo = order[max(0, int(n * alpha) - j)]
-        hi = order[min(n - 1, int(n * alpha) + j)]
-        var_se[k] = max(float(hi - lo) / 2.0, 1e-300)
-        # influence-function std error of the tail conditional mean
-        u = col * (col <= lam) + lam * (alpha - (col <= lam))
+        var_se[k] = max(float(b_hi - b_lo) / 2.0, 1e-300)
         es_se[k] = float(np.std(u) / (alpha * np.sqrt(n)))
 
     measure = var_curve if spec.kind == MeasureKind.VAR else es_curve

@@ -90,6 +90,19 @@ def test_solve_non_finite_x0_is_input_error(tmp_path, x0):
     assert not (out / "solution.json").exists()
 
 
+@pytest.mark.parametrize("market", [market_doc(mu=float("nan")),
+                                    market_doc(r=float("inf"))],
+                         ids=["nan_mu", "inf_r"])
+def test_solve_non_finite_market_is_input_error(tmp_path, market):
+    spec = write_spec(tmp_path / "p.json",
+                      utility={"gamma1": 0.5, "gamma2": 0.5},
+                      risk={"kind": "var", "alpha": 0.01, "zeta": 0.1},
+                      market=market)
+    out = tmp_path / "out"
+    assert main(["solve", str(spec), "--out", str(out)]) == 1
+    assert not any("NaN" in p.read_text() for p in out.glob("*.json"))
+
+
 def test_solve_no_closed_form_exit2(tmp_path):
     spec = write_spec(tmp_path / "p.json",
                       utility={"gamma1": 0.5, "gamma2": 0.5},

@@ -173,6 +173,23 @@ def test_malformed_market_document():
                           "mu": [], "sigma": []})
 
 
+@pytest.mark.parametrize("where", [
+    ("T",), ("mu", 1, "t0"), ("r", 0, "value"), ("mu", 1, "value", 0),
+    ("sigma", 0, "value", 0, 0)], ids=["T", "t0", "r", "mu", "sigma"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_market_document(where, bad):
+    doc = {"T": 1.0, "d": 1, "r": [{"t0": 0.0, "value": 0.02}],
+           "mu": [{"t0": 0.0, "value": [0.1]}, {"t0": 0.5, "value": [0.1]}],
+           "sigma": [{"t0": 0.0, "value": [[0.2]]}]}
+    market_from_dict(doc)
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = bad
+    with pytest.raises(MismatchedPaths):
+        market_from_dict(doc)
+
+
 def test_market_file_round_trip(tmp_path):
     from merton_risk import load_market, save_market
     rng = np.random.default_rng(23)

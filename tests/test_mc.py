@@ -1,5 +1,7 @@
 """Exact-law simulation, estimators, and the Euler cross-check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -20,6 +22,7 @@ from merton_risk import (
     simulate_hara_feedback,
     solve_hara_unconstrained,
     solve_var_linear,
+    step_strategy,
 )
 from merton_risk.mc import block_normals, simulate_feedback_euler
 
@@ -174,3 +177,110 @@ def test_linear_var_optimum_empirical_ratio(standard_market):
     sig = prof.var_stderr / prof.level_curve
     worst = np.max((prof.ratio_curve - 1.0) / np.maximum(sig, 1e-12))
     assert worst <= 3.0
+
+
+# ---------------------------------------------------------------------------
+# Streamed ensembles against the whole-matrix formulas
+# ---------------------------------------------------------------------------
+
+# Path counts spanning two 65,536-path Philox blocks (of drawn normals) and
+# ending in a partial row chunk; antithetic runs draw (n + 1) // 2 rows.
+STREAM_CASES = [
+    ("riskless", 70_001, False), ("riskless", 140_001, True),
+    ("risky", 70_001, False), ("risky", 140_001, True),
+    ("feedback", 70_001, False), ("feedback", 140_001, True),
+]
+STREAM_UTILITY = UtilityParams(0.5, 0.4)
+# (estimate, std_error) of estimate_cost from the whole-matrix implementation
+STREAM_COSTS = {
+    ("riskless", 70_001, False): (1.4477411501121724, 0.0),
+    ("riskless", 140_001, True): (1.4477411501121722, 8.308148362110449e-14),
+    ("risky", 70_001, False): (1.4904002119775994, 0.0008122786640743736),
+    ("risky", 140_001, True): (1.4905358940368454, 0.0005741326173536923),
+    ("feedback", 70_001, False): (1.6688103764122684, 0.0013555114909240087),
+    ("feedback", 140_001, True): (1.6687179653222213, 0.0009590649689909397),
+}
+
+
+def _stream_case(kind, n, antithetic):
+    m = constant_market(0.03, [0.1], [[0.2]], 1.0)
+    cfg = SimConfig(n_paths=n, seed=7, n_steps=12, antithetic=antithetic)
+    if kind == "feedback":
+        return m, None, simulate_hara_feedback(m, STREAM_UTILITY, 1.2, cfg)
+    # dead consumption steps (v = 0) leave gaps in the exact-integral steps
+    y = [(0.0, [0.0])] if kind == "riskless" else [(0.0, [0.5]),
+                                                   (0.5, [0.2])]
+    s = step_strategy(y, [(0.0, 0.3), (0.5, 0.0), (0.75, 0.6)], 1.0)
+    return m, s, simulate_deterministic(m, s, 1.2, cfg)
+
+
+def _whole_matrix_wealth(m, s, ens, n, antithetic):
+    """x exp(cumsum(mean + sd z)) over the full normal matrix."""
+    grid = ens.times
+    if s is None:
+        fb = solve_hara_unconstrained(m, STREAM_UTILITY, 1.2).feedback
+        R, TS = m.R(grid), m.theta_sq_cum(grid)
+        mean, var = -np.diff(R + 0.5 * TS), np.diff(TS)
+    else:
+        cum = cumulants(m, s)
+        mean = np.diff(cum.log_drift(grid))
+        var = np.diff(cum.log_var(grid))
+    sd = np.sqrt(np.maximum(var, 0.0))
+    z = block_normals(7, (n + 1) // 2 if antithetic else n, len(grid) - 1)
+    if antithetic:
+        z = np.vstack([z, -z])[:n]
+    xi = np.hstack([np.zeros((n, 1)), np.cumsum(mean + sd * z, axis=1)])
+    if s is not None:
+        return 1.2 * np.exp(xi)
+    g0 = fb.g(0.0, 1.2)
+    q1, q2 = STREAM_UTILITY.q1, STREAM_UTILITY.q2
+    return (fb.coeffs.A1(grid) * g0 ** -q1 * np.exp(-q1 * xi)
+            + fb.coeffs.A2(grid) * g0 ** -q2 * np.exp(-q2 * xi))
+
+
+@pytest.mark.parametrize("kind,n,antithetic", STREAM_CASES)
+def test_streamed_ensemble_matches_whole_matrix(kind, n, antithetic):
+    m, s, ens = _stream_case(kind, n, antithetic)
+    assert np.array_equal(ens.wealth,
+                          _whole_matrix_wealth(m, s, ens, n, antithetic))
+    assert estimate_cost(ens, STREAM_UTILITY) == STREAM_COSTS[
+        (kind, n, antithetic)]
+
+    bond = 1.2 * np.exp(m.R(ens.times))
+    # type-7 interpolation weights (n - 1) alpha mod 1 near 0, and 3/4 or 1/2
+    for alpha in (0.01, 1 / 64):
+        spec = RiskSpec(alpha=alpha, zeta=0.1, kind=MeasureKind.ES)
+        prof = empirical_risk_curve(ens, spec, 1.2, m)
+        j = int(np.sqrt(n * alpha * (1 - alpha)))
+        for k in range(len(ens.times)):
+            col = ens.wealth[:, k]
+            lam = np.quantile(col, alpha)
+            below = col <= lam
+            order = np.sort(col)
+            assert prof.var_curve[k] == bond[k] - lam
+            assert prof.es_curve[k] == pytest.approx(
+                bond[k] - np.mean(col[below]), rel=1e-12)
+            assert prof.var_stderr[k] == max(
+                (order[int(n * alpha) + j] - order[int(n * alpha) - j]) / 2,
+                1e-300)
+            u = col * below + lam * (alpha - below)
+            assert prof.es_stderr[k] == np.std(u) / (alpha * np.sqrt(n))
+
+
+def test_cost_and_sampling_memory_bounded_by_wealth():
+    m = constant_market(0.03, [0.1], [[0.2]], 1.0)
+    s = constant_strategy([0.5], 0.3, 1.0)
+    cfg = SimConfig(n_paths=131_072, seed=3, n_steps=15)
+    tracemalloc.start()
+    try:
+        ens = simulate_deterministic(m, s, 1.0, cfg)
+        sample_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        estimate_cost(ens, STREAM_UTILITY)
+        cost_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ens.wealth.shape == (131_072, 16)
+    assert sample_peak <= 2 * ens.wealth.nbytes
+    assert cost_peak <= 0.5 * ens.wealth.nbytes
