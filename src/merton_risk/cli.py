@@ -26,7 +26,6 @@ import numpy as np
 from . import es_bound, hjb, mc, oracle, unconstrained, var_bound
 from .errors import (
     ConditionViolated,
-    GridTouchesBreakpoint,
     HypothesisViolated,
     InsufficientPaths,
     MertonRiskError,
@@ -305,6 +304,13 @@ def cmd_verify(args) -> int:
         spec = ProblemSpec.load(args.spec)
         if not spec.utility.is_hara:
             raise ValueError("verification needs gamma1, gamma2 in (0,1)")
+        if args.nt < 1 or args.nx < 1:
+            raise ValueError("--nt and --nx must be at least 1")
+        t_nodes = None
+        if args.t_nodes:
+            t_nodes = np.asarray([float(v) for v in args.t_nodes.split(",")])
+            if not np.all((t_nodes >= 0.0) & (t_nodes < spec.model.horizon)):
+                raise ValueError("time nodes must be finite and in [0, T)")
     except (ValueError, OSError, MertonRiskError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
@@ -318,16 +324,13 @@ def cmd_verify(args) -> int:
                 model=spec.model, utility=spec.utility,
                 coeffs=_ScaledTerminalCoeffs(feedback.coeffs, 1.01),
                 x0=spec.x0)
-        t_nodes = None
-        if args.t_nodes:
-            t_nodes = np.asarray([float(v) for v in args.t_nodes.split(",")])
         report = hjb.hjb_residual(spec.model, spec.utility,
                                   t_nodes=t_nodes, n_t=args.nt, n_x=args.nx,
                                   feedback=feedback)
         gap_report = hjb.hamiltonian_argmax_check(
             spec.model, spec.utility, n_t=max(4, args.nt // 5),
             n_x=max(4, args.nx // 5), seed=args.seed, feedback=feedback)
-    except GridTouchesBreakpoint as exc:
+    except MertonRiskError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     merged = hjb.HjbReport(

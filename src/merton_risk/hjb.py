@@ -20,15 +20,15 @@ time derivative of z may jump.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._piecewise import to_ticks
+from ._piecewise import segment_index, to_ticks
 from .errors import GridTouchesBreakpoint
 from .market import MarketModel
+from .solution import write_grid_csv
 from .unconstrained import HaraFeedback, solve_hara_unconstrained
 from .utility import UtilityParams
 
@@ -61,13 +61,8 @@ class HjbReport:
             fh.write("\n")
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "x", "residual"])
-            for i, t in enumerate(self.t_nodes):
-                for j, x in enumerate(self.x_nodes):
-                    writer.writerow([f"{t:.12g}", f"{x:.12g}",
-                                     f"{self.residuals[i, j]:.6g}"])
+        write_grid_csv(path, "t,x,residual", self.t_nodes, self.x_nodes,
+                       self.residuals, ".6g")
 
 
 def off_breakpoint_grid(model: MarketModel, n_t: int) -> np.ndarray:
@@ -93,15 +88,16 @@ def _check_grid(model: MarketModel, t_nodes: np.ndarray) -> None:
 
 
 def _reduced_hamiltonian_terms(model: MarketModel, utility: UtilityParams,
-                               fb: HaraFeedback, t: float, xs: np.ndarray):
+                               fb: HaraFeedback, t, xs: np.ndarray):
+    """The four HJB terms at a time t, or at a column of times, and wealths xs."""
     q1 = utility.q1
     g = fb.g(t, xs)
     p = fb.p_from_g(t, g)
-    theta = model.theta_at(t)
-    theta_sq = float(theta @ theta)
-    idx = np.searchsorted(model.nodes, t, side="right") - 1
-    r = model.r_step[idx]
-    term_t = fb.z_t(t, xs)
+    seg = segment_index(model.node_ticks, to_ticks(t))
+    theta, r = model.theta_step[seg], model.r_step[seg]
+    # one dot product per segment: a row sum of squares may round differently
+    theta_sq = np.array([th @ th for th in model.theta_step])[seg]
+    term_t = fb.z_t_from_g(t, g)
     term_r = r * xs * g
     term_quad = 0.5 * g * p * theta_sq          # z_x^2 |theta|^2 / (2|z_xx|)
     term_cons = (1.0 / q1) * (utility.gamma1 / g) ** (q1 - 1.0)
@@ -133,14 +129,13 @@ def hjb_residual(model: MarketModel, utility: UtilityParams,
     if feedback is None:
         feedback = solve_hara_unconstrained(model, utility, 1.0).feedback
 
-    residuals = np.zeros((len(t_nodes), len(x_nodes)))
-    for i, t in enumerate(t_nodes):
-        term_t, term_r, term_quad, term_cons, *_ = _reduced_hamiltonian_terms(
-            model, utility, feedback, float(t), x_nodes)
-        raw = term_t + term_r + term_quad + term_cons
-        scale = (np.abs(term_t) + np.abs(term_r)
-                 + np.abs(term_quad) + np.abs(term_cons))
-        residuals[i] = raw / np.maximum(scale, 1e-300)
+    # one batched g-root over the whole (t, x) grid
+    term_t, term_r, term_quad, term_cons, *_ = _reduced_hamiltonian_terms(
+        model, utility, feedback, t_nodes[:, None], x_nodes)
+    raw = term_t + term_r + term_quad + term_cons
+    scale = (np.abs(term_t) + np.abs(term_r)
+             + np.abs(term_quad) + np.abs(term_cons))
+    residuals = raw / np.maximum(scale, 1e-300)
 
     z_T = feedback.value_function(model.horizon, x_nodes)
     terminal_error = float(np.max(np.abs(z_T - x_nodes ** utility.gamma2)))
@@ -176,20 +171,23 @@ def hamiltonian_argmax_check(model: MarketModel, utility: UtilityParams,
     """
     if t_nodes is None:
         t_nodes = off_breakpoint_grid(model, n_t)
+    t_nodes = np.asarray(t_nodes, dtype=np.float64)
     _check_grid(model, t_nodes)
     if x_nodes is None:
         x_nodes = np.linspace(0.25, 4.0, n_x)
+    x_nodes = np.asarray(x_nodes, dtype=np.float64)
     if feedback is None:
         feedback = solve_hara_unconstrained(model, utility, 1.0).feedback
+    _, _, _, _, gs, ps, rs, thetas = _reduced_hamiltonian_terms(
+        model, utility, feedback, t_nodes[:, None], x_nodes)
     rng = np.random.default_rng(seed)
     d = model.dimension
     gap = -np.inf
-    for t in np.asarray(t_nodes, dtype=np.float64):
-        _, _, _, _, g, p, r, theta = _reduced_hamiltonian_terms(
-            model, utility, feedback, float(t), np.asarray(x_nodes))
-        for j, x in enumerate(np.asarray(x_nodes, dtype=np.float64)):
-            z1 = g[j]
-            z2 = -g[j] / p[j]
+    for i in range(len(t_nodes)):
+        r, theta = rs[i, 0], thetas[i, 0]
+        for j, x in enumerate(x_nodes):
+            z1 = gs[i, j]
+            z2 = -gs[i, j] / ps[i, j]
             y_opt = (z1 / (x * abs(z2))) * theta
             c_opt = (utility.gamma1 / z1) ** utility.q1
             h_opt = _h0(r, theta, x, z1, z2, y_opt[None, :],
@@ -208,8 +206,6 @@ def hamiltonian_argmax_check(model: MarketModel, utility: UtilityParams,
             node_gap = float(np.max(h_probe) - h_opt)
             gap = max(gap, node_gap)
     return HjbReport(
-        t_nodes=np.asarray(t_nodes, dtype=np.float64),
-        x_nodes=np.asarray(x_nodes, dtype=np.float64),
-        residuals=np.zeros((0, 0)), max_abs_residual=0.0,
-        terminal_error=0.0, hamiltonian_gap=gap,
+        t_nodes=t_nodes, x_nodes=x_nodes, residuals=np.zeros((0, 0)),
+        max_abs_residual=0.0, terminal_error=0.0, hamiltonian_gap=gap,
     )

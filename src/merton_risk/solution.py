@@ -16,6 +16,16 @@ from .strategies import DeterministicStrategy, cumulants
 from .utility import UtilityParams
 
 
+def write_grid_csv(path, header: str, ts, xs, values, fmt: str = ".12g") -> None:
+    """CSV of values[i, j] at (ts[i], xs[j]), t slowest, written as one block."""
+    ts = [f"{t:.12g}" for t in np.asarray(ts).tolist()]
+    xs = [f"{x:.12g}" for x in np.asarray(xs).tolist()]
+    lines = [f"{t},{x},{v:{fmt}}\n" for t, row in zip(ts, np.asarray(values).tolist())
+             for x, v in zip(xs, row)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join([header + "\n"] + lines))
+
+
 @dataclass(frozen=True)
 class ConditionCheck:
     """One solvability hypothesis with its numeric margin (>= 0 iff satisfied)."""
@@ -129,16 +139,7 @@ class Solution:
         x_hi = 5.0 * self.x if x_hi is None else x_hi
         ts = np.linspace(0.0, self.model.horizon, n_t)
         xs = np.linspace(x_lo, x_hi, n_x)
-        with open(path_p, "w", encoding="utf-8", newline="\n") as fp, \
-                open(path_c, "w", encoding="utf-8", newline="\n") as fc:
-            wp = csv.writer(fp, lineterminator="\n")
-            wc = csv.writer(fc, lineterminator="\n")
-            wp.writerow(["t", "x", "p"])
-            wc.writerow(["t", "x", "c_star"])
-            for t in ts:
-                gs = self.feedback.g(t, xs)
-                ps = self.feedback.p_from_g(t, gs)
-                cs = self.feedback.c_from_g(gs)
-                for x, p, c in zip(xs, ps, cs):
-                    wp.writerow([f"{t:.12g}", f"{x:.12g}", f"{p:.12g}"])
-                    wc.writerow([f"{t:.12g}", f"{x:.12g}", f"{c:.12g}"])
+        gs = self.feedback.g(ts[:, None], xs)
+        write_grid_csv(path_p, "t,x,p", ts, xs,
+                       self.feedback.p_from_g(ts[:, None], gs))
+        write_grid_csv(path_c, "t,x,c_star", ts, xs, self.feedback.c_from_g(gs))

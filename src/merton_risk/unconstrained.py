@@ -99,11 +99,14 @@ def _solve_g(A1, A2, q1: float, q2: float, x):
 
     Newton iteration on u = ln g (the residual is convex, decreasing in u)
     clamped to an analytic bracket, with a bisection sweep as fallback.
+    Leading axes hold independent problems: each row along the last axis
+    stops on its own test and then leaves the iteration, so a (t, x) grid
+    gives exactly what one call per row of times gives.
     """
-    A1 = np.asarray(A1, dtype=np.float64)
-    A2 = np.asarray(A2, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    A1, A2, x = np.broadcast_arrays(A1, A2, x)
+    shape = np.broadcast_shapes(np.shape(A1), np.shape(A2), np.shape(x))
+    rows = (int(np.prod(shape[:-1])), shape[-1]) if shape else (1, 1)
+    A1, A2, x = (np.broadcast_to(np.asarray(a, dtype=np.float64), shape).reshape(rows)
+                 for a in (A1, A2, x))
     if np.any(x <= 0):
         raise ValueError("wealth argument must be positive")
 
@@ -116,8 +119,9 @@ def _solve_g(A1, A2, q1: float, q2: float, x):
     hi = np.log(np.maximum(g_hi, g_lo * (1 + 1e-12)))
 
     u = 0.5 * (lo + hi)
-    best_u = u.copy()
-    best_res = np.full(u.shape, np.inf)
+    best_u, best_res = u.copy(), np.full(u.shape, np.inf)
+    out_u, out_res, x_all = best_u.copy(), best_res.copy(), x
+    live = np.arange(rows[0])                 # rows still iterating
     for _ in range(_G_MAX_ITER):
         e1 = A1 * np.exp(-q1 * u)
         e2 = A2 * np.exp(-q2 * u)
@@ -126,18 +130,24 @@ def _solve_g(A1, A2, q1: float, q2: float, x):
         improved = res < best_res
         best_u = np.where(improved, u, best_u)
         best_res = np.where(improved, res, best_res)
+        out_u[live], out_res[live] = best_u, best_res
         # polish to the float floor; the 1e-12 target is the hard gate
-        if np.all(best_res <= 2e-16 * x) or not np.any(improved):
+        going = ~(best_res <= 2e-16 * x).all(axis=1) & improved.any(axis=1)
+        if not going.any():
             break
+        if not going.all():                   # drop the rows that stopped
+            live = live[going]
+            A1, A2, x, u, lo, hi, best_u, best_res, f, e1, e2 = (a[going] for a in (
+                A1, A2, x, u, lo, hi, best_u, best_res, f, e1, e2))
         lo = np.where(f > 0, np.maximum(lo, u), lo)
         hi = np.where(f < 0, np.minimum(hi, u), hi)
         fprime = -(q1 * e1 + q2 * e2)
         u_new = u - f / fprime
         bad = (u_new <= lo) | (u_new >= hi)
         u = np.where(bad, 0.5 * (lo + hi), u_new)
-    if np.any(best_res > G_RESIDUAL_RTOL * x):
+    if np.any(out_res > G_RESIDUAL_RTOL * x_all):
         raise ConvergenceFailure("g-root iteration did not converge")
-    return np.exp(best_u)
+    return np.exp(out_u).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -185,7 +195,9 @@ class HaraFeedback:
 
     def z_t(self, t, x):
         """Exact time partial of z away from coefficient breakpoints."""
-        g = self.g(t, x)
+        return self.z_t_from_g(t, self.g(t, x))
+
+    def z_t_from_g(self, t, g):
         u = self.utility
         return (-self.coeffs.A1_dot(t) / (1.0 - u.q1) * g ** (1.0 - u.q1)
                 - self.coeffs.A2_dot(t) / (1.0 - u.q2) * g ** (1.0 - u.q2))

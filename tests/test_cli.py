@@ -233,6 +233,18 @@ def test_verify_rejects_linear_utility(tmp_path):
     assert main(["verify", str(spec), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("grid", [
+    ["--nx", "0"], ["--nt", "0"], ["--t-nodes", "abc"],
+    ["--t-nodes", "0.3,nan"], ["--t-nodes", "5.0"], ["--t-nodes", "-0.5"],
+], ids=["nx0", "nt0", "abc", "nan", "beyond_T", "negative"])
+def test_verify_bad_grid_is_input_error(tmp_path, grid):
+    spec = write_spec(tmp_path / "p.json",
+                      utility={"gamma1": 0.5, "gamma2": 0.3},
+                      market=market_doc(r=0.03))
+    assert main(["verify", str(spec), "--out", str(tmp_path / "o")]
+                + grid) == 1
+
+
 def test_round_trip_strategy_reproduces_profile(tmp_path):
     spec_path = write_spec(tmp_path / "p.json",
                            utility={"gamma1": 1.0, "gamma2": 1.0},

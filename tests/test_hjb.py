@@ -39,6 +39,30 @@ def test_residual_random_piecewise_markets():
         assert rep.terminal_error < 1e-12
 
 
+def test_residual_grid_equals_per_node_loop():
+    rng = np.random.default_rng(73)
+    m = random_market(rng, d=2, max_pieces=4)
+    u = UtilityParams(0.3, 0.75)
+    fb = solve_hara_unconstrained(m, u, 1.0).feedback
+    rep = hjb_residual(m, u, n_t=30, n_x=30, feedback=fb)
+    xs = rep.x_nodes
+    rows = []
+    for t in rep.t_nodes:
+        g = fb.g(t, xs)
+        p = fb.p_from_g(t, g)
+        theta = m.theta_at(t)
+        r = m.r_step[np.searchsorted(m.nodes, t, side="right") - 1]
+        term_t = fb.z_t(t, xs)
+        term_r = r * xs * g
+        term_quad = 0.5 * g * p * float(theta @ theta)
+        term_cons = (1.0 / u.q1) * (u.gamma1 / g) ** (u.q1 - 1.0)
+        scale = (np.abs(term_t) + np.abs(term_r)
+                 + np.abs(term_quad) + np.abs(term_cons))
+        rows.append((term_t + term_r + term_quad + term_cons)
+                    / np.maximum(scale, 1e-300))
+    np.testing.assert_array_equal(rep.residuals, np.array(rows))
+
+
 def test_residual_stable_under_refinement():
     m = constant_market(0.02, [0.09], [[0.25]], 1.0)
     u = UtilityParams(0.4, 0.7)

@@ -20,7 +20,8 @@ from merton_risk import (
     solve_linear_unconstrained,
     solve_unconstrained,
 )
-from merton_risk.unconstrained import HaraCoefficients
+from merton_risk.errors import ConvergenceFailure
+from merton_risk.unconstrained import HaraCoefficients, _solve_g
 
 from conftest import random_market
 
@@ -68,6 +69,31 @@ def test_g_terminal_closed_form():
         from merton_risk import hara_g
         assert hara_g(m, u, m.horizon, x) == pytest.approx(
             fb.g(m.horizon, x), rel=1e-14)
+
+
+def test_g_grid_matches_row_by_row():
+    # a (t, x) grid solves each row of times exactly as its own call does
+    rng = np.random.default_rng(71)
+    for d in (2, 3, 2, 3):
+        m = random_market(rng, d=d, max_pieces=4)
+        u = UtilityParams(float(rng.uniform(0.15, 0.45)),
+                          float(rng.uniform(0.55, 0.9)))
+        fb = solve_hara_unconstrained(m, u, 1.0).feedback
+        ts = np.concatenate([np.sort(rng.uniform(0.0, m.horizon, 40)),
+                             [0.0, m.horizon]])
+        xs = np.linspace(0.05, 8.0, 60)
+        np.testing.assert_array_equal(fb.g(ts[:, None], xs),
+                                      np.array([fb.g(t, xs) for t in ts]))
+
+
+def test_g_grid_row_without_root_raises():
+    A1 = np.array([[0.5], [0.5], [0.5]])
+    A2 = np.array([[1.0], [np.nan], [2.0]])
+    xs = np.linspace(0.5, 3.0, 7)
+    # the other rows alone converge; the row without a root fails the grid
+    _solve_g(A1[[0, 2]], A2[[0, 2]], 2.0, 3.0, xs)
+    with pytest.raises(ConvergenceFailure):
+        _solve_g(A1, A2, 2.0, 3.0, xs)
 
 
 def test_g_equal_gamma_reduction():
