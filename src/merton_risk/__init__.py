@@ -85,10 +85,8 @@ from .unconstrained import (
     solve_unconstrained,
 )
 from .utility import UtilityParams
+from .bounded import big_g, kappa_hat, kappa_star
 from .var_bound import (
-    big_g,
-    kappa_hat,
-    kappa_star,
     l_star,
     rho_var,
     solve_var,

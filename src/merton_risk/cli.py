@@ -9,21 +9,25 @@ Problem document:
       "x0":      ...
     }
 
-Exit codes: 0 success, 1 input error, 2 regime/tolerance failure (with a
-machine-readable reason written to the output directory).
+Exit codes: 0 success, 1 input error, 2 regime/tolerance failure; ``main``
+maps exceptions to codes through ``EXIT_CODES``.  ``solve`` also writes the
+reason for a missing closed form to solution.json.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import es_bound, hjb, mc, oracle, unconstrained, var_bound
+from ._table import fmt, write_rows
 from .errors import (
     ConditionViolated,
     HypothesisViolated,
@@ -36,6 +40,14 @@ from .risk import MeasureKind, RiskSpec, constraint_profile
 from .solution import Solution
 from .strategies import DeterministicStrategy, step_strategy
 from .utility import UtilityParams
+
+NO_CLOSED_FORM = (ConditionViolated, NoClosedFormRegime, HypothesisViolated)
+# exception class -> (exit code, stderr prefix); the most derived class wins
+EXIT_CODES = {
+    **{cls: (2, "no closed-form solution") for cls in NO_CLOSED_FORM},
+    InsufficientPaths: (2, "insufficient paths"),
+    **{cls: (1, "input error") for cls in (ValueError, OSError, MertonRiskError)},
+}
 
 
 class ProblemSpec:
@@ -52,6 +64,8 @@ class ProblemSpec:
             self.x0 = float(doc["x0"])
         except KeyError as exc:
             raise ValueError(f"missing required field {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed problem document: {exc}") from exc
         if not np.isfinite(self.x0) or self.x0 <= 0:
             raise ValueError(f"x0 must be positive and finite, got {self.x0}")
         self.risk: RiskSpec | None = None
@@ -61,7 +75,7 @@ class ProblemSpec:
                 self.risk = RiskSpec(alpha=float(r["alpha"]),
                                      zeta=float(r["zeta"]),
                                      kind=MeasureKind(r["kind"]))
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed risk block: {exc}") from exc
 
     @classmethod
@@ -84,6 +98,12 @@ def _solve(spec: ProblemSpec) -> Solution:
     return es_bound.solve_es(spec.model, spec.utility, spec.risk, spec.x0)
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_failure(out_dir: Path, exc: MertonRiskError) -> None:
     doc = {"status": "failed", "error": type(exc).__name__,
            "message": str(exc)}
@@ -92,59 +112,51 @@ def _write_failure(out_dir: Path, exc: MertonRiskError) -> None:
         doc["margin"] = exc.margin
     if isinstance(exc, NoClosedFormRegime):
         doc["margins"] = exc.margins
-    with open(out_dir / "solution.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "solution.json", doc)
+
+
+def _check_rho_step(rho_step: float) -> None:
+    if not (math.isfinite(rho_step) and rho_step > 0.0):
+        raise ValueError(f"--rho-step must be positive and finite, got {rho_step}")
 
 
 def cmd_solve(args) -> int:
-    try:
-        spec = ProblemSpec.load(args.spec)
-    except (ValueError, OSError, MertonRiskError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    spec = ProblemSpec.load(args.spec)
+    _check_rho_step(args.rho_step)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         sol = _solve(spec)
-    except (ConditionViolated, NoClosedFormRegime, HypothesisViolated) as exc:
+    except NO_CLOSED_FORM as exc:
         _write_failure(out_dir, exc)
-        print(f"no closed-form solution: {exc}", file=sys.stderr)
-        return 2
-    except MertonRiskError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+        raise
     doc = sol.to_json_dict()
     if args.mc_paths > 0 and not sol.unbounded:
         config = mc.SimConfig(n_paths=args.mc_paths, seed=args.seed)
-        if sol.strategy is not None:
-            ens = mc.simulate_deterministic(spec.model, sol.strategy,
-                                            spec.x0, config)
-        else:
-            ens = mc.simulate_hara_feedback(spec.model, spec.utility,
-                                            spec.x0, config)
+        ens = _simulate(spec, sol.strategy, config)
         est, se = mc.estimate_cost(ens, spec.utility)
         doc["mc_check"] = {"estimate": est, "std_error": se,
                            "n_paths": args.mc_paths, "seed": args.seed}
-    with open(out_dir / "solution.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "solution.json", doc)
     sol.write_controls_csv(out_dir / "controls.csv", n=args.grid)
     sol.write_wealth_csv(out_dir / "wealth.csv", n=args.grid)
     if sol.feedback is not None:
         sol.write_feedback_grids(out_dir / "p_grid.csv", out_dir / "c_grid.csv")
     if args.oracle and sol.strategy is not None and not sol.unbounded:
-        res = _run_oracle(spec, sol, rho_step=args.rho_step)
-        res.write_csv(out_dir / "oracle.csv")
-        gap = (sol.value - res.best_cost) / abs(sol.value)
-        with open(out_dir / "oracle.json", "w", encoding="utf-8") as fh:
-            json.dump({"oracle_best": res.best_cost, "solver_value": sol.value,
-                       "relative_gap": gap}, fh, indent=2)
-            fh.write("\n")
+        _write_oracle(out_dir, spec, sol, args.rho_step)
     return 0
 
 
-def _run_oracle(spec: ProblemSpec, sol: Solution, rho_step: float = 1e-3):
+def _simulate(spec: ProblemSpec, strategy, config) -> mc.PathEnsemble:
+    """Paths of a deterministic strategy, or of the feedback optimum if None."""
+    if strategy is not None:
+        return mc.simulate_deterministic(spec.model, strategy, spec.x0, config)
+    return mc.simulate_hara_feedback(spec.model, spec.utility, spec.x0, config)
+
+
+def _write_oracle(out_dir: Path, spec: ProblemSpec, sol: Solution,
+                  rho_step: float) -> None:
+    """Grid-search cross-check of sol: oracle.csv and oracle.json."""
     model = spec.model
     rho_hint = 1.0
     if spec.risk is not None:
@@ -162,8 +174,13 @@ def _run_oracle(spec: ProblemSpec, sol: Solution, rho_step: float = 1e-3):
         pieces = 1
     config = oracle.FamilyConfig(rho_grid=rho_grid, v_levels=levels,
                                  v_pieces=pieces)
-    return oracle.grid_search_oracle(model, spec.utility, spec.risk,
-                                     spec.x0, config)
+    res = oracle.grid_search_oracle(model, spec.utility, spec.risk,
+                                    spec.x0, config)
+    res.write_csv(out_dir / "oracle.csv")
+    gap = (sol.value - res.best_cost) / abs(sol.value)
+    _write_json(out_dir / "oracle.json",
+                {"oracle_best": res.best_cost, "solver_value": sol.value,
+                 "relative_gap": gap})
 
 
 def strategy_from_csv(path, model: MarketModel) -> DeterministicStrategy:
@@ -190,157 +207,81 @@ def strategy_from_csv(path, model: MarketModel) -> DeterministicStrategy:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        spec = ProblemSpec.load(args.spec)
-    except (ValueError, OSError, MertonRiskError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    spec = ProblemSpec.load(args.spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = mc.SimConfig(n_paths=args.paths, seed=args.seed,
                           n_steps=args.steps, antithetic=args.antithetic)
-    try:
-        if args.strategy is not None:
-            strategy = strategy_from_csv(args.strategy, spec.model)
-            closed_form = oracle.cost_closed_form(spec.model, strategy,
-                                                  spec.utility, spec.x0)
-            ensemble = mc.simulate_deterministic(spec.model, strategy,
-                                                 spec.x0, config)
-        else:
-            sol = _solve(spec)
-            if sol.unbounded:
-                print("cannot simulate an unbounded regime", file=sys.stderr)
-                return 2
-            closed_form = sol.value
-            strategy = sol.strategy
-            if strategy is not None:
-                ensemble = mc.simulate_deterministic(spec.model, strategy,
-                                                     spec.x0, config)
-            else:
-                ensemble = mc.simulate_hara_feedback(spec.model, spec.utility,
-                                                     spec.x0, config)
-        est, se = mc.estimate_cost(ensemble, spec.utility)
-        risk = spec.risk if spec.risk is not None else RiskSpec(
-            alpha=0.01, zeta=0.5, kind=MeasureKind.VAR)
-        empirical = mc.empirical_risk_curve(ensemble, risk, spec.x0,
-                                            spec.model)
-    except InsufficientPaths as exc:
-        print(f"insufficient paths: {exc}", file=sys.stderr)
-        return 2
-    except (ConditionViolated, NoClosedFormRegime, HypothesisViolated) as exc:
-        print(f"no closed-form solution: {exc}", file=sys.stderr)
-        return 2
-    except MertonRiskError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    if args.strategy is not None:
+        strategy = strategy_from_csv(args.strategy, spec.model)
+        closed_form = oracle.cost_closed_form(spec.model, strategy,
+                                              spec.utility, spec.x0)
+    else:
+        sol = _solve(spec)
+        if sol.unbounded:
+            print("cannot simulate an unbounded regime", file=sys.stderr)
+            return 2
+        closed_form = sol.value
+        strategy = sol.strategy
+    ensemble = _simulate(spec, strategy, config)
+    est, se = mc.estimate_cost(ensemble, spec.utility)
+    risk = spec.risk if spec.risk is not None else RiskSpec(
+        alpha=0.01, zeta=0.5, kind=MeasureKind.VAR)
+    empirical = mc.empirical_risk_curve(ensemble, risk, spec.x0, spec.model)
 
-    summary = {
+    _write_json(out_dir / "summary.json", {
         "cost_estimate": est, "cost_std_error": se,
         "cost_closed_form": closed_form,
         "n_paths": config.n_paths, "seed": config.seed,
         "antithetic": config.antithetic,
         "kind": ensemble.kind,
-    }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    })
     if args.dump_paths > 0:
         ensemble.write_csv(out_dir / "paths.csv", max_paths=args.dump_paths)
 
-    with open(out_dir / "risk_profile.csv", "w", encoding="utf-8",
-              newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "var", "es", "level", "ratio",
-                         "empirical_var", "empirical_es", "empirical_ratio"])
-        if strategy is not None:
-            closed = constraint_profile(spec.model, strategy, risk, spec.x0,
-                                        grid=ensemble.times, n_refine=2)
-            lookup = {round(t, 12): i for i, t in enumerate(closed.times)}
-            for k, t in enumerate(empirical.times):
-                i = lookup[round(float(t), 12)]
-                writer.writerow([f"{t:.12g}",
-                                 f"{closed.var_curve[i]:.12g}",
-                                 f"{closed.es_curve[i]:.12g}",
-                                 f"{closed.level_curve[i]:.12g}",
-                                 f"{closed.ratio_curve[i]:.12g}",
-                                 f"{empirical.var_curve[k]:.12g}",
-                                 f"{empirical.es_curve[k]:.12g}",
-                                 f"{empirical.ratio_curve[k]:.12g}"])
-        else:
-            for k, t in enumerate(empirical.times):
-                writer.writerow([f"{t:.12g}", "nan", "nan",
-                                 f"{empirical.level_curve[k]:.12g}", "nan",
-                                 f"{empirical.var_curve[k]:.12g}",
-                                 f"{empirical.es_curve[k]:.12g}",
-                                 f"{empirical.ratio_curve[k]:.12g}"])
+    if strategy is not None:
+        closed = constraint_profile(spec.model, strategy, risk, spec.x0,
+                                    grid=ensemble.times, n_refine=2)
+        lookup = {round(t, 12): i for i, t in enumerate(closed.times)}
+        rows = [lookup[round(float(t), 12)] for t in empirical.times]
+        closed_columns = [fmt(curve[rows]) for curve in (
+            closed.var_curve, closed.es_curve, closed.level_curve,
+            closed.ratio_curve)]
+    else:
+        nan = ["nan"] * len(empirical.times)
+        closed_columns = [nan, nan, fmt(empirical.level_curve), nan]
+    write_rows(out_dir / "risk_profile.csv",
+               ["t", "var", "es", "level", "ratio",
+                "empirical_var", "empirical_es", "empirical_ratio"],
+               zip(fmt(empirical.times), *closed_columns,
+                   *map(fmt, (empirical.var_curve, empirical.es_curve,
+                              empirical.ratio_curve))))
     return 0
 
 
-class _ScaledTerminalCoeffs:
-    """Test hook: perturb the terminal growth coefficient."""
-
-    def __init__(self, inner, factor: float):
-        self._inner = inner
-        self._factor = factor
-
-    def A1(self, t):
-        return self._inner.A1(t)
-
-    def A2(self, t):
-        return self._factor * self._inner.A2(t)
-
-    def A1_dot(self, t):
-        return self._inner.A1_dot(t)
-
-    def A2_dot(self, t):
-        return self._factor * self._inner.A2_dot(t)
-
-    def beta_at(self, t, which):
-        return self._inner.beta_at(t, which)
-
-
 def cmd_verify(args) -> int:
-    try:
-        spec = ProblemSpec.load(args.spec)
-        if not spec.utility.is_hara:
-            raise ValueError("verification needs gamma1, gamma2 in (0,1)")
-        if args.nt < 1 or args.nx < 1:
-            raise ValueError("--nt and --nx must be at least 1")
-        t_nodes = None
-        if args.t_nodes:
-            t_nodes = np.asarray([float(v) for v in args.t_nodes.split(",")])
-            if not np.all((t_nodes >= 0.0) & (t_nodes < spec.model.horizon)):
-                raise ValueError("time nodes must be finite and in [0, T)")
-    except (ValueError, OSError, MertonRiskError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    spec = ProblemSpec.load(args.spec)
+    if not spec.utility.is_hara:
+        raise ValueError("verification needs gamma1, gamma2 in (0,1)")
+    if args.nt < 1 or args.nx < 1:
+        raise ValueError("--nt and --nx must be at least 1")
+    t_nodes = None
+    if args.t_nodes:
+        t_nodes = np.asarray([float(v) for v in args.t_nodes.split(",")])
+        if not np.all((t_nodes >= 0.0) & (t_nodes < spec.model.horizon)):
+            raise ValueError("time nodes must be finite and in [0, T)")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        feedback = unconstrained.solve_hara_unconstrained(
-            spec.model, spec.utility, spec.x0).feedback
-        if args.corrupt_terminal:
-            feedback = unconstrained.HaraFeedback(
-                model=spec.model, utility=spec.utility,
-                coeffs=_ScaledTerminalCoeffs(feedback.coeffs, 1.01),
-                x0=spec.x0)
-        report = hjb.hjb_residual(spec.model, spec.utility,
-                                  t_nodes=t_nodes, n_t=args.nt, n_x=args.nx,
-                                  feedback=feedback)
-        gap_report = hjb.hamiltonian_argmax_check(
-            spec.model, spec.utility, n_t=max(4, args.nt // 5),
-            n_x=max(4, args.nx // 5), seed=args.seed, feedback=feedback)
-    except MertonRiskError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    merged = hjb.HjbReport(
-        t_nodes=report.t_nodes, x_nodes=report.x_nodes,
-        residuals=report.residuals,
-        max_abs_residual=report.max_abs_residual,
-        terminal_error=report.terminal_error,
-        hamiltonian_gap=gap_report.hamiltonian_gap,
-        excluded_times=report.excluded_times,
-    )
+    feedback = unconstrained.solve_hara_unconstrained(
+        spec.model, spec.utility, spec.x0).feedback
+    report = hjb.hjb_residual(spec.model, spec.utility,
+                              t_nodes=t_nodes, n_t=args.nt, n_x=args.nx,
+                              feedback=feedback)
+    gap_report = hjb.hamiltonian_argmax_check(
+        spec.model, spec.utility, n_t=max(4, args.nt // 5),
+        n_x=max(4, args.nx // 5), seed=args.seed, feedback=feedback)
+    merged = dataclasses.replace(report,
+                                 hamiltonian_gap=gap_report.hamiltonian_gap)
     merged.write_json(out_dir / "hjb_report.json")
     merged.write_csv(out_dir / "hjb_residuals.csv")
     ok = (merged.max_abs_residual <= args.residual_tol
@@ -356,27 +297,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        spec = ProblemSpec.load(args.spec)
-        sol = _solve(spec)
-    except (ConditionViolated, NoClosedFormRegime, HypothesisViolated) as exc:
-        print(f"no closed-form solution: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, MertonRiskError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    spec = ProblemSpec.load(args.spec)
+    _check_rho_step(args.rho_step)
+    sol = _solve(spec)
     if sol.strategy is None or sol.unbounded:
         print("oracle needs a deterministic-class solution", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    res = _run_oracle(spec, sol, rho_step=args.rho_step)
-    res.write_csv(out_dir / "oracle.csv")
-    gap = (sol.value - res.best_cost) / abs(sol.value)
-    with open(out_dir / "oracle.json", "w", encoding="utf-8") as fh:
-        json.dump({"oracle_best": res.best_cost, "solver_value": sol.value,
-                   "relative_gap": gap}, fh, indent=2)
-        fh.write("\n")
+    _write_oracle(out_dir, spec, sol, args.rho_step)
     return 0
 
 
@@ -424,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--residual-tol", type=float, default=1e-7)
     p_ver.add_argument("--terminal-tol", type=float, default=1e-12)
     p_ver.add_argument("--gap-tol", type=float, default=1e-10)
-    p_ver.add_argument("--corrupt-terminal", action="store_true",
-                       help=argparse.SUPPRESS)
     p_ver.set_defaults(func=cmd_verify)
 
     p_or = sub.add_parser("oracle", help="grid-search cross-check")
@@ -436,9 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _PARSER.parse_args(argv)
+    try:
+        return args.func(args)
+    except tuple(EXIT_CODES) as exc:
+        code, label = next(EXIT_CODES[cls] for cls in type(exc).__mro__
+                           if cls in EXIT_CODES)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -6,28 +6,27 @@ The ES analogue of the exposure budget solves psi(rho, 1) = ln(1-zeta) with
 
 which is strictly decreasing in both arguments while |z_a| >= 2||theta||_T;
 outside that region the monotonicity (and the closed forms) are not
-available and the solvers refuse.  The regime structure mirrors the VaR
-case: linear utility invests at the budget rho*_ES, a loose bound leaves
-the unconstrained optimum intact, and a tight bound forces the riskless
-split optimum shared with the VaR solver.
+available and the solvers refuse.  On the regime ladder shared with the
+VaR case (``bounded``) linear utility invests at the budget rho*_ES, the
+loose bound needs this hypothesis too, and the tight bound's quantile
+floor doubles the theta coefficient of the VaR floor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._rootfind import expand_bracket, solve_bracketed
-from .errors import ConditionViolated, HypothesisViolated, NegativeRate, NoClosedFormRegime, UnsupportedRegime
+from .bounded import BoundRules, loose_bound_check, solve_bounded, solve_linear, solve_tight
+from .errors import HypothesisViolated
 from .gaussian import Quantile, gauss_hazard, log_tail_ratio, tail_ratio
 from .market import MarketModel
 from .risk import MeasureKind, RiskSpec
-from .solution import ConditionCheck, Solution
-from .strategies import constant_strategy, theta_direction_strategy
-from .unconstrained import kappa_tilde, solve_equal_gamma
-from .utility import UtilityParams
-from .var_bound import build_tight_solution, split_zeta_conditions
+from .solution import ConditionCheck
+from .unconstrained import kappa_tilde
 
 ROOT_RESIDUAL = 1e-12
 
@@ -104,44 +103,6 @@ def rho_of_kappa_es(model: MarketModel, spec: RiskSpec, kappa) -> np.ndarray:
     return out if out.size > 1 else float(out[0])
 
 
-def solve_es_linear(model: MarketModel, spec: RiskSpec, x: float) -> Solution:
-    """Linear utility under the uniform ES bound."""
-    if spec.kind != MeasureKind.ES:
-        raise UnsupportedRegime("this solver handles the ES-bounded problem")
-    if not model.rate_nonnegative():
-        raise NegativeRate("ES-bounded linear solution requires r_t >= 0")
-    _check_hypothesis(model, spec)
-    rho = rho_es(model, spec)
-    tn = model.theta_norm_T
-    R_T = float(model.R(model.horizon))
-    conditions = (
-        ConditionCheck("rate_nonnegative", True, float(np.min(model.r_step))),
-        ConditionCheck("psi_monotone", True, spec.abs_z - 2.0 * tn),
-    )
-    if tn > 0:
-        strategy = theta_direction_strategy(model, rho)
-        return Solution(
-            value=x * float(np.exp(rho * tn + R_T)),
-            regime="es_linear", model=model, x=x,
-            utility=UtilityParams(1.0, 1.0), risk=spec,
-            strategy=strategy,
-            wealth_law={"kind": "lognormal_exact", "rho": rho},
-            conditions=conditions,
-        )
-    strategy = constant_strategy(np.zeros(model.dimension), 0.0, model.horizon)
-    return Solution(
-        value=x * float(np.exp(R_T)),
-        regime="es_linear_bond", model=model, x=x,
-        utility=UtilityParams(1.0, 1.0), risk=spec,
-        strategy=strategy,
-        wealth_law={"kind": "lognormal_exact",
-                    "note": "zero excess return; any exposure with total "
-                            f"norm <= {rho:.6g} is optimal, zero is chosen",
-                    "rho": rho},
-        conditions=conditions,
-    )
-
-
 def es_loose_threshold(model: MarketModel, gamma: float,
                        spec: RiskSpec) -> float:
     """Smallest zeta for which the unconstrained optimum meets the ES bound."""
@@ -152,62 +113,22 @@ def es_loose_threshold(model: MarketModel, gamma: float,
     return 1.0 - (1.0 - kt) * float(np.exp(q * tn * tn)) * float(factor)
 
 
-def es_loose_bound_check(model: MarketModel, gamma: float,
-                         spec: RiskSpec) -> tuple[bool, float]:
-    """Is the unconstrained optimum ES-feasible?  Returns (verdict, margin)."""
+def _psi_monotone(model: MarketModel, spec: RiskSpec) -> ConditionCheck:
     _check_hypothesis(model, spec)
-    margin = spec.zeta - es_loose_threshold(model, gamma, spec)
-    return margin >= 0.0, margin
+    return ConditionCheck("psi_monotone", True,
+                          spec.abs_z - 2.0 * model.theta_norm_T)
 
 
-def solve_es_tight(model: MarketModel, utility: UtilityParams,
-                   spec: RiskSpec, x: float) -> Solution:
-    """Riskless split optimum under the ES bound (small zeta)."""
-    if spec.kind != MeasureKind.ES:
-        raise UnsupportedRegime("this solver handles the ES-bounded problem")
-    if not (0.0 < utility.gamma1 < 1.0 and 0.0 < utility.gamma2 <= 1.0):
-        raise UnsupportedRegime(
-            "tight regime requires gamma1 in (0,1) and gamma2 in (0,1]")
-    if not model.rate_nonnegative():
-        raise NegativeRate("tight regime requires r_t >= 0")
-    checks = split_zeta_conditions(model, utility, spec, x, theta_coeff=2.0)
-    for chk in checks:
-        if not chk.satisfied:
-            raise ConditionViolated(chk.name, chk.margin, chk.detail)
-    base = (ConditionCheck("rate_nonnegative", True,
-                           float(np.min(model.r_step))),)
-    return build_tight_solution(model, utility, spec, x, "es_tight",
-                                base + checks)
+ES = BoundRules(
+    kind=MeasureKind.ES, name="ES",
+    # looked up at call time, so a rebound rho_es (as perfbench's tracer
+    # installs) is the one called
+    budget=lambda model, spec: rho_es(model, spec),
+    loose_threshold=es_loose_threshold, floor_coeff=2.0,
+    linear_condition=_psi_monotone, hypothesis=_check_hypothesis,
+)
 
-
-def solve_es(model: MarketModel, utility: UtilityParams, spec: RiskSpec,
-             x: float) -> Solution:
-    """Regime dispatch for the ES-bounded problem (loose first, then tight)."""
-    if spec.kind != MeasureKind.ES:
-        raise UnsupportedRegime("this solver handles the ES-bounded problem")
-    if utility.is_linear:
-        return solve_es_linear(model, spec, x)
-    if utility.gamma1 == 1.0:
-        raise UnsupportedRegime(
-            "no closed form for linear consumption with power wealth utility")
-    margins: dict[str, float] = {}
-    if utility.equal:
-        ok, margin = es_loose_bound_check(model, utility.gamma1, spec)
-        margins["loose_bound"] = margin
-        if ok:
-            if not model.rate_nonnegative():
-                raise NegativeRate("loose regime requires r_t >= 0")
-            base = solve_equal_gamma(model, utility.gamma1, x)
-            conditions = base.conditions + (
-                ConditionCheck("loose_bound", True, margin),)
-            return Solution(
-                value=base.value, regime="es_loose_unconstrained",
-                model=model, x=x, utility=utility, risk=spec,
-                strategy=base.strategy, wealth_law=base.wealth_law,
-                conditions=conditions,
-            )
-    try:
-        return solve_es_tight(model, utility, spec, x)
-    except ConditionViolated as exc:
-        margins[exc.condition] = exc.margin
-    raise NoClosedFormRegime(margins)
+solve_es = partial(solve_bounded, ES)
+solve_es_linear = partial(solve_linear, ES)
+solve_es_tight = partial(solve_tight, ES)
+es_loose_bound_check = partial(loose_bound_check, ES)

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._piecewise import segment_index, to_ticks
+from ._table import write_grid_csv
 from .errors import GridTouchesBreakpoint
 from .market import MarketModel
-from .solution import write_grid_csv
 from .unconstrained import HaraFeedback, solve_hara_unconstrained
 from .utility import UtilityParams
 
@@ -61,7 +61,7 @@ class HjbReport:
             fh.write("\n")
 
     def write_csv(self, path) -> None:
-        write_grid_csv(path, "t,x,residual", self.t_nodes, self.x_nodes,
+        write_grid_csv(path, ["t", "x", "residual"], self.t_nodes, self.x_nodes,
                        self.residuals, ".6g")
 
 

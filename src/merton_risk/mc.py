@@ -22,6 +22,7 @@ import numpy as np
 from scipy import special
 
 from ._piecewise import merge_ticks, from_ticks, to_ticks
+from ._table import fmt, write_rows
 from .errors import InsufficientPaths, MismatchedPaths
 from .market import MarketModel
 from .risk import MeasureKind, RiskProfile, RiskSpec
@@ -122,19 +123,13 @@ class PathEnsemble:
 
     def write_csv(self, path, max_paths: int | None = None) -> None:
         """Columnar spill (path_id, t, X, c); optionally truncated."""
-        import csv
-
         n = self.n_paths if max_paths is None else min(max_paths,
                                                        self.n_paths)
         consumption = self._consumption(slice(0, n))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["path_id", "t", "X", "c"])
-            for i in range(n):
-                for k, t in enumerate(self.times):
-                    writer.writerow([i, f"{t:.12g}",
-                                     f"{self.wealth[i, k]:.12g}",
-                                     f"{consumption[i, k]:.12g}"])
+        ts = fmt(self.times)
+        write_rows(path, ["path_id", "t", "X", "c"], (
+            (str(i), t, x, c) for i in range(n)
+            for t, x, c in zip(ts, fmt(self.wealth[i]), fmt(consumption[i]))))
 
 
 def simulation_grid(model: MarketModel, strategy_nodes: np.ndarray,

@@ -16,7 +16,6 @@ family brackets the solver optima from below.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -29,6 +28,7 @@ from ._piecewise import (
     segment_index,
     to_ticks,
 )
+from ._table import write_rows
 from .errors import EmptyFeasibleSet
 from .market import MarketModel
 from .risk import (
@@ -167,16 +167,12 @@ class OracleResult:
     records: tuple
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["label", "rho", "v_levels", "feasible", "cost"])
-            for rec in self.records:
-                writer.writerow([
-                    rec.label, f"{rec.rho:.12g}",
-                    " ".join(f"{v:.8g}" for v in rec.v_levels),
-                    int(rec.feasible),
-                    f"{rec.cost:.12g}" if np.isfinite(rec.cost) else "nan",
-                ])
+        write_rows(path, ["label", "rho", "v_levels", "feasible", "cost"], (
+            (rec.label, f"{rec.rho:.12g}",
+             " ".join(f"{v:.8g}" for v in rec.v_levels),
+             "1" if rec.feasible else "0",
+             f"{rec.cost:.12g}" if np.isfinite(rec.cost) else "nan")
+            for rec in self.records))
 
 
 def _step_candidate(model: MarketModel, node_ticks: np.ndarray, y, v):

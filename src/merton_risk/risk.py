@@ -19,13 +19,13 @@ and the two verdicts are checked against each other.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from ._piecewise import from_ticks, merge_ticks, to_ticks
+from ._table import fmt, write_rows
 from .gaussian import Quantile, log_tail_ratio, normal_quantile, tail_ratio
 from .market import MarketModel
 from .strategies import Cumulants, DeterministicStrategy, cumulants
@@ -165,12 +165,9 @@ class RiskProfile:
         return bool(np.min(self.log_curve) >= self.log_bound - tol)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "var", "es", "level", "ratio"])
-            for row in zip(self.times, self.var_curve, self.es_curve,
-                           self.level_curve, self.ratio_curve):
-                writer.writerow([f"{v:.12g}" for v in row])
+        write_rows(path, ["t", "var", "es", "level", "ratio"],
+                   zip(*map(fmt, (self.times, self.var_curve, self.es_curve,
+                                  self.level_curve, self.ratio_curve))))
 
 
 def profile_grid(cum: Cumulants, n_refine: int = PROFILE_REFINE) -> np.ndarray:

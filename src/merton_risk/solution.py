@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -10,20 +9,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._piecewise import from_ticks, merge_ticks, to_ticks
+from ._table import fmt, write_grid_csv, write_rows
 from .market import MarketModel
 from .risk import RiskSpec
 from .strategies import DeterministicStrategy, cumulants
 from .utility import UtilityParams
-
-
-def write_grid_csv(path, header: str, ts, xs, values, fmt: str = ".12g") -> None:
-    """CSV of values[i, j] at (ts[i], xs[j]), t slowest, written as one block."""
-    ts = [f"{t:.12g}" for t in np.asarray(ts).tolist()]
-    xs = [f"{x:.12g}" for x in np.asarray(xs).tolist()]
-    lines = [f"{t},{x},{v:{fmt}}\n" for t, row in zip(ts, np.asarray(values).tolist())
-             for x, v in zip(xs, row)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join([header + "\n"] + lines))
 
 
 @dataclass(frozen=True)
@@ -107,27 +97,17 @@ class Solution:
         grid = self.control_grid(n)
         d = self.model.dimension
         header = ["t"] + [f"pi_{j+1}" for j in range(d)] + ["v"]
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            if self.strategy is None:
-                return
-            pis = self.strategy.pi_at(self.model, grid)
-            vs = self.strategy.v_at(self.model, grid)
-            vs = np.broadcast_to(np.asarray(vs, dtype=np.float64), grid.shape)
-            for i, t in enumerate(grid):
-                writer.writerow([f"{t:.12g}"]
-                                + [f"{p:.12g}" for p in np.atleast_1d(pis[i])]
-                                + [f"{vs[i]:.12g}"])
+        rows = ()
+        if self.strategy is not None:
+            pis = np.reshape(self.strategy.pi_at(self.model, grid), (grid.size, d))
+            vs = np.broadcast_to(self.strategy.v_at(self.model, grid), grid.shape)
+            rows = zip(fmt(grid), *(fmt(col) for col in pis.T), fmt(vs))
+        write_rows(path, header, rows)
 
     def write_wealth_csv(self, path, n: int = 201) -> None:
         grid = self.control_grid(n)
-        mean = self.wealth_mean(grid)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t", "wealth_mean"])
-            for t, w in zip(grid, mean):
-                writer.writerow([f"{t:.12g}", f"{w:.12g}"])
+        write_rows(path, ["t", "wealth_mean"],
+                   zip(fmt(grid), fmt(self.wealth_mean(grid))))
 
     def write_feedback_grids(self, path_p, path_c, n_t: int = 51,
                              n_x: int = 51, x_lo: float = None,
@@ -140,6 +120,6 @@ class Solution:
         ts = np.linspace(0.0, self.model.horizon, n_t)
         xs = np.linspace(x_lo, x_hi, n_x)
         gs = self.feedback.g(ts[:, None], xs)
-        write_grid_csv(path_p, "t,x,p", ts, xs,
+        write_grid_csv(path_p, ["t", "x", "p"], ts, xs,
                        self.feedback.p_from_g(ts[:, None], gs))
-        write_grid_csv(path_c, "t,x,c_star", ts, xs, self.feedback.c_from_g(gs))
+        write_grid_csv(path_c, ["t", "x", "c_star"], ts, xs, self.feedback.c_from_g(gs))

@@ -1,12 +1,13 @@
 """Batch front-end: exit codes, output files, round trips."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from merton_risk import MeasureKind, RiskSpec, constraint_profile
+from merton_risk import MeasureKind, RiskSpec, constraint_profile, unconstrained
 from merton_risk.cli import main, strategy_from_csv
 from merton_risk.market import market_from_dict
 
@@ -103,6 +104,39 @@ def test_solve_non_finite_market_is_input_error(tmp_path, market):
     assert not any("NaN" in p.read_text() for p in out.glob("*.json"))
 
 
+TIGHT_VAR = {"utility": {"gamma1": 0.5, "gamma2": 0.5},
+             "risk": {"kind": "var", "alpha": 0.01, "zeta": 0.1}}
+
+
+@pytest.mark.parametrize("patch, command", [
+    ({"utility": 5}, ["solve"]),
+    ({"x0": None}, ["solve"]),
+    ({"x0": [1]}, ["solve"]),
+    ({"risk": 3}, ["solve"]),
+    ({"utility": {"gamma1": None, "gamma2": 0.5}}, ["solve"]),
+    ({}, ["solve", "--oracle", "--rho-step", "0"]),
+    ({}, ["solve", "--oracle", "--rho-step", "nan"]),
+    ({}, ["solve", "--oracle", "--rho-step", "-0.001"]),
+    ({}, ["oracle", "--rho-step", "0"]),
+    ({}, ["simulate", "--strategy", "missing.csv"]),
+    ({}, ["simulate", "--paths", "0"]),
+    ({}, ["solve", "--mc-paths", "1"]),
+    ({}, ["solve", "--grid", "-1"]),
+], ids=["utility_number", "x0_null", "x0_list", "risk_number", "gamma1_null",
+        "rho_step_zero", "rho_step_nan", "rho_step_negative",
+        "oracle_rho_step_zero", "missing_strategy_file", "zero_paths",
+        "one_mc_path", "negative_grid"])
+def test_malformed_input_is_input_error(tmp_path, capsys, patch, command):
+    spec = tmp_path / "p.json"
+    spec.write_text(json.dumps({"market": market_doc(), "x0": 1.0,
+                                **TIGHT_VAR, **patch}))
+    options = [str(tmp_path / a) if a.endswith(".csv") else a
+               for a in command[1:]]
+    argv = [command[0], str(spec), "--out", str(tmp_path / "out")] + options
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_solve_no_closed_form_exit2(tmp_path):
     spec = write_spec(tmp_path / "p.json",
                       utility={"gamma1": 0.5, "gamma2": 0.5},
@@ -180,7 +214,30 @@ def test_simulate_feedback_strategy(tmp_path):
         4 * summary["cost_std_error"] + 1e-3
 
 
-def test_verify_ok_and_corrupted(tmp_path):
+class ScaledTerminalCoeffs:
+    """Growth coefficients with A2 (and its derivative) scaled by a factor."""
+
+    def __init__(self, inner, factor: float):
+        self._inner = inner
+        self._factor = factor
+
+    def A1(self, t):
+        return self._inner.A1(t)
+
+    def A2(self, t):
+        return self._factor * self._inner.A2(t)
+
+    def A1_dot(self, t):
+        return self._inner.A1_dot(t)
+
+    def A2_dot(self, t):
+        return self._factor * self._inner.A2_dot(t)
+
+    def beta_at(self, t, which):
+        return self._inner.beta_at(t, which)
+
+
+def test_verify_ok_and_corrupted(tmp_path, monkeypatch):
     spec = write_spec(tmp_path / "p.json",
                       utility={"gamma1": 0.5, "gamma2": 0.5},
                       market=market_doc(r=0.03))
@@ -191,9 +248,19 @@ def test_verify_ok_and_corrupted(tmp_path):
     assert rep["max_abs_residual"] < 1e-7
     assert rep["terminal_error"] < 1e-12
     # fault injection: scaled terminal growth coefficient must trip the gate
+    solve = unconstrained.solve_hara_unconstrained
+
+    def corrupted(model, utility, x):
+        sol = solve(model, utility, x)
+        feedback = unconstrained.HaraFeedback(
+            model=model, utility=utility,
+            coeffs=ScaledTerminalCoeffs(sol.feedback.coeffs, 1.01), x0=x)
+        return dataclasses.replace(sol, feedback=feedback)
+
+    monkeypatch.setattr(unconstrained, "solve_hara_unconstrained", corrupted)
     out2 = tmp_path / "out2"
     assert main(["verify", str(spec), "--out", str(out2),
-                 "--nt", "20", "--nx", "20", "--corrupt-terminal"]) == 2
+                 "--nt", "20", "--nx", "20"]) == 2
     rep2 = json.loads((out2 / "hjb_report.json").read_text())
     assert rep2["terminal_error"] > 1e-12
 

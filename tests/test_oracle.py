@@ -28,7 +28,8 @@ from merton_risk import (
     theta_direction_strategy,
 )
 from merton_risk.es_bound import rho_es
-from merton_risk.var_bound import rho_var, tight_strategy
+from merton_risk.bounded import tight_strategy
+from merton_risk.var_bound import rho_var
 
 from conftest import bond_strategy, random_market, random_strategy
 

@@ -7,6 +7,7 @@ deterministic.
 """
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from merton_risk import (
@@ -19,7 +20,9 @@ from merton_risk import (
     rho_es,
     rho_var,
     solve_es,
+    solve_es_tight,
     solve_var,
+    solve_var_tight,
 )
 
 from conftest import random_market
@@ -105,3 +108,25 @@ def test_es_value_within_var_value(problem):
     var = outcome(MeasureKind.VAR, *problem)
     if not isinstance(es, Exception) and not isinstance(var, Exception):
         assert es.value <= var.value + 1e-12 * abs(var.value), (es.regime, var.regime)
+
+
+def floor_margin(solve_tight, kind, model, utility, alpha, zeta, x0):
+    """Margin of the tight regime's quantile floor, or None if not reached."""
+    try:
+        sol = solve_tight(model, utility, RiskSpec(alpha=alpha, zeta=zeta, kind=kind), x0)
+    except ConditionViolated as exc:
+        return exc.margin if exc.condition == "quantile_floor" else None
+    return next(c.margin for c in sol.conditions if c.name == "quantile_floor")
+
+
+@PROPERTY
+@given(problems())
+def test_es_quantile_floor_one_theta_norm_above_var(problem):
+    """The ES floor |z_a| >= (2 + ...) ||theta||_T sits ||theta||_T above the
+    VaR floor |z_a| >= (1 + ...) ||theta||_T."""
+    model, utility = problem[:2]
+    if utility.gamma1 < 1.0 and model.theta_norm_T > 0.0:
+        var = floor_margin(solve_var_tight, MeasureKind.VAR, *problem)
+        es = floor_margin(solve_es_tight, MeasureKind.ES, *problem)
+        if var is not None:
+            assert var - es == pytest.approx(model.theta_norm_T, rel=1e-9)

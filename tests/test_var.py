@@ -171,6 +171,16 @@ def test_kappa_star_general_exponents(standard_market):
     assert np.max(Gs) <= G_at * (1 + 1e-10)
 
 
+def test_kappa_star_root_beyond_double_resolution(standard_market):
+    """For gamma2 just below 1 G can still rise at kappa = 1 - 1e-15: the
+    split point is 1 to machine precision, and the tight regime applies."""
+    u = UtilityParams(0.75, 0.9999)
+    assert big_g(standard_market, u, 0.01, 1.0 - 1e-15)[1] > 0.0
+    assert kappa_star(standard_market, u, 0.01) == 1.0
+    sol = solve_var_tight(standard_market, u, RiskSpec(**VAR01), 0.01)
+    assert sol.regime == "var_tight"
+
+
 # ---------------------------------------------------------------------------
 # loose bound
 # ---------------------------------------------------------------------------
