@@ -86,6 +86,12 @@ class PiecewiseLinear:
         j = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 1)
         pad = np.zeros(self.values.shape[:-1] + (1,))
         slopes = np.concatenate((self.slopes(), pad), axis=-1)
+        if j.ndim == 1 and np.all(j[1:] >= j[:-1]):
+            # ascending times: each node's column repeats over a run of
+            # times, which copies blocks instead of gathering one by one
+            runs = np.bincount(j, minlength=len(nodes))
+            return (np.repeat(slopes, runs, axis=-1) * (t - nodes[j])
+                    + np.repeat(self.values, runs, axis=-1))
         return slopes[..., j] * (t - nodes[j]) + self.values[..., j]
 
     def slopes(self) -> np.ndarray:

@@ -123,6 +123,8 @@ def _check_rho_step(rho_step: float) -> None:
 def cmd_solve(args) -> int:
     spec = ProblemSpec.load(args.spec)
     _check_rho_step(args.rho_step)
+    if args.grid < 0:
+        raise ValueError(f"--grid must be non-negative, got {args.grid}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

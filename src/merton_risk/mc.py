@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ._piecewise import merge_ticks, from_ticks, to_ticks
 from ._table import fmt, write_rows
@@ -220,6 +219,9 @@ def _int_exp_quadratic(B: np.ndarray, A: np.ndarray, dt: np.ndarray) -> np.ndarr
     erf closed form on curved steps, with an affine fallback on steps whose
     quadratic term is negligible (A dt^2 <= 1e-8).
     """
+    # slow to import: only simulate and solve --mc-paths pay for it
+    from scipy import special
+
     out = np.empty(B.shape)
     flat = A * dt * dt <= 1e-8
     if np.any(flat):

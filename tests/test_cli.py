@@ -3,10 +3,15 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import merton_risk
 from merton_risk import MeasureKind, RiskSpec, constraint_profile, unconstrained
 from merton_risk.cli import main, strategy_from_csv
 from merton_risk.market import market_from_dict
@@ -135,6 +140,7 @@ def test_malformed_input_is_input_error(tmp_path, capsys, patch, command):
     argv = [command[0], str(spec), "--out", str(tmp_path / "out")] + options
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("input error: ")
+    assert not (tmp_path / "out" / "solution.json").exists()
 
 
 def test_solve_no_closed_form_exit2(tmp_path):
@@ -377,3 +383,32 @@ def test_oracle_command(tmp_path):
     doc = json.loads((out / "oracle.json").read_text())
     assert -1e-9 <= doc["relative_gap"] < 5e-3
     assert (out / "oracle.csv").exists()
+
+
+STARTUP_SCRIPT = """
+import sys
+from merton_risk.cli import main
+spec, out = sys.argv[1:]
+assert main(["solve", spec, "--out", out + "/solve", "--oracle",
+             "--rho-step", "5e-3"]) == 0
+assert main(["verify", spec, "--out", out + "/verify"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+assert main(["simulate", spec, "--out", out + "/simulate", "--paths", "2000"]) == 0
+"""
+
+
+def test_solve_and_verify_import_no_scipy(tmp_path):
+    # a fresh interpreter: this test process has scipy loaded already
+    spec = write_spec(tmp_path / "p.json",
+                      utility={"gamma1": 0.5, "gamma2": 0.5},
+                      risk={"kind": "es", "alpha": 0.05, "zeta": 0.1})
+    src = str(Path(merton_risk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    run = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(spec),
+                          str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "simulate" / "summary.json").exists()

@@ -2,20 +2,35 @@
 
 Frozen expectations were computed with mpmath at 50 digits (bisection on
 the erfc-based CDF for quantiles, direct tail-integral ratios for F).
+The error functions are checked against mpmath at 40 digits and against
+scipy.special, which the kernel no longer imports.
 """
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from scipy import special
 
 from merton_risk import AlphaOutOfRange, mills_bounds, normal_quantile, tail_ratio
 from merton_risk.errors import NegativeArgument
 from merton_risk.gaussian import (
+    erfc,
+    erfcx,
     gauss_hazard,
     log_gauss_tail,
     log_tail_ratio,
     norm_cdf,
     norm_sf,
 )
+
+# every CALERF interval, both signs, and the interval ends themselves
+ERFC_GRID = np.concatenate([np.linspace(-6.0, 26.0, 3201),
+                            [-4.0, -0.46875, 0.46875, 4.0, 26.5]])
+ERFCX_GRID = np.concatenate([np.linspace(-0.5, 10.0, 2101),
+                             np.geomspace(10.0, 1e6, 1001),
+                             [-0.46875, 0.46875, 4.0]])
 
 # mpmath, 50 digits
 Z_005 = -1.6448536269514727149
@@ -131,3 +146,62 @@ def test_hazard_consistent_with_log_tail():
         h = 1e-6
         fd = -(log_gauss_tail(z + h) - log_gauss_tail(z - h)) / (2 * h)
         assert gauss_hazard(z) == pytest.approx(float(fd), rel=1e-8)
+
+
+def _relative_error(values, exact):
+    return max(abs((mpmath.mpf(float(v)) - e) / e) for v, e in zip(values, exact))
+
+
+def test_erfc_against_mpmath():
+    with mpmath.workdps(40):
+        exact = [mpmath.erfc(mpmath.mpf(float(x))) for x in ERFC_GRID]
+        assert _relative_error(erfc(ERFC_GRID), exact) <= 1e-15
+
+
+def test_erfcx_against_mpmath_and_scipy():
+    with mpmath.workdps(40):
+        exact = [mpmath.exp(mpmath.mpf(float(x)) ** 2) * mpmath.erfc(float(x))
+                 for x in ERFCX_GRID]
+        assert _relative_error(erfcx(ERFCX_GRID), exact) <= 1e-15
+    np.testing.assert_allclose(erfcx(ERFCX_GRID), special.erfcx(ERFCX_GRID),
+                               rtol=2e-15, atol=0.0)
+
+
+def test_scalar_and_array_paths_agree_bitwise():
+    grid = np.concatenate([ERFC_GRID, -ERFCX_GRID, ERFCX_GRID])
+    for fn in (erfc, erfcx, log_gauss_tail, gauss_hazard, norm_cdf):
+        batch = fn(grid.reshape(2, -1)).ravel()
+        single = np.array([fn(float(x)) for x in grid])
+        assert np.array_equal(batch, single, equal_nan=True), fn.__name__
+
+
+def test_error_functions_at_special_arguments():
+    # no RuntimeWarning (an error in this suite) where erfcx overflows or
+    # erfc underflows; NaN propagates
+    x = np.array([-np.inf, -30.0, -26.7, 30.0, 1e300, np.inf, np.nan])
+    assert np.array_equal(erfcx(x)[:3], [np.inf] * 3)
+    assert erfcx(-30.0) == np.inf
+    assert erfcx(1e300) == pytest.approx(1.0 / (math.sqrt(math.pi) * 1e300),
+                                         rel=1e-15)
+    assert erfcx(np.inf) == 0.0
+    assert np.array_equal(erfc(x)[:6], [2.0, 2.0, 2.0, 0.0, 0.0, 0.0])
+    assert np.isnan(erfc(x)[-1]) and np.isnan(erfcx(x)[-1])
+    assert erfc(np.array([])).shape == (0,)
+    assert erfcx(np.zeros((0, 3))).shape == (0, 3)
+
+
+def test_quantile_against_ndtri_start():
+    # the quantile as computed from scipy's ndtri start, polished alike
+    def reference(alpha):
+        z = float(special.ndtri(alpha))
+        for _ in range(2):
+            cdf = 0.5 * float(special.erfc(-z / math.sqrt(2.0)))
+            z -= (cdf - alpha) / (math.exp(-0.5 * z * z)
+                                  / math.sqrt(2.0 * math.pi))
+        return z
+
+    alphas = np.concatenate([np.geomspace(1e-300, 0.4999, 3001),
+                             np.linspace(0.01, 0.4999, 1001)])
+    for alpha in alphas:
+        z = normal_quantile(float(alpha)).z_alpha
+        assert z == pytest.approx(reference(float(alpha)), rel=1e-15, abs=0.0)
