@@ -63,7 +63,6 @@ from .risk import (
 )
 from .solution import ConditionCheck, Solution
 from .strategies import (
-    BudgetFractionConsumption,
     DeterministicStrategy,
     GrowthFractionConsumption,
     StepConsumption,
@@ -75,6 +74,7 @@ from .strategies import (
 from .unconstrained import (
     HaraCoefficients,
     HaraFeedback,
+    equal_gamma_consumption,
     equal_gamma_strategy,
     equal_gamma_value,
     hara_g,

@@ -12,10 +12,14 @@ this order:
                    satisfies the bound and remains optimal.
 
   tight bound      for small zeta the optimum is riskless: pi* = 0 and the
-                   budget-fraction consumption spends exactly zeta of the
+                   growth-fraction law v = N1^q / D with D_0 =
+                   ||N1||_{q,T}^q / zeta spends exactly zeta of the
                    discounted endowment; the value is the split functional
                    G(x, zeta) = x^g1 zeta^g1 ||N1||_{q,T}
                               + x^g2 (1-zeta)^g2 N2(T).
+
+The loose regime's equal-exponent optimum follows the same law with a
+tilted weight; kappa_hat is what the law spends with N^q(T) left in D_0.
 
 The regimes are complementary but not exhaustive; anything in between is
 reported with its margins, never extrapolated.  A ``BoundRules`` record
@@ -31,13 +35,13 @@ import numpy as np
 
 from ._rootfind import solve_bracketed
 from .errors import ConditionViolated, NegativeRate, NoClosedFormRegime, UnsupportedRegime
-from .market import MarketModel, weighted_g_norm
+from .market import MarketModel
 from .risk import MeasureKind, RiskSpec
 from .solution import ConditionCheck, Solution
 from .strategies import (
-    BudgetFractionConsumption,
     CoefficientPath,
     DeterministicStrategy,
+    GrowthFractionConsumption,
     constant_strategy,
     theta_direction_strategy,
 )
@@ -101,9 +105,8 @@ def solve_linear(rules: BoundRules, model: MarketModel, spec: RiskSpec,
 
 def consumption_norm(model: MarketModel, utility: UtilityParams) -> float:
     """||N1||_{q,T} = (int_0^T e^{q g1 R_t} dt)^{1/q}, q = 1/(1-gamma1)."""
-    q = utility.q1
-    return float(weighted_g_norm(model, utility.gamma1, q,
-                                 model.horizon) ** (1.0 / q))
+    integ = GrowthFractionConsumption(utility.q1 * utility.gamma1).integral(model)
+    return float(integ.end_value ** (1.0 / utility.q1))
 
 
 def _split_g(n1: float, n2: float, utility: UtilityParams, x: float, kappa):
@@ -138,9 +141,7 @@ def big_g(model: MarketModel, utility: UtilityParams, x: float,
 def kappa_hat(model: MarketModel, gamma: float) -> float:
     """Split point ||N||^q / (||N||^q + N^q(T)) for equal exponents."""
     q = 1.0 / (1.0 - gamma)
-    norm_q = weighted_g_norm(model, gamma, q, model.horizon)
-    n_T_q = float(np.exp(q * gamma * model.R(model.horizon)))
-    return float(norm_q / (norm_q + n_T_q))
+    return GrowthFractionConsumption(q * gamma).spent_fraction(model)
 
 
 def kappa_star(model: MarketModel, utility: UtilityParams, x: float) -> float:
@@ -195,12 +196,10 @@ def split_zeta_conditions(model: MarketModel, utility: UtilityParams,
 
 def tight_strategy(model: MarketModel, utility: UtilityParams,
                    spec: RiskSpec) -> DeterministicStrategy:
-    """Riskless split optimum: pi* = 0, budget-fraction consumption."""
-    d = model.dimension
-    y_path = CoefficientPath.constant(np.zeros(d), model.horizon)
+    """Riskless split optimum: pi* = 0, growth-fraction consumption spending zeta."""
     return DeterministicStrategy(
-        y_path=y_path,
-        consumption=BudgetFractionConsumption(gamma1=utility.gamma1,
+        y_path=CoefficientPath.constant(np.zeros(model.dimension), model.horizon),
+        consumption=GrowthFractionConsumption(utility.q1 * utility.gamma1,
                                               zeta=spec.zeta),
     )
 

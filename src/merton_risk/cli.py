@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import es_bound, hjb, mc, oracle, unconstrained, var_bound
-from ._table import fmt, write_rows
+from ._table import fmt, write_json, write_rows
 from .errors import (
     ConditionViolated,
     HypothesisViolated,
@@ -98,12 +98,6 @@ def _solve(spec: ProblemSpec) -> Solution:
     return es_bound.solve_es(spec.model, spec.utility, spec.risk, spec.x0)
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
 def _write_failure(out_dir: Path, exc: MertonRiskError) -> None:
     doc = {"status": "failed", "error": type(exc).__name__,
            "message": str(exc)}
@@ -112,7 +106,7 @@ def _write_failure(out_dir: Path, exc: MertonRiskError) -> None:
         doc["margin"] = exc.margin
     if isinstance(exc, NoClosedFormRegime):
         doc["margins"] = exc.margins
-    _write_json(out_dir / "solution.json", doc)
+    write_json(out_dir / "solution.json", doc)
 
 
 def _check_rho_step(rho_step: float) -> None:
@@ -139,7 +133,7 @@ def cmd_solve(args) -> int:
         est, se = mc.estimate_cost(ens, spec.utility)
         doc["mc_check"] = {"estimate": est, "std_error": se,
                            "n_paths": args.mc_paths, "seed": args.seed}
-    _write_json(out_dir / "solution.json", doc)
+    write_json(out_dir / "solution.json", doc)
     sol.write_controls_csv(out_dir / "controls.csv", n=args.grid)
     sol.write_wealth_csv(out_dir / "wealth.csv", n=args.grid)
     if sol.feedback is not None:
@@ -180,9 +174,9 @@ def _write_oracle(out_dir: Path, spec: ProblemSpec, sol: Solution,
                                     spec.x0, config)
     res.write_csv(out_dir / "oracle.csv")
     gap = (sol.value - res.best_cost) / abs(sol.value)
-    _write_json(out_dir / "oracle.json",
-                {"oracle_best": res.best_cost, "solver_value": sol.value,
-                 "relative_gap": gap})
+    write_json(out_dir / "oracle.json",
+               {"oracle_best": res.best_cost, "solver_value": sol.value,
+                "relative_gap": gap})
 
 
 def strategy_from_csv(path, model: MarketModel) -> DeterministicStrategy:
@@ -231,7 +225,7 @@ def cmd_simulate(args) -> int:
         alpha=0.01, zeta=0.5, kind=MeasureKind.VAR)
     empirical = mc.empirical_risk_curve(ensemble, risk, spec.x0, spec.model)
 
-    _write_json(out_dir / "summary.json", {
+    write_json(out_dir / "summary.json", {
         "cost_estimate": est, "cost_std_error": se,
         "cost_closed_form": closed_form,
         "n_paths": config.n_paths, "seed": config.seed,
@@ -354,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated explicit time nodes")
     p_ver.add_argument("--residual-tol", type=float, default=1e-7)
     p_ver.add_argument("--terminal-tol", type=float, default=1e-12)
-    p_ver.add_argument("--gap-tol", type=float, default=1e-10)
+    p_ver.add_argument("--gap-tol", type=float, default=hjb.HAMILTONIAN_GAP_TOL)
     p_ver.set_defaults(func=cmd_verify)
 
     p_or = sub.add_parser("oracle", help="grid-search cross-check")

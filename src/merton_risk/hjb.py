@@ -20,19 +20,18 @@ time derivative of z may jump.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._piecewise import segment_index, to_ticks
-from ._table import write_grid_csv
+from ._table import write_grid_csv, write_json
 from .errors import GridTouchesBreakpoint
 from .market import MarketModel
 from .unconstrained import HaraFeedback, solve_hara_unconstrained
 from .utility import UtilityParams
 
-HAMILTONIAN_GAP_TOL = 1e-10
+HAMILTONIAN_GAP_TOL = 1e-10    # default gate of `verify --gap-tol`
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,7 @@ class HjbReport:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.as_dict())
 
     def write_csv(self, path) -> None:
         write_grid_csv(path, ["t", "x", "residual"], self.t_nodes, self.x_nodes,
@@ -87,6 +84,18 @@ def _check_grid(model: MarketModel, t_nodes: np.ndarray) -> None:
                 f"t = {t} coincides with a coefficient breakpoint")
 
 
+def _grid_and_feedback(model: MarketModel, utility: UtilityParams, t_nodes,
+                       n_t: int, n_x: int, feedback: HaraFeedback | None):
+    """Checked time nodes, the wealth nodes on [0.25, 4] and the feedback."""
+    if t_nodes is None:
+        t_nodes = off_breakpoint_grid(model, n_t)
+    t_nodes = np.asarray(t_nodes, dtype=np.float64)
+    _check_grid(model, t_nodes)
+    if feedback is None:
+        feedback = solve_hara_unconstrained(model, utility, 1.0).feedback
+    return t_nodes, np.linspace(0.25, 4.0, n_x), feedback
+
+
 def _reduced_hamiltonian_terms(model: MarketModel, utility: UtilityParams,
                                fb: HaraFeedback, t, xs: np.ndarray):
     """The four HJB terms at a time t, or at a column of times, and wealths xs."""
@@ -105,8 +114,7 @@ def _reduced_hamiltonian_terms(model: MarketModel, utility: UtilityParams,
 
 
 def hjb_residual(model: MarketModel, utility: UtilityParams,
-                 t_nodes=None, x_nodes=None, n_t: int = 50,
-                 n_x: int = 50, x_range=(0.25, 4.0),
+                 t_nodes=None, n_t: int = 50, n_x: int = 50,
                  feedback: HaraFeedback | None = None) -> HjbReport:
     """Relative dynamic-programming residual on an off-breakpoint grid.
 
@@ -115,19 +123,8 @@ def hjb_residual(model: MarketModel, utility: UtilityParams,
     node placement).  The residual is scaled by the sum of the magnitudes
     of its four terms.
     """
-    if t_nodes is None:
-        t_nodes = off_breakpoint_grid(model, n_t)
-    else:
-        t_nodes = np.asarray(t_nodes, dtype=np.float64)
-    _check_grid(model, t_nodes)
-    if x_nodes is None:
-        x_nodes = np.linspace(x_range[0], x_range[1], n_x)
-    else:
-        x_nodes = np.asarray(x_nodes, dtype=np.float64)
-    if np.any(x_nodes <= 0):
-        raise ValueError("wealth grid must be positive")
-    if feedback is None:
-        feedback = solve_hara_unconstrained(model, utility, 1.0).feedback
+    t_nodes, x_nodes, feedback = _grid_and_feedback(model, utility, t_nodes,
+                                                    n_t, n_x, feedback)
 
     # one batched g-root over the whole (t, x) grid
     term_t, term_r, term_quad, term_cons, *_ = _reduced_hamiltonian_terms(
@@ -159,7 +156,7 @@ def _h0(r, theta, x, z1, z2, y, c, gamma1):
 
 
 def hamiltonian_argmax_check(model: MarketModel, utility: UtilityParams,
-                             t_nodes=None, x_nodes=None, n_t: int = 10,
+                             t_nodes=None, n_t: int = 10,
                              n_x: int = 10, n_probes: int = 64,
                              seed: int = 0,
                              feedback: HaraFeedback | None = None) -> HjbReport:
@@ -167,17 +164,10 @@ def hamiltonian_argmax_check(model: MarketModel, utility: UtilityParams,
 
     Probes mix random controls with scaled perturbations of the optimum;
     the report's hamiltonian_gap is the worst probe advantage (should not
-    exceed ~1e-10 of the node scale).
+    exceed HAMILTONIAN_GAP_TOL).
     """
-    if t_nodes is None:
-        t_nodes = off_breakpoint_grid(model, n_t)
-    t_nodes = np.asarray(t_nodes, dtype=np.float64)
-    _check_grid(model, t_nodes)
-    if x_nodes is None:
-        x_nodes = np.linspace(0.25, 4.0, n_x)
-    x_nodes = np.asarray(x_nodes, dtype=np.float64)
-    if feedback is None:
-        feedback = solve_hara_unconstrained(model, utility, 1.0).feedback
+    t_nodes, x_nodes, feedback = _grid_and_feedback(model, utility, t_nodes,
+                                                    n_t, n_x, feedback)
     _, _, _, _, gs, ps, rs, thetas = _reduced_hamiltonian_terms(
         model, utility, feedback, t_nodes[:, None], x_nodes)
     rng = np.random.default_rng(seed)

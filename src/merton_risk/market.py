@@ -29,6 +29,7 @@ from ._piecewise import (
     segment_index,
     to_ticks,
 )
+from ._table import write_json
 from .errors import MismatchedPaths, SingularVolatility, TimeOutOfRange
 
 SINGULARITY_RTOL = 1e-10  # reject sigma blocks with s_min/s_max below this
@@ -284,6 +285,4 @@ def load_market(path) -> MarketModel:
 
 
 def save_market(model: MarketModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(market_to_dict(model), fh, indent=2)
-        fh.write("\n")
+    write_json(path, market_to_dict(model))

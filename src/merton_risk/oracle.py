@@ -51,6 +51,7 @@ from .utility import UtilityParams
 # Oracle candidates screened and costed together: bounds the (candidates x
 # profile grid) arrays of the screen to a few MB.
 _CHUNK = 32
+COORDINATE_PASSES = 3    # sweeps of the coordinate descent over v levels
 
 
 def _cost_pieces(cum: Cumulants, utility: UtilityParams):
@@ -139,13 +140,13 @@ class FamilyConfig:
     rho_grid (y = 0 is always included).  Consumption candidates are
     piecewise-constant with v_pieces equal intervals and levels drawn from
     v_levels; for v_pieces > 1 the levels are refined by coordinate descent
-    on the grid (the cost is concave along each coordinate).
+    on the grid in COORDINATE_PASSES sweeps (the cost is concave along each
+    coordinate).
     """
 
     rho_grid: np.ndarray
     v_levels: np.ndarray = field(default_factory=lambda: np.array([0.0]))
     v_pieces: int = 1
-    coordinate_passes: int = 3
     n_profile: int = 2001
     random_directions: int = 0
     seed: int = 0
@@ -287,7 +288,7 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
             node_ticks = merge_ticks(model.node_ticks, piece_ticks)
             piece = segment_index(piece_ticks, node_ticks[:-1])
             y = _theta_exposures(model, node_ticks, [best_rho])
-            for _ in range(config.coordinate_passes):
+            for _ in range(COORDINATE_PASSES):
                 improved = False
                 for i in range(config.v_pieces):
                     # every level of coordinate i at once, then the sequential

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._piecewise import from_ticks, merge_ticks, to_ticks
-from ._table import fmt, write_grid_csv, write_rows
+from ._table import fmt, write_grid_csv, write_json, write_rows
 from .market import MarketModel
 from .risk import RiskSpec
 from .strategies import DeterministicStrategy, cumulants
@@ -88,9 +87,7 @@ class Solution:
         return doc
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     def write_controls_csv(self, path, n: int = 201) -> None:
         """Sampled (t, pi*, v*) curves; deterministic-class solutions only."""
@@ -110,15 +107,12 @@ class Solution:
                    zip(fmt(grid), fmt(self.wealth_mean(grid))))
 
     def write_feedback_grids(self, path_p, path_c, n_t: int = 51,
-                             n_x: int = 51, x_lo: float = None,
-                             x_hi: float = None) -> None:
-        """Dump (t, x) grids of the feedback handles p and c*."""
+                             n_x: int = 51) -> None:
+        """Dump grids of the feedback handles p and c* over t and x/x0 in [0.2, 5]."""
         if self.feedback is None:
             return
-        x_lo = 0.2 * self.x if x_lo is None else x_lo
-        x_hi = 5.0 * self.x if x_hi is None else x_hi
         ts = np.linspace(0.0, self.model.horizon, n_t)
-        xs = np.linspace(x_lo, x_hi, n_x)
+        xs = np.linspace(0.2 * self.x, 5.0 * self.x, n_x)
         gs = self.feedback.g(ts[:, None], xs)
         write_grid_csv(path_p, ["t", "x", "p"], ts, xs,
                        self.feedback.p_from_g(ts[:, None], gs))

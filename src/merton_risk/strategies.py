@@ -9,8 +9,9 @@ to the cumulants
 
     V_t = int v,   (y,theta)_t = int y'theta,   ||y||_t^2 = int |y|^2,
 
-all of which are exact here: y is piecewise-constant and the supported
-consumption families keep v_t e^{-V_t} exponential-affine per interval.
+all of which are exact here: y is piecewise-constant and both consumption
+families, step rates and the growth-fraction law of the paper's two explicit
+optima, keep v_t e^{-V_t} exponential-affine per interval.
 """
 
 from __future__ import annotations
@@ -77,98 +78,59 @@ def _step_log_affine(v, V_left):
 
 @dataclass(frozen=True)
 class GrowthFractionConsumption:
-    """Equal-exponent optimal rate v_t = G^q(t) / (G^q(T) + int_t^T G^q ds)
+    """Spend the growth-weighted share of the remaining budget: v_t = E_t / D_t.
 
-    where G is the risk-adjusted growth factor exp(gamma R_t + (q-1)/2 TS_t),
-    q = 1/(1-gamma).  The remaining budget D(t) = G^q(T) + int_t^T G^q has
-    D'(t) = -G^q(t), so V_t = ln D(0) - ln D(t) exactly.
+    E_t = exp(a R_t + b TS_t) is the growth weight and D_t = D_0 - int_0^t E
+    the budget left, so V_t = ln D_0 - ln D_t and v e^{-V} = E_t / D_0.
+    Without zeta, D_0 = int_0^T E + E_T keeps E_T for terminal wealth (the
+    equal-exponent optimum, E = G^q); with zeta, D_0 = int_0^T E / zeta
+    spends exactly zeta of the discounted endowment, V_T = -ln(1 - zeta)
+    (the riskless tight-bound optimum, E = N^q).
     """
 
-    gamma: float
-
-    @property
-    def q(self) -> float:
-        return 1.0 / (1.0 - self.gamma)
+    a: float                     # weight of R_t in the growth exponent
+    b: float = 0.0               # weight of TS_t = int |theta|^2
+    zeta: float | None = None
 
     def breakpoints(self) -> np.ndarray:
         return np.array([0], dtype=np.int64)
 
-    def _parts(self, model: MarketModel):
-        q = self.q
-        integ = model.exp_growth_integral(q * self.gamma, 0.5 * q * (q - 1.0))
-        g_pow_T = np.exp(
-            q * self.gamma * model.R(model.horizon)
-            + 0.5 * q * (q - 1.0) * model.theta_sq_cum(model.horizon)
-        )
-        return integ, g_pow_T
+    def integral(self, model: MarketModel):
+        """t -> int_0^t E, exact."""
+        return model.exp_growth_integral(self.a, self.b)
 
-    def _D(self, model: MarketModel, t):
-        integ, g_pow_T = self._parts(model)
-        return g_pow_T + integ.end_value - integ(t)
+    def weight(self, model: MarketModel, t):
+        """Growth weight E_t."""
+        return np.exp(self.a * model.R(t) + self.b * model.theta_sq_cum(t))
+
+    def budget(self, model: MarketModel) -> float:
+        """Initial budget D_0."""
+        spent = self.integral(model).end_value
+        if self.zeta is None:
+            return spent + float(self.weight(model, model.horizon))
+        return spent / self.zeta
+
+    def spent_fraction(self, model: MarketModel) -> float:
+        """Fraction 1 - e^{-V_T} of the budget consumed by T."""
+        return self.integral(model).end_value / self.budget(model)
 
     def v_of(self, model: MarketModel, t):
-        q = self.q
         t = np.asarray(t, dtype=np.float64)
-        g_pow = np.exp(q * self.gamma * model.R(t)
-                       + 0.5 * q * (q - 1.0) * model.theta_sq_cum(t))
-        return g_pow / self._D(model, t)
+        return self.weight(model, t) / (self.budget(model) - self.integral(model)(t))
 
     def V_of(self, model: MarketModel, t):
-        return np.log(self._D(model, 0.0)) - np.log(self._D(model, t))
+        d0 = self.budget(model)
+        return np.log(d0) - np.log(d0 - self.integral(model)(t))
 
     def log_affine(self, model: MarketModel, node_ticks: np.ndarray):
-        # v e^{-V} = G^q(t) / D(0): exponential-affine on model intervals
-        q = self.q
-        left_t = from_ticks(node_ticks[:-1])
-        a = (q * self.gamma * model.R(left_t)
-             + 0.5 * q * (q - 1.0) * model.theta_sq_cum(left_t)
-             - np.log(self._D(model, 0.0)))
-        idx = segment_index(model.node_ticks, node_ticks[:-1])
+        # v e^{-V} = E_t / D_0
+        left = node_ticks[:-1]
+        left_t = from_ticks(left)
+        a = (self.a * model.R(left_t) + self.b * model.theta_sq_cum(left_t)
+             - np.log(self.budget(model)))
+        idx = segment_index(model.node_ticks, left)
         theta_sq = np.sum(model.theta_step[idx] ** 2, axis=1)
-        b = q * self.gamma * model.r_step[idx] + 0.5 * q * (q - 1.0) * theta_sq
-        return a, b
-
-
-@dataclass(frozen=True)
-class BudgetFractionConsumption:
-    """Riskless tight-regime rate v_t = zeta N^q(t) / (||N||_{q,T}^q - zeta ||N||_{q,t}^q)
-
-    with N(t) = e^{gamma1 R_t}; consumes exactly the fraction zeta of the
-    discounted endowment by T: V_T = -ln(1 - zeta).
-    """
-
-    gamma1: float
-    zeta: float
-
-    @property
-    def q(self) -> float:
-        return 1.0 / (1.0 - self.gamma1)
-
-    def breakpoints(self) -> np.ndarray:
-        return np.array([0], dtype=np.int64)
-
-    def _norm_q(self, model: MarketModel):
-        return model.exp_growth_integral(self.q * self.gamma1, 0.0)
-
-    def v_of(self, model: MarketModel, t):
-        integ = self._norm_q(model)
-        t = np.asarray(t, dtype=np.float64)
-        g_pow = np.exp(self.q * self.gamma1 * model.R(t))
-        return self.zeta * g_pow / (integ.end_value - self.zeta * integ(t))
-
-    def V_of(self, model: MarketModel, t):
-        integ = self._norm_q(model)
-        return -np.log1p(-self.zeta * integ(t) / integ.end_value)
-
-    def log_affine(self, model: MarketModel, node_ticks: np.ndarray):
-        # v e^{-V} = zeta N^q(t) / ||N||_{q,T}^q
-        integ = self._norm_q(model)
-        left_t = from_ticks(node_ticks[:-1])
-        a = (np.log(self.zeta) + self.q * self.gamma1 * model.R(left_t)
-             - np.log(integ.end_value))
-        idx = segment_index(model.node_ticks, node_ticks[:-1])
-        b = self.q * self.gamma1 * model.r_step[idx]
-        return a, b
+        return a, self.a * model.r_step[idx] + self.b * theta_sq
 
 
 def zero_consumption(horizon: float) -> StepConsumption:
@@ -225,23 +187,6 @@ def step_strategy(y_segments, v_segments, horizon: float) -> DeterministicStrate
     )
 
 
-def theta_direction_strategy(model: MarketModel, rho: float,
-                             consumption=None) -> DeterministicStrategy:
-    """y_t = rho * theta_t / ||theta||_T (requires ||theta||_T > 0)."""
-    tn = model.theta_norm_T
-    if tn <= 0:
-        raise MismatchedPaths("theta-direction strategy needs ||theta||_T > 0")
-    scale = rho / tn
-    y_path = CoefficientPath(
-        breakpoint_ticks=model.node_ticks[:-1],
-        values=scale * model.theta_step,
-        horizon_ticks=int(model.node_ticks[-1]),
-    )
-    if consumption is None:
-        consumption = zero_consumption(model.horizon)
-    return DeterministicStrategy(y_path=y_path, consumption=consumption)
-
-
 def scaled_theta_strategy(model: MarketModel, factor: float,
                           consumption=None) -> DeterministicStrategy:
     """y_t = factor * theta_t (e.g. factor = 1/(1-gamma) for the HARA optimum)."""
@@ -253,6 +198,15 @@ def scaled_theta_strategy(model: MarketModel, factor: float,
     if consumption is None:
         consumption = zero_consumption(model.horizon)
     return DeterministicStrategy(y_path=y_path, consumption=consumption)
+
+
+def theta_direction_strategy(model: MarketModel, rho: float,
+                             consumption=None) -> DeterministicStrategy:
+    """y_t = rho * theta_t / ||theta||_T (requires ||theta||_T > 0)."""
+    tn = model.theta_norm_T
+    if tn <= 0:
+        raise MismatchedPaths("theta-direction strategy needs ||theta||_T > 0")
+    return scaled_theta_strategy(model, rho / tn, consumption)
 
 
 # ---------------------------------------------------------------------------

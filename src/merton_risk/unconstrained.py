@@ -18,8 +18,9 @@ growth coefficients
 The optimal feedback control is y*(t,x) = p(t,x)/x * theta_t and
 c*(t,x) = (gamma1/g(t,x))^{q1} with p = q1 A1 g^{-q1} + q2 A2 g^{-q2}.
 For equal exponents everything collapses to an explicit deterministic
-strategy: y* = theta/(1-gamma) and a consumption rate driven by the
-tilted growth factor.
+strategy: y* = theta/(1-gamma) and the growth-fraction law v* = G^q / D,
+D_t = G^q(T) + int_t^T G^q, of the tilted growth factor
+G = exp(gamma R_t + (q-1)/2 TS_t); the value is x^gamma D_0^{1/q}.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from ._piecewise import PiecewiseLinear, cumulative_exp_affine, cumulative_linear, segment_index, to_ticks
 from .errors import ConvergenceFailure, NegativeRate, UnsupportedRegime
-from .market import MarketModel, weighted_g_norm
+from .market import MarketModel
 from .solution import ConditionCheck, Solution
 from .strategies import (
     DeterministicStrategy,
@@ -101,7 +102,8 @@ def _solve_g(A1, A2, q1: float, q2: float, x):
     clamped to an analytic bracket, with a bisection sweep as fallback.
     Leading axes hold independent problems: each row along the last axis
     stops on its own test and then leaves the iteration, so a (t, x) grid
-    gives exactly what one call per row of times gives.
+    gives exactly what one call per row of times gives.  Where A1 = 0
+    (t = T) the root is the bracket's end g_lo = (A2/x)^{1/q2} itself.
     """
     shape = np.broadcast_shapes(np.shape(A1), np.shape(A2), np.shape(x))
     rows = (int(np.prod(shape[:-1])), shape[-1]) if shape else (1, 1)
@@ -119,7 +121,8 @@ def _solve_g(A1, A2, q1: float, q2: float, x):
     hi = np.log(np.maximum(g_hi, g_lo * (1 + 1e-12)))
 
     u = 0.5 * (lo + hi)
-    best_u, best_res = u.copy(), np.full(u.shape, np.inf)
+    closed = A1 == 0                          # solved: the root is g_lo
+    best_u, best_res = u.copy(), np.where(closed, 0.0, np.inf)
     out_u, out_res, x_all = best_u.copy(), best_res.copy(), x
     live = np.arange(rows[0])                 # rows still iterating
     for _ in range(_G_MAX_ITER):
@@ -147,7 +150,7 @@ def _solve_g(A1, A2, q1: float, q2: float, x):
         u = np.where(bad, 0.5 * (lo + hi), u_new)
     if np.any(out_res > G_RESIDUAL_RTOL * x_all):
         raise ConvergenceFailure("g-root iteration did not converge")
-    return np.exp(out_u).reshape(shape)
+    return np.where(closed, g_lo, np.exp(out_u)).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -283,29 +286,28 @@ def solve_hara_unconstrained(model: MarketModel, utility: UtilityParams,
     )
 
 
-def equal_gamma_value(model: MarketModel, gamma: float, x: float) -> float:
-    """x^gamma (||G||_{q,T}^q + G^q(T))^{1/q} for the tilted growth factor G."""
+def equal_gamma_consumption(gamma: float) -> GrowthFractionConsumption:
+    """Growth-fraction law of the equal-exponent optimum: weight G^q for the
+    tilted growth factor G = exp(gamma R_t + (q-1)/2 TS_t), q = 1/(1-gamma)."""
     q = 1.0 / (1.0 - gamma)
-    norm_q = weighted_g_norm(model, gamma, q, model.horizon, tilted=True)
-    g_T = np.exp(q * gamma * model.R(model.horizon)
-                 + 0.5 * q * (q - 1.0) * model.theta_sq_cum(model.horizon))
-    return float(x ** gamma * (norm_q + g_T) ** (1.0 / q))
+    return GrowthFractionConsumption(q * gamma, 0.5 * q * (q - 1.0))
+
+
+def equal_gamma_value(model: MarketModel, gamma: float, x: float) -> float:
+    """x^gamma D_0^{1/q}, D_0 = ||G||_{q,T}^q + G^q(T) the optimum's budget."""
+    q = 1.0 / (1.0 - gamma)
+    return float(x ** gamma * equal_gamma_consumption(gamma).budget(model) ** (1.0 / q))
 
 
 def kappa_tilde(model: MarketModel, gamma: float) -> float:
     """Consumed fraction 1 - e^{-V*_T} of the equal-exponent optimum."""
-    q = 1.0 / (1.0 - gamma)
-    norm_q = weighted_g_norm(model, gamma, q, model.horizon, tilted=True)
-    g_T = np.exp(q * gamma * model.R(model.horizon)
-                 + 0.5 * q * (q - 1.0) * model.theta_sq_cum(model.horizon))
-    return float(norm_q / (norm_q + g_T))
+    return equal_gamma_consumption(gamma).spent_fraction(model)
 
 
 def equal_gamma_strategy(model: MarketModel, gamma: float) -> DeterministicStrategy:
     """Explicit optimal control: y* = theta/(1-gamma), growth-fraction v*."""
-    return scaled_theta_strategy(
-        model, 1.0 / (1.0 - gamma),
-        consumption=GrowthFractionConsumption(gamma=gamma))
+    return scaled_theta_strategy(model, 1.0 / (1.0 - gamma),
+                                 consumption=equal_gamma_consumption(gamma))
 
 
 def solve_equal_gamma(model: MarketModel, gamma: float, x: float) -> Solution:

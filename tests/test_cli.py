@@ -65,6 +65,47 @@ def test_solve_var_tight_outputs(tmp_path):
     assert float(rows[0]["v"]) == pytest.approx(0.1, rel=1e-12)
 
 
+def test_solve_unequal_exponents_feedback_outputs(tmp_path):
+    spec = write_spec(tmp_path / "p.json",
+                      utility={"gamma1": 0.3, "gamma2": 0.7},
+                      market=market_doc(r=0.03), x0=2.0)
+    out = tmp_path / "out"
+    assert main(["solve", str(spec), "--out", str(out), "--grid", "11"]) == 0
+    assert json.loads((out / "solution.json").read_text())["regime"] == \
+        "unconstrained_hara"
+    with open(out / "wealth.csv") as fh:
+        wealth = list(csv.DictReader(fh))
+    assert float(wealth[0]["t"]) == 0.0
+    assert float(wealth[0]["wealth_mean"]) == pytest.approx(2.0, rel=1e-12)
+    feedback = unconstrained.solve_hara_unconstrained(
+        market_from_dict(market_doc(r=0.03)),
+        merton_risk.UtilityParams(0.3, 0.7), 2.0).feedback
+    with open(out / "c_grid.csv") as fh:
+        c_grid = np.array([[float(v) for v in row.values()]
+                           for row in csv.DictReader(fh)])
+    assert len(c_grid) == 51 * 51
+    assert np.allclose(c_grid[:, 2], feedback.c_star(c_grid[:, 0], c_grid[:, 1]),
+                       rtol=1e-11, atol=0.0)
+    with open(out / "p_grid.csv") as fh:
+        assert next(csv.reader(fh)) == ["t", "x", "p"]
+
+
+def test_solve_linear_below_var_window_floor(tmp_path):
+    # theta = 2.5 puts the floor 1 - e^{z^2/2 - |z| theta} of alpha = 0.05 near 0.94
+    spec = write_spec(tmp_path / "p.json",
+                      utility={"gamma1": 1.0, "gamma2": 1.0},
+                      risk={"kind": "var", "alpha": 0.05, "zeta": 0.5},
+                      market=market_doc(mu=0.5))
+    out = tmp_path / "out"
+    assert main(["solve", str(spec), "--out", str(out)]) == 2
+    doc = json.loads((out / "solution.json").read_text())
+    assert doc["status"] == "failed" and doc["error"] == "ConditionViolated"
+    assert doc["condition"] == "var_linear_zeta_window"
+    z = RiskSpec(alpha=0.05, zeta=0.5, kind=MeasureKind.VAR).abs_z
+    floor = 1.0 - np.exp(0.5 * z * z - 2.5 * z)
+    assert doc["margin"] == pytest.approx(0.5 - floor, rel=1e-12)
+
+
 def test_solve_unbounded_linear(tmp_path):
     spec = write_spec(tmp_path / "p.json",
                       utility={"gamma1": 1.0, "gamma2": 1.0})
@@ -218,6 +259,47 @@ def test_simulate_feedback_strategy(tmp_path):
     assert summary["kind"] == "feedback"
     assert abs(summary["cost_estimate"] - summary["cost_closed_form"]) <= \
         4 * summary["cost_std_error"] + 1e-3
+
+
+def test_simulate_strategy_table_round_trip(tmp_path):
+    spec = write_spec(tmp_path / "p.json", **TIGHT_VAR)
+    solved = tmp_path / "solved"
+    assert main(["solve", str(spec), "--out", str(solved)]) == 0
+    out = tmp_path / "out"
+    assert main(["simulate", str(spec), "--out", str(out), "--paths", "20000",
+                 "--steps", "8", "--strategy", str(solved / "controls.csv")]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    strategy = strategy_from_csv(solved / "controls.csv",
+                                 market_from_dict(market_doc()))
+    utility = merton_risk.UtilityParams(0.5, 0.5)
+    assert summary["cost_closed_form"] == pytest.approx(
+        merton_risk.cost_closed_form(market_from_dict(market_doc()), strategy,
+                                     utility, 1.0), rel=1e-12)
+    # the table samples the solver's rate on 201 points; the control is riskless
+    value = json.loads((solved / "solution.json").read_text())["value"]
+    assert summary["cost_closed_form"] == pytest.approx(value, rel=1e-4)
+    assert summary["cost_estimate"] == pytest.approx(
+        summary["cost_closed_form"], rel=1e-12)
+
+
+def test_simulate_unbounded_regime_exit2(tmp_path):
+    spec = write_spec(tmp_path / "p.json",
+                      utility={"gamma1": 1.0, "gamma2": 1.0})
+    out = tmp_path / "out"
+    assert main(["simulate", str(spec), "--out", str(out),
+                 "--paths", "20000"]) == 2
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("utility", [{"gamma1": 1.0, "gamma2": 1.0},
+                                     {"gamma1": 0.3, "gamma2": 0.7}],
+                         ids=["unbounded", "feedback"])
+def test_oracle_without_deterministic_solution_exit2(tmp_path, capsys, utility):
+    spec = write_spec(tmp_path / "p.json", utility=utility)
+    out = tmp_path / "out"
+    assert main(["oracle", str(spec), "--out", str(out)]) == 2
+    assert "deterministic-class solution" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class ScaledTerminalCoeffs:

@@ -19,9 +19,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import math
 import shutil
 import sys
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import pytest
@@ -74,16 +74,16 @@ def compare_json(got, want, key: str = "") -> None:
 def _csv_field_matches(got: str, want: str, column: str) -> bool:
     if got == want:
         return True
-    try:
-        a, b = float(got), float(want)
-    except ValueError:
+    try:                      # exact decimal values of the printed fields
+        a, b = Decimal(got), Decimal(want)
+    except InvalidOperation:
         return False
-    if not (math.isfinite(a) and math.isfinite(b)):
+    if not (a.is_finite() and b.is_finite()):
         return False
     if column in ERROR_FIELDS:
-        return abs(a - b) <= ERROR_ATOL
-    unit = 10.0 ** (math.floor(math.log10(max(abs(a), abs(b)))) - 11)
-    return abs(a - b) <= unit * (1 + 1e-9)
+        return abs(a - b) <= Decimal(ERROR_ATOL)
+    unit = Decimal(1).scaleb(max(abs(a), abs(b)).adjusted() - 11)
+    return abs(a - b) <= unit
 
 
 def compare_csv(got: str, want: str) -> None:
