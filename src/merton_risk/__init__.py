@@ -34,7 +34,6 @@ from .market import (
     market_to_dict,
     save_market,
     theta_norm,
-    weighted_g_norm,
 )
 from .mc import (
     PathEnsemble,
@@ -50,7 +49,6 @@ from .oracle import (
     cost_closed_form,
     cost_quadrature,
     grid_search_oracle,
-    log_risk_functional,
 )
 from .risk import (
     MeasureKind,

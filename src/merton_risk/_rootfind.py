@@ -4,16 +4,18 @@ from __future__ import annotations
 
 from .errors import ConvergenceFailure
 
+MAX_ITER = 200      # Newton/bisection steps before solve_bracketed gives up
+MAX_EXPAND = 200    # doublings of hi before expand_bracket gives up
 
-def solve_bracketed(f, lo, hi, fprime=None, *, residual_tol, scale=1.0,
-                    max_iter=200):
+
+def solve_bracketed(f, lo, hi, fprime=None, *, residual_tol, scale=1.0):
     """Root of a continuous monotone f on [lo, hi] with f(lo)*f(hi) <= 0.
 
     Newton steps (when fprime is given) are accepted only inside the
     current bracket; otherwise the step falls back to bisection.  Stops
     once |f(x)| <= residual_tol * scale.
 
-    Raises ConvergenceFailure after max_iter iterations.
+    Raises ConvergenceFailure after MAX_ITER iterations.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -24,7 +26,7 @@ def solve_bracketed(f, lo, hi, fprime=None, *, residual_tol, scale=1.0,
         raise ConvergenceFailure(
             f"no sign change on bracket [{lo}, {hi}]: f={flo:.3g},{fhi:.3g}")
     x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         fx = f(x)
         if abs(fx) <= residual_tol * scale:
             return x
@@ -43,14 +45,14 @@ def solve_bracketed(f, lo, hi, fprime=None, *, residual_tol, scale=1.0,
         if hi - lo <= 4e-16 * max(abs(lo), abs(hi), 1.0):
             # bracket exhausted at double precision; accept midpoint
             return 0.5 * (lo + hi)
-    raise ConvergenceFailure(f"no convergence after {max_iter} iterations")
+    raise ConvergenceFailure(f"no convergence after {MAX_ITER} iterations")
 
 
-def expand_bracket(f, lo, hi, *, grow=2.0, max_expand=200):
-    """Grow hi geometrically until f changes sign on [lo, hi]."""
+def expand_bracket(f, lo, hi):
+    """Double hi until f changes sign on [lo, hi]."""
     flo = f(lo)
-    for _ in range(max_expand):
+    for _ in range(MAX_EXPAND):
         if flo * f(hi) <= 0.0:
             return lo, hi
-        hi *= grow
+        hi *= 2.0
     raise ConvergenceFailure("bracket expansion found no sign change")

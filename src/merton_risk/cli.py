@@ -236,11 +236,10 @@ def cmd_simulate(args) -> int:
         ensemble.write_csv(out_dir / "paths.csv", max_paths=args.dump_paths)
 
     if strategy is not None:
+        # the ensemble grid holds every node, so the profile keeps it row for row
         closed = constraint_profile(spec.model, strategy, risk, spec.x0,
-                                    grid=ensemble.times, n_refine=2)
-        lookup = {round(t, 12): i for i, t in enumerate(closed.times)}
-        rows = [lookup[round(float(t), 12)] for t in empirical.times]
-        closed_columns = [fmt(curve[rows]) for curve in (
+                                    grid=ensemble.times)
+        closed_columns = [fmt(curve) for curve in (
             closed.var_curve, closed.es_curve, closed.level_curve,
             closed.ratio_curve)]
     else:

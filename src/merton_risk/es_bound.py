@@ -70,37 +70,26 @@ def rho_es_upper_bound(model: MarketModel, spec: RiskSpec) -> float:
                  / (z - model.theta_norm_T))
 
 
-def rho_es(model: MarketModel, spec: RiskSpec) -> float:
-    """Exposure budget under the ES bound: root of psi(rho,1) = ln(1-zeta)."""
+def rho_es(model: MarketModel, spec: RiskSpec, kappa=0.0):
+    """Exposure budget under the ES bound left after consuming the fraction
+    kappa <= zeta: root of psi(rho, 1) = ln(1-zeta) - ln(1-kappa), and
+    rho*_ES = rho_es(model, spec).  A float for scalar kappa, else an array."""
     _check_hypothesis(model, spec)
     psi = psi_function(model, spec)
-    target = spec.log_bound()
-    f = lambda r: float(psi(r) - target)
-    if spec.abs_z > 1.0:
-        hi = max(1.0, 2.0 * rho_es_upper_bound(model, spec))
-    else:
-        _, hi = expand_bracket(f, 0.0, 1.0)
-    return solve_bracketed(f, 0.0, hi, fprime=lambda r: float(psi.d_rho(r)),
-                           residual_tol=ROOT_RESIDUAL,
-                           scale=max(1.0, abs(target)))
+    fprime = lambda r: float(psi.d_rho(r))
+    cap = max(1.0, 2.0 * rho_es_upper_bound(model, spec)) if spec.abs_z > 1.0 else None
 
-
-def rho_of_kappa_es(model: MarketModel, spec: RiskSpec, kappa) -> np.ndarray:
-    """Exposure budget left after consuming the fraction kappa <= zeta."""
-    psi = psi_function(model, spec)
-    kappa = np.atleast_1d(np.asarray(kappa, dtype=np.float64))
-    out = np.empty_like(kappa)
-    if spec.abs_z > 1.0:
-        hi = max(1.0, 2.0 * rho_es_upper_bound(model, spec))
-    else:
-        hi = 50.0
-    for i, k in enumerate(kappa):
+    def root(k):
         target = spec.log_bound() - np.log1p(-k)
-        out[i] = solve_bracketed(
-            lambda r: float(psi(r) - target), 0.0, hi,
-            fprime=lambda r: float(psi.d_rho(r)),
-            residual_tol=ROOT_RESIDUAL, scale=max(1.0, abs(target)))
-    return out if out.size > 1 else float(out[0])
+        f = lambda r: float(psi(r) - target)
+        hi = cap if cap is not None else expand_bracket(f, 0.0, 1.0)[1]
+        return solve_bracketed(f, 0.0, hi, fprime=fprime,
+                               residual_tol=ROOT_RESIDUAL,
+                               scale=max(1.0, abs(target)))
+
+    if np.ndim(kappa) == 0:
+        return root(float(kappa))
+    return np.array([root(k) for k in np.asarray(kappa, dtype=np.float64)])
 
 
 def es_loose_threshold(model: MarketModel, gamma: float,

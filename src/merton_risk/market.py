@@ -219,20 +219,6 @@ def theta_norm(model: MarketModel, t) -> float:
     return model.theta_norm(t)
 
 
-def weighted_g_norm(model: MarketModel, gamma: float, q: float, t,
-                    tilted: bool = False) -> float:
-    """Exact growth norm int_0^t exp(q*gamma*R_u) du.
-
-    With tilted=True the exponent gains the q(q-1)/2 * int |theta|^2 term,
-    matching the risk-adjusted growth factor of the equal-exponent optimum.
-    """
-    model.check_time(t)
-    b = 0.5 * q * (q - 1.0) if tilted else 0.0
-    integ = model.exp_growth_integral(q * gamma, b)
-    out = integ(t)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # JSON interface:  {"T": ..., "d": ..., "r": [{"t0":..., "value":...}, ...],
 #                   "mu": [...], "sigma": [...]}

@@ -320,12 +320,14 @@ def estimate_cost(ensemble: PathEnsemble,
             values = 0.5 * (values[:half] + values[half:])
     n = len(values)
     mean = float(np.mean(values))
-    # delete-1 jackknife of the sample mean
-    if n > 1:
+    # delete-1 jackknife; the rounded means below can leave equal values an ulp apart
+    if n < 2:
+        se = np.inf
+    elif np.ptp(values) == 0.0:
+        se = 0.0
+    else:
         jk = (n * mean - values) / (n - 1)
         se = float(np.sqrt((n - 1) / n * np.sum((jk - np.mean(jk)) ** 2)))
-    else:
-        se = np.inf
     return mean, se
 
 
@@ -386,12 +388,10 @@ def empirical_risk_curve(ensemble: PathEnsemble, spec: RiskSpec, x: float,
     measure = var_curve if spec.kind == MeasureKind.VAR else es_curve
     ratio = measure / level
     kk = int(np.argmax(ratio))
-    log_curve = np.log(np.maximum(1.0 - measure / bond, 1e-300))
     return RiskProfile(
         times=times, var_curve=var_curve, es_curve=es_curve,
         level_curve=level, kind=spec.kind,
         max_ratio=float(ratio[kk]), argmax_time=float(times[kk]),
-        log_curve=log_curve, log_bound=spec.log_bound(),
         var_stderr=var_se, es_stderr=es_se,
     )
 

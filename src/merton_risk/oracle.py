@@ -31,14 +31,7 @@ from ._piecewise import (
 from ._table import write_rows
 from .errors import EmptyFeasibleSet
 from .market import MarketModel
-from .risk import (
-    SATURATION_TOL,
-    MeasureKind,
-    RiskSpec,
-    log_risk_es,
-    log_risk_var,
-    max_ratios,
-)
+from .risk import SATURATION_TOL, RiskSpec, max_ratios, profile_grid
 from .strategies import (
     Cumulants,
     DeterministicStrategy,
@@ -52,6 +45,7 @@ from .utility import UtilityParams
 # profile grid) arrays of the screen to a few MB.
 _CHUNK = 32
 COORDINATE_PASSES = 3    # sweeps of the coordinate descent over v levels
+N_PROFILE = 2001         # uniform times of the feasibility screen's grid
 
 
 def _cost_pieces(cum: Cumulants, utility: UtilityParams):
@@ -117,17 +111,6 @@ def cost_quadrature(model: MarketModel, strategy: DeterministicStrategy,
     return x ** g1 * consumption + x ** g2 * float(terminal)
 
 
-def log_risk_functional(model: MarketModel, strategy: DeterministicStrategy,
-                        spec: RiskSpec, t):
-    """Additive constraint functional; bound holds iff >= ln(1-zeta)."""
-    cum = cumulants(model, strategy)
-    if spec.kind == MeasureKind.VAR:
-        out = log_risk_var(cum, spec.quantile, t)
-    else:
-        out = log_risk_es(cum, spec.quantile, t)
-    return float(out) if np.ndim(t) == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # Grid-search oracle
 # ---------------------------------------------------------------------------
@@ -147,7 +130,6 @@ class FamilyConfig:
     rho_grid: np.ndarray
     v_levels: np.ndarray = field(default_factory=lambda: np.array([0.0]))
     v_pieces: int = 1
-    n_profile: int = 2001
     random_directions: int = 0
     seed: int = 0
 
@@ -193,21 +175,23 @@ def _theta_exposures(model: MarketModel, node_ticks: np.ndarray, rhos):
 
 
 def _evaluate(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
-              x: float, n_profile: int, node_ticks: np.ndarray, y, v):
+              x: float, node_ticks: np.ndarray, y, v):
     """Feasibility flags and costs (-inf when infeasible) of step candidates.
 
     y : (K or 1, k, d) exposures and v : (K, k) consumption rates on the
-    intervals of node_ticks; candidates go through in chunks of _CHUNK.
+    intervals of node_ticks; candidates go through in chunks of _CHUNK, all
+    screened on one profile grid.
     """
     v = np.asarray(v, dtype=np.float64)
     y = np.broadcast_to(y, v.shape + np.shape(y)[-1:])
     feasible = np.ones(len(v), dtype=bool)
     costs = np.empty(len(v))
+    grid = profile_grid(node_ticks, model.horizon, N_PROFILE)
     for lo in range(0, len(v), _CHUNK):
         rows = slice(lo, lo + _CHUNK)
         cum = step_cumulants(model, node_ticks, y[rows], v[rows])
         if spec is not None:
-            feasible[rows] = max_ratios(cum, spec, x, n_profile) <= 1.0 + SATURATION_TOL
+            feasible[rows] = max_ratios(cum, spec, x, grid) <= 1.0 + SATURATION_TOL
         costs[rows] = _cost(cum, utility, x)
     return feasible, np.where(feasible, costs, -np.inf)
 
@@ -230,7 +214,7 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     if model.theta_norm_T == 0.0:
         rhos = np.array([0.0])
     levels = np.unique(lvl_in) if lvl_in.size else np.array([0.0])
-    evaluate = partial(_evaluate, model, utility, spec, x, config.n_profile)
+    evaluate = partial(_evaluate, model, utility, spec, x)
     horizon = model.horizon
     n_steps = len(model.node_ticks) - 1
 

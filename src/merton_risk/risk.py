@@ -9,12 +9,13 @@ alpha-quantile and the shortfall mean have explicit forms:
     VaR_t = x e^{R_t} - lambda_t         ES_t = x e^{R_t} - m_t
 
 The uniform constraint sup_t measure_t / (zeta x e^{R_t}) <= 1 is evaluated
-both in ratio form and in the equivalent log form
+in ratio form.  The equivalent log form
 
     VaR:  L_t  = (y,theta)_t - V_t - ||y||_t^2/2 - |z_a| ||y||_t >= ln(1-zeta)
     ES:   L*_t = (y,theta)_t - V_t + ln F_a(|z_a| + ||y||_t)     >= ln(1-zeta)
 
-and the two verdicts are checked against each other.
+is formed only by log_risk_var / log_risk_es, and the tests compare its
+verdict with the ratio verdict.
 """
 
 from __future__ import annotations
@@ -148,8 +149,6 @@ class RiskProfile:
     kind: MeasureKind
     max_ratio: float
     argmax_time: float
-    log_curve: np.ndarray        # L_t or L*_t per kind
-    log_bound: float             # ln(1 - zeta)
     var_stderr: np.ndarray | None = None
     es_stderr: np.ndarray | None = None
 
@@ -161,20 +160,17 @@ class RiskProfile:
     def satisfied(self, tol: float = SATURATION_TOL) -> bool:
         return self.max_ratio <= 1.0 + tol
 
-    def log_satisfied(self, tol: float = SATURATION_TOL) -> bool:
-        return bool(np.min(self.log_curve) >= self.log_bound - tol)
-
     def write_csv(self, path) -> None:
         write_rows(path, ["t", "var", "es", "level", "ratio"],
                    zip(*map(fmt, (self.times, self.var_curve, self.es_curve,
                                   self.level_curve, self.ratio_curve))))
 
 
-def profile_grid(cum: Cumulants, n_refine: int = PROFILE_REFINE) -> np.ndarray:
-    """Union of all breakpoints with a uniform refinement of [0, T]."""
-    uniform = to_ticks(np.linspace(0.0, cum.horizon, n_refine))
-    ticks = merge_ticks(cum.node_ticks, uniform)
-    return from_ticks(ticks)
+def profile_grid(node_ticks: np.ndarray, horizon: float,
+                 n_refine: int = PROFILE_REFINE) -> np.ndarray:
+    """Union of the breakpoints node_ticks with a uniform refinement of [0, T]."""
+    uniform = to_ticks(np.linspace(0.0, horizon, n_refine))
+    return from_ticks(merge_ticks(node_ticks, uniform))
 
 
 def constraint_profile(model: MarketModel, strategy: DeterministicStrategy,
@@ -187,7 +183,7 @@ def constraint_profile(model: MarketModel, strategy: DeterministicStrategy,
     """
     cum = cumulants(model, strategy)
     if grid is None:
-        grid = profile_grid(cum, n_refine)
+        grid = profile_grid(cum.node_ticks, cum.horizon, n_refine)
     else:
         grid = from_ticks(merge_ticks(cum.node_ticks, to_ticks(grid)))
     quantile = spec.quantile
@@ -199,31 +195,23 @@ def constraint_profile(model: MarketModel, strategy: DeterministicStrategy,
     es_curve = bond - m
     level = spec.zeta * bond
 
-    if spec.kind == MeasureKind.VAR:
-        log_curve = log_risk_var(cum, quantile, grid)
-        measure = var_curve
-    else:
-        log_curve = log_risk_es(cum, quantile, grid)
-        measure = es_curve
-    ratio = measure / level
+    ratio = (var_curve if spec.kind == MeasureKind.VAR else es_curve) / level
     k = int(np.argmax(ratio))
-    profile = RiskProfile(
+    return RiskProfile(
         times=grid, var_curve=var_curve, es_curve=es_curve,
         level_curve=level, kind=spec.kind,
         max_ratio=float(ratio[k]), argmax_time=float(grid[k]),
-        log_curve=log_curve, log_bound=spec.log_bound(),
     )
-    return profile
 
 
 def max_ratios(cum: Cumulants, spec: RiskSpec, x: float,
-               n_refine: int = PROFILE_REFINE) -> np.ndarray:
+               grid: np.ndarray) -> np.ndarray:
     """max_t measure_t / (zeta x e^{R_t}) per strategy of a cumulant batch.
 
-    The same grid and formulas as constraint_profile, for the bounded
-    measure only; a strategy is feasible when its entry is <= 1 + tol.
+    The formulas of constraint_profile on a given grid (profile_grid of the
+    batch's nodes gives constraint_profile's), for the bounded measure only;
+    a strategy is feasible when its entry is <= 1 + tol.
     """
-    grid = profile_grid(cum, n_refine)
     bond = x * np.exp(cum.model.R(grid))
     if spec.kind == MeasureKind.VAR:
         measure = bond - _lambda_from_cumulants(cum, spec.quantile, x, grid)

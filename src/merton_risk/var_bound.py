@@ -26,27 +26,20 @@ from .solution import ConditionCheck
 from .unconstrained import kappa_tilde
 
 
-def rho_var(model: MarketModel, spec: RiskSpec) -> float:
-    """Maximal feasible total exposure under the VaR bound.
+def rho_var(model: MarketModel, spec: RiskSpec, kappa=0.0):
+    """Exposure budget under the VaR bound left after consuming the
+    fraction kappa <= zeta; rho* = rho_var(model, spec).
 
-    Positive root of ||theta||_T r - r^2/2 - |z_a| r = ln(1-zeta), written
-    in the cancellation-free form sqrt(c^2 - 2 ln(1-zeta)) - c with
-    c = |z_a| - ||theta||_T.
+    Positive root sqrt(c^2 + w) - c of ||theta||_T r - r^2/2 - |z_a| r =
+    ln(1-zeta) - ln(1-kappa), with c = |z_a| - ||theta||_T and
+    w = 2 (ln(1-kappa) - ln(1-zeta)), taken as w / (sqrt(c^2 + w) + c) when
+    c >= 0 so that it never cancels.  A float for scalar kappa, else an array.
     """
     c = spec.abs_z - model.theta_norm_T
-    w = -2.0 * spec.log_bound()          # -2 ln(1-zeta) > 0
+    w = 2.0 * (np.log1p(-np.asarray(kappa, dtype=np.float64)) - spec.log_bound())
     root = np.sqrt(c * c + w)
-    if c >= 0:
-        return float(w / (root + c))
-    return float(root - c)
-
-
-def rho_of_kappa_var(model: MarketModel, spec: RiskSpec, kappa) -> np.ndarray:
-    """Exposure budget left after consuming the fraction kappa <= zeta."""
-    kappa = np.asarray(kappa, dtype=np.float64)
-    c = spec.abs_z - model.theta_norm_T
-    w = c * c + 2.0 * (np.log1p(-kappa) - spec.log_bound())
-    return np.sqrt(w) - c
+    rho = w / (root + c) if c >= 0 else root - c
+    return float(rho) if np.ndim(rho) == 0 else rho
 
 
 def exposure_growth_factor(model: MarketModel, gamma: float, rho) -> np.ndarray:

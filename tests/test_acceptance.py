@@ -11,6 +11,7 @@ import pytest
 
 from merton_risk import (
     FamilyConfig,
+    GrowthFractionConsumption,
     cumulants,
     MeasureKind,
     RiskSpec,
@@ -39,10 +40,10 @@ from merton_risk import (
     solve_var_linear,
     solve_var_tight,
     value_at_risk,
-    weighted_g_norm,
 )
-from merton_risk.es_bound import es_loose_threshold, rho_of_kappa_es
-from merton_risk.var_bound import exposure_growth_factor, rho_of_kappa_var
+from merton_risk.es_bound import es_loose_threshold
+from merton_risk.risk import log_risk_es, log_risk_var
+from merton_risk.var_bound import exposure_growth_factor
 
 from conftest import random_market, random_strategy, theta_market
 
@@ -136,12 +137,13 @@ def test_criterion_4_constraint_saturation():
     x = 1.0
     grid = np.linspace(0.0, 1.0, 21)
     saturation = {}
-    for kind, solver in ((MeasureKind.VAR, solve_var_linear),
-                         (MeasureKind.ES, solve_es_linear)):
+    for kind, solver, log_form in ((MeasureKind.VAR, solve_var_linear, log_risk_var),
+                                   (MeasureKind.ES, solve_es_linear, log_risk_es)):
         spec = RiskSpec(alpha=0.01, zeta=0.1, kind=kind)
         sol = solver(m, spec, x)
         prof = constraint_profile(m, sol.strategy, spec, x, n_refine=10_000)
-        gap = abs(float(np.min(prof.log_curve)) - spec.log_bound())
+        log_curve = log_form(cumulants(m, sol.strategy), spec.quantile, prof.times)
+        gap = abs(float(np.min(log_curve)) - spec.log_bound())
         assert gap <= 1e-9
         saturation[kind.value] = gap
 
@@ -271,7 +273,7 @@ def test_criterion_7_tight_regime_identities():
     assert X_err <= 1e-12
     assert X[0] == pytest.approx(x, abs=1e-14)
     # general consumption identity c* = x zeta N^q(t) e^{R_t} / ||N||_{q,T}^q
-    norm_q = weighted_g_norm(mr_, gamma, q, T)
+    norm_q = GrowthFractionConsumption(q * gamma).integral(mr_)(T)
     c_err = float(np.max(np.abs(
         v * X - x * zeta * np.exp(q * gamma * mr_.R(ts))
         * np.exp(mr_.R(ts)) / norm_q)))
@@ -355,8 +357,7 @@ def test_criterion_9_monotonicity_suites():
     spec_v = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
     ks = np.linspace(0.0, spec_v.zeta, 200)
     for gamma_i in (u.gamma1, u.gamma2):
-        for rho_k in (rho_of_kappa_var(m, spec_v, ks),
-                      rho_of_kappa_es(m, spec_e, ks)):
+        for rho_k in (rho_var(m, spec_v, ks), rho_es(m, spec_e, ks)):
             path = exposure_growth_factor(m, gamma_i, rho_k) \
                 * big_g(m, u, 1.0, ks)[0]
             assert np.all(np.diff(path) >= -1e-12 * np.abs(path[:-1]))

@@ -7,6 +7,7 @@ import pytest
 
 from merton_risk import (
     CoefficientPath,
+    GrowthFractionConsumption,
     MismatchedPaths,
     SingularVolatility,
     TimeOutOfRange,
@@ -15,7 +16,6 @@ from merton_risk import (
     market_from_dict,
     market_to_dict,
     theta_norm,
-    weighted_g_norm,
 )
 
 from conftest import random_market
@@ -75,17 +75,18 @@ def test_theta_norm_monotone_and_range_check():
 
 def test_weighted_g_norm_flat():
     m = constant_market(0.0, [0.0], [[0.2]], 1.0)
-    assert weighted_g_norm(m, 0.7, 3.0, 1.0) == pytest.approx(1.0, rel=1e-14)
-    assert weighted_g_norm(m, 0.7, 3.0, 1.0, tilted=True) == pytest.approx(
+    assert GrowthFractionConsumption(3.0 * 0.7).integral(m)(1.0) == pytest.approx(
         1.0, rel=1e-14)
-    assert weighted_g_norm(m, 0.7, 3.0, 0.0) == 0.0
+    assert GrowthFractionConsumption(3.0 * 0.7, 0.5 * 3.0 * (3.0 - 1.0)).integral(m)(
+        1.0) == pytest.approx(1.0, rel=1e-14)
+    assert GrowthFractionConsumption(3.0 * 0.7).integral(m)(0.0) == 0.0
 
 
 def test_weighted_g_norm_constant_rate():
     m = constant_market(0.05, [0.05], [[0.2]], 1.0)
     # 0.05 exponent slope: q*gamma*r = 2*0.5*0.05
     expected = (np.e ** 0.05 - 1.0) / 0.05
-    got = weighted_g_norm(m, 0.5, 2.0, 1.0)
+    got = GrowthFractionConsumption(2.0 * 0.5).integral(m)(1.0)
     assert got == pytest.approx(1.025421927520480794, rel=1e-13)
     assert got == pytest.approx(expected, rel=1e-13)
     oracle = quad_step(lambda ts: np.exp(0.05 * ts), 1.0, step=1e-6)

@@ -14,6 +14,7 @@ from merton_risk import (
     UtilityParams,
     constant_market,
     constant_strategy,
+    constraint_profile,
     cumulants,
     empirical_risk_curve,
     estimate_cost,
@@ -26,7 +27,7 @@ from merton_risk import (
 )
 from merton_risk.mc import block_normals, simulate_feedback_euler
 
-from conftest import bond_strategy
+from conftest import bond_strategy, random_market, random_strategy
 
 
 def test_pure_bond_paths_exact():
@@ -146,6 +147,34 @@ def test_grid_refinement_keeps_the_law(standard_market):
     assert p > 0.01
 
 
+def test_riskless_ensemble_cost_has_zero_std_error():
+    # every path earns the same cost, so the jackknife spread is exactly 0
+    # even where the rounded means of the values and of the jackknife differ
+    m = constant_market(0.03, [0.1], [[0.2]], 1.0)
+    s = constant_strategy([0.0], 0.2, 1.0)
+    u = UtilityParams(0.5, 0.5)
+    for n, antithetic in ((1001, False), (1002, True), (4096, False)):
+        ens = simulate_deterministic(m, s, 1.2, SimConfig(
+            n_paths=n, seed=3, n_steps=8, antithetic=antithetic))
+        assert np.ptp(ens.wealth, axis=0).max() == 0.0
+        est, se = estimate_cost(ens, u)
+        assert np.isfinite(est) and se == 0.0
+
+
+def test_profile_on_ensemble_grid_keeps_it():
+    # the ensemble grid already holds every market and strategy node, so the
+    # closed-form profile that simulate writes beside it keeps it row for row
+    rng = np.random.default_rng(61)
+    spec = RiskSpec(alpha=0.05, zeta=0.2, kind=MeasureKind.VAR)
+    for _ in range(5):
+        m = random_market(rng, d=2)
+        s = random_strategy(rng, m)
+        ens = simulate_deterministic(m, s, 1.0, SimConfig(n_paths=16, seed=2, n_steps=7))
+        assert len(m.node_ticks) > 2 or len(cumulants(m, s).node_ticks) > 2
+        times = constraint_profile(m, s, spec, 1.0, grid=ens.times).times
+        assert times.tobytes() == ens.times.tobytes()
+
+
 def test_empirical_curve_pure_bond():
     m = constant_market(0.02, [0.02], [[0.2]], 1.0)
     spec = RiskSpec(alpha=0.05, zeta=0.1, kind=MeasureKind.VAR)
@@ -194,7 +223,7 @@ STREAM_UTILITY = UtilityParams(0.5, 0.4)
 # (estimate, std_error) of estimate_cost from the whole-matrix implementation
 STREAM_COSTS = {
     ("riskless", 70_001, False): (1.4477411501121724, 0.0),
-    ("riskless", 140_001, True): (1.4477411501121722, 8.308148362110449e-14),
+    ("riskless", 140_001, True): (1.4477411501121722, 0.0),
     ("risky", 70_001, False): (1.4904002119775994, 0.0008122786640743736),
     ("risky", 140_001, True): (1.4905358940368454, 0.0005741326173536923),
     ("feedback", 70_001, False): (1.6688103764122684, 0.0013555114909240087),

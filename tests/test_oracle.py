@@ -19,7 +19,6 @@ from merton_risk import (
     cumulants,
     estimate_cost,
     grid_search_oracle,
-    log_risk_functional,
     simulate_deterministic,
     solve_es_linear,
     solve_var_linear,
@@ -29,6 +28,8 @@ from merton_risk import (
 )
 from merton_risk.es_bound import rho_es
 from merton_risk.bounded import tight_strategy
+from merton_risk.oracle import N_PROFILE
+from merton_risk.risk import log_risk_es, log_risk_var
 from merton_risk.var_bound import rho_var
 
 from conftest import bond_strategy, random_market, random_strategy
@@ -133,16 +134,18 @@ def test_log_risk_functional_examples(standard_market):
     spec_e = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.ES)
     bond = bond_strategy(standard_market)
     ts = np.linspace(0.0, 1.0, 9)
-    assert np.allclose(log_risk_functional(standard_market, bond, spec_v, ts),
+    bond_cum = cumulants(standard_market, bond)
+    assert np.allclose(log_risk_var(bond_cum, spec_v.quantile, ts),
                        0.0)
-    assert np.allclose(log_risk_functional(standard_market, bond, spec_e, ts),
+    assert np.allclose(log_risk_es(bond_cum, spec_e.quantile, ts),
                        0.0)
     # the bound saturates at T for both linear optima
     sol_v = solve_var_linear(standard_market, spec_v, 1.0)
-    assert log_risk_functional(standard_market, sol_v.strategy, spec_v, 1.0) \
+    assert log_risk_var(cumulants(standard_market, sol_v.strategy),
+                        spec_v.quantile, 1.0) \
         == pytest.approx(spec_v.log_bound(), abs=1e-12)
     sol_e = solve_es_linear(standard_market, spec_e, 1.0)
-    got = log_risk_functional(standard_market, sol_e.strategy, spec_e, 1.0)
+    got = log_risk_es(cumulants(standard_market, sol_e.strategy), spec_e.quantile, 1.0)
     assert abs(got - spec_e.log_bound()) < 1e-10
 
 
@@ -228,7 +231,7 @@ def test_oracle_batched_matches_looped(kind, v_pieces, random_directions):
     feasible = 0
     for rec in res.records:
         s = _rebuild_candidate(model, rec, directions)
-        prof = constraint_profile(model, s, spec, 1.2, n_refine=config.n_profile)
+        prof = constraint_profile(model, s, spec, 1.2, n_refine=N_PROFILE)
         assert rec.feasible == prof.satisfied()
         if rec.feasible:
             feasible += 1

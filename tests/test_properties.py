@@ -6,6 +6,8 @@ Runs are derandomized and keep no example database, so the suite stays
 deterministic.
 """
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -48,6 +50,19 @@ def markets(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return random_market(rng, d=draw(st.integers(1, 3)),
                          theta_max=draw(st.floats(0.1, 1.2)))
+
+
+@st.composite
+def es_budget_problems(draw):
+    """(model, alpha, zeta) inside the ES hypothesis |z_alpha| >= 2 ||theta||_T."""
+    alpha, zeta = draw(ALPHAS), draw(ZETAS)
+    d = draw(st.integers(1, 3))
+    # each of the d components of theta lies in [-theta_max, theta_max] on
+    # [0, 1], so ||theta||_T <= sqrt(d) theta_max <= |z_alpha| / 2
+    theta_max = (RiskSpec(alpha=alpha, zeta=zeta).abs_z / (2.0 * np.sqrt(d))
+                 * draw(st.floats(0.0, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return random_market(rng, d=d, theta_max=theta_max), alpha, zeta
 
 
 @st.composite
@@ -108,6 +123,33 @@ def test_es_value_within_var_value(problem):
     var = outcome(MeasureKind.VAR, *problem)
     if not isinstance(es, Exception) and not isinstance(var, Exception):
         assert es.value <= var.value + 1e-12 * abs(var.value), (es.regime, var.regime)
+
+
+@PROPERTY
+@given(es_budget_problems(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_budget_after_consumption_is_one_function(problem, fractions):
+    """rho(0) is rho* bit for bit, and an array of fractions kappa <= zeta
+    gives the per-kappa scalar budgets bit for bit, for VaR and ES."""
+    model, alpha, zeta = problem
+    kappas = zeta * np.asarray(fractions)
+    for kind, budget in ((MeasureKind.VAR, rho_var), (MeasureKind.ES, rho_es)):
+        spec = RiskSpec(alpha=alpha, zeta=zeta, kind=kind)
+        assert budget(model, spec, 0.0) == budget(model, spec)
+        assert budget(model, spec, np.zeros(1))[0] == budget(model, spec)
+        per_kappa = [budget(model, spec, float(k)) for k in kappas]
+        assert np.array_equal(budget(model, spec, kappas), per_kappa)
+
+
+@PROPERTY
+@given(markets(), st.floats(0.05, 0.95), ZETAS, st.floats(0.0, 1.0))
+def test_es_budget_refused_outside_hypothesis(model, shrink, zeta, fraction):
+    """rho_es refuses every kappa once |z_alpha| < 2 ||theta||_T."""
+    alpha = NormalDist().cdf(-2.0 * shrink * model.theta_norm_T)
+    spec = RiskSpec(alpha=alpha, zeta=zeta, kind=MeasureKind.ES)
+    assert spec.abs_z < 2.0 * model.theta_norm_T
+    for kappa in (fraction * zeta, zeta * np.array([0.0, fraction])):
+        with pytest.raises(HypothesisViolated):
+            rho_es(model, spec, kappa)
 
 
 def floor_margin(solve_tight, kind, model, utility, alpha, zeta, x0):

@@ -6,6 +6,7 @@ import pytest
 from merton_risk import (
     ConditionViolated,
     FamilyConfig,
+    GrowthFractionConsumption,
     MeasureKind,
     NoClosedFormRegime,
     RiskSpec,
@@ -25,10 +26,10 @@ from merton_risk import (
     solve_var_linear,
     solve_var_tight,
     var_loose_bound_check,
-    weighted_g_norm,
 )
 from merton_risk.errors import NegativeRate
-from merton_risk.var_bound import exposure_growth_factor, rho_of_kappa_var
+from merton_risk.risk import log_risk_var
+from merton_risk.var_bound import exposure_growth_factor
 
 from conftest import theta_market
 
@@ -86,7 +87,8 @@ def test_var_linear_standard_instance(standard_market):
     assert cum.y_norm_T() == pytest.approx(RHO_VAR_STD, rel=1e-12)
     # saturation: inf_t of the log functional is exactly the bound at t = T
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
-    assert np.min(prof.log_curve) == pytest.approx(spec.log_bound(), abs=1e-9)
+    log_curve = log_risk_var(cum, spec.quantile, prof.times)
+    assert np.min(log_curve) == pytest.approx(spec.log_bound(), abs=1e-9)
 
 
 def test_var_linear_value_monotone_in_zeta(standard_market):
@@ -192,7 +194,9 @@ def test_loose_bound_large_zeta(standard_market):
     # post-hoc: the unconstrained optimum indeed satisfies the bound
     sol = solve_equal_gamma(standard_market, 0.5, 1.0)
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
-    assert prof.satisfied(1e-9) and prof.log_satisfied(1e-9)
+    log_curve = log_risk_var(cumulants(standard_market, sol.strategy),
+                             spec.quantile, prof.times)
+    assert prof.satisfied(1e-9) and np.min(log_curve) >= spec.log_bound() - 1e-9
 
 
 def test_loose_bound_small_zeta(standard_market):
@@ -253,7 +257,7 @@ def test_tight_wealth_consumption_identities(standard_market):
     v = sol.strategy.v_at(standard_market, ts)
     x_star = sol.wealth_mean(ts)
     assert np.max(np.abs(x_star - 0.1 / v)) < 1e-12
-    norm_q = weighted_g_norm(standard_market, 0.5, 2.0, 1.0)
+    norm_q = GrowthFractionConsumption(2.0 * 0.5).integral(standard_market)(1.0)
     consumption = v * x_star
     target = 0.1 * np.exp(2.0 * 0.5 * standard_market.R(ts)) / norm_q
     assert np.max(np.abs(consumption - target)) < 1e-12
@@ -294,7 +298,7 @@ def test_tight_consumption_monotone_and_admissible():
         v = sol.strategy.v_at(m, ts)
         assert np.all(np.diff(v) >= -1e-15)
         q = u.q1
-        norm_q = weighted_g_norm(m, u.gamma1, q, 1.0)
+        norm_q = GrowthFractionConsumption(q * u.gamma1).integral(m)(1.0)
         v_T = 0.2 * np.exp(q * u.gamma1 * m.R(1.0)) / ((1 - 0.2) * norm_q)
         assert v[-1] == pytest.approx(v_T, rel=1e-12)
         assert v_T < 1.0
@@ -356,7 +360,7 @@ def test_dispatch_regimes(standard_market):
 def test_budget_after_consumption_decreasing(standard_market):
     spec = RiskSpec(**VAR01)
     ks = np.linspace(0.0, spec.zeta, 50)
-    rhos = rho_of_kappa_var(standard_market, spec, ks)
+    rhos = rho_var(standard_market, spec, ks)
     assert rhos[0] == pytest.approx(rho_var(standard_market, spec), rel=1e-13)
     assert np.all(np.diff(rhos) < 0)
     assert rhos[-1] == pytest.approx(0.0, abs=1e-12)
@@ -367,7 +371,7 @@ def test_growth_times_split_monotone(standard_market):
     spec = RiskSpec(**VAR01)
     u = UtilityParams(0.5, 0.5)
     ks = np.linspace(0.0, spec.zeta, 80)
-    rhos = rho_of_kappa_var(standard_market, spec, ks)
+    rhos = rho_var(standard_market, spec, ks)
     for gamma_i in (u.gamma1, u.gamma2):
         M = exposure_growth_factor(standard_market, gamma_i, rhos)
         G = big_g(standard_market, u, 1.0, ks)[0]
