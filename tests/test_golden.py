@@ -1,8 +1,10 @@
 """Golden outputs: every file the CLI writes for a fixed set of problems.
 
 Each problem under ``tests/golden/`` runs through ``solve --grid 21`` and
-``verify --nt 5 --nx 5``; the files written, the exit codes and the stderr
-labels must match the committed expected outputs:
+``verify --nt 5 --nx 5``, and three of them (riskless tight, risky loose and
+the feedback optimum) also through ``simulate``, plain and antithetic, with
+results under ``<problem>/simulate/``. The files written, the exit codes and
+the stderr labels must match the committed expected outputs:
 
 - labels, regimes, exit codes and other text exactly;
 - JSON numbers within 1e-12 relative;
@@ -29,22 +31,28 @@ import pytest
 from merton_risk.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-COMMANDS = {"solve": ["--grid", "21"], "verify": ["--nt", "5", "--nx", "5"]}
+COMMANDS = {"solve": ["solve", "--grid", "21"],
+            "verify": ["verify", "--nt", "5", "--nx", "5"]}
+# 70,001 paths cross a 65,536-path Philox block and end in a partial chunk
+_SIMULATE = ["simulate", "--paths", "70001", "--steps", "8", "--seed", "5",
+             "--dump-paths", "40"]
+SIMULATE = {"plain": _SIMULATE, "antithetic": _SIMULATE + ["--antithetic"]}
+SIMULATE_PROBLEMS = ["var_tight", "var_loose", "unconstrained_unequal"]
 JSON_RTOL = 1e-12
 ERROR_ATOL = 1e-12
 ERROR_FIELDS = {"max_abs_residual", "terminal_error", "hamiltonian_gap", "residual"}
 PROBLEMS = sorted(p.name for p in GOLDEN.iterdir() if (p / "problem.json").is_file())
 
 
-def run_problem(name: str, out: Path) -> dict:
-    """Run every command on one problem; returns {command: [exit code, label]}."""
+def run_problem(name: str, out: Path, commands: dict = COMMANDS) -> dict:
+    """Run each command on one problem into out/<run>; returns {run: [exit code, label]}."""
     codes = {}
-    for command, options in COMMANDS.items():
+    for run, (command, *options) in commands.items():
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([command, str(GOLDEN / name / "problem.json"),
-                         "--out", str(out / command)] + options)
-        codes[command] = [code, err.getvalue().split(":")[0]]
+                         "--out", str(out / run)] + options)
+        codes[run] = [code, err.getvalue().split(":")[0]]
     return codes
 
 
@@ -109,20 +117,30 @@ def compare_outputs(got_dir: Path, want_dir: Path) -> None:
             compare_csv(got, want)
 
 
+def check_case(base: Path, name: str, commands: dict, out: Path) -> None:
+    codes = run_problem(name, out, commands)
+    assert codes == json.loads((base / "exit_codes.json").read_text())
+    compare_outputs(out, base / "expected")
+
+
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_golden_outputs(tmp_path, name):
-    codes = run_problem(name, tmp_path)
-    expected = json.loads((GOLDEN / name / "exit_codes.json").read_text())
-    assert codes == expected
-    compare_outputs(tmp_path, GOLDEN / name / "expected")
+    check_case(GOLDEN / name, name, COMMANDS, tmp_path)
+
+
+@pytest.mark.parametrize("name", SIMULATE_PROBLEMS)
+def test_golden_simulate_outputs(tmp_path, name):
+    check_case(GOLDEN / name / "simulate", name, SIMULATE, tmp_path)
 
 
 def regenerate() -> None:
-    for name in PROBLEMS:
-        expected = GOLDEN / name / "expected"
-        shutil.rmtree(expected, ignore_errors=True)
-        codes = run_problem(name, expected)
-        with open(GOLDEN / name / "exit_codes.json", "w", encoding="utf-8") as fh:
+    cases = [(GOLDEN / name, name, COMMANDS) for name in PROBLEMS]
+    cases += [(GOLDEN / name / "simulate", name, SIMULATE)
+              for name in SIMULATE_PROBLEMS]
+    for base, name, commands in cases:
+        shutil.rmtree(base / "expected", ignore_errors=True)
+        codes = run_problem(name, base / "expected", commands)
+        with open(base / "exit_codes.json", "w", encoding="utf-8") as fh:
             json.dump(codes, fh, indent=2)
             fh.write("\n")
 
