@@ -204,6 +204,9 @@ def strategy_from_csv(path, model: MarketModel) -> DeterministicStrategy:
 
 def cmd_simulate(args) -> int:
     spec = ProblemSpec.load(args.spec)
+    for flag, value in (("--steps", args.steps), ("--dump-paths", args.dump_paths)):
+        if value < 0:
+            raise ValueError(f"{flag} must be non-negative, got {value}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = mc.SimConfig(n_paths=args.paths, seed=args.seed,

@@ -10,13 +10,14 @@ cross-check of the closed-form law.
 Streams are counter-based (Philox) and indexed by (seed, path block), so
 ensembles are bit-reproducible regardless of how path blocks would be
 scheduled.  Sampling and cost estimation stream through fixed row chunks
-of the one (n, m) wealth matrix, so memory beyond it (and the feedback
-law's consumption matrix) is a few chunk buffers and per-path vectors.
+of the one time-major (n, m) wealth matrix, so memory beyond it is a few
+chunk buffers and per-path vectors; feedback consumption is replayed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -58,10 +59,6 @@ def block_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
         for b0 in range(0, n_paths, _BLOCK)])
 
 
-def _row_chunks(n: int):
-    return (slice(r0, r0 + _CHUNK) for r0 in range(0, n, _CHUNK))
-
-
 def _log_paths(config: SimConfig, mean_inc: np.ndarray, sd_inc: np.ndarray):
     """Yield (rows, xi): cumulative log increments of block_normals' rows.
 
@@ -92,7 +89,7 @@ class PathEnsemble:
     """Simulated wealth/consumption skeletons plus exact step metadata."""
 
     times: np.ndarray            # (m,)
-    wealth: np.ndarray           # (n, m), all > 0
+    wealth: np.ndarray           # (n, m) time-major (F order), all > 0
     terminal: np.ndarray         # (n,)
     kind: str                    # "deterministic" | "feedback"
     antithetic: bool
@@ -104,7 +101,11 @@ class PathEnsemble:
     y_sq_rate: np.ndarray | None = None       # (m-1,) |y|^2 per step
     cons_log0: np.ndarray | None = None       # (m-1,) ln(v e^{-V}) at step start
     cons_slope: np.ndarray | None = None      # (m-1,)
-    feedback_consumption: np.ndarray | None = None   # (n, m)
+    # feedback metadata: c = rate(xi), rebuilt by replaying the xi stream
+    replay: tuple | None = None               # _log_paths' (config, mean, sd)
+    rate: Callable[[np.ndarray], np.ndarray] | None = None
+    gamma1: float | None = None               # of cons_trapezoid
+    cons_trapezoid: np.ndarray | None = None  # (n,) trapezoid of c^gamma1
 
     @property
     def n_paths(self) -> int:
@@ -116,9 +117,19 @@ class PathEnsemble:
         return self._consumption(slice(None))
 
     def _consumption(self, rows: slice) -> np.ndarray:
-        if self.v_grid is None:
-            return self.feedback_consumption[rows]
-        return self.wealth[rows] * self.v_grid
+        if self.v_grid is not None:
+            return self.wealth[rows] * self.v_grid
+        start, stop, _ = rows.indices(self.n_paths)
+        out = np.empty((max(stop - start, 0), len(self.times)))
+        left = len(out)
+        for got, xi in _log_paths(*self.replay):
+            lo, hi = max(got.start, start), min(got.stop, stop)
+            if lo < hi:
+                out[lo - start:hi - start] = self.rate(xi[lo - got.start:hi - got.start])
+                left -= hi - lo
+            if not left:
+                break
+        return out
 
     def write_csv(self, path, max_paths: int | None = None) -> None:
         """Columnar spill (path_id, t, X, c); optionally truncated."""
@@ -152,10 +163,9 @@ def simulate_deterministic(model: MarketModel,
     mean_inc = np.diff(cum.log_drift(grid))
     sd_inc = np.sqrt(np.maximum(np.diff(cum.log_var(grid)), 0.0))
 
-    wealth = np.empty((config.n_paths, len(grid)))
+    wealth = np.empty((config.n_paths, len(grid)), order="F")
     for rows, xi in _log_paths(config, mean_inc, sd_inc):
-        chunk = np.exp(xi, out=wealth[rows])
-        chunk *= x
+        wealth[rows] = np.exp(xi) * x   # a ufunc into strided rows is slow
 
     v_grid = np.broadcast_to(strategy.v_at(model, grid), grid.shape)
 
@@ -196,16 +206,23 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
     q1, q2 = utility.q1, utility.q2
     c1 = fb.coeffs.A1(grid) * g0 ** -q1
     c2 = fb.coeffs.A2(grid) * g0 ** -q2
-    wealth = np.empty((config.n_paths, len(grid)))
-    consumption = np.empty_like(wealth)
+    dt = np.diff(grid)
+
+    def rate(xi):
+        return (utility.gamma1 / (g0 * np.exp(xi))) ** q1
+
+    wealth = np.empty((config.n_paths, len(grid)), order="F")
+    trapezoid = np.empty(config.n_paths)
     for rows, xi in _log_paths(config, mean_inc, sd_inc):
         wealth[rows] = c1 * np.exp(-q1 * xi) + c2 * np.exp(-q2 * xi)
-        consumption[rows] = (utility.gamma1 / (g0 * np.exp(xi))) ** q1
+        cg = rate(xi) ** utility.gamma1
+        trapezoid[rows] = np.sum(0.5 * (cg[:, :-1] + cg[:, 1:]) * dt, axis=1)
     return PathEnsemble(
         times=grid, wealth=wealth,
         terminal=wealth[:, -1], kind="feedback",
         antithetic=config.antithetic, seed=config.seed,
-        feedback_consumption=consumption,
+        replay=(config, mean_inc, sd_inc), rate=rate, gamma1=utility.gamma1,
+        cons_trapezoid=trapezoid,
     )
 
 
@@ -278,7 +295,8 @@ def _consumption_integral_exact(ens: PathEnsemble, g: float) -> np.ndarray:
     B0 = g * (ens.cons_slope[idx] + mu)
     B2 = 0.5 * g * g * ens.y_sq_rate[idx]
     A = B2 / dts
-    for rows in _row_chunks(ens.n_paths):
+    for r0 in range(0, ens.n_paths, _CHUNK):
+        rows = slice(r0, r0 + _CHUNK)
         lnG = np.log(ens.wealth[rows])
         lnG += ens.V_grid
         lnG_a = lnG[:, idx]
@@ -291,28 +309,20 @@ def _consumption_integral_exact(ens: PathEnsemble, g: float) -> np.ndarray:
     return out
 
 
-def _consumption_integral_trapezoid(ens: PathEnsemble,
-                                    gamma1: float) -> np.ndarray:
-    dt = np.diff(ens.times)
-    out = np.empty(ens.n_paths)
-    for rows in _row_chunks(ens.n_paths):
-        cg = ens.feedback_consumption[rows] ** gamma1
-        out[rows] = np.sum(0.5 * (cg[:, :-1] + cg[:, 1:]) * dt, axis=1)
-    return out
-
-
 def estimate_cost(ensemble: PathEnsemble,
                   utility: UtilityParams) -> tuple[float, float]:
     """Monte Carlo estimate of the expected cost with jackknife std error.
 
     Deterministic ensembles integrate consumption by the exact per-step
     conditional expectation; feedback ensembles use the trapezoid rule on
-    the grid (bias O(dt^2)).
+    the grid (bias O(dt^2)), summed while sampling for the sampling gamma1.
     """
     if ensemble.kind == "deterministic":
         cons = _consumption_integral_exact(ensemble, utility.gamma1)
+    elif utility.gamma1 != ensemble.gamma1:
+        raise MismatchedPaths(f"paths sampled for gamma1={ensemble.gamma1}")
     else:
-        cons = _consumption_integral_trapezoid(ensemble, utility.gamma1)
+        cons = ensemble.cons_trapezoid
     values = cons + ensemble.terminal ** utility.gamma2
     if ensemble.antithetic:
         half = (len(values) + 1) // 2
@@ -362,7 +372,7 @@ def empirical_risk_curve(ensemble: PathEnsemble, spec: RiskSpec, x: float,
     var_se = np.zeros_like(times)
     es_se = np.zeros_like(times)
     for k in range(len(times)):
-        col = ensemble.wealth[:, k].copy()
+        col = ensemble.wealth[:, k]
         # select band_hi over the column, the rest within the head below it
         order = np.partition(col, band_hi)
         order[:band_hi + 1].partition([band_lo, q_lo, q_hi])

@@ -168,10 +168,13 @@ TIGHT_VAR = {"utility": {"gamma1": 0.5, "gamma2": 0.5},
     ({}, ["simulate", "--paths", "0"]),
     ({}, ["solve", "--mc-paths", "1"]),
     ({}, ["solve", "--grid", "-1"]),
+    ({}, ["simulate", "--steps", "-3"]),
+    ({}, ["simulate", "--dump-paths", "-5"]),
 ], ids=["utility_number", "x0_null", "x0_list", "risk_number", "gamma1_null",
         "rho_step_zero", "rho_step_nan", "rho_step_negative",
         "oracle_rho_step_zero", "missing_strategy_file", "zero_paths",
-        "one_mc_path", "negative_grid"])
+        "one_mc_path", "negative_grid", "negative_steps",
+        "negative_dump_paths"])
 def test_malformed_input_is_input_error(tmp_path, capsys, patch, command):
     spec = tmp_path / "p.json"
     spec.write_text(json.dumps({"market": market_doc(), "x0": 1.0,
@@ -182,6 +185,31 @@ def test_malformed_input_is_input_error(tmp_path, capsys, patch, command):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("input error: ")
     assert not (tmp_path / "out" / "solution.json").exists()
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--dump-paths"])
+def test_simulate_negative_count_names_the_flag(tmp_path, capsys, flag):
+    spec = write_spec(tmp_path / "p.json", **TIGHT_VAR)
+    assert main(["simulate", str(spec), "--out", str(tmp_path / "out"),
+                 flag, "-1"]) == 1
+    assert capsys.readouterr().err == (
+        f"input error: {flag} must be non-negative, got -1\n")
+
+
+def test_simulate_zero_steps_monitors_the_breakpoints(tmp_path):
+    market = {"T": 1.0, "d": 1,
+              "r": [{"t0": 0.0, "value": 0.02}, {"t0": 0.5, "value": 0.04}],
+              "mu": [{"t0": 0.0, "value": [0.1]}],
+              "sigma": [{"t0": 0.0, "value": [[0.2]]},
+                        {"t0": 0.25, "value": [[0.3]]}]}
+    spec = write_spec(tmp_path / "p.json", market=market, **TIGHT_VAR)
+    out = tmp_path / "out"
+    assert main(["simulate", str(spec), "--out", str(out), "--steps", "0",
+                 "--paths", "20000"]) == 0
+    with open(out / "risk_profile.csv", encoding="utf-8") as fh:
+        times = [float(row["t"]) for row in csv.DictReader(fh)]
+    assert times == [0.0, 0.25, 0.5, 1.0]
 
 
 def test_solve_no_closed_form_exit2(tmp_path):

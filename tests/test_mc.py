@@ -1,5 +1,6 @@
 """Exact-law simulation, estimators, and the Euler cross-check."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy import stats
 from merton_risk import (
     InsufficientPaths,
     MeasureKind,
+    MismatchedPaths,
     RiskSpec,
     SimConfig,
     UtilityParams,
@@ -25,6 +27,7 @@ from merton_risk import (
     solve_var_linear,
     step_strategy,
 )
+from merton_risk import mc
 from merton_risk.mc import block_normals, simulate_feedback_euler
 
 from conftest import bond_strategy, random_market, random_strategy
@@ -243,11 +246,10 @@ def _stream_case(kind, n, antithetic):
     return m, s, simulate_deterministic(m, s, 1.2, cfg)
 
 
-def _whole_matrix_wealth(m, s, ens, n, antithetic):
-    """x exp(cumsum(mean + sd z)) over the full normal matrix."""
+def _whole_matrix_xi(m, s, ens, n, antithetic):
+    """cumsum(mean + sd z) over the full normal matrix, from 0 at t = 0."""
     grid = ens.times
     if s is None:
-        fb = solve_hara_unconstrained(m, STREAM_UTILITY, 1.2).feedback
         R, TS = m.R(grid), m.theta_sq_cum(grid)
         mean, var = -np.diff(R + 0.5 * TS), np.diff(TS)
     else:
@@ -258,9 +260,16 @@ def _whole_matrix_wealth(m, s, ens, n, antithetic):
     z = block_normals(7, (n + 1) // 2 if antithetic else n, len(grid) - 1)
     if antithetic:
         z = np.vstack([z, -z])[:n]
-    xi = np.hstack([np.zeros((n, 1)), np.cumsum(mean + sd * z, axis=1)])
+    return np.hstack([np.zeros((n, 1)), np.cumsum(mean + sd * z, axis=1)])
+
+
+def _whole_matrix_wealth(m, s, ens, n, antithetic):
+    """x exp(xi), or the feedback law's mixture of exp(-q xi)."""
+    xi = _whole_matrix_xi(m, s, ens, n, antithetic)
     if s is not None:
         return 1.2 * np.exp(xi)
+    fb = solve_hara_unconstrained(m, STREAM_UTILITY, 1.2).feedback
+    grid = ens.times
     g0 = fb.g(0.0, 1.2)
     q1, q2 = STREAM_UTILITY.q1, STREAM_UTILITY.q2
     return (fb.coeffs.A1(grid) * g0 ** -q1 * np.exp(-q1 * xi)
@@ -300,16 +309,76 @@ def test_cost_and_sampling_memory_bounded_by_wealth():
     m = constant_market(0.03, [0.1], [[0.2]], 1.0)
     s = constant_strategy([0.5], 0.3, 1.0)
     cfg = SimConfig(n_paths=131_072, seed=3, n_steps=15)
-    tracemalloc.start()
-    try:
-        ens = simulate_deterministic(m, s, 1.0, cfg)
-        sample_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        estimate_cost(ens, STREAM_UTILITY)
-        cost_peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert ens.wealth.shape == (131_072, 16)
-    assert sample_peak <= 2 * ens.wealth.nbytes
-    assert cost_peak <= 0.5 * ens.wealth.nbytes
+    # the wealth matrix is the only path-sized array, for both laws
+    for sample in (lambda: simulate_deterministic(m, s, 1.0, cfg),
+                   lambda: simulate_hara_feedback(m, STREAM_UTILITY, 1.0, cfg)):
+        tracemalloc.start()
+        try:
+            ens = sample()
+            sample_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            estimate_cost(ens, STREAM_UTILITY)
+            cost_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert ens.wealth.shape == (131_072, 16)
+        assert sample_peak <= 1.25 * ens.wealth.nbytes, ens.kind
+        assert cost_peak <= 0.5 * ens.wealth.nbytes, ens.kind
+        del ens
+
+
+@pytest.mark.parametrize("kind", ["risky", "feedback"])
+def test_wealth_is_time_major(kind):
+    _, _, ens = _stream_case(kind, 3000, False)
+    assert ens.wealth.shape == (3000, len(ens.times))
+    assert all(ens.wealth[:, k].flags.c_contiguous
+               for k in range(len(ens.times)))
+
+
+# chunk edges at multiples of 1,024 rows, the Philox block edge at 65,536
+# drawn rows, and (antithetic, n = 140,001) the mirrored half from row 70,001
+REPLAY_SLICES = [slice(0, 40), slice(1000, 1100), slice(65_500, 65_600),
+                 slice(69_990, 70_001)]
+MIRROR_SLICES = [slice(69_990, 70_020), slice(71_000, 71_100),
+                 slice(135_500, 135_600), slice(139_990, 140_001)]
+
+
+@pytest.mark.parametrize("n,antithetic,slices", [
+    (70_001, False, REPLAY_SLICES),
+    (140_001, True, REPLAY_SLICES + MIRROR_SLICES),
+])
+def test_feedback_consumption_replays_the_stream(n, antithetic, slices):
+    m, _, ens = _stream_case("feedback", n, antithetic)
+    xi = _whole_matrix_xi(m, None, ens, n, antithetic)
+    g0 = solve_hara_unconstrained(m, STREAM_UTILITY, 1.2).feedback.g(0.0, 1.2)
+    gamma1, q1 = STREAM_UTILITY.gamma1, STREAM_UTILITY.q1
+    for rows in slices:
+        want = (gamma1 / (g0 * np.exp(xi[rows]))) ** q1
+        assert np.array_equal(ens._consumption(rows), want), rows
+    if not antithetic:
+        assert np.array_equal(ens.consumption,
+                              (gamma1 / (g0 * np.exp(xi))) ** q1)
+
+
+def test_feedback_consumption_replay_stops_at_the_last_row(monkeypatch):
+    _, _, ens = _stream_case("feedback", 70_001, False)
+    drawn = []
+    log_paths = mc._log_paths
+
+    def counting(*args):
+        for rows, xi in log_paths(*args):
+            drawn.append(rows)
+            yield rows, xi
+
+    monkeypatch.setattr(mc, "_log_paths", counting)
+    ens.write_csv(os.devnull, max_paths=40)
+    assert drawn == [slice(0, 1024)]
+
+
+def test_feedback_cost_refuses_another_gamma1():
+    _, _, ens = _stream_case("feedback", 3000, False)
+    with pytest.raises(MismatchedPaths):
+        estimate_cost(ens, UtilityParams(0.3, STREAM_UTILITY.gamma2))
+    # the terminal term is read from the wealth, so gamma2 may differ
+    estimate_cost(ens, UtilityParams(STREAM_UTILITY.gamma1, 0.7))
