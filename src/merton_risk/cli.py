@@ -109,16 +109,25 @@ def _write_failure(out_dir: Path, exc: MertonRiskError) -> None:
     write_json(out_dir / "solution.json", doc)
 
 
+def _require(ok: bool, flag: str, what: str, value) -> None:
+    if not ok:
+        raise ValueError(f"{flag} must be {what}, got {value}")
+
+
 def _check_rho_step(rho_step: float) -> None:
-    if not (math.isfinite(rho_step) and rho_step > 0.0):
-        raise ValueError(f"--rho-step must be positive and finite, got {rho_step}")
+    _require(math.isfinite(rho_step) and rho_step > 0.0, "--rho-step",
+             "positive and finite", rho_step)
+
+
+def _check_counts(*flags) -> None:
+    for flag, value in flags:
+        _require(value >= 0, flag, "non-negative", value)
 
 
 def cmd_solve(args) -> int:
     spec = ProblemSpec.load(args.spec)
     _check_rho_step(args.rho_step)
-    if args.grid < 0:
-        raise ValueError(f"--grid must be non-negative, got {args.grid}")
+    _check_counts(("--grid", args.grid), ("--mc-paths", args.mc_paths))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -183,11 +192,15 @@ def strategy_from_csv(path, model: MarketModel) -> DeterministicStrategy:
     """Rebuild a piecewise-constant strategy from a controls.csv table."""
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = [[float(v) for v in row] for row in reader if row]
     d = sum(1 for name in header if name.startswith("pi_"))
     if d != model.dimension:
         raise ValueError("strategy table dimension disagrees with market")
+    for row in rows:
+        if len(row) < 2 + d or not all(map(math.isfinite, row)):
+            raise ValueError(f"strategy table rows need {2 + d} finite fields "
+                             f"(t, pi_1..pi_d, v), got {row}")
     y_segments, v_segments = [], []
     seen = set()
     for row in rows:
@@ -204,9 +217,7 @@ def strategy_from_csv(path, model: MarketModel) -> DeterministicStrategy:
 
 def cmd_simulate(args) -> int:
     spec = ProblemSpec.load(args.spec)
-    for flag, value in (("--steps", args.steps), ("--dump-paths", args.dump_paths)):
-        if value < 0:
-            raise ValueError(f"{flag} must be non-negative, got {value}")
+    _check_counts(("--steps", args.steps), ("--dump-paths", args.dump_paths))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = mc.SimConfig(n_paths=args.paths, seed=args.seed,
@@ -263,6 +274,11 @@ def cmd_verify(args) -> int:
         raise ValueError("verification needs gamma1, gamma2 in (0,1)")
     if args.nt < 1 or args.nx < 1:
         raise ValueError("--nt and --nx must be at least 1")
+    for flag, tol in (("--residual-tol", args.residual_tol),
+                      ("--terminal-tol", args.terminal_tol),
+                      ("--gap-tol", args.gap_tol)):
+        _require(math.isfinite(tol) and tol >= 0.0, flag,
+                 "non-negative and finite", tol)
     t_nodes = None
     if args.t_nodes:
         t_nodes = np.asarray([float(v) for v in args.t_nodes.split(",")])

@@ -11,12 +11,14 @@ Streams are counter-based (Philox) and indexed by (seed, path block), so
 ensembles are bit-reproducible regardless of how path blocks would be
 scheduled.  Sampling and cost estimation stream through fixed row chunks
 of the one time-major (n, m) wealth matrix, so memory beyond it is a few
-chunk buffers and per-path vectors; feedback consumption is replayed.
+chunk buffers and per-path vectors; consumption is rebuilt from a replay
+of the stream, and each ensemble carries its own law's cost integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -25,8 +27,8 @@ from ._piecewise import merge_ticks, from_ticks, to_ticks
 from ._table import fmt, write_rows
 from .errors import InsufficientPaths, MismatchedPaths
 from .market import MarketModel
-from .risk import MeasureKind, RiskProfile, RiskSpec
-from .strategies import DeterministicStrategy, cumulants
+from .risk import RiskProfile, RiskSpec
+from .strategies import Cumulants, DeterministicStrategy, cumulants
 from .unconstrained import HaraFeedback, solve_hara_unconstrained
 from .utility import UtilityParams
 
@@ -86,30 +88,28 @@ def _log_paths(config: SimConfig, mean_inc: np.ndarray, sd_inc: np.ndarray):
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Simulated wealth/consumption skeletons plus exact step metadata."""
+    """Simulated wealth skeletons plus what each law needs for c and its cost.
+
+    Consumption is rebuilt as c = rate(xi) by replaying the xi stream, and
+    consumption_cost(gamma1) gives each path's int_0^T c_t^gamma1 dt.
+    """
 
     times: np.ndarray            # (m,)
     wealth: np.ndarray           # (n, m) time-major (F order), all > 0
-    terminal: np.ndarray         # (n,)
     kind: str                    # "deterministic" | "feedback"
     antithetic: bool
     seed: int
-    # deterministic-strategy metadata for the exact consumption integral
-    v_grid: np.ndarray | None = None          # (m,) rate v_t, c = X v
-    V_grid: np.ndarray | None = None          # (m,)
-    gross_drift: np.ndarray | None = None     # (m-1,) slope of R+(y,th)-ynn/2
-    y_sq_rate: np.ndarray | None = None       # (m-1,) |y|^2 per step
-    cons_log0: np.ndarray | None = None       # (m-1,) ln(v e^{-V}) at step start
-    cons_slope: np.ndarray | None = None      # (m-1,)
-    # feedback metadata: c = rate(xi), rebuilt by replaying the xi stream
-    replay: tuple | None = None               # _log_paths' (config, mean, sd)
-    rate: Callable[[np.ndarray], np.ndarray] | None = None
-    gamma1: float | None = None               # of cons_trapezoid
-    cons_trapezoid: np.ndarray | None = None  # (n,) trapezoid of c^gamma1
+    replay: tuple                # _log_paths' (config, mean, sd)
+    rate: Callable[[np.ndarray], np.ndarray]
+    consumption_cost: Callable[[float], np.ndarray]
 
     @property
     def n_paths(self) -> int:
         return self.wealth.shape[0]
+
+    @property
+    def terminal(self) -> np.ndarray:
+        return self.wealth[:, -1]
 
     @property
     def consumption(self) -> np.ndarray:
@@ -117,8 +117,6 @@ class PathEnsemble:
         return self._consumption(slice(None))
 
     def _consumption(self, rows: slice) -> np.ndarray:
-        if self.v_grid is not None:
-            return self.wealth[rows] * self.v_grid
         start, stop, _ = rows.indices(self.n_paths)
         out = np.empty((max(stop - start, 0), len(self.times)))
         left = len(out)
@@ -169,25 +167,15 @@ def simulate_deterministic(model: MarketModel,
 
     v_grid = np.broadcast_to(strategy.v_at(model, grid), grid.shape)
 
-    V_grid = cum.V(grid)
-    R_grid = model.R(grid)
-    ydt_grid = cum.ydt(grid)
-    ynn_grid = cum.ynn(grid)
-    dt = np.diff(grid)
-    gross_drift = (np.diff(R_grid + ydt_grid - 0.5 * ynn_grid)) / dt
-    y_sq_rate = np.diff(ynn_grid) / dt
-    # per-step exp-affine form of v e^{-V} straight from the consumption
-    # family (cadlag: the left value rules the step, jumps never leak in)
-    cons_log0, cons_slope = strategy.consumption.log_affine(
-        model, to_ticks(grid))
-    cons_slope = np.where(np.isfinite(cons_log0), cons_slope, 0.0)
+    def rate(xi):
+        return np.exp(xi) * x * v_grid
 
     return PathEnsemble(
-        times=grid, wealth=wealth,
-        terminal=wealth[:, -1], kind="deterministic",
+        times=grid, wealth=wealth, kind="deterministic",
         antithetic=config.antithetic, seed=config.seed,
-        v_grid=v_grid, V_grid=V_grid, gross_drift=gross_drift,
-        y_sq_rate=y_sq_rate, cons_log0=cons_log0, cons_slope=cons_slope,
+        replay=(config, mean_inc, sd_inc), rate=rate,
+        consumption_cost=partial(_consumption_integral_exact, cum,
+                                 strategy.consumption, grid, wealth),
     )
 
 
@@ -217,12 +205,18 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
         wealth[rows] = c1 * np.exp(-q1 * xi) + c2 * np.exp(-q2 * xi)
         cg = rate(xi) ** utility.gamma1
         trapezoid[rows] = np.sum(0.5 * (cg[:, :-1] + cg[:, 1:]) * dt, axis=1)
+
+    def consumption_cost(gamma1):
+        # the trapezoid of c^gamma1 on the grid (bias O(dt^2)), summed above
+        if gamma1 != utility.gamma1:
+            raise MismatchedPaths(f"paths sampled for gamma1={utility.gamma1}")
+        return trapezoid
+
     return PathEnsemble(
-        times=grid, wealth=wealth,
-        terminal=wealth[:, -1], kind="feedback",
+        times=grid, wealth=wealth, kind="feedback",
         antithetic=config.antithetic, seed=config.seed,
-        replay=(config, mean_inc, sd_inc), rate=rate, gamma1=utility.gamma1,
-        cons_trapezoid=trapezoid,
+        replay=(config, mean_inc, sd_inc), rate=rate,
+        consumption_cost=consumption_cost,
     )
 
 
@@ -277,28 +271,37 @@ def _int_exp_quadratic(B: np.ndarray, A: np.ndarray, dt: np.ndarray) -> np.ndarr
     return out
 
 
-def _consumption_integral_exact(ens: PathEnsemble, g: float) -> np.ndarray:
-    """Unbiased per-path value of int_0^T c_t^g dt.
+def _consumption_integral_exact(cum: Cumulants, consumption, grid: np.ndarray,
+                                wealth: np.ndarray, g: float) -> np.ndarray:
+    """Unbiased per-path value of int_0^T c_t^g dt for a deterministic strategy.
 
     Conditional on the sampled skeleton, the within-step law of wealth is a
     lognormal bridge, so E[int c^g dt | skeleton] has an erf closed form;
     by the tower property its path average is unbiased for the true cost
     term with strictly smaller variance than any within-step sampling.
     """
-    out = np.empty(ens.n_paths)
-    idx = np.flatnonzero(np.isfinite(ens.cons_log0))
-    dts = np.diff(ens.times)[idx]
-    mu = ens.gross_drift[idx]
-    a0 = ens.cons_log0[idx]
+    V_grid = cum.V(grid)
+    ynn_grid = cum.ynn(grid)
+    dt = np.diff(grid)
+    gross_drift = np.diff(cum.model.R(grid) + cum.ydt(grid) - 0.5 * ynn_grid) / dt
+    # per-step exp-affine form of v e^{-V} straight from the consumption
+    # family (cadlag: the left value rules the step, jumps never leak in)
+    cons_log0, cons_slope = consumption.log_affine(cum.model, to_ticks(grid))
+    idx = np.flatnonzero(np.isfinite(cons_log0))
+    dts = dt[idx]
+    mu = gross_drift[idx]
+    a0 = cons_log0[idx]
     # per-step terms, shared by every path
     drift = mu * dts
-    B0 = g * (ens.cons_slope[idx] + mu)
-    B2 = 0.5 * g * g * ens.y_sq_rate[idx]
+    B0 = g * (cons_slope[idx] + mu)
+    B2 = 0.5 * g * g * (np.diff(ynn_grid) / dt)[idx]
     A = B2 / dts
-    for r0 in range(0, ens.n_paths, _CHUNK):
+    n = len(wealth)
+    out = np.empty(n)
+    for r0 in range(0, n, _CHUNK):
         rows = slice(r0, r0 + _CHUNK)
-        lnG = np.log(ens.wealth[rows])
-        lnG += ens.V_grid
+        lnG = np.log(wealth[rows])
+        lnG += V_grid
         lnG_a = lnG[:, idx]
         w = lnG[:, idx + 1] - lnG_a - drift
         C = g * (a0 + lnG_a)
@@ -313,17 +316,12 @@ def estimate_cost(ensemble: PathEnsemble,
                   utility: UtilityParams) -> tuple[float, float]:
     """Monte Carlo estimate of the expected cost with jackknife std error.
 
-    Deterministic ensembles integrate consumption by the exact per-step
-    conditional expectation; feedback ensembles use the trapezoid rule on
-    the grid (bias O(dt^2)), summed while sampling for the sampling gamma1.
+    The consumption term is the ensemble's own: the exact per-step
+    conditional expectation for deterministic strategies, the trapezoid
+    summed while sampling for the feedback law.
     """
-    if ensemble.kind == "deterministic":
-        cons = _consumption_integral_exact(ensemble, utility.gamma1)
-    elif utility.gamma1 != ensemble.gamma1:
-        raise MismatchedPaths(f"paths sampled for gamma1={ensemble.gamma1}")
-    else:
-        cons = ensemble.cons_trapezoid
-    values = cons + ensemble.terminal ** utility.gamma2
+    values = (ensemble.consumption_cost(utility.gamma1)
+              + ensemble.terminal ** utility.gamma2)
     if ensemble.antithetic:
         half = (len(values) + 1) // 2
         if 2 * half == len(values):
@@ -355,7 +353,6 @@ def empirical_risk_curve(ensemble: PathEnsemble, spec: RiskSpec, x: float,
             f"need n_paths * alpha >= 100, got {n * alpha:.1f}")
     times = ensemble.times
     bond = x * np.exp(model.R(times))
-    level = spec.zeta * bond
 
     # np.quantile's type-7 position and weight, in its own arithmetic
     virt = (n - 1) * alpha
@@ -395,13 +392,9 @@ def empirical_risk_curve(ensemble: PathEnsemble, spec: RiskSpec, x: float,
         var_se[k] = max(float(b_hi - b_lo) / 2.0, 1e-300)
         es_se[k] = float(np.std(u) / (alpha * np.sqrt(n)))
 
-    measure = var_curve if spec.kind == MeasureKind.VAR else es_curve
-    ratio = measure / level
-    kk = int(np.argmax(ratio))
     return RiskProfile(
         times=times, var_curve=var_curve, es_curve=es_curve,
-        level_curve=level, kind=spec.kind,
-        max_ratio=float(ratio[kk]), argmax_time=float(times[kk]),
+        level_curve=spec.zeta * bond, kind=spec.kind,
         var_stderr=var_se, es_stderr=es_se,
     )
 

@@ -147,8 +147,6 @@ class RiskProfile:
     es_curve: np.ndarray
     level_curve: np.ndarray
     kind: MeasureKind
-    max_ratio: float
-    argmax_time: float
     var_stderr: np.ndarray | None = None
     es_stderr: np.ndarray | None = None
 
@@ -156,6 +154,14 @@ class RiskProfile:
     def ratio_curve(self) -> np.ndarray:
         measure = self.var_curve if self.kind == MeasureKind.VAR else self.es_curve
         return measure / self.level_curve
+
+    @property
+    def max_ratio(self) -> float:
+        return float(np.max(self.ratio_curve))
+
+    @property
+    def argmax_time(self) -> float:
+        return float(self.times[np.argmax(self.ratio_curve)])
 
     def satisfied(self, tol: float = SATURATION_TOL) -> bool:
         return self.max_ratio <= 1.0 + tol
@@ -186,21 +192,12 @@ def constraint_profile(model: MarketModel, strategy: DeterministicStrategy,
         grid = profile_grid(cum.node_ticks, cum.horizon, n_refine)
     else:
         grid = from_ticks(merge_ticks(cum.node_ticks, to_ticks(grid)))
-    quantile = spec.quantile
-
     bond = x * np.exp(model.R(grid))
-    lam = _lambda_from_cumulants(cum, quantile, x, grid)
-    m = _shortfall_mean(cum, quantile, x, grid)
-    var_curve = bond - lam
-    es_curve = bond - m
-    level = spec.zeta * bond
-
-    ratio = (var_curve if spec.kind == MeasureKind.VAR else es_curve) / level
-    k = int(np.argmax(ratio))
+    lam = _lambda_from_cumulants(cum, spec.quantile, x, grid)
+    m = _shortfall_mean(cum, spec.quantile, x, grid)
     return RiskProfile(
-        times=grid, var_curve=var_curve, es_curve=es_curve,
-        level_curve=level, kind=spec.kind,
-        max_ratio=float(ratio[k]), argmax_time=float(grid[k]),
+        times=grid, var_curve=bond - lam, es_curve=bond - m,
+        level_curve=spec.zeta * bond, kind=spec.kind,
     )
 
 

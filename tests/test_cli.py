@@ -152,6 +152,10 @@ def test_solve_non_finite_market_is_input_error(tmp_path, market):
 
 TIGHT_VAR = {"utility": {"gamma1": 0.5, "gamma2": 0.5},
              "risk": {"kind": "var", "alpha": 0.01, "zeta": 0.1}}
+# malformed controls.csv tables for simulate --strategy (d = 1)
+BAD_TABLES = {"nan_pi.csv": "t,pi_1,v\n0.0,nan,0.1\n0.5,0.2,0.1\n",
+              "no_v.csv": "t,pi_1,v\n0.0,0.2,0.1\n0.5,0.2\n",
+              "empty.csv": ""}
 
 
 @pytest.mark.parametrize("patch, command", [
@@ -170,12 +174,19 @@ TIGHT_VAR = {"utility": {"gamma1": 0.5, "gamma2": 0.5},
     ({}, ["solve", "--grid", "-1"]),
     ({}, ["simulate", "--steps", "-3"]),
     ({}, ["simulate", "--dump-paths", "-5"]),
+    ({}, ["simulate", "--strategy", "nan_pi.csv"]),
+    ({}, ["simulate", "--strategy", "no_v.csv"]),
+    ({}, ["simulate", "--strategy", "empty.csv"]),
+    ({}, ["solve", "--mc-paths", "-5"]),
 ], ids=["utility_number", "x0_null", "x0_list", "risk_number", "gamma1_null",
         "rho_step_zero", "rho_step_nan", "rho_step_negative",
         "oracle_rho_step_zero", "missing_strategy_file", "zero_paths",
         "one_mc_path", "negative_grid", "negative_steps",
-        "negative_dump_paths"])
+        "negative_dump_paths", "nan_strategy_field", "short_strategy_row",
+        "empty_strategy_table", "negative_mc_paths"])
 def test_malformed_input_is_input_error(tmp_path, capsys, patch, command):
+    for name, text in BAD_TABLES.items():
+        (tmp_path / name).write_text(text)
     spec = tmp_path / "p.json"
     spec.write_text(json.dumps({"market": market_doc(), "x0": 1.0,
                                 **TIGHT_VAR, **patch}))
@@ -419,13 +430,16 @@ def test_verify_rejects_linear_utility(tmp_path):
 @pytest.mark.parametrize("grid", [
     ["--nx", "0"], ["--nt", "0"], ["--t-nodes", "abc"],
     ["--t-nodes", "0.3,nan"], ["--t-nodes", "5.0"], ["--t-nodes", "-0.5"],
-], ids=["nx0", "nt0", "abc", "nan", "beyond_T", "negative"])
+    ["--residual-tol", "nan"], ["--terminal-tol", "-1"], ["--gap-tol", "inf"],
+], ids=["nx0", "nt0", "abc", "nan", "beyond_T", "negative", "nan_residual_tol",
+        "negative_terminal_tol", "inf_gap_tol"])
 def test_verify_bad_grid_is_input_error(tmp_path, grid):
     spec = write_spec(tmp_path / "p.json",
                       utility={"gamma1": 0.5, "gamma2": 0.3},
                       market=market_doc(r=0.03))
     assert main(["verify", str(spec), "--out", str(tmp_path / "o")]
                 + grid) == 1
+    assert not (tmp_path / "o" / "hjb_report.json").exists()
 
 
 def test_round_trip_strategy_reproduces_profile(tmp_path):

@@ -17,6 +17,7 @@ from merton_risk import (
     constant_market,
     constant_strategy,
     constraint_profile,
+    cost_closed_form,
     cumulants,
     empirical_risk_curve,
     estimate_cost,
@@ -344,25 +345,34 @@ MIRROR_SLICES = [slice(69_990, 70_020), slice(71_000, 71_100),
                  slice(135_500, 135_600), slice(139_990, 140_001)]
 
 
+def _replayed_consumption(kind, n, antithetic):
+    """The ensemble and rows -> c from the whole-matrix formulas: the feedback
+    rate of xi, or X v for the risky strategy."""
+    m, s, ens = _stream_case(kind, n, antithetic)
+    if s is not None:
+        v = s.v_at(m, ens.times)
+        return ens, lambda rows: ens.wealth[rows] * v
+    xi = _whole_matrix_xi(m, None, ens, n, antithetic)
+    g0 = solve_hara_unconstrained(m, STREAM_UTILITY, 1.2).feedback.g(0.0, 1.2)
+    gamma1, q1 = STREAM_UTILITY.gamma1, STREAM_UTILITY.q1
+    return ens, lambda rows: (gamma1 / (g0 * np.exp(xi[rows]))) ** q1
+
+
+# both laws rebuild consumption by replaying the stream
 @pytest.mark.parametrize("n,antithetic,slices", [
     (70_001, False, REPLAY_SLICES),
     (140_001, True, REPLAY_SLICES + MIRROR_SLICES),
 ])
 def test_feedback_consumption_replays_the_stream(n, antithetic, slices):
-    m, _, ens = _stream_case("feedback", n, antithetic)
-    xi = _whole_matrix_xi(m, None, ens, n, antithetic)
-    g0 = solve_hara_unconstrained(m, STREAM_UTILITY, 1.2).feedback.g(0.0, 1.2)
-    gamma1, q1 = STREAM_UTILITY.gamma1, STREAM_UTILITY.q1
-    for rows in slices:
-        want = (gamma1 / (g0 * np.exp(xi[rows]))) ** q1
-        assert np.array_equal(ens._consumption(rows), want), rows
-    if not antithetic:
-        assert np.array_equal(ens.consumption,
-                              (gamma1 / (g0 * np.exp(xi))) ** q1)
+    for kind in ("risky", "feedback"):
+        ens, want = _replayed_consumption(kind, n, antithetic)
+        for rows in slices:
+            assert np.array_equal(ens._consumption(rows), want(rows)), (kind, rows)
+        if not antithetic:
+            assert np.array_equal(ens.consumption, want(slice(None))), kind
 
 
 def test_feedback_consumption_replay_stops_at_the_last_row(monkeypatch):
-    _, _, ens = _stream_case("feedback", 70_001, False)
     drawn = []
     log_paths = mc._log_paths
 
@@ -372,8 +382,11 @@ def test_feedback_consumption_replay_stops_at_the_last_row(monkeypatch):
             yield rows, xi
 
     monkeypatch.setattr(mc, "_log_paths", counting)
-    ens.write_csv(os.devnull, max_paths=40)
-    assert drawn == [slice(0, 1024)]
+    for kind in ("risky", "feedback"):
+        _, _, ens = _stream_case(kind, 70_001, False)
+        drawn.clear()
+        ens.write_csv(os.devnull, max_paths=40)
+        assert drawn == [slice(0, 1024)], kind
 
 
 def test_feedback_cost_refuses_another_gamma1():
@@ -382,3 +395,16 @@ def test_feedback_cost_refuses_another_gamma1():
         estimate_cost(ens, UtilityParams(0.3, STREAM_UTILITY.gamma2))
     # the terminal term is read from the wealth, so gamma2 may differ
     estimate_cost(ens, UtilityParams(STREAM_UTILITY.gamma1, 0.7))
+
+
+@pytest.mark.parametrize("kind", ["riskless", "risky"])
+def test_deterministic_cost_takes_any_gamma1(kind):
+    # the exact integral is built per call, so one ensemble serves every gamma1
+    m, s, ens = _stream_case(kind, 3000, False)
+    estimates = []
+    for gamma1 in (0.5, 0.3):
+        u = UtilityParams(gamma1, STREAM_UTILITY.gamma2)
+        est, se = estimate_cost(ens, u)
+        assert abs(est - cost_closed_form(m, s, u, 1.2)) <= 4 * se + 1e-12
+        estimates.append(est)
+    assert estimates[0] != estimates[1]
