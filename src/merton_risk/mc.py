@@ -3,9 +3,7 @@
 Both simulated laws are exponentials of Gaussian functionals, so path
 skeletons are sampled exactly: per grid step the log-increment mean and
 variance come from the exact cumulant tables, and refining the grid does
-not change the law at fixed monitoring times (no Euler bias).  An Euler
-scheme for the feedback wealth SDE is kept only as a distributional
-cross-check of the closed-form law.
+not change the law at fixed monitoring times (no Euler bias).
 
 Streams are counter-based (Philox) and indexed by (seed, path block), so
 ensembles are bit-reproducible regardless of how path blocks would be
@@ -13,6 +11,9 @@ scheduled.  Sampling and cost estimation stream through fixed row chunks
 of the one time-major (n, m) wealth matrix, so memory beyond it is a few
 chunk buffers and per-path vectors; consumption is rebuilt from a replay
 of the stream, and each ensemble carries its own law's cost integral.
+A strategy with no risky exposure has one wealth path: its (n, m) wealth
+is a read-only broadcast of one row, and cost and empirical risk are
+computed on that row, so it needs O(m) memory.
 """
 
 from __future__ import annotations
@@ -52,20 +53,13 @@ class SimConfig:
             raise MismatchedPaths("n_paths must be at least 2")
 
 
-def block_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """(n_paths, n_steps) standard normals from per-block Philox streams."""
-    base = np.random.Philox(key=seed)
-    return np.vstack([
-        np.random.Generator(base.jumped(b0 // _BLOCK)).standard_normal(
-            (min(_BLOCK, n_paths - b0), n_steps))
-        for b0 in range(0, n_paths, _BLOCK)])
-
-
 def _log_paths(config: SimConfig, mean_inc: np.ndarray, sd_inc: np.ndarray):
-    """Yield (rows, xi): cumulative log increments of block_normals' rows.
+    """Yield (rows, xi): cumulative log increments of each path's rows.
 
-    xi is a buffer reused by each _CHUNK rows; antithetic runs mirror each
-    chunk into the second half (increments mean - sd z)."""
+    Row block b draws its standard normals from the Philox stream of
+    (seed, b) for _BLOCK rows at a time, so a longer ensemble keeps the rows
+    of a shorter one.  xi is a buffer reused by each _CHUNK rows; antithetic
+    runs mirror each chunk into the second half (increments mean - sd z)."""
     n = config.n_paths
     half = (n + 1) // 2 if config.antithetic else n
     base = np.random.Philox(key=config.seed)
@@ -95,7 +89,8 @@ class PathEnsemble:
     """
 
     times: np.ndarray            # (m,)
-    wealth: np.ndarray           # (n, m) time-major (F order), all > 0
+    wealth: np.ndarray           # (n, m) time-major (F order), all > 0; one
+                                 # read-only broadcast row if riskless
     kind: str                    # "deterministic" | "feedback"
     antithetic: bool
     seed: int
@@ -140,6 +135,11 @@ class PathEnsemble:
             for t, x, c in zip(ts, fmt(self.wealth[i]), fmt(consumption[i]))))
 
 
+def _one_path(wealth: np.ndarray) -> bool:
+    """Whether every path is the same row: a riskless ensemble's broadcast."""
+    return wealth.strides[0] == 0
+
+
 def simulation_grid(model: MarketModel, strategy_nodes: np.ndarray,
                     config: SimConfig) -> np.ndarray:
     if config.time_grid is not None:
@@ -161,9 +161,18 @@ def simulate_deterministic(model: MarketModel,
     mean_inc = np.diff(cum.log_drift(grid))
     sd_inc = np.sqrt(np.maximum(np.diff(cum.log_var(grid)), 0.0))
 
-    wealth = np.empty((config.n_paths, len(grid)), order="F")
-    for rows, xi in _log_paths(config, mean_inc, sd_inc):
-        wealth[rows] = np.exp(xi) * x   # a ufunc into strided rows is slow
+    if np.any(sd_inc):
+        wealth = np.empty((config.n_paths, len(grid)), order="F")
+        for rows, xi in _log_paths(config, mean_inc, sd_inc):
+            wealth[rows] = np.exp(xi) * x   # a ufunc into strided rows is slow
+    else:
+        # one path: its row is evaluated in a first-chunk-shaped buffer, so
+        # that cumsum and exp give the bits of the streamed rows
+        half = (config.n_paths + 1) // 2 if config.antithetic else config.n_paths
+        xi = np.zeros((min(_CHUNK, half), len(grid)))
+        np.cumsum(np.broadcast_to(mean_inc, (len(xi), len(mean_inc))), axis=1,
+                  out=xi[:, 1:])
+        wealth = np.broadcast_to((np.exp(xi) * x)[0], (config.n_paths, len(grid)))
 
     v_grid = np.broadcast_to(strategy.v_at(model, grid), grid.shape)
 
@@ -297,8 +306,15 @@ def _consumption_integral_exact(cum: Cumulants, consumption, grid: np.ndarray,
     B2 = 0.5 * g * g * (np.diff(ynn_grid) / dt)[idx]
     A = B2 / dts
     n = len(wealth)
-    out = np.empty(n)
-    for r0 in range(0, n, _CHUNK):
+    one_path = _one_path(wealth)
+    if one_path:
+        # cost the row inside a first-chunk-shaped block, for the streamed bits
+        wealth = np.array(wealth[:_CHUNK], order="F")
+    out = np.empty(len(wealth))
+    # one loop, not a per-chunk function: a function's return frees all of a
+    # chunk's temporaries at once, the allocator trims the heap, and the next
+    # chunk faults it back in (measured at about 1.6x this stage's time)
+    for r0 in range(0, len(wealth), _CHUNK):
         rows = slice(r0, r0 + _CHUNK)
         lnG = np.log(wealth[rows])
         lnG += V_grid
@@ -309,6 +325,8 @@ def _consumption_integral_exact(cum: Cumulants, consumption, grid: np.ndarray,
         # column-major, so that each path sums its steps left to right
         seg = np.multiply(np.exp(C), _int_exp_quadratic(B, A, dts), order="F")
         out[rows] = np.sum(seg, axis=1)
+    if one_path:
+        return np.broadcast_to(out[0], (n,))
     return out
 
 
@@ -368,24 +386,35 @@ def empirical_risk_curve(ensemble: PathEnsemble, spec: RiskSpec, x: float,
     es_curve = np.zeros_like(times)
     var_se = np.zeros_like(times)
     es_se = np.zeros_like(times)
+    one_path = _one_path(ensemble.wealth)
     for k in range(len(times)):
         col = ensemble.wealth[:, k]
-        # select band_hi over the column, the rest within the head below it
-        order = np.partition(col, band_hi)
-        order[:band_hi + 1].partition([band_lo, q_lo, q_hi])
-        lo, hi, b_lo, b_hi = order[[q_lo, q_hi, band_lo, band_hi]]
-        del order
+        if one_path:
+            # the column's one value is every order statistic
+            lo = hi = b_lo = b_hi = col[0]
+        else:
+            # select band_hi over the column, the rest within the head below it
+            order = np.partition(col, band_hi)
+            order[:band_hi + 1].partition([band_lo, q_lo, q_hi])
+            lo, hi, b_lo, b_hi = order[[q_lo, q_hi, band_lo, band_hi]]
+            del order
         diff = hi - lo
         lam = float(hi - diff * (1 - gamma) if gamma >= 0.5
                     else lo + diff * gamma)
-        below = col <= lam
-        tail = col[below]
         # influence function of the tail conditional mean,
         # X 1{X <= lam} + lam (alpha - 1{X <= lam}), term by term
-        u = np.full(n, lam * alpha)
-        u[below] = tail + lam * (alpha - 1.0)
-        if tail.size == 0:
-            tail = np.array([lam])
+        if one_path:
+            # every path is in the tail; the zero-stride views reduce to the
+            # bits of the full columns
+            tail = col
+            u = np.broadcast_to(col[0] + lam * (alpha - 1.0), (n,))
+        else:
+            below = col <= lam
+            tail = col[below]
+            u = np.full(n, lam * alpha)
+            u[below] = tail + lam * (alpha - 1.0)
+            if tail.size == 0:
+                tail = np.array([lam])
         m = float(np.mean(tail))
         var_curve[k] = bond[k] - lam
         es_curve[k] = bond[k] - m
@@ -397,43 +426,3 @@ def empirical_risk_curve(ensemble: PathEnsemble, spec: RiskSpec, x: float,
         level_curve=spec.zeta * bond, kind=spec.kind,
         var_stderr=var_se, es_stderr=es_se,
     )
-
-
-# ---------------------------------------------------------------------------
-# Euler cross-check of the feedback wealth SDE
-# ---------------------------------------------------------------------------
-
-def simulate_feedback_euler(model: MarketModel, utility: UtilityParams,
-                            x: float, n_paths: int, n_steps: int,
-                            seed: int = 0) -> np.ndarray:
-    """Terminal wealth by Euler stepping of the feedback SDE (cross-check).
-
-    The implicit g-root is Newton-polished per step, warm-started from the
-    previous step (the state moves O(sqrt(dt)) between steps).
-    """
-    sol = solve_hara_unconstrained(model, utility, x)
-    fb: HaraFeedback = sol.feedback
-    q1, q2 = utility.q1, utility.q2
-    ts = np.linspace(0.0, model.horizon, n_steps + 1)
-    dt = np.diff(ts)
-    X = np.full(n_paths, float(x))
-    u = np.full(n_paths, np.log(fb.g(0.0, x)))
-    base = np.random.Philox(key=seed)
-    gen = np.random.Generator(base)
-    for k in range(n_steps):
-        t = ts[k]
-        theta = model.theta_at(t)
-        A1 = float(fb.coeffs.A1(t))
-        A2 = float(fb.coeffs.A2(t))
-        for _ in range(4):
-            e1 = A1 * np.exp(-q1 * u)
-            e2 = A2 * np.exp(-q2 * u)
-            u -= (e1 + e2 - X) / -(q1 * e1 + q2 * e2)
-        g = np.exp(u)
-        p = q1 * A1 * g ** -q1 + q2 * A2 * g ** -q2
-        c = (utility.gamma1 / g) ** q1
-        r = model.r_step[np.searchsorted(model.nodes, t, side="right") - 1]
-        drift = r * X + p * float(theta @ theta) - c
-        dW = gen.standard_normal((n_paths, len(theta))) * np.sqrt(dt[k])
-        X = np.maximum(X + drift * dt[k] + p * (dW @ theta), 1e-12)
-    return X

@@ -68,14 +68,19 @@ def _linear_zeta_window(model: MarketModel, spec: RiskSpec) -> ConditionCheck:
 
 
 def l_star(model: MarketModel, gamma: float, spec: RiskSpec) -> float:
-    """Worst-case log risk level of the unconstrained equal-gamma optimum."""
+    """Worst-case log risk level inf_t L_t of the unconstrained equal-gamma optimum.
+
+    With s = ||theta||_t^2, L_t = ln(1 - kappa_t) + q (1 - q/2) s - q |z_a| sqrt(s).
+    Both parts fall in t when |z_a| >= (2 - q) ||theta||_T (always for
+    gamma >= 1/2), so the infimum is L_T.  Otherwise the s-part's interior
+    minimum -q z_a^2 / (2 (2 - q)) gives a lower bound.
+    """
     q = 1.0 / (1.0 - gamma)
     tn = model.theta_norm_T
     lt = float(np.log1p(-kappa_tilde(model, gamma)))
-    out = -q * tn * spec.abs_z + lt
-    if gamma > 0.5:
-        out -= 0.5 * q * (q - 2.0) * tn ** 2
-    return out
+    if spec.abs_z < (2.0 - q) * tn:
+        return lt - q * spec.abs_z ** 2 / (2.0 * (2.0 - q))
+    return -q * tn * spec.abs_z + lt - 0.5 * q * (q - 2.0) * tn ** 2
 
 
 def var_loose_threshold(model: MarketModel, gamma: float,

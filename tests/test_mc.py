@@ -1,7 +1,9 @@
 """Exact-law simulation, estimators, and the Euler cross-check."""
 
+import dataclasses
 import os
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from merton_risk import (
     step_strategy,
 )
 from merton_risk import mc
-from merton_risk.mc import block_normals, simulate_feedback_euler
+from mc_reference import block_normals, simulate_feedback_euler
 
 from conftest import bond_strategy, random_market, random_strategy
 
@@ -408,3 +410,32 @@ def test_deterministic_cost_takes_any_gamma1(kind):
         assert abs(est - cost_closed_form(m, s, u, 1.2)) <= 4 * se + 1e-12
         estimates.append(est)
     assert estimates[0] != estimates[1]
+
+
+@pytest.mark.parametrize("n,antithetic", [(70_001, False), (140_001, True)])
+def test_riskless_ensemble_is_one_path(n, antithetic):
+    # no risky exposure: wealth is one read-only row broadcast to (n, m), and
+    # cost and empirical risk read that row, with the bits of the full matrix
+    spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.ES)
+    tracemalloc.start()
+    try:
+        m, s, ens = _stream_case("riskless", n, antithetic)
+        cost = estimate_cost(ens, STREAM_UTILITY)
+        prof = empirical_risk_curve(ens, spec, 1.2, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = 8 * n * len(ens.times)
+    assert peak <= 0.25 * size
+    assert ens.wealth.shape == (n, len(ens.times))
+    assert not ens.wealth.flags.writeable
+
+    full = np.array(ens.wealth, order="F")
+    integral = ens.consumption_cost
+    general = dataclasses.replace(ens, wealth=full, consumption_cost=partial(
+        integral.func, *integral.args[:-1], full))
+    assert not mc._one_path(general.wealth)
+    assert cost == estimate_cost(general, STREAM_UTILITY)
+    want = empirical_risk_curve(general, spec, 1.2, m)
+    for curve in ("var_curve", "es_curve", "var_stderr", "es_stderr"):
+        assert np.array_equal(getattr(prof, curve), getattr(want, curve)), curve

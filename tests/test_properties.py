@@ -14,18 +14,28 @@ from hypothesis import event, given, settings, strategies as st
 
 from merton_risk import (
     ConditionViolated,
+    ConvergenceFailure,
     HypothesisViolated,
     MeasureKind,
     NoClosedFormRegime,
     RiskSpec,
+    UnsupportedRegime,
     UtilityParams,
+    big_g,
+    cumulants,
+    equal_gamma_strategy,
+    kappa_star,
     rho_es,
     rho_var,
     solve_es,
     solve_es_tight,
+    solve_unconstrained,
     solve_var,
     solve_var_tight,
 )
+from merton_risk.es_bound import es_loose_threshold
+from merton_risk.risk import log_risk_var
+from merton_risk.var_bound import var_loose_threshold
 
 from conftest import random_market
 
@@ -172,3 +182,65 @@ def test_es_quantile_floor_one_theta_norm_above_var(problem):
         es = floor_margin(solve_es_tight, MeasureKind.ES, *problem)
         if var is not None:
             assert var - es == pytest.approx(model.theta_norm_T, rel=1e-9)
+
+
+@PROPERTY
+@given(problems())
+def test_values_between_bond_only_and_unconstrained(problem):
+    """bond-only value <= V_ES(zeta) <= V_VaR(zeta) <= V_unconstrained.
+
+    Riskless wealth loses only what it consumes, so the best split of at
+    most zeta of the endowment, G(min(zeta, kappa*)), meets either bound."""
+    model, utility, alpha, zeta, x0 = problem
+    if utility.is_linear:
+        bond = x0 * float(np.exp(model.R(model.horizon)))
+    else:
+        bond = big_g(model, utility, x0, min(zeta, kappa_star(model, utility, x0)))[0]
+    chain = [bond]
+    for kind in (MeasureKind.ES, MeasureKind.VAR):
+        result = outcome(kind, *problem)
+        if not isinstance(result, Exception):
+            chain.append(result.value)
+    # no closed form for mixed linear/power exponents, and for gamma2 near 1
+    # under a large ||theta||_T the unconstrained value overflows a double
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            chain.append(solve_unconstrained(model, utility, x0).value)
+        except (UnsupportedRegime, ConvergenceFailure):
+            pass
+    event(f"{len(chain)} values")
+    for lower, upper in zip(chain, chain[1:]):
+        assert lower <= upper + 1e-12 * abs(upper), chain
+
+
+@PROPERTY
+@given(markets(), st.floats(0.05, 0.95), ALPHAS, st.none() | st.floats(0.05, 0.95))
+def test_var_loose_threshold_is_the_exact_infimum(model, gamma, alpha, below):
+    """1 - e^{l*} is the least zeta the unconstrained equal-exponent optimum
+    meets, 1 - exp(min_t L_t), wherever |z_a| >= (2 - q) ||theta||_T, and a
+    sufficient threshold elsewhere (there `below` places |z_a| under it)."""
+    q = 1.0 / (1.0 - gamma)
+    edge = (2.0 - q) * model.theta_norm_T
+    if below is not None and edge > 1e-3:
+        alpha = NormalDist().cdf(-below * edge)
+    spec = RiskSpec(alpha=alpha, zeta=0.5, kind=MeasureKind.VAR)
+    cum = cumulants(model, equal_gamma_strategy(model, gamma))
+    ts = np.linspace(0.0, model.horizon, 4001)
+    exact = 1.0 - float(np.exp(np.min(log_risk_var(cum, spec.quantile, ts))))
+    threshold = var_loose_threshold(model, gamma, spec)
+    if spec.abs_z >= edge:
+        event("exact")
+        assert threshold == pytest.approx(exact, abs=1e-12)
+    else:
+        event("sufficient")
+        assert threshold >= exact - 1e-12
+
+
+@PROPERTY
+@given(es_budget_problems(), st.floats(0.05, 0.95))
+def test_loose_es_implies_loose_var(problem, gamma):
+    """Inside the ES hypothesis the VaR loose threshold is at most the ES one."""
+    model, alpha, zeta = problem
+    spec = RiskSpec(alpha=alpha, zeta=zeta, kind=MeasureKind.VAR)
+    assert var_loose_threshold(model, gamma, spec) <= \
+        es_loose_threshold(model, gamma, spec) + 1e-12
