@@ -34,6 +34,8 @@ from .errors import (
     InsufficientPaths,
     MertonRiskError,
     NoClosedFormRegime,
+    ToleranceExceeded,
+    UnsupportedSolution,
 )
 from .market import MarketModel, market_from_dict
 from .risk import MeasureKind, RiskSpec, constraint_profile
@@ -46,6 +48,8 @@ NO_CLOSED_FORM = (ConditionViolated, NoClosedFormRegime, HypothesisViolated)
 EXIT_CODES = {
     **{cls: (2, "no closed-form solution") for cls in NO_CLOSED_FORM},
     InsufficientPaths: (2, "insufficient paths"),
+    UnsupportedSolution: (2, "unsupported solution"),
+    ToleranceExceeded: (2, "verification tolerances exceeded"),
     **{cls: (1, "input error") for cls in (ValueError, OSError, MertonRiskError)},
 }
 
@@ -229,8 +233,7 @@ def cmd_simulate(args) -> int:
     else:
         sol = _solve(spec)
         if sol.unbounded:
-            print("cannot simulate an unbounded regime", file=sys.stderr)
-            return 2
+            raise UnsupportedSolution("cannot simulate an unbounded regime")
         closed_form = sol.value
         strategy = sol.strategy
     ensemble = _simulate(spec, strategy, config)
@@ -302,11 +305,9 @@ def cmd_verify(args) -> int:
           and merged.terminal_error <= args.terminal_tol
           and merged.hamiltonian_gap <= args.gap_tol)
     if not ok:
-        print("verification tolerances exceeded: "
-              f"residual={merged.max_abs_residual:.3g}, "
-              f"terminal={merged.terminal_error:.3g}, "
-              f"gap={merged.hamiltonian_gap:.3g}", file=sys.stderr)
-        return 2
+        raise ToleranceExceeded(f"residual={merged.max_abs_residual:.3g}, "
+                                f"terminal={merged.terminal_error:.3g}, "
+                                f"gap={merged.hamiltonian_gap:.3g}")
     return 0
 
 
@@ -315,8 +316,7 @@ def cmd_oracle(args) -> int:
     _check_rho_step(args.rho_step)
     sol = _solve(spec)
     if sol.strategy is None or sol.unbounded:
-        print("oracle needs a deterministic-class solution", file=sys.stderr)
-        return 2
+        raise UnsupportedSolution("oracle needs a deterministic-class solution")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_oracle(out_dir, spec, sol, args.rho_step)

@@ -75,5 +75,13 @@ class InsufficientPaths(MertonRiskError):
     """Too few Monte Carlo paths for a stable tail estimate."""
 
 
+class UnsupportedSolution(MertonRiskError):
+    """The solved optimum is of a kind the command cannot take."""
+
+
+class ToleranceExceeded(MertonRiskError):
+    """A verification residual exceeds its requested tolerance."""
+
+
 class GridTouchesBreakpoint(MertonRiskError):
     """A verification grid node coincides with a coefficient breakpoint."""

@@ -193,10 +193,6 @@ def norm_cdf(z):
     return 0.5 * erfc(-_real(z) / _SQRT2)
 
 
-def norm_sf(z):
-    return 0.5 * erfc(_real(z) / _SQRT2)
-
-
 def norm_pdf(z):
     z = _real(z)
     return np.exp(-0.5 * z * z) / _SQRT_2PI
@@ -256,13 +252,3 @@ def log_tail_ratio(quantile: Quantile, z):
         raise NegativeArgument("tail ratio argument must be nonnegative")
     out = log_gauss_tail(z) - log_gauss_tail(quantile.abs_z)
     return out if np.ndim(out) else float(out)
-
-
-def mills_bounds(x: float) -> tuple[float, float]:
-    """Sandwich (1-x^{-2}) e^{-x^2/2} < x int_x^inf e^{-t^2/2} dt < e^{-x^2/2}.
-
-    The lower bound is vacuous (<= 0) for x <= 1 and is returned as-is.
-    """
-    core = float(np.exp(-0.5 * x * x))
-    lower = (1.0 - x ** -2) * core if x != 0 else -np.inf
-    return lower, core

@@ -9,9 +9,8 @@ consumption integral and a terminal term,
 
 whose integrand is exp(affine) on every breakpoint interval for the
 supported strategy families, so the integral is evaluated exactly.  A
-quadrature route over the same integrand is kept as an independent
-cross-check, and a constrained grid search over an exposure/consumption
-family brackets the solver optima from below.
+constrained grid search over an exposure/consumption family brackets the
+solver optima from below.
 """
 
 from __future__ import annotations
@@ -89,26 +88,6 @@ def cost_closed_form(model: MarketModel, strategy: DeterministicStrategy,
                      utility: UtilityParams, x: float) -> float:
     """Expected cost J(x, strategy), exact per breakpoint interval."""
     return float(_cost(cumulants(model, strategy), utility, x))
-
-
-def cost_quadrature(model: MarketModel, strategy: DeterministicStrategy,
-                    utility: UtilityParams, x: float,
-                    rtol: float = 1e-10) -> float:
-    """Same cost via adaptive quadrature per interval (cross-check route)."""
-    # slow to import, and no command takes this cross-check route
-    from scipy import integrate
-
-    dt, offsets, slopes, terminal = _cost_pieces(cumulants(model, strategy), utility)
-    consumption = 0.0
-    for j in range(len(dt)):
-        if not np.isfinite(offsets[j]):
-            continue
-        val, _ = integrate.quad(
-            lambda u, j=j: np.exp(offsets[j] + slopes[j] * u),
-            0.0, dt[j], epsrel=rtol, epsabs=0.0, limit=200)
-        consumption += val
-    g1, g2 = utility.gamma1, utility.gamma2
-    return x ** g1 * consumption + x ** g2 * float(terminal)
 
 
 # ---------------------------------------------------------------------------

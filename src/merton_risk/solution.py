@@ -7,10 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._piecewise import from_ticks, merge_ticks, to_ticks
 from ._table import fmt, write_grid_csv, write_json, write_rows
 from .market import MarketModel
-from .risk import RiskSpec
+from .risk import RiskSpec, profile_grid
 from .strategies import DeterministicStrategy, cumulants
 from .utility import UtilityParams
 
@@ -52,13 +51,6 @@ class Solution:
     def unbounded(self) -> bool:
         return math.isinf(self.value)
 
-    def control_grid(self, n: int = 201) -> np.ndarray:
-        ticks = merge_ticks(
-            self.model.node_ticks,
-            to_ticks(np.linspace(0.0, self.model.horizon, n)),
-        )
-        return from_ticks(ticks)
-
     def wealth_mean(self, t) -> np.ndarray:
         """E[X*_t] in closed form."""
         t = np.asarray(t, dtype=np.float64)
@@ -91,7 +83,7 @@ class Solution:
 
     def write_controls_csv(self, path, n: int = 201) -> None:
         """Sampled (t, pi*, v*) curves; deterministic-class solutions only."""
-        grid = self.control_grid(n)
+        grid = profile_grid(self.model.node_ticks, self.model.horizon, n)
         d = self.model.dimension
         header = ["t"] + [f"pi_{j+1}" for j in range(d)] + ["v"]
         rows = ()
@@ -102,7 +94,7 @@ class Solution:
         write_rows(path, header, rows)
 
     def write_wealth_csv(self, path, n: int = 201) -> None:
-        grid = self.control_grid(n)
+        grid = profile_grid(self.model.node_ticks, self.model.horizon, n)
         write_rows(path, ["t", "wealth_mean"],
                    zip(fmt(grid), fmt(self.wealth_mean(grid))))
 

@@ -42,19 +42,6 @@ def rho_var(model: MarketModel, spec: RiskSpec, kappa=0.0):
     return float(rho) if np.ndim(rho) == 0 else rho
 
 
-def exposure_growth_factor(model: MarketModel, gamma: float, rho) -> np.ndarray:
-    """sup_t of the cost tilt exp(g (y,theta)_t - g(1-g)/2 ||y||_t^2).
-
-    For exposure norm rho along theta the maximizing norm is capped at
-    q ||theta||_T when gamma < 1.
-    """
-    rho = np.asarray(rho, dtype=np.float64)
-    tn = model.theta_norm_T
-    if gamma < 1.0:
-        rho = np.minimum(rho, tn / (1.0 - gamma))
-    return np.exp(gamma * rho * tn - 0.5 * gamma * (1.0 - gamma) * rho ** 2)
-
-
 def _linear_zeta_window(model: MarketModel, spec: RiskSpec) -> ConditionCheck:
     """zeta above the feasibility floor 1 - e^{z^2/2 - |z| ||theta||_T}."""
     tn = model.theta_norm_T

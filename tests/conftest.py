@@ -5,14 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from merton_risk import (
+from merton_risk.market import (
     CoefficientPath,
     MarketModel,
     build_market,
     constant_market,
-    constant_strategy,
-    step_strategy,
 )
+from merton_risk.strategies import constant_strategy, step_strategy
 
 
 @pytest.fixture

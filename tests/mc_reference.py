@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from merton_risk import MarketModel, UtilityParams, solve_hara_unconstrained
+from merton_risk.market import MarketModel
 from merton_risk.mc import _BLOCK
+from merton_risk.unconstrained import solve_hara_unconstrained
+from merton_risk.utility import UtilityParams
 
 
 def block_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:

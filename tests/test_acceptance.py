@@ -9,43 +9,45 @@ import time
 import numpy as np
 import pytest
 
-from merton_risk import (
-    FamilyConfig,
-    GrowthFractionConsumption,
-    cumulants,
-    MeasureKind,
-    RiskSpec,
-    SimConfig,
-    UtilityParams,
-    big_g,
-    constant_market,
-    constant_strategy,
-    constraint_profile,
-    empirical_risk_curve,
-    estimate_cost,
-    expected_shortfall,
-    grid_search_oracle,
-    hjb_residual,
-    kappa_hat,
-    l_star,
+from merton_risk.bounded import big_g, kappa_hat
+from merton_risk.es_bound import (
+    es_loose_threshold,
     psi_function,
-    quantile_lambda,
     rho_es,
     rho_es_upper_bound,
-    rho_var,
-    simulate_deterministic,
-    simulate_hara_feedback,
     solve_es_linear,
     solve_es_tight,
-    solve_var_linear,
-    solve_var_tight,
+)
+from merton_risk.hjb import hjb_residual
+from merton_risk.market import constant_market
+from merton_risk.mc import (
+    SimConfig,
+    empirical_risk_curve,
+    estimate_cost,
+    simulate_deterministic,
+    simulate_hara_feedback,
+)
+from merton_risk.oracle import FamilyConfig, grid_search_oracle
+from merton_risk.risk import (
+    MeasureKind,
+    RiskSpec,
+    constraint_profile,
+    expected_shortfall,
+    log_risk_es,
+    log_risk_var,
+    quantile_lambda,
     value_at_risk,
 )
-from merton_risk.es_bound import es_loose_threshold
-from merton_risk.risk import log_risk_es, log_risk_var
-from merton_risk.var_bound import exposure_growth_factor
+from merton_risk.strategies import (
+    GrowthFractionConsumption,
+    constant_strategy,
+    cumulants,
+)
+from merton_risk.utility import UtilityParams
+from merton_risk.var_bound import l_star, rho_var, solve_var_linear, solve_var_tight
 
 from conftest import random_market, random_strategy, theta_market
+from cross_checks import exposure_growth_factor
 
 STANDARD = dict(r=0.0, mu=0.1, sigma=0.2, T=1.0)  # theta = 0.5
 

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 import merton_risk
-from merton_risk import MeasureKind, RiskSpec, constraint_profile, unconstrained
+from merton_risk import unconstrained
 from merton_risk.cli import main, strategy_from_csv
 from merton_risk.market import market_from_dict
+from merton_risk.oracle import cost_closed_form
+from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
+from merton_risk.utility import UtilityParams
 
 
 def market_doc(r=0.0, mu=0.1, sigma=0.2, T=1.0):
@@ -79,7 +82,7 @@ def test_solve_unequal_exponents_feedback_outputs(tmp_path):
     assert float(wealth[0]["wealth_mean"]) == pytest.approx(2.0, rel=1e-12)
     feedback = unconstrained.solve_hara_unconstrained(
         market_from_dict(market_doc(r=0.03)),
-        merton_risk.UtilityParams(0.3, 0.7), 2.0).feedback
+        UtilityParams(0.3, 0.7), 2.0).feedback
     with open(out / "c_grid.csv") as fh:
         c_grid = np.array([[float(v) for v in row.values()]
                            for row in csv.DictReader(fh)])
@@ -310,10 +313,10 @@ def test_simulate_strategy_table_round_trip(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     strategy = strategy_from_csv(solved / "controls.csv",
                                  market_from_dict(market_doc()))
-    utility = merton_risk.UtilityParams(0.5, 0.5)
+    utility = UtilityParams(0.5, 0.5)
     assert summary["cost_closed_form"] == pytest.approx(
-        merton_risk.cost_closed_form(market_from_dict(market_doc()), strategy,
-                                     utility, 1.0), rel=1e-12)
+        cost_closed_form(market_from_dict(market_doc()), strategy,
+                         utility, 1.0), rel=1e-12)
     # the table samples the solver's rate on 201 points; the control is riskless
     value = json.loads((solved / "solution.json").read_text())["value"]
     assert summary["cost_closed_form"] == pytest.approx(value, rel=1e-4)
@@ -339,6 +342,35 @@ def test_oracle_without_deterministic_solution_exit2(tmp_path, capsys, utility):
     assert main(["oracle", str(spec), "--out", str(out)]) == 2
     assert "deterministic-class solution" in capsys.readouterr().err
     assert not out.exists()
+
+
+EXIT2_PATHS = {
+    "verify_tolerance": (
+        {"gamma1": 0.5, "gamma2": 0.5},
+        ["verify", "--nt", "5", "--nx", "5", "--residual-tol", "0",
+         "--terminal-tol", "0", "--gap-tol", "0"],
+        "verification tolerances exceeded: residual=",
+        {"hjb_report.json", "hjb_residuals.csv"}),
+    "simulate_unbounded": (
+        {"gamma1": 1.0, "gamma2": 1.0}, ["simulate", "--paths", "20000"],
+        "unsupported solution: cannot simulate an unbounded regime\n", set()),
+    "oracle_feedback": (
+        {"gamma1": 0.3, "gamma2": 0.7}, ["oracle"],
+        "unsupported solution: oracle needs a deterministic-class solution\n", set()),
+}
+
+
+@pytest.mark.parametrize("path", EXIT2_PATHS)
+def test_exit2_paths_go_through_exit_codes(tmp_path, capsys, path):
+    # each exit-2 path raises a typed error that main maps to one stderr line
+    utility, argv, stderr, files = EXIT2_PATHS[path]
+    spec = write_spec(tmp_path / "p.json", utility=utility,
+                      market=market_doc(r=0.03))
+    out = tmp_path / "out"
+    assert main([argv[0], str(spec), "--out", str(out), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(stderr)
+    assert {p.name for p in out.glob("*")} == files
 
 
 class ScaledTerminalCoeffs:
@@ -536,3 +568,17 @@ def test_solve_and_verify_import_no_scipy(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
     assert (tmp_path / "out" / "simulate" / "summary.json").exists()
+
+
+def test_package_import_loads_no_submodule(tmp_path):
+    # the package holds only its version; each name lives in its own module
+    src = str(Path(merton_risk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    script = ("import sys, merton_risk; print(merton_risk.__version__); "
+              "print(sorted(m for m in sys.modules if m.startswith('merton_risk.')))")
+    run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[:2] == [merton_risk.__version__, "[]"]

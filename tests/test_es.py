@@ -3,31 +3,24 @@
 import numpy as np
 import pytest
 
-from merton_risk import (
-    ConditionViolated,
-    FamilyConfig,
-    HypothesisViolated,
-    MeasureKind,
-    NoClosedFormRegime,
-    RiskSpec,
-    UtilityParams,
-    constraint_profile,
-    cumulants,
+from merton_risk.bounded import kappa_hat
+from merton_risk.errors import ConditionViolated, HypothesisViolated, NoClosedFormRegime
+from merton_risk.es_bound import (
     es_loose_bound_check,
-    grid_search_oracle,
-    kappa_hat,
+    es_loose_threshold,
     psi_function,
     rho_es,
     rho_es_upper_bound,
-    rho_var,
-    solve_equal_gamma,
     solve_es,
     solve_es_linear,
     solve_es_tight,
-    solve_var_linear,
 )
-from merton_risk.es_bound import es_loose_threshold
-from merton_risk.risk import log_risk_es
+from merton_risk.oracle import FamilyConfig, grid_search_oracle
+from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile, log_risk_es
+from merton_risk.strategies import cumulants
+from merton_risk.unconstrained import solve_equal_gamma
+from merton_risk.utility import UtilityParams
+from merton_risk.var_bound import rho_var, solve_var_linear
 
 from conftest import theta_market
 
@@ -285,7 +278,6 @@ def test_log_functional_bound_chain(standard_market):
     spec = RiskSpec(**ES01)
     psi = psi_function(standard_market, spec)
     from conftest import random_strategy
-    from merton_risk import cumulants
     for _ in range(50):
         s = random_strategy(rng, standard_market)
         cum = cumulants(standard_market, s)

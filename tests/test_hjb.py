@@ -3,19 +3,18 @@
 import numpy as np
 import pytest
 
-from merton_risk import (
-    CoefficientPath,
-    GridTouchesBreakpoint,
-    SimConfig,
-    UtilityParams,
-    build_market,
-    constant_market,
+from merton_risk.errors import GridTouchesBreakpoint
+from merton_risk.hjb import (
+    _h0,
+    _reduced_hamiltonian_terms,
     hamiltonian_argmax_check,
     hjb_residual,
-    simulate_hara_feedback,
-    solve_hara_unconstrained,
+    off_breakpoint_grid,
 )
-from merton_risk.hjb import _h0, _reduced_hamiltonian_terms, off_breakpoint_grid
+from merton_risk.market import CoefficientPath, build_market, constant_market
+from merton_risk.mc import SimConfig, simulate_hara_feedback
+from merton_risk.unconstrained import solve_hara_unconstrained
+from merton_risk.utility import UtilityParams
 
 from conftest import random_market
 

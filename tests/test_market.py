@@ -5,18 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from merton_risk import (
+from merton_risk.errors import MismatchedPaths, SingularVolatility, TimeOutOfRange
+from merton_risk.market import (
     CoefficientPath,
-    GrowthFractionConsumption,
-    MismatchedPaths,
-    SingularVolatility,
-    TimeOutOfRange,
     build_market,
     constant_market,
+    load_market,
     market_from_dict,
     market_to_dict,
+    save_market,
     theta_norm,
 )
+from merton_risk.strategies import GrowthFractionConsumption
 
 from conftest import random_market
 
@@ -192,7 +192,6 @@ def test_non_finite_market_document(where, bad):
 
 
 def test_market_file_round_trip(tmp_path):
-    from merton_risk import load_market, save_market
     rng = np.random.default_rng(23)
     m = random_market(rng, d=2, max_pieces=2)
     path = tmp_path / "market.json"

@@ -9,28 +9,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from merton_risk import (
-    InsufficientPaths,
-    MeasureKind,
-    MismatchedPaths,
-    RiskSpec,
+from merton_risk import mc
+from merton_risk.errors import InsufficientPaths, MismatchedPaths
+from merton_risk.market import constant_market
+from merton_risk.mc import (
     SimConfig,
-    UtilityParams,
-    constant_market,
-    constant_strategy,
-    constraint_profile,
-    cost_closed_form,
-    cumulants,
     empirical_risk_curve,
     estimate_cost,
-    quantile_lambda,
     simulate_deterministic,
     simulate_hara_feedback,
-    solve_hara_unconstrained,
-    solve_var_linear,
-    step_strategy,
 )
-from merton_risk import mc
+from merton_risk.oracle import cost_closed_form
+from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile, quantile_lambda
+from merton_risk.strategies import constant_strategy, cumulants, step_strategy
+from merton_risk.unconstrained import solve_hara_unconstrained
+from merton_risk.utility import UtilityParams
+from merton_risk.var_bound import solve_var_linear
 from mc_reference import block_normals, simulate_feedback_euler
 
 from conftest import bond_strategy, random_market, random_strategy

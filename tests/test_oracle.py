@@ -3,36 +3,36 @@
 import numpy as np
 import pytest
 
-from merton_risk import (
-    DeterministicStrategy,
-    EmptyFeasibleSet,
+from merton_risk.bounded import tight_strategy
+from merton_risk.errors import EmptyFeasibleSet
+from merton_risk.es_bound import rho_es, solve_es_linear
+from merton_risk.market import constant_market
+from merton_risk.mc import SimConfig, estimate_cost, simulate_deterministic
+from merton_risk.oracle import (
     FamilyConfig,
+    N_PROFILE,
+    cost_closed_form,
+    grid_search_oracle,
+)
+from merton_risk.risk import (
     MeasureKind,
     RiskSpec,
-    SimConfig,
-    UtilityParams,
-    constant_market,
-    constant_strategy,
     constraint_profile,
-    cost_closed_form,
-    cost_quadrature,
+    log_risk_es,
+    log_risk_var,
+)
+from merton_risk.strategies import (
+    DeterministicStrategy,
+    constant_strategy,
     cumulants,
-    estimate_cost,
-    grid_search_oracle,
-    simulate_deterministic,
-    solve_es_linear,
-    solve_var_linear,
-    solve_var_tight,
     step_strategy,
     theta_direction_strategy,
 )
-from merton_risk.es_bound import rho_es
-from merton_risk.bounded import tight_strategy
-from merton_risk.oracle import N_PROFILE
-from merton_risk.risk import log_risk_es, log_risk_var
-from merton_risk.var_bound import rho_var
+from merton_risk.utility import UtilityParams
+from merton_risk.var_bound import rho_var, solve_var_linear, solve_var_tight
 
 from conftest import bond_strategy, random_market, random_strategy
+from cross_checks import cost_quadrature
 
 
 def linear_cost_direct(model, strategy, x):

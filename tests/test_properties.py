@@ -12,30 +12,25 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from merton_risk import (
+from merton_risk.bounded import big_g, kappa_star
+from merton_risk.errors import (
     ConditionViolated,
     ConvergenceFailure,
     HypothesisViolated,
-    MeasureKind,
     NoClosedFormRegime,
-    RiskSpec,
     UnsupportedRegime,
-    UtilityParams,
-    big_g,
-    cumulants,
-    equal_gamma_strategy,
-    kappa_star,
-    rho_es,
+)
+from merton_risk.es_bound import es_loose_threshold, rho_es, solve_es, solve_es_tight
+from merton_risk.risk import MeasureKind, RiskSpec, log_risk_var
+from merton_risk.strategies import cumulants
+from merton_risk.unconstrained import equal_gamma_strategy, solve_unconstrained
+from merton_risk.utility import UtilityParams
+from merton_risk.var_bound import (
     rho_var,
-    solve_es,
-    solve_es_tight,
-    solve_unconstrained,
     solve_var,
     solve_var_tight,
+    var_loose_threshold,
 )
-from merton_risk.es_bound import es_loose_threshold
-from merton_risk.risk import log_risk_var
-from merton_risk.var_bound import var_loose_threshold
 
 from conftest import random_market
 
@@ -96,6 +91,11 @@ def outcome(kind, model, utility, alpha, zeta, x0):
         return SOLVERS[kind](model, utility, spec, x0)
     except REFUSALS as exc:
         return exc
+
+
+def regime(result):
+    """The regime a solve landed in, or the refusal it raised."""
+    return type(result).__name__ if isinstance(result, Exception) else result.regime
 
 
 @PROPERTY
@@ -244,3 +244,37 @@ def test_loose_es_implies_loose_var(problem, gamma):
     spec = RiskSpec(alpha=alpha, zeta=zeta, kind=MeasureKind.VAR)
     assert var_loose_threshold(model, gamma, spec) <= \
         es_loose_threshold(model, gamma, spec) + 1e-12
+
+
+@PROPERTY
+@given(problems(), log_uniform(1e-3, 0.9))
+def test_value_strictly_increasing_in_zeta(problem, step):
+    """Within the tight regime and within the linear regime a larger budget
+    zeta' > zeta gives a strictly larger value, for VaR and ES."""
+    model, utility, alpha, zeta, x0 = problem
+    zeta2 = zeta + (1.0 - zeta) * step
+    for kind in MeasureKind:
+        low = outcome(kind, model, utility, alpha, zeta, x0)
+        high = outcome(kind, model, utility, alpha, zeta2, x0)
+        if regime(low) == regime(high) and regime(low).endswith(("_tight", "_linear")):
+            event(low.regime)
+            assert low.value < high.value, (low.regime, zeta, zeta2)
+
+
+@PROPERTY
+@given(markets(), st.just(1.0) | st.floats(0.05, 0.95), ALPHAS, ZETAS,
+       st.floats(0.1, 10.0), log_uniform(0.01, 100.0))
+def test_equal_exponent_value_homogeneous_in_wealth(model, gamma, alpha, zeta, x0,
+                                                    scale):
+    """With equal exponents the regime does not depend on the endowment and
+    V(lambda x) = lambda^gamma V(x): linear, loose and tight alike, for VaR
+    and ES."""
+    utility = UtilityParams(gamma, gamma)
+    for kind in MeasureKind:
+        base = outcome(kind, model, utility, alpha, zeta, x0)
+        scaled = outcome(kind, model, utility, alpha, zeta, scale * x0)
+        event(regime(base))
+        assert regime(scaled) == regime(base)
+        if not isinstance(base, Exception):
+            assert scaled.value == pytest.approx(scale ** gamma * base.value,
+                                                 rel=1e-12, abs=0.0)

@@ -3,24 +3,25 @@
 import numpy as np
 import pytest
 
-from merton_risk import (
+from merton_risk.market import constant_market
+from merton_risk.mc import SimConfig, empirical_risk_curve, simulate_deterministic
+from merton_risk.risk import (
     MeasureKind,
     RiskSpec,
-    SimConfig,
-    constant_market,
-    constant_strategy,
+    SATURATION_TOL,
     constraint_profile,
-    cumulants,
-    empirical_risk_curve,
     expected_shortfall,
+    log_risk_es,
+    log_risk_var,
     quantile_lambda,
-    rho_var,
-    simulate_deterministic,
-    solve_var_linear,
-    theta_direction_strategy,
     value_at_risk,
 )
-from merton_risk.risk import SATURATION_TOL, log_risk_es, log_risk_var
+from merton_risk.strategies import (
+    constant_strategy,
+    cumulants,
+    theta_direction_strategy,
+)
+from merton_risk.var_bound import rho_var, solve_var_linear
 
 from conftest import bond_strategy, random_market, random_strategy
 

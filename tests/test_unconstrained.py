@@ -3,25 +3,23 @@
 import numpy as np
 import pytest
 
-from merton_risk import (
-    NegativeRate,
-    SimConfig,
-    UnsupportedRegime,
-    UtilityParams,
-    constant_market,
-    cost_closed_form,
-    constant_strategy,
-    cumulants,
+from merton_risk.errors import ConvergenceFailure, NegativeRate, UnsupportedRegime
+from merton_risk.market import constant_market
+from merton_risk.mc import SimConfig, simulate_hara_feedback
+from merton_risk.oracle import cost_closed_form
+from merton_risk.strategies import constant_strategy, cumulants
+from merton_risk.unconstrained import (
+    HaraCoefficients,
+    _solve_g,
     equal_gamma_value,
+    hara_g,
     kappa_tilde,
-    simulate_hara_feedback,
     solve_equal_gamma,
     solve_hara_unconstrained,
     solve_linear_unconstrained,
     solve_unconstrained,
 )
-from merton_risk.errors import ConvergenceFailure
-from merton_risk.unconstrained import HaraCoefficients, _solve_g
+from merton_risk.utility import UtilityParams
 
 from conftest import random_market
 
@@ -66,7 +64,6 @@ def test_g_terminal_closed_form():
         expected = (u.gamma2 ** u.q2 / x) ** (1.0 / u.q2)
         assert fb.g(m.horizon, x) == pytest.approx(expected, rel=1e-12)
         # standalone accessor agrees with the feedback handle
-        from merton_risk import hara_g
         assert hara_g(m, u, m.horizon, x) == pytest.approx(
             fb.g(m.horizon, x), rel=1e-14)
 

@@ -3,35 +3,25 @@
 import numpy as np
 import pytest
 
-from merton_risk import (
-    ConditionViolated,
-    FamilyConfig,
-    GrowthFractionConsumption,
-    MeasureKind,
-    NoClosedFormRegime,
-    RiskSpec,
-    UtilityParams,
-    big_g,
-    constant_market,
-    cost_closed_form,
-    constraint_profile,
-    cumulants,
-    grid_search_oracle,
-    kappa_hat,
-    kappa_star,
+from merton_risk.bounded import big_g, kappa_hat, kappa_star
+from merton_risk.errors import ConditionViolated, NegativeRate, NoClosedFormRegime
+from merton_risk.market import constant_market
+from merton_risk.oracle import FamilyConfig, cost_closed_form, grid_search_oracle
+from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile, log_risk_var
+from merton_risk.strategies import GrowthFractionConsumption, cumulants
+from merton_risk.unconstrained import solve_equal_gamma
+from merton_risk.utility import UtilityParams
+from merton_risk.var_bound import (
     l_star,
     rho_var,
-    solve_equal_gamma,
     solve_var,
     solve_var_linear,
     solve_var_tight,
     var_loose_bound_check,
 )
-from merton_risk.errors import NegativeRate
-from merton_risk.risk import log_risk_var
-from merton_risk.var_bound import exposure_growth_factor
 
 from conftest import theta_market
+from cross_checks import exposure_growth_factor
 
 # mpmath, 50 digits
 RHO_VAR_STD = 0.056805754405110356508     # ||theta||=0.5, alpha=0.01, zeta=0.1
