@@ -11,6 +11,10 @@ scheduled.  Sampling and cost estimation stream through fixed row chunks
 of the one time-major (n, m) wealth matrix, so memory beyond it is a few
 chunk buffers and per-path vectors; consumption is rebuilt from a replay
 of the stream, and each ensemble carries its own law's cost integral.
+Under a deterministic strategy that integral is exact given the skeleton:
+per step the integral of an exp-quadratic, summed as a series about the
+step's midpoint (one exp per element, no special function), with an
+erf/erfcx closed form for the rare steps outside the series' range.
 A strategy with no risky exposure has one wealth path: its (n, m) wealth
 is a read-only broadcast of one row, and cost and empirical risk are
 computed on that row, so it needs O(m) memory.
@@ -18,6 +22,7 @@ computed on that row, so it needs O(m) memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -27,6 +32,7 @@ import numpy as np
 from ._piecewise import merge_ticks, from_ticks, to_ticks
 from ._table import fmt, write_rows
 from .errors import InsufficientPaths, MismatchedPaths
+from .gaussian import erf, erfcx
 from .market import MarketModel
 from .risk import RiskProfile, RiskSpec
 from .strategies import Cumulants, DeterministicStrategy, cumulants
@@ -208,11 +214,14 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
     def rate(xi):
         return (utility.gamma1 / (g0 * np.exp(xi))) ** q1
 
+    # rate(xi) ** gamma1 with one exp
+    k1 = q1 * utility.gamma1
+    scale1 = (utility.gamma1 / g0) ** k1
     wealth = np.empty((config.n_paths, len(grid)), order="F")
     trapezoid = np.empty(config.n_paths)
     for rows, xi in _log_paths(config, mean_inc, sd_inc):
         wealth[rows] = c1 * np.exp(-q1 * xi) + c2 * np.exp(-q2 * xi)
-        cg = rate(xi) ** utility.gamma1
+        cg = scale1 * np.exp(-k1 * xi)
         trapezoid[rows] = np.sum(0.5 * (cg[:, :-1] + cg[:, 1:]) * dt, axis=1)
 
     def consumption_cost(gamma1):
@@ -233,50 +242,90 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
 # Cost estimation
 # ---------------------------------------------------------------------------
 
-def _int_exp_quadratic(B: np.ndarray, A: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """int_0^dt exp(B s - A s^2) ds for B (paths, steps), A >= 0 and dt per step.
+# _int_exp_quadratic's series serves |z| <= 2 and a <= 0.05: nine powers of
+# z^2/4 <= 1 leave a tail below 1e-17 of the sum, and eight terms of each
+# c_j(a) one below 1e-19.
+_SERIES_TERMS = 9
+_SERIES_MAX_A = 0.05
 
-    erf closed form on curved steps, with an affine fallback on steps whose
-    quadratic term is negligible (A dt^2 <= 1e-8).
+
+def _midpoint_series(a: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """(terms, steps) coefficients dt c_j(a) / 4^j of _int_exp_quadratic.
+
+    c_j(a) = 1/(2j)! sum_k (-a/4)^k / (k! (2k + 2j + 1)) > 0, summed from
+    its smallest term.  Steps with a > 0.05 get the coefficients of 0.05:
+    the kernel never uses them there.
     """
-    # slow to import: only simulate and solve --mc-paths pay for it
-    from scipy import special
+    q = -0.25 * np.minimum(a, _SERIES_MAX_A)
+    j = np.arange(_SERIES_TERMS)[:, None]
+    c = np.zeros((_SERIES_TERMS, len(a)))
+    for k in reversed(range(8)):
+        c += q ** k / (math.factorial(k) * (2 * k + 2 * j + 1))
+    c /= [[4 ** i * math.factorial(2 * i)] for i in range(_SERIES_TERMS)]
+    return c * dt
 
-    out = np.empty(B.shape)
-    flat = A * dt * dt <= 1e-8
-    if np.any(flat):
-        b = B[:, flat]
-        d = dt[flat]
-        xbd = b * d
-        small = np.abs(xbd) < 1e-12
-        safe_b = np.where(small, 1.0, b)
-        out[:, flat] = np.where(small, d * (1.0 + 0.5 * xbd),
-                                np.expm1(xbd) / safe_b)
-    curved = ~flat
-    if np.any(curved):
-        a = A[curved]
-        b = B[:, curved]
-        d = dt[curved]
-        sa = np.sqrt(a)
-        h = b / (2.0 * a)
-        peak = a * h * h
-        with np.errstate(over="ignore"):
-            ssum = special.erf(sa * (d - h)) + special.erf(sa * h)
-            core = np.exp(np.where(peak < 700.0, peak, -np.inf)) \
-                * np.sqrt(np.pi) / (2.0 * sa)
-            val = core * ssum
-        # deep-tail elements where the erf pair cancels (or the recentred
-        # scale overflows): integrate with peak-factored Gauss-Legendre
-        bad = (ssum < 1e-8) | (peak >= 700.0) | ~np.isfinite(val)
-        if np.any(bad):
-            nodes, weights = np.polynomial.legendre.leggauss(32)
-            ab, bb, db = (np.broadcast_to(v, b.shape)[bad] for v in (a, b, d))
-            s = 0.5 * db[:, None] * (nodes[None, :] + 1.0)
-            expo = bb[:, None] * s - ab[:, None] * s * s
-            peak = np.max(expo, axis=1, keepdims=True)
-            val[bad] = (0.5 * db * np.exp(peak[:, 0])
-                        * np.sum(weights * np.exp(expo - peak), axis=1))
-        out[:, curved] = val
+
+def _int_exp_quadratic(z: np.ndarray, m: np.ndarray, a: np.ndarray,
+                       dt: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """int_0^dt exp(m + z v - a v^2) ds, v = s/dt - 1/2, per element.
+
+    z and m are (paths, steps) chunk buffers, and both are overwritten;
+    a >= 0, dt and coeffs = _midpoint_series(a, dt) are per step.  Expanded
+    about the step's midpoint v = 0 the integral is
+
+        dt e^m sum_j c_j(a) (z^2/4)^j,
+
+    a sum of positive terms, evaluated by Horner's rule where |z| <= 2 and
+    a <= 0.05.  Other elements take _exp_quadratic_tail's closed form.
+    """
+    # elements outside the series range may overflow; they are replaced
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz = np.multiply(z, z)
+        series = zz <= 4.0
+        if np.any(a > _SERIES_MAX_A):
+            series &= a <= _SERIES_MAX_A
+        tail = None if series.all() else ~series
+        if tail is not None:
+            rest = (z[tail], m[tail]) + tuple(np.broadcast_to(v, z.shape)[tail]
+                                              for v in (a, dt))
+        out = np.multiply(zz, coeffs[-1], out=z)
+        for c in coeffs[-2:0:-1]:
+            out += c
+            out *= zz
+        out += coeffs[0]
+        out *= np.exp(m, out=m)
+    if tail is not None:
+        out[tail] = _exp_quadratic_tail(*rest)
+    return out
+
+
+def _exp_quadratic_tail(z, m, a, dt):
+    """int_0^dt exp(m + z v - a v^2) ds, v = s/dt - 1/2, in closed form.
+
+    For 1-d element arrays.  With r = sqrt(a), P = (a - |z|) / 2r and
+    Q = (a + |z|) / 2r it is dt sqrt(pi) / 2r times
+
+        e^{m + z^2/4a} (erf(P) + erf(Q))                 if P > 0,
+        e^{m + |z|/2 - a/4} (erfcx(-P) - e^{-|z|} erfcx(Q))   otherwise:
+
+    the peak v = z/2a lies inside the step, or the integrand is monotone
+    and the subtracted term is below e^{-|z|} of the first.  Outside the
+    series range (|z| > 2, or a > 0.05) neither cancels.
+    """
+    z = np.abs(z)
+    # a = 0 is the limit of a tiny a; inf and nan inputs give inf or nan
+    r = np.sqrt(np.maximum(a, 1e-300))
+    out = dt * (0.5 * math.sqrt(math.pi)) / r
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = (a - z) / (2.0 * r)
+        Q = (a + z) / (2.0 * r)
+        inside = P > 0.0
+        before = ~inside
+        out[inside] *= ((erf(P[inside]) + erf(Q[inside]))
+                        * np.exp(m[inside] + 0.25 * z[inside] ** 2 / a[inside]))
+        zb = z[before]
+        out[before] *= ((erfcx(-P[before]) - np.exp(-zb) * erfcx(Q[before]))
+                        * np.exp(m[before] + 0.5 * zb - 0.25 * a[before]))
     return out
 
 
@@ -285,26 +334,27 @@ def _consumption_integral_exact(cum: Cumulants, consumption, grid: np.ndarray,
     """Unbiased per-path value of int_0^T c_t^g dt for a deterministic strategy.
 
     Conditional on the sampled skeleton, the within-step law of wealth is a
-    lognormal bridge, so E[int c^g dt | skeleton] has an erf closed form;
-    by the tower property its path average is unbiased for the true cost
-    term with strictly smaller variance than any within-step sampling.
+    lognormal bridge, so E[int c^g dt | skeleton] is the integral of an
+    exp-quadratic over each step, which _int_exp_quadratic evaluates; by
+    the tower property its path average is unbiased for the true cost term
+    with strictly smaller variance than any within-step sampling.
     """
-    V_grid = cum.V(grid)
-    ynn_grid = cum.ynn(grid)
     dt = np.diff(grid)
-    gross_drift = np.diff(cum.model.R(grid) + cum.ydt(grid) - 0.5 * ynn_grid) / dt
     # per-step exp-affine form of v e^{-V} straight from the consumption
     # family (cadlag: the left value rules the step, jumps never leak in)
     cons_log0, cons_slope = consumption.log_affine(cum.model, to_ticks(grid))
     idx = np.flatnonzero(np.isfinite(cons_log0))
     dts = dt[idx]
-    mu = gross_drift[idx]
-    a0 = cons_log0[idx]
-    # per-step terms, shared by every path
-    drift = mu * dts
-    B0 = g * (cons_slope[idx] + mu)
-    B2 = 0.5 * g * g * (np.diff(ynn_grid) / dt)[idx]
-    A = B2 / dts
+    # on step j, ln c_t = ln X_t + V_t + a0_j + slope_j (t - t_j).  With S the
+    # running integral of the slopes and L = ln X + V + S, ln c = L - S_j + a0_j
+    # at both ends of the step; between them the lognormal bridge of ln X
+    # makes g ln c quadratic in expectation, with curvature a
+    S = np.zeros(len(grid))
+    np.cumsum(np.where(np.isfinite(cons_log0), cons_slope, 0.0) * dt, out=S[1:])
+    shift = cum.V(grid) + S
+    a = 0.5 * g * g * np.diff(cum.ynn(grid))[idx]
+    m0 = g * (cons_log0[idx] - S[idx]) + 0.25 * a
+    coeffs = _midpoint_series(a, dts)
     n = len(wealth)
     one_path = _one_path(wealth)
     if one_path:
@@ -316,15 +366,17 @@ def _consumption_integral_exact(cum: Cumulants, consumption, grid: np.ndarray,
     # chunk faults it back in (measured at about 1.6x this stage's time)
     for r0 in range(0, len(wealth), _CHUNK):
         rows = slice(r0, r0 + _CHUNK)
-        lnG = np.log(wealth[rows])
-        lnG += V_grid
-        lnG_a = lnG[:, idx]
-        w = lnG[:, idx + 1] - lnG_a - drift
-        C = g * (a0 + lnG_a)
-        B = B0 + g * w / dts + B2
-        # column-major, so that each path sums its steps left to right
-        seg = np.multiply(np.exp(C), _int_exp_quadratic(B, A, dts), order="F")
-        out[rows] = np.sum(seg, axis=1)
+        L = np.log(wealth[rows])
+        L += shift
+        L_a = L[:, idx]
+        L_b = L[:, idx + 1]
+        # the step's log-integrand is m + z v - a v^2 about its midpoint
+        m = np.add(L_a, L_b)
+        m *= 0.5 * g
+        m += m0
+        L_b -= L_a
+        L_b *= g
+        out[rows] = np.sum(_int_exp_quadratic(L_b, m, a, dts, coeffs), axis=1)
     if one_path:
         return np.broadcast_to(out[0], (n,))
     return out

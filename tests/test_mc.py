@@ -5,6 +5,7 @@ import os
 import tracemalloc
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -224,9 +225,9 @@ STREAM_UTILITY = UtilityParams(0.5, 0.4)
 STREAM_COSTS = {
     ("riskless", 70_001, False): (1.4477411501121724, 0.0),
     ("riskless", 140_001, True): (1.4477411501121722, 0.0),
-    ("risky", 70_001, False): (1.4904002119775994, 0.0008122786640743736),
-    ("risky", 140_001, True): (1.4905358940368454, 0.0005741326173536923),
-    ("feedback", 70_001, False): (1.6688103764122684, 0.0013555114909240087),
+    ("risky", 70_001, False): (1.4904002119775988, 0.0008122786640742777),
+    ("risky", 140_001, True): (1.4905358940368445, 0.000574132617353676),
+    ("feedback", 70_001, False): (1.6688103764122684, 0.0013555114909240085),
     ("feedback", 140_001, True): (1.6687179653222213, 0.0009590649689909397),
 }
 
@@ -433,3 +434,64 @@ def test_riskless_ensemble_is_one_path(n, antithetic):
     want = empirical_risk_curve(general, spec, 1.2, m)
     for curve in ("var_curve", "es_curve", "var_stderr", "es_stderr"):
         assert np.array_equal(getattr(prof, curve), getattr(want, curve)), curve
+
+
+# ---------------------------------------------------------------------------
+# The exact cost's per-step integral against quadrature
+# ---------------------------------------------------------------------------
+
+# z is the integrand's log-slope across the step (B dt - A dt^2 for the
+# integrand exp(B s - A s^2)), a its curvature A dt^2; |z| <= 2 with
+# a <= 0.05 is the midpoint series' range, |z| = 2 its edge
+KERNEL_Z = (-50.0, -20.0, -8.0, -3.0, -2.05, -2.0, -1.3, -0.5, 0.0, 0.5, 1.3,
+            2.0, 2.05, 3.0, 8.0, 20.0, 50.0)
+KERNEL_A = (0.0, 1e-12, 1e-8, 1e-3, 0.05, 1.0, 25.0)
+# (z, m, a, dt): where the erf pair cancelled worst (B / 2 sqrt(A) = -3.86,
+# sqrt(A) dt = 0.036), a deep tail, and peaks far beyond the float range
+# under an m that brings the integral back into it
+KERNEL_EXTRA = [
+    (-0.279216, -0.139284, 0.001296, 0.25),
+    (-3.0, -690.0, 0.04, 1e-3),
+    (-700.0, -300.0, 1e-3, 0.5),
+    (1500.0, -760.0, 2.0, 1.0),
+    (0.0, -50.0, 5000.0, 1.0),
+    (40.0, 5.0, 30.0, 0.25),
+]
+
+
+def _exp_quadratic_exact(z, m, a, dt):
+    """dt int_{-1/2}^{1/2} exp(m + z v - a v^2) dv by 30-digit quadrature."""
+    z, m, a, dt = (mpmath.mpf(float(v)) for v in (z, m, a, dt))
+    # quad's tolerance is absolute: factor out the integrand's largest value
+    top = z * z / (4 * a) if abs(z) < a else abs(z) / 2 - a / 4
+    return dt * mpmath.exp(m + top) * mpmath.quad(
+        lambda v: mpmath.exp(z * v - a * v * v - top), [-0.5, 0, 0.5])
+
+
+def test_int_exp_quadratic_against_mpmath():
+    z, a = (np.ravel(v) for v in np.meshgrid(KERNEL_Z, KERNEL_A))
+    m, dt = np.zeros_like(z), np.ones_like(z)
+    z, m, a, dt = (np.concatenate([v, [e[i] for e in KERNEL_EXTRA]])
+                   for i, v in enumerate((z, m, a, dt)))
+    got = mc._int_exp_quadratic(z[None].copy(), m[None].copy(), a, dt,
+                                mc._midpoint_series(a, dt))[0]
+    with mpmath.workdps(30):
+        err = np.array([float(abs(mpmath.mpf(float(v)) / _exp_quadratic_exact(*e) - 1))
+                        for v, e in zip(got, zip(z, m, a, dt))])
+    series = (np.abs(z) <= 2.0) & (a <= 0.05)
+    assert series.sum() == 36 and (~series).sum() == 89
+    assert err[series].max() <= 1e-15
+    assert err[~series].max() <= 1e-13
+
+
+def test_int_exp_quadratic_special_inputs():
+    # no RuntimeWarning (an error in this suite) on any input: integrals
+    # beyond the float range are inf, e^m = 0 gives 0, and NaN propagates
+    z = np.array([1e300, -1e5, 0.5, 3.0, 0.0, np.nan, 1.0, -30.0])
+    m = np.array([0.0, 800.0, 1e308, -np.inf, -np.inf, 0.0, np.nan, 0.0])
+    a = np.array([1e-3, 1e-3, 0.0, 1e300, 5e3, 0.0, 0.01, np.nan])
+    dt = np.ones(len(z))
+    got = mc._int_exp_quadratic(z[None].copy(), m[None].copy(), a, dt,
+                                mc._midpoint_series(a, dt))[0]
+    assert np.array_equal(got[:5], [np.inf, np.inf, np.inf, 0.0, 0.0])
+    assert np.all(np.isnan(got[5:]))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from merton_risk._piecewise import from_ticks, merge_ticks, to_ticks
 from merton_risk.bounded import big_g, kappa_star
 from merton_risk.errors import (
     ConditionViolated,
@@ -22,7 +23,7 @@ from merton_risk.errors import (
 )
 from merton_risk.es_bound import es_loose_threshold, rho_es, solve_es, solve_es_tight
 from merton_risk.risk import MeasureKind, RiskSpec, log_risk_var
-from merton_risk.strategies import cumulants
+from merton_risk.strategies import cumulants, step_cumulants
 from merton_risk.unconstrained import equal_gamma_strategy, solve_unconstrained
 from merton_risk.utility import UtilityParams
 from merton_risk.var_bound import (
@@ -278,3 +279,43 @@ def test_equal_exponent_value_homogeneous_in_wealth(model, gamma, alpha, zeta, x
         if not isinstance(base, Exception):
             assert scaled.value == pytest.approx(scale ** gamma * base.value,
                                                  rel=1e-12, abs=0.0)
+
+
+@st.composite
+def step_controls(draw):
+    """(model, node_ticks, y, v): K step controls, y (K, k, d) and v (K, k) >= 0
+    with some dead consumption steps, on a random refinement of the market's
+    partition."""
+    model = draw(markets())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cuts = to_ticks(rng.uniform(0.0, model.horizon, size=rng.integers(0, 6)))
+    node_ticks = merge_ticks(model.node_ticks, cuts)
+    shape = (draw(st.integers(1, 3)), len(node_ticks) - 1)
+    y = rng.uniform(-2.0, 2.0, size=shape + (model.dimension,))
+    v = rng.uniform(0.0, 3.0, size=shape) * (rng.random(shape) < 0.8)
+    return model, node_ticks, y, v
+
+
+@PROPERTY
+@given(step_controls(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+def test_step_cumulants_match_quadrature(control, fractions):
+    """(y, theta)_t, ||y||_t^2 and V_t of a batch of step controls are the
+    integrals of y'theta, |y|^2 and v over [0, t], by the midpoint rule on
+    the pieces where the integrands are constant."""
+    model, node_ticks, y, v = control
+    cum = step_cumulants(model, node_ticks, y, v)
+    nodes = from_ticks(node_ticks)
+    for t in model.horizon * np.array(fractions):
+        edges = np.concatenate([[0.0], nodes[(nodes > 0.0) & (nodes < t)], [t]])
+        width, mid = np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+        # sigma_s theta_s = mu_s - r_s, from the market's own coefficients
+        j = np.searchsorted(model.nodes, mid, side="right") - 1
+        theta = np.linalg.solve(model.sigma_step[j], (model.mu_step[j]
+                                - model.r_step[j, None])[..., None])[..., 0]
+        k = np.searchsorted(nodes, mid, side="right") - 1
+        yk = y[:, k]
+        for curve, integrand in ((cum.ydt, np.sum(yk * theta, axis=-1)),
+                                 (cum.ynn, np.sum(yk * yk, axis=-1)),
+                                 (cum.V, v[:, k])):
+            np.testing.assert_allclose(curve(t), integrand @ width,
+                                       rtol=1e-12, atol=1e-12)
