@@ -3,8 +3,10 @@
 Each problem under ``tests/golden/`` runs through ``solve --grid 21`` and
 ``verify --nt 5 --nx 5``, and three of them (riskless tight, risky loose and
 the feedback optimum) also through ``simulate``, plain and antithetic, with
-results under ``<problem>/simulate/``. The files written, the exit codes and
-the stderr labels must match the committed expected outputs:
+results under ``<problem>/simulate/``. Four bounded problems (VaR and ES,
+tight and linear) also run through ``solve --grid 21 --oracle``, with results
+under ``<problem>/oracle/``. The files written, the exit codes and the stderr
+labels must match the committed expected outputs:
 
 - labels, regimes, exit codes and other text exactly;
 - JSON numbers within 1e-12 relative;
@@ -38,6 +40,8 @@ _SIMULATE = ["simulate", "--paths", "70001", "--steps", "8", "--seed", "5",
              "--dump-paths", "40"]
 SIMULATE = {"plain": _SIMULATE, "antithetic": _SIMULATE + ["--antithetic"]}
 SIMULATE_PROBLEMS = ["var_tight", "var_loose", "unconstrained_unequal"]
+ORACLE = {"oracle": COMMANDS["solve"] + ["--oracle"]}
+ORACLE_PROBLEMS = ["var_tight", "es_tight_unequal", "var_linear", "es_linear"]
 JSON_RTOL = 1e-12
 ERROR_ATOL = 1e-12
 ERROR_FIELDS = {"max_abs_residual", "terminal_error", "hamiltonian_gap", "residual"}
@@ -133,10 +137,17 @@ def test_golden_simulate_outputs(tmp_path, name):
     check_case(GOLDEN / name / "simulate", name, SIMULATE, tmp_path)
 
 
+@pytest.mark.parametrize("name", ORACLE_PROBLEMS)
+def test_golden_oracle_outputs(tmp_path, name):
+    check_case(GOLDEN / name / "oracle", name, ORACLE, tmp_path)
+
+
 def regenerate() -> None:
     cases = [(GOLDEN / name, name, COMMANDS) for name in PROBLEMS]
     cases += [(GOLDEN / name / "simulate", name, SIMULATE)
               for name in SIMULATE_PROBLEMS]
+    cases += [(GOLDEN / name / "oracle", name, ORACLE)
+              for name in ORACLE_PROBLEMS]
     for base, name, commands in cases:
         shutil.rmtree(base / "expected", ignore_errors=True)
         codes = run_problem(name, base / "expected", commands)
