@@ -41,7 +41,8 @@ from .strategies import (
 from .utility import UtilityParams
 
 # Oracle candidates screened and costed together: bounds the (candidates x
-# profile grid) arrays of the screen to a few MB.
+# profile grid) arrays of the screen to a few MB; a factor shared by the whole
+# batch keeps one row.
 _CHUNK = 32
 COORDINATE_PASSES = 3    # sweeps of the coordinate descent over v levels
 N_PROFILE = 2001         # uniform times of the feasibility screen's grid
@@ -157,18 +158,21 @@ def _evaluate(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
               x: float, node_ticks: np.ndarray, y, v):
     """Feasibility flags and costs (-inf when infeasible) of step candidates.
 
-    y : (K or 1, k, d) exposures and v : (K, k) consumption rates on the
-    intervals of node_ticks; candidates go through in chunks of _CHUNK, all
-    screened on one profile grid.
+    y : (K or 1, k, d) exposures and v : (K or 1, k) consumption rates on the
+    intervals of node_ticks.  A factor with one row is shared by every
+    candidate and enters the cumulants, screen and cost once, unbroadcast.
+    Candidates go through in chunks of _CHUNK, all screened on one profile
+    grid.
     """
     v = np.asarray(v, dtype=np.float64)
-    y = np.broadcast_to(y, v.shape + np.shape(y)[-1:])
-    feasible = np.ones(len(v), dtype=bool)
-    costs = np.empty(len(v))
+    n, = np.broadcast_shapes(np.shape(y)[:1], v.shape[:1])
+    feasible = np.ones(n, dtype=bool)
+    costs = np.empty(n)
     grid = profile_grid(node_ticks, model.horizon, N_PROFILE)
-    for lo in range(0, len(v), _CHUNK):
+    for lo in range(0, n, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
-        cum = step_cumulants(model, node_ticks, y[rows], v[rows])
+        cum = step_cumulants(model, node_ticks,
+                             *(f if len(f) == 1 else f[rows] for f in (y, v)))
         if spec is not None:
             feasible[rows] = max_ratios(cum, spec, x, grid) <= 1.0 + SATURATION_TOL
         costs[rows] = _cost(cum, utility, x)
@@ -182,7 +186,7 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
 
     Raises EmptyFeasibleSet when the family is empty or fully infeasible.
     The candidates of each search stage share one node partition, so they
-    are screened against the bound and costed as one batch of generic
+    are screened against the bound and costed in batches of generic
     cumulants; no solver formula enters.
     """
     rho_in = np.asarray(config.rho_grid, dtype=np.float64)
@@ -200,25 +204,29 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     records = []
     best = (-np.inf, None)       # cost and (node_ticks, y, v) of the best candidate
 
+    def screen(y, v, entries, label="theta_direction"):
+        """Evaluate one batch on the market's nodes, record each of entries'
+        (rho, v_levels) in order and keep the best feasible candidate."""
+        nonlocal best
+        feasible, costs = evaluate(model.node_ticks, y, v)
+        for k, ((rho, w), ok, cost) in enumerate(zip(entries, feasible, costs)):
+            records.append(OracleRecord(rho=rho, v_levels=w, feasible=bool(ok),
+                                        cost=float(cost), label=label))
+            if ok and cost > best[0]:
+                best = (cost, (model.node_ticks, y[k % len(y)], v[k % len(v)]))
+
     # pure investment along theta, pure constant consumption, and a coarse
     # cartesian of the two (the fine cross product is never needed: the
     # closed-form optima are attained on the axes or by the piecewise
-    # refinement below)
-    candidates = [(float(r), (0.0,)) for r in rhos]
-    candidates += [(0.0, (float(w),)) for w in levels if w > 0]
+    # refinement below); each axis holds its zero factor as one shared row
     rho_coarse = rhos[:: max(1, len(rhos) // 25)]
     lvl_coarse = levels[:: max(1, len(levels) // 10)]
-    candidates += [(float(r), (float(w),))
-                   for r in rho_coarse if r > 0
-                   for w in lvl_coarse if w > 0]
-    y = _theta_exposures(model, model.node_ticks, [r for r, _ in candidates])
-    v = np.repeat([[w[0]] for _, w in candidates], n_steps, axis=1)
-    feasible, costs = evaluate(model.node_ticks, y, v)
-    for k, ((rho, w), ok, cost) in enumerate(zip(candidates, feasible, costs)):
-        records.append(OracleRecord(rho=rho, v_levels=w,
-                                    feasible=bool(ok), cost=float(cost)))
-        if ok and cost > best[0]:
-            best = (cost, (model.node_ticks, y[k], v[k]))
+    product = np.array([(r, w) for r in rho_coarse if r > 0
+                        for w in lvl_coarse if w > 0]).reshape(-1, 2).T
+    for r_b, w_b in ((rhos, [0.0]), ([0.0], levels[levels > 0]), product):
+        screen(_theta_exposures(model, model.node_ticks, r_b),
+               np.repeat(np.reshape(w_b, (-1, 1)), n_steps, axis=1),
+               [(float(r), (float(w),)) for r, w in zip(*np.broadcast_arrays(r_b, w_b))])
 
     if config.random_directions > 0 and model.theta_norm_T > 0:
         rng = np.random.default_rng(config.seed)
@@ -229,15 +237,8 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
             rho = float(rng.choice(rhos[rhos > 0])) if np.any(rhos > 0) else 0.0
             draw_rho.append(rho)
             draw_y.append(rho * u / np.sqrt(horizon))
-        y = np.array(draw_y)[:, None, :]
-        v = np.zeros((len(draw_y), n_steps))
-        feasible, costs = evaluate(model.node_ticks, y, v)
-        for k, (rho, ok, cost) in enumerate(zip(draw_rho, feasible, costs)):
-            records.append(OracleRecord(rho=rho, v_levels=(0.0,),
-                                        feasible=bool(ok), cost=float(cost),
-                                        label="random_direction"))
-            if ok and cost > best[0]:
-                best = (cost, (model.node_ticks, y[k], v[k]))
+        screen(np.array(draw_y)[:, None, :], np.zeros((1, n_steps)),
+               [(rho, (0.0,)) for rho in draw_rho], "random_direction")
 
     if config.v_pieces > 1 and best[1] is not None:
         # coordinate descent from the best single-level candidate

@@ -219,7 +219,8 @@ class Cumulants:
 
     Holds one strategy, or a batch of K strategies on one shared partition
     (see step_cumulants): then every curve and per-interval array carries a
-    leading candidate axis, and the risk and cost formulas broadcast over it.
+    leading candidate axis, of length 1 where a factor is shared, and the
+    risk and cost formulas broadcast over it.
     """
 
     model: MarketModel
@@ -291,10 +292,12 @@ def cumulants(model: MarketModel, strategy: DeterministicStrategy) -> Cumulants:
 def step_cumulants(model: MarketModel, node_ticks: np.ndarray, y, v) -> Cumulants:
     """Cumulants of K controls held constant on every interval of node_ticks.
 
-    y : (K, k, d) exposures and v : (K, k) consumption rates, one row per
-    control and one column per interval of the shared partition, which must
-    hold every market breakpoint.  Row i matches cumulants() of the step
-    strategy with those values up to rounding.
+    y : (K or 1, k, d) exposures and v : (K or 1, k) consumption rates, one
+    row per control and one column per interval of the shared partition,
+    which must hold every market breakpoint.  A factor with one row is shared
+    by every control: its curves keep a leading 1, are computed once and
+    broadcast in the risk and cost formulas.  Row i matches cumulants() of
+    the step strategy with those values up to rounding.
     """
     v = np.asarray(v, dtype=np.float64)
     if np.any(v < 0):

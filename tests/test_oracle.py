@@ -1,16 +1,21 @@
 """Closed-form cost, log risk functional, and the grid-search oracle."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from merton_risk._piecewise import merge_ticks, to_ticks
 from merton_risk.bounded import tight_strategy
 from merton_risk.errors import EmptyFeasibleSet
 from merton_risk.es_bound import rho_es, solve_es_linear
 from merton_risk.market import constant_market
 from merton_risk.mc import SimConfig, estimate_cost, simulate_deterministic
 from merton_risk.oracle import (
+    _CHUNK,
     FamilyConfig,
     N_PROFILE,
+    _evaluate,
     cost_closed_form,
     grid_search_oracle,
 )
@@ -246,6 +251,36 @@ def test_oracle_batched_matches_looped(kind, v_pieces, random_directions):
     assert inside.feasible and not outside.feasible
     assert res.best_cost == pytest.approx(
         max(r.cost for r in res.records if r.feasible), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", [MeasureKind.VAR, MeasureKind.ES, None])
+def test_evaluate_shared_factor_matches_broadcast(kind):
+    """A one-row exposure or consumption factor, or both, gives the same
+    bits as the factor repeated for every candidate."""
+    rng = np.random.default_rng(31)
+    model = random_market(rng, d=2, max_pieces=3)
+    spec = None if kind is None else RiskSpec(alpha=0.025, zeta=0.15, kind=kind)
+    node_ticks = merge_ticks(model.node_ticks,
+                             to_ticks(np.linspace(0.0, model.horizon, 5)))
+    n = 70                       # crosses two _CHUNK boundaries
+    assert 2 * _CHUNK < n
+    shape = (n, len(node_ticks) - 1)
+    # rows scaled up from a tenth, so that both verdicts occur
+    scale = np.linspace(0.1, 1.0, n)
+    y = (rng.uniform(-0.15, 0.15, size=shape + (model.dimension,))
+         * scale[:, None, None])
+    v = rng.uniform(0.0, 0.3, size=shape) * (rng.random(shape) < 0.8) * scale[:, None]
+    evaluate = partial(_evaluate, model, UtilityParams(0.6, 0.4), spec, 1.2,
+                       node_ticks)
+    for y_b, v_b in ((y[:1], v), (y, v[:1]), (y[:1], v[:1])):
+        got = evaluate(y_b, v_b)
+        want = evaluate(np.repeat(y_b, n // len(y_b), axis=0),
+                        np.repeat(v_b, n // len(v_b), axis=0))
+        assert len(got[0]) == max(len(y_b), len(v_b))
+        for g, w in zip(got, want):
+            assert np.array_equal(np.broadcast_to(g, w.shape), w)
+        if spec is not None and len(got[0]) == n:
+            assert 0 < np.sum(want[0]) < n
 
 
 def test_oracle_random_direction_never_beats_theta(standard_market):

@@ -10,7 +10,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from merton_risk._piecewise import from_ticks, merge_ticks, to_ticks
 from merton_risk.bounded import big_g, kappa_star
@@ -22,6 +22,7 @@ from merton_risk.errors import (
     UnsupportedRegime,
 )
 from merton_risk.es_bound import es_loose_threshold, rho_es, solve_es, solve_es_tight
+from merton_risk.oracle import FamilyConfig, grid_search_oracle
 from merton_risk.risk import MeasureKind, RiskSpec, log_risk_var
 from merton_risk.strategies import cumulants, step_cumulants
 from merton_risk.unconstrained import equal_gamma_strategy, solve_unconstrained
@@ -38,6 +39,7 @@ from conftest import random_market
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
 SOLVERS = {MeasureKind.VAR: solve_var, MeasureKind.ES: solve_es}
+BUDGETS = {MeasureKind.VAR: rho_var, MeasureKind.ES: rho_es}
 REFUSALS = (ConditionViolated, HypothesisViolated, NoClosedFormRegime)
 
 
@@ -279,6 +281,27 @@ def test_equal_exponent_value_homogeneous_in_wealth(model, gamma, alpha, zeta, x
         if not isinstance(base, Exception):
             assert scaled.value == pytest.approx(scale ** gamma * base.value,
                                                  rel=1e-12, abs=0.0)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(problems(), st.sampled_from(list(MeasureKind)))
+def test_oracle_never_beats_solver(problem, kind):
+    """No candidate of a coarse grid-search family that passes the oracle's
+    screen costs more than the tight or linear optimum."""
+    result = outcome(kind, *problem)
+    assume(regime(result).endswith(("_tight", "_linear")))
+    event(result.regime)
+    model, utility, alpha, zeta, x0 = problem
+    spec = RiskSpec(alpha=alpha, zeta=zeta, kind=kind)
+    rho_star = BUDGETS[kind](model, spec)
+    # exposures just inside and just outside the budget test the screen there
+    rhos = rho_star * np.concatenate([np.linspace(0.0, 2.0, 11), [1 - 1e-4, 1 + 1e-4]])
+    # the linear optima consume nothing; their family still tries rates
+    v_top = 2.0 * max(float(np.max(result.strategy.v_at(model, model.nodes))), 0.1)
+    config = FamilyConfig(rho_grid=rhos, v_levels=np.linspace(0.0, v_top, 11),
+                          v_pieces=4)
+    best = grid_search_oracle(model, utility, spec, x0, config).best_cost
+    assert best <= result.value + 1e-9 * abs(result.value), result.regime
 
 
 @st.composite
