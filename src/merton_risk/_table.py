@@ -1,14 +1,14 @@
 """Output files: CSV tables from pre-formatted text fields, and JSON documents.
 
-Every table of the package goes through ``write_rows``.  No field holds a
-comma, quote or line break, so fields are joined as they are, unquoted.
-Every JSON document goes through ``write_json``.
+Tables of (t, x) grids go through ``write_grid_csv``, every other table
+through ``write_rows``.  No field holds a comma, quote or line break, so
+fields are joined as they are, unquoted.  Every JSON document goes
+through ``write_json``, which writes it whole in one call.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import product
 
 import numpy as np
 
@@ -21,8 +21,7 @@ def fmt(values, spec: str = ".12g") -> list:
 def write_json(path, doc) -> None:
     """The document with two-space indents and a closing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def write_rows(path, header, rows) -> None:
@@ -34,7 +33,12 @@ def write_rows(path, header, rows) -> None:
 
 
 def write_grid_csv(path, header, ts, xs, values, spec: str = ".12g") -> None:
-    """CSV of values[i, j] at (ts[i], xs[j]), t slowest."""
-    cells = product(fmt(ts), fmt(xs))
-    write_rows(path, header,
-               ((t, x, v) for (t, x), v in zip(cells, fmt(values, spec))))
+    """CSV of values[i, j] at (ts[i], xs[j]), t slowest, one time row per
+    write: each row's values fill a template of its t and x fields."""
+    ts, xs = fmt(ts), fmt(xs)
+    rows = np.reshape(values, (len(ts), len(xs)))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for t, row in zip(ts, rows):
+            fh.write("".join(f"{t},{x},%{spec}\n" for x in xs)
+                     % tuple(row.tolist()))

@@ -15,7 +15,8 @@ Hamiltonian must be attained by the feedback pair
     y0 = z_x/(x|z_xx|) theta,   c0 = (g1/z_x)^{q1}.
 
 Grid nodes are placed strictly off the coefficient breakpoints, where the
-time derivative of z may jump.
+time derivative of z may jump.  The argmax check's random probes are drawn
+node by node in a fixed order, so a given seed reproduces earlier reports.
 """
 
 from __future__ import annotations
@@ -148,8 +149,12 @@ def hjb_residual(model: MarketModel, utility: UtilityParams,
 
 
 def _h0(r, theta, x, z1, z2, y, c, gamma1):
-    """Pre-maximization Hamiltonian at a single node, vectorized in probes."""
-    ydt = y @ theta
+    """Pre-maximization Hamiltonian, vectorized in probes (last axis of c).
+
+    x, z1 and z2 are scalars for one node, or (n, 1) columns with y of shape
+    (n, k, d) for n nodes sharing r and theta.
+    """
+    ydt = (y @ theta[..., :, None])[..., 0]
     ysq = np.sum(y * y, axis=-1)
     return ((r + ydt) * x * z1 + 0.5 * x * x * ysq * z2
             + c ** gamma1 - c * z1)
@@ -164,37 +169,35 @@ def hamiltonian_argmax_check(model: MarketModel, utility: UtilityParams,
 
     Probes mix random controls with scaled perturbations of the optimum;
     the report's hamiltonian_gap is the worst probe advantage (should not
-    exceed HAMILTONIAN_GAP_TOL).
+    exceed HAMILTONIAN_GAP_TOL).  Probes are drawn node by node, t slowest,
+    four draws per node; each time row is then evaluated in one pass.
     """
     t_nodes, x_nodes, feedback = _grid_and_feedback(model, utility, t_nodes,
                                                     n_t, n_x, feedback)
     _, _, _, _, gs, ps, rs, thetas = _reduced_hamiltonian_terms(
         model, utility, feedback, t_nodes[:, None], x_nodes)
     rng = np.random.default_rng(seed)
-    d = model.dimension
+    m, nx = n_probes, len(x_nodes)
+    xs = x_nodes[:, None]
+    y_probe = np.empty((nx, 2 * m, model.dimension))
+    c_probe = np.empty((nx, 2 * m))
     gap = -np.inf
     for i in range(len(t_nodes)):
         r, theta = rs[i, 0], thetas[i, 0]
-        for j, x in enumerate(x_nodes):
-            z1 = gs[i, j]
-            z2 = -gs[i, j] / ps[i, j]
-            y_opt = (z1 / (x * abs(z2))) * theta
-            c_opt = (utility.gamma1 / z1) ** utility.q1
-            h_opt = _h0(r, theta, x, z1, z2, y_opt[None, :],
-                        np.array([c_opt]), utility.gamma1)[0]
-            scales = rng.uniform(0.25, 4.0, size=(n_probes, 1))
-            y_probe = np.vstack([
-                y_opt[None, :] * scales,
-                rng.standard_normal((n_probes, d)),
-            ])
-            c_probe = np.concatenate([
-                c_opt * rng.uniform(0.0, 4.0, size=n_probes),
-                rng.uniform(0.0, 2.0, size=n_probes),
-            ])
-            h_probe = _h0(r, theta, x, z1, z2, y_probe, c_probe,
-                          utility.gamma1)
-            node_gap = float(np.max(h_probe) - h_opt)
-            gap = max(gap, node_gap)
+        z1 = gs[i][:, None]
+        z2 = -z1 / ps[i][:, None]
+        y_opt = (z1 / (xs * np.abs(z2))) * theta
+        # one scalar power per node: an array power may round differently
+        c_opt = np.array([(utility.gamma1 / g) ** utility.q1 for g in gs[i]])
+        h_opt = _h0(r, theta, xs, z1, z2, y_opt[:, None, :],
+                    c_opt[:, None], utility.gamma1)
+        for j in range(nx):
+            y_probe[j, :m] = y_opt[j] * rng.uniform(0.25, 4.0, size=(m, 1))
+            rng.standard_normal(out=y_probe[j, m:])
+            c_probe[j, :m] = c_opt[j] * rng.uniform(0.0, 4.0, size=m)
+            c_probe[j, m:] = rng.uniform(0.0, 2.0, size=m)
+        h_probe = _h0(r, theta, xs, z1, z2, y_probe, c_probe, utility.gamma1)
+        gap = max(gap, *(np.max(h_probe, axis=1) - h_opt[:, 0]).tolist())
     return HjbReport(
         t_nodes=t_nodes, x_nodes=x_nodes, residuals=np.zeros((0, 0)),
         max_abs_residual=0.0, terminal_error=0.0, hamiltonian_gap=gap,

@@ -2,17 +2,23 @@
 
 Each restates a quantity of the package by another route: the expected
 cost by adaptive quadrature, the sup of the cost tilt along theta, the
-Gaussian upper tail, and Mills' ratio bounds on it.
+Gaussian upper tail, Mills' ratio bounds on it, the Hamiltonian probe
+check node by node, and the grid table written row by row.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 
+from merton_risk._table import fmt, write_rows
 from merton_risk.gaussian import _SQRT2, _real, erfc
+from merton_risk.hjb import _grid_and_feedback, _reduced_hamiltonian_terms
 from merton_risk.market import MarketModel
 from merton_risk.oracle import _cost_pieces
 from merton_risk.strategies import DeterministicStrategy, cumulants
+from merton_risk.unconstrained import HaraFeedback
 from merton_risk.utility import UtilityParams
 
 
@@ -61,3 +67,57 @@ def mills_bounds(x: float) -> tuple[float, float]:
     core = float(np.exp(-0.5 * x * x))
     lower = (1.0 - x ** -2) * core if x != 0 else -np.inf
     return lower, core
+
+
+def _h0_node(r, theta, x, z1, z2, y, c, gamma1):
+    """Pre-maximization Hamiltonian at a single node, vectorized in probes."""
+    ydt = y @ theta
+    ysq = np.sum(y * y, axis=-1)
+    return ((r + ydt) * x * z1 + 0.5 * x * x * ysq * z2
+            + c ** gamma1 - c * z1)
+
+
+def hamiltonian_gap_per_node(model: MarketModel, utility: UtilityParams,
+                             t_nodes=None, n_t: int = 10,
+                             n_x: int = 10, n_probes: int = 64,
+                             seed: int = 0,
+                             feedback: HaraFeedback | None = None) -> float:
+    """The worst probe advantage, drawn and evaluated one (t, x) node at a time."""
+    t_nodes, x_nodes, feedback = _grid_and_feedback(model, utility, t_nodes,
+                                                    n_t, n_x, feedback)
+    _, _, _, _, gs, ps, rs, thetas = _reduced_hamiltonian_terms(
+        model, utility, feedback, t_nodes[:, None], x_nodes)
+    rng = np.random.default_rng(seed)
+    d = model.dimension
+    gap = -np.inf
+    for i in range(len(t_nodes)):
+        r, theta = rs[i, 0], thetas[i, 0]
+        for j, x in enumerate(x_nodes):
+            z1 = gs[i, j]
+            z2 = -gs[i, j] / ps[i, j]
+            y_opt = (z1 / (x * abs(z2))) * theta
+            c_opt = (utility.gamma1 / z1) ** utility.q1
+            h_opt = _h0_node(r, theta, x, z1, z2, y_opt[None, :],
+                             np.array([c_opt]), utility.gamma1)[0]
+            scales = rng.uniform(0.25, 4.0, size=(n_probes, 1))
+            y_probe = np.vstack([
+                y_opt[None, :] * scales,
+                rng.standard_normal((n_probes, d)),
+            ])
+            c_probe = np.concatenate([
+                c_opt * rng.uniform(0.0, 4.0, size=n_probes),
+                rng.uniform(0.0, 2.0, size=n_probes),
+            ])
+            h_probe = _h0_node(r, theta, x, z1, z2, y_probe, c_probe,
+                               utility.gamma1)
+            node_gap = float(np.max(h_probe) - h_opt)
+            gap = max(gap, node_gap)
+    return gap
+
+
+def write_grid_csv_per_row(path, header, ts, xs, values,
+                           spec: str = ".12g") -> None:
+    """CSV of values[i, j] at (ts[i], xs[j]), one formatted field at a time."""
+    cells = product(fmt(ts), fmt(xs))
+    write_rows(path, header,
+               ((t, x, v) for (t, x), v in zip(cells, fmt(values, spec))))

@@ -1,5 +1,7 @@
 """Dynamic-programming verification: residuals, derivatives, Hamiltonian."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from merton_risk.unconstrained import solve_hara_unconstrained
 from merton_risk.utility import UtilityParams
 
 from conftest import random_market
+from cross_checks import hamiltonian_gap_per_node
 
 
 def test_residual_constant_coefficients():
@@ -130,6 +133,47 @@ def test_hamiltonian_argmax_gap():
     u = UtilityParams(0.5, 0.5)
     rep = hamiltonian_argmax_check(m, u, n_t=6, n_x=6, n_probes=128, seed=2)
     assert rep.hamiltonian_gap <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [9, 13, 17])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_argmax_gap_equals_per_node_loop(seed, d):
+    # row-batched evaluation, same draws: the gap agrees to the last bit.
+    # These seeds include markets where an array power for c_opt, or einsum
+    # for y.theta, moves the gap in its last bits.
+    rng = np.random.default_rng(1000 * d + seed)
+    m = random_market(rng, d=d, max_pieces=4)
+    u = UtilityParams(float(rng.uniform(0.15, 0.9)),
+                      float(rng.uniform(0.15, 0.9)))
+    fb = solve_hara_unconstrained(m, u, 1.0).feedback
+    for n_t, n_x, n_probes in ((10, 10, 64), (3, 7, 5), (6, 1, 64),
+                               (4, 9, 1), (1, 1, 1)):
+        kw = dict(n_t=n_t, n_x=n_x, n_probes=n_probes, seed=seed, feedback=fb)
+        rep = hamiltonian_argmax_check(m, u, **kw)
+        assert rep.hamiltonian_gap == hamiltonian_gap_per_node(m, u, **kw)
+        assert rep.hamiltonian_gap <= 1e-10
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_argmax_check_memory_within_residual_check():
+    # probes are held one time row at a time, never for the whole grid
+    rng = np.random.default_rng(83)
+    m = random_market(rng, d=3, max_pieces=4)
+    u = UtilityParams(0.3, 0.7)
+    fb = solve_hara_unconstrained(m, u, 1.0).feedback
+    argmax_peak = _traced_peak(
+        lambda: hamiltonian_argmax_check(m, u, feedback=fb))
+    residual_peak = _traced_peak(
+        lambda: hjb_residual(m, u, n_t=50, n_x=50, feedback=fb))
+    assert argmax_peak <= residual_peak
 
 
 def test_feedback_law_equals_argmax_formula():
