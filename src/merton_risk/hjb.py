@@ -97,14 +97,20 @@ def _grid_and_feedback(model: MarketModel, utility: UtilityParams, t_nodes,
     return t_nodes, np.linspace(0.25, 4.0, n_x), feedback
 
 
+def _feedback_at(model: MarketModel, fb: HaraFeedback, t, xs: np.ndarray):
+    """g, p, the coefficient segment and its r and theta at a time t, or at
+    a column of times, and wealths xs."""
+    g = fb.g(t, xs)
+    p = fb.p_from_g(t, g)
+    seg = segment_index(model.node_ticks, to_ticks(t))
+    return g, p, seg, model.r_step[seg], model.theta_step[seg]
+
+
 def _reduced_hamiltonian_terms(model: MarketModel, utility: UtilityParams,
                                fb: HaraFeedback, t, xs: np.ndarray):
     """The four HJB terms at a time t, or at a column of times, and wealths xs."""
     q1 = utility.q1
-    g = fb.g(t, xs)
-    p = fb.p_from_g(t, g)
-    seg = segment_index(model.node_ticks, to_ticks(t))
-    theta, r = model.theta_step[seg], model.r_step[seg]
+    g, p, seg, r, theta = _feedback_at(model, fb, t, xs)
     # one dot product per segment: a row sum of squares may round differently
     theta_sq = np.array([th @ th for th in model.theta_step])[seg]
     term_t = fb.z_t_from_g(t, g)
@@ -174,8 +180,7 @@ def hamiltonian_argmax_check(model: MarketModel, utility: UtilityParams,
     """
     t_nodes, x_nodes, feedback = _grid_and_feedback(model, utility, t_nodes,
                                                     n_t, n_x, feedback)
-    _, _, _, _, gs, ps, rs, thetas = _reduced_hamiltonian_terms(
-        model, utility, feedback, t_nodes[:, None], x_nodes)
+    gs, ps, _, rs, thetas = _feedback_at(model, feedback, t_nodes[:, None], x_nodes)
     rng = np.random.default_rng(seed)
     m, nx = n_probes, len(x_nodes)
     xs = x_nodes[:, None]

@@ -11,6 +11,12 @@ whose integrand is exp(affine) on every breakpoint interval for the
 supported strategy families, so the integral is evaluated exactly.  A
 constrained grid search over an exposure/consumption family brackets the
 solver optima from below.
+
+The bound must hold at every t of a profile grid.  The search screens each
+candidate at t = T first and runs the whole grid only for those that pass:
+a candidate above the bound at T is above it on the grid, so the verdict is
+the one-pass verdict, bit for bit.  Costs are computed on the original
+batches, whose shapes do not depend on the screen.
 """
 
 from __future__ import annotations
@@ -161,21 +167,37 @@ def _evaluate(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
     y : (K or 1, k, d) exposures and v : (K or 1, k) consumption rates on the
     intervals of node_ticks.  A factor with one row is shared by every
     candidate and enters the cumulants, screen and cost once, unbroadcast.
-    Candidates go through in chunks of _CHUNK, all screened on one profile
-    grid.
+
+    Candidates go through in chunks of _CHUNK, screened first at the grid's
+    last point t = T alone; only those that pass are regrouped into chunks
+    and screened on the whole profile grid.  The verdict is the one-pass
+    verdict: a ratio above the bound at T is above it on the grid, and each
+    point's ratio is elementwise, so its bits do not depend on the rows or
+    points that share the array.  Costs are taken on the original chunks,
+    because numpy's row sums may round differently with the batch shape.
     """
     v = np.asarray(v, dtype=np.float64)
     n, = np.broadcast_shapes(np.shape(y)[:1], v.shape[:1])
     feasible = np.ones(n, dtype=bool)
     costs = np.empty(n)
     grid = profile_grid(node_ticks, model.horizon, N_PROFILE)
+
+    def batch(rows):
+        return step_cumulants(model, node_ticks,
+                              *(f if len(f) == 1 else f[rows] for f in (y, v)))
+
     for lo in range(0, n, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
-        cum = step_cumulants(model, node_ticks,
-                             *(f if len(f) == 1 else f[rows] for f in (y, v)))
+        cum = batch(rows)
         if spec is not None:
-            feasible[rows] = max_ratios(cum, spec, x, grid) <= 1.0 + SATURATION_TOL
+            feasible[rows] = max_ratios(cum, spec, x, grid[-1:]) <= 1.0 + SATURATION_TOL
         costs[rows] = _cost(cum, utility, x)
+    if spec is not None:
+        passed = np.flatnonzero(feasible)
+        for lo in range(0, len(passed), _CHUNK):
+            rows = passed[lo:lo + _CHUNK]
+            ratios = max_ratios(batch(rows), spec, x, grid)
+            feasible[rows] = ratios <= 1.0 + SATURATION_TOL
     return feasible, np.where(feasible, costs, -np.inf)
 
 

@@ -3,7 +3,8 @@
 Each restates a quantity of the package by another route: the expected
 cost by adaptive quadrature, the sup of the cost tilt along theta, the
 Gaussian upper tail, Mills' ratio bounds on it, the Hamiltonian probe
-check node by node, and the grid table written row by row.
+check node by node, the grid table written row by row, and the oracle's
+feasibility screen on the full profile grid in one pass.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from merton_risk._table import fmt, write_rows
 from merton_risk.gaussian import _SQRT2, _real, erfc
 from merton_risk.hjb import _grid_and_feedback, _reduced_hamiltonian_terms
 from merton_risk.market import MarketModel
-from merton_risk.oracle import _cost_pieces
-from merton_risk.strategies import DeterministicStrategy, cumulants
+from merton_risk.oracle import _CHUNK, N_PROFILE, _cost, _cost_pieces
+from merton_risk.risk import SATURATION_TOL, RiskSpec, max_ratios, profile_grid
+from merton_risk.strategies import DeterministicStrategy, cumulants, step_cumulants
 from merton_risk.unconstrained import HaraFeedback
 from merton_risk.utility import UtilityParams
 
@@ -121,3 +123,28 @@ def write_grid_csv_per_row(path, header, ts, xs, values,
     cells = product(fmt(ts), fmt(xs))
     write_rows(path, header,
                ((t, x, v) for (t, x), v in zip(cells, fmt(values, spec))))
+
+
+def evaluate_full_grid(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
+                       x: float, node_ticks: np.ndarray, y, v):
+    """Feasibility flags and costs (-inf when infeasible) of step candidates.
+
+    y : (K or 1, k, d) exposures and v : (K or 1, k) consumption rates on the
+    intervals of node_ticks.  A factor with one row is shared by every
+    candidate and enters the cumulants, screen and cost once, unbroadcast.
+    Candidates go through in chunks of _CHUNK, all screened on one profile
+    grid.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    n, = np.broadcast_shapes(np.shape(y)[:1], v.shape[:1])
+    feasible = np.ones(n, dtype=bool)
+    costs = np.empty(n)
+    grid = profile_grid(node_ticks, model.horizon, N_PROFILE)
+    for lo in range(0, n, _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        cum = step_cumulants(model, node_ticks,
+                             *(f if len(f) == 1 else f[rows] for f in (y, v)))
+        if spec is not None:
+            feasible[rows] = max_ratios(cum, spec, x, grid) <= 1.0 + SATURATION_TOL
+        costs[rows] = _cost(cum, utility, x)
+    return feasible, np.where(feasible, costs, -np.inf)

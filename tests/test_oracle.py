@@ -16,20 +16,24 @@ from merton_risk.oracle import (
     FamilyConfig,
     N_PROFILE,
     _evaluate,
+    _theta_exposures,
     cost_closed_form,
     grid_search_oracle,
 )
 from merton_risk.risk import (
+    SATURATION_TOL,
     MeasureKind,
     RiskSpec,
     constraint_profile,
     log_risk_es,
     log_risk_var,
+    max_ratios,
 )
 from merton_risk.strategies import (
     DeterministicStrategy,
     constant_strategy,
     cumulants,
+    step_cumulants,
     step_strategy,
     theta_direction_strategy,
 )
@@ -37,7 +41,7 @@ from merton_risk.utility import UtilityParams
 from merton_risk.var_bound import rho_var, solve_var_linear, solve_var_tight
 
 from conftest import bond_strategy, random_market, random_strategy
-from cross_checks import cost_quadrature
+from cross_checks import cost_quadrature, evaluate_full_grid
 
 
 def linear_cost_direct(model, strategy, x):
@@ -209,14 +213,46 @@ def _rebuild_candidate(model, rec, directions):
         consumption=plan.consumption)
 
 
+def _large_theta_market():
+    """theta = 1.5 on [0, 1].  At alpha = 0.025, |z_alpha| < 2||theta||_T:
+    the bound on exposures along theta binds inside (0, T), so at zeta = 0.15
+    some of them pass at T and still break the bound on the profile grid."""
+    return constant_market(0.0, [0.3], [[0.2]], 1.0)
+
+
+def _profile_edge(model, spec, x):
+    """Largest rho whose theta-direction exposure passes constraint_profile,
+    by bisection on its verdict."""
+    def passes(rho):
+        return constraint_profile(model, theta_direction_strategy(model, rho),
+                                  spec, x, n_refine=N_PROFILE).satisfied()
+    lo, hi = 0.0, 1.0
+    assert passes(lo) and not passes(hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return lo
+
+
 @pytest.mark.parametrize("kind", [MeasureKind.VAR, MeasureKind.ES])
-@pytest.mark.parametrize("v_pieces,random_directions", [(1, 8), (4, 0)])
-def test_oracle_batched_matches_looped(kind, v_pieces, random_directions):
-    model = random_market(np.random.default_rng(23), d=2, max_pieces=3)
+@pytest.mark.parametrize("v_pieces,random_directions,large_theta", [
+    pytest.param(1, 8, False, id="1-8"),
+    pytest.param(4, 0, False, id="4-0"),
+    pytest.param(4, 0, True, id="4-0-large_theta"),
+])
+def test_oracle_batched_matches_looped(kind, v_pieces, random_directions,
+                                       large_theta):
     spec = RiskSpec(alpha=0.025, zeta=0.15, kind=kind)
     u = UtilityParams(0.6, 0.4)
-    # exposures just inside and just outside the bound test the verdict there
-    rho_star = (rho_var if kind == MeasureKind.VAR else rho_es)(model, spec)
+    # exposures just inside and just outside the bound test the verdict there;
+    # where the bound binds inside (0, T) the closed-form rho* is only the
+    # edge at T, so the edge is found on the profile itself
+    if large_theta:
+        model = _large_theta_market()
+        rho_star = _profile_edge(model, spec, 1.2)
+    else:
+        model = random_market(np.random.default_rng(23), d=2, max_pieces=3)
+        rho_star = (rho_var if kind == MeasureKind.VAR else rho_es)(model, spec)
     edge = rho_star * np.array([1 - 1e-6, 1 + 1e-6])
     config = FamilyConfig(rho_grid=np.concatenate([np.arange(0.0, 0.3, 0.02), edge]),
                           v_levels=np.linspace(0.0, 0.4, 9), v_pieces=v_pieces,
@@ -233,11 +269,12 @@ def test_oracle_batched_matches_looped(kind, v_pieces, random_directions):
         directions.append(d / np.linalg.norm(d))
         rng.choice(rhos[rhos > 0])
     directions = iter(directions)
-    feasible = 0
+    feasible = inner_breaks = 0
     for rec in res.records:
         s = _rebuild_candidate(model, rec, directions)
         prof = constraint_profile(model, s, spec, 1.2, n_refine=N_PROFILE)
         assert rec.feasible == prof.satisfied()
+        inner_breaks += prof.ratio_curve[-1] <= 1.0 + SATURATION_TOL and not rec.feasible
         if rec.feasible:
             feasible += 1
             cost = cost_closed_form(model, s, u, 1.2)
@@ -251,6 +288,8 @@ def test_oracle_batched_matches_looped(kind, v_pieces, random_directions):
     assert inside.feasible and not outside.feasible
     assert res.best_cost == pytest.approx(
         max(r.cost for r in res.records if r.feasible), rel=1e-12)
+    # a record that passes at T and fails inside (0, T)
+    assert inner_breaks > 0 or not large_theta
 
 
 @pytest.mark.parametrize("kind", [MeasureKind.VAR, MeasureKind.ES, None])
@@ -281,6 +320,44 @@ def test_evaluate_shared_factor_matches_broadcast(kind):
             assert np.array_equal(np.broadcast_to(g, w.shape), w)
         if spec is not None and len(got[0]) == n:
             assert 0 < np.sum(want[0]) < n
+
+
+@pytest.mark.parametrize("kind", [MeasureKind.VAR, MeasureKind.ES, None])
+def test_evaluate_screen_at_T_matches_full_grid(kind):
+    """Screening at T first and then the survivors on the whole grid gives
+    the one-pass flags and costs bit for bit, shared factors included."""
+    rng = np.random.default_rng(37)
+    spec = None if kind is None else RiskSpec(alpha=0.025, zeta=0.15, kind=kind)
+    n = 70                       # crosses two _CHUNK boundaries
+    assert 2 * _CHUNK < n
+    random_case = random_market(rng, d=2, max_pieces=3)
+    theta_case = _large_theta_market()
+    inner_breaks = 0
+    for model in (random_case, theta_case):
+        node_ticks = merge_ticks(model.node_ticks,
+                                 to_ticks(np.linspace(0.0, model.horizon, 5)))
+        shape = (n, len(node_ticks) - 1)
+        if model is theta_case:
+            # exposures rho theta / ||theta||_T for rho in (0, 1]
+            y = _theta_exposures(model, node_ticks, np.linspace(0.0, 1.0, n + 1)[1:])
+            v = rng.uniform(0.0, 0.1, size=shape)
+            v[0] = 0.0           # the shared row consumes nothing
+        else:
+            y = (rng.uniform(-0.15, 0.15, size=shape + (model.dimension,))
+                 * np.linspace(0.1, 1.0, n)[:, None, None])
+            v = rng.uniform(0.0, 0.3, size=shape) * (rng.random(shape) < 0.8)
+        args = (model, UtilityParams(0.6, 0.4), spec, 1.2, node_ticks)
+        for y_b, v_b in ((y, v), (y[:1], v), (y, v[:1]), (y[:1], v[:1])):
+            got = _evaluate(*args, y_b, v_b)
+            want = evaluate_full_grid(*args, y_b, v_b)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            if spec is not None and model is theta_case:
+                at_T = max_ratios(step_cumulants(model, node_ticks, y_b, v_b), spec,
+                                  1.2, np.array([model.horizon]))
+                inner_breaks += np.sum((at_T <= 1.0 + SATURATION_TOL) & ~want[0])
+    # the second stage rejects what the screen at T let through
+    assert inner_breaks > 0 or spec is None
 
 
 def test_oracle_random_direction_never_beats_theta(standard_market):
