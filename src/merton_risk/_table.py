@@ -1,7 +1,7 @@
 """Output files: CSV tables from pre-formatted text fields, and JSON documents.
 
-Tables of (t, x) grids go through ``write_grid_csv``, every other table
-through ``write_rows``.  No field holds a comma, quote or line break, so
+Tables of (t, x) grids go through ``write_grid_csv``, and every other
+table but the oracle's (``OracleResult.write_csv``) through ``write_rows``.  No field holds a comma, quote or line break, so
 fields are joined as they are, unquoted.  Every JSON document goes
 through ``write_json``, which writes it whole in one call.
 """

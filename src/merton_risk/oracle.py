@@ -12,28 +12,30 @@ supported strategy families, so the integral is evaluated exactly.  A
 constrained grid search over an exposure/consumption family brackets the
 solver optima from below.
 
-The bound must hold at every t of a profile grid.  The search screens each
-candidate at t = T first and runs the whole grid only for those that pass:
-a candidate above the bound at T is above it on the grid, so the verdict is
-the one-pass verdict, bit for bit.  Costs are computed on the original
-batches, whose shapes do not depend on the screen.
+The bound must hold at every t of a profile grid.  Each evaluation builds
+the cumulants of its candidates once, costs them and screens them at t = T
+in one batch, then checks only the candidates that pass on the whole grid,
+from rows of the same cumulants: a candidate above the bound at T is above
+it on the grid, so the verdict is the one-pass verdict, bit for bit.  Each
+node partition's profile grid is built once per search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from ._piecewise import (
+    PiecewiseLinear,
     exp_affine_segment,
     from_ticks,
     merge_ticks,
     segment_index,
     to_ticks,
 )
-from ._table import write_rows
 from .errors import EmptyFeasibleSet
 from .market import MarketModel
 from .risk import SATURATION_TOL, RiskSpec, max_ratios, profile_grid
@@ -46,9 +48,13 @@ from .strategies import (
 )
 from .utility import UtilityParams
 
-# Oracle candidates screened and costed together: bounds the (candidates x
-# profile grid) arrays of the screen to a few MB; a factor shared by the whole
-# batch keeps one row.
+# Oracle candidates costed and screened at t = T together: bounds their
+# (candidates x intervals) arrays to about a MB; a search stage larger than
+# this (a fine exposure step) goes through in several batches.
+_BATCH_ROWS = 1024
+# Survivors of the screen at T checked together on the whole profile grid:
+# bounds their (candidates x 2,001+ points) arrays to a few MB.  A factor
+# shared by the whole batch keeps one row in both stages.
 _CHUNK = 32
 COORDINATE_PASSES = 3    # sweeps of the coordinate descent over v levels
 N_PROFILE = 2001         # uniform times of the feasibility screen's grid
@@ -136,12 +142,23 @@ class OracleResult:
     records: tuple
 
     def write_csv(self, path) -> None:
-        write_rows(path, ["label", "rho", "v_levels", "feasible", "cost"], (
-            (rec.label, f"{rec.rho:.12g}",
-             " ".join(f"{v:.8g}" for v in rec.v_levels),
-             "1" if rec.feasible else "0",
-             f"{rec.cost:.12g}" if np.isfinite(rec.cost) else "nan")
-            for rec in self.records))
+        """One line per record, from a %-template of its number of levels
+        and of whether its cost is finite (else written as nan)."""
+        templates = {}
+
+        def line(rec):
+            finite = math.isfinite(rec.cost)
+            key = (len(rec.v_levels), finite)
+            if key not in templates:
+                templates[key] = ("%s,%.12g," + " ".join(["%.8g"] * key[0])
+                                  + ",%d," + ("%.12g" if finite else "nan") + "\n")
+            cost = (rec.cost,) if finite else ()
+            return templates[key] % (rec.label, rec.rho, *rec.v_levels,
+                                     rec.feasible, *cost)
+
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("label,rho,v_levels,feasible,cost\n")
+            fh.writelines(map(line, self.records))
 
 
 def _step_candidate(model: MarketModel, node_ticks: np.ndarray, y, v):
@@ -160,44 +177,58 @@ def _theta_exposures(model: MarketModel, node_ticks: np.ndarray, rhos):
     return scale[:, None, None] * theta
 
 
+def _take_rows(cum: Cumulants, rows) -> Cumulants:
+    """The candidates rows of a step_cumulants batch; a curve or array with
+    one row is shared by the batch and stays whole."""
+    def take(a):
+        return a if len(a) == 1 else a[rows]
+
+    def take_curve(curve):
+        return PiecewiseLinear(curve.node_ticks, take(curve.values))
+
+    return replace(cum, ydt=take_curve(cum.ydt), ynn=take_curve(cum.ynn),
+                   V_of=take_curve(cum.V_of), cons_a=take(cum.cons_a),
+                   cons_b=take(cum.cons_b))
+
+
 def _evaluate(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
-              x: float, node_ticks: np.ndarray, y, v):
+              x: float, node_ticks: np.ndarray, y, v, grid=None):
     """Feasibility flags and costs (-inf when infeasible) of step candidates.
 
     y : (K or 1, k, d) exposures and v : (K or 1, k) consumption rates on the
-    intervals of node_ticks.  A factor with one row is shared by every
-    candidate and enters the cumulants, screen and cost once, unbroadcast.
+    intervals of node_ticks; grid is their profile grid, built here when not
+    given.  A factor with one row is shared by every candidate and enters the
+    cumulants, screen and cost once, unbroadcast.
 
-    Candidates go through in chunks of _CHUNK, screened first at the grid's
-    last point t = T alone; only those that pass are regrouped into chunks
-    and screened on the whole profile grid.  The verdict is the one-pass
-    verdict: a ratio above the bound at T is above it on the grid, and each
-    point's ratio is elementwise, so its bits do not depend on the rows or
-    points that share the array.  Costs are taken on the original chunks,
-    because numpy's row sums may round differently with the batch shape.
+    The cumulants of up to _BATCH_ROWS candidates are built in one batch, which
+    is costed and screened at the grid's last point t = T alone; those that
+    pass are checked on the whole grid _CHUNK at a time, from rows of the
+    same cumulants.  The verdict is the one-pass verdict: a ratio above the
+    bound at T is above it on the grid, and each point's ratio is
+    elementwise, so its bits do not depend on the rows or points that share
+    the array.  Each candidate's cost is a sum along its own row, so it too
+    does not depend on the batch (tests pin both).
     """
     v = np.asarray(v, dtype=np.float64)
     n, = np.broadcast_shapes(np.shape(y)[:1], v.shape[:1])
     feasible = np.ones(n, dtype=bool)
     costs = np.empty(n)
-    grid = profile_grid(node_ticks, model.horizon, N_PROFILE)
-
-    def batch(rows):
-        return step_cumulants(model, node_ticks,
-                              *(f if len(f) == 1 else f[rows] for f in (y, v)))
-
-    for lo in range(0, n, _CHUNK):
-        rows = slice(lo, lo + _CHUNK)
-        cum = batch(rows)
-        if spec is not None:
-            feasible[rows] = max_ratios(cum, spec, x, grid[-1:]) <= 1.0 + SATURATION_TOL
+    if spec is not None and grid is None:
+        grid = profile_grid(node_ticks, model.horizon, N_PROFILE)
+    for lo in range(0, n, _BATCH_ROWS):
+        rows = slice(lo, lo + _BATCH_ROWS)
+        cum = step_cumulants(model, node_ticks,
+                             *(f if len(f) == 1 else f[rows] for f in (y, v)))
         costs[rows] = _cost(cum, utility, x)
-    if spec is not None:
-        passed = np.flatnonzero(feasible)
-        for lo in range(0, len(passed), _CHUNK):
-            rows = passed[lo:lo + _CHUNK]
-            ratios = max_ratios(batch(rows), spec, x, grid)
-            feasible[rows] = ratios <= 1.0 + SATURATION_TOL
+        if spec is None:
+            continue
+        ok = max_ratios(cum, spec, x, grid[-1:]) <= 1.0 + SATURATION_TOL
+        passed = np.flatnonzero(ok)
+        for at in range(0, len(passed), _CHUNK):
+            part = passed[at:at + _CHUNK]
+            ratios = max_ratios(_take_rows(cum, part), spec, x, grid)
+            ok[part] = ratios <= 1.0 + SATURATION_TOL
+        feasible[rows] = ok
     return feasible, np.where(feasible, costs, -np.inf)
 
 
@@ -219,8 +250,14 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     if model.theta_norm_T == 0.0:
         rhos = np.array([0.0])
     levels = np.unique(lvl_in) if lvl_in.size else np.array([0.0])
-    evaluate = partial(_evaluate, model, utility, spec, x)
     horizon = model.horizon
+
+    def on_partition(node_ticks):
+        """_evaluate on node_ticks, whose profile grid is built once here."""
+        grid = None if spec is None else profile_grid(node_ticks, horizon, N_PROFILE)
+        return partial(_evaluate, model, utility, spec, x, node_ticks, grid=grid)
+
+    evaluate_market = on_partition(model.node_ticks)
     n_steps = len(model.node_ticks) - 1
 
     records = []
@@ -230,7 +267,7 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
         """Evaluate one batch on the market's nodes, record each of entries'
         (rho, v_levels) in order and keep the best feasible candidate."""
         nonlocal best
-        feasible, costs = evaluate(model.node_ticks, y, v)
+        feasible, costs = evaluate_market(y, v)
         for k, ((rho, w), ok, cost) in enumerate(zip(entries, feasible, costs)):
             records.append(OracleRecord(rho=rho, v_levels=w, feasible=bool(ok),
                                         cost=float(cost), label=label))
@@ -273,6 +310,7 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
             piece_ticks = to_ticks(np.linspace(0.0, horizon, config.v_pieces + 1))
             node_ticks = merge_ticks(model.node_ticks, piece_ticks)
             piece = segment_index(piece_ticks, node_ticks[:-1])
+            evaluate = on_partition(node_ticks)
             y = _theta_exposures(model, node_ticks, [best_rho])
             for _ in range(COORDINATE_PASSES):
                 improved = False
@@ -281,7 +319,7 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
                     # acceptance rule replayed over the results
                     trials = np.repeat(current[None, :], len(levels), axis=0)
                     trials[:, i] = levels
-                    feasible, costs = evaluate(node_ticks, y, trials[:, piece])
+                    feasible, costs = evaluate(y, trials[:, piece])
                     for trial, ok, cost in zip(trials, feasible, costs):
                         if np.array_equal(trial, current):
                             continue
@@ -294,7 +332,7 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
                 if not improved:
                     break
             v = current[None, piece]
-            feasible, costs = evaluate(node_ticks, y, v)
+            feasible, costs = evaluate(y, v)
             if feasible[0] and costs[0] > best[0]:
                 best = (costs[0], (node_ticks, y[0], v[0]))
 

@@ -3,8 +3,9 @@
 Each restates a quantity of the package by another route: the expected
 cost by adaptive quadrature, the sup of the cost tilt along theta, the
 Gaussian upper tail, Mills' ratio bounds on it, the Hamiltonian probe
-check node by node, the grid table written row by row, and the oracle's
-feasibility screen on the full profile grid in one pass.
+check node by node, the grid table written row by row, the oracle's
+feasibility screen on the full profile grid in one pass, and the oracle
+table written field by field.
 """
 
 from __future__ import annotations
@@ -148,3 +149,13 @@ def evaluate_full_grid(model: MarketModel, utility: UtilityParams, spec: RiskSpe
             feasible[rows] = max_ratios(cum, spec, x, grid) <= 1.0 + SATURATION_TOL
         costs[rows] = _cost(cum, utility, x)
     return feasible, np.where(feasible, costs, -np.inf)
+
+
+def write_oracle_csv_per_field(path, records) -> None:
+    """The oracle table of records, one formatted field at a time."""
+    write_rows(path, ["label", "rho", "v_levels", "feasible", "cost"], (
+        (rec.label, f"{rec.rho:.12g}",
+         " ".join(f"{v:.8g}" for v in rec.v_levels),
+         "1" if rec.feasible else "0",
+         f"{rec.cost:.12g}" if np.isfinite(rec.cost) else "nan")
+        for rec in records))

@@ -1,5 +1,6 @@
 """Closed-form cost, log risk functional, and the grid-search oracle."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -12,6 +13,7 @@ from merton_risk.es_bound import rho_es, solve_es_linear
 from merton_risk.market import constant_market
 from merton_risk.mc import SimConfig, estimate_cost, simulate_deterministic
 from merton_risk.oracle import (
+    _BATCH_ROWS,
     _CHUNK,
     FamilyConfig,
     N_PROFILE,
@@ -325,39 +327,63 @@ def test_evaluate_shared_factor_matches_broadcast(kind):
 @pytest.mark.parametrize("kind", [MeasureKind.VAR, MeasureKind.ES, None])
 def test_evaluate_screen_at_T_matches_full_grid(kind):
     """Screening at T first and then the survivors on the whole grid gives
-    the one-pass flags and costs bit for bit, shared factors included."""
+    the one-pass flags and costs bit for bit, shared factors included, in
+    one batch and across the batch bound."""
     rng = np.random.default_rng(37)
     spec = None if kind is None else RiskSpec(alpha=0.025, zeta=0.15, kind=kind)
-    n = 70                       # crosses two _CHUNK boundaries
-    assert 2 * _CHUNK < n
     random_case = random_market(rng, d=2, max_pieces=3)
     theta_case = _large_theta_market()
     inner_breaks = 0
-    for model in (random_case, theta_case):
-        node_ticks = merge_ticks(model.node_ticks,
-                                 to_ticks(np.linspace(0.0, model.horizon, 5)))
-        shape = (n, len(node_ticks) - 1)
-        if model is theta_case:
-            # exposures rho theta / ||theta||_T for rho in (0, 1]
-            y = _theta_exposures(model, node_ticks, np.linspace(0.0, 1.0, n + 1)[1:])
-            v = rng.uniform(0.0, 0.1, size=shape)
-            v[0] = 0.0           # the shared row consumes nothing
-        else:
-            y = (rng.uniform(-0.15, 0.15, size=shape + (model.dimension,))
-                 * np.linspace(0.1, 1.0, n)[:, None, None])
-            v = rng.uniform(0.0, 0.3, size=shape) * (rng.random(shape) < 0.8)
-        args = (model, UtilityParams(0.6, 0.4), spec, 1.2, node_ticks)
-        for y_b, v_b in ((y, v), (y[:1], v), (y, v[:1]), (y[:1], v[:1])):
-            got = _evaluate(*args, y_b, v_b)
-            want = evaluate_full_grid(*args, y_b, v_b)
-            for g, w in zip(got, want):
-                assert np.array_equal(g, w)
-            if spec is not None and model is theta_case:
-                at_T = max_ratios(step_cumulants(model, node_ticks, y_b, v_b), spec,
-                                  1.2, np.array([model.horizon]))
-                inner_breaks += np.sum((at_T <= 1.0 + SATURATION_TOL) & ~want[0])
+    # 70 crosses two _CHUNK boundaries, the other size a _BATCH_ROWS one
+    for n in (70, _BATCH_ROWS + 70):
+        assert 2 * _CHUNK < 70 < _BATCH_ROWS
+        for model in (random_case, theta_case):
+            node_ticks = merge_ticks(model.node_ticks,
+                                     to_ticks(np.linspace(0.0, model.horizon, 5)))
+            shape = (n, len(node_ticks) - 1)
+            if model is theta_case:
+                # exposures rho theta / ||theta||_T for rho in (0, 1]
+                y = _theta_exposures(model, node_ticks,
+                                     np.linspace(0.0, 1.0, n + 1)[1:])
+                v = rng.uniform(0.0, 0.1, size=shape)
+                v[0] = 0.0       # the shared row consumes nothing
+            else:
+                y = (rng.uniform(-0.15, 0.15, size=shape + (model.dimension,))
+                     * np.linspace(0.1, 1.0, n)[:, None, None])
+                v = rng.uniform(0.0, 0.3, size=shape) * (rng.random(shape) < 0.8)
+            args = (model, UtilityParams(0.6, 0.4), spec, 1.2, node_ticks)
+            for y_b, v_b in ((y, v), (y[:1], v), (y, v[:1]), (y[:1], v[:1])):
+                got = _evaluate(*args, y_b, v_b)
+                want = evaluate_full_grid(*args, y_b, v_b)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+                if spec is not None and model is theta_case:
+                    at_T = max_ratios(step_cumulants(model, node_ticks, y_b, v_b),
+                                      spec, 1.2, np.array([model.horizon]))
+                    inner_breaks += np.sum((at_T <= 1.0 + SATURATION_TOL) & ~want[0])
     # the second stage rejects what the screen at T let through
     assert inner_breaks > 0 or spec is None
+
+
+def test_evaluate_memory_bounded_by_batch_rows():
+    """Eight batches of candidates peak within 1.5x of one: the cumulants
+    and cost arrays of at most _BATCH_ROWS candidates are alive at once."""
+    model = _large_theta_market()
+    spec = RiskSpec(alpha=0.025, zeta=0.15, kind=MeasureKind.ES)
+    node_ticks = merge_ticks(model.node_ticks, to_ticks(np.linspace(0.0, 1.0, 17)))
+    k = len(node_ticks) - 1
+    peaks = []
+    for n in (_BATCH_ROWS, 8 * _BATCH_ROWS):
+        # about a twelfth of the candidates pass, so the second stage runs too
+        y = _theta_exposures(model, node_ticks, np.linspace(0.0, 2.0, n))
+        v = np.full((n, k), 0.01)
+        tracemalloc.start()
+        feasible, _ = _evaluate(model, UtilityParams(0.6, 0.4), spec, 1.2,
+                                node_ticks, y, v)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert 0 < np.sum(feasible) < n
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_oracle_random_direction_never_beats_theta(standard_market):

@@ -22,7 +22,7 @@ from merton_risk.errors import (
     UnsupportedRegime,
 )
 from merton_risk.es_bound import es_loose_threshold, rho_es, solve_es, solve_es_tight
-from merton_risk.oracle import FamilyConfig, grid_search_oracle
+from merton_risk.oracle import _CHUNK, FamilyConfig, _cost, grid_search_oracle
 from merton_risk.risk import MeasureKind, RiskSpec, log_risk_var
 from merton_risk.strategies import cumulants, step_cumulants
 from merton_risk.unconstrained import equal_gamma_strategy, solve_unconstrained
@@ -342,3 +342,38 @@ def test_step_cumulants_match_quadrature(control, fractions):
                                  (cum.V, v[:, k])):
             np.testing.assert_allclose(curve(t), integrand @ width,
                                        rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def cost_batches(draw):
+    """(model, node_ticks, y, v, utility): a batch of 33-140 step controls on
+    a random refinement of the market's partition with up to 40 cuts, either
+    factor possibly one shared row."""
+    model = draw(markets())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cuts = to_ticks(rng.uniform(0.0, model.horizon, size=rng.integers(0, 41)))
+    node_ticks = merge_ticks(model.node_ticks, cuts)
+    n, k = draw(st.integers(_CHUNK + 1, 140)), len(node_ticks) - 1
+    shared = draw(st.sampled_from(["none", "y", "v"]))
+    y = rng.uniform(-2.0, 2.0, size=(1 if shared == "y" else n, k, model.dimension))
+    shape = (1 if shared == "v" else n, k)
+    v = rng.uniform(0.0, 3.0, size=shape) * (rng.random(shape) < 0.8)
+    utility = UtilityParams(draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0)))
+    return model, node_ticks, y, v, utility
+
+
+@PROPERTY
+@given(cost_batches(), st.floats(0.1, 10.0))
+def test_batch_cost_equals_chunked_cost(batch, x0):
+    """The oracle's cost of a batch is the concatenation of the costs of its
+    _CHUNK-row pieces, bit for bit: each candidate's sum runs along its own
+    row, whatever the batch's size."""
+    model, node_ticks, y, v, utility = batch
+    n = max(len(y), len(v))
+    whole = _cost(step_cumulants(model, node_ticks, y, v), utility, x0)
+    pieces = [_cost(step_cumulants(model, node_ticks,
+                                   *(f if len(f) == 1 else f[lo:lo + _CHUNK]
+                                     for f in (y, v))), utility, x0)
+              for lo in range(0, n, _CHUNK)]
+    assert whole.shape == (n,)
+    assert np.array_equal(whole, np.concatenate(pieces), equal_nan=True)
