@@ -1,9 +1,13 @@
-"""Output files: CSV tables from pre-formatted text fields, and JSON documents.
+"""Output files: one CSV writer, ``write_table``, and one JSON writer,
+``write_json``.
 
-Tables of (t, x) grids go through ``write_grid_csv``, and every other
-table but the oracle's (``OracleResult.write_csv``) through ``write_rows``.  No field holds a comma, quote or line break, so
-fields are joined as they are, unquoted.  Every JSON document goes
-through ``write_json``, which writes it whole in one call.
+A table is a header and equal-length columns, each with a %-conversion:
+numbers in ``.12g``, ``.6g`` or ``d``, or text in ``s``, written as it is.
+``write_table`` fills one row template per block of ``_BLOCK_ROWS`` rows,
+so a long table is never held whole as text.  No field holds a comma,
+quote or line break, so fields are written unquoted.  The axes of a grid
+are formatted once by ``grid_axes`` and passed as text columns.  Every
+JSON document is written whole in one call.
 """
 
 from __future__ import annotations
@@ -12,10 +16,7 @@ import json
 
 import numpy as np
 
-
-def fmt(values, spec: str = ".12g") -> list:
-    """The values, flattened, as text in the given format."""
-    return [f"{v:{spec}}" for v in np.ravel(values).tolist()]
+_BLOCK_ROWS = 4096
 
 
 def write_json(path, doc) -> None:
@@ -24,21 +25,25 @@ def write_json(path, doc) -> None:
         fh.write(json.dumps(doc, indent=2) + "\n")
 
 
-def write_rows(path, header, rows) -> None:
-    """Write the header and the rows (sequences of text fields) line by line
-    from a generator, so a long table is never held whole."""
+def write_table(path, header, columns, specs) -> None:
+    """Write the header, then row i of the columns: columns[j][i] in
+    %-conversion specs[j] ("s": text as it is).  No columns: header only."""
+    n = len(columns[0]) if columns else 0
+    width = len(columns)
+    row = ",".join("%" + spec for spec in specs) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            fields = [None] * (width * (hi - lo))
+            for j, column in enumerate(columns):
+                part = column[lo:hi]
+                fields[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+            fh.write(row * (hi - lo) % tuple(fields))
 
 
-def write_grid_csv(path, header, ts, xs, values, spec: str = ".12g") -> None:
-    """CSV of values[i, j] at (ts[i], xs[j]), t slowest, one time row per
-    write: each row's values fill a template of its t and x fields."""
-    ts, xs = fmt(ts), fmt(xs)
-    rows = np.reshape(values, (len(ts), len(xs)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for t, row in zip(ts, rows):
-            fh.write("".join(f"{t},{x},%{spec}\n" for x in xs)
-                     % tuple(row.tolist()))
+def grid_axes(slow, fast) -> list:
+    """The two text columns (slow, fast) of a grid's rows, slow axis first;
+    each axis value is formatted ('.12g') once."""
+    slow, fast = (["%.12g" % v for v in np.ravel(a).tolist()] for a in (slow, fast))
+    return [[s for s in slow for _ in fast], fast * len(slow)]

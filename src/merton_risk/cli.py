@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import es_bound, hjb, mc, oracle, unconstrained, var_bound
-from ._table import fmt, write_json, write_rows
+from ._table import write_json, write_table
 from .errors import (
     ConditionViolated,
     HypothesisViolated,
@@ -256,18 +256,16 @@ def cmd_simulate(args) -> int:
         # the ensemble grid holds every node, so the profile keeps it row for row
         closed = constraint_profile(spec.model, strategy, risk, spec.x0,
                                     grid=ensemble.times)
-        closed_columns = [fmt(curve) for curve in (
-            closed.var_curve, closed.es_curve, closed.level_curve,
-            closed.ratio_curve)]
+        closed_columns = [closed.var_curve, closed.es_curve, closed.level_curve,
+                          closed.ratio_curve]
     else:
-        nan = ["nan"] * len(empirical.times)
-        closed_columns = [nan, nan, fmt(empirical.level_curve), nan]
-    write_rows(out_dir / "risk_profile.csv",
-               ["t", "var", "es", "level", "ratio",
-                "empirical_var", "empirical_es", "empirical_ratio"],
-               zip(fmt(empirical.times), *closed_columns,
-                   *map(fmt, (empirical.var_curve, empirical.es_curve,
-                              empirical.ratio_curve))))
+        nan = np.full(len(empirical.times), np.nan)
+        closed_columns = [nan, nan, empirical.level_curve, nan]
+    write_table(out_dir / "risk_profile.csv",
+                ["t", "var", "es", "level", "ratio",
+                 "empirical_var", "empirical_es", "empirical_ratio"],
+                [empirical.times, *closed_columns, empirical.var_curve,
+                 empirical.es_curve, empirical.ratio_curve], [".12g"] * 8)
     return 0
 
 
@@ -283,7 +281,7 @@ def cmd_verify(args) -> int:
         _require(math.isfinite(tol) and tol >= 0.0, flag,
                  "non-negative and finite", tol)
     t_nodes = None
-    if args.t_nodes:
+    if args.t_nodes is not None:
         t_nodes = np.asarray([float(v) for v in args.t_nodes.split(",")])
         if not np.all((t_nodes >= 0.0) & (t_nodes < spec.model.horizon)):
             raise ValueError("time nodes must be finite and in [0, T)")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._piecewise import segment_index, to_ticks
-from ._table import write_grid_csv, write_json
+from ._table import grid_axes, write_json, write_table
 from .errors import GridTouchesBreakpoint
 from .market import MarketModel
 from .unconstrained import HaraFeedback, solve_hara_unconstrained
@@ -59,8 +59,9 @@ class HjbReport:
         write_json(path, self.as_dict())
 
     def write_csv(self, path) -> None:
-        write_grid_csv(path, ["t", "x", "residual"], self.t_nodes, self.x_nodes,
-                       self.residuals, ".6g")
+        write_table(path, ["t", "x", "residual"],
+                    [*grid_axes(self.t_nodes, self.x_nodes), np.ravel(self.residuals)],
+                    ["s", "s", ".6g"])
 
 
 def off_breakpoint_grid(model: MarketModel, n_t: int) -> np.ndarray:

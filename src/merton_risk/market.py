@@ -126,6 +126,7 @@ class MarketModel:
         return self.cum_theta_sq(t)
 
     def theta_norm(self, t) -> float:
+        """||theta||_t = sqrt(int_0^t |theta_u|^2 du); nondecreasing, 0 at t=0."""
         self.check_time(t)
         return np.sqrt(self.cum_theta_sq(t))
 
@@ -212,11 +213,6 @@ def constant_market(r: float, mu, sigma, horizon: float) -> MarketModel:
         CoefficientPath.constant(mu, horizon),
         CoefficientPath.constant(sigma, horizon),
     )
-
-
-def theta_norm(model: MarketModel, t) -> float:
-    """||theta||_t = sqrt(int_0^t |theta_u|^2 du); nondecreasing, 0 at t=0."""
-    return model.theta_norm(t)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from ._piecewise import merge_ticks, from_ticks, to_ticks
-from ._table import fmt, write_rows
+from ._table import grid_axes, write_table
 from .errors import InsufficientPaths, MismatchedPaths
 from .gaussian import erf, erfcx
 from .market import MarketModel
@@ -130,15 +130,13 @@ class PathEnsemble:
                 break
         return out
 
-    def write_csv(self, path, max_paths: int | None = None) -> None:
-        """Columnar spill (path_id, t, X, c); optionally truncated."""
-        n = self.n_paths if max_paths is None else min(max_paths,
-                                                       self.n_paths)
-        consumption = self._consumption(slice(0, n))
-        ts = fmt(self.times)
-        write_rows(path, ["path_id", "t", "X", "c"], (
-            (str(i), t, x, c) for i in range(n)
-            for t, x, c in zip(ts, fmt(self.wealth[i]), fmt(consumption[i]))))
+    def write_csv(self, path, max_paths: int) -> None:
+        """Columnar spill (path_id, t, X, c) of the first max_paths paths."""
+        n = min(max_paths, self.n_paths)
+        write_table(path, ["path_id", "t", "X", "c"],
+                    [*grid_axes(range(n), self.times), self.wealth[:n].ravel(),
+                     self._consumption(slice(0, n)).ravel()],
+                    ["s", "s", ".12g", ".12g"])
 
 
 def _one_path(wealth: np.ndarray) -> bool:

@@ -36,6 +36,7 @@ from ._piecewise import (
     segment_index,
     to_ticks,
 )
+from ._table import write_table
 from .errors import EmptyFeasibleSet
 from .market import MarketModel
 from .risk import SATURATION_TOL, RiskSpec, max_ratios, profile_grid
@@ -142,23 +143,14 @@ class OracleResult:
     records: tuple
 
     def write_csv(self, path) -> None:
-        """One line per record, from a %-template of its number of levels
-        and of whether its cost is finite (else written as nan)."""
-        templates = {}
-
-        def line(rec):
-            finite = math.isfinite(rec.cost)
-            key = (len(rec.v_levels), finite)
-            if key not in templates:
-                templates[key] = ("%s,%.12g," + " ".join(["%.8g"] * key[0])
-                                  + ",%d," + ("%.12g" if finite else "nan") + "\n")
-            cost = (rec.cost,) if finite else ()
-            return templates[key] % (rec.label, rec.rho, *rec.v_levels,
-                                     rec.feasible, *cost)
-
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("label,rho,v_levels,feasible,cost\n")
-            fh.writelines(map(line, self.records))
+        """One line per record; a non-finite cost is written as nan."""
+        recs = self.records
+        write_table(path, ["label", "rho", "v_levels", "feasible", "cost"], [
+            [rec.label for rec in recs], [rec.rho for rec in recs],
+            [("%.8g " * len(rec.v_levels) % rec.v_levels)[:-1] for rec in recs],
+            [rec.feasible for rec in recs],
+            [rec.cost if math.isfinite(rec.cost) else math.nan for rec in recs],
+        ], ["s", ".12g", "s", "d", ".12g"])
 
 
 def _step_candidate(model: MarketModel, node_ticks: np.ndarray, y, v):

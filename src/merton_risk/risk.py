@@ -26,7 +26,6 @@ from enum import Enum
 import numpy as np
 
 from ._piecewise import from_ticks, merge_ticks, to_ticks
-from ._table import fmt, write_rows
 from .gaussian import Quantile, log_tail_ratio, normal_quantile, tail_ratio
 from .market import MarketModel
 from .strategies import Cumulants, DeterministicStrategy, cumulants
@@ -165,11 +164,6 @@ class RiskProfile:
 
     def satisfied(self, tol: float = SATURATION_TOL) -> bool:
         return self.max_ratio <= 1.0 + tol
-
-    def write_csv(self, path) -> None:
-        write_rows(path, ["t", "var", "es", "level", "ratio"],
-                   zip(*map(fmt, (self.times, self.var_curve, self.es_curve,
-                                  self.level_curve, self.ratio_curve))))
 
 
 def profile_grid(node_ticks: np.ndarray, horizon: float,

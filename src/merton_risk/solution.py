@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._table import fmt, write_grid_csv, write_json, write_rows
+from ._table import grid_axes, write_json, write_table
 from .market import MarketModel
 from .risk import RiskSpec, profile_grid
 from .strategies import DeterministicStrategy, cumulants
@@ -86,17 +86,17 @@ class Solution:
         grid = profile_grid(self.model.node_ticks, self.model.horizon, n)
         d = self.model.dimension
         header = ["t"] + [f"pi_{j+1}" for j in range(d)] + ["v"]
-        rows = ()
+        columns = []
         if self.strategy is not None:
             pis = np.reshape(self.strategy.pi_at(self.model, grid), (grid.size, d))
             vs = np.broadcast_to(self.strategy.v_at(self.model, grid), grid.shape)
-            rows = zip(fmt(grid), *(fmt(col) for col in pis.T), fmt(vs))
-        write_rows(path, header, rows)
+            columns = [grid, *pis.T, vs]
+        write_table(path, header, columns, [".12g"] * len(columns))
 
     def write_wealth_csv(self, path, n: int = 201) -> None:
         grid = profile_grid(self.model.node_ticks, self.model.horizon, n)
-        write_rows(path, ["t", "wealth_mean"],
-                   zip(fmt(grid), fmt(self.wealth_mean(grid))))
+        write_table(path, ["t", "wealth_mean"], [grid, self.wealth_mean(grid)],
+                    [".12g", ".12g"])
 
     def write_feedback_grids(self, path_p, path_c, n_t: int = 51,
                              n_x: int = 51) -> None:
@@ -106,6 +106,8 @@ class Solution:
         ts = np.linspace(0.0, self.model.horizon, n_t)
         xs = np.linspace(0.2 * self.x, 5.0 * self.x, n_x)
         gs = self.feedback.g(ts[:, None], xs)
-        write_grid_csv(path_p, ["t", "x", "p"], ts, xs,
-                       self.feedback.p_from_g(ts[:, None], gs))
-        write_grid_csv(path_c, ["t", "x", "c_star"], ts, xs, self.feedback.c_from_g(gs))
+        axes = grid_axes(ts, xs)
+        for path, name, values in ((path_p, "p", self.feedback.p_from_g(ts[:, None], gs)),
+                                   (path_c, "c_star", self.feedback.c_from_g(gs))):
+            write_table(path, ["t", "x", name], [*axes, np.ravel(values)],
+                        ["s", "s", ".12g"])

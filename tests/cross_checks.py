@@ -3,9 +3,10 @@
 Each restates a quantity of the package by another route: the expected
 cost by adaptive quadrature, the sup of the cost tilt along theta, the
 Gaussian upper tail, Mills' ratio bounds on it, the Hamiltonian probe
-check node by node, the grid table written row by row, the oracle's
-feasibility screen on the full profile grid in one pass, and the oracle
-table written field by field.
+check node by node, the oracle's feasibility screen on the full profile
+grid in one pass, and the output tables written one formatted field at a
+time (``fmt`` and ``write_rows``, the package's writers before
+``_table.write_table``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from itertools import product
 
 import numpy as np
 
-from merton_risk._table import fmt, write_rows
 from merton_risk.gaussian import _SQRT2, _real, erfc
 from merton_risk.hjb import _grid_and_feedback, _reduced_hamiltonian_terms
 from merton_risk.market import MarketModel
@@ -116,6 +116,19 @@ def hamiltonian_gap_per_node(model: MarketModel, utility: UtilityParams,
             node_gap = float(np.max(h_probe) - h_opt)
             gap = max(gap, node_gap)
     return gap
+
+
+def fmt(values, spec: str = ".12g") -> list:
+    """The values, flattened, as text in the given format."""
+    return [f"{v:{spec}}" for v in np.ravel(values).tolist()]
+
+
+def write_rows(path, header, rows) -> None:
+    """Write the header and the rows (sequences of text fields) line by line
+    from a generator, so a long table is never held whole."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def write_grid_csv_per_row(path, header, ts, xs, values,

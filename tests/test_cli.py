@@ -463,8 +463,9 @@ def test_verify_rejects_linear_utility(tmp_path):
     ["--nx", "0"], ["--nt", "0"], ["--t-nodes", "abc"],
     ["--t-nodes", "0.3,nan"], ["--t-nodes", "5.0"], ["--t-nodes", "-0.5"],
     ["--residual-tol", "nan"], ["--terminal-tol", "-1"], ["--gap-tol", "inf"],
+    ["--t-nodes", ""],
 ], ids=["nx0", "nt0", "abc", "nan", "beyond_T", "negative", "nan_residual_tol",
-        "negative_terminal_tol", "inf_gap_tol"])
+        "negative_terminal_tol", "inf_gap_tol", "empty"])
 def test_verify_bad_grid_is_input_error(tmp_path, grid):
     spec = write_spec(tmp_path / "p.json",
                       utility={"gamma1": 0.5, "gamma2": 0.3},
@@ -587,3 +588,22 @@ def test_package_import_loads_no_submodule(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split("\n")[:2] == [merton_risk.__version__, "[]"]
+
+
+def test_benchmark_tracer_installs_on_every_target():
+    # perfbench/tracing.py wraps its layers' functions and methods by name;
+    # a renamed or removed target must fail here, not in a traced benchmark run
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(merton_risk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    script = ("import sys, merton_risk.cli; "
+              f"sys.path.insert(0, {str(root / 'perfbench')!r}); "
+              "from tracing import Tracer; Tracer().install(); "
+              "from merton_risk.solution import Solution; "
+              "print(hasattr(Solution.write_json, '__wrapped__'))")
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["True"]

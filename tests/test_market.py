@@ -14,7 +14,6 @@ from merton_risk.market import (
     market_from_dict,
     market_to_dict,
     save_market,
-    theta_norm,
 )
 from merton_risk.strategies import GrowthFractionConsumption
 
@@ -58,19 +57,19 @@ def test_theta_norm_piecewise():
     mp = CoefficientPath.from_segments([(0.0, [0.1]), (0.5, [0.2])], 1.0)
     rp = CoefficientPath.from_segments([(0.0, 0.0)], 1.0)
     m = build_market(rp, mp, sp)
-    assert theta_norm(m, 1.0) == pytest.approx(np.sqrt(2.5), rel=1e-12)
-    assert theta_norm(m, 0.0) == 0.0
+    assert m.theta_norm(1.0) == pytest.approx(np.sqrt(2.5), rel=1e-12)
+    assert m.theta_norm(0.0) == 0.0
 
 
 def test_theta_norm_monotone_and_range_check():
     m = constant_market(0.02, [0.1], [[0.2]], 1.0)
     ts = np.linspace(0, 1, 57)
-    vals = [theta_norm(m, t) for t in ts]
+    vals = [m.theta_norm(t) for t in ts]
     assert np.all(np.diff(vals) >= -1e-15)
     with pytest.raises(TimeOutOfRange):
-        theta_norm(m, 1.5)
+        m.theta_norm(1.5)
     with pytest.raises(TimeOutOfRange):
-        theta_norm(m, -0.2)
+        m.theta_norm(-0.2)
 
 
 def test_weighted_g_norm_flat():

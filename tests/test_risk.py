@@ -176,16 +176,6 @@ def test_closed_forms_match_monte_carlo(standard_market):
         assert abs(prof.es_curve[k] - es_cf) <= 4 * prof.es_stderr[k]
 
 
-def test_profile_csv_export(tmp_path, standard_market):
-    spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
-    s = constant_strategy([0.2], 0.1, 1.0)
-    prof = constraint_profile(standard_market, s, spec, 1.0, n_refine=50)
-    out = tmp_path / "profile.csv"
-    prof.write_csv(out)
-    header = out.read_text().splitlines()[0]
-    assert header == "t,var,es,level,ratio"
-
-
 def test_negative_risk_measures_unclamped():
     # strong enough excess return pushes the quantile above the bond account;
     # the negative measure is reported as-is (spare risk budget)
