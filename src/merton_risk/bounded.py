@@ -175,10 +175,6 @@ def split_zeta_conditions(model: MarketModel, utility: UtilityParams,
         f"kappa_star={ks:.6g}, kappa_hat={kh:.6g}")]
 
     tn = model.theta_norm_T
-    if tn == 0.0:
-        checks.append(ConditionCheck("quantile_floor", True, np.inf,
-                                     "trivial for zero excess return"))
-        return tuple(checks)
     G, dG = big_g(model, utility, x, spec.zeta)
     dlnG = dG / G
     if dlnG <= 0.0:

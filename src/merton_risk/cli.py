@@ -361,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--nx", type=int, default=50)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--t-nodes", default=None,
-                       help="comma-separated explicit time nodes")
+                       help="comma-separated time nodes of the residual grid; "
+                            "the probe check keeps its own grid of "
+                            "max(4, nt/5) x max(4, nx/5) nodes")
     p_ver.add_argument("--residual-tol", type=float, default=1e-7)
     p_ver.add_argument("--terminal-tol", type=float, default=1e-12)
     p_ver.add_argument("--gap-tol", type=float, default=hjb.HAMILTONIAN_GAP_TOL)

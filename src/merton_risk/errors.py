@@ -15,10 +15,6 @@ class SingularVolatility(MertonRiskError):
     """A volatility block is numerically singular."""
 
 
-class TimeOutOfRange(MertonRiskError):
-    """Requested time lies outside [0, T]."""
-
-
 class AlphaOutOfRange(MertonRiskError):
     """Quantile level outside the supported open interval (0, 1/2)."""
 

@@ -15,7 +15,6 @@ exponential antiderivatives, so no quadrature error enters downstream.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +28,7 @@ from ._piecewise import (
     segment_index,
     to_ticks,
 )
-from ._table import write_json
-from .errors import MismatchedPaths, SingularVolatility, TimeOutOfRange
+from .errors import MismatchedPaths, SingularVolatility
 
 SINGULARITY_RTOL = 1e-10  # reject sigma blocks with s_min/s_max below this
 
@@ -90,9 +88,6 @@ class CoefficientPath:
 class MarketModel:
     """Immutable market with derived theta and exact cumulative integrals."""
 
-    rates: CoefficientPath
-    drifts: CoefficientPath
-    vols: CoefficientPath
     node_ticks: np.ndarray        # merged partition nodes, (k+1,)
     r_step: np.ndarray            # (k,)
     mu_step: np.ndarray           # (k, d)
@@ -114,30 +109,15 @@ class MarketModel:
     def nodes(self) -> np.ndarray:
         return from_ticks(self.node_ticks)
 
-    def check_time(self, t) -> None:
-        t = np.asarray(t, dtype=np.float64)
-        if np.any(t < -1e-15) or np.any(t > self.horizon * (1 + 1e-12) + 1e-15):
-            raise TimeOutOfRange(f"time outside [0, {self.horizon}]")
-
     def R(self, t):
         return self.cum_r(t)
 
     def theta_sq_cum(self, t):
         return self.cum_theta_sq(t)
 
-    def theta_norm(self, t) -> float:
-        """||theta||_t = sqrt(int_0^t |theta_u|^2 du); nondecreasing, 0 at t=0."""
-        self.check_time(t)
-        return np.sqrt(self.cum_theta_sq(t))
-
     @property
     def theta_norm_T(self) -> float:
         return float(np.sqrt(self.cum_theta_sq.end_value))
-
-    def theta_at(self, t) -> np.ndarray:
-        """theta value on the interval containing each time (vectorized)."""
-        idx = segment_index(self.node_ticks, to_ticks(t))
-        return self.theta_step[idx]
 
     def rate_nonnegative(self) -> bool:
         return bool(np.all(self.r_step >= 0.0))
@@ -195,23 +175,9 @@ def build_market(rates: CoefficientPath, drifts: CoefficientPath,
     cum_r = cumulative_linear(node_ticks, r_step)
     cum_theta_sq = cumulative_linear(node_ticks, np.sum(theta_step ** 2, axis=1))
     return MarketModel(
-        rates=rates, drifts=drifts, vols=vols,
         node_ticks=node_ticks, r_step=r_step, mu_step=mu_step,
         sigma_step=sigma_step, theta_step=theta_step,
         cum_r=cum_r, cum_theta_sq=cum_theta_sq,
-    )
-
-
-def constant_market(r: float, mu, sigma, horizon: float) -> MarketModel:
-    """Convenience constructor for constant-coefficient markets."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.ndim == 0:
-        sigma = sigma.reshape(1, 1)
-    return build_market(
-        CoefficientPath.constant(float(r), horizon),
-        CoefficientPath.constant(mu, horizon),
-        CoefficientPath.constant(sigma, horizon),
     )
 
 
@@ -243,28 +209,3 @@ def market_from_dict(doc: dict) -> MarketModel:
     if mu_path.values.shape[1] != d:
         raise MismatchedPaths("mu entries disagree with declared dimension")
     return build_market(r_path, mu_path, sg_path)
-
-
-def market_to_dict(model: MarketModel) -> dict:
-    def segments(path: CoefficientPath):
-        return [
-            {"t0": float(t), "value": np.asarray(v).tolist()}
-            for t, v in zip(from_ticks(path.breakpoint_ticks), path.values)
-        ]
-
-    return {
-        "T": model.horizon,
-        "d": model.dimension,
-        "r": segments(model.rates),
-        "mu": segments(model.drifts),
-        "sigma": segments(model.vols),
-    }
-
-
-def load_market(path) -> MarketModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return market_from_dict(json.load(fh))
-
-
-def save_market(model: MarketModel, path) -> None:
-    write_json(path, market_to_dict(model))

@@ -99,7 +99,6 @@ class PathEnsemble:
                                  # read-only broadcast row if riskless
     kind: str                    # "deterministic" | "feedback"
     antithetic: bool
-    seed: int
     replay: tuple                # _log_paths' (config, mean, sd)
     rate: Callable[[np.ndarray], np.ndarray]
     consumption_cost: Callable[[float], np.ndarray]
@@ -185,7 +184,7 @@ def simulate_deterministic(model: MarketModel,
 
     return PathEnsemble(
         times=grid, wealth=wealth, kind="deterministic",
-        antithetic=config.antithetic, seed=config.seed,
+        antithetic=config.antithetic,
         replay=(config, mean_inc, sd_inc), rate=rate,
         consumption_cost=partial(_consumption_integral_exact, cum,
                                  strategy.consumption, grid, wealth),
@@ -230,7 +229,7 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
 
     return PathEnsemble(
         times=grid, wealth=wealth, kind="feedback",
-        antithetic=config.antithetic, seed=config.seed,
+        antithetic=config.antithetic,
         replay=(config, mean_inc, sd_inc), rate=rate,
         consumption_cost=consumption_cost,
     )

@@ -123,8 +123,6 @@ class FamilyConfig:
     rho_grid: np.ndarray
     v_levels: np.ndarray = field(default_factory=lambda: np.array([0.0]))
     v_pieces: int = 1
-    random_directions: int = 0
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -255,14 +253,14 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     records = []
     best = (-np.inf, None)       # cost and (node_ticks, y, v) of the best candidate
 
-    def screen(y, v, entries, label="theta_direction"):
+    def screen(y, v, entries):
         """Evaluate one batch on the market's nodes, record each of entries'
         (rho, v_levels) in order and keep the best feasible candidate."""
         nonlocal best
         feasible, costs = evaluate_market(y, v)
         for k, ((rho, w), ok, cost) in enumerate(zip(entries, feasible, costs)):
             records.append(OracleRecord(rho=rho, v_levels=w, feasible=bool(ok),
-                                        cost=float(cost), label=label))
+                                        cost=float(cost)))
             if ok and cost > best[0]:
                 best = (cost, (model.node_ticks, y[k % len(y)], v[k % len(v)]))
 
@@ -278,18 +276,6 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
         screen(_theta_exposures(model, model.node_ticks, r_b),
                np.repeat(np.reshape(w_b, (-1, 1)), n_steps, axis=1),
                [(float(r), (float(w),)) for r, w in zip(*np.broadcast_arrays(r_b, w_b))])
-
-    if config.random_directions > 0 and model.theta_norm_T > 0:
-        rng = np.random.default_rng(config.seed)
-        draw_rho, draw_y = [], []
-        for _ in range(config.random_directions):
-            u = rng.standard_normal(model.dimension)
-            u /= np.linalg.norm(u)
-            rho = float(rng.choice(rhos[rhos > 0])) if np.any(rhos > 0) else 0.0
-            draw_rho.append(rho)
-            draw_y.append(rho * u / np.sqrt(horizon))
-        screen(np.array(draw_y)[:, None, :], np.zeros((1, n_steps)),
-               [(rho, (0.0,)) for rho in draw_rho], "random_direction")
 
     if config.v_pieces > 1 and best[1] is not None:
         # coordinate descent from the best single-level candidate

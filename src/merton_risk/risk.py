@@ -14,8 +14,8 @@ in ratio form.  The equivalent log form
     VaR:  L_t  = (y,theta)_t - V_t - ||y||_t^2/2 - |z_a| ||y||_t >= ln(1-zeta)
     ES:   L*_t = (y,theta)_t - V_t + ln F_a(|z_a| + ||y||_t)     >= ln(1-zeta)
 
-is formed only by log_risk_var / log_risk_es, and the tests compare its
-verdict with the ratio verdict.
+is formed only by log_risk_var / log_risk_es in tests/cross_checks.py,
+and the tests compare its verdict with the ratio verdict.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from ._piecewise import from_ticks, merge_ticks, to_ticks
-from .gaussian import Quantile, log_tail_ratio, normal_quantile, tail_ratio
+from .gaussian import Quantile, normal_quantile, tail_ratio
 from .market import MarketModel
 from .strategies import Cumulants, DeterministicStrategy, cumulants
 
@@ -78,59 +78,11 @@ def _lambda_from_cumulants(cum: Cumulants, quantile: Quantile, x: float, t):
     return x * np.exp(expo)
 
 
-def quantile_lambda(model: MarketModel, strategy: DeterministicStrategy,
-                    alpha: float, x: float, t):
-    """Exact alpha-quantile of wealth at time t."""
-    cum = cumulants(model, strategy)
-    out = _lambda_from_cumulants(cum, normal_quantile(alpha), x, t)
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def value_at_risk(model: MarketModel, strategy: DeterministicStrategy,
-                  alpha: float, x: float, t):
-    """Excess loss of the alpha-quantile against the pure bond account.
-
-    May be negative; negative values are returned as-is (spare risk budget).
-    """
-    cum = cumulants(model, strategy)
-    lam = _lambda_from_cumulants(cum, normal_quantile(alpha), x, t)
-    out = x * np.exp(cum.model.R(np.asarray(t, dtype=np.float64))) - lam
-    return float(out) if np.ndim(t) == 0 else out
-
-
 def _shortfall_mean(cum: Cumulants, quantile: Quantile, x: float, t):
     t = np.asarray(t, dtype=np.float64)
     yn = cum.y_norm(t)
     factor = tail_ratio(quantile, quantile.abs_z + yn)
     return x * factor * np.exp(cum.model.R(t) + cum.ydt(t) - cum.V(t))
-
-
-def expected_shortfall(model: MarketModel, strategy: DeterministicStrategy,
-                       alpha: float, x: float, t):
-    """Excess loss of the tail conditional mean; always >= value_at_risk."""
-    cum = cumulants(model, strategy)
-    quantile = normal_quantile(alpha)
-    m = _shortfall_mean(cum, quantile, x, t)
-    out = x * np.exp(cum.model.R(np.asarray(t, dtype=np.float64))) - m
-    return float(out) if np.ndim(t) == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# Log-form functionals (sup-constraint in additive form)
-# ---------------------------------------------------------------------------
-
-def log_risk_var(cum: Cumulants, quantile: Quantile, t):
-    """L_t; the VaR bound holds at t iff L_t >= ln(1 - zeta)."""
-    t = np.asarray(t, dtype=np.float64)
-    yn = cum.y_norm(t)
-    return cum.ydt(t) - cum.V(t) - 0.5 * cum.ynn(t) - quantile.abs_z * yn
-
-
-def log_risk_es(cum: Cumulants, quantile: Quantile, t):
-    """L*_t; the ES bound holds at t iff L*_t >= ln(1 - zeta)."""
-    t = np.asarray(t, dtype=np.float64)
-    yn = cum.y_norm(t)
-    return cum.ydt(t) - cum.V(t) + log_tail_ratio(quantile, quantile.abs_z + yn)
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +109,6 @@ class RiskProfile:
     @property
     def max_ratio(self) -> float:
         return float(np.max(self.ratio_curve))
-
-    @property
-    def argmax_time(self) -> float:
-        return float(self.times[np.argmax(self.ratio_curve)])
 
     def satisfied(self, tol: float = SATURATION_TOL) -> bool:
         return self.max_ratio <= 1.0 + tol

@@ -245,9 +245,6 @@ class Cumulants:
     def y_norm(self, t):
         return np.sqrt(self.ynn(t))
 
-    def y_norm_T(self) -> float:
-        return float(np.sqrt(self.ynn.end_value))
-
     def V_T(self):
         end = self.V(self.horizon)
         return float(end) if end.ndim == 0 else end

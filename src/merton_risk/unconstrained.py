@@ -168,11 +168,6 @@ class HaraFeedback:
         out = _solve_g(A1, A2, self.utility.q1, self.utility.q2, x)
         return float(out) if out.ndim == 0 else out
 
-    def residual(self, t, x):
-        g = self.g(t, x)
-        A1, A2 = self.coeffs.A1(t), self.coeffs.A2(t)
-        return A1 * g ** -self.utility.q1 + A2 * g ** -self.utility.q2 - x
-
     def p_from_g(self, t, g):
         q1, q2 = self.utility.q1, self.utility.q2
         return (q1 * self.coeffs.A1(t) * g ** -q1
@@ -181,14 +176,6 @@ class HaraFeedback:
     def c_from_g(self, g):
         return (self.utility.gamma1 / g) ** self.utility.q1
 
-    def y_star(self, t, x) -> np.ndarray:
-        g = self.g(t, x)
-        frac = self.p_from_g(t, g) / x
-        return np.asarray(frac)[..., None] * self.model.theta_at(t)
-
-    def c_star(self, t, x):
-        return self.c_from_g(self.g(t, x))
-
     def value_function(self, t, x):
         """Candidate value z(t,x); z(0,x) is the optimal cost."""
         g = self.g(t, x)
@@ -196,11 +183,8 @@ class HaraFeedback:
         return (self.coeffs.A1(t) / u.gamma1 * g ** (1.0 - u.q1)
                 + self.coeffs.A2(t) / u.gamma2 * g ** (1.0 - u.q2))
 
-    def z_t(self, t, x):
-        """Exact time partial of z away from coefficient breakpoints."""
-        return self.z_t_from_g(t, self.g(t, x))
-
     def z_t_from_g(self, t, g):
+        """Exact time partial of z away from coefficient breakpoints."""
         u = self.utility
         return (-self.coeffs.A1_dot(t) / (1.0 - u.q1) * g ** (1.0 - u.q1)
                 - self.coeffs.A2_dot(t) / (1.0 - u.q2) * g ** (1.0 - u.q2))

@@ -2,16 +2,42 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from merton_risk.market import (
-    CoefficientPath,
-    MarketModel,
-    build_market,
-    constant_market,
-)
+from merton_risk._piecewise import segment_index, to_ticks
+from merton_risk.market import CoefficientPath, MarketModel, build_market
 from merton_risk.strategies import constant_strategy, step_strategy
+
+
+def constant_market(r: float, mu, sigma, horizon: float) -> MarketModel:
+    """Convenience constructor for constant-coefficient markets."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=np.float64))
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if sigma.ndim == 0:
+        sigma = sigma.reshape(1, 1)
+    return build_market(
+        CoefficientPath.constant(float(r), horizon),
+        CoefficientPath.constant(mu, horizon),
+        CoefficientPath.constant(sigma, horizon),
+    )
+
+
+def theta_at(model: MarketModel, t) -> np.ndarray:
+    """theta value on the interval containing each time (vectorized)."""
+    idx = segment_index(model.node_ticks, to_ticks(t))
+    return model.theta_step[idx]
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 @pytest.fixture

@@ -4,9 +4,10 @@ Each restates a quantity of the package by another route: the expected
 cost by adaptive quadrature, the sup of the cost tilt along theta, the
 Gaussian upper tail, Mills' ratio bounds on it, the Hamiltonian probe
 check node by node, the oracle's feasibility screen on the full profile
-grid in one pass, and the output tables written one formatted field at a
+grid in one pass, the output tables written one formatted field at a
 time (``fmt`` and ``write_rows``, the package's writers before
-``_table.write_table``).
+``_table.write_table``), and the closed-form quantile, VaR and ES of one
+strategy with the log form of the uniform bound.
 """
 
 from __future__ import annotations
@@ -15,12 +16,19 @@ from itertools import product
 
 import numpy as np
 
-from merton_risk.gaussian import _SQRT2, _real, erfc
+from merton_risk.gaussian import _SQRT2, Quantile, _real, erfc, log_tail_ratio, normal_quantile
 from merton_risk.hjb import _grid_and_feedback, _reduced_hamiltonian_terms
 from merton_risk.market import MarketModel
 from merton_risk.oracle import _CHUNK, N_PROFILE, _cost, _cost_pieces
-from merton_risk.risk import SATURATION_TOL, RiskSpec, max_ratios, profile_grid
-from merton_risk.strategies import DeterministicStrategy, cumulants, step_cumulants
+from merton_risk.risk import (
+    SATURATION_TOL,
+    RiskSpec,
+    _lambda_from_cumulants,
+    _shortfall_mean,
+    max_ratios,
+    profile_grid,
+)
+from merton_risk.strategies import Cumulants, DeterministicStrategy, cumulants, step_cumulants
 from merton_risk.unconstrained import HaraFeedback
 from merton_risk.utility import UtilityParams
 
@@ -172,3 +180,55 @@ def write_oracle_csv_per_field(path, records) -> None:
          "1" if rec.feasible else "0",
          f"{rec.cost:.12g}" if np.isfinite(rec.cost) else "nan")
         for rec in records))
+
+
+# ---------------------------------------------------------------------------
+# Closed-form risk of one strategy
+# ---------------------------------------------------------------------------
+
+def quantile_lambda(model: MarketModel, strategy: DeterministicStrategy,
+                    alpha: float, x: float, t):
+    """Exact alpha-quantile of wealth at time t."""
+    cum = cumulants(model, strategy)
+    out = _lambda_from_cumulants(cum, normal_quantile(alpha), x, t)
+    return float(out) if np.ndim(t) == 0 else out
+
+
+def value_at_risk(model: MarketModel, strategy: DeterministicStrategy,
+                  alpha: float, x: float, t):
+    """Excess loss of the alpha-quantile against the pure bond account.
+
+    May be negative; negative values are returned as-is (spare risk budget).
+    """
+    cum = cumulants(model, strategy)
+    lam = _lambda_from_cumulants(cum, normal_quantile(alpha), x, t)
+    out = x * np.exp(cum.model.R(np.asarray(t, dtype=np.float64))) - lam
+    return float(out) if np.ndim(t) == 0 else out
+
+
+def expected_shortfall(model: MarketModel, strategy: DeterministicStrategy,
+                       alpha: float, x: float, t):
+    """Excess loss of the tail conditional mean; always >= value_at_risk."""
+    cum = cumulants(model, strategy)
+    quantile = normal_quantile(alpha)
+    m = _shortfall_mean(cum, quantile, x, t)
+    out = x * np.exp(cum.model.R(np.asarray(t, dtype=np.float64))) - m
+    return float(out) if np.ndim(t) == 0 else out
+
+
+# ---------------------------------------------------------------------------
+# Log-form functionals (sup-constraint in additive form)
+# ---------------------------------------------------------------------------
+
+def log_risk_var(cum: Cumulants, quantile: Quantile, t):
+    """L_t; the VaR bound holds at t iff L_t >= ln(1 - zeta)."""
+    t = np.asarray(t, dtype=np.float64)
+    yn = cum.y_norm(t)
+    return cum.ydt(t) - cum.V(t) - 0.5 * cum.ynn(t) - quantile.abs_z * yn
+
+
+def log_risk_es(cum: Cumulants, quantile: Quantile, t):
+    """L*_t; the ES bound holds at t iff L*_t >= ln(1 - zeta)."""
+    t = np.asarray(t, dtype=np.float64)
+    yn = cum.y_norm(t)
+    return cum.ydt(t) - cum.V(t) + log_tail_ratio(quantile, quantile.abs_z + yn)

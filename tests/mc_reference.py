@@ -9,6 +9,8 @@ from merton_risk.mc import _BLOCK
 from merton_risk.unconstrained import solve_hara_unconstrained
 from merton_risk.utility import UtilityParams
 
+from conftest import theta_at
+
 
 def block_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """(n_paths, n_steps) standard normals from per-block Philox streams."""
@@ -36,7 +38,7 @@ def simulate_feedback_euler(model: MarketModel, utility: UtilityParams,
     gen = np.random.Generator(np.random.Philox(key=seed))
     for k in range(n_steps):
         t = ts[k]
-        theta = model.theta_at(t)
+        theta = theta_at(model, t)
         A1 = float(fb.coeffs.A1(t))
         A2 = float(fb.coeffs.A2(t))
         for _ in range(4):

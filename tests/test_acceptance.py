@@ -19,7 +19,6 @@ from merton_risk.es_bound import (
     solve_es_tight,
 )
 from merton_risk.hjb import hjb_residual
-from merton_risk.market import constant_market
 from merton_risk.mc import (
     SimConfig,
     empirical_risk_curve,
@@ -28,16 +27,7 @@ from merton_risk.mc import (
     simulate_hara_feedback,
 )
 from merton_risk.oracle import FamilyConfig, grid_search_oracle
-from merton_risk.risk import (
-    MeasureKind,
-    RiskSpec,
-    constraint_profile,
-    expected_shortfall,
-    log_risk_es,
-    log_risk_var,
-    quantile_lambda,
-    value_at_risk,
-)
+from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
 from merton_risk.strategies import (
     GrowthFractionConsumption,
     constant_strategy,
@@ -46,8 +36,15 @@ from merton_risk.strategies import (
 from merton_risk.utility import UtilityParams
 from merton_risk.var_bound import l_star, rho_var, solve_var_linear, solve_var_tight
 
-from conftest import random_market, random_strategy, theta_market
-from cross_checks import exposure_growth_factor
+from conftest import constant_market, random_market, random_strategy, theta_market
+from cross_checks import (
+    expected_shortfall,
+    exposure_growth_factor,
+    log_risk_es,
+    log_risk_var,
+    quantile_lambda,
+    value_at_risk,
+)
 
 STANDARD = dict(r=0.0, mu=0.1, sigma=0.2, T=1.0)  # theta = 0.5
 

@@ -19,6 +19,8 @@ from merton_risk.oracle import cost_closed_form
 from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
 from merton_risk.utility import UtilityParams
 
+from conftest import strict_json
+
 
 def market_doc(r=0.0, mu=0.1, sigma=0.2, T=1.0):
     return {
@@ -68,6 +70,21 @@ def test_solve_var_tight_outputs(tmp_path):
     assert float(rows[0]["v"]) == pytest.approx(0.1, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["var", "es"])
+def test_solve_tight_zero_excess_return_writes_valid_json(tmp_path, kind):
+    # theta = 0: the quantile floor holds with margin |z_alpha|, a finite number
+    risk = {"kind": kind, "alpha": 0.05, "zeta": 0.1}
+    spec = write_spec(tmp_path / "p.json", utility={"gamma1": 0.5, "gamma2": 0.3},
+                      risk=risk, market=market_doc(r=0.03, mu=0.03))
+    out = tmp_path / "out"
+    assert main(["solve", str(spec), "--out", str(out)]) == 0
+    doc = strict_json((out / "solution.json").read_text())
+    assert doc["regime"] == f"{kind}_tight"
+    floor, = (c for c in doc["conditions_report"] if c["name"] == "quantile_floor")
+    assert floor["satisfied"]
+    assert floor["margin"] == RiskSpec(**risk).abs_z
+
+
 def test_solve_unequal_exponents_feedback_outputs(tmp_path):
     spec = write_spec(tmp_path / "p.json",
                       utility={"gamma1": 0.3, "gamma2": 0.7},
@@ -87,8 +104,8 @@ def test_solve_unequal_exponents_feedback_outputs(tmp_path):
         c_grid = np.array([[float(v) for v in row.values()]
                            for row in csv.DictReader(fh)])
     assert len(c_grid) == 51 * 51
-    assert np.allclose(c_grid[:, 2], feedback.c_star(c_grid[:, 0], c_grid[:, 1]),
-                       rtol=1e-11, atol=0.0)
+    c_star = feedback.c_from_g(feedback.g(c_grid[:, 0], c_grid[:, 1]))
+    assert np.allclose(c_grid[:, 2], c_star, rtol=1e-11, atol=0.0)
     with open(out / "p_grid.csv") as fh:
         assert next(csv.reader(fh)) == ["t", "x", "p"]
 

@@ -32,6 +32,8 @@ import pytest
 
 from merton_risk.cli import main
 
+from conftest import strict_json
+
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {"solve": ["solve", "--grid", "21"],
             "verify": ["verify", "--nt", "5", "--nx", "5"]}
@@ -116,7 +118,7 @@ def compare_outputs(got_dir: Path, want_dir: Path) -> None:
     for rel in want_files:
         got, want = (got_dir / rel).read_text(), (want_dir / rel).read_text()
         if rel.suffix == ".json":
-            compare_json(json.loads(got), json.loads(want))
+            compare_json(strict_json(got), strict_json(want))
         else:
             compare_csv(got, want)
 

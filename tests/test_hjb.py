@@ -13,12 +13,12 @@ from merton_risk.hjb import (
     hjb_residual,
     off_breakpoint_grid,
 )
-from merton_risk.market import CoefficientPath, build_market, constant_market
+from merton_risk.market import CoefficientPath, build_market
 from merton_risk.mc import SimConfig, simulate_hara_feedback
 from merton_risk.unconstrained import solve_hara_unconstrained
 from merton_risk.utility import UtilityParams
 
-from conftest import random_market
+from conftest import constant_market, random_market, theta_at
 from cross_checks import hamiltonian_gap_per_node
 
 
@@ -52,9 +52,9 @@ def test_residual_grid_equals_per_node_loop():
     for t in rep.t_nodes:
         g = fb.g(t, xs)
         p = fb.p_from_g(t, g)
-        theta = m.theta_at(t)
+        theta = theta_at(m, t)
         r = m.r_step[np.searchsorted(m.nodes, t, side="right") - 1]
-        term_t = fb.z_t(t, xs)
+        term_t = fb.z_t_from_g(t, g)
         term_r = r * xs * g
         term_quad = 0.5 * g * p * float(theta @ theta)
         term_cons = (1.0 / u.q1) * (u.gamma1 / g) ** (u.q1 - 1.0)
@@ -92,7 +92,7 @@ def test_finite_difference_cross_check():
                   + fb.value_function(t0, x0 - h)) / h ** 2
         g = fb.g(t0, x0)
         p = fb.p_from_g(t0, g)
-        return (abs(zt_fd - fb.z_t(t0, x0)),
+        return (abs(zt_fd - fb.z_t_from_g(t0, g)),
                 abs(zx_fd - g),
                 abs(zxx_fd - (-g / p)))
 
@@ -186,10 +186,10 @@ def test_feedback_law_equals_argmax_formula():
             g = fb.g(t, x)
             p = fb.p_from_g(t, g)
             z1, z2 = g, -g / p
-            y_argmax = (z1 / (x * abs(z2))) * m.theta_at(t)
-            y_solver = fb.y_star(t, x)
+            y_argmax = (z1 / (x * abs(z2))) * theta_at(m, t)
+            y_solver = p / x * theta_at(m, t)
             assert np.allclose(y_solver, y_argmax, rtol=1e-10, atol=1e-14)
-            assert fb.c_star(t, x) == pytest.approx(
+            assert fb.c_from_g(g) == pytest.approx(
                 (u.gamma1 / z1) ** u.q1, rel=1e-10)
 
 

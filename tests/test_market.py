@@ -5,19 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from merton_risk.errors import MismatchedPaths, SingularVolatility, TimeOutOfRange
-from merton_risk.market import (
-    CoefficientPath,
-    build_market,
-    constant_market,
-    load_market,
-    market_from_dict,
-    market_to_dict,
-    save_market,
-)
+from merton_risk._piecewise import segment_index
+from merton_risk.errors import MismatchedPaths, SingularVolatility
+from merton_risk.market import CoefficientPath, build_market, market_from_dict
 from merton_risk.strategies import GrowthFractionConsumption
 
-from conftest import random_market
+from conftest import constant_market, random_market, theta_at
 
 
 def quad_step(f, t_end, step=1e-5):
@@ -57,19 +50,15 @@ def test_theta_norm_piecewise():
     mp = CoefficientPath.from_segments([(0.0, [0.1]), (0.5, [0.2])], 1.0)
     rp = CoefficientPath.from_segments([(0.0, 0.0)], 1.0)
     m = build_market(rp, mp, sp)
-    assert m.theta_norm(1.0) == pytest.approx(np.sqrt(2.5), rel=1e-12)
-    assert m.theta_norm(0.0) == 0.0
+    assert np.sqrt(m.theta_sq_cum(1.0)) == pytest.approx(np.sqrt(2.5), rel=1e-12)
+    assert np.sqrt(m.theta_sq_cum(0.0)) == 0.0
 
 
-def test_theta_norm_monotone_and_range_check():
+def test_theta_norm_monotone():
     m = constant_market(0.02, [0.1], [[0.2]], 1.0)
     ts = np.linspace(0, 1, 57)
-    vals = [m.theta_norm(t) for t in ts]
+    vals = [np.sqrt(m.theta_sq_cum(t)) for t in ts]
     assert np.all(np.diff(vals) >= -1e-15)
-    with pytest.raises(TimeOutOfRange):
-        m.theta_norm(1.5)
-    with pytest.raises(TimeOutOfRange):
-        m.theta_norm(-0.2)
 
 
 def test_weighted_g_norm_flat():
@@ -107,11 +96,11 @@ def test_exact_integrals_match_quadrature_random_models():
         m = random_market(rng, d=int(rng.integers(1, 3)))
         t = float(rng.uniform(0.3, m.horizon))
         r_oracle = adaptive_quad(
-            lambda u: float(m.rates.value_at(np.array([round(u / 1e-9)]))[0]),
+            lambda u: float(m.r_step[segment_index(m.node_ticks, np.array([round(u / 1e-9)]))][0]),
             t, m.nodes)
         assert m.R(t) == pytest.approx(r_oracle, rel=1e-9, abs=1e-12)
         ts_oracle = adaptive_quad(
-            lambda u: float(np.sum(m.theta_at(u) ** 2)), t, m.nodes)
+            lambda u: float(np.sum(theta_at(m, u) ** 2)), t, m.nodes)
         assert m.theta_sq_cum(t) == pytest.approx(ts_oracle, rel=1e-9,
                                                   abs=1e-12)
 
@@ -156,12 +145,27 @@ def test_breakpoints_must_increase():
         CoefficientPath.from_segments([(0.1, 0.1)], 1.0)
 
 
-def test_json_round_trip(tmp_path):
+def test_json_round_trip():
     rng = np.random.default_rng(3)
-    m = random_market(rng, d=2, max_pieces=3)
-    doc = market_to_dict(m)
-    text = json.dumps(doc)
-    m2 = market_from_dict(json.loads(text))
+
+    def segments(draw):
+        k = int(rng.integers(1, 4))
+        cuts = np.round(np.sort(rng.uniform(0.05, 0.95, k - 1)), 6)
+        return [(float(t), draw()) for t in np.concatenate([[0.0], cuts])]
+
+    def vol():
+        noise = 0.05 * rng.standard_normal((2, 2))
+        return np.diag(rng.uniform(0.15, 0.4, 2)) + noise - np.diag(np.diag(noise))
+
+    paths = {"r": segments(lambda: float(rng.uniform(0.0, 0.06))),
+             "mu": segments(lambda: rng.uniform(-0.1, 0.3, 2)),
+             "sigma": segments(vol)}
+    doc = {"T": 1.0, "d": 2, **{
+        key: [{"t0": t, "value": np.asarray(v).tolist()} for t, v in segs]
+        for key, segs in paths.items()}}
+    m = build_market(*(CoefficientPath.from_segments(paths[key], 1.0)
+                       for key in ("r", "mu", "sigma")))
+    m2 = market_from_dict(json.loads(json.dumps(doc)))
     assert np.array_equal(m2.node_ticks, m.node_ticks)
     assert np.allclose(m2.theta_step, m.theta_step, rtol=0, atol=0)
     assert m2.R(m.horizon) == m.R(m.horizon)
@@ -189,12 +193,3 @@ def test_non_finite_market_document(where, bad):
     with pytest.raises(MismatchedPaths):
         market_from_dict(doc)
 
-
-def test_market_file_round_trip(tmp_path):
-    rng = np.random.default_rng(23)
-    m = random_market(rng, d=2, max_pieces=2)
-    path = tmp_path / "market.json"
-    save_market(m, path)
-    m2 = load_market(path)
-    assert np.array_equal(m2.node_ticks, m.node_ticks)
-    assert np.allclose(m2.theta_step, m.theta_step)

@@ -12,7 +12,6 @@ from scipy import stats
 
 from merton_risk import mc
 from merton_risk.errors import InsufficientPaths, MismatchedPaths
-from merton_risk.market import constant_market
 from merton_risk.mc import (
     SimConfig,
     empirical_risk_curve,
@@ -21,14 +20,15 @@ from merton_risk.mc import (
     simulate_hara_feedback,
 )
 from merton_risk.oracle import cost_closed_form
-from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile, quantile_lambda
+from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
 from merton_risk.strategies import constant_strategy, cumulants, step_strategy
 from merton_risk.unconstrained import solve_hara_unconstrained
 from merton_risk.utility import UtilityParams
 from merton_risk.var_bound import solve_var_linear
 from mc_reference import block_normals, simulate_feedback_euler
 
-from conftest import bond_strategy, random_market, random_strategy
+from conftest import bond_strategy, constant_market, random_market, random_strategy
+from cross_checks import quantile_lambda
 
 
 def test_pure_bond_paths_exact():

@@ -10,7 +10,6 @@ from merton_risk._piecewise import merge_ticks, to_ticks
 from merton_risk.bounded import tight_strategy
 from merton_risk.errors import EmptyFeasibleSet
 from merton_risk.es_bound import rho_es, solve_es_linear
-from merton_risk.market import constant_market
 from merton_risk.mc import SimConfig, estimate_cost, simulate_deterministic
 from merton_risk.oracle import (
     _BATCH_ROWS,
@@ -27,13 +26,10 @@ from merton_risk.risk import (
     MeasureKind,
     RiskSpec,
     constraint_profile,
-    log_risk_es,
-    log_risk_var,
     max_ratios,
 )
 from merton_risk.strategies import (
     DeterministicStrategy,
-    constant_strategy,
     cumulants,
     step_cumulants,
     step_strategy,
@@ -42,8 +38,8 @@ from merton_risk.strategies import (
 from merton_risk.utility import UtilityParams
 from merton_risk.var_bound import rho_var, solve_var_linear, solve_var_tight
 
-from conftest import bond_strategy, random_market, random_strategy
-from cross_checks import cost_quadrature, evaluate_full_grid
+from conftest import bond_strategy, constant_market, random_market, random_strategy
+from cross_checks import cost_quadrature, evaluate_full_grid, log_risk_es, log_risk_var
 
 
 def linear_cost_direct(model, strategy, x):
@@ -194,17 +190,14 @@ def test_oracle_tight_instance_structure(standard_market):
     res = grid_search_oracle(standard_market, u, spec, 1.0, config)
     best = res.best_strategy
     cum = cumulants(standard_market, best)
-    assert cum.y_norm_T() == pytest.approx(0.0, abs=1e-12)
+    assert np.sqrt(cum.ynn.end_value) == pytest.approx(0.0, abs=1e-12)
     assert cum.V_T() == pytest.approx(-np.log1p(-0.1), abs=5e-3)
 
 
-def _rebuild_candidate(model, rec, directions):
+def _rebuild_candidate(model, rec):
     """The strategy behind an oracle record, built alone from the public
     constructors."""
     horizon = model.horizon
-    if rec.label == "random_direction":
-        return constant_strategy(rec.rho * next(directions) / np.sqrt(horizon),
-                                 0.0, horizon)
     edges = np.linspace(0.0, horizon, len(rec.v_levels) + 1)[:-1]
     plan = step_strategy([(0.0, np.zeros(model.dimension))],
                          list(zip(edges, rec.v_levels)), horizon)
@@ -237,13 +230,12 @@ def _profile_edge(model, spec, x):
 
 
 @pytest.mark.parametrize("kind", [MeasureKind.VAR, MeasureKind.ES])
-@pytest.mark.parametrize("v_pieces,random_directions,large_theta", [
-    pytest.param(1, 8, False, id="1-8"),
-    pytest.param(4, 0, False, id="4-0"),
-    pytest.param(4, 0, True, id="4-0-large_theta"),
+@pytest.mark.parametrize("v_pieces,large_theta", [
+    pytest.param(1, False, id="1-0"),
+    pytest.param(4, False, id="4-0"),
+    pytest.param(4, True, id="4-0-large_theta"),
 ])
-def test_oracle_batched_matches_looped(kind, v_pieces, random_directions,
-                                       large_theta):
+def test_oracle_batched_matches_looped(kind, v_pieces, large_theta):
     spec = RiskSpec(alpha=0.025, zeta=0.15, kind=kind)
     u = UtilityParams(0.6, 0.4)
     # exposures just inside and just outside the bound test the verdict there;
@@ -257,23 +249,13 @@ def test_oracle_batched_matches_looped(kind, v_pieces, random_directions,
         rho_star = (rho_var if kind == MeasureKind.VAR else rho_es)(model, spec)
     edge = rho_star * np.array([1 - 1e-6, 1 + 1e-6])
     config = FamilyConfig(rho_grid=np.concatenate([np.arange(0.0, 0.3, 0.02), edge]),
-                          v_levels=np.linspace(0.0, 0.4, 9), v_pieces=v_pieces,
-                          random_directions=random_directions, seed=3)
+                          v_levels=np.linspace(0.0, 0.4, 9), v_pieces=v_pieces)
     res = grid_search_oracle(model, u, spec, 1.2, config)
-    stage = "random_direction" if random_directions else "coordinate_descent"
-    assert stage in {r.label for r in res.records}
-    # the oracle draws a direction, then a rho, per random candidate
-    rng = np.random.default_rng(config.seed)
-    rhos = np.unique(np.concatenate([[0.0], config.rho_grid]))
-    directions = []
-    for _ in range(random_directions):
-        d = rng.standard_normal(model.dimension)
-        directions.append(d / np.linalg.norm(d))
-        rng.choice(rhos[rhos > 0])
-    directions = iter(directions)
+    stages = {"theta_direction"} | ({"coordinate_descent"} if v_pieces > 1 else set())
+    assert {r.label for r in res.records} == stages
     feasible = inner_breaks = 0
     for rec in res.records:
-        s = _rebuild_candidate(model, rec, directions)
+        s = _rebuild_candidate(model, rec)
         prof = constraint_profile(model, s, spec, 1.2, n_refine=N_PROFILE)
         assert rec.feasible == prof.satisfied()
         inner_breaks += prof.ratio_curve[-1] <= 1.0 + SATURATION_TOL and not rec.feasible
@@ -384,20 +366,6 @@ def test_evaluate_memory_bounded_by_batch_rows():
         tracemalloc.stop()
         assert 0 < np.sum(feasible) < n
     assert peaks[1] <= 1.5 * peaks[0], peaks
-
-
-def test_oracle_random_direction_never_beats_theta(standard_market):
-    spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
-    u = UtilityParams(1.0, 1.0)
-    config = FamilyConfig(rho_grid=np.arange(0.0, 0.08, 1e-3),
-                          random_directions=32, seed=5)
-    res = grid_search_oracle(standard_market, u, spec, 1.0, config)
-    theta_best = max(r.cost for r in res.records
-                     if r.feasible and r.label == "theta_direction")
-    rand_best = max((r.cost for r in res.records
-                     if r.feasible and r.label == "random_direction"),
-                    default=-np.inf)
-    assert rand_best <= theta_best + 1e-12
 
 
 def test_oracle_csv_export(tmp_path, standard_market):

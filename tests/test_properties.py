@@ -23,7 +23,7 @@ from merton_risk.errors import (
 )
 from merton_risk.es_bound import es_loose_threshold, rho_es, solve_es, solve_es_tight
 from merton_risk.oracle import _CHUNK, FamilyConfig, _cost, grid_search_oracle
-from merton_risk.risk import MeasureKind, RiskSpec, log_risk_var
+from merton_risk.risk import MeasureKind, RiskSpec
 from merton_risk.strategies import cumulants, step_cumulants
 from merton_risk.unconstrained import equal_gamma_strategy, solve_unconstrained
 from merton_risk.utility import UtilityParams
@@ -35,6 +35,7 @@ from merton_risk.var_bound import (
 )
 
 from conftest import random_market
+from cross_checks import log_risk_var
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)

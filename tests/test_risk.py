@@ -3,18 +3,12 @@
 import numpy as np
 import pytest
 
-from merton_risk.market import constant_market
 from merton_risk.mc import SimConfig, empirical_risk_curve, simulate_deterministic
 from merton_risk.risk import (
     MeasureKind,
     RiskSpec,
     SATURATION_TOL,
     constraint_profile,
-    expected_shortfall,
-    log_risk_es,
-    log_risk_var,
-    quantile_lambda,
-    value_at_risk,
 )
 from merton_risk.strategies import (
     constant_strategy,
@@ -23,7 +17,14 @@ from merton_risk.strategies import (
 )
 from merton_risk.var_bound import rho_var, solve_var_linear
 
-from conftest import bond_strategy, random_market, random_strategy
+from conftest import bond_strategy, constant_market, random_market, random_strategy
+from cross_checks import (
+    expected_shortfall,
+    log_risk_es,
+    log_risk_var,
+    quantile_lambda,
+    value_at_risk,
+)
 
 # mpmath, 50 digits, instance x=1, r=0, v=0, y=0.5, T=1, alpha=0.01, t=1
 LAMBDA_EX = 0.3541007021257063806
@@ -128,7 +129,7 @@ def test_profile_saturates_at_linear_var_optimum(standard_market):
     sol = solve_var_linear(standard_market, spec, 1.0)
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
     assert prof.max_ratio == pytest.approx(1.0, abs=1e-9)
-    assert prof.argmax_time == pytest.approx(1.0, abs=1e-9)
+    assert prof.times[np.argmax(prof.ratio_curve)] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_profile_violated_when_exposure_doubled(standard_market):

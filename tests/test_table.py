@@ -9,14 +9,13 @@ import pytest
 from merton_risk import cli, mc
 from merton_risk._table import _BLOCK_ROWS, grid_axes, write_json, write_table
 from merton_risk.cli import main
-from merton_risk.market import constant_market
 from merton_risk.oracle import OracleRecord, OracleResult
 from merton_risk.risk import profile_grid
 from merton_risk.solution import Solution
 from merton_risk.strategies import constant_strategy
 from merton_risk.utility import UtilityParams
 
-from conftest import random_market
+from conftest import constant_market, random_market
 from cross_checks import fmt, write_grid_csv_per_row, write_oracle_csv_per_field, write_rows
 from test_cli import write_spec
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from merton_risk.errors import ConvergenceFailure, NegativeRate, UnsupportedRegime
-from merton_risk.market import constant_market
 from merton_risk.mc import SimConfig, simulate_hara_feedback
 from merton_risk.oracle import cost_closed_form
 from merton_risk.strategies import constant_strategy, cumulants
@@ -21,7 +20,7 @@ from merton_risk.unconstrained import (
 )
 from merton_risk.utility import UtilityParams
 
-from conftest import random_market
+from conftest import constant_market, random_market
 
 
 def test_linear_bond_market():
@@ -113,7 +112,9 @@ def test_g_residual_and_monotonicity():
     xs = np.linspace(0.2, 5.0, 40)
     for t in (0.1, 0.52, 0.97):
         g = fb.g(t, xs)
-        assert np.max(np.abs(fb.residual(t, xs)) / xs) < 1e-12
+        A1, A2 = fb.coeffs.A1(t), fb.coeffs.A2(t)
+        residual = A1 * g ** -u.q1 + A2 * g ** -u.q2 - xs
+        assert np.max(np.abs(residual) / xs) < 1e-12
         assert np.all(np.diff(g) < 0)  # g decreasing in wealth
 
 
@@ -130,7 +131,7 @@ def test_feedback_terminal_consumption_consistency():
     fb = solve_hara_unconstrained(m, u, 1.0).feedback
     for x in (0.7, 1.8):
         g_T = (u.gamma2 ** u.q2 / x) ** (1.0 / u.q2)
-        assert fb.c_star(m.horizon, x) == pytest.approx(
+        assert fb.c_from_g(fb.g(m.horizon, x)) == pytest.approx(
             (u.gamma1 / g_T) ** u.q1, rel=1e-12)
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from merton_risk.bounded import big_g, kappa_hat, kappa_star
 from merton_risk.errors import ConditionViolated, NegativeRate, NoClosedFormRegime
-from merton_risk.market import constant_market
 from merton_risk.oracle import FamilyConfig, cost_closed_form, grid_search_oracle
-from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile, log_risk_var
+from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
 from merton_risk.strategies import GrowthFractionConsumption, cumulants
 from merton_risk.unconstrained import solve_equal_gamma
 from merton_risk.utility import UtilityParams
@@ -20,8 +19,8 @@ from merton_risk.var_bound import (
     var_loose_bound_check,
 )
 
-from conftest import theta_market
-from cross_checks import exposure_growth_factor
+from conftest import constant_market, theta_market
+from cross_checks import exposure_growth_factor, log_risk_var
 
 # mpmath, 50 digits
 RHO_VAR_STD = 0.056805754405110356508     # ||theta||=0.5, alpha=0.01, zeta=0.1
@@ -74,7 +73,7 @@ def test_var_linear_standard_instance(standard_market):
     assert np.all(sol.strategy.v_at(standard_market, np.linspace(0, 1, 7))
                   == 0.0)
     cum = cumulants(standard_market, sol.strategy)
-    assert cum.y_norm_T() == pytest.approx(RHO_VAR_STD, rel=1e-12)
+    assert np.sqrt(cum.ynn.end_value) == pytest.approx(RHO_VAR_STD, rel=1e-12)
     # saturation: inf_t of the log functional is exactly the bound at t = T
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
     log_curve = log_risk_var(cum, spec.quantile, prof.times)
