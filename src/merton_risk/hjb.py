@@ -168,18 +168,18 @@ def _h0(r, theta, x, z1, z2, y, c, gamma1):
 
 
 def hamiltonian_argmax_check(model: MarketModel, utility: UtilityParams,
-                             t_nodes=None, n_t: int = 10,
-                             n_x: int = 10, n_probes: int = 64,
+                             n_t: int = 10, n_x: int = 10, n_probes: int = 64,
                              seed: int = 0,
                              feedback: HaraFeedback | None = None) -> HjbReport:
     """Verify no probe control beats the feedback pair in the Hamiltonian.
 
-    Probes mix random controls with scaled perturbations of the optimum;
-    the report's hamiltonian_gap is the worst probe advantage (should not
-    exceed HAMILTONIAN_GAP_TOL).  Probes are drawn node by node, t slowest,
+    The nodes are off_breakpoint_grid(model, n_t) in t and n_x wealths on
+    [0.25, 4].  Probes mix random controls with scaled perturbations of the
+    optimum; the report's hamiltonian_gap is the worst probe advantage
+    (should not exceed HAMILTONIAN_GAP_TOL).  Probes are drawn node by node, t slowest,
     four draws per node; each time row is then evaluated in one pass.
     """
-    t_nodes, x_nodes, feedback = _grid_and_feedback(model, utility, t_nodes,
+    t_nodes, x_nodes, feedback = _grid_and_feedback(model, utility, None,
                                                     n_t, n_x, feedback)
     gs, ps, _, rs, thetas = _feedback_at(model, feedback, t_nodes[:, None], x_nodes)
     rng = np.random.default_rng(seed)

@@ -13,11 +13,14 @@ constrained grid search over an exposure/consumption family brackets the
 solver optima from below.
 
 The bound must hold at every t of a profile grid.  Each evaluation builds
-the cumulants of its candidates once, costs them and screens them at t = T
-in one batch, then checks only the candidates that pass on the whole grid,
-from rows of the same cumulants: a candidate above the bound at T is above
-it on the grid, so the verdict is the one-pass verdict, bit for bit.  Each
-node partition's profile grid is built once per search.
+the cumulants of its candidates once and takes them through three stages:
+it costs them and screens them at t = T in one batch; it certifies the
+survivors with a lower bound of the log risk functional per node interval
+(risk.certified_feasible); and it checks only the survivors left unproved
+on the whole grid, from rows of the same cumulants.  A candidate above the
+bound at T is above it on the grid, and a certified one is below it at
+every grid point as computed, so the verdict is the one-pass verdict, bit
+for bit.  Each node partition's profile grid is built once per search.
 """
 
 from __future__ import annotations
@@ -39,7 +42,13 @@ from ._piecewise import (
 from ._table import write_table
 from .errors import EmptyFeasibleSet
 from .market import MarketModel
-from .risk import SATURATION_TOL, RiskSpec, max_ratios, profile_grid
+from .risk import (
+    SATURATION_TOL,
+    RiskSpec,
+    certified_feasible,
+    max_ratios,
+    profile_grid,
+)
 from .strategies import (
     Cumulants,
     DeterministicStrategy,
@@ -53,7 +62,8 @@ from .utility import UtilityParams
 # (candidates x intervals) arrays to about a MB; a search stage larger than
 # this (a fine exposure step) goes through in several batches.
 _BATCH_ROWS = 1024
-# Survivors of the screen at T checked together on the whole profile grid:
+# Survivors of the screen at T that the node-interval certificate leaves
+# unproved, checked together on the whole profile grid:
 # bounds their (candidates x 2,001+ points) arrays to a few MB.  A factor
 # shared by the whole batch keeps one row in both stages.
 _CHUNK = 32
@@ -191,13 +201,15 @@ def _evaluate(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
     cumulants, screen and cost once, unbroadcast.
 
     The cumulants of up to _BATCH_ROWS candidates are built in one batch, which
-    is costed and screened at the grid's last point t = T alone; those that
-    pass are checked on the whole grid _CHUNK at a time, from rows of the
+    is costed and screened at the grid's last point t = T alone.  Those that
+    pass and that certified_feasible does not prove feasible from the node
+    values are checked on the whole grid _CHUNK at a time, from rows of the
     same cumulants.  The verdict is the one-pass verdict: a ratio above the
-    bound at T is above it on the grid, and each point's ratio is
-    elementwise, so its bits do not depend on the rows or points that share
-    the array.  Each candidate's cost is a sum along its own row, so it too
-    does not depend on the batch (tests pin both).
+    bound at T is above it on the grid; a certified candidate's computed
+    ratio is within the bound at every point of any grid; and each point's
+    ratio is elementwise, so its bits do not depend on the rows or points
+    that share the array.  Each candidate's cost is a sum along its own
+    row, so it too does not depend on the batch (tests pin both).
     """
     v = np.asarray(v, dtype=np.float64)
     n, = np.broadcast_shapes(np.shape(y)[:1], v.shape[:1])
@@ -213,9 +225,9 @@ def _evaluate(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
         if spec is None:
             continue
         ok = max_ratios(cum, spec, x, grid[-1:]) <= 1.0 + SATURATION_TOL
-        passed = np.flatnonzero(ok)
-        for at in range(0, len(passed), _CHUNK):
-            part = passed[at:at + _CHUNK]
+        unproved = np.flatnonzero(ok & ~certified_feasible(cum, spec, x))
+        for at in range(0, len(unproved), _CHUNK):
+            part = unproved[at:at + _CHUNK]
             ratios = max_ratios(_take_rows(cum, part), spec, x, grid)
             ok[part] = ratios <= 1.0 + SATURATION_TOL
         feasible[rows] = ok

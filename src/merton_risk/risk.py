@@ -14,8 +14,11 @@ in ratio form.  The equivalent log form
     VaR:  L_t  = (y,theta)_t - V_t - ||y||_t^2/2 - |z_a| ||y||_t >= ln(1-zeta)
     ES:   L*_t = (y,theta)_t - V_t + ln F_a(|z_a| + ||y||_t)     >= ln(1-zeta)
 
-is formed only by log_risk_var / log_risk_es in tests/cross_checks.py,
-and the tests compare its verdict with the ratio verdict.
+is bounded from below, interval by interval, by certified_feasible, which
+lets the oracle accept a candidate without evaluating its ratio on the
+whole profile grid; log_risk_var / log_risk_es in tests/cross_checks.py
+form it pointwise, and the tests compare its verdict with the ratio
+verdict.
 """
 
 from __future__ import annotations
@@ -26,12 +29,16 @@ from enum import Enum
 import numpy as np
 
 from ._piecewise import from_ticks, merge_ticks, to_ticks
-from .gaussian import Quantile, normal_quantile, tail_ratio
+from .gaussian import Quantile, log_tail_ratio, normal_quantile, tail_ratio
 from .market import MarketModel
 from .strategies import Cumulants, DeterministicStrategy, cumulants
 
 SATURATION_TOL = 1e-9
 PROFILE_REFINE = 10_000
+# certified_feasible's rounding margin per unit of term size (128 float64
+# unit roundoffs) and its range limit in log units (see its comments)
+_CERT_MARGIN = 128 * 2.0 ** -53
+_CERT_MAX_LOG = 600.0
 
 
 class MeasureKind(str, Enum):
@@ -157,3 +164,54 @@ def max_ratios(cum: Cumulants, spec: RiskSpec, x: float,
     else:
         measure = bond - _shortfall_mean(cum, spec.quantile, x, grid)
     return np.max(measure / (spec.zeta * bond), axis=-1)
+
+
+def certified_feasible(cum: Cumulants, spec: RiskSpec, x: float) -> np.ndarray:
+    """Strategies of a step_cumulants batch whose max_ratios entry is
+    <= 1 + SATURATION_TOL on every grid of [0, T], proved from node values.
+
+    On each node interval the affine part of L (the log form above) is
+    (y,theta) - V, minus ||y||^2/2 for VaR, and is smallest at one of the
+    two ends; ||y||^2 never decreases, so the other part, -|z_a| ||y|| or
+    ln F_a(|z_a| + ||y||), is smallest at the right end.  Their sum bounds
+    L from below on the interval.  A strategy is certified when the least
+    such bound clears ln(1 - zeta) by a rounding margin; False means only
+    "not proved".
+    """
+    q = spec.quantile
+    ydt, ynn, V = cum.ydt.values, cum.ynn.values, cum.V_of.values
+    affine = ydt - V
+    norm_right = np.sqrt(ynn[..., 1:])
+    if spec.kind == MeasureKind.VAR:
+        affine = affine - 0.5 * ynn
+        spread = -q.abs_z * norm_right
+    else:
+        spread = log_tail_ratio(q, q.abs_z + norm_right)
+    lower = np.min(np.minimum(affine[..., :-1], affine[..., 1:]) + spread, axis=-1)
+
+    # Rounding.  max_ratios computes u = lambda / bond (VaR) or m / bond
+    # (ES) at each grid point, then the ratio (1 - u) / zeta.  ln u is L with
+    # every term rounded: an interpolated curve value is within 11 eps of its
+    # interval's larger node value, a sum within eps of its partial sum, and
+    # ln F within 16 eps (1 + a^2) at an argument a, whose own error of about
+    # 10 eps a moves ln F by at most (1 + a) times as much, since
+    # |d ln F / da| <= 1 + a.  With size the sum of the magnitudes below (R
+    # enters the grid's sums before it cancels), ln u is within 64 eps size
+    # of the exact L of the node values, less 10 eps for the exponentials
+    # and products, and lower is within 8 eps size of its exact value.  So
+    # lower >= ln(1 - zeta) + 128 eps size, with size >= 1, gives
+    # ln u > ln(1 - zeta) + 46 eps, hence 1 - u < zeta, and the ratio, three
+    # roundings from (1 - u) / zeta, is below 1 + 4 eps, inside
+    # 1 + SATURATION_TOL.  The margin is absolute in L whatever zeta is: the
+    # ratio's rounding error grows like eps / zeta only through the division
+    # of 1 - u by zeta, and the error of u is bounded here before it.
+    log_bound = spec.log_bound()
+    norm_T = np.sqrt(ynn[..., -1])
+    size = (np.max(np.abs(cum.model.cum_r.values)) + V[..., -1]
+            + np.max(np.abs(ydt), axis=-1) + ynn[..., -1] + q.abs_z * norm_T
+            + (1.0 + q.abs_z + norm_T) ** 2 - log_bound)
+    # Range: every exponential and product of the ratio lies within
+    # e^{+-(2 size + |ln x| + |ln zeta|)}, kept well inside float64's normal
+    # range (e^{+-708}), where the relative errors above hold.
+    in_range = 2.0 * size + abs(np.log(x)) - np.log(spec.zeta) <= _CERT_MAX_LOG
+    return in_range & (lower >= log_bound + _CERT_MARGIN * size)

@@ -89,12 +89,11 @@ def _h0_node(r, theta, x, z1, z2, y, c, gamma1):
 
 
 def hamiltonian_gap_per_node(model: MarketModel, utility: UtilityParams,
-                             t_nodes=None, n_t: int = 10,
-                             n_x: int = 10, n_probes: int = 64,
+                             n_t: int = 10, n_x: int = 10, n_probes: int = 64,
                              seed: int = 0,
                              feedback: HaraFeedback | None = None) -> float:
     """The worst probe advantage, drawn and evaluated one (t, x) node at a time."""
-    t_nodes, x_nodes, feedback = _grid_and_feedback(model, utility, t_nodes,
+    t_nodes, x_nodes, feedback = _grid_and_feedback(model, utility, None,
                                                     n_t, n_x, feedback)
     _, _, _, _, gs, ps, rs, thetas = _reduced_hamiltonian_terms(
         model, utility, feedback, t_nodes[:, None], x_nodes)

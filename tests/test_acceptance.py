@@ -28,11 +28,7 @@ from merton_risk.mc import (
 )
 from merton_risk.oracle import FamilyConfig, grid_search_oracle
 from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
-from merton_risk.strategies import (
-    GrowthFractionConsumption,
-    constant_strategy,
-    cumulants,
-)
+from merton_risk.strategies import GrowthFractionConsumption, cumulants
 from merton_risk.utility import UtilityParams
 from merton_risk.var_bound import l_star, rho_var, solve_var_linear, solve_var_tight
 

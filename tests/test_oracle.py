@@ -1,13 +1,18 @@
 """Closed-form cost, log risk functional, and the grid-search oracle."""
 
+import contextlib
+import io
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from merton_risk._piecewise import merge_ticks, to_ticks
+import merton_risk.oracle as oracle_module
+from merton_risk._piecewise import from_ticks, merge_ticks, to_ticks
 from merton_risk.bounded import tight_strategy
+from merton_risk.cli import main
 from merton_risk.errors import EmptyFeasibleSet
 from merton_risk.es_bound import rho_es, solve_es_linear
 from merton_risk.mc import SimConfig, estimate_cost, simulate_deterministic
@@ -25,6 +30,7 @@ from merton_risk.risk import (
     SATURATION_TOL,
     MeasureKind,
     RiskSpec,
+    certified_feasible,
     constraint_profile,
     max_ratios,
 )
@@ -215,18 +221,21 @@ def _large_theta_market():
     return constant_market(0.0, [0.3], [[0.2]], 1.0)
 
 
+def _flip_point(passes, lo, hi):
+    """Adjacent floats lo < hi with passes(lo) and not passes(hi), by bisection."""
+    assert passes(lo) and not passes(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    return lo, hi
+
+
 def _profile_edge(model, spec, x):
     """Largest rho whose theta-direction exposure passes constraint_profile,
     by bisection on its verdict."""
     def passes(rho):
         return constraint_profile(model, theta_direction_strategy(model, rho),
                                   spec, x, n_refine=N_PROFILE).satisfied()
-    lo, hi = 0.0, 1.0
-    assert passes(lo) and not passes(hi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
-    return lo
+    return _flip_point(passes, 0.0, 1.0)[0]
 
 
 @pytest.mark.parametrize("kind", [MeasureKind.VAR, MeasureKind.ES])
@@ -347,24 +356,125 @@ def test_evaluate_screen_at_T_matches_full_grid(kind):
     assert inner_breaks > 0 or spec is None
 
 
-def test_evaluate_memory_bounded_by_batch_rows():
+@pytest.mark.parametrize("zeta", [1e-9, 1e-6, 0.15, 0.9])
+@pytest.mark.parametrize("kind", [MeasureKind.VAR, MeasureKind.ES])
+def test_evaluate_certificate_matches_full_grid(kind, zeta, monkeypatch):
+    """Candidates within 1e-12 of the bound, on both sides of where the
+    certificate and where the grid verdict flip, get the one-pass flags and
+    costs bit for bit, with a shared exposure row or a shared consumption
+    row; the certificate clears some of them and the grid decides others."""
+    spec = RiskSpec(alpha=0.025, zeta=zeta, kind=kind)
+    x = 1.2
+    at_T, on_grid = _count_grid_rows(monkeypatch)
+    for model in (random_market(np.random.default_rng(41), d=2, max_pieces=3),
+                  _large_theta_market()):
+        horizon = model.horizon
+        node_ticks = merge_ticks(model.node_ticks,
+                                 to_ticks(np.linspace(0.0, horizon, 5)))
+        args = (model, UtilityParams(0.6, 0.4), spec, x, node_ticks)
+        # consumption at rate c on [0, T/2) only: without exposure, L is
+        # flat on [T/2, T], where the grid ratio's rounding error, about
+        # eps / zeta, varies from point to point and t = T sees one point
+        first_half = from_ticks(node_ticks[:-1]) < 0.5 * horizon
+
+        def verdicts(y, c):
+            """(certified, one-pass flag) of exposure y with rate c."""
+            v = c * first_half[None, :]
+            cum = step_cumulants(model, node_ticks, y, v)
+            return (certified_feasible(cum, spec, x)[0],
+                    evaluate_full_grid(*args, y, v)[0][0])
+
+        # exposures spend at most half of the budget at |z_a| ||y||_T
+        for rho in zeta / spec.abs_z * np.array([0.0, 0.25, 0.5]):
+            y = _theta_exposures(model, node_ticks, [rho])
+            # rates around where each verdict flips: a step of 1e-13 / T
+            # moves L on [T/2, T] by 5e-14, so 41 steps span +-1e-12, and
+            # 201 finer ones span +-1e-6 zeta (at most 1e-12)
+            steps = np.concatenate([1e-13 * np.arange(-20, 21),
+                                    min(zeta, 1e-6) * 2e-8 * np.arange(-100, 101)])
+            flips = [_flip_point(lambda c: verdicts(y, c)[i], 0.0,
+                                 -4.0 * np.log1p(-zeta) / horizon)[0]
+                     for i in (0, 1)]
+            rates = np.concatenate([flip + steps / horizon for flip in flips])
+            v = rates[:, None] * first_half
+            got, want = _evaluate(*args, y, v), evaluate_full_grid(*args, y, v)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            assert 0 < np.sum(want[0]) < len(rates)
+            if rho > 0:
+                # one consumption row, at the certificate's flip, and
+                # exposures within 1e-12 of its flip in rho
+                c = flips[0]
+                flip, _ = _flip_point(
+                    lambda r: verdicts(_theta_exposures(model, node_ticks, [r]), c)[0],
+                    0.5 * rho, 2.0 * rho)
+                y = _theta_exposures(model, node_ticks,
+                                     flip + 5e-14 * np.arange(-20, 21))
+                v = c * first_half[None, :]
+                got, want = _evaluate(*args, y, v), evaluate_full_grid(*args, y, v)
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
+    # both branches ran: survivors at T cleared by the certificate, and
+    # survivors sent to the profile grid
+    assert 0 < sum(on_grid) < sum(at_T)
+
+
+def _count_grid_rows(monkeypatch):
+    """Patch the oracle's max_ratios to log each call's candidate rows: a
+    list of (survivors at T) for the screen at T, and one of rows sent to
+    the full profile grid."""
+    at_T, on_grid = [], []
+
+    def counting(cum, spec, x, grid):
+        ratios = max_ratios(cum, spec, x, grid)
+        if len(grid) == 1:
+            at_T.append(int(np.sum(ratios <= 1.0 + SATURATION_TOL)))
+        else:
+            on_grid.append(len(ratios))
+        return ratios
+
+    monkeypatch.setattr(oracle_module, "max_ratios", counting)
+    return at_T, on_grid
+
+
+@pytest.mark.parametrize("problem", ["var_tight", "es_tight_unequal"])
+def test_certificate_clears_most_survivors(problem, monkeypatch, tmp_path):
+    """On the golden oracle searches, the node-interval certificate clears
+    at least 90% of the candidates that pass the screen at T, so only the
+    rest run on the full profile grid."""
+    at_T, on_grid = _count_grid_rows(monkeypatch)
+    golden = Path(__file__).parent / "golden" / problem
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["solve", str(golden / "problem.json"), "--out",
+                     str(tmp_path), "--grid", "21", "--oracle"]) == 0
+    assert sum(at_T) > 0 and sum(on_grid) <= 0.1 * sum(at_T), (at_T, on_grid)
+
+
+def test_evaluate_memory_bounded_by_batch_rows(monkeypatch):
     """Eight batches of candidates peak within 1.5x of one: the cumulants
     and cost arrays of at most _BATCH_ROWS candidates are alive at once."""
     model = _large_theta_market()
     spec = RiskSpec(alpha=0.025, zeta=0.15, kind=MeasureKind.ES)
-    node_ticks = merge_ticks(model.node_ticks, to_ticks(np.linspace(0.0, 1.0, 17)))
+    # two half-year intervals: the node-interval certificate is loose on
+    # them, so survivors near the bound reach the profile grid
+    node_ticks = merge_ticks(model.node_ticks, to_ticks(np.linspace(0.0, 1.0, 3)))
     k = len(node_ticks) - 1
-    peaks = []
+    peaks, grid_calls = [], []
     for n in (_BATCH_ROWS, 8 * _BATCH_ROWS):
-        # about a twelfth of the candidates pass, so the second stage runs too
-        y = _theta_exposures(model, node_ticks, np.linspace(0.0, 2.0, n))
+        # every batch holds the same rho in [0, 2], of which about a twelfth
+        # pass, so every batch runs all three stages
+        rhos = np.resize(np.linspace(0.0, 2.0, _BATCH_ROWS), n)
+        y = _theta_exposures(model, node_ticks, rhos)
         v = np.full((n, k), 0.01)
+        _, on_grid = _count_grid_rows(monkeypatch)
         tracemalloc.start()
         feasible, _ = _evaluate(model, UtilityParams(0.6, 0.4), spec, 1.2,
                                 node_ticks, y, v)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
+        grid_calls.append(len(on_grid))
         assert 0 < np.sum(feasible) < n
+    assert grid_calls[0] > 0 and grid_calls[1] == 8 * grid_calls[0]
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 

@@ -6,7 +6,7 @@ import pytest
 from merton_risk.errors import ConvergenceFailure, NegativeRate, UnsupportedRegime
 from merton_risk.mc import SimConfig, simulate_hara_feedback
 from merton_risk.oracle import cost_closed_form
-from merton_risk.strategies import constant_strategy, cumulants
+from merton_risk.strategies import cumulants
 from merton_risk.unconstrained import (
     HaraCoefficients,
     _solve_g,

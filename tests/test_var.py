@@ -5,7 +5,7 @@ import pytest
 
 from merton_risk.bounded import big_g, kappa_hat, kappa_star
 from merton_risk.errors import ConditionViolated, NegativeRate, NoClosedFormRegime
-from merton_risk.oracle import FamilyConfig, cost_closed_form, grid_search_oracle
+from merton_risk.oracle import FamilyConfig, grid_search_oracle
 from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
 from merton_risk.strategies import GrowthFractionConsumption, cumulants
 from merton_risk.unconstrained import solve_equal_gamma
