@@ -1,4 +1,4 @@
-"""Batch front-end: solve / simulate / verify / oracle on JSON problem specs.
+"""Batch front-end: solve / simulate / verify on JSON problem specs.
 
 Problem document:
 
@@ -9,9 +9,14 @@ Problem document:
       "x0":      ...
     }
 
-Exit codes: 0 success, 1 input error, 2 regime/tolerance failure; ``main``
-maps exceptions to codes through ``EXIT_CODES``.  ``solve`` also writes the
-reason for a missing closed form to solution.json.
+Each check has one route: ``solve --oracle`` runs the grid-search oracle
+on the solution it writes, ``simulate`` the exact-law Monte Carlo and
+``verify`` the dynamic-programming residual.
+
+Exit codes: 0 success, 1 input error, 2 regime/tolerance failure or a
+solution the check cannot take; ``main`` maps exceptions to codes through
+``EXIT_CODES``.  ``solve`` also writes the reason for a missing closed form
+to solution.json.
 """
 
 from __future__ import annotations
@@ -118,11 +123,6 @@ def _require(ok: bool, flag: str, what: str, value) -> None:
         raise ValueError(f"{flag} must be {what}, got {value}")
 
 
-def _check_rho_step(rho_step: float) -> None:
-    _require(math.isfinite(rho_step) and rho_step > 0.0, "--rho-step",
-             "positive and finite", rho_step)
-
-
 def _check_counts(*flags) -> None:
     for flag, value in flags:
         _require(value >= 0, flag, "non-negative", value)
@@ -130,8 +130,9 @@ def _check_counts(*flags) -> None:
 
 def cmd_solve(args) -> int:
     spec = ProblemSpec.load(args.spec)
-    _check_rho_step(args.rho_step)
-    _check_counts(("--grid", args.grid), ("--mc-paths", args.mc_paths))
+    _require(math.isfinite(args.rho_step) and args.rho_step > 0.0,
+             "--rho-step", "positive and finite", args.rho_step)
+    _check_counts(("--grid", args.grid))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -139,28 +140,16 @@ def cmd_solve(args) -> int:
     except NO_CLOSED_FORM as exc:
         _write_failure(out_dir, exc)
         raise
-    doc = sol.to_json_dict()
-    if args.mc_paths > 0 and not sol.unbounded:
-        config = mc.SimConfig(n_paths=args.mc_paths, seed=args.seed)
-        ens = _simulate(spec, sol.strategy, config)
-        est, se = mc.estimate_cost(ens, spec.utility)
-        doc["mc_check"] = {"estimate": est, "std_error": se,
-                           "n_paths": args.mc_paths, "seed": args.seed}
-    write_json(out_dir / "solution.json", doc)
+    sol.write_json(out_dir / "solution.json")
     sol.write_controls_csv(out_dir / "controls.csv", n=args.grid)
     sol.write_wealth_csv(out_dir / "wealth.csv", n=args.grid)
     if sol.feedback is not None:
         sol.write_feedback_grids(out_dir / "p_grid.csv", out_dir / "c_grid.csv")
-    if args.oracle and sol.strategy is not None and not sol.unbounded:
+    if args.oracle:
+        if sol.strategy is None or sol.unbounded:
+            raise UnsupportedSolution("oracle needs a deterministic-class solution")
         _write_oracle(out_dir, spec, sol, args.rho_step)
     return 0
-
-
-def _simulate(spec: ProblemSpec, strategy, config) -> mc.PathEnsemble:
-    """Paths of a deterministic strategy, or of the feedback optimum if None."""
-    if strategy is not None:
-        return mc.simulate_deterministic(spec.model, strategy, spec.x0, config)
-    return mc.simulate_hara_feedback(spec.model, spec.utility, spec.x0, config)
 
 
 def _write_oracle(out_dir: Path, spec: ProblemSpec, sol: Solution,
@@ -236,7 +225,11 @@ def cmd_simulate(args) -> int:
             raise UnsupportedSolution("cannot simulate an unbounded regime")
         closed_form = sol.value
         strategy = sol.strategy
-    ensemble = _simulate(spec, strategy, config)
+    if strategy is not None:
+        ensemble = mc.simulate_deterministic(spec.model, strategy, spec.x0, config)
+    else:
+        ensemble = mc.simulate_hara_feedback(spec.model, spec.utility, spec.x0,
+                                             config)
     est, se = mc.estimate_cost(ensemble, spec.utility)
     risk = spec.risk if spec.risk is not None else RiskSpec(
         alpha=0.01, zeta=0.5, kind=MeasureKind.VAR)
@@ -309,18 +302,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_oracle(args) -> int:
-    spec = ProblemSpec.load(args.spec)
-    _check_rho_step(args.rho_step)
-    sol = _solve(spec)
-    if sol.strategy is None or sol.unbounded:
-        raise UnsupportedSolution("oracle needs a deterministic-class solution")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_oracle(out_dir, spec, sol, args.rho_step)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="merton-risk",
@@ -334,11 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("spec")
     p_solve.add_argument("--out", required=True)
     p_solve.add_argument("--grid", type=int, default=201)
-    p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--oracle", action="store_true",
                          help="cross-check with the grid-search oracle")
     p_solve.add_argument("--rho-step", type=float, default=1e-3)
-    p_solve.add_argument("--mc-paths", type=int, default=0)
     p_solve.set_defaults(func=cmd_solve)
 
     p_sim = sub.add_parser("simulate", help="simulate a solved or given strategy")
@@ -368,12 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--terminal-tol", type=float, default=1e-12)
     p_ver.add_argument("--gap-tol", type=float, default=hjb.HAMILTONIAN_GAP_TOL)
     p_ver.set_defaults(func=cmd_verify)
-
-    p_or = sub.add_parser("oracle", help="grid-search cross-check")
-    p_or.add_argument("spec")
-    p_or.add_argument("--out", required=True)
-    p_or.add_argument("--rho-step", type=float, default=1e-3)
-    p_or.set_defaults(func=cmd_oracle)
     return parser
 
 

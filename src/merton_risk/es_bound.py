@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from ._rootfind import expand_bracket, solve_bracketed
-from .bounded import BoundRules, loose_bound_check, solve_bounded, solve_linear, solve_tight
+from .bounded import BoundRules, solve_bounded
 from .errors import HypothesisViolated
 from .gaussian import Quantile, gauss_hazard, log_tail_ratio, tail_ratio
 from .market import MarketModel
@@ -70,26 +70,20 @@ def rho_es_upper_bound(model: MarketModel, spec: RiskSpec) -> float:
                  / (z - model.theta_norm_T))
 
 
-def rho_es(model: MarketModel, spec: RiskSpec, kappa=0.0):
-    """Exposure budget under the ES bound left after consuming the fraction
-    kappa <= zeta: root of psi(rho, 1) = ln(1-zeta) - ln(1-kappa), and
-    rho*_ES = rho_es(model, spec).  A float for scalar kappa, else an array."""
+def rho_es(model: MarketModel, spec: RiskSpec) -> float:
+    """Exposure budget rho*_ES under the ES bound: the root of
+    psi(rho, 1) = ln(1-zeta)."""
     _check_hypothesis(model, spec)
     psi = psi_function(model, spec)
-    fprime = lambda r: float(psi.d_rho(r))
-    cap = max(1.0, 2.0 * rho_es_upper_bound(model, spec)) if spec.abs_z > 1.0 else None
-
-    def root(k):
-        target = spec.log_bound() - np.log1p(-k)
-        f = lambda r: float(psi(r) - target)
-        hi = cap if cap is not None else expand_bracket(f, 0.0, 1.0)[1]
-        return solve_bracketed(f, 0.0, hi, fprime=fprime,
-                               residual_tol=ROOT_RESIDUAL,
-                               scale=max(1.0, abs(target)))
-
-    if np.ndim(kappa) == 0:
-        return root(float(kappa))
-    return np.array([root(k) for k in np.asarray(kappa, dtype=np.float64)])
+    target = spec.log_bound()
+    f = lambda r: float(psi(r) - target)
+    if spec.abs_z > 1.0:
+        hi = max(1.0, 2.0 * rho_es_upper_bound(model, spec))
+    else:
+        hi = expand_bracket(f, 0.0, 1.0)[1]
+    return solve_bracketed(f, 0.0, hi, fprime=lambda r: float(psi.d_rho(r)),
+                           residual_tol=ROOT_RESIDUAL,
+                           scale=max(1.0, abs(target)))
 
 
 def es_loose_threshold(model: MarketModel, gamma: float,
@@ -118,6 +112,3 @@ ES = BoundRules(
 )
 
 solve_es = partial(solve_bounded, ES)
-solve_es_linear = partial(solve_linear, ES)
-solve_es_tight = partial(solve_tight, ES)
-es_loose_bound_check = partial(loose_bound_check, ES)

@@ -310,8 +310,9 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
                     trials = np.repeat(current[None, :], len(levels), axis=0)
                     trials[:, i] = levels
                     feasible, costs = evaluate(y, trials[:, piece])
-                    for trial, ok, cost in zip(trials, feasible, costs):
-                        if np.array_equal(trial, current):
+                    for trial, level, ok, cost in zip(trials, levels, feasible, costs):
+                        # trial differs from current in entry i alone
+                        if level == current[i]:
                             continue
                         records.append(OracleRecord(
                             rho=best_rho, v_levels=tuple(trial),

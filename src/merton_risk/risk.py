@@ -113,13 +113,6 @@ class RiskProfile:
         measure = self.var_curve if self.kind == MeasureKind.VAR else self.es_curve
         return measure / self.level_curve
 
-    @property
-    def max_ratio(self) -> float:
-        return float(np.max(self.ratio_curve))
-
-    def satisfied(self, tol: float = SATURATION_TOL) -> bool:
-        return self.max_ratio <= 1.0 + tol
-
 
 def profile_grid(node_ticks: np.ndarray, horizon: float,
                  n_refine: int = PROFILE_REFINE) -> np.ndarray:

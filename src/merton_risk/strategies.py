@@ -200,13 +200,12 @@ def scaled_theta_strategy(model: MarketModel, factor: float,
     return DeterministicStrategy(y_path=y_path, consumption=consumption)
 
 
-def theta_direction_strategy(model: MarketModel, rho: float,
-                             consumption=None) -> DeterministicStrategy:
+def theta_direction_strategy(model: MarketModel, rho: float) -> DeterministicStrategy:
     """y_t = rho * theta_t / ||theta||_T (requires ||theta||_T > 0)."""
     tn = model.theta_norm_T
     if tn <= 0:
         raise MismatchedPaths("theta-direction strategy needs ||theta||_T > 0")
-    return scaled_theta_strategy(model, rho / tn, consumption)
+    return scaled_theta_strategy(model, rho / tn)
 
 
 # ---------------------------------------------------------------------------

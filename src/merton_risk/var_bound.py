@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .bounded import BoundRules, loose_bound_check, solve_bounded, solve_linear, solve_tight
+from .bounded import BoundRules, solve_bounded
 from .errors import ConditionViolated
 from .market import MarketModel
 from .risk import MeasureKind, RiskSpec
@@ -26,20 +26,17 @@ from .solution import ConditionCheck
 from .unconstrained import kappa_tilde
 
 
-def rho_var(model: MarketModel, spec: RiskSpec, kappa=0.0):
-    """Exposure budget under the VaR bound left after consuming the
-    fraction kappa <= zeta; rho* = rho_var(model, spec).
+def rho_var(model: MarketModel, spec: RiskSpec) -> float:
+    """Exposure budget rho* under the VaR bound.
 
     Positive root sqrt(c^2 + w) - c of ||theta||_T r - r^2/2 - |z_a| r =
-    ln(1-zeta) - ln(1-kappa), with c = |z_a| - ||theta||_T and
-    w = 2 (ln(1-kappa) - ln(1-zeta)), taken as w / (sqrt(c^2 + w) + c) when
-    c >= 0 so that it never cancels.  A float for scalar kappa, else an array.
+    ln(1-zeta), with c = |z_a| - ||theta||_T and w = -2 ln(1-zeta), taken as
+    w / (sqrt(c^2 + w) + c) when c >= 0 so that it never cancels.
     """
     c = spec.abs_z - model.theta_norm_T
-    w = 2.0 * (np.log1p(-np.asarray(kappa, dtype=np.float64)) - spec.log_bound())
+    w = -2.0 * spec.log_bound()
     root = np.sqrt(c * c + w)
-    rho = w / (root + c) if c >= 0 else root - c
-    return float(rho) if np.ndim(rho) == 0 else rho
+    return float(w / (root + c) if c >= 0 else root - c)
 
 
 def _linear_zeta_window(model: MarketModel, spec: RiskSpec) -> ConditionCheck:
@@ -85,6 +82,3 @@ VAR = BoundRules(
 )
 
 solve_var = partial(solve_bounded, VAR)
-solve_var_linear = partial(solve_linear, VAR)
-solve_var_tight = partial(solve_tight, VAR)
-var_loose_bound_check = partial(loose_bound_check, VAR)

@@ -6,8 +6,10 @@ Gaussian upper tail, Mills' ratio bounds on it, the Hamiltonian probe
 check node by node, the oracle's feasibility screen on the full profile
 grid in one pass, the output tables written one formatted field at a
 time (``fmt`` and ``write_rows``, the package's writers before
-``_table.write_table``), and the closed-form quantile, VaR and ES of one
-strategy with the log form of the uniform bound.
+``_table.write_table``), the closed-form quantile, VaR and ES of one
+strategy with the log form of the uniform bound, the verdict of a
+constraint profile, and the exposure budget left after consuming part of
+the bound, from scipy's normal tail.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from merton_risk.market import MarketModel
 from merton_risk.oracle import _CHUNK, N_PROFILE, _cost, _cost_pieces
 from merton_risk.risk import (
     SATURATION_TOL,
+    MeasureKind,
+    RiskProfile,
     RiskSpec,
     _lambda_from_cumulants,
     _shortfall_mean,
@@ -231,3 +235,54 @@ def log_risk_es(cum: Cumulants, quantile: Quantile, t):
     t = np.asarray(t, dtype=np.float64)
     yn = cum.y_norm(t)
     return cum.ydt(t) - cum.V(t) + log_tail_ratio(quantile, quantile.abs_z + yn)
+
+
+# ---------------------------------------------------------------------------
+# Verdict of a constraint profile
+# ---------------------------------------------------------------------------
+
+def max_ratio(prof: RiskProfile) -> float:
+    """Largest measure-to-level ratio along the profile."""
+    return float(np.max(prof.ratio_curve))
+
+
+def satisfied(prof: RiskProfile, tol: float = SATURATION_TOL) -> bool:
+    """Does the profile keep the uniform bound, up to tol?"""
+    return max_ratio(prof) <= 1.0 + tol
+
+
+# ---------------------------------------------------------------------------
+# Exposure budget after consumption
+# ---------------------------------------------------------------------------
+
+def budget_after(model: MarketModel, spec: RiskSpec, kappa: float) -> float:
+    """Exposure budget rho(kappa) left once the fraction kappa <= zeta of
+    the discounted endowment is consumed.
+
+    The root rho >= 0 of b(rho) = ln(1-zeta) - ln(1-kappa), with
+    b(rho) = ||theta||_T rho - rho^2/2 - |z_a| rho for VaR (explicit) and
+    b(rho) = ||theta||_T rho + ln F_a(|z_a| + rho) for ES (brentq), where
+    F_a(z) = P(N > z) / alpha.  At kappa = zeta nothing is left and
+    rho = 0; no RiskSpec stands for that level, since zeta' = 0 is refused.
+    """
+    # slow to import, and no command takes this cross-check route
+    from scipy import optimize, special
+
+    if kappa == spec.zeta:
+        return 0.0
+    target = np.log1p(-spec.zeta) - np.log1p(-kappa)
+    tn = model.theta_norm_T
+    abs_z = -float(special.ndtri(spec.alpha))
+    if spec.kind == MeasureKind.VAR:
+        c, w = abs_z - tn, -2.0 * target
+        root = np.sqrt(c * c + w)
+        return float(w / (root + c) if c >= 0 else root - c)
+
+    def f(rho):
+        return (tn * rho + special.log_ndtr(-(abs_z + rho))
+                - special.log_ndtr(-abs_z) - target)
+
+    hi = 1.0
+    while f(hi) > 0.0:
+        hi *= 2.0
+    return optimize.brentq(f, 0.0, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)

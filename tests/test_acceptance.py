@@ -9,14 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from merton_risk.bounded import big_g, kappa_hat
+from merton_risk.bounded import big_g, kappa_hat, solve_linear, solve_tight
 from merton_risk.es_bound import (
+    ES,
     es_loose_threshold,
     psi_function,
     rho_es,
     rho_es_upper_bound,
-    solve_es_linear,
-    solve_es_tight,
 )
 from merton_risk.hjb import hjb_residual
 from merton_risk.mc import (
@@ -30,10 +29,11 @@ from merton_risk.oracle import FamilyConfig, grid_search_oracle
 from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
 from merton_risk.strategies import GrowthFractionConsumption, cumulants
 from merton_risk.utility import UtilityParams
-from merton_risk.var_bound import l_star, rho_var, solve_var_linear, solve_var_tight
+from merton_risk.var_bound import VAR, l_star, rho_var
 
 from conftest import constant_market, random_market, random_strategy, theta_market
 from cross_checks import (
+    budget_after,
     expected_shortfall,
     exposure_growth_factor,
     log_risk_es,
@@ -132,10 +132,10 @@ def test_criterion_4_constraint_saturation():
     x = 1.0
     grid = np.linspace(0.0, 1.0, 21)
     saturation = {}
-    for kind, solver, log_form in ((MeasureKind.VAR, solve_var_linear, log_risk_var),
-                                   (MeasureKind.ES, solve_es_linear, log_risk_es)):
+    for kind, rules, log_form in ((MeasureKind.VAR, VAR, log_risk_var),
+                                  (MeasureKind.ES, ES, log_risk_es)):
         spec = RiskSpec(alpha=0.01, zeta=0.1, kind=kind)
-        sol = solver(m, spec, x)
+        sol = solve_linear(rules, m, spec, x)
         prof = constraint_profile(m, sol.strategy, spec, x, n_refine=10_000)
         log_curve = log_form(cumulants(m, sol.strategy), spec.quantile, prof.times)
         gap = abs(float(np.min(log_curve)) - spec.log_bound())
@@ -167,7 +167,7 @@ def test_criterion_5_oracle_dominance_and_attainment():
     gaps = {}
 
     spec_v = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
-    sol_v = solve_var_linear(m, spec_v, x)
+    sol_v = solve_linear(VAR, m, spec_v, x)
     rho_hi = 2.0 * rho_var(m, spec_v)
     res = grid_search_oracle(m, UtilityParams(1.0, 1.0), spec_v, x,
                              FamilyConfig(rho_grid=np.arange(0, rho_hi, 1e-4)))
@@ -176,7 +176,7 @@ def test_criterion_5_oracle_dominance_and_attainment():
     assert gaps["var_linear"] < 1e-3
 
     spec_e = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.ES)
-    sol_e = solve_es_linear(m, spec_e, x)
+    sol_e = solve_linear(ES, m, spec_e, x)
     rho_hi = 2.0 * rho_es(m, spec_e)
     res = grid_search_oracle(m, UtilityParams(1.0, 1.0), spec_e, x,
                              FamilyConfig(rho_grid=np.arange(0, rho_hi, 1e-4)))
@@ -185,7 +185,7 @@ def test_criterion_5_oracle_dominance_and_attainment():
     assert gaps["es_linear"] < 1e-3
 
     u = UtilityParams(0.5, 0.5)
-    sol_t = solve_var_tight(m, u, spec_v, x)
+    sol_t = solve_tight(VAR, m, u, spec_v, x)
     res = grid_search_oracle(
         m, u, spec_v, x,
         FamilyConfig(rho_grid=np.arange(0, 0.12, 1e-4),
@@ -236,7 +236,7 @@ def test_criterion_7_tight_regime_identities():
     # unit-horizon zero-rate instance: V*_T and the direct wealth identity
     m0 = standard()
     spec = RiskSpec(alpha=0.01, zeta=zeta, kind=MeasureKind.VAR)
-    sol0 = solve_var_tight(m0, u, spec, x)
+    sol0 = solve_tight(VAR, m0, u, spec, x)
     ts = np.linspace(0.0, 1.0, 101)
     v0 = sol0.strategy.v_at(m0, ts)
     X0 = sol0.wealth_mean(ts)
@@ -251,9 +251,8 @@ def test_criterion_7_tight_regime_identities():
     q = 1.0 / (1.0 - gamma)
     a = gamma * q * r
     mr_ = constant_market(r, [r], [[0.2]], T)
-    sol_r = solve_es_tight(mr_, u,
-                           RiskSpec(alpha=0.01, zeta=zeta,
-                                    kind=MeasureKind.ES), x)
+    sol_r = solve_tight(ES, mr_, u,
+                        RiskSpec(alpha=0.01, zeta=zeta, kind=MeasureKind.ES), x)
     ts = np.linspace(0.0, T, 101)
     v = sol_r.strategy.v_at(mr_, ts)
     v_expected = zeta * a / (np.exp(a * (T - ts)) - zeta
@@ -351,8 +350,10 @@ def test_criterion_9_monotonicity_suites():
     u = UtilityParams(0.5, 0.5)
     spec_v = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
     ks = np.linspace(0.0, spec_v.zeta, 200)
+    budgets = [np.array([budget_after(m, spec, k) for k in ks])
+               for spec in (spec_v, spec_e)]
     for gamma_i in (u.gamma1, u.gamma2):
-        for rho_k in (rho_var(m, spec_v, ks), rho_es(m, spec_e, ks)):
+        for rho_k in budgets:
             path = exposure_growth_factor(m, gamma_i, rho_k) \
                 * big_g(m, u, 1.0, ks)[0]
             assert np.all(np.diff(path) >= -1e-12 * np.abs(path[:-1]))

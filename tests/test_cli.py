@@ -1,9 +1,11 @@
 """Batch front-end: exit codes, output files, round trips."""
 
+import argparse
 import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +15,14 @@ import pytest
 
 import merton_risk
 from merton_risk import unconstrained
-from merton_risk.cli import main, strategy_from_csv
+from merton_risk.cli import build_parser, main, strategy_from_csv
 from merton_risk.market import market_from_dict
 from merton_risk.oracle import cost_closed_form
 from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
 from merton_risk.utility import UtilityParams
 
 from conftest import strict_json
+from cross_checks import max_ratio, satisfied
 
 
 def market_doc(r=0.0, mu=0.1, sigma=0.2, T=1.0):
@@ -187,23 +190,19 @@ BAD_TABLES = {"nan_pi.csv": "t,pi_1,v\n0.0,nan,0.1\n0.5,0.2,0.1\n",
     ({}, ["solve", "--oracle", "--rho-step", "0"]),
     ({}, ["solve", "--oracle", "--rho-step", "nan"]),
     ({}, ["solve", "--oracle", "--rho-step", "-0.001"]),
-    ({}, ["oracle", "--rho-step", "0"]),
     ({}, ["simulate", "--strategy", "missing.csv"]),
     ({}, ["simulate", "--paths", "0"]),
-    ({}, ["solve", "--mc-paths", "1"]),
     ({}, ["solve", "--grid", "-1"]),
     ({}, ["simulate", "--steps", "-3"]),
     ({}, ["simulate", "--dump-paths", "-5"]),
     ({}, ["simulate", "--strategy", "nan_pi.csv"]),
     ({}, ["simulate", "--strategy", "no_v.csv"]),
     ({}, ["simulate", "--strategy", "empty.csv"]),
-    ({}, ["solve", "--mc-paths", "-5"]),
 ], ids=["utility_number", "x0_null", "x0_list", "risk_number", "gamma1_null",
         "rho_step_zero", "rho_step_nan", "rho_step_negative",
-        "oracle_rho_step_zero", "missing_strategy_file", "zero_paths",
-        "one_mc_path", "negative_grid", "negative_steps",
+        "missing_strategy_file", "zero_paths", "negative_grid", "negative_steps",
         "negative_dump_paths", "nan_strategy_field", "short_strategy_row",
-        "empty_strategy_table", "negative_mc_paths"])
+        "empty_strategy_table"])
 def test_malformed_input_is_input_error(tmp_path, capsys, patch, command):
     for name, text in BAD_TABLES.items():
         (tmp_path / name).write_text(text)
@@ -350,15 +349,21 @@ def test_simulate_unbounded_regime_exit2(tmp_path):
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.parametrize("utility", [{"gamma1": 1.0, "gamma2": 1.0},
-                                     {"gamma1": 0.3, "gamma2": 0.7}],
-                         ids=["unbounded", "feedback"])
-def test_oracle_without_deterministic_solution_exit2(tmp_path, capsys, utility):
+SOLVE_FILES = {"solution.json", "controls.csv", "wealth.csv"}
+FEEDBACK_FILES = SOLVE_FILES | {"p_grid.csv", "c_grid.csv"}
+
+
+@pytest.mark.parametrize("utility, files", [
+    ({"gamma1": 1.0, "gamma2": 1.0}, SOLVE_FILES),
+    ({"gamma1": 0.3, "gamma2": 0.7}, FEEDBACK_FILES),
+], ids=["unbounded", "feedback"])
+def test_oracle_without_deterministic_solution_exit2(tmp_path, capsys, utility, files):
+    # the solution files are written; the check that cannot run is not a pass
     spec = write_spec(tmp_path / "p.json", utility=utility)
     out = tmp_path / "out"
-    assert main(["oracle", str(spec), "--out", str(out)]) == 2
+    assert main(["solve", str(spec), "--out", str(out), "--oracle"]) == 2
     assert "deterministic-class solution" in capsys.readouterr().err
-    assert not out.exists()
+    assert {p.name for p in out.glob("*")} == files
 
 
 EXIT2_PATHS = {
@@ -372,8 +377,9 @@ EXIT2_PATHS = {
         {"gamma1": 1.0, "gamma2": 1.0}, ["simulate", "--paths", "20000"],
         "unsupported solution: cannot simulate an unbounded regime\n", set()),
     "oracle_feedback": (
-        {"gamma1": 0.3, "gamma2": 0.7}, ["oracle"],
-        "unsupported solution: oracle needs a deterministic-class solution\n", set()),
+        {"gamma1": 0.3, "gamma2": 0.7}, ["solve", "--oracle"],
+        "unsupported solution: oracle needs a deterministic-class solution\n",
+        FEEDBACK_FILES),
 }
 
 
@@ -502,21 +508,23 @@ def test_round_trip_strategy_reproduces_profile(tmp_path):
     strategy = strategy_from_csv(out / "controls.csv", model)
     spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
     prof = constraint_profile(model, strategy, spec, 1.0)
-    assert prof.max_ratio == pytest.approx(1.0, abs=1e-9)
-    assert prof.satisfied(1e-9)
+    assert max_ratio(prof) == pytest.approx(1.0, abs=1e-9)
+    assert satisfied(prof, 1e-9)
 
 
-def test_solve_with_mc_check(tmp_path):
+@pytest.mark.parametrize("risk", [{"kind": "var", "alpha": 0.01, "zeta": 0.1},
+                                  {"kind": "es", "alpha": 0.01, "zeta": 0.999}],
+                         ids=["riskless", "risky"])
+def test_simulate_estimate_within_std_errors(tmp_path, risk):
+    # the tight law is riskless (a zero standard error); the loose one is not
     spec = write_spec(tmp_path / "p.json",
-                      utility={"gamma1": 0.5, "gamma2": 0.5},
-                      risk={"kind": "var", "alpha": 0.01, "zeta": 0.1})
+                      utility={"gamma1": 0.5, "gamma2": 0.5}, risk=risk)
     out = tmp_path / "out"
-    assert main(["solve", str(spec), "--out", str(out),
-                 "--mc-paths", "5000", "--seed", "7"]) == 0
-    doc = json.loads((out / "solution.json").read_text())
-    chk = doc["mc_check"]
-    assert abs(chk["estimate"] - doc["value"]) <= \
-        4 * chk["std_error"] + 1e-9
+    assert main(["simulate", str(spec), "--out", str(out),
+                 "--paths", "20000", "--seed", "7"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert abs(summary["cost_estimate"] - summary["cost_closed_form"]) <= \
+        4 * summary["cost_std_error"] + 1e-9
 
 
 def test_simulate_dump_paths(tmp_path):
@@ -552,11 +560,25 @@ def test_oracle_command(tmp_path):
                       utility={"gamma1": 1.0, "gamma2": 1.0},
                       risk={"kind": "es", "alpha": 0.01, "zeta": 0.1})
     out = tmp_path / "out"
-    assert main(["oracle", str(spec), "--out", str(out),
+    assert main(["solve", str(spec), "--out", str(out), "--oracle",
                  "--rho-step", "2e-3"]) == 0
     doc = json.loads((out / "oracle.json").read_text())
     assert -1e-9 <= doc["relative_gap"] < 5e-3
     assert (out / "oracle.csv").exists()
+
+
+def test_readme_cli_block_matches_the_parser():
+    # every subcommand and flag of README's usage block exists, and every
+    # subcommand is shown there
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    shown = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
+             for line in block.splitlines() if line.startswith("merton-risk ")}
+    sub, = (action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    assert set(shown) == set(sub.choices)
+    for command, flags in shown.items():
+        assert flags <= set(sub.choices[command]._option_string_actions), command
 
 
 STARTUP_SCRIPT = """
@@ -570,8 +592,6 @@ assert main(["solve", spec, "--out", out + "/solve", "--oracle",
 assert main(["verify", spec, "--out", out + "/verify"]) == 0
 scipy_modules()
 assert main(["simulate", spec, "--out", out + "/simulate", "--paths", "2000"]) == 0
-scipy_modules()
-assert main(["solve", spec, "--out", out + "/mc", "--mc-paths", "2000"]) == 0
 scipy_modules()
 """
 
@@ -589,7 +609,7 @@ def test_solve_and_verify_import_no_scipy(tmp_path):
                           str(tmp_path / "out")],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["[]"] * 3
+    assert run.stdout.split() == ["[]"] * 2
     assert (tmp_path / "out" / "simulate" / "summary.json").exists()
 
 

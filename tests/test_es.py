@@ -3,27 +3,25 @@
 import numpy as np
 import pytest
 
-from merton_risk.bounded import kappa_hat
+from merton_risk.bounded import kappa_hat, loose_bound_check, solve_linear, solve_tight
 from merton_risk.errors import ConditionViolated, HypothesisViolated, NoClosedFormRegime
 from merton_risk.es_bound import (
-    es_loose_bound_check,
+    ES,
     es_loose_threshold,
     psi_function,
     rho_es,
     rho_es_upper_bound,
     solve_es,
-    solve_es_linear,
-    solve_es_tight,
 )
 from merton_risk.oracle import FamilyConfig, grid_search_oracle
 from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
 from merton_risk.strategies import cumulants
 from merton_risk.unconstrained import solve_equal_gamma
 from merton_risk.utility import UtilityParams
-from merton_risk.var_bound import rho_var, solve_var_linear
+from merton_risk.var_bound import VAR, rho_var
 
 from conftest import theta_market
-from cross_checks import log_risk_es
+from cross_checks import budget_after, log_risk_es, max_ratio, satisfied
 
 # mpmath, 50 digits
 RHO_ES_STD = 0.048176088255488039142
@@ -117,7 +115,7 @@ def test_psi_monotonicity_needs_hypothesis():
 
 def test_es_linear_standard_instance(standard_market):
     spec = RiskSpec(**ES01)
-    sol = solve_es_linear(standard_market, spec, 1.0)
+    sol = solve_linear(ES, standard_market, spec, 1.0)
     assert sol.value == pytest.approx(J_ES_LINEAR, rel=1e-11)
     # saturation of the ES log functional, attained at T
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
@@ -125,32 +123,32 @@ def test_es_linear_standard_instance(standard_market):
                             spec.quantile, prof.times)
     assert np.min(log_curve) == pytest.approx(spec.log_bound(), abs=1e-9)
     assert prof.times[np.argmax(prof.ratio_curve)] == pytest.approx(1.0, abs=1e-6)
-    assert prof.max_ratio == pytest.approx(1.0, abs=1e-9)
+    assert max_ratio(prof) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_es_linear_below_var_linear(standard_market):
     spec_e = RiskSpec(**ES01)
     spec_v = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
-    j_es = solve_es_linear(standard_market, spec_e, 1.0).value
-    j_var = solve_var_linear(standard_market, spec_v, 1.0).value
+    j_es = solve_linear(ES, standard_market, spec_e, 1.0).value
+    j_var = solve_linear(VAR, standard_market, spec_v, 1.0).value
     assert j_es <= j_var
     # and the VaR optimum violates the ES bound (the measure is tighter)
-    sol_v = solve_var_linear(standard_market, spec_v, 1.0)
+    sol_v = solve_linear(VAR, standard_market, spec_v, 1.0)
     prof = constraint_profile(standard_market, sol_v.strategy, spec_e, 1.0)
-    assert prof.max_ratio > 1.0
+    assert max_ratio(prof) > 1.0
 
 
 def test_es_linear_zero_theta():
     m = theta_market(0.0, r=0.02)
     spec = RiskSpec(**ES01)
-    sol = solve_es_linear(m, spec, 1.0)
+    sol = solve_linear(ES, m, spec, 1.0)
     assert sol.value == pytest.approx(np.exp(0.02), rel=1e-13)
     assert sol.regime == "es_linear_bond"
 
 
 def test_es_linear_vs_grid_oracle(standard_market):
     spec = RiskSpec(**ES01)
-    sol = solve_es_linear(standard_market, spec, 1.0)
+    sol = solve_linear(ES, standard_market, spec, 1.0)
     res = grid_search_oracle(
         standard_market, UtilityParams(1.0, 1.0), spec, 1.0,
         FamilyConfig(rho_grid=np.arange(0.0, 0.1, 1e-3)))
@@ -161,7 +159,7 @@ def test_es_linear_vs_grid_oracle(standard_market):
 def test_es_linear_hypothesis_violated():
     m = theta_market(1.5)
     with pytest.raises(HypothesisViolated):
-        solve_es_linear(m, RiskSpec(**ES01), 1.0)
+        solve_linear(ES, m, RiskSpec(**ES01), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +168,18 @@ def test_es_linear_hypothesis_violated():
 
 def test_es_loose_large_zeta(standard_market):
     spec = RiskSpec(alpha=0.01, zeta=0.999, kind=MeasureKind.ES)
-    ok, margin = es_loose_bound_check(standard_market, 0.5, spec)
+    ok, margin = loose_bound_check(ES, standard_market, 0.5, spec)
     assert ok and margin > 0
     sol = solve_equal_gamma(standard_market, 0.5, 1.0)
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
     log_curve = log_risk_es(cumulants(standard_market, sol.strategy),
                             spec.quantile, prof.times)
-    assert prof.satisfied(1e-9) and np.min(log_curve) >= spec.log_bound() - 1e-9
+    assert satisfied(prof, 1e-9) and np.min(log_curve) >= spec.log_bound() - 1e-9
 
 
 def test_es_loose_small_zeta(standard_market):
     spec = RiskSpec(alpha=0.01, zeta=1e-4, kind=MeasureKind.ES)
-    ok, margin = es_loose_bound_check(standard_market, 0.5, spec)
+    ok, margin = loose_bound_check(ES, standard_market, 0.5, spec)
     assert not ok and margin < 0
 
 
@@ -206,12 +204,12 @@ def test_es_tight_standard_instance(standard_market):
     spec = RiskSpec(alpha=0.001, zeta=0.1, kind=MeasureKind.ES)
     # condition arithmetic: (2 + 0.5/0.9 / (dlnG = 5/6)) * 0.5 = 4/3 <= |z|
     assert spec.abs_z > (2.0 + 0.5 / 0.9 * (6.0 / 5.0)) * 0.5 - 1e-12
-    sol = solve_es_tight(standard_market, u, spec, 1.0)
+    sol = solve_tight(ES, standard_market, u, spec, 1.0)
     assert sol.value == pytest.approx(np.sqrt(0.1) + np.sqrt(0.9), rel=1e-14)
     assert np.all(sol.strategy.y_at(np.linspace(0, 1, 9)) == 0.0)
     assert sol.regime == "es_tight"
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
-    assert prof.satisfied(1e-9)
+    assert satisfied(prof, 1e-9)
 
 
 def test_es_tight_zero_theta_any_alpha():
@@ -220,7 +218,7 @@ def test_es_tight_zero_theta_any_alpha():
     u = UtilityParams(0.5, 0.5)
     for alpha in (0.45, 0.25, 0.01):
         spec = RiskSpec(alpha=alpha, zeta=0.1, kind=MeasureKind.ES)
-        sol = solve_es_tight(m, u, spec, 1.0)
+        sol = solve_tight(ES, m, u, spec, 1.0)
         assert sol.value == pytest.approx(np.sqrt(0.1) + np.sqrt(0.9),
                                           rel=1e-14)
 
@@ -229,18 +227,18 @@ def test_es_tight_condition_violated(standard_market):
     u = UtilityParams(0.5, 0.5)
     spec = RiskSpec(alpha=0.25, zeta=0.1, kind=MeasureKind.ES)
     with pytest.raises(ConditionViolated) as err:
-        solve_es_tight(standard_market, u, spec, 1.0)
+        solve_tight(ES, standard_market, u, spec, 1.0)
     assert err.value.condition == "quantile_floor"
     spec2 = RiskSpec(alpha=0.001, zeta=0.7, kind=MeasureKind.ES)
     with pytest.raises(ConditionViolated) as err2:
-        solve_es_tight(standard_market, u, spec2, 1.0)
+        solve_tight(ES, standard_market, u, spec2, 1.0)
     assert err2.value.condition == "zeta_below_split_point"
 
 
 def test_es_tight_vs_grid_oracle(standard_market):
     u = UtilityParams(0.5, 0.5)
     spec = RiskSpec(alpha=0.001, zeta=0.1, kind=MeasureKind.ES)
-    sol = solve_es_tight(standard_market, u, spec, 1.0)
+    sol = solve_tight(ES, standard_market, u, spec, 1.0)
     config = FamilyConfig(rho_grid=np.arange(0.0, 0.1, 2e-3),
                           v_levels=np.linspace(0.0, 0.25, 126), v_pieces=4)
     res = grid_search_oracle(standard_market, u, spec, 1.0, config)
@@ -265,12 +263,16 @@ def test_es_dispatch(standard_market):
 
 
 def test_budget_after_consumption_decreasing_es(standard_market):
+    # what consuming kappa < zeta leaves is rho*_ES of the level (zeta-kappa)/(1-kappa)
     spec = RiskSpec(**ES01)
     ks = np.linspace(0.0, spec.zeta, 30)
-    rhos = rho_es(standard_market, spec, ks)
+    rhos = np.array([budget_after(standard_market, spec, k) for k in ks])
+    rest = [rho_es(standard_market, RiskSpec(alpha=spec.alpha, zeta=(spec.zeta - k) / (1.0 - k),
+                                             kind=spec.kind)) for k in ks[:-1]]
+    assert rhos[:-1] == pytest.approx(rest, abs=1e-10)
     assert rhos[0] == pytest.approx(rho_es(standard_market, spec), abs=1e-10)
     assert np.all(np.diff(rhos) < 0)
-    assert rhos[-1] == pytest.approx(0.0, abs=1e-10)
+    assert rhos[-1] == 0.0
 
 
 def test_log_functional_bound_chain(standard_market):

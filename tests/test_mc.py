@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 
 from merton_risk import mc
+from merton_risk.bounded import solve_linear
 from merton_risk.errors import InsufficientPaths, MismatchedPaths
 from merton_risk.mc import (
     SimConfig,
@@ -24,11 +25,11 @@ from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
 from merton_risk.strategies import constant_strategy, cumulants, step_strategy
 from merton_risk.unconstrained import solve_hara_unconstrained
 from merton_risk.utility import UtilityParams
-from merton_risk.var_bound import solve_var_linear
+from merton_risk.var_bound import VAR
 from mc_reference import block_normals, simulate_feedback_euler
 
 from conftest import bond_strategy, constant_market, random_market, random_strategy
-from cross_checks import quantile_lambda
+from cross_checks import max_ratio, quantile_lambda
 
 
 def test_pure_bond_paths_exact():
@@ -184,7 +185,7 @@ def test_empirical_curve_pure_bond():
     prof = empirical_risk_curve(ens, spec, 1.0, m)
     assert np.allclose(prof.var_curve, 0.0, atol=1e-12)
     assert np.allclose(prof.es_curve, 0.0, atol=1e-12)
-    assert prof.max_ratio == 0.0
+    assert max_ratio(prof) == 0.0
 
 
 def test_empirical_curve_insufficient_paths():
@@ -198,7 +199,7 @@ def test_empirical_curve_insufficient_paths():
 
 def test_linear_var_optimum_empirical_ratio(standard_market):
     spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
-    sol = solve_var_linear(standard_market, spec, 1.0)
+    sol = solve_linear(VAR, standard_market, spec, 1.0)
     ens = simulate_deterministic(
         standard_market, sol.strategy, 1.0,
         SimConfig(n_paths=200_000, seed=51,

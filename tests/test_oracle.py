@@ -11,10 +11,10 @@ import pytest
 
 import merton_risk.oracle as oracle_module
 from merton_risk._piecewise import from_ticks, merge_ticks, to_ticks
-from merton_risk.bounded import tight_strategy
+from merton_risk.bounded import solve_linear, solve_tight, tight_strategy
 from merton_risk.cli import main
 from merton_risk.errors import EmptyFeasibleSet
-from merton_risk.es_bound import rho_es, solve_es_linear
+from merton_risk.es_bound import ES, rho_es
 from merton_risk.mc import SimConfig, estimate_cost, simulate_deterministic
 from merton_risk.oracle import (
     _BATCH_ROWS,
@@ -42,10 +42,16 @@ from merton_risk.strategies import (
     theta_direction_strategy,
 )
 from merton_risk.utility import UtilityParams
-from merton_risk.var_bound import rho_var, solve_var_linear, solve_var_tight
+from merton_risk.var_bound import VAR, rho_var
 
 from conftest import bond_strategy, constant_market, random_market, random_strategy
-from cross_checks import cost_quadrature, evaluate_full_grid, log_risk_es, log_risk_var
+from cross_checks import (
+    cost_quadrature,
+    evaluate_full_grid,
+    log_risk_es,
+    log_risk_var,
+    satisfied,
+)
 
 
 def linear_cost_direct(model, strategy, x):
@@ -153,11 +159,11 @@ def test_log_risk_functional_examples(standard_market):
     assert np.allclose(log_risk_es(bond_cum, spec_e.quantile, ts),
                        0.0)
     # the bound saturates at T for both linear optima
-    sol_v = solve_var_linear(standard_market, spec_v, 1.0)
+    sol_v = solve_linear(VAR, standard_market, spec_v, 1.0)
     assert log_risk_var(cumulants(standard_market, sol_v.strategy),
                         spec_v.quantile, 1.0) \
         == pytest.approx(spec_v.log_bound(), abs=1e-12)
-    sol_e = solve_es_linear(standard_market, spec_e, 1.0)
+    sol_e = solve_linear(ES, standard_market, spec_e, 1.0)
     got = log_risk_es(cumulants(standard_market, sol_e.strategy), spec_e.quantile, 1.0)
     assert abs(got - spec_e.log_bound()) < 1e-10
 
@@ -167,13 +173,13 @@ def test_oracle_dominated_by_solver_on_random_feasible():
     m = constant_market(0.0, [0.1], [[0.2]], 1.0)
     spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
     u = UtilityParams(0.5, 0.5)
-    j_star = solve_var_tight(m, u, spec, 1.0).value
+    j_star = solve_tight(VAR, m, u, spec, 1.0).value
     checked = 0
     for _ in range(2000):
         # scales matched to the tight budget so the sweep stays feasible often
         s = random_strategy(rng, m, y_scale=0.05, v_scale=0.12)
         prof = constraint_profile(m, s, spec, 1.0, n_refine=301)
-        if not prof.satisfied(1e-9):
+        if not satisfied(prof, 1e-9):
             continue
         checked += 1
         assert cost_closed_form(m, s, u, 1.0) <= j_star * (1 + 1e-9)
@@ -233,8 +239,8 @@ def _profile_edge(model, spec, x):
     """Largest rho whose theta-direction exposure passes constraint_profile,
     by bisection on its verdict."""
     def passes(rho):
-        return constraint_profile(model, theta_direction_strategy(model, rho),
-                                  spec, x, n_refine=N_PROFILE).satisfied()
+        return satisfied(constraint_profile(model, theta_direction_strategy(model, rho),
+                                            spec, x, n_refine=N_PROFILE))
     return _flip_point(passes, 0.0, 1.0)[0]
 
 
@@ -266,7 +272,7 @@ def test_oracle_batched_matches_looped(kind, v_pieces, large_theta):
     for rec in res.records:
         s = _rebuild_candidate(model, rec)
         prof = constraint_profile(model, s, spec, 1.2, n_refine=N_PROFILE)
-        assert rec.feasible == prof.satisfied()
+        assert rec.feasible == satisfied(prof)
         inner_breaks += prof.ratio_curve[-1] <= 1.0 + SATURATION_TOL and not rec.feasible
         if rec.feasible:
             feasible += 1

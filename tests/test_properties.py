@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from merton_risk._piecewise import from_ticks, merge_ticks, to_ticks
-from merton_risk.bounded import big_g, kappa_star
+from merton_risk.bounded import big_g, kappa_star, solve_tight
 from merton_risk.errors import (
     ConditionViolated,
     ConvergenceFailure,
@@ -21,21 +21,16 @@ from merton_risk.errors import (
     NoClosedFormRegime,
     UnsupportedRegime,
 )
-from merton_risk.es_bound import es_loose_threshold, rho_es, solve_es, solve_es_tight
+from merton_risk.es_bound import ES, es_loose_threshold, rho_es, solve_es
 from merton_risk.oracle import _CHUNK, FamilyConfig, _cost, grid_search_oracle
 from merton_risk.risk import MeasureKind, RiskSpec
 from merton_risk.strategies import cumulants, step_cumulants
 from merton_risk.unconstrained import equal_gamma_strategy, solve_unconstrained
 from merton_risk.utility import UtilityParams
-from merton_risk.var_bound import (
-    rho_var,
-    solve_var,
-    solve_var_tight,
-    var_loose_threshold,
-)
+from merton_risk.var_bound import VAR, rho_var, solve_var, var_loose_threshold
 
 from conftest import random_market
-from cross_checks import log_risk_var
+from cross_checks import budget_after, log_risk_var
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -142,34 +137,37 @@ def test_es_value_within_var_value(problem):
 @PROPERTY
 @given(es_budget_problems(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
 def test_budget_after_consumption_is_one_function(problem, fractions):
-    """rho(0) is rho* bit for bit, and an array of fractions kappa <= zeta
-    gives the per-kappa scalar budgets bit for bit, for VaR and ES."""
+    """The budget left after consuming kappa <= zeta, an independent root of
+    the budget equation, is one function of the remaining level: rho* of
+    zeta' = (zeta - kappa) / (1 - kappa), and 0 at kappa = zeta, for VaR and ES."""
     model, alpha, zeta = problem
-    kappas = zeta * np.asarray(fractions)
     for kind, budget in ((MeasureKind.VAR, rho_var), (MeasureKind.ES, rho_es)):
         spec = RiskSpec(alpha=alpha, zeta=zeta, kind=kind)
-        assert budget(model, spec, 0.0) == budget(model, spec)
-        assert budget(model, spec, np.zeros(1))[0] == budget(model, spec)
-        per_kappa = [budget(model, spec, float(k)) for k in kappas]
-        assert np.array_equal(budget(model, spec, kappas), per_kappa)
+        for kappa in zeta * np.asarray(fractions):
+            left = budget_after(model, spec, kappa)
+            if kappa == zeta:
+                assert left == 0.0
+                continue
+            rest = RiskSpec(alpha=alpha, zeta=(zeta - kappa) / (1.0 - kappa), kind=kind)
+            assert budget(model, rest) == pytest.approx(left, rel=1e-9, abs=1e-10)
 
 
 @PROPERTY
-@given(markets(), st.floats(0.05, 0.95), ZETAS, st.floats(0.0, 1.0))
-def test_es_budget_refused_outside_hypothesis(model, shrink, zeta, fraction):
-    """rho_es refuses every kappa once |z_alpha| < 2 ||theta||_T."""
+@given(markets(), st.floats(0.05, 0.95), ZETAS)
+def test_es_budget_refused_outside_hypothesis(model, shrink, zeta):
+    """rho_es refuses every zeta once |z_alpha| < 2 ||theta||_T."""
     alpha = NormalDist().cdf(-2.0 * shrink * model.theta_norm_T)
     spec = RiskSpec(alpha=alpha, zeta=zeta, kind=MeasureKind.ES)
     assert spec.abs_z < 2.0 * model.theta_norm_T
-    for kappa in (fraction * zeta, zeta * np.array([0.0, fraction])):
-        with pytest.raises(HypothesisViolated):
-            rho_es(model, spec, kappa)
+    with pytest.raises(HypothesisViolated):
+        rho_es(model, spec)
 
 
-def floor_margin(solve_tight, kind, model, utility, alpha, zeta, x0):
+def floor_margin(rules, model, utility, alpha, zeta, x0):
     """Margin of the tight regime's quantile floor, or None if not reached."""
     try:
-        sol = solve_tight(model, utility, RiskSpec(alpha=alpha, zeta=zeta, kind=kind), x0)
+        sol = solve_tight(rules, model, utility,
+                          RiskSpec(alpha=alpha, zeta=zeta, kind=rules.kind), x0)
     except ConditionViolated as exc:
         return exc.margin if exc.condition == "quantile_floor" else None
     return next(c.margin for c in sol.conditions if c.name == "quantile_floor")
@@ -182,8 +180,8 @@ def test_es_quantile_floor_one_theta_norm_above_var(problem):
     VaR floor |z_a| >= (1 + ...) ||theta||_T."""
     model, utility = problem[:2]
     if utility.gamma1 < 1.0 and model.theta_norm_T > 0.0:
-        var = floor_margin(solve_var_tight, MeasureKind.VAR, *problem)
-        es = floor_margin(solve_es_tight, MeasureKind.ES, *problem)
+        var = floor_margin(VAR, *problem)
+        es = floor_margin(ES, *problem)
         if var is not None:
             assert var - es == pytest.approx(model.theta_norm_T, rel=1e-9)
 

@@ -1,10 +1,31 @@
 """src/ holds only what the program calls.
 
-Every public top-level function or class of ``merton_risk``, and every
-public method of a top-level class, must be referenced somewhere in
-``src/`` outside its own definition: as a name, an attribute or an import
-alias.  Helpers that only tests call belong under ``tests/``.  The one
-exception is a target that the benchmark's tracer wraps by name.
+Two kinds of dead surface fail here:
+
+- a public name with no reference in ``src/`` outside its own definition
+  (as a name, an attribute or an import alias): a top-level function or
+  class of ``merton_risk``, a method of a top-level class, or a name
+  assigned at module level;
+- a defaulted parameter of a public function or method that no call in
+  ``src/`` sets, by keyword, by position or through ``functools.partial``.
+
+Helpers that only tests call belong under ``tests/``.  A target that the
+benchmark's tracer wraps by name is exempt from the first check.
+``KEPT_DEFAULTS`` names each parameter exempt from the second, with its
+reason, and fails once the exemption is no longer needed.
+
+The scan matches spellings, not bindings, so it has blind spots:
+
+- dunder methods (``__init__``, ``__call__`` and the like) are out of its
+  reach;
+- every name is counted with all others spelled alike.  A method read
+  only by tests passes while another class's field or method of the same
+  name is read in ``src/``: ``RiskProfile.satisfied`` went unseen because
+  ``ConditionCheck.satisfied`` is read.  Likewise a call sets a parameter
+  of every function or method of the callee's name;
+- a call through a name bound at run time (a callback such as
+  ``BoundRules.budget``) is not traced to the function behind it, so it
+  sets none of that function's parameters.
 """
 
 from __future__ import annotations
@@ -19,19 +40,44 @@ import merton_risk
 PACKAGE = Path(merton_risk.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# (module, qualified name, parameter) -> why no src/ call sets it
+KEPT_DEFAULTS = {
+    ("risk", "constraint_profile", "n_refine"):
+        "tests shrink the 10^4-point profile grid to keep them fast",
+    ("hjb", "hamiltonian_argmax_check", "n_probes"):
+        "tests vary the probe count of the Hamiltonian check",
+    ("solution", "Solution.write_feedback_grids", "n_t"):
+        "tests write small feedback grids",
+    ("solution", "Solution.write_feedback_grids", "n_x"):
+        "tests write small feedback grids",
+    ("cli", "main", "argv"):
+        "the in-process seam through which tests and the benchmark call the CLI",
+}
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
 
 def _definitions(tree: ast.Module):
-    """(qualified name, node) of each public top-level function or class
-    and each public method of a top-level class."""
+    """(qualified name, name, node) of each public top-level function,
+    class and assigned name, and each public method of a top-level class."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and _public(name.id):
+                        yield name.id, name.id, node
+            continue
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if not node.name.startswith("_"):
-            yield node.name, node
+        if _public(node.name):
+            yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item
+                if isinstance(item, ast.FunctionDef) and _public(item.name):
+                    yield f"{node.name}.{item.name}", item.name, item
 
 
 def _references(node: ast.AST) -> Counter:
@@ -58,17 +104,79 @@ def _traced_targets() -> set:
             for targets in LAYERS.values() for module, name in targets}
 
 
+def _trees() -> dict:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def unreferenced_names() -> list:
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     total = sum((_references(tree) for tree in trees.values()), Counter())
     traced = _traced_targets()
     return [f"{module}.{qualname}"
             for module, tree in trees.items()
-            for qualname, node in _definitions(tree)
+            for qualname, name, node in _definitions(tree)
             if (module, qualname) not in traced
-            and total[node.name] == _references(node)[node.name]]
+            and total[name] == _references(node)[name]]
+
+
+def _callee(func: ast.AST):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _call_sites(tree: ast.Module):
+    """(callee name, positional count, keyword names) of each call; a
+    partial(f, ...) is a call of f.  A starred argument sets every
+    positional parameter."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name, args = _callee(node.func), node.args
+        if name == "partial" and args:
+            name, args = _callee(args[0]), args[1:]
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in args)
+        yield name, (float("inf") if starred else len(args)), {kw.arg for kw in node.keywords}
+
+
+def _defaulted(node: ast.FunctionDef):
+    """(parameter, positional index or None) of each defaulted parameter;
+    the index counts from the first argument a call passes, after self or cls."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(a.defaults)
+    for index, arg in enumerate(positional[first:], start=first - skip):
+        yield arg.arg, index
+    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def unset_defaults() -> set:
+    trees = _trees()
+    calls = [site for tree in trees.values() for site in _call_sites(tree)]
+    found = set()
+    for module, tree in trees.items():
+        for qualname, name, node in _definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for param, index in _defaulted(node):
+                if not any(callee == name and (param in kws
+                                               or (index is not None and n > index))
+                           for callee, n, kws in calls):
+                    found.add((module, qualname, param))
+    return found
 
 
 def test_every_public_name_has_a_caller_in_src():
     assert unreferenced_names() == []
+
+
+def test_every_default_parameter_is_set_by_a_call_in_src():
+    assert unset_defaults() == set(KEPT_DEFAULTS)

@@ -3,24 +3,24 @@
 import numpy as np
 import pytest
 
-from merton_risk.bounded import big_g, kappa_hat, kappa_star
+from merton_risk.bounded import (
+    big_g,
+    kappa_hat,
+    kappa_star,
+    loose_bound_check,
+    solve_linear,
+    solve_tight,
+)
 from merton_risk.errors import ConditionViolated, NegativeRate, NoClosedFormRegime
 from merton_risk.oracle import FamilyConfig, grid_search_oracle
 from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
 from merton_risk.strategies import GrowthFractionConsumption, cumulants
 from merton_risk.unconstrained import solve_equal_gamma
 from merton_risk.utility import UtilityParams
-from merton_risk.var_bound import (
-    l_star,
-    rho_var,
-    solve_var,
-    solve_var_linear,
-    solve_var_tight,
-    var_loose_bound_check,
-)
+from merton_risk.var_bound import VAR, l_star, rho_var, solve_var
 
 from conftest import constant_market, theta_market
-from cross_checks import exposure_growth_factor, log_risk_var
+from cross_checks import budget_after, exposure_growth_factor, log_risk_var, satisfied
 
 # mpmath, 50 digits
 RHO_VAR_STD = 0.056805754405110356508     # ||theta||=0.5, alpha=0.01, zeta=0.1
@@ -66,7 +66,7 @@ def test_rho_var_quadratic_certificate_random():
 
 def test_var_linear_standard_instance(standard_market):
     spec = RiskSpec(**VAR01)
-    sol = solve_var_linear(standard_market, spec, 1.0)
+    sol = solve_linear(VAR, standard_market, spec, 1.0)
     assert sol.value == pytest.approx(J_VAR_LINEAR, rel=1e-13)
     assert sol.regime == "var_linear"
     # strategy consumes nothing and has exposure rho* along theta
@@ -81,9 +81,8 @@ def test_var_linear_standard_instance(standard_market):
 
 
 def test_var_linear_value_monotone_in_zeta(standard_market):
-    values = [solve_var_linear(
-        standard_market,
-        RiskSpec(alpha=0.01, zeta=z, kind=MeasureKind.VAR), 1.0).value
+    values = [solve_linear(VAR, standard_market,
+                           RiskSpec(alpha=0.01, zeta=z, kind=MeasureKind.VAR), 1.0).value
         for z in (0.05, 0.1, 0.3, 0.6, 0.9, 0.99)]
     assert np.all(np.diff(values) > 0)
 
@@ -91,7 +90,7 @@ def test_var_linear_value_monotone_in_zeta(standard_market):
 def test_var_linear_zero_theta():
     spec = RiskSpec(**VAR01)
     m = theta_market(0.0, r=0.03)
-    sol = solve_var_linear(m, spec, 2.0)
+    sol = solve_linear(VAR, m, spec, 2.0)
     assert sol.value == pytest.approx(2.0 * np.exp(0.03), rel=1e-13)
     assert sol.regime == "var_linear_bond"
 
@@ -100,24 +99,24 @@ def test_var_linear_zeta_window_violated():
     m = theta_market(1.2)
     spec = RiskSpec(alpha=0.25, zeta=0.3, kind=MeasureKind.VAR)
     with pytest.raises(ConditionViolated) as err:
-        solve_var_linear(m, spec, 1.0)
+        solve_linear(VAR, m, spec, 1.0)
     assert err.value.margin < 0
     # a zeta above the floor is accepted
-    sol = solve_var_linear(
-        m, RiskSpec(alpha=0.25, zeta=0.6, kind=MeasureKind.VAR), 1.0)
+    sol = solve_linear(VAR, m, RiskSpec(alpha=0.25, zeta=0.6, kind=MeasureKind.VAR),
+                       1.0)
     prof = constraint_profile(m, sol.strategy, sol.risk, 1.0)
-    assert prof.satisfied(1e-9)
+    assert satisfied(prof, 1e-9)
 
 
 def test_var_linear_negative_rate():
     m = constant_market(-0.02, [0.1], [[0.2]], 1.0)
     with pytest.raises(NegativeRate):
-        solve_var_linear(m, RiskSpec(**VAR01), 1.0)
+        solve_linear(VAR, m, RiskSpec(**VAR01), 1.0)
 
 
 def test_var_linear_vs_grid_oracle(standard_market):
     spec = RiskSpec(**VAR01)
-    sol = solve_var_linear(standard_market, spec, 1.0)
+    sol = solve_linear(VAR, standard_market, spec, 1.0)
     config = FamilyConfig(rho_grid=np.arange(0.0, 0.12, 1e-3),
                           v_levels=np.array([0.0, 0.05, 0.1]))
     res = grid_search_oracle(standard_market, UtilityParams(1.0, 1.0), spec,
@@ -168,7 +167,7 @@ def test_kappa_star_root_beyond_double_resolution(standard_market):
     u = UtilityParams(0.75, 0.9999)
     assert big_g(standard_market, u, 0.01, 1.0 - 1e-15)[1] > 0.0
     assert kappa_star(standard_market, u, 0.01) == 1.0
-    sol = solve_var_tight(standard_market, u, RiskSpec(**VAR01), 0.01)
+    sol = solve_tight(VAR, standard_market, u, RiskSpec(**VAR01), 0.01)
     assert sol.regime == "var_tight"
 
 
@@ -178,19 +177,19 @@ def test_kappa_star_root_beyond_double_resolution(standard_market):
 
 def test_loose_bound_large_zeta(standard_market):
     spec = RiskSpec(alpha=0.01, zeta=0.999, kind=MeasureKind.VAR)
-    ok, margin = var_loose_bound_check(standard_market, 0.5, spec)
+    ok, margin = loose_bound_check(VAR, standard_market, 0.5, spec)
     assert ok and margin > 0
     # post-hoc: the unconstrained optimum indeed satisfies the bound
     sol = solve_equal_gamma(standard_market, 0.5, 1.0)
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
     log_curve = log_risk_var(cumulants(standard_market, sol.strategy),
                              spec.quantile, prof.times)
-    assert prof.satisfied(1e-9) and np.min(log_curve) >= spec.log_bound() - 1e-9
+    assert satisfied(prof, 1e-9) and np.min(log_curve) >= spec.log_bound() - 1e-9
 
 
 def test_loose_bound_small_zeta(standard_market):
     spec = RiskSpec(alpha=0.01, zeta=1e-4, kind=MeasureKind.VAR)
-    ok, margin = var_loose_bound_check(standard_market, 0.5, spec)
+    ok, margin = loose_bound_check(VAR, standard_market, 0.5, spec)
     assert not ok and margin < 0
 
 
@@ -222,7 +221,7 @@ def test_complementarity_small_grid():
 def test_tight_standard_instance(standard_market):
     spec = RiskSpec(**VAR01)
     u = UtilityParams(0.5, 0.5)
-    sol = solve_var_tight(standard_market, u, spec, 1.0)
+    sol = solve_tight(VAR, standard_market, u, spec, 1.0)
     assert sol.value == pytest.approx(G_TIGHT, rel=1e-14)
     ts = np.linspace(0.0, 1.0, 21)
     v = sol.strategy.v_at(standard_market, ts)
@@ -241,7 +240,7 @@ def test_tight_wealth_consumption_identities(standard_market):
     # zero-rate market X* = x zeta e^{R_t} / v* exactly
     spec = RiskSpec(**VAR01)
     u = UtilityParams(0.5, 0.5)
-    sol = solve_var_tight(standard_market, u, spec, 1.0)
+    sol = solve_tight(VAR, standard_market, u, spec, 1.0)
     ts = np.linspace(0.0, 1.0, 101)
     v = sol.strategy.v_at(standard_market, ts)
     x_star = sol.wealth_mean(ts)
@@ -260,7 +259,7 @@ def test_tight_constant_rate_closed_forms():
     q = 1.0 / (1.0 - gamma)
     m = constant_market(r, [r], [[0.2]], T)  # theta = 0
     spec = RiskSpec(alpha=0.01, zeta=zeta, kind=MeasureKind.VAR)
-    sol = solve_var_tight(m, UtilityParams(gamma, gamma), spec, x)
+    sol = solve_tight(VAR, m, UtilityParams(gamma, gamma), spec, x)
     ts = np.linspace(0.0, T, 41)
     a = gamma * q * r
     v_expected = zeta * a / (np.exp(a * (T - ts)) - zeta
@@ -282,7 +281,7 @@ def test_tight_consumption_monotone_and_admissible():
         m = constant_market(r, [r], [[0.2]], 1.0)
         spec = RiskSpec(alpha=0.01, zeta=0.2, kind=MeasureKind.VAR)
         u = UtilityParams(0.4, 0.7)
-        sol = solve_var_tight(m, u, spec, 1.0)
+        sol = solve_tight(VAR, m, u, spec, 1.0)
         ts = np.linspace(0, 1, 101)
         v = sol.strategy.v_at(m, ts)
         assert np.all(np.diff(v) >= -1e-15)
@@ -297,7 +296,7 @@ def test_tight_budget_condition_violated(standard_market):
     u = UtilityParams(0.5, 0.5)
     spec = RiskSpec(alpha=0.01, zeta=0.7, kind=MeasureKind.VAR)  # > kappa_hat
     with pytest.raises(ConditionViolated) as err:
-        solve_var_tight(standard_market, u, spec, 1.0)
+        solve_tight(VAR, standard_market, u, spec, 1.0)
     assert err.value.condition == "zeta_below_split_point"
 
 
@@ -306,16 +305,16 @@ def test_tight_quantile_floor_violated():
     u = UtilityParams(0.5, 0.5)
     spec = RiskSpec(alpha=0.3, zeta=0.1, kind=MeasureKind.VAR)
     with pytest.raises(ConditionViolated) as err:
-        solve_var_tight(m, u, spec, 1.0)
+        solve_tight(VAR, m, u, spec, 1.0)
     assert err.value.condition == "quantile_floor"
 
 
 def test_tight_feasibility_and_dominance(standard_market):
     spec = RiskSpec(**VAR01)
     u = UtilityParams(0.5, 0.5)
-    sol = solve_var_tight(standard_market, u, spec, 1.0)
+    sol = solve_tight(VAR, standard_market, u, spec, 1.0)
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
-    assert prof.satisfied(1e-9)
+    assert satisfied(prof, 1e-9)
     config = FamilyConfig(rho_grid=np.arange(0.0, 0.1, 2e-3),
                           v_levels=np.linspace(0.0, 0.25, 126), v_pieces=4)
     res = grid_search_oracle(standard_market, u, spec, 1.0, config)
@@ -347,12 +346,16 @@ def test_dispatch_regimes(standard_market):
 
 
 def test_budget_after_consumption_decreasing(standard_market):
+    # what consuming kappa < zeta leaves is rho* of the level (zeta-kappa)/(1-kappa)
     spec = RiskSpec(**VAR01)
     ks = np.linspace(0.0, spec.zeta, 50)
-    rhos = rho_var(standard_market, spec, ks)
+    rhos = np.array([budget_after(standard_market, spec, k) for k in ks])
+    rest = [rho_var(standard_market, RiskSpec(alpha=spec.alpha, zeta=(spec.zeta - k) / (1.0 - k),
+                                              kind=spec.kind)) for k in ks[:-1]]
+    assert rhos[:-1] == pytest.approx(rest, rel=1e-12)
     assert rhos[0] == pytest.approx(rho_var(standard_market, spec), rel=1e-13)
     assert np.all(np.diff(rhos) < 0)
-    assert rhos[-1] == pytest.approx(0.0, abs=1e-12)
+    assert rhos[-1] == 0.0
 
 
 def test_growth_times_split_monotone(standard_market):
@@ -360,7 +363,7 @@ def test_growth_times_split_monotone(standard_market):
     spec = RiskSpec(**VAR01)
     u = UtilityParams(0.5, 0.5)
     ks = np.linspace(0.0, spec.zeta, 80)
-    rhos = rho_var(standard_market, spec, ks)
+    rhos = np.array([budget_after(standard_market, spec, k) for k in ks])
     for gamma_i in (u.gamma1, u.gamma2):
         M = exposure_growth_factor(standard_market, gamma_i, rhos)
         G = big_g(standard_market, u, 1.0, ks)[0]
