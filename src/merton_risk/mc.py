@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from ._piecewise import merge_ticks, from_ticks, to_ticks
-from ._table import grid_axes, write_table
+from ._table import _BLOCK_ROWS, grid_axes, write_table
 from .errors import InsufficientPaths, MismatchedPaths
 from .gaussian import erf, erfcx
 from .market import MarketModel
@@ -114,27 +114,37 @@ class PathEnsemble:
     @property
     def consumption(self) -> np.ndarray:
         """(n, m) consumption rate c_t at grid times."""
-        return self._consumption(slice(None))
+        return np.concatenate([c for _, c in self._consumption_chunks(self.n_paths)])
 
-    def _consumption(self, rows: slice) -> np.ndarray:
-        start, stop, _ = rows.indices(self.n_paths)
-        out = np.empty((max(stop - start, 0), len(self.times)))
-        left = len(out)
-        for got, xi in _log_paths(*self.replay):
-            lo, hi = max(got.start, start), min(got.stop, stop)
-            if lo < hi:
-                out[lo - start:hi - start] = self.rate(xi[lo - got.start:hi - got.start])
-                left -= hi - lo
-            if not left:
-                break
-        return out
+    def _consumption_chunks(self, stop: int):
+        """Yield (first row, c) for consecutive chunks of rows 0:stop, in row
+        order.  The stream yields an antithetic run's second half beside its
+        first, so rows past the first half come from a second replay."""
+        half = (self.n_paths + 1) // 2 if self.antithetic else self.n_paths
+        for lo, hi in ((0, min(stop, half)), (half, stop)):
+            if lo >= hi:
+                continue
+            for got, xi in _log_paths(*self.replay):
+                a, b = max(got.start, lo), min(got.stop, hi)
+                if a < b:
+                    yield a, self.rate(xi[a - got.start:b - got.start])
+                if got.start < hi <= got.stop:
+                    break
 
     def write_csv(self, path, max_paths: int) -> None:
-        """Columnar spill (path_id, t, X, c) of the first max_paths paths."""
-        n = min(max_paths, self.n_paths)
-        write_table(path, ["path_id", "t", "X", "c"],
-                    [*grid_axes(range(n), self.times), self.wealth[:n].ravel(),
-                     self._consumption(slice(0, n)).ravel()],
+        """Columnar spill (path_id, t, X, c) of the first max_paths paths,
+        built a slice of about _BLOCK_ROWS rows' paths at a time."""
+        per = max(1, _BLOCK_ROWS // len(self.times))
+
+        def blocks():
+            for first, c in self._consumption_chunks(min(max_paths, self.n_paths)):
+                for lo in range(0, len(c), per):
+                    part = c[lo:lo + per]
+                    rows = range(first + lo, first + lo + len(part))
+                    yield [*grid_axes(rows, self.times),
+                           self.wealth[rows.start:rows.stop].ravel(), part.ravel()]
+
+        write_table(path, ["path_id", "t", "X", "c"], blocks(),
                     ["s", "s", ".12g", ".12g"])
 
 
@@ -426,52 +436,32 @@ def empirical_risk_curve(ensemble: PathEnsemble, spec: RiskSpec, x: float,
     q_lo = int(np.floor(virt))
     q_hi = min(q_lo + 1, n - 1)
     gamma = virt - q_lo
-    # order-statistic normal-approximation band for the quantile
-    j = max(1, int(np.sqrt(n * alpha * (1 - alpha))))
-    band_lo = max(0, int(n * alpha) - j)
-    band_hi = min(n - 1, int(n * alpha) + j)
 
     var_curve = np.zeros_like(times)
     es_curve = np.zeros_like(times)
-    var_se = np.zeros_like(times)
-    es_se = np.zeros_like(times)
     one_path = _one_path(ensemble.wealth)
     for k in range(len(times)):
         col = ensemble.wealth[:, k]
         if one_path:
-            # the column's one value is every order statistic
-            lo = hi = b_lo = b_hi = col[0]
+            # the column's one value is every order statistic, and every path
+            # is in the tail: the zero-stride view gives a full column's bits
+            lo = hi = col[0]
         else:
-            # select band_hi over the column, the rest within the head below it
-            order = np.partition(col, band_hi)
-            order[:band_hi + 1].partition([band_lo, q_lo, q_hi])
-            lo, hi, b_lo, b_hi = order[[q_lo, q_hi, band_lo, band_hi]]
+            # select q_hi over the column, then q_lo within the head below it
+            order = np.partition(col, q_hi)
+            order[:q_hi + 1].partition(q_lo)
+            lo, hi = order[q_lo], order[q_hi]
             del order
         diff = hi - lo
         lam = float(hi - diff * (1 - gamma) if gamma >= 0.5
                     else lo + diff * gamma)
-        # influence function of the tail conditional mean,
-        # X 1{X <= lam} + lam (alpha - 1{X <= lam}), term by term
-        if one_path:
-            # every path is in the tail; the zero-stride views reduce to the
-            # bits of the full columns
-            tail = col
-            u = np.broadcast_to(col[0] + lam * (alpha - 1.0), (n,))
-        else:
-            below = col <= lam
-            tail = col[below]
-            u = np.full(n, lam * alpha)
-            u[below] = tail + lam * (alpha - 1.0)
-            if tail.size == 0:
-                tail = np.array([lam])
-        m = float(np.mean(tail))
+        tail = col if one_path else col[col <= lam]
+        if tail.size == 0:
+            tail = np.array([lam])
         var_curve[k] = bond[k] - lam
-        es_curve[k] = bond[k] - m
-        var_se[k] = max(float(b_hi - b_lo) / 2.0, 1e-300)
-        es_se[k] = float(np.std(u) / (alpha * np.sqrt(n)))
+        es_curve[k] = bond[k] - float(np.mean(tail))
 
     return RiskProfile(
         times=times, var_curve=var_curve, es_curve=es_curve,
         level_curve=spec.zeta * bond, kind=spec.kind,
-        var_stderr=var_se, es_stderr=es_se,
     )

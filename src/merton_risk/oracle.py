@@ -21,13 +21,18 @@ on the whole grid, from rows of the same cumulants.  A candidate above the
 bound at T is above it on the grid, and a certified one is below it at
 every grid point as computed, so the verdict is the one-pass verdict, bit
 for bit.  Each node partition's profile grid is built once per search.
+
+The search keeps its candidates as columns, one numpy record array per
+stage (label, rho, consumption levels, feasible flag and cost), from the
+arrays the evaluation returns to oracle.csv, whose layout is one line per
+candidate as before.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -135,29 +140,58 @@ class FamilyConfig:
     v_pieces: int = 1
 
 
+def _stage_block(label: str, rho, levels, feasible, cost) -> np.recarray:
+    """One search stage's candidates as a record array: the stage label,
+    rho, the (n, k) consumption levels, the feasibility flag and the cost
+    (-inf when infeasible)."""
+    block = np.recarray(len(levels), dtype=[
+        ("label", f"U{len(label)}"), ("rho", "f8"),
+        ("v_levels", "f8", levels.shape[1:]), ("feasible", "?"), ("cost", "f8")])
+    block["label"], block["rho"], block["v_levels"] = label, rho, levels
+    block["feasible"], block["cost"] = feasible, cost
+    return block
+
+
+def _level_text(levels: np.ndarray) -> list:
+    """Each row of the (n, k) levels as k '.8g' fields joined by spaces."""
+    n, k = levels.shape
+    template = ("%.8g " * (k - 1) + "%.8g\n") * n
+    return (template % tuple(levels.ravel().tolist())).splitlines()
+
+
 @dataclass(frozen=True)
-class OracleRecord:
-    rho: float
-    v_levels: tuple
-    feasible: bool
-    cost: float
-    label: str = "theta_direction"
+class OracleRecords:
+    """Every candidate of a search in order, kept as one record array per
+    stage (_stage_block); iteration gives one numpy record per candidate."""
+
+    stages: tuple
+
+    def __len__(self) -> int:
+        return sum(len(stage) for stage in self.stages)
+
+    def __iter__(self):
+        return chain.from_iterable(self.stages)
 
 
 @dataclass(frozen=True)
 class OracleResult:
     best_cost: float
     best_strategy: DeterministicStrategy
-    records: tuple
+    records: OracleRecords
 
     def write_csv(self, path) -> None:
-        """One line per record; a non-finite cost is written as nan."""
-        recs = self.records
+        """One line per candidate, stage by stage; a non-finite cost is
+        written as nan."""
+        stages = self.records.stages
+
+        def column(name):
+            return np.concatenate([stage[name] for stage in stages])
+
+        cost = column("cost")
         write_table(path, ["label", "rho", "v_levels", "feasible", "cost"], [
-            [rec.label for rec in recs], [rec.rho for rec in recs],
-            [("%.8g " * len(rec.v_levels) % rec.v_levels)[:-1] for rec in recs],
-            [rec.feasible for rec in recs],
-            [rec.cost if math.isfinite(rec.cost) else math.nan for rec in recs],
+            column("label"), column("rho"),
+            list(chain.from_iterable(_level_text(stage.v_levels) for stage in stages)),
+            column("feasible"), np.where(np.isfinite(cost), cost, np.nan),
         ], ["s", ".12g", "s", "d", ".12g"])
 
 
@@ -262,19 +296,23 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     evaluate_market = on_partition(model.node_ticks)
     n_steps = len(model.node_ticks) - 1
 
-    records = []
-    best = (-np.inf, None)       # cost and (node_ticks, y, v) of the best candidate
+    stages = []
+    # cost, (node_ticks, y, v) and stage record of the best candidate
+    best = (-np.inf, None, None)
 
-    def screen(y, v, entries):
-        """Evaluate one batch on the market's nodes, record each of entries'
-        (rho, v_levels) in order and keep the best feasible candidate."""
+    def screen(y, v, rho, level):
+        """Evaluate one stage on the market's nodes, keep its columns, and
+        take its first best feasible candidate if it beats every earlier one
+        (what a strict > over the candidates in order keeps)."""
         nonlocal best
         feasible, costs = evaluate_market(y, v)
-        for k, ((rho, w), ok, cost) in enumerate(zip(entries, feasible, costs)):
-            records.append(OracleRecord(rho=rho, v_levels=w, feasible=bool(ok),
-                                        cost=float(cost)))
-            if ok and cost > best[0]:
-                best = (cost, (model.node_ticks, y[k % len(y)], v[k % len(v)]))
+        stages.append(_stage_block("theta_direction", rho, level[:, None],
+                                   feasible, costs))
+        better = feasible & (costs > best[0])
+        if better.any():
+            k = int(np.argmax(np.where(better, costs, -np.inf)))
+            best = (costs[k], (model.node_ticks, y[k % len(y)], v[k % len(v)]),
+                    stages[-1][k])
 
     # pure investment along theta, pure constant consumption, and a coarse
     # cartesian of the two (the fine cross product is never needed: the
@@ -287,48 +325,46 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     for r_b, w_b in ((rhos, [0.0]), ([0.0], levels[levels > 0]), product):
         screen(_theta_exposures(model, model.node_ticks, r_b),
                np.repeat(np.reshape(w_b, (-1, 1)), n_steps, axis=1),
-               [(float(r), (float(w),)) for r, w in zip(*np.broadcast_arrays(r_b, w_b))])
+               *np.broadcast_arrays(r_b, w_b))
 
     if config.v_pieces > 1 and best[1] is not None:
         # coordinate descent from the best single-level candidate
-        best_rec = max((r for r in records if r.feasible),
-                       key=lambda r: r.cost, default=None)
-        if best_rec is not None:
-            best_rho = best_rec.rho
-            current = np.full(config.v_pieces, best_rec.v_levels[0])
-            best_cost = best_rec.cost
-            piece_ticks = to_ticks(np.linspace(0.0, horizon, config.v_pieces + 1))
-            node_ticks = merge_ticks(model.node_ticks, piece_ticks)
-            piece = segment_index(piece_ticks, node_ticks[:-1])
-            evaluate = on_partition(node_ticks)
-            y = _theta_exposures(model, node_ticks, [best_rho])
-            for _ in range(COORDINATE_PASSES):
-                improved = False
-                for i in range(config.v_pieces):
-                    # every level of coordinate i at once, then the sequential
-                    # acceptance rule replayed over the results
-                    trials = np.repeat(current[None, :], len(levels), axis=0)
-                    trials[:, i] = levels
-                    feasible, costs = evaluate(y, trials[:, piece])
-                    for trial, level, ok, cost in zip(trials, levels, feasible, costs):
-                        # trial differs from current in entry i alone
-                        if level == current[i]:
-                            continue
-                        records.append(OracleRecord(
-                            rho=best_rho, v_levels=tuple(trial),
-                            feasible=bool(ok), cost=float(cost),
-                            label="coordinate_descent"))
-                        if ok and cost > best_cost + 1e-15:
-                            best_cost, current, improved = cost, trial, True
-                if not improved:
-                    break
-            v = current[None, piece]
-            feasible, costs = evaluate(y, v)
-            if feasible[0] and costs[0] > best[0]:
-                best = (costs[0], (node_ticks, y[0], v[0]))
+        start = best[2]
+        best_rho, best_cost = float(start.rho), float(start.cost)
+        current = np.full(config.v_pieces, start.v_levels[0])
+        piece_ticks = to_ticks(np.linspace(0.0, horizon, config.v_pieces + 1))
+        node_ticks = merge_ticks(model.node_ticks, piece_ticks)
+        piece = segment_index(piece_ticks, node_ticks[:-1])
+        evaluate = on_partition(node_ticks)
+        y = _theta_exposures(model, node_ticks, [best_rho])
+        for _ in range(COORDINATE_PASSES):
+            improved = False
+            for i in range(config.v_pieces):
+                # every level of coordinate i at once, then the sequential
+                # acceptance rule replayed over the results
+                trials = np.repeat(current[None, :], len(levels), axis=0)
+                trials[:, i] = levels
+                feasible, costs = evaluate(y, trials[:, piece])
+                kept = []
+                for j, (level, ok, cost) in enumerate(zip(
+                        levels.tolist(), feasible.tolist(), costs.tolist())):
+                    # trial j differs from current in entry i alone
+                    if level == current[i]:
+                        continue
+                    kept.append(j)
+                    if ok and cost > best_cost + 1e-15:
+                        best_cost, current, improved = cost, trials[j], True
+                stages.append(_stage_block("coordinate_descent", best_rho, trials[kept],
+                                           feasible[kept], costs[kept]))
+            if not improved:
+                break
+        v = current[None, piece]
+        feasible, costs = evaluate(y, v)
+        if feasible[0] and costs[0] > best[0]:
+            best = (costs[0], (node_ticks, y[0], v[0]), None)
 
     if best[1] is None:
         raise EmptyFeasibleSet("no candidate in the family satisfies the bound")
     return OracleResult(best_cost=float(best[0]),
                         best_strategy=_step_candidate(model, *best[1]),
-                        records=tuple(records))
+                        records=OracleRecords(tuple(stages)))

@@ -105,8 +105,6 @@ class RiskProfile:
     es_curve: np.ndarray
     level_curve: np.ndarray
     kind: MeasureKind
-    var_stderr: np.ndarray | None = None
-    es_stderr: np.ndarray | None = None
 
     @property
     def ratio_curve(self) -> np.ndarray:

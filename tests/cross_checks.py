@@ -4,8 +4,8 @@ Each restates a quantity of the package by another route: the expected
 cost by adaptive quadrature, the sup of the cost tilt along theta, the
 Gaussian upper tail, Mills' ratio bounds on it, the Hamiltonian probe
 check node by node, the oracle's feasibility screen on the full profile
-grid in one pass, the output tables written one formatted field at a
-time (``fmt`` and ``write_rows``, the package's writers before
+grid in one pass, the standard errors of the empirical VaR and ES, the
+output tables written one formatted field at a time (``fmt`` and ``write_rows``, the package's writers before
 ``_table.write_table``), the closed-form quantile, VaR and ES of one
 strategy with the log form of the uniform bound, the verdict of a
 constraint profile, and the exposure budget left after consuming part of
@@ -183,6 +183,43 @@ def write_oracle_csv_per_field(path, records) -> None:
          "1" if rec.feasible else "0",
          f"{rec.cost:.12g}" if np.isfinite(rec.cost) else "nan")
         for rec in records))
+
+
+def empirical_stderr(ensemble, spec: RiskSpec):
+    """Standard errors of mc.empirical_risk_curve's VaR and ES at each time.
+
+    The VaR's is half the width of the order-statistic normal-approximation
+    band around the alpha-quantile lam; the ES's is the spread of the tail
+    conditional mean's influence function
+    X 1{X <= lam} + lam (alpha - 1{X <= lam}), over alpha sqrt(n).
+    """
+    n = ensemble.n_paths
+    alpha = spec.alpha
+    # np.quantile's type-7 position and weight, in its own arithmetic
+    virt = (n - 1) * alpha
+    q_lo = int(np.floor(virt))
+    q_hi = min(q_lo + 1, n - 1)
+    gamma = virt - q_lo
+    j = max(1, int(np.sqrt(n * alpha * (1 - alpha))))
+    band_lo = max(0, int(n * alpha) - j)
+    band_hi = min(n - 1, int(n * alpha) + j)
+
+    var_se = np.zeros_like(ensemble.times)
+    es_se = np.zeros_like(ensemble.times)
+    for k in range(len(ensemble.times)):
+        col = ensemble.wealth[:, k]
+        order = np.partition(col, band_hi)
+        order[:band_hi + 1].partition([band_lo, q_lo, q_hi])
+        lo, hi, b_lo, b_hi = order[[q_lo, q_hi, band_lo, band_hi]]
+        diff = hi - lo
+        lam = float(hi - diff * (1 - gamma) if gamma >= 0.5
+                    else lo + diff * gamma)
+        below = col <= lam
+        u = np.full(n, lam * alpha)
+        u[below] = col[below] + lam * (alpha - 1.0)
+        var_se[k] = max(float(b_hi - b_lo) / 2.0, 1e-300)
+        es_se[k] = float(np.std(u) / (alpha * np.sqrt(n)))
+    return var_se, es_se
 
 
 # ---------------------------------------------------------------------------

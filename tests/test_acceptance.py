@@ -34,6 +34,7 @@ from merton_risk.var_bound import VAR, l_star, rho_var
 from conftest import constant_market, random_market, random_strategy, theta_market
 from cross_checks import (
     budget_after,
+    empirical_stderr,
     expected_shortfall,
     exposure_growth_factor,
     log_risk_es,
@@ -146,8 +147,8 @@ def test_criterion_4_constraint_saturation():
                                      SimConfig(n_paths=1_000_000,
                                                seed=404, time_grid=grid))
         emp = empirical_risk_curve(ens, spec, x, m)
-        stderr = (emp.var_stderr if kind == MeasureKind.VAR
-                  else emp.es_stderr)
+        var_se, es_se = empirical_stderr(ens, spec)
+        stderr = var_se if kind == MeasureKind.VAR else es_se
         sig = stderr / emp.level_curve
         worst = float(np.max((emp.ratio_curve - 1.0)
                              / np.maximum(sig, 1e-12)))

@@ -644,3 +644,31 @@ def test_benchmark_tracer_installs_on_every_target():
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["True"]
+
+
+def test_benchmark_tracer_counts_the_oracle_csv_rows(tmp_path):
+    # the tracer counts the oracle's candidates by len(records) and its
+    # feasible ones by each record's .feasible; both must be oracle.csv's rows
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(merton_risk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    problem = root / "tests" / "golden" / "var_tight" / "problem.json"
+    script = ("import json, sys, merton_risk.cli; "
+              f"sys.path.insert(0, {str(root / 'perfbench')!r}); "
+              "from tracing import Tracer; tracer = Tracer(); tracer.install(); "
+              "code = merton_risk.cli.main(['solve', sys.argv[1], '--out', sys.argv[2], "
+              "'--grid', '21', '--oracle']); "
+              "print(json.dumps([code, tracer.counts['oracle.candidates'], "
+              "tracer.counts['oracle.feasible']]))")
+    run = subprocess.run([sys.executable, "-c", script, str(problem), str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    code, candidates, feasible = json.loads(run.stdout)
+    with open(tmp_path / "oracle.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert code == 0 and candidates > 0
+    assert candidates == len(rows)
+    assert feasible == sum(row["feasible"] == "1" for row in rows)
+    assert 0 < feasible < candidates

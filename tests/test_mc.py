@@ -29,7 +29,7 @@ from merton_risk.var_bound import VAR
 from mc_reference import block_normals, simulate_feedback_euler
 
 from conftest import bond_strategy, constant_market, random_market, random_strategy
-from cross_checks import max_ratio, quantile_lambda
+from cross_checks import empirical_stderr, max_ratio, quantile_lambda
 
 
 def test_pure_bond_paths_exact():
@@ -205,7 +205,7 @@ def test_linear_var_optimum_empirical_ratio(standard_market):
         SimConfig(n_paths=200_000, seed=51,
                   time_grid=np.linspace(0.0, 1.0, 11)))
     prof = empirical_risk_curve(ens, spec, 1.0, standard_market)
-    sig = prof.var_stderr / prof.level_curve
+    sig = empirical_stderr(ens, spec)[0] / prof.level_curve
     worst = np.max((prof.ratio_curve - 1.0) / np.maximum(sig, 1e-12))
     assert worst <= 3.0
 
@@ -288,6 +288,7 @@ def test_streamed_ensemble_matches_whole_matrix(kind, n, antithetic):
     for alpha in (0.01, 1 / 64):
         spec = RiskSpec(alpha=alpha, zeta=0.1, kind=MeasureKind.ES)
         prof = empirical_risk_curve(ens, spec, 1.2, m)
+        var_se, es_se = empirical_stderr(ens, spec)
         j = int(np.sqrt(n * alpha * (1 - alpha)))
         for k in range(len(ens.times)):
             col = ens.wealth[:, k]
@@ -297,11 +298,11 @@ def test_streamed_ensemble_matches_whole_matrix(kind, n, antithetic):
             assert prof.var_curve[k] == bond[k] - lam
             assert prof.es_curve[k] == pytest.approx(
                 bond[k] - np.mean(col[below]), rel=1e-12)
-            assert prof.var_stderr[k] == max(
+            assert var_se[k] == max(
                 (order[int(n * alpha) + j] - order[int(n * alpha) - j]) / 2,
                 1e-300)
             u = col * below + lam * (alpha - below)
-            assert prof.es_stderr[k] == np.std(u) / (alpha * np.sqrt(n))
+            assert es_se[k] == np.std(u) / (alpha * np.sqrt(n))
 
 
 def test_cost_and_sampling_memory_bounded_by_wealth():
@@ -356,6 +357,14 @@ def _replayed_consumption(kind, n, antithetic):
     return ens, lambda rows: (gamma1 / (g0 * np.exp(xi[rows]))) ** q1
 
 
+def _replayed_rows(ens, rows):
+    """rows of the consumption chunks replayed for rows 0:rows.stop, which
+    must follow one another from row 0."""
+    firsts, chunks = zip(*ens._consumption_chunks(rows.stop))
+    assert list(firsts) == np.cumsum([0] + [len(c) for c in chunks[:-1]]).tolist()
+    return np.concatenate(chunks)[rows]
+
+
 # both laws rebuild consumption by replaying the stream
 @pytest.mark.parametrize("n,antithetic,slices", [
     (70_001, False, REPLAY_SLICES),
@@ -365,7 +374,7 @@ def test_feedback_consumption_replays_the_stream(n, antithetic, slices):
     for kind in ("risky", "feedback"):
         ens, want = _replayed_consumption(kind, n, antithetic)
         for rows in slices:
-            assert np.array_equal(ens._consumption(rows), want(rows)), (kind, rows)
+            assert np.array_equal(_replayed_rows(ens, rows), want(rows)), (kind, rows)
         if not antithetic:
             assert np.array_equal(ens.consumption, want(slice(None))), kind
 
@@ -433,7 +442,7 @@ def test_riskless_ensemble_is_one_path(n, antithetic):
     assert not mc._one_path(general.wealth)
     assert cost == estimate_cost(general, STREAM_UTILITY)
     want = empirical_risk_curve(general, spec, 1.2, m)
-    for curve in ("var_curve", "es_curve", "var_stderr", "es_stderr"):
+    for curve in ("var_curve", "es_curve"):
         assert np.array_equal(getattr(prof, curve), getattr(want, curve)), curve
 
 

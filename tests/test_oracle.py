@@ -206,17 +206,17 @@ def test_oracle_tight_instance_structure(standard_market):
     assert cum.V_T() == pytest.approx(-np.log1p(-0.1), abs=5e-3)
 
 
-def _rebuild_candidate(model, rec):
-    """The strategy behind an oracle record, built alone from the public
+def _rebuild_candidate(model, rho, v_levels):
+    """The strategy behind an oracle candidate, built alone from the public
     constructors."""
     horizon = model.horizon
-    edges = np.linspace(0.0, horizon, len(rec.v_levels) + 1)[:-1]
+    edges = np.linspace(0.0, horizon, len(v_levels) + 1)[:-1]
     plan = step_strategy([(0.0, np.zeros(model.dimension))],
-                         list(zip(edges, rec.v_levels)), horizon)
-    if rec.rho == 0.0:
+                         list(zip(edges, v_levels)), horizon)
+    if rho == 0.0:
         return plan
     return DeterministicStrategy(
-        y_path=theta_direction_strategy(model, rec.rho).y_path,
+        y_path=theta_direction_strategy(model, rho).y_path,
         consumption=plan.consumption)
 
 
@@ -266,27 +266,31 @@ def test_oracle_batched_matches_looped(kind, v_pieces, large_theta):
     config = FamilyConfig(rho_grid=np.concatenate([np.arange(0.0, 0.3, 0.02), edge]),
                           v_levels=np.linspace(0.0, 0.4, 9), v_pieces=v_pieces)
     res = grid_search_oracle(model, u, spec, 1.2, config)
+    blocks = res.records.stages
     stages = {"theta_direction"} | ({"coordinate_descent"} if v_pieces > 1 else set())
-    assert {r.label for r in res.records} == stages
+    assert set(np.concatenate([b.label for b in blocks]).tolist()) == stages
     feasible = inner_breaks = 0
-    for rec in res.records:
-        s = _rebuild_candidate(model, rec)
-        prof = constraint_profile(model, s, spec, 1.2, n_refine=N_PROFILE)
-        assert rec.feasible == satisfied(prof)
-        inner_breaks += prof.ratio_curve[-1] <= 1.0 + SATURATION_TOL and not rec.feasible
-        if rec.feasible:
-            feasible += 1
-            cost = cost_closed_form(model, s, u, 1.2)
-            assert rec.cost == pytest.approx(cost, rel=1e-12)
-        else:
-            assert rec.cost == -np.inf
+    for b in blocks:
+        for rho, levels, ok, rec_cost in zip(b.rho, b.v_levels, b.feasible, b.cost):
+            s = _rebuild_candidate(model, rho, levels)
+            prof = constraint_profile(model, s, spec, 1.2, n_refine=N_PROFILE)
+            assert ok == satisfied(prof)
+            inner_breaks += prof.ratio_curve[-1] <= 1.0 + SATURATION_TOL and not ok
+            if ok:
+                feasible += 1
+                cost = cost_closed_form(model, s, u, 1.2)
+                assert rec_cost == pytest.approx(cost, rel=1e-12)
+            else:
+                assert rec_cost == -np.inf
     assert 0 < feasible < len(res.records)
-    inside, outside = (next(r for r in res.records
-                            if r.rho == rho and r.v_levels == (0.0,))
-                       for rho in edge)
-    assert inside.feasible and not outside.feasible
+    single = [b for b in blocks if b.v_levels.shape[1] == 1]
+    inside, outside = (
+        np.concatenate([b.feasible[(b.rho == rho) & (b.v_levels[:, 0] == 0.0)]
+                        for b in single])[0]
+        for rho in edge)
+    assert inside and not outside
     assert res.best_cost == pytest.approx(
-        max(r.cost for r in res.records if r.feasible), rel=1e-12)
+        np.max(np.concatenate([b.cost[b.feasible] for b in blocks])), rel=1e-12)
     # a record that passes at T and fails inside (0, T)
     assert inner_breaks > 0 or not large_theta
 

@@ -9,8 +9,14 @@ import pytest
 from merton_risk import cli, mc
 from merton_risk._table import _BLOCK_ROWS, grid_axes, write_json, write_table
 from merton_risk.cli import main
-from merton_risk.oracle import OracleRecord, OracleResult
-from merton_risk.risk import profile_grid
+from merton_risk.oracle import (
+    FamilyConfig,
+    OracleRecords,
+    OracleResult,
+    _stage_block,
+    grid_search_oracle,
+)
+from merton_risk.risk import MeasureKind, RiskSpec, profile_grid
 from merton_risk.solution import Solution
 from merton_risk.strategies import constant_strategy
 from merton_risk.utility import UtilityParams
@@ -68,23 +74,42 @@ def test_write_json_layout(tmp_path):
 
 def test_oracle_csv_bytes_equal_per_field_writer(tmp_path):
     rng = np.random.default_rng(5)
-    values = SPECIAL + list(rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40))
-    records = []
-    for i, value in enumerate(values):
-        n_levels = 1 + i % 4
-        # levels as the coordinate descent stores them: numpy scalars
-        levels = tuple(np.roll(values, i)[:n_levels])
-        records.append(OracleRecord(rho=value, v_levels=levels, feasible=i % 3 > 0,
-                                    cost=values[-1 - i],
-                                    label=("theta_direction", "random_direction",
-                                           "coordinate_descent")[i % 3]))
-    result = OracleResult(best_cost=0.0, best_strategy=None, records=tuple(records))
+    values = np.array(SPECIAL + list(rng.standard_normal(40)
+                                     * 10.0 ** rng.integers(-300, 300, 40)))
+    n = len(values)
+    flags = np.arange(n) % 3 > 0
+    # stages of one, four and two levels per candidate, each holding SPECIAL
+    # in its rho, levels and costs
+    stages = [
+        _stage_block("theta_direction", values, np.roll(values, 1)[:, None],
+                     flags, values[::-1]),
+        _stage_block("coordinate_descent", values[::-1],
+                     np.stack([np.roll(values, i)[:4] for i in range(n)]),
+                     ~flags, values),
+        _stage_block("coordinate_descent", values[:5], values[:10].reshape(5, 2),
+                     flags[:5], values[-5:]),
+    ]
+    result = OracleResult(best_cost=0.0, best_strategy=None,
+                          records=OracleRecords(tuple(stages)))
     result.write_csv(tmp_path / "new.csv")
-    write_oracle_csv_per_field(tmp_path / "ref.csv", records)
-    assert_same_bytes(tmp_path, len(records))
+    write_oracle_csv_per_field(tmp_path / "ref.csv", result.records)
+    assert_same_bytes(tmp_path, 2 * n + 5)
     new = (tmp_path / "new.csv").read_bytes()
-    for token in (b",nan\n", b",-0,", b"4.94065645841e-324", b"1e+300", b"-1e+300"):
+    for token in (b",nan\n", b",-0,", b"4.94065645841e-324", b"1e+300", b"-1e+300",
+                  b",nan inf -inf -0,"):
         assert token in new
+
+
+def test_oracle_csv_of_a_search_bytes_equal_per_field_writer(tmp_path):
+    model = random_market(np.random.default_rng(23), d=2, max_pieces=3)
+    spec = RiskSpec(alpha=0.025, zeta=0.15, kind=MeasureKind.ES)
+    config = FamilyConfig(rho_grid=np.arange(0.0, 0.3, 0.02),
+                          v_levels=np.linspace(0.0, 0.4, 9), v_pieces=8)
+    result = grid_search_oracle(model, UtilityParams(0.6, 0.4), spec, 1.2, config)
+    assert {len(rec.v_levels) for rec in result.records} == {1, 8}
+    result.write_csv(tmp_path / "new.csv")
+    write_oracle_csv_per_field(tmp_path / "ref.csv", result.records)
+    assert_same_bytes(tmp_path, len(result.records))
 
 
 class FixedControls:
@@ -175,6 +200,25 @@ def test_paths_csv_bytes_equal_per_field_writer(tmp_path, kind):
         ens.write_csv(tmp_path / "new.csv", max_paths=max_paths)
         paths_csv_per_field(tmp_path / "ref.csv", ens, max_paths)
         assert_same_bytes(tmp_path, min(max_paths, 64) * len(ens.times), SPECIAL_TOKENS)
+
+
+def test_paths_csv_memory_bounded_by_block_rows(tmp_path):
+    """Past one stream chunk of paths, dumping more paths holds no more."""
+    model = constant_market(0.02, [0.1, 0.07], [[0.2, 0.0], [0.05, 0.3]], 1.0)
+    strategy = constant_strategy([0.3, -0.2], 0.4, model.horizon)
+    ens = mc.simulate_deterministic(model, strategy, 1.0,
+                                    mc.SimConfig(n_paths=8192, seed=3, n_steps=32))
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            ens.write_csv(tmp_path / "paths.csv", max_paths=n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert ens.wealth.shape == (8192, 33)
+    assert peak(8192) <= 1.5 * peak(mc._CHUNK)
 
 
 @pytest.mark.parametrize("case", ["closed_form", "feedback"])
