@@ -170,10 +170,8 @@ def _write_oracle(out_dir: Path, spec: ProblemSpec, sol: Solution,
     else:
         levels = np.array([0.0])
         pieces = 1
-    config = oracle.FamilyConfig(rho_grid=rho_grid, v_levels=levels,
-                                 v_pieces=pieces)
-    res = oracle.grid_search_oracle(model, spec.utility, spec.risk,
-                                    spec.x0, config)
+    res = oracle.grid_search_oracle(model, spec.utility, spec.risk, spec.x0,
+                                    rho_grid, v_levels=levels, v_pieces=pieces)
     res.write_csv(out_dir / "oracle.csv")
     gap = (sol.value - res.best_cost) / abs(sol.value)
     write_json(out_dir / "oracle.json",
@@ -282,12 +280,11 @@ def cmd_verify(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     feedback = unconstrained.solve_hara_unconstrained(
         spec.model, spec.utility, spec.x0).feedback
-    report = hjb.hjb_residual(spec.model, spec.utility,
-                              t_nodes=t_nodes, n_t=args.nt, n_x=args.nx,
-                              feedback=feedback)
+    report = hjb.hjb_residual(spec.model, spec.utility, feedback,
+                              t_nodes=t_nodes, n_t=args.nt, n_x=args.nx)
     gap_report = hjb.hamiltonian_argmax_check(
-        spec.model, spec.utility, n_t=max(4, args.nt // 5),
-        n_x=max(4, args.nx // 5), seed=args.seed, feedback=feedback)
+        spec.model, spec.utility, feedback, n_t=max(4, args.nt // 5),
+        n_x=max(4, args.nx // 5), seed=args.seed)
     merged = dataclasses.replace(report,
                                  hamiltonian_gap=gap_report.hamiltonian_gap)
     merged.write_json(out_dir / "hjb_report.json")

@@ -29,7 +29,7 @@ from ._piecewise import segment_index, to_ticks
 from ._table import grid_axes, write_json, write_table
 from .errors import GridTouchesBreakpoint
 from .market import MarketModel
-from .unconstrained import HaraFeedback, solve_hara_unconstrained
+from .unconstrained import HaraFeedback
 from .utility import UtilityParams
 
 HAMILTONIAN_GAP_TOL = 1e-10    # default gate of `verify --gap-tol`
@@ -86,16 +86,13 @@ def _check_grid(model: MarketModel, t_nodes: np.ndarray) -> None:
                 f"t = {t} coincides with a coefficient breakpoint")
 
 
-def _grid_and_feedback(model: MarketModel, utility: UtilityParams, t_nodes,
-                       n_t: int, n_x: int, feedback: HaraFeedback | None):
-    """Checked time nodes, the wealth nodes on [0.25, 4] and the feedback."""
+def _grid(model: MarketModel, t_nodes, n_t: int, n_x: int):
+    """Checked time nodes and the wealth nodes on [0.25, 4]."""
     if t_nodes is None:
         t_nodes = off_breakpoint_grid(model, n_t)
     t_nodes = np.asarray(t_nodes, dtype=np.float64)
     _check_grid(model, t_nodes)
-    if feedback is None:
-        feedback = solve_hara_unconstrained(model, utility, 1.0).feedback
-    return t_nodes, np.linspace(0.25, 4.0, n_x), feedback
+    return t_nodes, np.linspace(0.25, 4.0, n_x)
 
 
 def _feedback_at(model: MarketModel, fb: HaraFeedback, t, xs: np.ndarray):
@@ -121,9 +118,8 @@ def _reduced_hamiltonian_terms(model: MarketModel, utility: UtilityParams,
     return term_t, term_r, term_quad, term_cons, g, p, r, theta
 
 
-def hjb_residual(model: MarketModel, utility: UtilityParams,
-                 t_nodes=None, n_t: int = 50, n_x: int = 50,
-                 feedback: HaraFeedback | None = None) -> HjbReport:
+def hjb_residual(model: MarketModel, utility: UtilityParams, feedback: HaraFeedback,
+                 t_nodes=None, n_t: int = 50, n_x: int = 50) -> HjbReport:
     """Relative dynamic-programming residual on an off-breakpoint grid.
 
     All derivatives are analytic (the candidate surface is only piecewise
@@ -131,8 +127,7 @@ def hjb_residual(model: MarketModel, utility: UtilityParams,
     node placement).  The residual is scaled by the sum of the magnitudes
     of its four terms.
     """
-    t_nodes, x_nodes, feedback = _grid_and_feedback(model, utility, t_nodes,
-                                                    n_t, n_x, feedback)
+    t_nodes, x_nodes = _grid(model, t_nodes, n_t, n_x)
 
     # one batched g-root over the whole (t, x) grid
     term_t, term_r, term_quad, term_cons, *_ = _reduced_hamiltonian_terms(
@@ -168,9 +163,8 @@ def _h0(r, theta, x, z1, z2, y, c, gamma1):
 
 
 def hamiltonian_argmax_check(model: MarketModel, utility: UtilityParams,
-                             n_t: int = 10, n_x: int = 10, n_probes: int = 64,
-                             seed: int = 0,
-                             feedback: HaraFeedback | None = None) -> HjbReport:
+                             feedback: HaraFeedback, n_t: int = 10, n_x: int = 10,
+                             n_probes: int = 64, seed: int = 0) -> HjbReport:
     """Verify no probe control beats the feedback pair in the Hamiltonian.
 
     The nodes are off_breakpoint_grid(model, n_t) in t and n_x wealths on
@@ -179,8 +173,7 @@ def hamiltonian_argmax_check(model: MarketModel, utility: UtilityParams,
     (should not exceed HAMILTONIAN_GAP_TOL).  Probes are drawn node by node, t slowest,
     four draws per node; each time row is then evaluated in one pass.
     """
-    t_nodes, x_nodes, feedback = _grid_and_feedback(model, utility, None,
-                                                    n_t, n_x, feedback)
+    t_nodes, x_nodes = _grid(model, None, n_t, n_x)
     gs, ps, _, rs, thetas = _feedback_at(model, feedback, t_nodes[:, None], x_nodes)
     rng = np.random.default_rng(seed)
     m, nx = n_probes, len(x_nodes)

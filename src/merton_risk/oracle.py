@@ -25,12 +25,13 @@ for bit.  Each node partition's profile grid is built once per search.
 The search keeps its candidates as columns, one numpy record array per
 stage (label, rho, consumption levels, feasible flag and cost), from the
 arrays the evaluation returns to oracle.csv, whose layout is one line per
-candidate as before.
+candidate as before.  Its answer is the cost of the first best feasible
+record: no candidate is costed twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 
@@ -39,7 +40,6 @@ import numpy as np
 from ._piecewise import (
     PiecewiseLinear,
     exp_affine_segment,
-    from_ticks,
     merge_ticks,
     segment_index,
     to_ticks,
@@ -59,7 +59,6 @@ from .strategies import (
     DeterministicStrategy,
     cumulants,
     step_cumulants,
-    step_strategy,
 )
 from .utility import UtilityParams
 
@@ -123,23 +122,6 @@ def cost_closed_form(model: MarketModel, strategy: DeterministicStrategy,
 # Grid-search oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyConfig:
-    """Finite search family: exposure along the theta direction, step rates.
-
-    Exposure candidates are y = rho * theta_t / ||theta||_T for rho on
-    rho_grid (y = 0 is always included).  Consumption candidates are
-    piecewise-constant with v_pieces equal intervals and levels drawn from
-    v_levels; for v_pieces > 1 the levels are refined by coordinate descent
-    on the grid in COORDINATE_PASSES sweeps (the cost is concave along each
-    coordinate).
-    """
-
-    rho_grid: np.ndarray
-    v_levels: np.ndarray = field(default_factory=lambda: np.array([0.0]))
-    v_pieces: int = 1
-
-
 def _stage_block(label: str, rho, levels, feasible, cost) -> np.recarray:
     """One search stage's candidates as a record array: the stage label,
     rho, the (n, k) consumption levels, the feasibility flag and the cost
@@ -175,8 +157,7 @@ class OracleRecords:
 
 @dataclass(frozen=True)
 class OracleResult:
-    best_cost: float
-    best_strategy: DeterministicStrategy
+    best_cost: float           # the first largest feasible cost of the records
     records: OracleRecords
 
     def write_csv(self, path) -> None:
@@ -193,13 +174,6 @@ class OracleResult:
             list(chain.from_iterable(_level_text(stage.v_levels) for stage in stages)),
             column("feasible"), np.where(np.isfinite(cost), cost, np.nan),
         ], ["s", ".12g", "s", "d", ".12g"])
-
-
-def _step_candidate(model: MarketModel, node_ticks: np.ndarray, y, v):
-    """The strategy holding y (k or 1, d) and v (k,) on node_ticks' intervals."""
-    starts = from_ticks(node_ticks[:-1])
-    y = np.broadcast_to(y, v.shape + np.shape(y)[-1:])
-    return step_strategy(list(zip(starts, y)), list(zip(starts, v)), model.horizon)
 
 
 def _theta_exposures(model: MarketModel, node_ticks: np.ndarray, rhos):
@@ -243,9 +217,12 @@ def _evaluate(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
     ratio is within the bound at every point of any grid; and each point's
     ratio is elementwise, so its bits do not depend on the rows or points
     that share the array.  Each candidate's cost is a sum along its own
-    row, so it too does not depend on the batch (tests pin both).
+    row, so it too does not depend on the batch (tests pin both), once y
+    and v are C-ordered: numpy sums a row of a Fortran-ordered array in
+    sequence rather than pairwise.
     """
-    v = np.asarray(v, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    v = np.ascontiguousarray(v, dtype=np.float64)
     n, = np.broadcast_shapes(np.shape(y)[:1], v.shape[:1])
     feasible = np.ones(n, dtype=bool)
     costs = np.empty(n)
@@ -268,18 +245,35 @@ def _evaluate(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
     return feasible, np.where(feasible, costs, -np.inf)
 
 
+def _first_best(stages) -> int | None:
+    """Index, over the stages' records in order, of the first largest
+    feasible cost, or None when no record is feasible; a NaN cost never
+    counts."""
+    cost = np.concatenate([stage.cost for stage in stages])
+    ok = np.concatenate([stage.feasible for stage in stages]) & (cost > -np.inf)
+    return int(np.argmax(np.where(ok, cost, -np.inf))) if ok.any() else None
+
+
 def grid_search_oracle(model: MarketModel, utility: UtilityParams,
-                       spec: RiskSpec | None, x: float,
-                       config: FamilyConfig) -> OracleResult:
-    """Best feasible candidate in the family; independent solver check.
+                       spec: RiskSpec | None, x: float, rho_grid,
+                       v_levels=(0.0,), v_pieces: int = 1) -> OracleResult:
+    """Best feasible cost in a finite family; independent solver check.
+
+    Exposure candidates are y = rho theta_t / ||theta||_T for rho on
+    rho_grid (y = 0 is always included).  Consumption candidates are
+    piecewise constant with v_pieces equal intervals and levels drawn from
+    v_levels; for v_pieces > 1 the levels are refined by coordinate descent
+    on the grid in COORDINATE_PASSES sweeps (the cost is concave along each
+    coordinate).  The answer is the first largest feasible cost among the
+    records, in the order oracle.csv lists them.
 
     Raises EmptyFeasibleSet when the family is empty or fully infeasible.
     The candidates of each search stage share one node partition, so they
     are screened against the bound and costed in batches of generic
     cumulants; no solver formula enters.
     """
-    rho_in = np.asarray(config.rho_grid, dtype=np.float64)
-    lvl_in = np.asarray(config.v_levels, dtype=np.float64)
+    rho_in = np.asarray(rho_grid, dtype=np.float64)
+    lvl_in = np.asarray(v_levels, dtype=np.float64)
     if rho_in.size == 0 and lvl_in.size == 0:
         raise EmptyFeasibleSet("the candidate family is empty")
     rhos = np.unique(np.concatenate([[0.0], rho_in]))
@@ -296,24 +290,6 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     evaluate_market = on_partition(model.node_ticks)
     n_steps = len(model.node_ticks) - 1
 
-    stages = []
-    # cost, (node_ticks, y, v) and stage record of the best candidate
-    best = (-np.inf, None, None)
-
-    def screen(y, v, rho, level):
-        """Evaluate one stage on the market's nodes, keep its columns, and
-        take its first best feasible candidate if it beats every earlier one
-        (what a strict > over the candidates in order keeps)."""
-        nonlocal best
-        feasible, costs = evaluate_market(y, v)
-        stages.append(_stage_block("theta_direction", rho, level[:, None],
-                                   feasible, costs))
-        better = feasible & (costs > best[0])
-        if better.any():
-            k = int(np.argmax(np.where(better, costs, -np.inf)))
-            best = (costs[k], (model.node_ticks, y[k % len(y)], v[k % len(v)]),
-                    stages[-1][k])
-
     # pure investment along theta, pure constant consumption, and a coarse
     # cartesian of the two (the fine cross product is never needed: the
     # closed-form optima are attained on the axes or by the piecewise
@@ -322,24 +298,29 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     lvl_coarse = levels[:: max(1, len(levels) // 10)]
     product = np.array([(r, w) for r in rho_coarse if r > 0
                         for w in lvl_coarse if w > 0]).reshape(-1, 2).T
+    stages = []
     for r_b, w_b in ((rhos, [0.0]), ([0.0], levels[levels > 0]), product):
-        screen(_theta_exposures(model, model.node_ticks, r_b),
-               np.repeat(np.reshape(w_b, (-1, 1)), n_steps, axis=1),
-               *np.broadcast_arrays(r_b, w_b))
+        rho, level = np.broadcast_arrays(r_b, w_b)
+        feasible, costs = evaluate_market(
+            _theta_exposures(model, model.node_ticks, r_b),
+            np.repeat(np.reshape(w_b, (-1, 1)), n_steps, axis=1))
+        stages.append(_stage_block("theta_direction", rho, level[:, None],
+                                   feasible, costs))
 
-    if config.v_pieces > 1 and best[1] is not None:
+    first = _first_best(stages)
+    if v_pieces > 1 and first is not None:
         # coordinate descent from the best single-level candidate
-        start = best[2]
-        best_rho, best_cost = float(start.rho), float(start.cost)
-        current = np.full(config.v_pieces, start.v_levels[0])
-        piece_ticks = to_ticks(np.linspace(0.0, horizon, config.v_pieces + 1))
+        start = np.concatenate(stages)[first]
+        best_rho, current_cost = float(start["rho"]), float(start["cost"])
+        current = np.full(v_pieces, start["v_levels"][0])
+        piece_ticks = to_ticks(np.linspace(0.0, horizon, v_pieces + 1))
         node_ticks = merge_ticks(model.node_ticks, piece_ticks)
         piece = segment_index(piece_ticks, node_ticks[:-1])
         evaluate = on_partition(node_ticks)
         y = _theta_exposures(model, node_ticks, [best_rho])
         for _ in range(COORDINATE_PASSES):
             improved = False
-            for i in range(config.v_pieces):
+            for i in range(v_pieces):
                 # every level of coordinate i at once, then the sequential
                 # acceptance rule replayed over the results
                 trials = np.repeat(current[None, :], len(levels), axis=0)
@@ -352,19 +333,15 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
                     if level == current[i]:
                         continue
                     kept.append(j)
-                    if ok and cost > best_cost + 1e-15:
-                        best_cost, current, improved = cost, trials[j], True
+                    if ok and cost > current_cost + 1e-15:
+                        current_cost, current, improved = cost, trials[j], True
                 stages.append(_stage_block("coordinate_descent", best_rho, trials[kept],
                                            feasible[kept], costs[kept]))
             if not improved:
                 break
-        v = current[None, piece]
-        feasible, costs = evaluate(y, v)
-        if feasible[0] and costs[0] > best[0]:
-            best = (costs[0], (node_ticks, y[0], v[0]), None)
 
-    if best[1] is None:
+    best = _first_best(stages)
+    if best is None:
         raise EmptyFeasibleSet("no candidate in the family satisfies the bound")
-    return OracleResult(best_cost=float(best[0]),
-                        best_strategy=_step_candidate(model, *best[1]),
-                        records=OracleRecords(tuple(stages)))
+    best_cost = np.concatenate([stage.cost for stage in stages])[best]
+    return OracleResult(best_cost=float(best_cost), records=OracleRecords(tuple(stages)))

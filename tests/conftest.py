@@ -10,6 +10,7 @@ import pytest
 from merton_risk._piecewise import segment_index, to_ticks
 from merton_risk.market import CoefficientPath, MarketModel, build_market
 from merton_risk.strategies import constant_strategy, step_strategy
+from merton_risk.unconstrained import solve_hara_unconstrained
 
 
 def constant_market(r: float, mu, sigma, horizon: float) -> MarketModel:
@@ -23,6 +24,11 @@ def constant_market(r: float, mu, sigma, horizon: float) -> MarketModel:
         CoefficientPath.constant(mu, horizon),
         CoefficientPath.constant(sigma, horizon),
     )
+
+
+def unit_feedback(model: MarketModel, utility):
+    """The unconstrained optimum's feedback law, solved at wealth 1."""
+    return solve_hara_unconstrained(model, utility, 1.0).feedback
 
 
 def theta_at(model: MarketModel, t) -> np.ndarray:

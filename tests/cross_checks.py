@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from merton_risk.gaussian import _SQRT2, Quantile, _real, erfc, log_tail_ratio, normal_quantile
-from merton_risk.hjb import _grid_and_feedback, _reduced_hamiltonian_terms
+from merton_risk.hjb import _grid, _reduced_hamiltonian_terms
 from merton_risk.market import MarketModel
 from merton_risk.oracle import _CHUNK, N_PROFILE, _cost, _cost_pieces
 from merton_risk.risk import (
@@ -93,12 +93,10 @@ def _h0_node(r, theta, x, z1, z2, y, c, gamma1):
 
 
 def hamiltonian_gap_per_node(model: MarketModel, utility: UtilityParams,
-                             n_t: int = 10, n_x: int = 10, n_probes: int = 64,
-                             seed: int = 0,
-                             feedback: HaraFeedback | None = None) -> float:
+                             feedback: HaraFeedback, n_t: int = 10, n_x: int = 10,
+                             n_probes: int = 64, seed: int = 0) -> float:
     """The worst probe advantage, drawn and evaluated one (t, x) node at a time."""
-    t_nodes, x_nodes, feedback = _grid_and_feedback(model, utility, None,
-                                                    n_t, n_x, feedback)
+    t_nodes, x_nodes = _grid(model, None, n_t, n_x)
     _, _, _, _, gs, ps, rs, thetas = _reduced_hamiltonian_terms(
         model, utility, feedback, t_nodes[:, None], x_nodes)
     rng = np.random.default_rng(seed)

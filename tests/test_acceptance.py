@@ -25,13 +25,19 @@ from merton_risk.mc import (
     simulate_deterministic,
     simulate_hara_feedback,
 )
-from merton_risk.oracle import FamilyConfig, grid_search_oracle
+from merton_risk.oracle import grid_search_oracle
 from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
 from merton_risk.strategies import GrowthFractionConsumption, cumulants
 from merton_risk.utility import UtilityParams
 from merton_risk.var_bound import VAR, l_star, rho_var
 
-from conftest import constant_market, random_market, random_strategy, theta_market
+from conftest import (
+    constant_market,
+    random_market,
+    random_strategy,
+    theta_market,
+    unit_feedback,
+)
 from cross_checks import (
     budget_after,
     empirical_stderr,
@@ -83,7 +89,7 @@ def test_criterion_2_hjb_residual_random_markets():
         m = random_market(rng, d=int(rng.integers(1, 3)), max_pieces=4)
         u = UtilityParams(float(rng.uniform(0.1, 0.9)),
                           float(rng.uniform(0.1, 0.9)))
-        rep = hjb_residual(m, u, n_t=50, n_x=50)
+        rep = hjb_residual(m, u, unit_feedback(m, u), n_t=50, n_x=50)
         worst_res = max(worst_res, rep.max_abs_residual)
         worst_term = max(worst_term, rep.terminal_error)
     assert worst_res < 1e-7
@@ -171,7 +177,7 @@ def test_criterion_5_oracle_dominance_and_attainment():
     sol_v = solve_linear(VAR, m, spec_v, x)
     rho_hi = 2.0 * rho_var(m, spec_v)
     res = grid_search_oracle(m, UtilityParams(1.0, 1.0), spec_v, x,
-                             FamilyConfig(rho_grid=np.arange(0, rho_hi, 1e-4)))
+                             np.arange(0, rho_hi, 1e-4))
     assert res.best_cost <= sol_v.value * (1 + 1e-9)
     gaps["var_linear"] = (sol_v.value - res.best_cost) / sol_v.value
     assert gaps["var_linear"] < 1e-3
@@ -180,7 +186,7 @@ def test_criterion_5_oracle_dominance_and_attainment():
     sol_e = solve_linear(ES, m, spec_e, x)
     rho_hi = 2.0 * rho_es(m, spec_e)
     res = grid_search_oracle(m, UtilityParams(1.0, 1.0), spec_e, x,
-                             FamilyConfig(rho_grid=np.arange(0, rho_hi, 1e-4)))
+                             np.arange(0, rho_hi, 1e-4))
     assert res.best_cost <= sol_e.value * (1 + 1e-9)
     gaps["es_linear"] = (sol_e.value - res.best_cost) / sol_e.value
     assert gaps["es_linear"] < 1e-3
@@ -189,8 +195,7 @@ def test_criterion_5_oracle_dominance_and_attainment():
     sol_t = solve_tight(VAR, m, u, spec_v, x)
     res = grid_search_oracle(
         m, u, spec_v, x,
-        FamilyConfig(rho_grid=np.arange(0, 0.12, 1e-4),
-                     v_levels=np.linspace(0.0, 0.25, 126), v_pieces=8))
+        np.arange(0, 0.12, 1e-4), v_levels=np.linspace(0.0, 0.25, 126), v_pieces=8)
     assert res.best_cost <= sol_t.value * (1 + 1e-9)
     gaps["tight"] = (sol_t.value - res.best_cost) / sol_t.value
     assert gaps["tight"] < 1e-3

@@ -13,7 +13,7 @@ from merton_risk.es_bound import (
     rho_es_upper_bound,
     solve_es,
 )
-from merton_risk.oracle import FamilyConfig, grid_search_oracle
+from merton_risk.oracle import grid_search_oracle
 from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
 from merton_risk.strategies import cumulants
 from merton_risk.unconstrained import solve_equal_gamma
@@ -151,7 +151,7 @@ def test_es_linear_vs_grid_oracle(standard_market):
     sol = solve_linear(ES, standard_market, spec, 1.0)
     res = grid_search_oracle(
         standard_market, UtilityParams(1.0, 1.0), spec, 1.0,
-        FamilyConfig(rho_grid=np.arange(0.0, 0.1, 1e-3)))
+        np.arange(0.0, 0.1, 1e-3))
     assert res.best_cost <= sol.value * (1 + 1e-9)
     assert res.best_cost == pytest.approx(sol.value, rel=1e-3)
 
@@ -239,9 +239,8 @@ def test_es_tight_vs_grid_oracle(standard_market):
     u = UtilityParams(0.5, 0.5)
     spec = RiskSpec(alpha=0.001, zeta=0.1, kind=MeasureKind.ES)
     sol = solve_tight(ES, standard_market, u, spec, 1.0)
-    config = FamilyConfig(rho_grid=np.arange(0.0, 0.1, 2e-3),
-                          v_levels=np.linspace(0.0, 0.25, 126), v_pieces=4)
-    res = grid_search_oracle(standard_market, u, spec, 1.0, config)
+    res = grid_search_oracle(standard_market, u, spec, 1.0, np.arange(0.0, 0.1, 2e-3),
+                             v_levels=np.linspace(0.0, 0.25, 126), v_pieces=4)
     assert res.best_cost <= sol.value * (1 + 1e-9)
     assert res.best_cost == pytest.approx(sol.value, rel=1e-3)
 

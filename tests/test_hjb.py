@@ -15,17 +15,16 @@ from merton_risk.hjb import (
 )
 from merton_risk.market import CoefficientPath, build_market
 from merton_risk.mc import SimConfig, simulate_hara_feedback
-from merton_risk.unconstrained import solve_hara_unconstrained
 from merton_risk.utility import UtilityParams
 
-from conftest import constant_market, random_market, theta_at
+from conftest import constant_market, random_market, theta_at, unit_feedback
 from cross_checks import hamiltonian_gap_per_node
 
 
 def test_residual_constant_coefficients():
     m = constant_market(0.03, [0.1], [[0.2]], 1.0)
     u = UtilityParams(0.5, 0.5)
-    rep = hjb_residual(m, u, n_t=50, n_x=50)
+    rep = hjb_residual(m, u, unit_feedback(m, u), n_t=50, n_x=50)
     assert rep.max_abs_residual < 1e-8
     assert rep.terminal_error < 1e-12
 
@@ -36,7 +35,7 @@ def test_residual_random_piecewise_markets():
         m = random_market(rng, d=int(rng.integers(1, 3)), max_pieces=4)
         u = UtilityParams(float(rng.uniform(0.15, 0.9)),
                           float(rng.uniform(0.15, 0.9)))
-        rep = hjb_residual(m, u, n_t=30, n_x=30)
+        rep = hjb_residual(m, u, unit_feedback(m, u), n_t=30, n_x=30)
         assert rep.max_abs_residual < 1e-8
         assert rep.terminal_error < 1e-12
 
@@ -45,8 +44,8 @@ def test_residual_grid_equals_per_node_loop():
     rng = np.random.default_rng(73)
     m = random_market(rng, d=2, max_pieces=4)
     u = UtilityParams(0.3, 0.75)
-    fb = solve_hara_unconstrained(m, u, 1.0).feedback
-    rep = hjb_residual(m, u, n_t=30, n_x=30, feedback=fb)
+    fb = unit_feedback(m, u)
+    rep = hjb_residual(m, u, fb, n_t=30, n_x=30)
     xs = rep.x_nodes
     rows = []
     for t in rep.t_nodes:
@@ -68,8 +67,8 @@ def test_residual_grid_equals_per_node_loop():
 def test_residual_stable_under_refinement():
     m = constant_market(0.02, [0.09], [[0.25]], 1.0)
     u = UtilityParams(0.4, 0.7)
-    coarse = hjb_residual(m, u, n_t=10, n_x=10)
-    fine = hjb_residual(m, u, n_t=80, n_x=80)
+    coarse = hjb_residual(m, u, unit_feedback(m, u), n_t=10, n_x=10)
+    fine = hjb_residual(m, u, unit_feedback(m, u), n_t=80, n_x=80)
     # all-analytic evaluation: refinement stays at the rounding floor
     assert fine.max_abs_residual < 1e-10
     assert fine.max_abs_residual <= 10 * coarse.max_abs_residual + 1e-12
@@ -80,7 +79,7 @@ def test_finite_difference_cross_check():
     # derivatives with observed order >= 1.9 under h-halving
     m = constant_market(0.03, [0.1], [[0.2]], 1.0)
     u = UtilityParams(0.5, 0.6)
-    fb = solve_hara_unconstrained(m, u, 1.0).feedback
+    fb = unit_feedback(m, u)
     t0, x0 = 0.4, 1.3
 
     def errors(h):
@@ -106,7 +105,7 @@ def test_finite_difference_cross_check():
 def test_hamiltonian_probe_structure():
     m = constant_market(0.03, [0.1], [[0.2]], 1.0)
     u = UtilityParams(0.5, 0.5)
-    fb = solve_hara_unconstrained(m, u, 1.0).feedback
+    fb = unit_feedback(m, u)
     t, x = 0.3, 1.0
     _, _, _, _, g, p, r, theta = _reduced_hamiltonian_terms(
         m, u, fb, t, np.array([x]))
@@ -131,7 +130,8 @@ def test_hamiltonian_probe_structure():
 def test_hamiltonian_argmax_gap():
     m = constant_market(0.03, [0.1], [[0.2]], 1.0)
     u = UtilityParams(0.5, 0.5)
-    rep = hamiltonian_argmax_check(m, u, n_t=6, n_x=6, n_probes=128, seed=2)
+    rep = hamiltonian_argmax_check(m, u, unit_feedback(m, u), n_t=6, n_x=6,
+                                   n_probes=128, seed=2)
     assert rep.hamiltonian_gap <= 1e-10
 
 
@@ -145,12 +145,12 @@ def test_argmax_gap_equals_per_node_loop(seed, d):
     m = random_market(rng, d=d, max_pieces=4)
     u = UtilityParams(float(rng.uniform(0.15, 0.9)),
                       float(rng.uniform(0.15, 0.9)))
-    fb = solve_hara_unconstrained(m, u, 1.0).feedback
+    fb = unit_feedback(m, u)
     for n_t, n_x, n_probes in ((10, 10, 64), (3, 7, 5), (6, 1, 64),
                                (4, 9, 1), (1, 1, 1)):
-        kw = dict(n_t=n_t, n_x=n_x, n_probes=n_probes, seed=seed, feedback=fb)
-        rep = hamiltonian_argmax_check(m, u, **kw)
-        assert rep.hamiltonian_gap == hamiltonian_gap_per_node(m, u, **kw)
+        kw = dict(n_t=n_t, n_x=n_x, n_probes=n_probes, seed=seed)
+        rep = hamiltonian_argmax_check(m, u, fb, **kw)
+        assert rep.hamiltonian_gap == hamiltonian_gap_per_node(m, u, fb, **kw)
         assert rep.hamiltonian_gap <= 1e-10
 
 
@@ -168,11 +168,11 @@ def test_argmax_check_memory_within_residual_check():
     rng = np.random.default_rng(83)
     m = random_market(rng, d=3, max_pieces=4)
     u = UtilityParams(0.3, 0.7)
-    fb = solve_hara_unconstrained(m, u, 1.0).feedback
+    fb = unit_feedback(m, u)
     argmax_peak = _traced_peak(
-        lambda: hamiltonian_argmax_check(m, u, feedback=fb))
+        lambda: hamiltonian_argmax_check(m, u, fb))
     residual_peak = _traced_peak(
-        lambda: hjb_residual(m, u, n_t=50, n_x=50, feedback=fb))
+        lambda: hjb_residual(m, u, fb, n_t=50, n_x=50))
     assert argmax_peak <= residual_peak
 
 
@@ -180,7 +180,7 @@ def test_feedback_law_equals_argmax_formula():
     rng = np.random.default_rng(67)
     m = random_market(rng, d=2, max_pieces=3)
     u = UtilityParams(0.35, 0.7)
-    fb = solve_hara_unconstrained(m, u, 1.0).feedback
+    fb = unit_feedback(m, u)
     for t in off_breakpoint_grid(m, 7):
         for x in (0.4, 1.0, 2.5):
             g = fb.g(t, x)
@@ -200,16 +200,16 @@ def test_grid_touching_breakpoint_rejected():
     m = build_market(rp, mp, sp)
     u = UtilityParams(0.5, 0.5)
     with pytest.raises(GridTouchesBreakpoint):
-        hjb_residual(m, u, t_nodes=np.array([0.25, 0.5, 0.75]))
+        hjb_residual(m, u, unit_feedback(m, u), t_nodes=np.array([0.25, 0.5, 0.75]))
     # the default grid places itself off the breakpoints
-    rep = hjb_residual(m, u, n_t=20, n_x=10)
+    rep = hjb_residual(m, u, unit_feedback(m, u), n_t=20, n_x=10)
     assert rep.max_abs_residual < 1e-8
 
 
 def test_moment_stability_heuristic(standard_market):
     # sample mean of sup_t z(t, X*_t)^1.5 stabilizes as n grows
     u = UtilityParams(0.5, 0.5)
-    fb = solve_hara_unconstrained(standard_market, u, 1.0).feedback
+    fb = unit_feedback(standard_market, u)
     delta = 1.5
 
     def estimate(n, seed):

@@ -1,7 +1,9 @@
 """Closed-form cost, log risk functional, and the grid-search oracle."""
 
 import contextlib
+import csv
 import io
+import json
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import merton_risk.oracle as oracle_module
-from merton_risk._piecewise import from_ticks, merge_ticks, to_ticks
+from merton_risk._piecewise import from_ticks, merge_ticks, segment_index, to_ticks
 from merton_risk.bounded import solve_linear, solve_tight, tight_strategy
 from merton_risk.cli import main
 from merton_risk.errors import EmptyFeasibleSet
@@ -19,7 +21,6 @@ from merton_risk.mc import SimConfig, estimate_cost, simulate_deterministic
 from merton_risk.oracle import (
     _BATCH_ROWS,
     _CHUNK,
-    FamilyConfig,
     N_PROFILE,
     _evaluate,
     _theta_exposures,
@@ -190,18 +191,29 @@ def test_oracle_empty_family(standard_market):
     spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
     with pytest.raises(EmptyFeasibleSet):
         grid_search_oracle(standard_market, UtilityParams(0.5, 0.5), spec,
-                           1.0, FamilyConfig(rho_grid=np.array([]),
-                                             v_levels=np.array([])))
+                           1.0, np.array([]), v_levels=np.array([]))
+
+
+def _first_best_record(records):
+    """The first record of largest feasible cost, by a strict > over the
+    records in order."""
+    best = None
+    for rec in records:
+        if rec.feasible and rec.cost > (-np.inf if best is None else best.cost):
+            best = rec
+    return best
 
 
 def test_oracle_tight_instance_structure(standard_market):
     spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
     u = UtilityParams(0.5, 0.5)
-    config = FamilyConfig(rho_grid=np.arange(0.0, 0.08, 4e-3),
-                          v_levels=np.linspace(0.0, 0.2, 81), v_pieces=4)
-    res = grid_search_oracle(standard_market, u, spec, 1.0, config)
-    best = res.best_strategy
-    cum = cumulants(standard_market, best)
+    res = grid_search_oracle(standard_market, u, spec, 1.0, np.arange(0.0, 0.08, 4e-3),
+                             v_levels=np.linspace(0.0, 0.2, 81), v_pieces=4)
+    # the answer is the first best record's cost, bit for bit
+    best = _first_best_record(res.records)
+    assert res.best_cost == best.cost
+    cum = cumulants(standard_market,
+                    _rebuild_candidate(standard_market, best.rho, best.v_levels))
     assert np.sqrt(cum.ynn.end_value) == pytest.approx(0.0, abs=1e-12)
     assert cum.V_T() == pytest.approx(-np.log1p(-0.1), abs=5e-3)
 
@@ -263,9 +275,9 @@ def test_oracle_batched_matches_looped(kind, v_pieces, large_theta):
         model = random_market(np.random.default_rng(23), d=2, max_pieces=3)
         rho_star = (rho_var if kind == MeasureKind.VAR else rho_es)(model, spec)
     edge = rho_star * np.array([1 - 1e-6, 1 + 1e-6])
-    config = FamilyConfig(rho_grid=np.concatenate([np.arange(0.0, 0.3, 0.02), edge]),
-                          v_levels=np.linspace(0.0, 0.4, 9), v_pieces=v_pieces)
-    res = grid_search_oracle(model, u, spec, 1.2, config)
+    res = grid_search_oracle(model, u, spec, 1.2,
+                             np.concatenate([np.arange(0.0, 0.3, 0.02), edge]),
+                             v_levels=np.linspace(0.0, 0.4, 9), v_pieces=v_pieces)
     blocks = res.records.stages
     stages = {"theta_direction"} | ({"coordinate_descent"} if v_pieces > 1 else set())
     assert set(np.concatenate([b.label for b in blocks]).tolist()) == stages
@@ -323,6 +335,30 @@ def test_evaluate_shared_factor_matches_broadcast(kind):
             assert np.array_equal(np.broadcast_to(g, w.shape), w)
         if spec is not None and len(got[0]) == n:
             assert 0 < np.sum(want[0]) < n
+
+
+@pytest.mark.parametrize("kind", [MeasureKind.ES, None])
+def test_evaluate_descent_batch_matches_one_row_evaluations(kind):
+    """The coordinate descent's batch, its trials gathered onto the node
+    intervals column by column (a Fortran-ordered array), costs each row
+    with the bits of that row evaluated alone."""
+    rng = np.random.default_rng(31)
+    model = random_market(rng, d=2, max_pieces=3)
+    spec = None if kind is None else RiskSpec(alpha=0.025, zeta=0.6, kind=kind)
+    piece_ticks = to_ticks(np.linspace(0.0, model.horizon, 9))
+    node_ticks = merge_ticks(model.node_ticks, piece_ticks)
+    piece = segment_index(piece_ticks, node_ticks[:-1])
+    trials = np.repeat(rng.uniform(0.0, 0.3, size=(1, 8)), 41, axis=0)
+    trials[:, 3] = np.linspace(0.0, 0.4, 41)
+    v = trials[:, piece]
+    assert len(piece) > 8 and not v.flags.c_contiguous
+    evaluate = partial(_evaluate, model, UtilityParams(0.6, 0.4), spec, 1.2,
+                       node_ticks, _theta_exposures(model, node_ticks, [0.2]))
+    batch = evaluate(v)
+    assert batch[0].all()
+    alone = [evaluate(np.ascontiguousarray(v[j:j + 1])) for j in range(len(v))]
+    for got, want in zip(batch, zip(*alone)):
+        assert np.array_equal(got, np.concatenate(want))
 
 
 @pytest.mark.parametrize("kind", [MeasureKind.VAR, MeasureKind.ES, None])
@@ -460,6 +496,22 @@ def test_certificate_clears_most_survivors(problem, monkeypatch, tmp_path):
     assert sum(at_T) > 0 and sum(on_grid) <= 0.1 * sum(at_T), (at_T, on_grid)
 
 
+@pytest.mark.parametrize("problem", ["var_tight", "es_tight_unequal"])
+def test_cli_oracle_best_is_the_best_csv_line(problem, tmp_path):
+    """oracle.json's oracle_best, written as oracle.csv writes costs, is
+    the largest feasible cost of oracle.csv."""
+    golden = Path(__file__).parent / "golden" / problem
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["solve", str(golden / "problem.json"), "--out",
+                     str(tmp_path), "--grid", "21", "--oracle"]) == 0
+    best = json.loads((tmp_path / "oracle.json").read_text())["oracle_best"]
+    with open(tmp_path / "oracle.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    costs = [row["cost"] for row in rows if row["feasible"] == "1"]
+    assert "coordinate_descent" in {row["label"] for row in rows}
+    assert "%.12g" % best == max(costs, key=float)
+
+
 def test_evaluate_memory_bounded_by_batch_rows(monkeypatch):
     """Eight batches of candidates peak within 1.5x of one: the cumulants
     and cost arrays of at most _BATCH_ROWS candidates are alive at once."""
@@ -491,7 +543,7 @@ def test_evaluate_memory_bounded_by_batch_rows(monkeypatch):
 def test_oracle_csv_export(tmp_path, standard_market):
     spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
     res = grid_search_oracle(standard_market, UtilityParams(1.0, 1.0), spec,
-                             1.0, FamilyConfig(rho_grid=np.arange(0, 0.06, 5e-3)))
+                             1.0, np.arange(0, 0.06, 5e-3))
     out = tmp_path / "oracle.csv"
     res.write_csv(out)
     lines = out.read_text().splitlines()

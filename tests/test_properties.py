@@ -22,7 +22,7 @@ from merton_risk.errors import (
     UnsupportedRegime,
 )
 from merton_risk.es_bound import ES, es_loose_threshold, rho_es, solve_es
-from merton_risk.oracle import _CHUNK, FamilyConfig, _cost, grid_search_oracle
+from merton_risk.oracle import _CHUNK, _cost, grid_search_oracle
 from merton_risk.risk import MeasureKind, RiskSpec
 from merton_risk.strategies import cumulants, step_cumulants
 from merton_risk.unconstrained import equal_gamma_strategy, solve_unconstrained
@@ -297,9 +297,8 @@ def test_oracle_never_beats_solver(problem, kind):
     rhos = rho_star * np.concatenate([np.linspace(0.0, 2.0, 11), [1 - 1e-4, 1 + 1e-4]])
     # the linear optima consume nothing; their family still tries rates
     v_top = 2.0 * max(float(np.max(result.strategy.v_at(model, model.nodes))), 0.1)
-    config = FamilyConfig(rho_grid=rhos, v_levels=np.linspace(0.0, v_top, 11),
-                          v_pieces=4)
-    best = grid_search_oracle(model, utility, spec, x0, config).best_cost
+    best = grid_search_oracle(model, utility, spec, x0, rhos,
+                              v_levels=np.linspace(0.0, v_top, 11), v_pieces=4).best_cost
     assert best <= result.value + 1e-9 * abs(result.value), result.regime
 
 

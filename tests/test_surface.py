@@ -1,13 +1,19 @@
 """src/ holds only what the program calls.
 
-Two kinds of dead surface fail here:
+Three kinds of dead surface fail here:
 
 - a public name with no reference in ``src/`` outside its own definition
   (as a name, an attribute or an import alias): a top-level function or
   class of ``merton_risk``, a method of a top-level class, or a name
   assigned at module level;
+- a public field of a dataclass that no code in ``src/`` reads as an
+  attribute;
 - a defaulted parameter of a public function or method that no call in
-  ``src/`` sets, by keyword, by position or through ``functools.partial``.
+  ``src/`` sets, by keyword, by position or through ``functools.partial``,
+  and likewise a defaulted public field of a dataclass that no
+  construction in ``src/`` sets: a call of the class (``cls(...)`` inside
+  its own methods) by keyword or by position, or ``dataclasses.replace``
+  by keyword.  Fields with ``init=False`` are skipped.
 
 Helpers that only tests call belong under ``tests/``.  A target that the
 benchmark's tracer wraps by name is exempt from the first check.
@@ -40,8 +46,10 @@ import merton_risk
 PACKAGE = Path(merton_risk.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# (module, qualified name, parameter) -> why no src/ call sets it
+# (module, qualified name, parameter or field) -> why no src/ call sets it
 KEPT_DEFAULTS = {
+    ("mc", "SimConfig", "time_grid"):
+        "tests pin the monitoring times of a simulation",
     ("risk", "constraint_profile", "n_refine"):
         "tests shrink the 10^4-point profile grid to keep them fast",
     ("hjb", "hamiltonian_argmax_check", "n_probes"):
@@ -158,6 +166,48 @@ def _defaulted(node: ast.FunctionDef):
             yield arg.arg, None
 
 
+def _dataclasses(tree: ast.Module):
+    """Each public top-level class under a @dataclass decorator."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _public(node.name) and any(
+                _callee(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in node.decorator_list):
+            yield node
+
+
+def _fields(node: ast.ClassDef):
+    """(field, positional index or None, defaulted) of each public field;
+    the index counts the fields __init__ takes, and is None for an
+    init=False field."""
+    index = 0
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value, init = item.value, True
+        defaulted = value is not None
+        if isinstance(value, ast.Call) and _callee(value.func) == "field":
+            kws = {kw.arg: kw.value for kw in value.keywords}
+            init = not (isinstance(kws.get("init"), ast.Constant) and kws["init"].value is False)
+            defaulted = "default" in kws or "default_factory" in kws
+        if _public(item.target.id):
+            yield item.target.id, index if init else None, defaulted
+        index += init
+
+
+def unread_fields() -> list:
+    reads = Counter(node.attr for tree in _trees().values() for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return [f"{module}.{node.name}.{name}"
+            for module, tree in _trees().items() for node in _dataclasses(tree)
+            for name, _, _ in _fields(node) if reads[name] == 0]
+
+
+def _sets(calls, name: str, param: str, index) -> bool:
+    """Whether a call of name sets param, by keyword or at index."""
+    return any(callee == name and (param in kws or (index is not None and n > index))
+               for callee, n, kws in calls)
+
+
 def unset_defaults() -> set:
     trees = _trees()
     calls = [site for tree in trees.values() for site in _call_sites(tree)]
@@ -167,15 +217,26 @@ def unset_defaults() -> set:
             if not isinstance(node, ast.FunctionDef):
                 continue
             for param, index in _defaulted(node):
-                if not any(callee == name and (param in kws
-                                               or (index is not None and n > index))
-                           for callee, n, kws in calls):
+                if not _sets(calls, name, param, index):
                     found.add((module, qualname, param))
+        for node in _dataclasses(tree):
+            # cls(...) in the class's own methods constructs it too
+            built = calls + [(node.name, n, kws) for callee, n, kws in _call_sites(node)
+                             if callee == "cls"]
+            for field, index, defaulted in _fields(node):
+                if (defaulted and index is not None
+                        and not _sets(built, node.name, field, index)
+                        and not _sets(built, "replace", field, None)):
+                    found.add((module, node.name, field))
     return found
 
 
 def test_every_public_name_has_a_caller_in_src():
     assert unreferenced_names() == []
+
+
+def test_every_dataclass_field_is_read_in_src():
+    assert unread_fields() == []
 
 
 def test_every_default_parameter_is_set_by_a_call_in_src():

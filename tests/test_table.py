@@ -10,7 +10,6 @@ from merton_risk import cli, mc
 from merton_risk._table import _BLOCK_ROWS, grid_axes, write_json, write_table
 from merton_risk.cli import main
 from merton_risk.oracle import (
-    FamilyConfig,
     OracleRecords,
     OracleResult,
     _stage_block,
@@ -89,7 +88,7 @@ def test_oracle_csv_bytes_equal_per_field_writer(tmp_path):
         _stage_block("coordinate_descent", values[:5], values[:10].reshape(5, 2),
                      flags[:5], values[-5:]),
     ]
-    result = OracleResult(best_cost=0.0, best_strategy=None,
+    result = OracleResult(best_cost=0.0,
                           records=OracleRecords(tuple(stages)))
     result.write_csv(tmp_path / "new.csv")
     write_oracle_csv_per_field(tmp_path / "ref.csv", result.records)
@@ -103,9 +102,9 @@ def test_oracle_csv_bytes_equal_per_field_writer(tmp_path):
 def test_oracle_csv_of_a_search_bytes_equal_per_field_writer(tmp_path):
     model = random_market(np.random.default_rng(23), d=2, max_pieces=3)
     spec = RiskSpec(alpha=0.025, zeta=0.15, kind=MeasureKind.ES)
-    config = FamilyConfig(rho_grid=np.arange(0.0, 0.3, 0.02),
-                          v_levels=np.linspace(0.0, 0.4, 9), v_pieces=8)
-    result = grid_search_oracle(model, UtilityParams(0.6, 0.4), spec, 1.2, config)
+    result = grid_search_oracle(model, UtilityParams(0.6, 0.4), spec, 1.2,
+                                np.arange(0.0, 0.3, 0.02),
+                                v_levels=np.linspace(0.0, 0.4, 9), v_pieces=8)
     assert {len(rec.v_levels) for rec in result.records} == {1, 8}
     result.write_csv(tmp_path / "new.csv")
     write_oracle_csv_per_field(tmp_path / "ref.csv", result.records)

@@ -12,7 +12,7 @@ from merton_risk.bounded import (
     solve_tight,
 )
 from merton_risk.errors import ConditionViolated, NegativeRate, NoClosedFormRegime
-from merton_risk.oracle import FamilyConfig, grid_search_oracle
+from merton_risk.oracle import grid_search_oracle
 from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
 from merton_risk.strategies import GrowthFractionConsumption, cumulants
 from merton_risk.unconstrained import solve_equal_gamma
@@ -117,10 +117,8 @@ def test_var_linear_negative_rate():
 def test_var_linear_vs_grid_oracle(standard_market):
     spec = RiskSpec(**VAR01)
     sol = solve_linear(VAR, standard_market, spec, 1.0)
-    config = FamilyConfig(rho_grid=np.arange(0.0, 0.12, 1e-3),
-                          v_levels=np.array([0.0, 0.05, 0.1]))
-    res = grid_search_oracle(standard_market, UtilityParams(1.0, 1.0), spec,
-                             1.0, config)
+    res = grid_search_oracle(standard_market, UtilityParams(1.0, 1.0), spec, 1.0,
+                             np.arange(0.0, 0.12, 1e-3), v_levels=np.array([0.0, 0.05, 0.1]))
     assert res.best_cost <= sol.value * (1 + 1e-9)
     assert res.best_cost == pytest.approx(sol.value, rel=1e-3)
 
@@ -315,9 +313,8 @@ def test_tight_feasibility_and_dominance(standard_market):
     sol = solve_tight(VAR, standard_market, u, spec, 1.0)
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
     assert satisfied(prof, 1e-9)
-    config = FamilyConfig(rho_grid=np.arange(0.0, 0.1, 2e-3),
-                          v_levels=np.linspace(0.0, 0.25, 126), v_pieces=4)
-    res = grid_search_oracle(standard_market, u, spec, 1.0, config)
+    res = grid_search_oracle(standard_market, u, spec, 1.0, np.arange(0.0, 0.1, 2e-3),
+                             v_levels=np.linspace(0.0, 0.25, 126), v_pieces=4)
     assert res.best_cost <= sol.value * (1 + 1e-9)
     assert res.best_cost == pytest.approx(sol.value, rel=1e-3)
 
