@@ -13,10 +13,10 @@ Each check has one route: ``solve --oracle`` runs the grid-search oracle
 on the solution it writes, ``simulate`` the exact-law Monte Carlo and
 ``verify`` the dynamic-programming residual.
 
-Exit codes: 0 success, 1 input error, 2 regime/tolerance failure or a
-solution the check cannot take; ``main`` maps exceptions to codes through
-``EXIT_CODES``.  ``solve`` also writes the reason for a missing closed form
-to solution.json.
+Exit codes: 0 success, 1 input error (a usage error included), 2
+regime/tolerance failure or a solution the check cannot take; ``main``
+maps exceptions to codes through ``EXIT_CODES``.  ``solve`` also writes
+the reason for a missing closed form to solution.json.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import dataclasses
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ from .errors import (
     ToleranceExceeded,
     UnsupportedSolution,
 )
-from .market import MarketModel, market_from_dict
+from .market import MarketModel, json_number, market_from_dict
 from .risk import MeasureKind, RiskSpec, constraint_profile
 from .solution import Solution
 from .strategies import DeterministicStrategy, step_strategy
@@ -68,9 +69,9 @@ class ProblemSpec:
         try:
             self.model: MarketModel = market_from_dict(doc["market"])
             util = doc["utility"]
-            self.utility = UtilityParams(float(util["gamma1"]),
-                                         float(util["gamma2"]))
-            self.x0 = float(doc["x0"])
+            self.utility = UtilityParams(json_number(util["gamma1"], "gamma1"),
+                                         json_number(util["gamma2"], "gamma2"))
+            self.x0 = json_number(doc["x0"], "x0")
         except KeyError as exc:
             raise ValueError(f"missing required field {exc}") from exc
         except TypeError as exc:
@@ -81,8 +82,8 @@ class ProblemSpec:
         if doc.get("risk") is not None:
             r = doc["risk"]
             try:
-                self.risk = RiskSpec(alpha=float(r["alpha"]),
-                                     zeta=float(r["zeta"]),
+                self.risk = RiskSpec(alpha=json_number(r["alpha"], "alpha"),
+                                     zeta=json_number(r["zeta"], "zeta"),
                                      kind=MeasureKind(r["kind"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"malformed risk block: {exc}") from exc
@@ -299,6 +300,12 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _usage_error(prog: str, message: str):
+    """argparse's error hook: a usage error raises ValueError, an input error
+    (exit 1), where argparse would exit 2, the code of a missing closed form."""
+    raise ValueError(f"{prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="merton-risk",
@@ -344,6 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--terminal-tol", type=float, default=1e-12)
     p_ver.add_argument("--gap-tol", type=float, default=hjb.HAMILTONIAN_GAP_TOL)
     p_ver.set_defaults(func=cmd_verify)
+    for p in (parser, *sub.choices.values()):
+        p.error = partial(_usage_error, p.prog)
     return parser
 
 
@@ -351,8 +360,8 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except tuple(EXIT_CODES) as exc:
         code, label = next(EXIT_CODES[cls] for cls in type(exc).__mro__

@@ -6,15 +6,16 @@ The ES analogue of the exposure budget solves psi(rho, 1) = ln(1-zeta) with
 
 which is strictly decreasing in both arguments while |z_a| >= 2||theta||_T;
 outside that region the monotonicity (and the closed forms) are not
-available and the solvers refuse.  On the regime ladder shared with the
-VaR case (``bounded``) linear utility invests at the budget rho*_ES, the
-loose bound needs this hypothesis too, and the tight bound's quantile
-floor doubles the theta coefficient of the VaR floor.
+available and the solvers refuse.  rho_es solves the equation at u = 1;
+the monotonicity in u is the lemma behind the closed forms, which the
+tests check.  On the regime ladder shared with the VaR case (``bounded``)
+linear utility invests at the budget rho*_ES, the loose bound needs this
+hypothesis too, and the tight bound's quantile floor doubles the theta
+coefficient of the VaR floor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -22,36 +23,13 @@ import numpy as np
 from ._rootfind import expand_bracket, solve_bracketed
 from .bounded import BoundRules, solve_bounded
 from .errors import HypothesisViolated
-from .gaussian import Quantile, gauss_hazard, log_tail_ratio, tail_ratio
+from .gaussian import gauss_hazard, log_tail_ratio, tail_ratio
 from .market import MarketModel
 from .risk import MeasureKind, RiskSpec
 from .solution import ConditionCheck
 from .unconstrained import kappa_tilde
 
 ROOT_RESIDUAL = 1e-12
-
-
-@dataclass(frozen=True)
-class PsiFunction:
-    """psi(rho, u) with its monotonicity hypothesis pinned at construction."""
-
-    theta_norm_T: float
-    quantile: Quantile
-
-    def __call__(self, rho, u=1.0):
-        rho = np.asarray(rho, dtype=np.float64)
-        u = np.asarray(u, dtype=np.float64)
-        return (self.theta_norm_T * rho * u ** 2
-                + log_tail_ratio(self.quantile, self.quantile.abs_z + rho * u))
-
-    def d_rho(self, rho):
-        """d psi / d rho at u = 1 (negative while |z_a| >= ||theta||_T)."""
-        rho = np.asarray(rho, dtype=np.float64)
-        return self.theta_norm_T - gauss_hazard(self.quantile.abs_z + rho)
-
-
-def psi_function(model: MarketModel, spec: RiskSpec) -> PsiFunction:
-    return PsiFunction(theta_norm_T=model.theta_norm_T, quantile=spec.quantile)
 
 
 def _check_hypothesis(model: MarketModel, spec: RiskSpec) -> None:
@@ -72,16 +50,22 @@ def rho_es_upper_bound(model: MarketModel, spec: RiskSpec) -> float:
 
 def rho_es(model: MarketModel, spec: RiskSpec) -> float:
     """Exposure budget rho*_ES under the ES bound: the root of
-    psi(rho, 1) = ln(1-zeta)."""
+    psi(rho, 1) = ln(1-zeta), by safeguarded Newton steps on
+    f(rho) = ||theta||_T rho + ln F_a(|z_a| + rho) - ln(1-zeta), whose
+    derivative ||theta||_T - hazard(|z_a| + rho) is negative while
+    |z_a| >= ||theta||_T."""
     _check_hypothesis(model, spec)
-    psi = psi_function(model, spec)
+    tn, z = model.theta_norm_T, spec.abs_z
     target = spec.log_bound()
-    f = lambda r: float(psi(r) - target)
-    if spec.abs_z > 1.0:
+
+    def f(rho):
+        return tn * rho + log_tail_ratio(z, z + rho) - target
+
+    if z > 1.0:
         hi = max(1.0, 2.0 * rho_es_upper_bound(model, spec))
     else:
         hi = expand_bracket(f, 0.0, 1.0)[1]
-    return solve_bracketed(f, 0.0, hi, fprime=lambda r: float(psi.d_rho(r)),
+    return solve_bracketed(f, 0.0, hi, fprime=lambda r: tn - gauss_hazard(z + r),
                            residual_tol=ROOT_RESIDUAL,
                            scale=max(1.0, abs(target)))
 
@@ -92,7 +76,7 @@ def es_loose_threshold(model: MarketModel, gamma: float,
     q = 1.0 / (1.0 - gamma)
     tn = model.theta_norm_T
     kt = kappa_tilde(model, gamma)
-    factor = tail_ratio(spec.quantile, spec.abs_z + q * tn)
+    factor = tail_ratio(spec.abs_z, spec.abs_z + q * tn)
     return 1.0 - (1.0 - kt) * float(np.exp(q * tn * tn)) * float(factor)
 
 

@@ -3,7 +3,7 @@
 Everything downstream (risk formulas, root equations for the maximal
 exposure) reduces to two primitives:
 
-    z_alpha          the alpha-quantile of N(0,1), alpha in (0, 1/2)
+    z_alpha          the alpha-quantile of N(0,1), alpha in (0, 1/2), a float
     F_alpha(z)       int_z^inf e^{-t^2/2} dt / int_{|z_alpha|}^inf e^{-t^2/2} dt
 
 Tails are kept in the e^{-t^2/2} normalization and evaluated through the
@@ -22,7 +22,6 @@ agree bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -226,20 +225,9 @@ def gauss_hazard(z):
     return _SQRT_2_OVER_PI / erfcx(_real(z) / _SQRT2)
 
 
-@dataclass(frozen=True)
-class Quantile:
-    """Standard-normal alpha-quantile with its tail level pinned down."""
-
-    alpha: float
-    z_alpha: float
-
-    @property
-    def abs_z(self) -> float:
-        return -self.z_alpha
-
-
-def normal_quantile(alpha: float) -> Quantile:
-    """alpha-quantile of N(0,1) for alpha in (0, 1/2), |Phi(z)-alpha| <= 1e-12.
+def normal_quantile(alpha: float) -> float:
+    """alpha-quantile z_alpha < 0 of N(0,1) for alpha in (0, 1/2), with
+    |Phi(z_alpha) - alpha| <= 1e-12.
 
     Wichura's AS241 inverse (Appl. Statist. 37 (1988), as
     statistics.NormalDist.inv_cdf) polished by two Newton steps on the CDF
@@ -250,19 +238,20 @@ def normal_quantile(alpha: float) -> Quantile:
     z = _STANDARD.inv_cdf(alpha)
     for _ in range(2):
         z -= (norm_cdf(z) - alpha) / float(norm_pdf(z))
-    return Quantile(alpha=float(alpha), z_alpha=z)
+    return z
 
 
-def tail_ratio(quantile: Quantile, z):
-    """F_alpha(z) for z >= 0; F_alpha(|z_alpha|) = 1, decreasing in z."""
-    out = np.exp(log_tail_ratio(quantile, z))
+def tail_ratio(abs_z: float, z):
+    """F_alpha(z) for z >= 0 and abs_z = |z_alpha|; F_alpha(|z_alpha|) = 1,
+    decreasing in z."""
+    out = np.exp(log_tail_ratio(abs_z, z))
     return out if out.ndim else float(out)
 
 
-def log_tail_ratio(quantile: Quantile, z):
-    """log F_alpha(z) as a difference of log tail integrals."""
+def log_tail_ratio(abs_z: float, z):
+    """log F_alpha(z), abs_z = |z_alpha|, as a difference of log tail integrals."""
     z = _real(z)
     if np.any(z < 0):
         raise NegativeArgument("tail ratio argument must be nonnegative")
-    out = log_gauss_tail(z) - log_gauss_tail(quantile.abs_z)
+    out = log_gauss_tail(z) - log_gauss_tail(abs_z)
     return out if np.ndim(out) else float(out)

@@ -183,24 +183,48 @@ def build_market(rates: CoefficientPath, drifts: CoefficientPath,
 
 # ---------------------------------------------------------------------------
 # JSON interface:  {"T": ..., "d": ..., "r": [{"t0":..., "value":...}, ...],
-#                   "mu": [...], "sigma": [...]}
+#                   "mu": [...], "sigma": [...]}; every number a JSON number
+# and d a JSON integer
 # ---------------------------------------------------------------------------
+
+def json_number(value, name: str) -> float:
+    """A JSON number as a float: an int or a float, never a bool or a string.
+
+    Raises TypeError for any other value and ValueError for an int beyond
+    the float range.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is out of the float range") from exc
+
+
+def _json_array(value, name: str) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float64 array."""
+    def numbers(v):
+        return [numbers(item) for item in v] if isinstance(v, list) else json_number(v, name)
+    return np.asarray(numbers(value), dtype=np.float64)
+
 
 def market_from_dict(doc: dict) -> MarketModel:
     try:
-        horizon = float(doc["T"])
-        d = int(doc["d"])
-        times = [horizon] + [seg["t0"] for k in ("r", "mu", "sigma") for seg in doc[k]]
-        if not np.all(np.isfinite(np.asarray(times, dtype=np.float64))):
+        horizon = json_number(doc["T"], "T")
+        d = doc["d"]
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise TypeError(f"d must be an integer, got {d!r}")
+        segments = {k: [(json_number(seg["t0"], f"{k} t0"), seg["value"]) for seg in doc[k]]
+                    for k in ("r", "mu", "sigma")}
+        times = [horizon] + [t for segs in segments.values() for t, _ in segs]
+        if not np.all(np.isfinite(times)):
             raise MismatchedPaths("non-finite horizon or breakpoint")
         r_path = CoefficientPath.from_segments(
-            [(seg["t0"], float(seg["value"])) for seg in doc["r"]], horizon)
+            [(t, json_number(v, "r value")) for t, v in segments["r"]], horizon)
         mu_path = CoefficientPath.from_segments(
-            [(seg["t0"], np.asarray(seg["value"], dtype=np.float64))
-             for seg in doc["mu"]], horizon)
+            [(t, _json_array(v, "mu value")) for t, v in segments["mu"]], horizon)
         sg_path = CoefficientPath.from_segments(
-            [(seg["t0"], np.asarray(seg["value"], dtype=np.float64))
-             for seg in doc["sigma"]], horizon)
+            [(t, _json_array(v, "sigma value")) for t, v in segments["sigma"]], horizon)
     except (KeyError, TypeError, ValueError) as exc:
         raise MismatchedPaths(f"malformed market document: {exc}") from exc
     # a NaN or infinite coefficient is an input error, never a regime verdict

@@ -111,11 +111,6 @@ class PathEnsemble:
     def terminal(self) -> np.ndarray:
         return self.wealth[:, -1]
 
-    @property
-    def consumption(self) -> np.ndarray:
-        """(n, m) consumption rate c_t at grid times."""
-        return np.concatenate([c for _, c in self._consumption_chunks(self.n_paths)])
-
     def _consumption_chunks(self, stop: int):
         """Yield (first row, c) for consecutive chunks of rows 0:stop, in row
         order.  The stream yields an antithetic run's second half beside its
@@ -172,7 +167,7 @@ def simulate_deterministic(model: MarketModel,
     cum = cumulants(model, strategy)
     grid = simulation_grid(model, cum.node_ticks, config)
     mean_inc = np.diff(cum.log_drift(grid))
-    sd_inc = np.sqrt(np.maximum(np.diff(cum.log_var(grid)), 0.0))
+    sd_inc = np.sqrt(np.maximum(np.diff(cum.ynn(grid)), 0.0))
 
     if np.any(sd_inc):
         wealth = np.empty((config.n_paths, len(grid)), order="F")
@@ -214,8 +209,8 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
 
     g0 = fb.g(0.0, x)
     q1, q2 = utility.q1, utility.q2
-    c1 = fb.coeffs.A1(grid) * g0 ** -q1
-    c2 = fb.coeffs.A2(grid) * g0 ** -q2
+    c1 = fb.A1(grid) * g0 ** -q1
+    c2 = fb.A2(grid) * g0 ** -q2
     dt = np.diff(grid)
 
     def rate(xi):

@@ -96,7 +96,7 @@ def _cost_pieces(cum: Cumulants, utility: UtilityParams):
     slopes = (g1 * cum.cons_b + g1 * r_slope
               + g1 * ydt_slope - k1 * ynn_slope)
 
-    V_T = cum.V_T()
+    V_T = cum.V(cum.horizon)
     k2 = 0.5 * g2 * (1.0 - g2)
     terminal = np.exp(g2 * (R_nodes[-1] - V_T)
                       + g2 * ydt_nodes[..., -1] - k2 * ynn_nodes[..., -1])
@@ -200,12 +200,12 @@ def _take_rows(cum: Cumulants, rows) -> Cumulants:
 
 
 def _evaluate(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
-              x: float, node_ticks: np.ndarray, y, v, grid=None):
+              x: float, node_ticks: np.ndarray, y, v, grid):
     """Feasibility flags and costs (-inf when infeasible) of step candidates.
 
     y : (K or 1, k, d) exposures and v : (K or 1, k) consumption rates on the
-    intervals of node_ticks; grid is their profile grid, built here when not
-    given.  A factor with one row is shared by every candidate and enters the
+    intervals of node_ticks; grid is their profile grid (None without a
+    bound).  A factor with one row is shared by every candidate and enters the
     cumulants, screen and cost once, unbroadcast.
 
     The cumulants of up to _BATCH_ROWS candidates are built in one batch, which
@@ -226,8 +226,6 @@ def _evaluate(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
     n, = np.broadcast_shapes(np.shape(y)[:1], v.shape[:1])
     feasible = np.ones(n, dtype=bool)
     costs = np.empty(n)
-    if spec is not None and grid is None:
-        grid = profile_grid(node_ticks, model.horizon, N_PROFILE)
     for lo in range(0, n, _BATCH_ROWS):
         rows = slice(lo, lo + _BATCH_ROWS)
         cum = step_cumulants(model, node_ticks,

@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from ._piecewise import from_ticks, merge_ticks, to_ticks
-from .gaussian import Quantile, log_tail_ratio, normal_quantile, tail_ratio
+from .gaussian import log_tail_ratio, normal_quantile, tail_ratio
 from .market import MarketModel
 from .strategies import Cumulants, DeterministicStrategy, cumulants
 
@@ -53,18 +53,14 @@ class RiskSpec:
     alpha: float
     zeta: float
     kind: MeasureKind = MeasureKind.VAR
-    quantile: Quantile = field(init=False, compare=False, repr=False)
+    abs_z: float = field(init=False, compare=False, repr=False)   # |z_alpha|
 
     def __post_init__(self):
         if not 0.0 < self.zeta < 1.0:
             raise ValueError(f"zeta must lie in (0,1), got {self.zeta}")
         object.__setattr__(self, "kind", MeasureKind(self.kind))
-        # alpha range is enforced by the quantile constructor
-        object.__setattr__(self, "quantile", normal_quantile(self.alpha))
-
-    @property
-    def abs_z(self) -> float:
-        return self.quantile.abs_z
+        # alpha range is enforced by normal_quantile
+        object.__setattr__(self, "abs_z", -normal_quantile(self.alpha))
 
     def log_bound(self) -> float:
         return float(np.log1p(-self.zeta))
@@ -77,18 +73,17 @@ class RiskSpec:
 # _lambda_from_cumulants and _shortfall_mean take single strategies and
 # batches alike (a batch adds a leading candidate axis to every curve).
 
-def _lambda_from_cumulants(cum: Cumulants, quantile: Quantile, x: float, t):
+def _lambda_from_cumulants(cum: Cumulants, abs_z: float, x: float, t):
     t = np.asarray(t, dtype=np.float64)
     ynn = cum.ynn(t)
     expo = (cum.model.R(t) - cum.V(t) + cum.ydt(t)
-            - 0.5 * ynn - quantile.abs_z * np.sqrt(ynn))
+            - 0.5 * ynn - abs_z * np.sqrt(ynn))
     return x * np.exp(expo)
 
 
-def _shortfall_mean(cum: Cumulants, quantile: Quantile, x: float, t):
+def _shortfall_mean(cum: Cumulants, abs_z: float, x: float, t):
     t = np.asarray(t, dtype=np.float64)
-    yn = cum.y_norm(t)
-    factor = tail_ratio(quantile, quantile.abs_z + yn)
+    factor = tail_ratio(abs_z, abs_z + np.sqrt(cum.ynn(t)))
     return x * factor * np.exp(cum.model.R(t) + cum.ydt(t) - cum.V(t))
 
 
@@ -133,8 +128,8 @@ def constraint_profile(model: MarketModel, strategy: DeterministicStrategy,
     else:
         grid = from_ticks(merge_ticks(cum.node_ticks, to_ticks(grid)))
     bond = x * np.exp(model.R(grid))
-    lam = _lambda_from_cumulants(cum, spec.quantile, x, grid)
-    m = _shortfall_mean(cum, spec.quantile, x, grid)
+    lam = _lambda_from_cumulants(cum, spec.abs_z, x, grid)
+    m = _shortfall_mean(cum, spec.abs_z, x, grid)
     return RiskProfile(
         times=grid, var_curve=bond - lam, es_curve=bond - m,
         level_curve=spec.zeta * bond, kind=spec.kind,
@@ -151,9 +146,9 @@ def max_ratios(cum: Cumulants, spec: RiskSpec, x: float,
     """
     bond = x * np.exp(cum.model.R(grid))
     if spec.kind == MeasureKind.VAR:
-        measure = bond - _lambda_from_cumulants(cum, spec.quantile, x, grid)
+        measure = bond - _lambda_from_cumulants(cum, spec.abs_z, x, grid)
     else:
-        measure = bond - _shortfall_mean(cum, spec.quantile, x, grid)
+        measure = bond - _shortfall_mean(cum, spec.abs_z, x, grid)
     return np.max(measure / (spec.zeta * bond), axis=-1)
 
 
@@ -169,15 +164,15 @@ def certified_feasible(cum: Cumulants, spec: RiskSpec, x: float) -> np.ndarray:
     such bound clears ln(1 - zeta) by a rounding margin; False means only
     "not proved".
     """
-    q = spec.quantile
+    abs_z = spec.abs_z
     ydt, ynn, V = cum.ydt.values, cum.ynn.values, cum.V_of.values
     affine = ydt - V
     norm_right = np.sqrt(ynn[..., 1:])
     if spec.kind == MeasureKind.VAR:
         affine = affine - 0.5 * ynn
-        spread = -q.abs_z * norm_right
+        spread = -abs_z * norm_right
     else:
-        spread = log_tail_ratio(q, q.abs_z + norm_right)
+        spread = log_tail_ratio(abs_z, abs_z + norm_right)
     lower = np.min(np.minimum(affine[..., :-1], affine[..., 1:]) + spread, axis=-1)
 
     # Rounding.  max_ratios computes u = lambda / bond (VaR) or m / bond
@@ -199,8 +194,8 @@ def certified_feasible(cum: Cumulants, spec: RiskSpec, x: float) -> np.ndarray:
     log_bound = spec.log_bound()
     norm_T = np.sqrt(ynn[..., -1])
     size = (np.max(np.abs(cum.model.cum_r.values)) + V[..., -1]
-            + np.max(np.abs(ydt), axis=-1) + ynn[..., -1] + q.abs_z * norm_T
-            + (1.0 + q.abs_z + norm_T) ** 2 - log_bound)
+            + np.max(np.abs(ydt), axis=-1) + ynn[..., -1] + abs_z * norm_T
+            + (1.0 + abs_z + norm_T) ** 2 - log_bound)
     # Range: every exponential and product of the ratio lies within
     # e^{+-(2 size + |ln x| + |ln zeta|)}, kept well inside float64's normal
     # range (e^{+-708}), where the relative errors above hold.

@@ -100,9 +100,8 @@ class Solution:
 
     def write_feedback_grids(self, path_p, path_c, n_t: int = 51,
                              n_x: int = 51) -> None:
-        """Dump grids of the feedback handles p and c* over t and x/x0 in [0.2, 5]."""
-        if self.feedback is None:
-            return
+        """Dump grids of a feedback solution's handles p and c* over t and x/x0
+        in [0.2, 5]."""
         ts = np.linspace(0.0, self.model.horizon, n_t)
         xs = np.linspace(0.2 * self.x, 5.0 * self.x, n_x)
         gs = self.feedback.g(ts[:, None], xs)

@@ -133,10 +133,6 @@ class GrowthFractionConsumption:
         return a, self.a * model.r_step[idx] + self.b * theta_sq
 
 
-def zero_consumption(horizon: float) -> StepConsumption:
-    return StepConsumption(CoefficientPath.constant(np.array(0.0), horizon))
-
-
 # ---------------------------------------------------------------------------
 # Strategy = exposure path + consumption family
 # ---------------------------------------------------------------------------
@@ -151,15 +147,12 @@ class DeterministicStrategy:
     def dimension(self) -> int:
         return self.y_path.values.shape[1]
 
-    def y_at(self, t) -> np.ndarray:
-        return np.asarray(self.y_path.value_at(to_ticks(t)), dtype=np.float64)
-
     def pi_at(self, model: MarketModel, t) -> np.ndarray:
         """Portfolio fractions pi_t = (sigma_t')^{-1} y_t."""
         t_ticks = to_ticks(t)
         idx = segment_index(model.node_ticks, t_ticks)
         sigmas = model.sigma_step[idx]
-        y = self.y_at(t)
+        y = np.asarray(self.y_path.value_at(t_ticks), dtype=np.float64)
         return np.linalg.solve(np.swapaxes(sigmas, -1, -2), y[..., None])[..., 0]
 
     def v_at(self, model: MarketModel, t) -> np.ndarray:
@@ -196,7 +189,7 @@ def scaled_theta_strategy(model: MarketModel, factor: float,
         horizon_ticks=int(model.node_ticks[-1]),
     )
     if consumption is None:
-        consumption = zero_consumption(model.horizon)
+        consumption = StepConsumption(CoefficientPath.constant(np.array(0.0), model.horizon))
     return DeterministicStrategy(y_path=y_path, consumption=consumption)
 
 
@@ -225,7 +218,7 @@ class Cumulants:
     model: MarketModel
     node_ticks: np.ndarray       # merged partition (k+1,)
     ydt: PiecewiseLinear         # (y,theta)_t
-    ynn: PiecewiseLinear         # ||y||_t^2
+    ynn: PiecewiseLinear         # ||y||_t^2, the variance of ln X_t
     V_of: object                 # t -> V_t = int_0^t v
     cons_a: np.ndarray           # per-interval log-affine of v e^{-V}
     cons_b: np.ndarray
@@ -241,21 +234,10 @@ class Cumulants:
     def V(self, t):
         return np.asarray(self.V_of(t), dtype=np.float64)
 
-    def y_norm(self, t):
-        return np.sqrt(self.ynn(t))
-
-    def V_T(self):
-        end = self.V(self.horizon)
-        return float(end) if end.ndim == 0 else end
-
     def log_drift(self, t):
         """mean of ln(X_t/x): R_t - V_t + (y,theta)_t - ||y||_t^2/2."""
         t = np.asarray(t, dtype=np.float64)
         return self.model.R(t) - self.V(t) + self.ydt(t) - 0.5 * self.ynn(t)
-
-    def log_var(self, t):
-        """variance of ln X_t: ||y||_t^2."""
-        return self.ynn(t)
 
 
 def _exposure_cumulants(model: MarketModel, node_ticks: np.ndarray, y):

@@ -45,56 +45,6 @@ G_RESIDUAL_RTOL = 1e-12
 _G_MAX_ITER = 200
 
 
-@dataclass(frozen=True)
-class HaraCoefficients:
-    """Exact A1, A2 and their derivatives for a market/utility pair."""
-
-    model: MarketModel
-    utility: UtilityParams
-    beta1_step: np.ndarray
-    beta2_step: np.ndarray
-    cum_beta1: PiecewiseLinear
-    cum_beta2: PiecewiseLinear
-    exp_beta1_integral: object      # int_0^t e^{B1(s)} ds
-
-    @classmethod
-    def build(cls, model: MarketModel, utility: UtilityParams) -> "HaraCoefficients":
-        q1, q2 = utility.q1, utility.q2
-        theta_sq = np.sum(model.theta_step ** 2, axis=1)
-        beta1 = (q1 - 1.0) * (model.r_step + 0.5 * q1 * theta_sq)
-        beta2 = (q2 - 1.0) * (model.r_step + 0.5 * q2 * theta_sq)
-        cum_b1 = cumulative_linear(model.node_ticks, beta1)
-        cum_b2 = cumulative_linear(model.node_ticks, beta2)
-        return cls(
-            model=model, utility=utility,
-            beta1_step=beta1, beta2_step=beta2,
-            cum_beta1=cum_b1, cum_beta2=cum_b2,
-            exp_beta1_integral=cumulative_exp_affine(cum_b1),
-        )
-
-    def beta_at(self, t, which: int) -> np.ndarray:
-        idx = segment_index(self.model.node_ticks, to_ticks(t))
-        step = self.beta1_step if which == 1 else self.beta2_step
-        return step[idx]
-
-    def A1(self, t):
-        g1 = self.utility.gamma1 ** self.utility.q1
-        tail = self.exp_beta1_integral.end_value - self.exp_beta1_integral(t)
-        return g1 * np.exp(-self.cum_beta1(t)) * tail
-
-    def A2(self, t):
-        g2 = self.utility.gamma2 ** self.utility.q2
-        return g2 * np.exp(self.cum_beta2.end_value - self.cum_beta2(t))
-
-    def A1_dot(self, t):
-        """Exact derivative at interval interiors: -beta1 A1 - gamma1^{q1}."""
-        g1 = self.utility.gamma1 ** self.utility.q1
-        return -self.beta_at(t, 1) * self.A1(t) - g1
-
-    def A2_dot(self, t):
-        return -self.beta_at(t, 2) * self.A2(t)
-
-
 def _solve_g(A1, A2, q1: float, q2: float, x):
     """Vectorized root of A1 g^{-q1} + A2 g^{-q2} = x (g > 0, unique).
 
@@ -155,23 +105,63 @@ def _solve_g(A1, A2, q1: float, q2: float, x):
 
 @dataclass(frozen=True)
 class HaraFeedback:
-    """Implicit feedback handles (g, p, c*) over precomputed coefficients."""
+    """Implicit feedback handles (g, p, c*) of the power-utility optimum at
+    initial wealth x0, over the exact growth coefficients A1, A2 and their
+    derivatives."""
 
     model: MarketModel
     utility: UtilityParams
-    coeffs: HaraCoefficients
-    x0: float = 1.0
+    x0: float
+    beta1_step: np.ndarray
+    beta2_step: np.ndarray
+    cum_beta1: PiecewiseLinear
+    cum_beta2: PiecewiseLinear
+    exp_beta1_integral: object      # int_0^t e^{B1(s)} ds
+
+    @classmethod
+    def build(cls, model: MarketModel, utility: UtilityParams, x0: float) -> "HaraFeedback":
+        q1, q2 = utility.q1, utility.q2
+        theta_sq = np.sum(model.theta_step ** 2, axis=1)
+        beta1 = (q1 - 1.0) * (model.r_step + 0.5 * q1 * theta_sq)
+        beta2 = (q2 - 1.0) * (model.r_step + 0.5 * q2 * theta_sq)
+        cum_b1 = cumulative_linear(model.node_ticks, beta1)
+        cum_b2 = cumulative_linear(model.node_ticks, beta2)
+        return cls(
+            model=model, utility=utility, x0=x0,
+            beta1_step=beta1, beta2_step=beta2,
+            cum_beta1=cum_b1, cum_beta2=cum_b2,
+            exp_beta1_integral=cumulative_exp_affine(cum_b1),
+        )
+
+    def beta_at(self, t, which: int) -> np.ndarray:
+        idx = segment_index(self.model.node_ticks, to_ticks(t))
+        step = self.beta1_step if which == 1 else self.beta2_step
+        return step[idx]
+
+    def A1(self, t):
+        g1 = self.utility.gamma1 ** self.utility.q1
+        tail = self.exp_beta1_integral.end_value - self.exp_beta1_integral(t)
+        return g1 * np.exp(-self.cum_beta1(t)) * tail
+
+    def A2(self, t):
+        g2 = self.utility.gamma2 ** self.utility.q2
+        return g2 * np.exp(self.cum_beta2.end_value - self.cum_beta2(t))
+
+    def A1_dot(self, t):
+        """Exact derivative at interval interiors: -beta1 A1 - gamma1^{q1}."""
+        g1 = self.utility.gamma1 ** self.utility.q1
+        return -self.beta_at(t, 1) * self.A1(t) - g1
+
+    def A2_dot(self, t):
+        return -self.beta_at(t, 2) * self.A2(t)
 
     def g(self, t, x):
-        A1 = self.coeffs.A1(t)
-        A2 = self.coeffs.A2(t)
-        out = _solve_g(A1, A2, self.utility.q1, self.utility.q2, x)
+        out = _solve_g(self.A1(t), self.A2(t), self.utility.q1, self.utility.q2, x)
         return float(out) if out.ndim == 0 else out
 
     def p_from_g(self, t, g):
         q1, q2 = self.utility.q1, self.utility.q2
-        return (q1 * self.coeffs.A1(t) * g ** -q1
-                + q2 * self.coeffs.A2(t) * g ** -q2)
+        return q1 * self.A1(t) * g ** -q1 + q2 * self.A2(t) * g ** -q2
 
     def c_from_g(self, g):
         return (self.utility.gamma1 / g) ** self.utility.q1
@@ -180,14 +170,14 @@ class HaraFeedback:
         """Candidate value z(t,x); z(0,x) is the optimal cost."""
         g = self.g(t, x)
         u = self.utility
-        return (self.coeffs.A1(t) / u.gamma1 * g ** (1.0 - u.q1)
-                + self.coeffs.A2(t) / u.gamma2 * g ** (1.0 - u.q2))
+        return (self.A1(t) / u.gamma1 * g ** (1.0 - u.q1)
+                + self.A2(t) / u.gamma2 * g ** (1.0 - u.q2))
 
     def z_t_from_g(self, t, g):
         """Exact time partial of z away from coefficient breakpoints."""
         u = self.utility
-        return (-self.coeffs.A1_dot(t) / (1.0 - u.q1) * g ** (1.0 - u.q1)
-                - self.coeffs.A2_dot(t) / (1.0 - u.q2) * g ** (1.0 - u.q2))
+        return (-self.A1_dot(t) / (1.0 - u.q1) * g ** (1.0 - u.q1)
+                - self.A2_dot(t) / (1.0 - u.q2) * g ** (1.0 - u.q2))
 
     def wealth_mean(self, t):
         """E[X*_t] from the exponential-of-Gaussian representation."""
@@ -200,18 +190,17 @@ class HaraFeedback:
         def moment(q):
             return np.exp(q * (R + 0.5 * TS) + 0.5 * q * q * TS)
 
-        return (self.coeffs.A1(t) * g0 ** -q1 * moment(q1)
-                + self.coeffs.A2(t) * g0 ** -q2 * moment(q2))
+        return (self.A1(t) * g0 ** -q1 * moment(q1)
+                + self.A2(t) * g0 ** -q2 * moment(q2))
 
 
 def hara_g(model: MarketModel, utility: UtilityParams, t, x):
     """Root g(t,x) of A1(t) g^{-q1} + A2(t) g^{-q2} = x (standalone form).
 
-    Residual is driven below 1e-12 * x; unique by strict monotonicity.
+    Residual is driven below 1e-12 * x; unique by strict monotonicity.  The
+    initial wealth of the feedback built here enters only its wealth_mean.
     """
-    coeffs = HaraCoefficients.build(model, utility)
-    out = _solve_g(coeffs.A1(t), coeffs.A2(t), utility.q1, utility.q2, x)
-    return float(out) if out.ndim == 0 else out
+    return HaraFeedback.build(model, utility, 1.0).g(t, x)
 
 
 def solve_linear_unconstrained(model: MarketModel, x: float) -> Solution:
@@ -249,8 +238,7 @@ def solve_hara_unconstrained(model: MarketModel, utility: UtilityParams,
         raise UnsupportedRegime(
             "feedback solution requires gamma1, gamma2 in (0,1); "
             "use the linear solver for gamma = 1")
-    coeffs = HaraCoefficients.build(model, utility)
-    feedback = HaraFeedback(model=model, utility=utility, coeffs=coeffs, x0=x)
+    feedback = HaraFeedback.build(model, utility, x)
     value = float(feedback.value_function(0.0, x))
     g0 = feedback.g(0.0, x)
     return Solution(

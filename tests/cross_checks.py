@@ -4,23 +4,27 @@ Each restates a quantity of the package by another route: the expected
 cost by adaptive quadrature, the sup of the cost tilt along theta, the
 Gaussian upper tail, Mills' ratio bounds on it, the Hamiltonian probe
 check node by node, the oracle's feasibility screen on the full profile
-grid in one pass, the standard errors of the empirical VaR and ES, the
-output tables written one formatted field at a time (``fmt`` and ``write_rows``, the package's writers before
-``_table.write_table``), the closed-form quantile, VaR and ES of one
-strategy with the log form of the uniform bound, the verdict of a
-constraint profile, and the exposure budget left after consuming part of
-the bound, from scipy's normal tail.
+grid in one pass, a simulated ensemble's whole consumption table, the
+standard errors of the empirical VaR and ES, the output tables written
+one formatted field at a time (``fmt`` and ``write_rows``, the package's
+writers before ``_table.write_table``), the closed-form quantile, VaR and
+ES of one strategy with the log form of the uniform bound, the ES budget
+function psi(rho, u) whose root at u = 1 ``rho_es`` finds, the verdict of
+a constraint profile, and the exposure budget left after consuming part
+of the bound, from scipy's normal tail.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from merton_risk.gaussian import _SQRT2, Quantile, _real, erfc, log_tail_ratio, normal_quantile
+from merton_risk.gaussian import _SQRT2, _real, erfc, gauss_hazard, log_tail_ratio, normal_quantile
 from merton_risk.hjb import _grid, _reduced_hamiltonian_terms
 from merton_risk.market import MarketModel
+from merton_risk.mc import PathEnsemble
 from merton_risk.oracle import _CHUNK, N_PROFILE, _cost, _cost_pieces
 from merton_risk.risk import (
     SATURATION_TOL,
@@ -183,6 +187,12 @@ def write_oracle_csv_per_field(path, records) -> None:
         for rec in records))
 
 
+def ensemble_consumption(ensemble: PathEnsemble) -> np.ndarray:
+    """(n, m) consumption rate c_t of every path at the grid times, from a
+    replay of the ensemble's stream."""
+    return np.concatenate([c for _, c in ensemble._consumption_chunks(ensemble.n_paths)])
+
+
 def empirical_stderr(ensemble, spec: RiskSpec):
     """Standard errors of mc.empirical_risk_curve's VaR and ES at each time.
 
@@ -228,7 +238,7 @@ def quantile_lambda(model: MarketModel, strategy: DeterministicStrategy,
                     alpha: float, x: float, t):
     """Exact alpha-quantile of wealth at time t."""
     cum = cumulants(model, strategy)
-    out = _lambda_from_cumulants(cum, normal_quantile(alpha), x, t)
+    out = _lambda_from_cumulants(cum, -normal_quantile(alpha), x, t)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -239,7 +249,7 @@ def value_at_risk(model: MarketModel, strategy: DeterministicStrategy,
     May be negative; negative values are returned as-is (spare risk budget).
     """
     cum = cumulants(model, strategy)
-    lam = _lambda_from_cumulants(cum, normal_quantile(alpha), x, t)
+    lam = _lambda_from_cumulants(cum, -normal_quantile(alpha), x, t)
     out = x * np.exp(cum.model.R(np.asarray(t, dtype=np.float64))) - lam
     return float(out) if np.ndim(t) == 0 else out
 
@@ -248,8 +258,7 @@ def expected_shortfall(model: MarketModel, strategy: DeterministicStrategy,
                        alpha: float, x: float, t):
     """Excess loss of the tail conditional mean; always >= value_at_risk."""
     cum = cumulants(model, strategy)
-    quantile = normal_quantile(alpha)
-    m = _shortfall_mean(cum, quantile, x, t)
+    m = _shortfall_mean(cum, -normal_quantile(alpha), x, t)
     out = x * np.exp(cum.model.R(np.asarray(t, dtype=np.float64))) - m
     return float(out) if np.ndim(t) == 0 else out
 
@@ -258,18 +267,39 @@ def expected_shortfall(model: MarketModel, strategy: DeterministicStrategy,
 # Log-form functionals (sup-constraint in additive form)
 # ---------------------------------------------------------------------------
 
-def log_risk_var(cum: Cumulants, quantile: Quantile, t):
-    """L_t; the VaR bound holds at t iff L_t >= ln(1 - zeta)."""
+def log_risk_var(cum: Cumulants, abs_z: float, t):
+    """L_t at |z_alpha| = abs_z; the VaR bound holds at t iff L_t >= ln(1 - zeta)."""
     t = np.asarray(t, dtype=np.float64)
-    yn = cum.y_norm(t)
-    return cum.ydt(t) - cum.V(t) - 0.5 * cum.ynn(t) - quantile.abs_z * yn
+    yn = np.sqrt(cum.ynn(t))
+    return cum.ydt(t) - cum.V(t) - 0.5 * cum.ynn(t) - abs_z * yn
 
 
-def log_risk_es(cum: Cumulants, quantile: Quantile, t):
-    """L*_t; the ES bound holds at t iff L*_t >= ln(1 - zeta)."""
+def log_risk_es(cum: Cumulants, abs_z: float, t):
+    """L*_t at |z_alpha| = abs_z; the ES bound holds at t iff L*_t >= ln(1 - zeta)."""
     t = np.asarray(t, dtype=np.float64)
-    yn = cum.y_norm(t)
-    return cum.ydt(t) - cum.V(t) + log_tail_ratio(quantile, quantile.abs_z + yn)
+    yn = np.sqrt(cum.ynn(t))
+    return cum.ydt(t) - cum.V(t) + log_tail_ratio(abs_z, abs_z + yn)
+
+
+@dataclass(frozen=True)
+class PsiFunction:
+    """psi(rho, u) = ||theta||_T rho u^2 + ln F_a(|z_a| + rho u), the ES
+    budget function, for ||theta||_T = theta_norm_T and |z_a| = abs_z;
+    rho_es solves psi(rho, 1) = ln(1 - zeta)."""
+
+    theta_norm_T: float
+    abs_z: float
+
+    def __call__(self, rho, u=1.0):
+        rho = np.asarray(rho, dtype=np.float64)
+        u = np.asarray(u, dtype=np.float64)
+        return (self.theta_norm_T * rho * u ** 2
+                + log_tail_ratio(self.abs_z, self.abs_z + rho * u))
+
+    def d_rho(self, rho):
+        """d psi / d rho at u = 1 (negative while |z_a| >= ||theta||_T)."""
+        rho = np.asarray(rho, dtype=np.float64)
+        return self.theta_norm_T - gauss_hazard(self.abs_z + rho)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ def simulate_feedback_euler(model: MarketModel, utility: UtilityParams,
     for k in range(n_steps):
         t = ts[k]
         theta = theta_at(model, t)
-        A1 = float(fb.coeffs.A1(t))
-        A2 = float(fb.coeffs.A2(t))
+        A1 = float(fb.A1(t))
+        A2 = float(fb.A2(t))
         for _ in range(4):
             e1 = A1 * np.exp(-q1 * u)
             e2 = A2 * np.exp(-q2 * u)

@@ -13,7 +13,6 @@ from merton_risk.bounded import big_g, kappa_hat, solve_linear, solve_tight
 from merton_risk.es_bound import (
     ES,
     es_loose_threshold,
-    psi_function,
     rho_es,
     rho_es_upper_bound,
 )
@@ -39,6 +38,7 @@ from conftest import (
     unit_feedback,
 )
 from cross_checks import (
+    PsiFunction,
     budget_after,
     empirical_stderr,
     expected_shortfall,
@@ -119,7 +119,7 @@ def test_criterion_3_root_certificates():
         worst_var = max(worst_var, res_v)
 
         r_e = rho_es(m, spec_e)
-        psi = psi_function(m, spec_e)
+        psi = PsiFunction(m.theta_norm_T, spec_e.abs_z)
         res_e = abs(float(psi(r_e, 1.0)) - spec_e.log_bound())
         worst_es = max(worst_es, res_e)
         if spec_e.abs_z > 1.0:
@@ -144,7 +144,7 @@ def test_criterion_4_constraint_saturation():
         spec = RiskSpec(alpha=0.01, zeta=0.1, kind=kind)
         sol = solve_linear(rules, m, spec, x)
         prof = constraint_profile(m, sol.strategy, spec, x, n_refine=10_000)
-        log_curve = log_form(cumulants(m, sol.strategy), spec.quantile, prof.times)
+        log_curve = log_form(cumulants(m, sol.strategy), spec.abs_z, prof.times)
         gap = abs(float(np.min(log_curve)) - spec.log_bound())
         assert gap <= 1e-9
         saturation[kind.value] = gap
@@ -313,7 +313,7 @@ def test_criterion_8_risk_measures_vs_monte_carlo():
         # asymptotic quantile std error with the exact lognormal density
         cum = cumulants(m, s)
         mu_log = np.log(x) + float(cum.log_drift(t))
-        s_log = float(np.sqrt(cum.log_var(t)))
+        s_log = float(np.sqrt(cum.ynn(t)))
         dens = (np.exp(-0.5 * ((np.log(lam_cf) - mu_log) / s_log) ** 2)
                 / (lam_cf * s_log * np.sqrt(2 * np.pi)))
         se_lam = np.sqrt(alpha * (1 - alpha) / n) / dens
@@ -342,7 +342,7 @@ def test_criterion_9_monotonicity_suites():
     t0 = time.time()
     m = standard()
     spec_e = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.ES)
-    psi = psi_function(m, spec_e)
+    psi = PsiFunction(m.theta_norm_T, spec_e.abs_z)
     assert spec_e.abs_z >= 2.0 * m.theta_norm_T
     us = np.linspace(0.0, 1.0, 1000)
     for rho in np.geomspace(1e-3, 20.0, 25):

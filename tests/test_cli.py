@@ -198,11 +198,26 @@ BAD_TABLES = {"nan_pi.csv": "t,pi_1,v\n0.0,nan,0.1\n0.5,0.2,0.1\n",
     ({}, ["simulate", "--strategy", "nan_pi.csv"]),
     ({}, ["simulate", "--strategy", "no_v.csv"]),
     ({}, ["simulate", "--strategy", "empty.csv"]),
+    # a number field takes a JSON number only, d a JSON integer only
+    ({"x0": "1.5"}, ["solve"]),
+    ({"x0": True}, ["solve"]),
+    ({"x0": 10 ** 400}, ["solve"]),
+    ({"utility": {"gamma1": "0.5", "gamma2": 0.5}}, ["solve"]),
+    ({"risk": {"kind": "var", "alpha": "0.05", "zeta": 0.1}}, ["solve"]),
+    ({"market": {**market_doc(), "T": "1.0"}}, ["solve"]),
+    ({"market": {**market_doc(), "d": 2.5}}, ["solve"]),
+    ({"market": {**market_doc(), "d": True}}, ["solve"]),
+    ({"market": {**market_doc(), "r": [{"t0": "0", "value": 0.0}]}}, ["solve"]),
+    ({"market": {**market_doc(), "r": [{"t0": 0.0, "value": "0.0"}]}}, ["solve"]),
+    ({"market": {**market_doc(), "mu": [{"t0": 0.0, "value": ["0.1"]}]}}, ["solve"]),
+    ({"market": {**market_doc(), "sigma": [{"t0": 0.0, "value": [[True]]}]}}, ["solve"]),
 ], ids=["utility_number", "x0_null", "x0_list", "risk_number", "gamma1_null",
         "rho_step_zero", "rho_step_nan", "rho_step_negative",
         "missing_strategy_file", "zero_paths", "negative_grid", "negative_steps",
         "negative_dump_paths", "nan_strategy_field", "short_strategy_row",
-        "empty_strategy_table"])
+        "empty_strategy_table", "x0_string", "x0_bool", "x0_beyond_float",
+        "gamma1_string", "alpha_string", "T_string", "d_fraction", "d_bool",
+        "t0_string", "r_string", "mu_string", "sigma_bool"])
 def test_malformed_input_is_input_error(tmp_path, capsys, patch, command):
     for name, text in BAD_TABLES.items():
         (tmp_path / name).write_text(text)
@@ -216,6 +231,23 @@ def test_malformed_input_is_input_error(tmp_path, capsys, patch, command):
     assert capsys.readouterr().err.startswith("input error: ")
     assert not (tmp_path / "out" / "solution.json").exists()
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("options", [["--out", "OUT", "--grid", "abc"], [],
+                                     ["--out", "OUT", "--bogus"]],
+                         ids=["grid_not_int", "missing_out", "unknown_flag"])
+def test_usage_error_is_input_error(tmp_path, capsys, options):
+    # argparse would exit 2, the code of a missing closed form
+    spec = write_spec(tmp_path / "p.json", **TIGHT_VAR)
+    argv = ["solve", str(spec)] + [str(tmp_path / "out") if a == "OUT" else a
+                                   for a in options]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("input error: merton-risk")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
 
 
 @pytest.mark.parametrize("flag", ["--steps", "--dump-paths"])
@@ -396,27 +428,11 @@ def test_exit2_paths_go_through_exit_codes(tmp_path, capsys, path):
     assert {p.name for p in out.glob("*")} == files
 
 
-class ScaledTerminalCoeffs:
-    """Growth coefficients with A2 (and its derivative) scaled by a factor."""
-
-    def __init__(self, inner, factor: float):
-        self._inner = inner
-        self._factor = factor
-
-    def A1(self, t):
-        return self._inner.A1(t)
+class ScaledTerminalFeedback(unconstrained.HaraFeedback):
+    """The feedback law with A2 (and so its derivative) scaled by 1.01."""
 
     def A2(self, t):
-        return self._factor * self._inner.A2(t)
-
-    def A1_dot(self, t):
-        return self._inner.A1_dot(t)
-
-    def A2_dot(self, t):
-        return self._factor * self._inner.A2_dot(t)
-
-    def beta_at(self, t, which):
-        return self._inner.beta_at(t, which)
+        return 1.01 * super().A2(t)
 
 
 def test_verify_ok_and_corrupted(tmp_path, monkeypatch):
@@ -434,9 +450,7 @@ def test_verify_ok_and_corrupted(tmp_path, monkeypatch):
 
     def corrupted(model, utility, x):
         sol = solve(model, utility, x)
-        feedback = unconstrained.HaraFeedback(
-            model=model, utility=utility,
-            coeffs=ScaledTerminalCoeffs(sol.feedback.coeffs, 1.01), x0=x)
+        feedback = ScaledTerminalFeedback.build(model, utility, x)
         return dataclasses.replace(sol, feedback=feedback)
 
     monkeypatch.setattr(unconstrained, "solve_hara_unconstrained", corrupted)

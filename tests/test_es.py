@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from merton_risk import es_bound
+from merton_risk._rootfind import expand_bracket, solve_bracketed
 from merton_risk.bounded import kappa_hat, loose_bound_check, solve_linear, solve_tight
 from merton_risk.errors import ConditionViolated, HypothesisViolated, NoClosedFormRegime
 from merton_risk.es_bound import (
     ES,
+    ROOT_RESIDUAL,
     es_loose_threshold,
-    psi_function,
     rho_es,
     rho_es_upper_bound,
     solve_es,
@@ -21,7 +23,7 @@ from merton_risk.utility import UtilityParams
 from merton_risk.var_bound import VAR, rho_var
 
 from conftest import theta_market
-from cross_checks import budget_after, log_risk_es, max_ratio, satisfied
+from cross_checks import PsiFunction, budget_after, log_risk_es, max_ratio, satisfied
 
 # mpmath, 50 digits
 RHO_ES_STD = 0.048176088255488039142
@@ -42,7 +44,7 @@ def test_rho_es_standard_instance(standard_market):
     spec = RiskSpec(**ES01)
     rho = rho_es(standard_market, spec)
     assert rho == pytest.approx(RHO_ES_STD, rel=1e-10)
-    psi = psi_function(standard_market, spec)
+    psi = PsiFunction(standard_market.theta_norm_T, spec.abs_z)
     assert abs(float(psi(rho, 1.0)) - spec.log_bound()) < 1e-10
     bound = rho_es_upper_bound(standard_market, spec)
     assert bound == pytest.approx(RHO3_BOUND_STD, rel=1e-12)
@@ -67,6 +69,36 @@ def test_rho_es_below_rho_var_random():
         count += 1
 
 
+def _rho_es_on_psi(model, spec):
+    """rho_es's bracket and safeguarded Newton search, run on the
+    PsiFunction reference."""
+    psi = PsiFunction(model.theta_norm_T, spec.abs_z)
+    target = spec.log_bound()
+    f = lambda r: float(psi(r) - target)
+    if spec.abs_z > 1.0:
+        hi = max(1.0, 2.0 * rho_es_upper_bound(model, spec))
+    else:
+        hi = expand_bracket(f, 0.0, 1.0)[1]
+    return solve_bracketed(f, 0.0, hi, fprime=lambda r: float(psi.d_rho(r)),
+                           residual_tol=ROOT_RESIDUAL, scale=max(1.0, abs(target)))
+
+
+def test_rho_es_bits_match_psi_reference(monkeypatch):
+    # |z_alpha| <= 1 (alpha >= 0.16) takes the expand_bracket branch, which
+    # no benchmark task reaches
+    expanded = []
+    monkeypatch.setattr(es_bound, "expand_bracket",
+                        lambda *a: expanded.append(1) or expand_bracket(*a))
+    rng = np.random.default_rng(47)
+    for i in range(200):
+        alpha = float(rng.uniform(1e-4, 0.15) if i % 2 else rng.uniform(0.16, 0.45))
+        spec = RiskSpec(alpha=alpha, zeta=float(rng.uniform(0.01, 0.95)),
+                        kind=MeasureKind.ES)
+        m = theta_market(float(rng.uniform(0.0, spec.abs_z / 2)))
+        assert rho_es(m, spec) == _rho_es_on_psi(m, spec)
+    assert len(expanded) == 100
+
+
 def test_rho_es_hypothesis_violated():
     m = theta_market(0.5)
     spec = RiskSpec(alpha=0.25, zeta=0.1, kind=MeasureKind.ES)  # |z| = 0.67
@@ -80,7 +112,7 @@ def test_rho_es_hypothesis_violated():
 
 def test_psi_decreasing_in_u(standard_market):
     spec = RiskSpec(**ES01)
-    psi = psi_function(standard_market, spec)
+    psi = PsiFunction(standard_market.theta_norm_T, spec.abs_z)
     us = np.linspace(0.0, 1.0, 200)
     for rho in (0.05, 0.5, 2.0, 10.0):
         vals = psi(rho, us)
@@ -90,7 +122,7 @@ def test_psi_decreasing_in_u(standard_market):
 
 def test_psi_decreasing_in_rho(standard_market):
     spec = RiskSpec(**ES01)
-    psi = psi_function(standard_market, spec)
+    psi = PsiFunction(standard_market.theta_norm_T, spec.abs_z)
     bound = rho_es_upper_bound(standard_market, spec)
     rhos = np.linspace(0.0, 2 * bound, 300)
     vals = psi(rhos, 1.0)
@@ -102,7 +134,7 @@ def test_psi_monotonicity_needs_hypothesis():
     # with |z_alpha| < 2 ||theta||_T the u-monotonicity genuinely fails
     m = theta_market(1.5)
     spec = RiskSpec(alpha=0.05, zeta=0.1, kind=MeasureKind.ES)
-    psi = psi_function(m, spec)
+    psi = PsiFunction(m.theta_norm_T, spec.abs_z)
     assert spec.abs_z < 2 * m.theta_norm_T
     us = np.linspace(0.0, 1.0, 400)
     vals = psi(0.3, us)
@@ -120,7 +152,7 @@ def test_es_linear_standard_instance(standard_market):
     # saturation of the ES log functional, attained at T
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
     log_curve = log_risk_es(cumulants(standard_market, sol.strategy),
-                            spec.quantile, prof.times)
+                            spec.abs_z, prof.times)
     assert np.min(log_curve) == pytest.approx(spec.log_bound(), abs=1e-9)
     assert prof.times[np.argmax(prof.ratio_curve)] == pytest.approx(1.0, abs=1e-6)
     assert max_ratio(prof) == pytest.approx(1.0, abs=1e-9)
@@ -173,7 +205,7 @@ def test_es_loose_large_zeta(standard_market):
     sol = solve_equal_gamma(standard_market, 0.5, 1.0)
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
     log_curve = log_risk_es(cumulants(standard_market, sol.strategy),
-                            spec.quantile, prof.times)
+                            spec.abs_z, prof.times)
     assert satisfied(prof, 1e-9) and np.min(log_curve) >= spec.log_bound() - 1e-9
 
 
@@ -206,7 +238,7 @@ def test_es_tight_standard_instance(standard_market):
     assert spec.abs_z > (2.0 + 0.5 / 0.9 * (6.0 / 5.0)) * 0.5 - 1e-12
     sol = solve_tight(ES, standard_market, u, spec, 1.0)
     assert sol.value == pytest.approx(np.sqrt(0.1) + np.sqrt(0.9), rel=1e-14)
-    assert np.all(sol.strategy.y_at(np.linspace(0, 1, 9)) == 0.0)
+    assert np.all(sol.strategy.y_path.values == 0.0)
     assert sol.regime == "es_tight"
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
     assert satisfied(prof, 1e-9)
@@ -278,11 +310,11 @@ def test_log_functional_bound_chain(standard_market):
     # L*_T + V_T <= psi(||y||_T, 1) for any strategy in the class
     rng = np.random.default_rng(53)
     spec = RiskSpec(**ES01)
-    psi = psi_function(standard_market, spec)
+    psi = PsiFunction(standard_market.theta_norm_T, spec.abs_z)
     from conftest import random_strategy
     for _ in range(50):
         s = random_strategy(rng, standard_market)
         cum = cumulants(standard_market, s)
         T = standard_market.horizon
-        lstar_T = float(log_risk_es(cum, spec.quantile, T))
-        assert lstar_T + cum.V_T() <= float(psi(np.sqrt(cum.ynn.end_value), 1.0)) + 1e-12
+        lstar_T = float(log_risk_es(cum, spec.abs_z, T))
+        assert lstar_T + float(cum.V(T)) <= float(psi(np.sqrt(cum.ynn.end_value), 1.0)) + 1e-12

@@ -46,21 +46,21 @@ F_001_PLUS_1 = 0.043996018047378587714
     (0.05, Z_005), (0.01, Z_001), (0.001, Z_0001),
 ])
 def test_quantile_frozen_values(alpha, expected):
-    q = normal_quantile(alpha)
-    assert q.z_alpha == pytest.approx(expected, abs=5e-15)
-    assert q.abs_z == -q.z_alpha
+    z = normal_quantile(alpha)
+    assert type(z) is float
+    assert z == pytest.approx(expected, abs=5e-15)
 
 
 def test_quantile_near_median():
-    q = normal_quantile(0.4999999)
-    assert q.z_alpha < 0
-    assert q.z_alpha == pytest.approx(0.0, abs=1e-6)
+    z = normal_quantile(0.4999999)
+    assert z < 0
+    assert z == pytest.approx(0.0, abs=1e-6)
 
 
 def test_quantile_round_trip_1e12():
     for alpha in np.geomspace(1e-8, 0.4999, 200):
-        q = normal_quantile(float(alpha))
-        assert abs(float(norm_cdf(q.z_alpha)) - alpha) <= 1e-12
+        z = normal_quantile(float(alpha))
+        assert abs(float(norm_cdf(z)) - alpha) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, -0.1, 1.0])
@@ -70,45 +70,45 @@ def test_alpha_out_of_range(alpha):
 
 
 def test_tail_ratio_at_quantile_is_one():
-    q = normal_quantile(0.01)
-    assert tail_ratio(q, q.abs_z) == 1.0
+    abs_z = -normal_quantile(0.01)
+    assert tail_ratio(abs_z, abs_z) == 1.0
 
 
 def test_tail_ratio_frozen_value():
-    q = normal_quantile(0.01)
-    assert tail_ratio(q, q.abs_z + 1.0) == pytest.approx(F_001_PLUS_1,
+    abs_z = -normal_quantile(0.01)
+    assert tail_ratio(abs_z, abs_z + 1.0) == pytest.approx(F_001_PLUS_1,
                                                          rel=1e-12)
 
 
 def test_tail_ratio_vanishes_far_out():
     # ratio underflows the double range around z ~ 26 for alpha = 0.01;
     # the log form carries the accuracy out to z = 40 (mpmath oracles)
-    q = normal_quantile(0.01)
-    assert 0.0 < tail_ratio(q, 20.0) < 1e-80
-    assert tail_ratio(q, 20.0) == pytest.approx(2.7536241e-87, rel=1e-7)
-    assert log_tail_ratio(q, 40.0) == pytest.approx(-800.0032718277657,
+    abs_z = -normal_quantile(0.01)
+    assert 0.0 < tail_ratio(abs_z, 20.0) < 1e-80
+    assert tail_ratio(abs_z, 20.0) == pytest.approx(2.7536241e-87, rel=1e-7)
+    assert log_tail_ratio(abs_z, 40.0) == pytest.approx(-800.0032718277657,
                                                     rel=1e-13)
 
 
 def test_tail_ratio_monotone_grids():
     for alpha in (0.001, 0.01, 0.05, 0.25):
-        q = normal_quantile(alpha)
-        zs = np.linspace(q.abs_z, 20.0, 1000)
-        vals = tail_ratio(q, zs)
+        abs_z = -normal_quantile(alpha)
+        zs = np.linspace(abs_z, 20.0, 1000)
+        vals = tail_ratio(abs_z, zs)
         assert vals[0] == 1.0
         assert np.all(np.diff(vals) < 0)
         assert np.all((vals > 0) & (vals <= 1.0))
         # the log form stays strictly decreasing out to z = 40
-        logs = log_tail_ratio(q, np.linspace(q.abs_z, 40.0, 1000))
+        logs = log_tail_ratio(abs_z, np.linspace(abs_z, 40.0, 1000))
         assert np.all(np.diff(logs) < 0)
 
 
 def test_tail_ratio_rejects_negative():
-    q = normal_quantile(0.05)
+    abs_z = -normal_quantile(0.05)
     with pytest.raises(NegativeArgument):
-        tail_ratio(q, -0.5)
+        tail_ratio(abs_z, -0.5)
     with pytest.raises(NegativeArgument):
-        log_tail_ratio(q, np.array([0.5, -1.0]))
+        log_tail_ratio(abs_z, np.array([0.5, -1.0]))
 
 
 def test_mills_bounds_against_tail_oracle():
@@ -221,5 +221,5 @@ def test_quantile_against_ndtri_start():
     alphas = np.concatenate([np.geomspace(1e-300, 0.4999, 3001),
                              np.linspace(0.01, 0.4999, 1001)])
     for alpha in alphas:
-        z = normal_quantile(float(alpha)).z_alpha
+        z = normal_quantile(float(alpha))
         assert z == pytest.approx(reference(float(alpha)), rel=1e-15, abs=0.0)

@@ -29,7 +29,7 @@ from merton_risk.var_bound import VAR
 from mc_reference import block_normals, simulate_feedback_euler
 
 from conftest import bond_strategy, constant_market, random_market, random_strategy
-from cross_checks import empirical_stderr, max_ratio, quantile_lambda
+from cross_checks import empirical_stderr, ensemble_consumption, max_ratio, quantile_lambda
 
 
 def test_pure_bond_paths_exact():
@@ -38,7 +38,7 @@ def test_pure_bond_paths_exact():
                                  SimConfig(n_paths=16, seed=1, n_steps=8))
     expected = 1.5 * np.exp(m.R(ens.times))
     assert np.allclose(ens.wealth, expected[None, :], rtol=1e-14)
-    assert np.all(ens.consumption == 0.0)
+    assert np.all(ensemble_consumption(ens) == 0.0)
 
 
 def test_terminal_mean_within_mc_band(standard_market):
@@ -254,7 +254,7 @@ def _whole_matrix_xi(m, s, ens, n, antithetic):
     else:
         cum = cumulants(m, s)
         mean = np.diff(cum.log_drift(grid))
-        var = np.diff(cum.log_var(grid))
+        var = np.diff(cum.ynn(grid))
     sd = np.sqrt(np.maximum(var, 0.0))
     z = block_normals(7, (n + 1) // 2 if antithetic else n, len(grid) - 1)
     if antithetic:
@@ -271,8 +271,8 @@ def _whole_matrix_wealth(m, s, ens, n, antithetic):
     grid = ens.times
     g0 = fb.g(0.0, 1.2)
     q1, q2 = STREAM_UTILITY.q1, STREAM_UTILITY.q2
-    return (fb.coeffs.A1(grid) * g0 ** -q1 * np.exp(-q1 * xi)
-            + fb.coeffs.A2(grid) * g0 ** -q2 * np.exp(-q2 * xi))
+    return (fb.A1(grid) * g0 ** -q1 * np.exp(-q1 * xi)
+            + fb.A2(grid) * g0 ** -q2 * np.exp(-q2 * xi))
 
 
 @pytest.mark.parametrize("kind,n,antithetic", STREAM_CASES)
@@ -376,7 +376,7 @@ def test_feedback_consumption_replays_the_stream(n, antithetic, slices):
         for rows in slices:
             assert np.array_equal(_replayed_rows(ens, rows), want(rows)), (kind, rows)
         if not antithetic:
-            assert np.array_equal(ens.consumption, want(slice(None))), kind
+            assert np.array_equal(ensemble_consumption(ens), want(slice(None))), kind
 
 
 def test_feedback_consumption_replay_stops_at_the_last_row(monkeypatch):

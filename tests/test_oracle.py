@@ -34,6 +34,7 @@ from merton_risk.risk import (
     certified_feasible,
     constraint_profile,
     max_ratios,
+    profile_grid,
 )
 from merton_risk.strategies import (
     DeterministicStrategy,
@@ -155,17 +156,17 @@ def test_log_risk_functional_examples(standard_market):
     bond = bond_strategy(standard_market)
     ts = np.linspace(0.0, 1.0, 9)
     bond_cum = cumulants(standard_market, bond)
-    assert np.allclose(log_risk_var(bond_cum, spec_v.quantile, ts),
+    assert np.allclose(log_risk_var(bond_cum, spec_v.abs_z, ts),
                        0.0)
-    assert np.allclose(log_risk_es(bond_cum, spec_e.quantile, ts),
+    assert np.allclose(log_risk_es(bond_cum, spec_e.abs_z, ts),
                        0.0)
     # the bound saturates at T for both linear optima
     sol_v = solve_linear(VAR, standard_market, spec_v, 1.0)
     assert log_risk_var(cumulants(standard_market, sol_v.strategy),
-                        spec_v.quantile, 1.0) \
+                        spec_v.abs_z, 1.0) \
         == pytest.approx(spec_v.log_bound(), abs=1e-12)
     sol_e = solve_linear(ES, standard_market, spec_e, 1.0)
-    got = log_risk_es(cumulants(standard_market, sol_e.strategy), spec_e.quantile, 1.0)
+    got = log_risk_es(cumulants(standard_market, sol_e.strategy), spec_e.abs_z, 1.0)
     assert abs(got - spec_e.log_bound()) < 1e-10
 
 
@@ -215,7 +216,7 @@ def test_oracle_tight_instance_structure(standard_market):
     cum = cumulants(standard_market,
                     _rebuild_candidate(standard_market, best.rho, best.v_levels))
     assert np.sqrt(cum.ynn.end_value) == pytest.approx(0.0, abs=1e-12)
-    assert cum.V_T() == pytest.approx(-np.log1p(-0.1), abs=5e-3)
+    assert float(cum.V(cum.horizon)) == pytest.approx(-np.log1p(-0.1), abs=5e-3)
 
 
 def _rebuild_candidate(model, rho, v_levels):
@@ -230,6 +231,12 @@ def _rebuild_candidate(model, rho, v_levels):
     return DeterministicStrategy(
         y_path=theta_direction_strategy(model, rho).y_path,
         consumption=plan.consumption)
+
+
+def evaluate_on_grid(model, utility, spec, x, node_ticks, y, v):
+    """_evaluate on node_ticks' profile grid, as grid_search_oracle builds it."""
+    grid = profile_grid(node_ticks, model.horizon, N_PROFILE)
+    return _evaluate(model, utility, spec, x, node_ticks, y, v, grid)
 
 
 def _large_theta_market():
@@ -324,7 +331,7 @@ def test_evaluate_shared_factor_matches_broadcast(kind):
     y = (rng.uniform(-0.15, 0.15, size=shape + (model.dimension,))
          * scale[:, None, None])
     v = rng.uniform(0.0, 0.3, size=shape) * (rng.random(shape) < 0.8) * scale[:, None]
-    evaluate = partial(_evaluate, model, UtilityParams(0.6, 0.4), spec, 1.2,
+    evaluate = partial(evaluate_on_grid, model, UtilityParams(0.6, 0.4), spec, 1.2,
                        node_ticks)
     for y_b, v_b in ((y[:1], v), (y, v[:1]), (y[:1], v[:1])):
         got = evaluate(y_b, v_b)
@@ -352,7 +359,7 @@ def test_evaluate_descent_batch_matches_one_row_evaluations(kind):
     trials[:, 3] = np.linspace(0.0, 0.4, 41)
     v = trials[:, piece]
     assert len(piece) > 8 and not v.flags.c_contiguous
-    evaluate = partial(_evaluate, model, UtilityParams(0.6, 0.4), spec, 1.2,
+    evaluate = partial(evaluate_on_grid, model, UtilityParams(0.6, 0.4), spec, 1.2,
                        node_ticks, _theta_exposures(model, node_ticks, [0.2]))
     batch = evaluate(v)
     assert batch[0].all()
@@ -390,7 +397,7 @@ def test_evaluate_screen_at_T_matches_full_grid(kind):
                 v = rng.uniform(0.0, 0.3, size=shape) * (rng.random(shape) < 0.8)
             args = (model, UtilityParams(0.6, 0.4), spec, 1.2, node_ticks)
             for y_b, v_b in ((y, v), (y[:1], v), (y, v[:1]), (y[:1], v[:1])):
-                got = _evaluate(*args, y_b, v_b)
+                got = evaluate_on_grid(*args, y_b, v_b)
                 want = evaluate_full_grid(*args, y_b, v_b)
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
@@ -443,7 +450,7 @@ def test_evaluate_certificate_matches_full_grid(kind, zeta, monkeypatch):
                      for i in (0, 1)]
             rates = np.concatenate([flip + steps / horizon for flip in flips])
             v = rates[:, None] * first_half
-            got, want = _evaluate(*args, y, v), evaluate_full_grid(*args, y, v)
+            got, want = evaluate_on_grid(*args, y, v), evaluate_full_grid(*args, y, v)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
             assert 0 < np.sum(want[0]) < len(rates)
@@ -457,7 +464,7 @@ def test_evaluate_certificate_matches_full_grid(kind, zeta, monkeypatch):
                 y = _theta_exposures(model, node_ticks,
                                      flip + 5e-14 * np.arange(-20, 21))
                 v = c * first_half[None, :]
-                got, want = _evaluate(*args, y, v), evaluate_full_grid(*args, y, v)
+                got, want = evaluate_on_grid(*args, y, v), evaluate_full_grid(*args, y, v)
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
     # both branches ran: survivors at T cleared by the certificate, and
@@ -530,7 +537,7 @@ def test_evaluate_memory_bounded_by_batch_rows(monkeypatch):
         v = np.full((n, k), 0.01)
         _, on_grid = _count_grid_rows(monkeypatch)
         tracemalloc.start()
-        feasible, _ = _evaluate(model, UtilityParams(0.6, 0.4), spec, 1.2,
+        feasible, _ = evaluate_on_grid(model, UtilityParams(0.6, 0.4), spec, 1.2,
                                 node_ticks, y, v)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()

@@ -228,7 +228,7 @@ def test_var_loose_threshold_is_the_exact_infimum(model, gamma, alpha, below):
     spec = RiskSpec(alpha=alpha, zeta=0.5, kind=MeasureKind.VAR)
     cum = cumulants(model, equal_gamma_strategy(model, gamma))
     ts = np.linspace(0.0, model.horizon, 4001)
-    exact = 1.0 - float(np.exp(np.min(log_risk_var(cum, spec.quantile, ts))))
+    exact = 1.0 - float(np.exp(np.min(log_risk_var(cum, spec.abs_z, ts))))
     threshold = var_loose_threshold(model, gamma, spec)
     if spec.abs_z >= edge:
         event("exact")

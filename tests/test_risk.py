@@ -115,7 +115,7 @@ def test_ratio_and_log_verdicts_agree():
             spec = RiskSpec(alpha=float(rng.uniform(0.01, 0.4)),
                             zeta=float(rng.uniform(0.05, 0.9)), kind=kind)
             prof = constraint_profile(m, s, spec, 1.0, n_refine=500)
-            log_curve = log_form(cumulants(m, s), spec.quantile, prof.times)
+            log_curve = log_form(cumulants(m, s), spec.abs_z, prof.times)
             assert satisfied(prof, 1e-9) == bool(
                 np.min(log_curve) >= spec.log_bound() - 1e-9)
 
@@ -142,7 +142,7 @@ def test_profile_violated_when_exposure_doubled(standard_market):
     s = theta_direction_strategy(standard_market, 2.0 * rho)
     prof = constraint_profile(standard_market, s, spec, 1.0)
     assert max_ratio(prof) > 1.0 + 1e-6
-    log_curve = log_risk_var(cumulants(standard_market, s), spec.quantile, prof.times)
+    log_curve = log_risk_var(cumulants(standard_market, s), spec.abs_z, prof.times)
     assert not np.min(log_curve) >= spec.log_bound() - SATURATION_TOL
 
 
@@ -152,7 +152,7 @@ def test_log_forms_match_direct_measures(standard_market):
     spec = RiskSpec(alpha=0.05, zeta=0.3, kind=MeasureKind.VAR)
     cum = cumulants(standard_market, s)
     ts = np.linspace(0.01, 1.0, 13)
-    L = log_risk_var(cum, spec.quantile, ts)
+    L = log_risk_var(cum, spec.abs_z, ts)
     for t, l in zip(ts, L):
         var = value_at_risk(standard_market, s, 0.05, 1.0, t)
         bond = np.exp(standard_market.R(t))
@@ -161,7 +161,7 @@ def test_log_forms_match_direct_measures(standard_market):
             abs(var - spec.zeta * bond) < 1e-12
     # the shortfall mean lies below the quantile, so the ES log form is the
     # tighter (smaller) of the two
-    Lstar = log_risk_es(cum, spec.quantile, ts)
+    Lstar = log_risk_es(cum, spec.abs_z, ts)
     assert np.all(Lstar <= L + 1e-12)
 
 

@@ -21,7 +21,13 @@ from merton_risk.strategies import constant_strategy
 from merton_risk.utility import UtilityParams
 
 from conftest import constant_market, random_market
-from cross_checks import fmt, write_grid_csv_per_row, write_oracle_csv_per_field, write_rows
+from cross_checks import (
+    ensemble_consumption,
+    fmt,
+    write_grid_csv_per_row,
+    write_oracle_csv_per_field,
+    write_rows,
+)
 from test_cli import write_spec
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, -1e300, 0.1,
@@ -174,7 +180,7 @@ def test_wealth_csv_bytes_equal_per_field_writer(tmp_path, monkeypatch):
 
 def paths_csv_per_field(path, ens: mc.PathEnsemble, max_paths: int) -> None:
     n = min(max_paths, ens.n_paths)
-    consumption = ens.consumption[:n]
+    consumption = ensemble_consumption(ens)[:n]
     ts = fmt(ens.times)
     write_rows(path, ["path_id", "t", "X", "c"], (
         (str(i), t, x, c) for i in range(n)

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from merton_risk._piecewise import to_ticks
 from merton_risk.errors import ConvergenceFailure, NegativeRate, UnsupportedRegime
 from merton_risk.mc import SimConfig, simulate_hara_feedback
 from merton_risk.oracle import cost_closed_form
 from merton_risk.strategies import cumulants
 from merton_risk.unconstrained import (
-    HaraCoefficients,
+    HaraFeedback,
     _solve_g,
     equal_gamma_value,
     hara_g,
@@ -21,6 +22,7 @@ from merton_risk.unconstrained import (
 from merton_risk.utility import UtilityParams
 
 from conftest import constant_market, random_market
+from cross_checks import ensemble_consumption
 
 
 def test_linear_bond_market():
@@ -98,7 +100,7 @@ def test_g_equal_gamma_reduction():
     u = UtilityParams(gamma, gamma)
     fb = solve_hara_unconstrained(m, u, 1.0).feedback
     for t in (0.0, 0.35, 0.9):
-        A = fb.coeffs.A1(t) + fb.coeffs.A2(t)
+        A = fb.A1(t) + fb.A2(t)
         for x in (0.5, 2.0):
             assert fb.g(t, x) == pytest.approx((A / x) ** (1.0 / q),
                                                rel=1e-12)
@@ -112,7 +114,7 @@ def test_g_residual_and_monotonicity():
     xs = np.linspace(0.2, 5.0, 40)
     for t in (0.1, 0.52, 0.97):
         g = fb.g(t, xs)
-        A1, A2 = fb.coeffs.A1(t), fb.coeffs.A2(t)
+        A1, A2 = fb.A1(t), fb.A2(t)
         residual = A1 * g ** -u.q1 + A2 * g ** -u.q2 - xs
         assert np.max(np.abs(residual) / xs) < 1e-12
         assert np.all(np.diff(g) < 0)  # g decreasing in wealth
@@ -141,7 +143,7 @@ def test_hara_coefficient_ode_residuals():
         m = random_market(rng, max_pieces=4)
         u = UtilityParams(float(rng.uniform(0.15, 0.85)),
                           float(rng.uniform(0.15, 0.85)))
-        coeffs = HaraCoefficients.build(m, u)
+        fb = HaraFeedback.build(m, u, 1.0)
         # interior points away from breakpoints
         ts = []
         for a, b in zip(m.nodes[:-1], m.nodes[1:]):
@@ -152,23 +154,23 @@ def test_hara_coefficient_ode_residuals():
         for a, b in zip(m.nodes[:-1], m.nodes[1:]):
             ok &= ~((ts - h < a) & (ts + h > a)) & ~((ts - h < b) & (ts + h > b))
         ts = ts[ok]
-        fd1 = (coeffs.A1(ts + h) - coeffs.A1(ts - h)) / (2 * h)
-        res1 = fd1 - coeffs.A1_dot(ts)
-        scale1 = np.abs(coeffs.A1_dot(ts)) + 1.0
+        fd1 = (fb.A1(ts + h) - fb.A1(ts - h)) / (2 * h)
+        res1 = fd1 - fb.A1_dot(ts)
+        scale1 = np.abs(fb.A1_dot(ts)) + 1.0
         assert np.max(np.abs(res1) / scale1) < 1e-8
-        fd2 = (coeffs.A2(ts + h) - coeffs.A2(ts - h)) / (2 * h)
-        res2 = fd2 - coeffs.A2_dot(ts)
-        scale2 = np.abs(coeffs.A2_dot(ts)) + 1.0
+        fd2 = (fb.A2(ts + h) - fb.A2(ts - h)) / (2 * h)
+        res2 = fd2 - fb.A2_dot(ts)
+        scale2 = np.abs(fb.A2_dot(ts)) + 1.0
         assert np.max(np.abs(res2) / scale2) < 1e-8
 
 
 def test_terminal_conditions():
     m = constant_market(0.02, [0.09], [[0.3]], 2.0)
     u = UtilityParams(0.45, 0.65)
-    coeffs = HaraCoefficients.build(m, u)
-    assert coeffs.A1(2.0) == 0.0
-    assert coeffs.A2(2.0) == pytest.approx(u.gamma2 ** u.q2, rel=1e-14)
-    assert np.all(coeffs.A1(np.linspace(0, 1.99, 50)) > 0)
+    fb = HaraFeedback.build(m, u, 1.0)
+    assert fb.A1(2.0) == 0.0
+    assert fb.A2(2.0) == pytest.approx(u.gamma2 ** u.q2, rel=1e-14)
+    assert np.all(fb.A1(np.linspace(0, 1.99, 50)) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +184,7 @@ def test_equal_gamma_flat_market_controls():
     v = sol.strategy.v_at(m, ts)
     assert np.allclose(v, 1.0 / (2.0 - ts), rtol=1e-12)
     cum = cumulants(m, sol.strategy)
-    assert cum.V_T() == pytest.approx(np.log(2.0), rel=1e-12)
+    assert float(cum.V(cum.horizon)) == pytest.approx(np.log(2.0), rel=1e-12)
     assert kappa_tilde(m, 0.5) == pytest.approx(0.5, rel=1e-13)
     # quadrature oracle for V_T = int v
     ts_fine = np.linspace(0, 1, 20001)
@@ -193,7 +195,7 @@ def test_equal_gamma_flat_market_controls():
 
 def test_equal_gamma_exposure_scaling(standard_market):
     sol = solve_equal_gamma(standard_market, 0.5, 1.0)
-    y = sol.strategy.y_at(np.array([0.3]))
+    y = sol.strategy.y_path.value_at(to_ticks(np.array([0.3])))
     assert y[0, 0] == pytest.approx(2.0 * 0.5, rel=1e-14)  # theta/(1-gamma)
 
 
@@ -226,13 +228,14 @@ def test_wealth_identity_on_simulated_paths(standard_market):
     ens = simulate_hara_feedback(standard_market, u, 1.0, config)
     g0 = fb.g(0.0, 1.0)
     q1, q2 = u.q1, u.q2
+    consumption = ensemble_consumption(ens)
     for k, t in enumerate(ens.times):
-        A1 = fb.coeffs.A1(float(t))
-        A2 = fb.coeffs.A2(float(t))
+        A1 = fb.A1(float(t))
+        A2 = fb.A2(float(t))
         # invert the mixture per path and compare to direct g of wealth
         g_direct = np.array([fb.g(float(t), x) for x in ens.wealth[:, k]])
         # xi from consumption: c = (gamma1 / (g0 e^xi))^{q1}
-        xi = np.log(u.gamma1 / ens.consumption[:, k] ** (1.0 / q1)) - np.log(g0)
+        xi = np.log(u.gamma1 / consumption[:, k] ** (1.0 / q1)) - np.log(g0)
         g_path = g0 * np.exp(xi)
         assert np.allclose(g_direct, g_path, rtol=1e-8)
         recon = A1 * g_path ** -q1 + A2 * g_path ** -q2

@@ -76,7 +76,7 @@ def test_var_linear_standard_instance(standard_market):
     assert np.sqrt(cum.ynn.end_value) == pytest.approx(RHO_VAR_STD, rel=1e-12)
     # saturation: inf_t of the log functional is exactly the bound at t = T
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
-    log_curve = log_risk_var(cum, spec.quantile, prof.times)
+    log_curve = log_risk_var(cum, spec.abs_z, prof.times)
     assert np.min(log_curve) == pytest.approx(spec.log_bound(), abs=1e-9)
 
 
@@ -181,7 +181,7 @@ def test_loose_bound_large_zeta(standard_market):
     sol = solve_equal_gamma(standard_market, 0.5, 1.0)
     prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
     log_curve = log_risk_var(cumulants(standard_market, sol.strategy),
-                             spec.quantile, prof.times)
+                             spec.abs_z, prof.times)
     assert satisfied(prof, 1e-9) and np.min(log_curve) >= spec.log_bound() - 1e-9
 
 
@@ -227,9 +227,9 @@ def test_tight_standard_instance(standard_market):
     x_star = sol.wealth_mean(ts)
     assert np.allclose(x_star, 1.0 - 0.1 * ts, rtol=1e-13)
     # riskless: zero exposure everywhere
-    assert np.all(sol.strategy.y_at(ts) == 0.0)
+    assert np.all(sol.strategy.y_path.values == 0.0)
     cum = cumulants(standard_market, sol.strategy)
-    assert cum.V_T() == pytest.approx(-np.log1p(-0.1), abs=1e-12)
+    assert float(cum.V(cum.horizon)) == pytest.approx(-np.log1p(-0.1), abs=1e-12)
     assert x_star[-1] == pytest.approx(0.9, rel=1e-12)
 
 

@@ -169,21 +169,28 @@ def run_side(src: Path, commands: list) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def produce(work: Path, parent_src: Path, mix) -> None:
-    """Write the mix's documents under work/docs and each side's outputs
-    under work/parent and work/change, in the same relative places."""
+def write_mix(mix, docs: Path) -> list:
+    """Write the documents of the mix's tasks under docs; (task directory,
+    step name, argv before --out, argv after it) of each step, in order."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
-    steps = []             # (task directory, step name, argv before --out, after)
+    steps = []
     for entry in mix:
         workload, seeds, rounds = entry.split(":")
         for seed in parse_seeds(seeds):
             for round_no in parse_seeds(rounds):
                 for task in inputs.make_round(workload, seed, round_no):
                     task_dir = Path(workload, f"s{seed}", task.index)
-                    base = inputs.write_task(task, work / "docs" / task_dir.parent)
+                    base = inputs.write_task(task, docs / task_dir.parent)
                     steps.extend((task_dir, step.name, [step.argv[0], str(base / step.doc)],
                                   step.argv[1:]) for step in task.steps)
+    return steps
+
+
+def produce(work: Path, parent_src: Path, mix) -> None:
+    """Write the mix's documents under work/docs and each side's outputs
+    under work/parent and work/change, in the same relative places."""
+    steps = write_mix(mix, work / "docs")
     for side, src in (("parent", parent_src), ("change", ROOT / "src")):
         argvs = [head + ["--out", str(work / side / task_dir / f"out_{name}")] + tail
                  for task_dir, name, head, tail in steps]
