@@ -76,23 +76,10 @@ class PiecewiseLinear:
         return float(self.values[-1])
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=np.float64)
-        nodes = self.nodes
-        if self.values.ndim == 1:
-            out = np.interp(t, nodes, self.values)
-            return out if out.ndim else float(out)
-        # np.interp row by row: slope times offset from the left node, and the
-        # node value itself at T (a zero slope past the last node)
-        j = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 1)
-        pad = np.zeros(self.values.shape[:-1] + (1,))
-        slopes = np.concatenate((self.slopes(), pad), axis=-1)
-        if j.ndim == 1 and np.all(j[1:] >= j[:-1]):
-            # ascending times: each node's column repeats over a run of
-            # times, which copies blocks instead of gathering one by one
-            runs = np.bincount(j, minlength=len(nodes))
-            return (np.repeat(slopes, runs, axis=-1) * (t - nodes[j])
-                    + np.repeat(self.values, runs, axis=-1))
-        return slopes[..., j] * (t - nodes[j]) + self.values[..., j]
+        """The function at t, for one function (1-d values); a batch is
+        evaluated through strategies.GridPoints."""
+        out = np.interp(np.asarray(t, dtype=np.float64), self.nodes, self.values)
+        return out if out.ndim else float(out)
 
     def slopes(self) -> np.ndarray:
         dt = np.diff(self.nodes)

@@ -72,10 +72,6 @@ class CoefficientPath:
     def constant(cls, value, horizon: float) -> "CoefficientPath":
         return cls.from_segments([(0.0, value)], horizon)
 
-    @property
-    def horizon(self) -> float:
-        return float(from_ticks(self.horizon_ticks))
-
     def node_ticks(self) -> np.ndarray:
         return np.concatenate([self.breakpoint_ticks, [self.horizon_ticks]])
 

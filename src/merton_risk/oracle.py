@@ -20,7 +20,10 @@ survivors with a lower bound of the log risk functional per node interval
 on the whole grid, from rows of the same cumulants.  A candidate above the
 bound at T is above it on the grid, and a certified one is below it at
 every grid point as computed, so the verdict is the one-pass verdict, bit
-for bit.  Each node partition's profile grid is built once per search.
+for bit.  Each node partition's plan (strategies.EvaluationPlan: dt, theta
+and R on its intervals, and where T and the profile grid's times fall on
+its nodes) is built once per search, and every evaluation on the partition
+reads it; the screen at T and the grid evaluate the curves alike.
 
 The search keeps its candidates as columns, one numpy record array per
 stage (label, rho, consumption levels, feasible flag and cost), from the
@@ -57,6 +60,7 @@ from .risk import (
 from .strategies import (
     Cumulants,
     DeterministicStrategy,
+    EvaluationPlan,
     cumulants,
     step_cumulants,
 )
@@ -75,37 +79,30 @@ COORDINATE_PASSES = 3    # sweeps of the coordinate descent over v levels
 N_PROFILE = 2001         # uniform times of the feasibility screen's grid
 
 
-def _cost_pieces(cum: Cumulants, utility: UtilityParams):
+def _cost_pieces(cum: Cumulants, utility: UtilityParams, plan: EvaluationPlan):
     """Interval lengths, exp-affine offsets and slopes of the consumption
-    integrand, and the terminal term; a batch adds a leading axis."""
-    model = cum.model
-    nodes = cum.nodes
-    dt = np.diff(nodes)
+    integrand, and the terminal term; a batch adds a leading axis.  plan is
+    on cum's partition."""
+    dt = plan.dt
     g1, g2 = utility.gamma1, utility.gamma2
-
-    R_nodes = model.R(nodes)
     ydt_nodes = cum.ydt.values
     ynn_nodes = cum.ynn.values
-    r_slope = np.diff(R_nodes) / dt
-    ydt_slope = cum.ydt.slopes()
-    ynn_slope = cum.ynn.slopes()
 
     k1 = 0.5 * g1 * (1.0 - g1)
-    offsets = (g1 * cum.cons_a + g1 * R_nodes[:-1]
+    offsets = (g1 * cum.cons_a + g1 * plan.R[:-1]
                + g1 * ydt_nodes[..., :-1] - k1 * ynn_nodes[..., :-1])
-    slopes = (g1 * cum.cons_b + g1 * r_slope
-              + g1 * ydt_slope - k1 * ynn_slope)
+    slopes = (g1 * cum.cons_b + g1 * plan.R_slopes
+              + g1 * (np.diff(ydt_nodes) / dt) - k1 * (np.diff(ynn_nodes) / dt))
 
-    V_T = cum.V(cum.horizon)
     k2 = 0.5 * g2 * (1.0 - g2)
-    terminal = np.exp(g2 * (R_nodes[-1] - V_T)
+    terminal = np.exp(g2 * (plan.R[-1] - cum.V_T)
                       + g2 * ydt_nodes[..., -1] - k2 * ynn_nodes[..., -1])
     return dt, offsets, slopes, terminal
 
 
-def _cost(cum: Cumulants, utility: UtilityParams, x: float):
+def _cost(cum: Cumulants, utility: UtilityParams, x: float, plan: EvaluationPlan):
     """J(x, .) for the strategy or each strategy of the batch in cum."""
-    dt, offsets, slopes, terminal = _cost_pieces(cum, utility)
+    dt, offsets, slopes, terminal = _cost_pieces(cum, utility, plan)
     # offsets are -inf where nothing is consumed; those intervals add exp(-inf) = 0
     consumption = np.sum(exp_affine_segment(offsets, slopes, dt), axis=-1)
     g1, g2 = utility.gamma1, utility.gamma2
@@ -115,7 +112,8 @@ def _cost(cum: Cumulants, utility: UtilityParams, x: float):
 def cost_closed_form(model: MarketModel, strategy: DeterministicStrategy,
                      utility: UtilityParams, x: float) -> float:
     """Expected cost J(x, strategy), exact per breakpoint interval."""
-    return float(_cost(cumulants(model, strategy), utility, x))
+    cum = cumulants(model, strategy)
+    return float(_cost(cum, utility, x, EvaluationPlan.build(model, cum.node_ticks, x, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +193,18 @@ def _take_rows(cum: Cumulants, rows) -> Cumulants:
         return PiecewiseLinear(curve.node_ticks, take(curve.values))
 
     return replace(cum, ydt=take_curve(cum.ydt), ynn=take_curve(cum.ynn),
-                   V_of=take_curve(cum.V_of), cons_a=take(cum.cons_a),
-                   cons_b=take(cum.cons_b))
+                   V_of=take_curve(cum.V_of), V_T=take(cum.V_T),
+                   cons_a=take(cum.cons_a), cons_b=take(cum.cons_b))
 
 
-def _evaluate(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
-              x: float, node_ticks: np.ndarray, y, v, grid):
+def _evaluate(plan: EvaluationPlan, utility: UtilityParams, spec: RiskSpec | None,
+              x: float, y, v):
     """Feasibility flags and costs (-inf when infeasible) of step candidates.
 
     y : (K or 1, k, d) exposures and v : (K or 1, k) consumption rates on the
-    intervals of node_ticks; grid is their profile grid (None without a
-    bound).  A factor with one row is shared by every candidate and enters the
-    cumulants, screen and cost once, unbroadcast.
+    intervals of plan's partition; plan has the profile grid's points when
+    spec bounds the risk.  A factor with one row is shared by every
+    candidate and enters the cumulants, screen and cost once, unbroadcast.
 
     The cumulants of up to _BATCH_ROWS candidates are built in one batch, which
     is costed and screened at the grid's last point t = T alone.  Those that
@@ -228,16 +226,15 @@ def _evaluate(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
     costs = np.empty(n)
     for lo in range(0, n, _BATCH_ROWS):
         rows = slice(lo, lo + _BATCH_ROWS)
-        cum = step_cumulants(model, node_ticks,
-                             *(f if len(f) == 1 else f[rows] for f in (y, v)))
-        costs[rows] = _cost(cum, utility, x)
+        cum = step_cumulants(plan, *(f if len(f) == 1 else f[rows] for f in (y, v)))
+        costs[rows] = _cost(cum, utility, x, plan)
         if spec is None:
             continue
-        ok = max_ratios(cum, spec, x, grid[-1:]) <= 1.0 + SATURATION_TOL
-        unproved = np.flatnonzero(ok & ~certified_feasible(cum, spec, x))
+        ok = max_ratios(cum, spec, x, plan.screen) <= 1.0 + SATURATION_TOL
+        unproved = np.flatnonzero(ok & ~certified_feasible(cum, spec, x, plan))
         for at in range(0, len(unproved), _CHUNK):
             part = unproved[at:at + _CHUNK]
-            ratios = max_ratios(_take_rows(cum, part), spec, x, grid)
+            ratios = max_ratios(_take_rows(cum, part), spec, x, plan.profile)
             ok[part] = ratios <= 1.0 + SATURATION_TOL
         feasible[rows] = ok
     return feasible, np.where(feasible, costs, -np.inf)
@@ -281,9 +278,10 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     horizon = model.horizon
 
     def on_partition(node_ticks):
-        """_evaluate on node_ticks, whose profile grid is built once here."""
+        """_evaluate on node_ticks, whose plan is built once here."""
         grid = None if spec is None else profile_grid(node_ticks, horizon, N_PROFILE)
-        return partial(_evaluate, model, utility, spec, x, node_ticks, grid=grid)
+        return partial(_evaluate, EvaluationPlan.build(model, node_ticks, x, grid),
+                       utility, spec, x)
 
     evaluate_market = on_partition(model.node_ticks)
     n_steps = len(model.node_ticks) - 1

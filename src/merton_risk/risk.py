@@ -31,7 +31,7 @@ import numpy as np
 from ._piecewise import from_ticks, merge_ticks, to_ticks
 from .gaussian import log_tail_ratio, normal_quantile, tail_ratio
 from .market import MarketModel
-from .strategies import Cumulants, DeterministicStrategy, cumulants
+from .strategies import Cumulants, DeterministicStrategy, EvaluationPlan, GridPoints, cumulants
 
 SATURATION_TOL = 1e-9
 PROFILE_REFINE = 10_000
@@ -70,21 +70,19 @@ class RiskSpec:
 # Pointwise closed forms
 # ---------------------------------------------------------------------------
 
-# _lambda_from_cumulants and _shortfall_mean take single strategies and
-# batches alike (a batch adds a leading candidate axis to every curve).
+# Both take one strategy or a batch (a leading candidate axis), R_t and
+# at(curve), a curve of cum at the same times; each curve is evaluated where
+# the formula reads it, so few (candidates x times) arrays live at once.
 
-def _lambda_from_cumulants(cum: Cumulants, abs_z: float, x: float, t):
-    t = np.asarray(t, dtype=np.float64)
-    ynn = cum.ynn(t)
-    expo = (cum.model.R(t) - cum.V(t) + cum.ydt(t)
-            - 0.5 * ynn - abs_z * np.sqrt(ynn))
+def _lambda_from_cumulants(cum: Cumulants, at, R, abs_z: float, x: float):
+    ynn = at(cum.ynn)
+    expo = R - at(cum.V_of) + at(cum.ydt) - 0.5 * ynn - abs_z * np.sqrt(ynn)
     return x * np.exp(expo)
 
 
-def _shortfall_mean(cum: Cumulants, abs_z: float, x: float, t):
-    t = np.asarray(t, dtype=np.float64)
-    factor = tail_ratio(abs_z, abs_z + np.sqrt(cum.ynn(t)))
-    return x * factor * np.exp(cum.model.R(t) + cum.ydt(t) - cum.V(t))
+def _shortfall_mean(cum: Cumulants, at, R, abs_z: float, x: float):
+    factor = tail_ratio(abs_z, abs_z + np.sqrt(at(cum.ynn)))
+    return x * factor * np.exp(R + at(cum.ydt) - at(cum.V_of))
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +122,17 @@ def constraint_profile(model: MarketModel, strategy: DeterministicStrategy,
     """
     cum = cumulants(model, strategy)
     if grid is None:
-        grid = profile_grid(cum.node_ticks, cum.horizon, n_refine)
+        grid = profile_grid(cum.node_ticks, model.horizon, n_refine)
     else:
         grid = from_ticks(merge_ticks(cum.node_ticks, to_ticks(grid)))
-    bond = x * np.exp(model.R(grid))
-    lam = _lambda_from_cumulants(cum, spec.abs_z, x, grid)
-    m = _shortfall_mean(cum, spec.abs_z, x, grid)
+
+    def at(curve):
+        return curve(grid)
+
+    R = model.R(grid)
+    bond = x * np.exp(R)
+    lam = _lambda_from_cumulants(cum, at, R, spec.abs_z, x)
+    m = _shortfall_mean(cum, at, R, spec.abs_z, x)
     return RiskProfile(
         times=grid, var_curve=bond - lam, es_curve=bond - m,
         level_curve=spec.zeta * bond, kind=spec.kind,
@@ -137,22 +140,20 @@ def constraint_profile(model: MarketModel, strategy: DeterministicStrategy,
 
 
 def max_ratios(cum: Cumulants, spec: RiskSpec, x: float,
-               grid: np.ndarray) -> np.ndarray:
-    """max_t measure_t / (zeta x e^{R_t}) per strategy of a cumulant batch.
-
-    The formulas of constraint_profile on a given grid (profile_grid of the
-    batch's nodes gives constraint_profile's), for the bounded measure only;
-    a strategy is feasible when its entry is <= 1 + tol.
-    """
-    bond = x * np.exp(cum.model.R(grid))
+               points: GridPoints) -> np.ndarray:
+    """max_t measure_t / (zeta x e^{R_t}) per strategy of a step_cumulants
+    batch over the times of points, an EvaluationPlan's screen or profile
+    built with this x: constraint_profile's formulas, for the bounded
+    measure only.  A strategy is feasible when its entry is <= 1 + tol."""
     if spec.kind == MeasureKind.VAR:
-        measure = bond - _lambda_from_cumulants(cum, spec.abs_z, x, grid)
+        measure = points.bond - _lambda_from_cumulants(cum, points, points.R, spec.abs_z, x)
     else:
-        measure = bond - _shortfall_mean(cum, spec.abs_z, x, grid)
-    return np.max(measure / (spec.zeta * bond), axis=-1)
+        measure = points.bond - _shortfall_mean(cum, points, points.R, spec.abs_z, x)
+    return np.max(measure / (spec.zeta * points.bond), axis=-1)
 
 
-def certified_feasible(cum: Cumulants, spec: RiskSpec, x: float) -> np.ndarray:
+def certified_feasible(cum: Cumulants, spec: RiskSpec, x: float,
+                       plan: EvaluationPlan) -> np.ndarray:
     """Strategies of a step_cumulants batch whose max_ratios entry is
     <= 1 + SATURATION_TOL on every grid of [0, T], proved from node values.
 
@@ -193,7 +194,7 @@ def certified_feasible(cum: Cumulants, spec: RiskSpec, x: float) -> np.ndarray:
     # of 1 - u by zeta, and the error of u is bounded here before it.
     log_bound = spec.log_bound()
     norm_T = np.sqrt(ynn[..., -1])
-    size = (np.max(np.abs(cum.model.cum_r.values)) + V[..., -1]
+    size = (plan.R_absmax + V[..., -1]
             + np.max(np.abs(ydt), axis=-1) + ynn[..., -1] + abs_z * norm_T
             + (1.0 + abs_z + norm_T) ** 2 - log_bound)
     # Range: every exponential and product of the ratio lies within

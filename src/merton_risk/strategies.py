@@ -220,16 +220,9 @@ class Cumulants:
     ydt: PiecewiseLinear         # (y,theta)_t
     ynn: PiecewiseLinear         # ||y||_t^2, the variance of ln X_t
     V_of: object                 # t -> V_t = int_0^t v
+    V_T: np.ndarray              # V at the horizon
     cons_a: np.ndarray           # per-interval log-affine of v e^{-V}
     cons_b: np.ndarray
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return from_ticks(self.node_ticks)
-
-    @property
-    def horizon(self) -> float:
-        return self.model.horizon
 
     def V(self, t):
         return np.asarray(self.V_of(t), dtype=np.float64)
@@ -238,13 +231,6 @@ class Cumulants:
         """mean of ln(X_t/x): R_t - V_t + (y,theta)_t - ||y||_t^2/2."""
         t = np.asarray(t, dtype=np.float64)
         return self.model.R(t) - self.V(t) + self.ydt(t) - 0.5 * self.ynn(t)
-
-
-def _exposure_cumulants(model: MarketModel, node_ticks: np.ndarray, y):
-    """(y,theta)_t and ||y||_t^2 for exposures y (..., k, d) per interval."""
-    theta = model.theta_step[segment_index(model.node_ticks, node_ticks[:-1])]
-    return (cumulative_linear(node_ticks, np.sum(y * theta, axis=-1)),
-            cumulative_linear(node_ticks, np.sum(y * y, axis=-1)))
 
 
 def cumulants(model: MarketModel, strategy: DeterministicStrategy) -> Cumulants:
@@ -257,31 +243,92 @@ def cumulants(model: MarketModel, strategy: DeterministicStrategy) -> Cumulants:
         strategy.y_path.node_ticks(),
         strategy.consumption.breakpoints(),
     )
-    ydt, ynn = _exposure_cumulants(model, node_ticks,
-                                   strategy.y_path.value_at(node_ticks[:-1]))
+    y = strategy.y_path.value_at(node_ticks[:-1])
+    theta = model.theta_step[segment_index(model.node_ticks, node_ticks[:-1])]
+    ydt = cumulative_linear(node_ticks, np.sum(y * theta, axis=-1))
+    ynn = cumulative_linear(node_ticks, np.sum(y * y, axis=-1))
     cons_a, cons_b = strategy.consumption.log_affine(model, node_ticks)
     return Cumulants(
         model=model, node_ticks=node_ticks, ydt=ydt, ynn=ynn,
         V_of=partial(strategy.consumption.V_of, model),
+        V_T=strategy.consumption.V_of(model, model.horizon),
         cons_a=cons_a, cons_b=cons_b,
     )
 
 
-def step_cumulants(model: MarketModel, node_ticks: np.ndarray, y, v) -> Cumulants:
-    """Cumulants of K controls held constant on every interval of node_ticks.
+@dataclass(frozen=True)
+class GridPoints:
+    """Ascending times t on a partition with intervals dt: how many fall at each
+    node j (t in [node_j, node_{j+1}), or T), t - node_j, R_t and x e^{R_t}."""
+
+    dt: np.ndarray
+    runs: np.ndarray
+    offsets: np.ndarray
+    R: np.ndarray
+    bond: np.ndarray
+
+    def __call__(self, curve: PiecewiseLinear) -> np.ndarray:
+        """A batch of curves at the times: np.interp row by row (zero slope past T)."""
+        values = curve.values
+        slopes = np.concatenate((np.diff(values) / self.dt,
+                                 np.zeros(values.shape[:-1] + (1,))), axis=-1)
+        return (np.repeat(slopes, self.runs, axis=-1) * self.offsets
+                + np.repeat(values, self.runs, axis=-1))
+
+
+@dataclass(frozen=True)
+class EvaluationPlan:
+    """What the batches of step controls on one partition share: dt and theta
+    per interval, R at the nodes, its slopes and max |R|, and given a profile
+    grid, the GridPoints of T alone (screen) and of the grid (profile)."""
+
+    model: MarketModel
+    node_ticks: np.ndarray
+    dt: np.ndarray
+    theta: np.ndarray
+    R: np.ndarray
+    R_slopes: np.ndarray
+    R_absmax: float
+    screen: GridPoints | None
+    profile: GridPoints | None
+
+    @classmethod
+    def build(cls, model: MarketModel, node_ticks: np.ndarray, x: float,
+              grid: np.ndarray | None) -> "EvaluationPlan":
+        """grid, ascending to T, gives screen and profile (None: neither); x, the bond."""
+        nodes = from_ticks(node_ticks)
+        dt = np.diff(nodes)
+
+        def points(t):
+            j = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 1)
+            R = model.R(t)
+            return GridPoints(dt, np.bincount(j, minlength=len(nodes)), t - nodes[j],
+                              R, x * np.exp(R))
+
+        R = model.R(nodes)
+        return cls(model, node_ticks, dt,
+                   model.theta_step[segment_index(model.node_ticks, node_ticks[:-1])],
+                   R, np.diff(R) / dt, np.max(np.abs(model.cum_r.values)),
+                   *((None, None) if grid is None else (points(grid[-1:]), points(grid))))
+
+
+def step_cumulants(plan: EvaluationPlan, y, v) -> Cumulants:
+    """Cumulants of K controls held constant on every interval of plan's
+    partition, which must hold every market breakpoint.
 
     y : (K or 1, k, d) exposures and v : (K or 1, k) consumption rates, one
-    row per control and one column per interval of the shared partition,
-    which must hold every market breakpoint.  A factor with one row is shared
-    by every control: its curves keep a leading 1, are computed once and
-    broadcast in the risk and cost formulas.  Row i matches cumulants() of
-    the step strategy with those values up to rounding.
+    row per control and one column per interval.  A factor with one row is
+    shared by every control: its curves keep a leading 1, are computed once
+    and broadcast in the risk and cost formulas.  Row i matches cumulants()
+    of the step strategy with those values up to rounding.
     """
     v = np.asarray(v, dtype=np.float64)
     if np.any(v < 0):
         raise MismatchedPaths("consumption rates must be >= 0")
-    ydt, ynn = _exposure_cumulants(model, node_ticks, y)
-    V = cumulative_linear(node_ticks, v)
+    nodes = plan.node_ticks
+    V = cumulative_linear(nodes, v)
     cons_a, cons_b = _step_log_affine(v, V.values[..., :-1])
-    return Cumulants(model=model, node_ticks=node_ticks, ydt=ydt, ynn=ynn,
-                     V_of=V, cons_a=cons_a, cons_b=cons_b)
+    return Cumulants(model=plan.model, node_ticks=nodes,
+                     ydt=cumulative_linear(nodes, np.sum(y * plan.theta, axis=-1)),
+                     ynn=cumulative_linear(nodes, np.sum(y * y, axis=-1)), V_of=V,
+                     V_T=V.values[..., -1], cons_a=cons_a, cons_b=cons_b)

@@ -4,23 +4,26 @@ Each restates a quantity of the package by another route: the expected
 cost by adaptive quadrature, the sup of the cost tilt along theta, the
 Gaussian upper tail, Mills' ratio bounds on it, the Hamiltonian probe
 check node by node, the oracle's feasibility screen on the full profile
-grid in one pass, a simulated ensemble's whole consumption table, the
-standard errors of the empirical VaR and ES, the output tables written
-one formatted field at a time (``fmt`` and ``write_rows``, the package's
-writers before ``_table.write_table``), the closed-form quantile, VaR and
-ES of one strategy with the log form of the uniform bound, the ES budget
-function psi(rho, u) whose root at u = 1 ``rho_es`` finds, the verdict of
-a constraint profile, and the exposure budget left after consuming part
-of the bound, from scipy's normal tail.
+grid in one pass with every curve evaluated call by call, a simulated
+ensemble's whole consumption table, the standard errors of the empirical
+VaR and ES, the output tables written one formatted field at a time
+(``fmt`` and ``write_rows``, the package's writers before
+``_table.write_table``), the closed-form quantile, VaR and ES of one
+strategy with the log form of the uniform bound, the ES budget function
+psi(rho, u) whose root at u = 1 ``rho_es`` finds, the verdict of a
+constraint profile, and the exposure budget left after consuming part of
+the bound, from scipy's normal tail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
 
+from merton_risk._piecewise import PiecewiseLinear
 from merton_risk.gaussian import _SQRT2, _real, erfc, gauss_hazard, log_tail_ratio, normal_quantile
 from merton_risk.hjb import _grid, _reduced_hamiltonian_terms
 from merton_risk.market import MarketModel
@@ -33,10 +36,15 @@ from merton_risk.risk import (
     RiskSpec,
     _lambda_from_cumulants,
     _shortfall_mean,
-    max_ratios,
     profile_grid,
 )
-from merton_risk.strategies import Cumulants, DeterministicStrategy, cumulants, step_cumulants
+from merton_risk.strategies import (
+    Cumulants,
+    DeterministicStrategy,
+    EvaluationPlan,
+    cumulants,
+    step_cumulants,
+)
 from merton_risk.unconstrained import HaraFeedback
 from merton_risk.utility import UtilityParams
 
@@ -48,7 +56,9 @@ def cost_quadrature(model: MarketModel, strategy: DeterministicStrategy,
     # slow to import, and no command takes this cross-check route
     from scipy import integrate
 
-    dt, offsets, slopes, terminal = _cost_pieces(cumulants(model, strategy), utility)
+    cum = cumulants(model, strategy)
+    dt, offsets, slopes, terminal = _cost_pieces(
+        cum, utility, EvaluationPlan.build(model, cum.node_ticks, x, None))
     consumption = 0.0
     for j in range(len(dt)):
         if not np.isfinite(offsets[j]):
@@ -152,6 +162,43 @@ def write_grid_csv_per_row(path, header, ts, xs, values,
                ((t, x, v) for (t, x), v in zip(cells, fmt(values, spec))))
 
 
+def curve_at(curve: PiecewiseLinear, t):
+    """A batch of curves (values (..., k+1)) at t, computed for this call
+    alone: np.interp row by row, as slope times offset from the left node,
+    and the node value itself at T (a zero slope past the last node)."""
+    t = np.asarray(t, dtype=np.float64)
+    nodes = curve.nodes
+    j = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 1)
+    pad = np.zeros(curve.values.shape[:-1] + (1,))
+    slopes = np.concatenate((curve.slopes(), pad), axis=-1)
+    if j.ndim == 1 and np.all(j[1:] >= j[:-1]):
+        # ascending times: each node's column repeats over a run of times
+        runs = np.bincount(j, minlength=len(nodes))
+        return (np.repeat(slopes, runs, axis=-1) * (t - nodes[j])
+                + np.repeat(curve.values, runs, axis=-1))
+    return slopes[..., j] * (t - nodes[j]) + curve.values[..., j]
+
+
+def per_call(cum: Cumulants, t):
+    """at(curve) of risk._lambda_from_cumulants for the times t: a curve of
+    one strategy by its own call, of a step_cumulants batch by curve_at."""
+    t = np.asarray(t, dtype=np.float64)
+    if cum.ydt.values.ndim == 1:
+        return lambda curve: curve(t)
+    return partial(curve_at, t=t)
+
+
+def max_ratios_per_call(cum: Cumulants, spec: RiskSpec, x: float, grid) -> np.ndarray:
+    """risk.max_ratios on the times of grid, evaluated call by call."""
+    at, R = per_call(cum, grid), cum.model.R(grid)
+    bond = x * np.exp(R)
+    if spec.kind == MeasureKind.VAR:
+        measure = bond - _lambda_from_cumulants(cum, at, R, spec.abs_z, x)
+    else:
+        measure = bond - _shortfall_mean(cum, at, R, spec.abs_z, x)
+    return np.max(measure / (spec.zeta * bond), axis=-1)
+
+
 def evaluate_full_grid(model: MarketModel, utility: UtilityParams, spec: RiskSpec | None,
                        x: float, node_ticks: np.ndarray, y, v):
     """Feasibility flags and costs (-inf when infeasible) of step candidates.
@@ -160,20 +207,21 @@ def evaluate_full_grid(model: MarketModel, utility: UtilityParams, spec: RiskSpe
     intervals of node_ticks.  A factor with one row is shared by every
     candidate and enters the cumulants, screen and cost once, unbroadcast.
     Candidates go through in chunks of _CHUNK, all screened on one profile
-    grid.
+    grid by max_ratios_per_call; the plan gives the cumulants and the cost
+    only (it has no grid).
     """
     v = np.asarray(v, dtype=np.float64)
     n, = np.broadcast_shapes(np.shape(y)[:1], v.shape[:1])
     feasible = np.ones(n, dtype=bool)
     costs = np.empty(n)
+    plan = EvaluationPlan.build(model, node_ticks, x, None)
     grid = profile_grid(node_ticks, model.horizon, N_PROFILE)
     for lo in range(0, n, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
-        cum = step_cumulants(model, node_ticks,
-                             *(f if len(f) == 1 else f[rows] for f in (y, v)))
+        cum = step_cumulants(plan, *(f if len(f) == 1 else f[rows] for f in (y, v)))
         if spec is not None:
-            feasible[rows] = max_ratios(cum, spec, x, grid) <= 1.0 + SATURATION_TOL
-        costs[rows] = _cost(cum, utility, x)
+            feasible[rows] = max_ratios_per_call(cum, spec, x, grid) <= 1.0 + SATURATION_TOL
+        costs[rows] = _cost(cum, utility, x, plan)
     return feasible, np.where(feasible, costs, -np.inf)
 
 
@@ -238,7 +286,8 @@ def quantile_lambda(model: MarketModel, strategy: DeterministicStrategy,
                     alpha: float, x: float, t):
     """Exact alpha-quantile of wealth at time t."""
     cum = cumulants(model, strategy)
-    out = _lambda_from_cumulants(cum, -normal_quantile(alpha), x, t)
+    out = _lambda_from_cumulants(cum, per_call(cum, t), cum.model.R(t),
+                                 -normal_quantile(alpha), x)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -249,7 +298,8 @@ def value_at_risk(model: MarketModel, strategy: DeterministicStrategy,
     May be negative; negative values are returned as-is (spare risk budget).
     """
     cum = cumulants(model, strategy)
-    lam = _lambda_from_cumulants(cum, -normal_quantile(alpha), x, t)
+    lam = _lambda_from_cumulants(cum, per_call(cum, t), cum.model.R(t),
+                                 -normal_quantile(alpha), x)
     out = x * np.exp(cum.model.R(np.asarray(t, dtype=np.float64))) - lam
     return float(out) if np.ndim(t) == 0 else out
 
@@ -258,7 +308,7 @@ def expected_shortfall(model: MarketModel, strategy: DeterministicStrategy,
                        alpha: float, x: float, t):
     """Excess loss of the tail conditional mean; always >= value_at_risk."""
     cum = cumulants(model, strategy)
-    m = _shortfall_mean(cum, -normal_quantile(alpha), x, t)
+    m = _shortfall_mean(cum, per_call(cum, t), cum.model.R(t), -normal_quantile(alpha), x)
     out = x * np.exp(cum.model.R(np.asarray(t, dtype=np.float64))) - m
     return float(out) if np.ndim(t) == 0 else out
 

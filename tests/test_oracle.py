@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import tracemalloc
+import weakref
 from functools import partial
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from merton_risk.oracle import (
     _BATCH_ROWS,
     _CHUNK,
     N_PROFILE,
-    _evaluate,
     _theta_exposures,
     cost_closed_form,
     grid_search_oracle,
@@ -38,6 +38,7 @@ from merton_risk.risk import (
 )
 from merton_risk.strategies import (
     DeterministicStrategy,
+    EvaluationPlan,
     cumulants,
     step_cumulants,
     step_strategy,
@@ -49,9 +50,11 @@ from merton_risk.var_bound import VAR, rho_var
 from conftest import bond_strategy, constant_market, random_market, random_strategy
 from cross_checks import (
     cost_quadrature,
+    curve_at,
     evaluate_full_grid,
     log_risk_es,
     log_risk_var,
+    max_ratios_per_call,
     satisfied,
 )
 
@@ -64,7 +67,8 @@ def linear_cost_direct(model, strategy, x):
     """
     cum = cumulants(model, strategy)
     integral = 0.0
-    for a, b in zip(cum.nodes[:-1], cum.nodes[1:]):
+    nodes = from_ticks(cum.node_ticks)
+    for a, b in zip(nodes[:-1], nodes[1:]):
         ts = np.linspace(a, b, 20_001)
         expo = model.R(ts) - cum.V(ts) + cum.ydt(ts)
         v = float(strategy.v_at(model, np.array([0.5 * (a + b)]))[0])
@@ -216,7 +220,7 @@ def test_oracle_tight_instance_structure(standard_market):
     cum = cumulants(standard_market,
                     _rebuild_candidate(standard_market, best.rho, best.v_levels))
     assert np.sqrt(cum.ynn.end_value) == pytest.approx(0.0, abs=1e-12)
-    assert float(cum.V(cum.horizon)) == pytest.approx(-np.log1p(-0.1), abs=5e-3)
+    assert float(cum.V_T) == pytest.approx(-np.log1p(-0.1), abs=5e-3)
 
 
 def _rebuild_candidate(model, rho, v_levels):
@@ -234,9 +238,11 @@ def _rebuild_candidate(model, rho, v_levels):
 
 
 def evaluate_on_grid(model, utility, spec, x, node_ticks, y, v):
-    """_evaluate on node_ticks' profile grid, as grid_search_oracle builds it."""
-    grid = profile_grid(node_ticks, model.horizon, N_PROFILE)
-    return _evaluate(model, utility, spec, x, node_ticks, y, v, grid)
+    """_evaluate on the plan of node_ticks and its profile grid, as
+    grid_search_oracle builds it."""
+    grid = None if spec is None else profile_grid(node_ticks, model.horizon, N_PROFILE)
+    return oracle_module._evaluate(EvaluationPlan.build(model, node_ticks, x, grid),
+                                   utility, spec, x, y, v)
 
 
 def _large_theta_market():
@@ -402,8 +408,9 @@ def test_evaluate_screen_at_T_matches_full_grid(kind):
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
                 if spec is not None and model is theta_case:
-                    at_T = max_ratios(step_cumulants(model, node_ticks, y_b, v_b),
-                                      spec, 1.2, np.array([model.horizon]))
+                    plan = EvaluationPlan.build(model, node_ticks, 1.2, None)
+                    at_T = max_ratios_per_call(step_cumulants(plan, y_b, v_b),
+                                               spec, 1.2, np.array([model.horizon]))
                     inner_breaks += np.sum((at_T <= 1.0 + SATURATION_TOL) & ~want[0])
     # the second stage rejects what the screen at T let through
     assert inner_breaks > 0 or spec is None
@@ -425,6 +432,7 @@ def test_evaluate_certificate_matches_full_grid(kind, zeta, monkeypatch):
         node_ticks = merge_ticks(model.node_ticks,
                                  to_ticks(np.linspace(0.0, horizon, 5)))
         args = (model, UtilityParams(0.6, 0.4), spec, x, node_ticks)
+        plan = EvaluationPlan.build(model, node_ticks, x, None)
         # consumption at rate c on [0, T/2) only: without exposure, L is
         # flat on [T/2, T], where the grid ratio's rounding error, about
         # eps / zeta, varies from point to point and t = T sees one point
@@ -433,8 +441,8 @@ def test_evaluate_certificate_matches_full_grid(kind, zeta, monkeypatch):
         def verdicts(y, c):
             """(certified, one-pass flag) of exposure y with rate c."""
             v = c * first_half[None, :]
-            cum = step_cumulants(model, node_ticks, y, v)
-            return (certified_feasible(cum, spec, x)[0],
+            cum = step_cumulants(plan, y, v)
+            return (certified_feasible(cum, spec, x, plan)[0],
                     evaluate_full_grid(*args, y, v)[0][0])
 
         # exposures spend at most half of the budget at |z_a| ||y||_T
@@ -473,19 +481,26 @@ def test_evaluate_certificate_matches_full_grid(kind, zeta, monkeypatch):
 
 
 def _count_grid_rows(monkeypatch):
-    """Patch the oracle's max_ratios to log each call's candidate rows: a
-    list of (survivors at T) for the screen at T, and one of rows sent to
-    the full profile grid."""
-    at_T, on_grid = [], []
+    """Patch the oracle's _evaluate to note its plan, and its max_ratios to
+    log each call's candidate rows: a list of (survivors at T) for the calls
+    on the plan's screen, and one of rows sent to the plan's profile grid."""
+    at_T, on_grid, plans = [], [], []
+    evaluate = oracle_module._evaluate
 
-    def counting(cum, spec, x, grid):
-        ratios = max_ratios(cum, spec, x, grid)
-        if len(grid) == 1:
+    def noting(plan, *args):
+        plans.append(plan)
+        return evaluate(plan, *args)
+
+    def counting(cum, spec, x, points):
+        ratios = max_ratios(cum, spec, x, points)
+        if points is plans[-1].screen:
             at_T.append(int(np.sum(ratios <= 1.0 + SATURATION_TOL)))
         else:
+            assert points is plans[-1].profile
             on_grid.append(len(ratios))
         return ratios
 
+    monkeypatch.setattr(oracle_module, "_evaluate", noting)
     monkeypatch.setattr(oracle_module, "max_ratios", counting)
     return at_T, on_grid
 
@@ -545,6 +560,73 @@ def test_evaluate_memory_bounded_by_batch_rows(monkeypatch):
         assert 0 < np.sum(feasible) < n
     assert grid_calls[0] > 0 and grid_calls[1] == 8 * grid_calls[0]
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def _bits(a):
+    """The float64 bits of a, -0.0 and 0.0 apart."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def test_plan_matches_per_call_evaluation():
+    """The plan's values of the cumulant curves, R and the bond, at T (its
+    screen) and on the profile grid, are the bits of the call-by-call
+    evaluation, with shared one-row factors, a zero-exposure row against
+    negative theta components (products -0.0) and a consumption row of -0.0
+    rates, which passes the check v >= 0 and leaves V's node values -0.0."""
+    x = 1.2
+    signed_zeros = 0
+    for model in (random_market(np.random.default_rng(43), d=2, max_pieces=3),
+                  constant_market(0.05, [0.01, 0.02], [[0.2, 0.0], [0.1, 0.25]], 1.0)):
+        node_ticks = merge_ticks(model.node_ticks,
+                                 to_ticks(np.linspace(0.0, model.horizon, 5)))
+        grid = profile_grid(node_ticks, model.horizon, N_PROFILE)
+        plan = EvaluationPlan.build(model, node_ticks, x, grid)
+        rng = np.random.default_rng(47)
+        shape = (6, len(node_ticks) - 1)
+        y = rng.uniform(-0.3, 0.3, size=shape + (model.dimension,))
+        y[0] = 0.0
+        v = rng.uniform(0.0, 0.3, size=shape)
+        v[0] = -0.0
+        for points, t in ((plan.screen, grid[-1:]), (plan.profile, grid)):
+            assert np.array_equal(_bits(points.R), _bits(model.R(t)))
+            assert np.array_equal(_bits(points.bond), _bits(x * np.exp(model.R(t))))
+            for y_b, v_b in ((y, v), (y[:1], v), (y, v[:1]), (y[:1], v[:1])):
+                cum = step_cumulants(plan, y_b, v_b)
+                for curve in (cum.ydt, cum.ynn, cum.V_of):
+                    got, want = points(curve), curve_at(curve, t)
+                    assert got.shape == want.shape == (len(curve.values), len(t))
+                    assert np.array_equal(_bits(got), _bits(want))
+                    signed_zeros += np.sum((curve.values == 0) & np.signbit(curve.values))
+    assert signed_zeros > 0
+
+
+@pytest.mark.parametrize("v_pieces,partitions", [(1, 1), (4, 2)])
+def test_search_builds_one_plan_per_partition(v_pieces, partitions, monkeypatch):
+    """A search builds one plan for the market's partition and, with
+    v_pieces > 1, one for the coordinate descent's; every evaluation on a
+    partition runs on its plan, and no plan outlives the search."""
+    built, used = [], []
+    build, evaluate = EvaluationPlan.build, oracle_module._evaluate
+
+    def building(*args):
+        plan = build(*args)
+        built.append(weakref.ref(plan))
+        return plan
+
+    def noting(plan, *args):
+        used.append(id(plan))
+        return evaluate(plan, *args)
+
+    monkeypatch.setattr(EvaluationPlan, "build", building)
+    monkeypatch.setattr(oracle_module, "_evaluate", noting)
+    model = random_market(np.random.default_rng(23), d=2, max_pieces=3)
+    spec = RiskSpec(alpha=0.025, zeta=0.15, kind=MeasureKind.ES)
+    res = grid_search_oracle(model, UtilityParams(0.6, 0.4), spec, 1.2,
+                             np.arange(0.0, 0.3, 0.02),
+                             v_levels=np.linspace(0.0, 0.4, 9), v_pieces=v_pieces)
+    assert len(built) == len(set(used)) == partitions
+    assert len(used) > partitions
+    assert len(res.records) > 0 and all(ref() is None for ref in built)
 
 
 def test_oracle_csv_export(tmp_path, standard_market):

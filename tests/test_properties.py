@@ -24,13 +24,13 @@ from merton_risk.errors import (
 from merton_risk.es_bound import ES, es_loose_threshold, rho_es, solve_es
 from merton_risk.oracle import _CHUNK, _cost, grid_search_oracle
 from merton_risk.risk import MeasureKind, RiskSpec
-from merton_risk.strategies import cumulants, step_cumulants
+from merton_risk.strategies import EvaluationPlan, cumulants, step_cumulants
 from merton_risk.unconstrained import equal_gamma_strategy, solve_unconstrained
 from merton_risk.utility import UtilityParams
 from merton_risk.var_bound import VAR, rho_var, solve_var, var_loose_threshold
 
 from conftest import random_market
-from cross_checks import budget_after, log_risk_var
+from cross_checks import budget_after, curve_at, log_risk_var
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -324,7 +324,7 @@ def test_step_cumulants_match_quadrature(control, fractions):
     integrals of y'theta, |y|^2 and v over [0, t], by the midpoint rule on
     the pieces where the integrands are constant."""
     model, node_ticks, y, v = control
-    cum = step_cumulants(model, node_ticks, y, v)
+    cum = step_cumulants(EvaluationPlan.build(model, node_ticks, 1.0, None), y, v)
     nodes = from_ticks(node_ticks)
     for t in model.horizon * np.array(fractions):
         edges = np.concatenate([[0.0], nodes[(nodes > 0.0) & (nodes < t)], [t]])
@@ -337,8 +337,8 @@ def test_step_cumulants_match_quadrature(control, fractions):
         yk = y[:, k]
         for curve, integrand in ((cum.ydt, np.sum(yk * theta, axis=-1)),
                                  (cum.ynn, np.sum(yk * yk, axis=-1)),
-                                 (cum.V, v[:, k])):
-            np.testing.assert_allclose(curve(t), integrand @ width,
+                                 (cum.V_of, v[:, k])):
+            np.testing.assert_allclose(curve_at(curve, t), integrand @ width,
                                        rtol=1e-12, atol=1e-12)
 
 
@@ -368,10 +368,10 @@ def test_batch_cost_equals_chunked_cost(batch, x0):
     row, whatever the batch's size."""
     model, node_ticks, y, v, utility = batch
     n = max(len(y), len(v))
-    whole = _cost(step_cumulants(model, node_ticks, y, v), utility, x0)
-    pieces = [_cost(step_cumulants(model, node_ticks,
-                                   *(f if len(f) == 1 else f[lo:lo + _CHUNK]
-                                     for f in (y, v))), utility, x0)
+    plan = EvaluationPlan.build(model, node_ticks, x0, None)
+    whole = _cost(step_cumulants(plan, y, v), utility, x0, plan)
+    pieces = [_cost(step_cumulants(plan, *(f if len(f) == 1 else f[lo:lo + _CHUNK]
+                                           for f in (y, v))), utility, x0, plan)
               for lo in range(0, n, _CHUNK)]
     assert whole.shape == (n,)
     assert np.array_equal(whole, np.concatenate(pieces), equal_nan=True)

@@ -184,7 +184,7 @@ def test_equal_gamma_flat_market_controls():
     v = sol.strategy.v_at(m, ts)
     assert np.allclose(v, 1.0 / (2.0 - ts), rtol=1e-12)
     cum = cumulants(m, sol.strategy)
-    assert float(cum.V(cum.horizon)) == pytest.approx(np.log(2.0), rel=1e-12)
+    assert float(cum.V_T) == pytest.approx(np.log(2.0), rel=1e-12)
     assert kappa_tilde(m, 0.5) == pytest.approx(0.5, rel=1e-13)
     # quadrature oracle for V_T = int v
     ts_fine = np.linspace(0, 1, 20001)

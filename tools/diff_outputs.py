@@ -1,17 +1,20 @@
 """Diff every output of the benchmark's task mix between a parent commit and this checkout.
 
     python3 tools/diff_outputs.py --parent HEAD~1
-    python3 tools/diff_outputs.py --parent HEAD~1 --mix oracle_xcheck:0-3:0-5 --rtol 1e-12
+    python3 tools/diff_outputs.py --parent HEAD~1 --mix oracle_xcheck:0-7:0-5 --rtol 1e-12
 
 The tasks are generated with this checkout's perfbench/inputs.py
 (``make_round``, ``write_task``): a ``--mix`` entry WORKLOAD:SEEDS:ROUNDS
 takes every task of those rounds of those seeds, with SEEDS and ROUNDS
-written as in bench_pairs ("0-3" or "0,2"). The parent commit is extracted
-with ``git archive`` into a temporary directory. Each side then runs every
-command of the mix in one fresh interpreter that imports ``merton_risk``
-from its own ``src/`` and calls ``cli.main`` in process, as the benchmark
-does; each task's exit codes and standard error go to ``commands.json``
-beside its outputs.
+written as in bench_pairs ("0-3" or "0,2"). Without ``--mix`` the mix is
+DEFAULT_MIX: seeds 0-1, rounds 0-1 of solve_verify and mc_simulate, and
+seeds 0-3, rounds 0-5 of oracle_xcheck (72 ``solve --oracle`` tasks), the
+oracle tasks that a change to the oracle's search must leave byte-identical.
+The parent commit is extracted with ``git archive`` into a temporary
+directory. Each side then runs every command of the mix in one fresh
+interpreter that imports ``merton_risk`` from its own ``src/`` and calls
+``cli.main`` in process, as the benchmark does; each task's exit codes and
+standard error go to ``commands.json`` beside its outputs.
 
 The two output trees are compared file by file. JSON files are compared
 key by key and CSV files column by column, number by number (a field of
@@ -37,7 +40,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, extract, parse_seeds  # noqa: E402
 
-DEFAULT_MIX = ("solve_verify:0-1:0-1", "mc_simulate:0-1:0-1", "oracle_xcheck:0-3:0-3")
+DEFAULT_MIX = ("solve_verify:0-1:0-1", "mc_simulate:0-1:0-1", "oracle_xcheck:0-3:0-5")
 
 # Runs in each side's interpreter: argv lists on stdin, [exit code, stderr] per
 # command on stdout; a crash is recorded as its exception, not raised.
