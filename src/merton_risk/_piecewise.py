@@ -16,17 +16,6 @@ import numpy as np
 
 TICK = 1e-9  # years per tick
 
-__all__ = [
-    "TICK",
-    "to_ticks",
-    "from_ticks",
-    "merge_ticks",
-    "PiecewiseLinear",
-    "cumulative_linear",
-    "cumulative_exp_affine",
-    "exp_affine_segment",
-]
-
 
 def to_ticks(t) -> np.ndarray:
     """Snap times (years) to the integer tick grid."""

@@ -38,13 +38,7 @@ from .errors import ConditionViolated, NegativeRate, NoClosedFormRegime, Unsuppo
 from .market import MarketModel
 from .risk import MeasureKind, RiskSpec
 from .solution import ConditionCheck, Solution
-from .strategies import (
-    CoefficientPath,
-    DeterministicStrategy,
-    GrowthFractionConsumption,
-    constant_strategy,
-    theta_direction_strategy,
-)
+from .strategies import GrowthFractionConsumption, scaled_theta_strategy
 from .unconstrained import solve_equal_gamma
 from .utility import UtilityParams
 
@@ -85,11 +79,11 @@ def solve_linear(rules: BoundRules, model: MarketModel, spec: RiskSpec,
     R_T = float(model.R(model.horizon))
     if tn > 0:
         regime, value = f"{rules.kind.value}_linear", x * float(np.exp(rho * tn + R_T))
-        strategy = theta_direction_strategy(model, rho)
+        strategy = scaled_theta_strategy(model, rho / tn)
         law = {"kind": "lognormal_exact", **rules.linear_law, "rho": rho}
     else:
         regime, value = f"{rules.kind.value}_linear_bond", x * float(np.exp(R_T))
-        strategy = constant_strategy(np.zeros(model.dimension), 0.0, model.horizon)
+        strategy = scaled_theta_strategy(model, 0.0)
         law = {"kind": "lognormal_exact",
                "note": "zero excess return; any exposure with total "
                        f"norm <= {rho:.6g} is optimal, zero is chosen",
@@ -190,16 +184,6 @@ def split_zeta_conditions(model: MarketModel, utility: UtilityParams,
     return tuple(checks)
 
 
-def tight_strategy(model: MarketModel, utility: UtilityParams,
-                   spec: RiskSpec) -> DeterministicStrategy:
-    """Riskless split optimum: pi* = 0, growth-fraction consumption spending zeta."""
-    return DeterministicStrategy(
-        y_path=CoefficientPath.constant(np.zeros(model.dimension), model.horizon),
-        consumption=GrowthFractionConsumption(utility.q1 * utility.gamma1,
-                                              zeta=spec.zeta),
-    )
-
-
 def solve_tight(rules: BoundRules, model: MarketModel, utility: UtilityParams,
                 spec: RiskSpec, x: float) -> Solution:
     """Riskless split optimum (small zeta)."""
@@ -218,7 +202,9 @@ def solve_tight(rules: BoundRules, model: MarketModel, utility: UtilityParams,
     return Solution(
         value=value, regime=f"{rules.kind.value}_tight", model=model, x=x,
         utility=utility, risk=spec,
-        strategy=tight_strategy(model, utility, spec),
+        # pi* = 0, growth-fraction consumption spending zeta
+        strategy=scaled_theta_strategy(model, 0.0, GrowthFractionConsumption(
+            utility.q1 * utility.gamma1, zeta=spec.zeta)),
         wealth_law={
             "kind": "deterministic",
             "note": "X*_t = x e^{R_t} (1 - zeta ||N1||_{q,t}^q / "

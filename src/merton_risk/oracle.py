@@ -12,18 +12,19 @@ supported strategy families, so the integral is evaluated exactly.  A
 constrained grid search over an exposure/consumption family brackets the
 solver optima from below.
 
-The bound must hold at every t of a profile grid.  Each evaluation builds
-the cumulants of its candidates once and takes them through three stages:
-it costs them and screens them at t = T in one batch; it certifies the
-survivors with a lower bound of the log risk functional per node interval
+The bound must hold at every t of a profile grid.  Each evaluation takes
+its candidates through three stages: it builds their cumulants, costs them
+and screens them at t = T in one batch; it certifies the survivors with a
+lower bound of the log risk functional per node interval
 (risk.certified_feasible); and it checks only the survivors left unproved
-on the whole grid, from rows of the same cumulants.  A candidate above the
-bound at T is above it on the grid, and a certified one is below it at
-every grid point as computed, so the verdict is the one-pass verdict, bit
-for bit.  Each node partition's plan (strategies.EvaluationPlan: dt, theta
-and R on its intervals, and where T and the profile grid's times fall on
-its nodes) is built once per search, and every evaluation on the partition
-reads it; the screen at T and the grid evaluate the curves alike.
+on the whole grid, from cumulants built again on their rows of the
+controls.  A candidate above the bound at T is above it on the grid, and a
+certified one is below it at every grid point as computed, so the verdict
+is the one-pass verdict, bit for bit.  Each node partition's plan
+(strategies.EvaluationPlan: dt, theta and R on its intervals, and where T
+and the profile grid's times fall on its nodes) is built once per search,
+and every evaluation on the partition reads it, its exposures along theta
+included; the screen at T and the grid evaluate the curves alike.
 
 The search keeps its candidates as columns, one numpy record array per
 stage (label, rho, consumption levels, feasible flag and cost), from the
@@ -34,19 +35,12 @@ record: no candidate is costed twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from ._piecewise import (
-    PiecewiseLinear,
-    exp_affine_segment,
-    merge_ticks,
-    segment_index,
-    to_ticks,
-)
+from ._piecewise import exp_affine_segment, merge_ticks, segment_index, to_ticks
 from ._table import write_table
 from .errors import EmptyFeasibleSet
 from .market import MarketModel
@@ -174,27 +168,18 @@ class OracleResult:
         ], ["s", ".12g", "s", "d", ".12g"])
 
 
-def _theta_exposures(model: MarketModel, node_ticks: np.ndarray, rhos):
+def _theta_exposures(plan: EvaluationPlan, rhos):
     """(K, k, d) exposures rho theta_t / ||theta||_T on the intervals of
-    node_ticks, zero when theta vanishes."""
-    theta = model.theta_step[segment_index(model.node_ticks, node_ticks[:-1])]
-    tn = model.theta_norm_T
+    plan's partition, zero when theta vanishes."""
+    tn = plan.model.theta_norm_T
     scale = np.asarray(rhos) / tn if tn > 0 else np.zeros(len(rhos))
-    return scale[:, None, None] * theta
+    return scale[:, None, None] * plan.theta
 
 
-def _take_rows(cum: Cumulants, rows) -> Cumulants:
-    """The candidates rows of a step_cumulants batch; a curve or array with
-    one row is shared by the batch and stays whole."""
-    def take(a):
-        return a if len(a) == 1 else a[rows]
-
-    def take_curve(curve):
-        return PiecewiseLinear(curve.node_ticks, take(curve.values))
-
-    return replace(cum, ydt=take_curve(cum.ydt), ynn=take_curve(cum.ynn),
-                   V_of=take_curve(cum.V_of), V_T=take(cum.V_T),
-                   cons_a=take(cum.cons_a), cons_b=take(cum.cons_b))
+def _rows(factors, rows) -> tuple:
+    """The rows of each (y or v) factor; a factor with one row is shared by
+    every candidate and stays whole."""
+    return tuple(f if len(f) == 1 else f[rows] for f in factors)
 
 
 def _evaluate(plan: EvaluationPlan, utility: UtilityParams, spec: RiskSpec | None,
@@ -209,15 +194,15 @@ def _evaluate(plan: EvaluationPlan, utility: UtilityParams, spec: RiskSpec | Non
     The cumulants of up to _BATCH_ROWS candidates are built in one batch, which
     is costed and screened at the grid's last point t = T alone.  Those that
     pass and that certified_feasible does not prove feasible from the node
-    values are checked on the whole grid _CHUNK at a time, from rows of the
-    same cumulants.  The verdict is the one-pass verdict: a ratio above the
-    bound at T is above it on the grid; a certified candidate's computed
-    ratio is within the bound at every point of any grid; and each point's
-    ratio is elementwise, so its bits do not depend on the rows or points
-    that share the array.  Each candidate's cost is a sum along its own
-    row, so it too does not depend on the batch (tests pin both), once y
-    and v are C-ordered: numpy sums a row of a Fortran-ordered array in
-    sequence rather than pairwise.
+    values are checked on the whole grid _CHUNK at a time, from cumulants
+    built on their rows of y and v.  The verdict is the one-pass verdict: a
+    ratio above the bound at T is above it on the grid; a certified
+    candidate's computed ratio is within the bound at every point of any
+    grid; and each point's ratio is elementwise, so its bits do not depend
+    on the rows or points that share the array.  Each candidate's curves and cost are sums along
+    its own row, so they too do not depend on the batch (tests pin both),
+    once y and v are C-ordered: numpy sums a row of a Fortran-ordered array
+    in sequence rather than pairwise.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
     v = np.ascontiguousarray(v, dtype=np.float64)
@@ -226,7 +211,8 @@ def _evaluate(plan: EvaluationPlan, utility: UtilityParams, spec: RiskSpec | Non
     costs = np.empty(n)
     for lo in range(0, n, _BATCH_ROWS):
         rows = slice(lo, lo + _BATCH_ROWS)
-        cum = step_cumulants(plan, *(f if len(f) == 1 else f[rows] for f in (y, v)))
+        batch = _rows((y, v), rows)
+        cum = step_cumulants(plan, *batch)
         costs[rows] = _cost(cum, utility, x, plan)
         if spec is None:
             continue
@@ -234,7 +220,8 @@ def _evaluate(plan: EvaluationPlan, utility: UtilityParams, spec: RiskSpec | Non
         unproved = np.flatnonzero(ok & ~certified_feasible(cum, spec, x, plan))
         for at in range(0, len(unproved), _CHUNK):
             part = unproved[at:at + _CHUNK]
-            ratios = max_ratios(_take_rows(cum, part), spec, x, plan.profile)
+            ratios = max_ratios(step_cumulants(plan, *_rows(batch, part)), spec, x,
+                                plan.profile)
             ok[part] = ratios <= 1.0 + SATURATION_TOL
         feasible[rows] = ok
     return feasible, np.where(feasible, costs, -np.inf)
@@ -277,13 +264,12 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     levels = np.unique(lvl_in) if lvl_in.size else np.array([0.0])
     horizon = model.horizon
 
-    def on_partition(node_ticks):
-        """_evaluate on node_ticks, whose plan is built once here."""
+    def plan_on(node_ticks):
+        """The plan of node_ticks, built once per search."""
         grid = None if spec is None else profile_grid(node_ticks, horizon, N_PROFILE)
-        return partial(_evaluate, EvaluationPlan.build(model, node_ticks, x, grid),
-                       utility, spec, x)
+        return EvaluationPlan.build(model, node_ticks, x, grid)
 
-    evaluate_market = on_partition(model.node_ticks)
+    market_plan = plan_on(model.node_ticks)
     n_steps = len(model.node_ticks) - 1
 
     # pure investment along theta, pure constant consumption, and a coarse
@@ -297,8 +283,8 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     stages = []
     for r_b, w_b in ((rhos, [0.0]), ([0.0], levels[levels > 0]), product):
         rho, level = np.broadcast_arrays(r_b, w_b)
-        feasible, costs = evaluate_market(
-            _theta_exposures(model, model.node_ticks, r_b),
+        feasible, costs = _evaluate(
+            market_plan, utility, spec, x, _theta_exposures(market_plan, r_b),
             np.repeat(np.reshape(w_b, (-1, 1)), n_steps, axis=1))
         stages.append(_stage_block("theta_direction", rho, level[:, None],
                                    feasible, costs))
@@ -312,8 +298,8 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
         piece_ticks = to_ticks(np.linspace(0.0, horizon, v_pieces + 1))
         node_ticks = merge_ticks(model.node_ticks, piece_ticks)
         piece = segment_index(piece_ticks, node_ticks[:-1])
-        evaluate = on_partition(node_ticks)
-        y = _theta_exposures(model, node_ticks, [best_rho])
+        plan = plan_on(node_ticks)
+        y = _theta_exposures(plan, [best_rho])
         for _ in range(COORDINATE_PASSES):
             improved = False
             for i in range(v_pieces):
@@ -321,7 +307,7 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
                 # acceptance rule replayed over the results
                 trials = np.repeat(current[None, :], len(levels), axis=0)
                 trials[:, i] = levels
-                feasible, costs = evaluate(y, trials[:, piece])
+                feasible, costs = _evaluate(plan, utility, spec, x, y, trials[:, piece])
                 kept = []
                 for j, (level, ok, cost) in enumerate(zip(
                         levels.tolist(), feasible.tolist(), costs.tolist())):

@@ -159,15 +159,6 @@ class DeterministicStrategy:
         return np.asarray(self.consumption.v_of(model, t), dtype=np.float64)
 
 
-def constant_strategy(y, v: float, horizon: float) -> DeterministicStrategy:
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    return DeterministicStrategy(
-        y_path=CoefficientPath.constant(y, horizon),
-        consumption=StepConsumption(
-            CoefficientPath.constant(np.array(float(v)), horizon)),
-    )
-
-
 def step_strategy(y_segments, v_segments, horizon: float) -> DeterministicStrategy:
     """Piecewise-constant strategy from [(t0, y_vec)] and [(t0, v)] lists."""
     y_segments = [(t, np.atleast_1d(np.asarray(y, dtype=np.float64)))
@@ -182,23 +173,19 @@ def step_strategy(y_segments, v_segments, horizon: float) -> DeterministicStrate
 
 def scaled_theta_strategy(model: MarketModel, factor: float,
                           consumption=None) -> DeterministicStrategy:
-    """y_t = factor * theta_t (e.g. factor = 1/(1-gamma) for the HARA optimum)."""
+    """y_t = factor * theta_t with the given consumption, none by default:
+    every explicit optimum's control (factor 1/(1-gamma) for equal exponents,
+    rho/||theta||_T under linear utility, 0 when riskless)."""
     y_path = CoefficientPath(
         breakpoint_ticks=model.node_ticks[:-1],
-        values=factor * model.theta_step,
+        # + 0.0 turns factor 0's -0.0 against a negative theta into +0.0,
+        # which outputs print as 0, not -0
+        values=factor * model.theta_step + 0.0,
         horizon_ticks=int(model.node_ticks[-1]),
     )
     if consumption is None:
         consumption = StepConsumption(CoefficientPath.constant(np.array(0.0), model.horizon))
     return DeterministicStrategy(y_path=y_path, consumption=consumption)
-
-
-def theta_direction_strategy(model: MarketModel, rho: float) -> DeterministicStrategy:
-    """y_t = rho * theta_t / ||theta||_T (requires ||theta||_T > 0)."""
-    tn = model.theta_norm_T
-    if tn <= 0:
-        raise MismatchedPaths("theta-direction strategy needs ||theta||_T > 0")
-    return scaled_theta_strategy(model, rho / tn)
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,7 @@ from ._piecewise import PiecewiseLinear, cumulative_exp_affine, cumulative_linea
 from .errors import ConvergenceFailure, NegativeRate, UnsupportedRegime
 from .market import MarketModel
 from .solution import ConditionCheck, Solution
-from .strategies import (
-    DeterministicStrategy,
-    GrowthFractionConsumption,
-    constant_strategy,
-    scaled_theta_strategy,
-)
+from .strategies import GrowthFractionConsumption, scaled_theta_strategy
 from .utility import UtilityParams
 
 G_RESIDUAL_RTOL = 1e-12
@@ -217,13 +212,12 @@ def solve_linear_unconstrained(model: MarketModel, x: float) -> Solution:
                         "note": "expected wealth grows without bound in exposure"},
             conditions=(ConditionCheck("positive_excess_return", True, tn),),
         )
-    strategy = constant_strategy(np.zeros(model.dimension), 0.0, model.horizon)
     return Solution(
         value=x * float(np.exp(model.R(model.horizon))),
         regime="unconstrained_linear_bond",
         model=model, x=x,
         utility=UtilityParams(1.0, 1.0),
-        strategy=strategy,
+        strategy=scaled_theta_strategy(model, 0.0),
         wealth_law={"kind": "lognormal_exact",
                     "note": "pure bond account; exposure choice is immaterial "
                             "and fixed to zero"},
@@ -276,24 +270,17 @@ def kappa_tilde(model: MarketModel, gamma: float) -> float:
     return equal_gamma_consumption(gamma).spent_fraction(model)
 
 
-def equal_gamma_strategy(model: MarketModel, gamma: float) -> DeterministicStrategy:
-    """Explicit optimal control: y* = theta/(1-gamma), growth-fraction v*."""
-    return scaled_theta_strategy(model, 1.0 / (1.0 - gamma),
-                                 consumption=equal_gamma_consumption(gamma))
-
-
 def solve_equal_gamma(model: MarketModel, gamma: float, x: float) -> Solution:
     """Equal-exponent specialization with explicit deterministic controls."""
     if not 0.0 < gamma < 1.0:
         raise UnsupportedRegime("equal-exponent solver needs gamma in (0,1)")
-    strategy = equal_gamma_strategy(model, gamma)
-    value = equal_gamma_value(model, gamma, x)
     q = 1.0 / (1.0 - gamma)
     return Solution(
-        value=value, regime="unconstrained_equal_gamma",
+        value=equal_gamma_value(model, gamma, x), regime="unconstrained_equal_gamma",
         model=model, x=x,
         utility=UtilityParams(gamma, gamma),
-        strategy=strategy,
+        # explicit optimal control: y* = theta/(1-gamma), growth-fraction v*
+        strategy=scaled_theta_strategy(model, q, equal_gamma_consumption(gamma)),
         wealth_law={
             "kind": "lognormal_exact",
             "note": f"dX = X (r - v* + q|theta|^2) dt + X q theta' dW, q={q:.6g}",

@@ -9,8 +9,10 @@ import pytest
 
 from merton_risk._piecewise import segment_index, to_ticks
 from merton_risk.market import CoefficientPath, MarketModel, build_market
-from merton_risk.strategies import constant_strategy, step_strategy
+from merton_risk.strategies import step_strategy
 from merton_risk.unconstrained import solve_hara_unconstrained
+
+from cross_checks import constant_strategy
 
 
 def constant_market(r: float, mu, sigma, horizon: float) -> MarketModel:

@@ -12,7 +12,8 @@ VaR and ES, the output tables written one formatted field at a time
 strategy with the log form of the uniform bound, the ES budget function
 psi(rho, u) whose root at u = 1 ``rho_es`` finds, the verdict of a
 constraint profile, and the exposure budget left after consuming part of
-the bound, from scipy's normal tail.
+the bound, from scipy's normal tail; and a constant control, which the
+solvers never need.
 """
 
 from __future__ import annotations
@@ -44,9 +45,15 @@ from merton_risk.strategies import (
     EvaluationPlan,
     cumulants,
     step_cumulants,
+    step_strategy,
 )
 from merton_risk.unconstrained import HaraFeedback
 from merton_risk.utility import UtilityParams
+
+
+def constant_strategy(y, v: float, horizon: float) -> DeterministicStrategy:
+    """Exposure y and consumption rate v held on [0, horizon]."""
+    return step_strategy([(0.0, y)], [(0.0, v)], horizon)
 
 
 def cost_quadrature(model: MarketModel, strategy: DeterministicStrategy,

@@ -73,6 +73,28 @@ def test_solve_var_tight_outputs(tmp_path):
     assert float(rows[0]["v"]) == pytest.approx(0.1, rel=1e-12)
 
 
+@pytest.mark.parametrize("regime", ["var_tight", "es_tight", "unconstrained_linear_bond",
+                                    "var_linear_bond", "es_linear_bond"])
+def test_zero_exposures_print_as_zero(tmp_path, regime):
+    # theta = (-0.2, 1/6) on the tight regimes' market, where 0.0 * theta_1
+    # is -0.0, and 0 on the bond regimes'; no value comparison tells -0 from
+    # 0, so the written fields are compared
+    kind, tight = regime.split("_")[0], regime.endswith("_tight")
+    market = {"T": 1.0, "d": 2, "r": [{"t0": 0.0, "value": 0.05}],
+              "mu": [{"t0": 0.0, "value": [0.01, 0.09] if tight else [0.05, 0.05]}],
+              "sigma": [{"t0": 0.0, "value": [[0.2, 0.0], [0.05, 0.3]]}]}
+    gamma = 0.5 if tight else 1.0
+    risk = None if kind == "unconstrained" else {"kind": kind, "alpha": 0.01, "zeta": 0.1}
+    spec = write_spec(tmp_path / "p.json", utility={"gamma1": gamma, "gamma2": gamma},
+                      risk=risk, market=market)
+    out = tmp_path / "out"
+    assert main(["solve", str(spec), "--out", str(out)]) == 0
+    assert json.loads((out / "solution.json").read_text())["regime"] == regime
+    with open(out / "controls.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row[name] for row in rows for name in ("pi_1", "pi_2")} == {"0"}
+
+
 @pytest.mark.parametrize("kind", ["var", "es"])
 def test_solve_tight_zero_excess_return_writes_valid_json(tmp_path, kind):
     # theta = 0: the quantile floor holds with margin |z_alpha|, a finite number
@@ -582,17 +604,26 @@ def test_oracle_command(tmp_path):
 
 
 def test_readme_cli_block_matches_the_parser():
-    # every subcommand and flag of README's usage block exists, and every
-    # subcommand is shown there
+    # README's usage block shows every subcommand and every option of each,
+    # and no other; a flag that takes a value and has a default shows it,
+    # and a switch shows none
     readme = Path(__file__).resolve().parents[1] / "README.md"
     block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
-    shown = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
-             for line in block.splitlines() if line.startswith("merton-risk ")}
+    shown = {text.split()[0]: dict(re.findall(r"(--[a-z][a-z-]*)(?: ([^\s\[\]]+))?", text))
+             for text in re.split(r"^merton-risk ", block, flags=re.M)[1:]}
     sub, = (action for action in build_parser()._actions
             if isinstance(action, argparse._SubParsersAction))
     assert set(shown) == set(sub.choices)
     for command, flags in shown.items():
-        assert flags <= set(sub.choices[command]._option_string_actions), command
+        actions = {action.option_strings[-1]: action
+                   for action in sub.choices[command]._actions
+                   if action.option_strings and action.dest != "help"}
+        assert set(flags) == set(actions), command
+        for flag, action in actions.items():
+            if action.nargs == 0:
+                assert flags[flag] == "", flag
+            elif action.default is not None:
+                assert action.type(flags[flag]) == action.default, flag
 
 
 STARTUP_SCRIPT = """

@@ -77,3 +77,13 @@ def test_csv_row_count_and_report_status(tmp_path, capsys):
     assert diff_outputs.report({}, 0.0, 3) == 0
     out = capsys.readouterr().out
     assert "3 files compared, 1 differ" in out and "3 files compared, 0 differ" in out
+
+
+def test_signed_zero_differs_in_bytes(tmp_path):
+    # -0 and 0 are equal numbers, so only the byte comparison reports them
+    parent = _write(tmp_path / "parent", {"controls.csv": "t,pi_1\n0,0\n",
+                                          "solution.json": '{"value": 0.0}\n'})
+    change = _write(tmp_path / "change", {"controls.csv": "t,pi_1\n0,-0\n",
+                                          "solution.json": '{"value": -0.0}\n'})
+    assert diff_outputs.compare_trees(parent, change) == {
+        "controls.csv": {"(bytes)": math.inf}, "solution.json": {"(bytes)": math.inf}}

@@ -22,14 +22,20 @@ from merton_risk.mc import (
 )
 from merton_risk.oracle import cost_closed_form
 from merton_risk.risk import MeasureKind, RiskSpec, constraint_profile
-from merton_risk.strategies import constant_strategy, cumulants, step_strategy
+from merton_risk.strategies import cumulants, step_strategy
 from merton_risk.unconstrained import solve_hara_unconstrained
 from merton_risk.utility import UtilityParams
 from merton_risk.var_bound import VAR
 from mc_reference import block_normals, simulate_feedback_euler
 
 from conftest import bond_strategy, constant_market, random_market, random_strategy
-from cross_checks import empirical_stderr, ensemble_consumption, max_ratio, quantile_lambda
+from cross_checks import (
+    constant_strategy,
+    empirical_stderr,
+    ensemble_consumption,
+    max_ratio,
+    quantile_lambda,
+)
 
 
 def test_pure_bond_paths_exact():

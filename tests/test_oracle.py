@@ -14,7 +14,7 @@ import pytest
 
 import merton_risk.oracle as oracle_module
 from merton_risk._piecewise import from_ticks, merge_ticks, segment_index, to_ticks
-from merton_risk.bounded import solve_linear, solve_tight, tight_strategy
+from merton_risk.bounded import solve_linear, solve_tight
 from merton_risk.cli import main
 from merton_risk.errors import EmptyFeasibleSet
 from merton_risk.es_bound import ES, rho_es
@@ -40,9 +40,9 @@ from merton_risk.strategies import (
     DeterministicStrategy,
     EvaluationPlan,
     cumulants,
+    scaled_theta_strategy,
     step_cumulants,
     step_strategy,
-    theta_direction_strategy,
 )
 from merton_risk.utility import UtilityParams
 from merton_risk.var_bound import VAR, rho_var
@@ -108,7 +108,7 @@ def test_cost_pure_bond_power_utility():
 def test_cost_tight_consumption_plan(standard_market):
     spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
     u = UtilityParams(0.5, 0.5)
-    s = tight_strategy(standard_market, u, spec)
+    s = solve_tight(VAR, standard_market, u, spec, 1.0).strategy
     expected = np.sqrt(0.1) + np.sqrt(0.9)
     assert cost_closed_form(standard_market, s, u, 1.0) == pytest.approx(
         expected, rel=1e-13)
@@ -233,7 +233,7 @@ def _rebuild_candidate(model, rho, v_levels):
     if rho == 0.0:
         return plan
     return DeterministicStrategy(
-        y_path=theta_direction_strategy(model, rho).y_path,
+        y_path=scaled_theta_strategy(model, rho / model.theta_norm_T).y_path,
         consumption=plan.consumption)
 
 
@@ -264,8 +264,8 @@ def _profile_edge(model, spec, x):
     """Largest rho whose theta-direction exposure passes constraint_profile,
     by bisection on its verdict."""
     def passes(rho):
-        return satisfied(constraint_profile(model, theta_direction_strategy(model, rho),
-                                            spec, x, n_refine=N_PROFILE))
+        strategy = scaled_theta_strategy(model, rho / model.theta_norm_T)
+        return satisfied(constraint_profile(model, strategy, spec, x, n_refine=N_PROFILE))
     return _flip_point(passes, 0.0, 1.0)[0]
 
 
@@ -365,8 +365,9 @@ def test_evaluate_descent_batch_matches_one_row_evaluations(kind):
     trials[:, 3] = np.linspace(0.0, 0.4, 41)
     v = trials[:, piece]
     assert len(piece) > 8 and not v.flags.c_contiguous
+    y = _theta_exposures(EvaluationPlan.build(model, node_ticks, 1.2, None), [0.2])
     evaluate = partial(evaluate_on_grid, model, UtilityParams(0.6, 0.4), spec, 1.2,
-                       node_ticks, _theta_exposures(model, node_ticks, [0.2]))
+                       node_ticks, y)
     batch = evaluate(v)
     assert batch[0].all()
     alone = [evaluate(np.ascontiguousarray(v[j:j + 1])) for j in range(len(v))]
@@ -393,7 +394,7 @@ def test_evaluate_screen_at_T_matches_full_grid(kind):
             shape = (n, len(node_ticks) - 1)
             if model is theta_case:
                 # exposures rho theta / ||theta||_T for rho in (0, 1]
-                y = _theta_exposures(model, node_ticks,
+                y = _theta_exposures(EvaluationPlan.build(model, node_ticks, 1.2, None),
                                      np.linspace(0.0, 1.0, n + 1)[1:])
                 v = rng.uniform(0.0, 0.1, size=shape)
                 v[0] = 0.0       # the shared row consumes nothing
@@ -447,7 +448,7 @@ def test_evaluate_certificate_matches_full_grid(kind, zeta, monkeypatch):
 
         # exposures spend at most half of the budget at |z_a| ||y||_T
         for rho in zeta / spec.abs_z * np.array([0.0, 0.25, 0.5]):
-            y = _theta_exposures(model, node_ticks, [rho])
+            y = _theta_exposures(plan, [rho])
             # rates around where each verdict flips: a step of 1e-13 / T
             # moves L on [T/2, T] by 5e-14, so 41 steps span +-1e-12, and
             # 201 finer ones span +-1e-6 zeta (at most 1e-12)
@@ -467,10 +468,9 @@ def test_evaluate_certificate_matches_full_grid(kind, zeta, monkeypatch):
                 # exposures within 1e-12 of its flip in rho
                 c = flips[0]
                 flip, _ = _flip_point(
-                    lambda r: verdicts(_theta_exposures(model, node_ticks, [r]), c)[0],
+                    lambda r: verdicts(_theta_exposures(plan, [r]), c)[0],
                     0.5 * rho, 2.0 * rho)
-                y = _theta_exposures(model, node_ticks,
-                                     flip + 5e-14 * np.arange(-20, 21))
+                y = _theta_exposures(plan, flip + 5e-14 * np.arange(-20, 21))
                 v = c * first_half[None, :]
                 got, want = evaluate_on_grid(*args, y, v), evaluate_full_grid(*args, y, v)
                 for g, w in zip(got, want):
@@ -548,7 +548,7 @@ def test_evaluate_memory_bounded_by_batch_rows(monkeypatch):
         # every batch holds the same rho in [0, 2], of which about a twelfth
         # pass, so every batch runs all three stages
         rhos = np.resize(np.linspace(0.0, 2.0, _BATCH_ROWS), n)
-        y = _theta_exposures(model, node_ticks, rhos)
+        y = _theta_exposures(EvaluationPlan.build(model, node_ticks, 1.2, None), rhos)
         v = np.full((n, k), 0.01)
         _, on_grid = _count_grid_rows(monkeypatch)
         tracemalloc.start()

@@ -25,7 +25,7 @@ from merton_risk.es_bound import ES, es_loose_threshold, rho_es, solve_es
 from merton_risk.oracle import _CHUNK, _cost, grid_search_oracle
 from merton_risk.risk import MeasureKind, RiskSpec
 from merton_risk.strategies import EvaluationPlan, cumulants, step_cumulants
-from merton_risk.unconstrained import equal_gamma_strategy, solve_unconstrained
+from merton_risk.unconstrained import solve_equal_gamma, solve_unconstrained
 from merton_risk.utility import UtilityParams
 from merton_risk.var_bound import VAR, rho_var, solve_var, var_loose_threshold
 
@@ -226,7 +226,7 @@ def test_var_loose_threshold_is_the_exact_infimum(model, gamma, alpha, below):
     if below is not None and edge > 1e-3:
         alpha = NormalDist().cdf(-below * edge)
     spec = RiskSpec(alpha=alpha, zeta=0.5, kind=MeasureKind.VAR)
-    cum = cumulants(model, equal_gamma_strategy(model, gamma))
+    cum = cumulants(model, solve_equal_gamma(model, gamma, 1.0).strategy)
     ts = np.linspace(0.0, model.horizon, 4001)
     exact = 1.0 - float(np.exp(np.min(log_risk_var(cum, spec.abs_z, ts))))
     threshold = var_loose_threshold(model, gamma, spec)

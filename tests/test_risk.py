@@ -11,15 +11,12 @@ from merton_risk.risk import (
     SATURATION_TOL,
     constraint_profile,
 )
-from merton_risk.strategies import (
-    constant_strategy,
-    cumulants,
-    theta_direction_strategy,
-)
+from merton_risk.strategies import cumulants, scaled_theta_strategy
 from merton_risk.var_bound import VAR, rho_var
 
 from conftest import bond_strategy, constant_market, random_market, random_strategy
 from cross_checks import (
+    constant_strategy,
     empirical_stderr,
     expected_shortfall,
     log_risk_es,
@@ -139,7 +136,7 @@ def test_profile_saturates_at_linear_var_optimum(standard_market):
 def test_profile_violated_when_exposure_doubled(standard_market):
     spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
     rho = rho_var(standard_market, spec)
-    s = theta_direction_strategy(standard_market, 2.0 * rho)
+    s = scaled_theta_strategy(standard_market, 2.0 * rho / standard_market.theta_norm_T)
     prof = constraint_profile(standard_market, s, spec, 1.0)
     assert max_ratio(prof) > 1.0 + 1e-6
     log_curve = log_risk_var(cumulants(standard_market, s), spec.abs_z, prof.times)

@@ -17,11 +17,11 @@ from merton_risk.oracle import (
 )
 from merton_risk.risk import MeasureKind, RiskSpec, profile_grid
 from merton_risk.solution import Solution
-from merton_risk.strategies import constant_strategy
 from merton_risk.utility import UtilityParams
 
 from conftest import constant_market, random_market
 from cross_checks import (
+    constant_strategy,
     ensemble_consumption,
     fmt,
     write_grid_csv_per_row,
