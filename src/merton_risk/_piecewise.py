@@ -80,7 +80,12 @@ def cumulative_linear(node_ticks: np.ndarray, rates: np.ndarray) -> PiecewiseLin
 
     rates : (..., k) value of f on [node_j, node_{j+1}); leading axes batch.
     """
-    dt = np.diff(from_ticks(node_ticks))
+    return integrate_steps(node_ticks, np.diff(from_ticks(node_ticks)), rates)
+
+
+def integrate_steps(node_ticks: np.ndarray, dt: np.ndarray,
+                    rates: np.ndarray) -> PiecewiseLinear:
+    """cumulative_linear with the interval lengths dt of node_ticks given."""
     steps = np.cumsum(rates * dt, axis=-1)
     vals = np.concatenate((np.zeros(steps.shape[:-1] + (1,)), steps), axis=-1)
     return PiecewiseLinear(node_ticks=node_ticks, values=vals)

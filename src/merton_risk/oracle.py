@@ -30,7 +30,10 @@ The search keeps its candidates as columns, one numpy record array per
 stage (label, rho, consumption levels, feasible flag and cost), from the
 arrays the evaluation returns to oracle.csv, whose layout is one line per
 candidate as before.  Its answer is the cost of the first best feasible
-record: no candidate is costed twice.
+record, with no closing evaluation.  The coordinate descent evaluates the
+trials of a run of coordinates in one batch and each distinct trial once
+(_coordinate_descent), and records what one evaluation per coordinate
+would.
 """
 
 from __future__ import annotations
@@ -236,6 +239,72 @@ def _first_best(stages) -> int | None:
     return int(np.argmax(np.where(ok, cost, -np.inf))) if ok.any() else None
 
 
+def _coordinate_descent(evaluate, rho: float, levels, current,
+                        current_cost: float) -> list:
+    """Stage blocks of a coordinate descent from the level row current, of
+    cost current_cost: a pass sets each entry c in turn to every level and
+    moves to the first feasible trial above current_cost + 1e-15; block c
+    keeps every trial but current itself.  Passes stop after one with no
+    move, or after COORDINATE_PASSES.  evaluate maps (n, len(current)) level
+    rows to flags and costs, the same bits in any batch.
+
+    A block that moved is taken to predict a move at the next coordinate,
+    and one that did not, none: after a move, and at the descent's start,
+    one evaluate call takes the next coordinate's trials alone; after a
+    block with no move it takes those of every coordinate left in the pass,
+    all from current.  A move at c drops the later blocks, and the next
+    call starts at c + 1.  A call sends only the trials this descent has
+    not evaluated yet, each once, keyed by their bytes (so -0.0 and 0.0
+    differ).
+    """
+    v_pieces, n_levels = len(current), len(levels)
+    row_key = np.dtype((np.void, current.itemsize * v_pieces))
+    memo = {}                    # trial row bytes -> its entry in flags, costs
+    flags, costs = np.empty(0, bool), np.empty(0)
+    blocks = []
+    moved = True
+    for _ in range(COORDINATE_PASSES):
+        improved = False
+        i = 0
+        while i < v_pieces:
+            stop = i + 1 if moved else v_pieces
+            # trials[c - i, j]: current with entry c set to levels[j]
+            trials = np.tile(current, (stop - i, n_levels, 1))
+            coordinates = np.arange(i, stop)
+            trials[coordinates - i, :, coordinates] = levels
+            seen = len(memo)
+            index = np.array([memo.setdefault(key, len(memo))
+                              for key in trials.view(row_key).ravel().tolist()])
+            new = index >= seen
+            # the trials new to the memo, each at its first occurrence
+            _, first = np.unique(index[new], return_index=True)
+            if first.size:
+                feasible, values = evaluate(trials.reshape(-1, v_pieces)[new][first])
+                flags = np.concatenate((flags, feasible))
+                costs = np.concatenate((costs, values))
+            index = index.reshape(stop - i, n_levels)
+            for c in coordinates.tolist():
+                block, at = trials[c - i], index[c - i]
+                kept, moved = [], False
+                for j, (level, ok, cost) in enumerate(zip(
+                        levels.tolist(), flags[at].tolist(), costs[at].tolist())):
+                    # trial j differs from current in entry c alone
+                    if level == current[c]:
+                        continue
+                    kept.append(j)
+                    if ok and cost > current_cost + 1e-15:
+                        current_cost, current, moved = cost, block[j], True
+                blocks.append(_stage_block("coordinate_descent", rho, block[kept],
+                                           flags[at[kept]], costs[at[kept]]))
+                if moved:
+                    break
+            improved |= moved
+            i = c + 1
+        if not improved:
+            break
+    return blocks
+
+
 def grid_search_oracle(model: MarketModel, utility: UtilityParams,
                        spec: RiskSpec | None, x: float, rho_grid,
                        v_levels=(0.0,), v_pieces: int = 1) -> OracleResult:
@@ -246,8 +315,9 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     piecewise constant with v_pieces equal intervals and levels drawn from
     v_levels; for v_pieces > 1 the levels are refined by coordinate descent
     on the grid in COORDINATE_PASSES sweeps (the cost is concave along each
-    coordinate).  The answer is the first largest feasible cost among the
-    records, in the order oracle.csv lists them.
+    coordinate), one evaluation per run of coordinates and none twice for a
+    trial (_coordinate_descent).  The answer is the first largest feasible
+    cost among the records, in the order oracle.csv lists them.
 
     Raises EmptyFeasibleSet when the family is empty or fully infeasible.
     The candidates of each search stage share one node partition, so they
@@ -293,34 +363,19 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     if v_pieces > 1 and first is not None:
         # coordinate descent from the best single-level candidate
         start = np.concatenate(stages)[first]
-        best_rho, current_cost = float(start["rho"]), float(start["cost"])
-        current = np.full(v_pieces, start["v_levels"][0])
         piece_ticks = to_ticks(np.linspace(0.0, horizon, v_pieces + 1))
         node_ticks = merge_ticks(model.node_ticks, piece_ticks)
         piece = segment_index(piece_ticks, node_ticks[:-1])
         plan = plan_on(node_ticks)
-        y = _theta_exposures(plan, [best_rho])
-        for _ in range(COORDINATE_PASSES):
-            improved = False
-            for i in range(v_pieces):
-                # every level of coordinate i at once, then the sequential
-                # acceptance rule replayed over the results
-                trials = np.repeat(current[None, :], len(levels), axis=0)
-                trials[:, i] = levels
-                feasible, costs = _evaluate(plan, utility, spec, x, y, trials[:, piece])
-                kept = []
-                for j, (level, ok, cost) in enumerate(zip(
-                        levels.tolist(), feasible.tolist(), costs.tolist())):
-                    # trial j differs from current in entry i alone
-                    if level == current[i]:
-                        continue
-                    kept.append(j)
-                    if ok and cost > current_cost + 1e-15:
-                        current_cost, current, improved = cost, trials[j], True
-                stages.append(_stage_block("coordinate_descent", best_rho, trials[kept],
-                                           feasible[kept], costs[kept]))
-            if not improved:
-                break
+        rho = float(start["rho"])
+        y = _theta_exposures(plan, [rho])
+
+        def evaluate(trials):
+            return _evaluate(plan, utility, spec, x, y, trials[:, piece])
+
+        stages += _coordinate_descent(evaluate, rho, levels,
+                                      np.full(v_pieces, start["v_levels"][0]),
+                                      float(start["cost"]))
 
     best = _first_best(stages)
     if best is None:

@@ -25,6 +25,7 @@ from ._piecewise import (
     PiecewiseLinear,
     cumulative_linear,
     from_ticks,
+    integrate_steps,
     merge_ticks,
     segment_index,
     to_ticks,
@@ -312,10 +313,10 @@ def step_cumulants(plan: EvaluationPlan, y, v) -> Cumulants:
     v = np.asarray(v, dtype=np.float64)
     if np.any(v < 0):
         raise MismatchedPaths("consumption rates must be >= 0")
-    nodes = plan.node_ticks
-    V = cumulative_linear(nodes, v)
+    nodes, dt = plan.node_ticks, plan.dt
+    V = integrate_steps(nodes, dt, v)
     cons_a, cons_b = _step_log_affine(v, V.values[..., :-1])
     return Cumulants(model=plan.model, node_ticks=nodes,
-                     ydt=cumulative_linear(nodes, np.sum(y * plan.theta, axis=-1)),
-                     ynn=cumulative_linear(nodes, np.sum(y * y, axis=-1)), V_of=V,
+                     ydt=integrate_steps(nodes, dt, np.sum(y * plan.theta, axis=-1)),
+                     ynn=integrate_steps(nodes, dt, np.sum(y * y, axis=-1)), V_of=V,
                      V_T=V.values[..., -1], cons_a=cons_a, cons_b=cons_b)

@@ -4,7 +4,8 @@ Each restates a quantity of the package by another route: the expected
 cost by adaptive quadrature, the sup of the cost tilt along theta, the
 Gaussian upper tail, Mills' ratio bounds on it, the Hamiltonian probe
 check node by node, the oracle's feasibility screen on the full profile
-grid in one pass with every curve evaluated call by call, a simulated
+grid in one pass with every curve evaluated call by call, the oracle's
+coordinate descent with one evaluation per coordinate, a simulated
 ensemble's whole consumption table, the standard errors of the empirical
 VaR and ES, the output tables written one formatted field at a time
 (``fmt`` and ``write_rows``, the package's writers before
@@ -29,7 +30,14 @@ from merton_risk.gaussian import _SQRT2, _real, erfc, gauss_hazard, log_tail_rat
 from merton_risk.hjb import _grid, _reduced_hamiltonian_terms
 from merton_risk.market import MarketModel
 from merton_risk.mc import PathEnsemble
-from merton_risk.oracle import _CHUNK, N_PROFILE, _cost, _cost_pieces
+from merton_risk.oracle import (
+    _CHUNK,
+    COORDINATE_PASSES,
+    N_PROFILE,
+    _cost,
+    _cost_pieces,
+    _stage_block,
+)
 from merton_risk.risk import (
     SATURATION_TOL,
     MeasureKind,
@@ -230,6 +238,34 @@ def evaluate_full_grid(model: MarketModel, utility: UtilityParams, spec: RiskSpe
             feasible[rows] = max_ratios_per_call(cum, spec, x, grid) <= 1.0 + SATURATION_TOL
         costs[rows] = _cost(cum, utility, x, plan)
     return feasible, np.where(feasible, costs, -np.inf)
+
+
+def coordinate_descent_per_coordinate(evaluate, rho: float, levels, current,
+                                      current_cost: float) -> list:
+    """oracle._coordinate_descent with one evaluate call per coordinate and
+    no memo: every level of coordinate i at once, then the sequential
+    acceptance rule replayed over the results."""
+    blocks = []
+    for _ in range(COORDINATE_PASSES):
+        improved = False
+        for i in range(len(current)):
+            trials = np.repeat(current[None, :], len(levels), axis=0)
+            trials[:, i] = levels
+            feasible, costs = evaluate(trials)
+            kept = []
+            for j, (level, ok, cost) in enumerate(zip(
+                    levels.tolist(), feasible.tolist(), costs.tolist())):
+                # trial j differs from current in entry i alone
+                if level == current[i]:
+                    continue
+                kept.append(j)
+                if ok and cost > current_cost + 1e-15:
+                    current_cost, current, improved = cost, trials[j], True
+            blocks.append(_stage_block("coordinate_descent", rho, trials[kept],
+                                       feasible[kept], costs[kept]))
+        if not improved:
+            break
+    return blocks
 
 
 def write_oracle_csv_per_field(path, records) -> None:

@@ -1,10 +1,12 @@
-"""Summary arithmetic of tools/bench_pairs.py on canned run outputs.
+"""Summary arithmetic of tools/bench_pairs.py on canned run outputs, and
+the copy of the working tree that its change side runs from.
 
-Only the pure summary functions are called: no benchmark run is started.
+No benchmark run is started.
 """
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,30 @@ def test_parse_result_rejects_silent_run():
         bench_pairs.parse_result("\n  \n")
     with pytest.raises(ValueError):
         bench_pairs.metric_summary([1.0, 2.0], [1.0], "higher")
+
+
+def test_snapshot_copies_the_working_tree(tmp_path):
+    """The change side's copy holds a tracked file's working-tree edit and
+    an untracked file, but no ignored file, no deleted file and no .git."""
+    repo, dest = tmp_path / "repo", tmp_path / "snapshot"
+    (repo / "pkg").mkdir(parents=True)
+    dest.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "pkg" / "edited.py").write_text("committed\n")
+    (repo / "deleted.txt").write_text("committed\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "start")
+    (repo / "pkg" / "edited.py").write_text("edited\n")
+    (repo / "deleted.txt").unlink()
+    (repo / "pkg" / "untracked.py").write_text("new\n")
+    (repo / "run.log").write_text("ignored\n")
+    bench_pairs.snapshot(repo, dest)
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "pkg/edited.py", "pkg/untracked.py"]
+    assert (dest / "pkg" / "edited.py").read_text() == "edited\n"

@@ -49,6 +49,7 @@ from merton_risk.var_bound import VAR, rho_var
 
 from conftest import bond_strategy, constant_market, random_market, random_strategy
 from cross_checks import (
+    coordinate_descent_per_coordinate,
     cost_quadrature,
     curve_at,
     evaluate_full_grid,
@@ -373,6 +374,187 @@ def test_evaluate_descent_batch_matches_one_row_evaluations(kind):
     alone = [evaluate(np.ascontiguousarray(v[j:j + 1])) for j in range(len(v))]
     for got, want in zip(batch, zip(*alone)):
         assert np.array_equal(got, np.concatenate(want))
+
+
+@pytest.mark.parametrize("kind,rho", [(MeasureKind.VAR, 0.1), (MeasureKind.ES, 0.075)])
+def test_evaluate_stacked_descent_batch_matches_one_row_evaluations(kind, rho, monkeypatch):
+    """The descent's stacked batch, the trials of coordinates 1 to 7 from a
+    constant level row after coordinate 0 found no move (that row left out,
+    coordinate 0 sent it), gathered onto the node intervals, gives each row
+    the flag and cost bits of that row evaluated alone, where some rows fail
+    at T, some the certificate clears, and some reach the profile grid,
+    which accepts some and rejects others."""
+    model = _large_theta_market()
+    spec = RiskSpec(alpha=0.025, zeta=0.1, kind=kind)
+    piece_ticks = to_ticks(np.linspace(0.0, model.horizon, 9))
+    node_ticks = merge_ticks(model.node_ticks, piece_ticks)
+    piece = segment_index(piece_ticks, node_ticks[:-1])
+    levels = np.linspace(0.0, 0.4, 41)
+    batches = []
+
+    def logged(trials):
+        batches.append(trials)
+        return np.zeros(len(trials), dtype=bool), np.full(len(trials), -np.inf)
+
+    # no trial beats an infinite cost: coordinate 0 alone, then the rest of
+    # the pass in one call, and no second pass
+    oracle_module._coordinate_descent(logged, rho, levels, np.full(8, levels[1]), np.inf)
+    first, trials = batches
+    assert (len(first), len(trials)) == (len(levels), 7 * len(levels) - 7)
+    v = trials[:, piece]
+    y = _theta_exposures(EvaluationPlan.build(model, node_ticks, 1.2, None), [rho])
+    evaluate = partial(evaluate_on_grid, model, UtilityParams(0.6, 0.4), spec, 1.2,
+                       node_ticks, y)
+    at_T, on_grid = _count_grid_rows(monkeypatch)
+    feasible, costs = evaluate(v)
+    survivors, to_grid = sum(at_T), sum(on_grid)
+    rejected_on_grid = survivors - np.sum(feasible)
+    # fails at T, certified, accepted and rejected on the grid
+    assert survivors < len(v) and to_grid < survivors, (at_T, on_grid)
+    assert 0 < rejected_on_grid < to_grid, (at_T, on_grid)
+    alone = [evaluate(np.ascontiguousarray(v[j:j + 1])) for j in range(len(v))]
+    assert np.array_equal(feasible, np.concatenate([f for f, _ in alone]))
+    assert np.array_equal(_bits(costs), _bits(np.concatenate([c for _, c in alone])))
+
+
+def _run_logged(monkeypatch, descend, search):
+    """search() with descend as the oracle's coordinate descent: its result,
+    the level rows of each evaluate call of the descent, and the descent's
+    (evaluate, arguments, stage blocks)."""
+    calls, descents = [], []
+
+    def logged(evaluate, *args):
+        def logging(trials):
+            calls.append(np.array(trials))
+            return evaluate(trials)
+        blocks = descend(logging, *args)
+        descents.append((evaluate, args, blocks))
+        return blocks
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle_module, "_coordinate_descent", logged)
+        return search(), calls, descents
+
+
+def _assert_same_search(got, want):
+    assert _bits(got.best_cost) == _bits(want.best_cost)
+    assert len(got.records.stages) == len(want.records.stages)
+    for g, w in zip(got.records.stages, want.records.stages):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def _golden_search(problem, out, monkeypatch):
+    """The OracleResult of solve --oracle on a golden problem, and the bytes
+    of its oracle.csv."""
+    results = []
+    search = oracle_module.grid_search_oracle
+
+    def keeping(*args, **kw):
+        results.append(search(*args, **kw))
+        return results[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle_module, "grid_search_oracle", keeping)
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["solve", str(Path(__file__).parent / "golden" / problem / "problem.json"),
+                         "--out", str(out), "--grid", "21", "--oracle"]) == 0
+    result, = results
+    return result, (out / "oracle.csv").read_bytes()
+
+
+# (evaluate calls, rows) of the descent on each golden search, and of the
+# per-coordinate reference
+_DESCENT_TRAFFIC = {
+    "var_tight": ((3, 321), (16, 656)),
+    "es_tight_unequal": ((3, 321), (16, 656)),
+    "var_loose": ((13, 1001), (24, 984)),
+    "es_loose": ((13, 1001), (24, 984)),
+    "var_loose_below_half": ((10, 761), (16, 656)),
+    "unconstrained_equal": ((13, 1001), (24, 984)),
+}
+
+
+@pytest.mark.parametrize("problem", list(_DESCENT_TRAFFIC))
+def test_descent_matches_reference_on_golden_searches(problem, monkeypatch, tmp_path):
+    """On the golden searches of solve --oracle the batched descent gives the
+    records, best cost and oracle.csv of the per-coordinate reference, and
+    evaluates no trial twice.  Its (evaluate calls, rows) against the
+    reference's: a tight search moves at coordinate 0 alone, so coordinate 0
+    goes alone, the rest of the pass in one call, and the second pass is all
+    memo hits; a loose or unconstrained one moves at most coordinates of its
+    first pass, so most calls take one coordinate, and a move inside a
+    stacked call drops blocks it evaluated."""
+    (got, got_csv), calls, _ = _run_logged(
+        monkeypatch, oracle_module._coordinate_descent,
+        partial(_golden_search, problem, tmp_path / "batched", monkeypatch))
+    (want, want_csv), ref_calls, _ = _run_logged(
+        monkeypatch, coordinate_descent_per_coordinate,
+        partial(_golden_search, problem, tmp_path / "reference", monkeypatch))
+    _assert_same_search(got, want)
+    assert got_csv == want_csv
+    rows = [row.tobytes() for trials in calls for row in trials]
+    assert len(rows) == len(set(rows))
+    assert ((len(calls), len(rows)), (len(ref_calls), sum(map(len, ref_calls)))) \
+        == _DESCENT_TRAFFIC[problem]
+
+
+def _moves_per_pass(blocks, v_pieces, cost):
+    """The number of coordinates each pass of a descent from cost moved at,
+    by the acceptance rule replayed over its recorded trials."""
+    moves = []
+    for k, block in enumerate(blocks):
+        if k % v_pieces == 0:
+            moves.append(0)
+        moved = False
+        for ok, trial_cost in zip(block.feasible.tolist(), block.cost.tolist()):
+            if ok and trial_cost > cost + 1e-15:
+                cost, moved = trial_cost, True
+        moves[-1] += moved
+    return moves
+
+
+def test_descent_matches_reference_on_random_searches(monkeypatch):
+    """On seeded random searches with 2, 4 and 8 pieces the batched descent
+    gives the records and best cost of the per-coordinate reference, in no
+    more evaluate calls, and at most (v_pieces + 1) / 2 times its rows.  The
+    cases include a pass that moves at two coordinates or more, which drops
+    evaluated blocks, and a second pass that evaluates rows the first did
+    not."""
+    multi_move = fresh_second_pass = False
+    for v_pieces in (2, 4, 8):
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            model = random_market(rng, d=2, max_pieces=3)
+            utility = UtilityParams(*rng.uniform(0.2, 0.9, size=2))
+            kind = (None, MeasureKind.VAR, MeasureKind.ES)[seed % 3]
+            spec = None if kind is None else RiskSpec(
+                alpha=0.025, zeta=float(rng.uniform(0.05, 0.5)), kind=kind)
+            search = partial(grid_search_oracle, model, utility, spec, 1.0,
+                             np.arange(0.0, 0.4, 0.02),
+                             v_levels=np.linspace(0.0, rng.uniform(0.2, 1.0), 21),
+                             v_pieces=v_pieces)
+            got, calls, descents = _run_logged(
+                monkeypatch, oracle_module._coordinate_descent, search)
+            want, ref_calls, _ = _run_logged(
+                monkeypatch, coordinate_descent_per_coordinate, search)
+            _assert_same_search(got, want)
+            assert len(calls) <= len(ref_calls)
+            rows, ref_rows = (sum(map(len, c)) for c in (calls, ref_calls))
+            assert rows <= (v_pieces + 1) / 2 * ref_rows, (v_pieces, seed)
+            (evaluate, args, blocks), = descents
+            multi_move |= max(_moves_per_pass(blocks, v_pieces, args[-1])) >= 2
+
+            def rows_within(passes):
+                counted = []
+                with monkeypatch.context() as m:
+                    m.setattr(oracle_module, "COORDINATE_PASSES", passes)
+                    oracle_module._coordinate_descent(
+                        lambda trials: counted.append(len(trials)) or evaluate(trials),
+                        *args)
+                return sum(counted)
+
+            fresh_second_pass |= rows_within(2) > rows_within(1)
+    assert multi_move and fresh_second_pass
 
 
 @pytest.mark.parametrize("kind", [MeasureKind.VAR, MeasureKind.ES, None])

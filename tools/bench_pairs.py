@@ -4,7 +4,11 @@
         --change "what the change does" --claimed oracle_xcheck:tasks_per_s
 
 The parent commit is extracted with ``git archive`` into a temporary
-directory; the change side is this checkout's working tree. For every
+directory, and the change side is copied beside it from this checkout's
+working tree: every file ``git ls-files -co --exclude-standard`` lists,
+tracked files with their working-tree content, untracked files included
+and ignored ones left out. So both sides run alike from fresh copies,
+with no ``__pycache__`` that an earlier run left. For every
 workload of BENCHMARK.json and every seed, both sides run
 
     python3 perfbench/run.py --workload W --seed S --seconds N --trace 0
@@ -26,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -116,6 +121,20 @@ def extract(rev: str, dest: Path) -> str:
     return commit
 
 
+def snapshot(root: Path, dest: Path) -> None:
+    """Copy the working tree of the git checkout at root to dest: tracked
+    files as they are on disk (one deleted there is left out) and untracked
+    files that .gitignore does not exclude."""
+    names = subprocess.run(["git", "ls-files", "-z", "-co", "--exclude-standard"],
+                           cwd=root, check=True, capture_output=True).stdout
+    for name in filter(None, os.fsdecode(names).split("\0")):
+        source = root / name
+        if source.is_file():
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -136,8 +155,10 @@ def main(argv=None) -> int:
         "command": COMMAND.format(seconds=seconds),
         "method": (f"{len(seeds)} pairs per workload, seeds {args.seeds} (one seed per "
                    "pair, both sides alike), the side that runs first alternating; "
-                   "the parent runs from a git archive of its commit, the change from "
-                   "the working tree; figures on the benchmark's speed scale; "
+                   "the parent runs from a git archive of its commit and the change "
+                   "from a copy of the working tree's files (git ls-files -co "
+                   "--exclude-standard), each in its own temporary directory; figures "
+                   "on the benchmark's speed scale; "
                    "quartiles by linear interpolation"),
         "machine": (f"{os.cpu_count()}-CPU machine, {platform.system()}, "
                     f"Python {platform.python_version()}"),
@@ -149,9 +170,11 @@ def main(argv=None) -> int:
         doc["claimed"] = {"metric": metric, "workload": workload}
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        parent_root = Path(tmp)
-        doc["parent_commit"] = extract(args.parent, parent_root)
-        sides = {"parent": parent_root, "change": ROOT}
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for root in sides.values():
+            root.mkdir()
+        doc["parent_commit"] = extract(args.parent, sides["parent"])
+        snapshot(ROOT, sides["change"])
         for workload in workloads:
             results = {"parent": [], "change": []}
             for i, seed in enumerate(seeds):
