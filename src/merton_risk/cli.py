@@ -45,7 +45,7 @@ from .errors import (
 )
 from .market import MarketModel, json_number, market_from_dict
 from .risk import MeasureKind, RiskSpec, constraint_profile
-from .solution import Solution
+from .solution import Solution, curve_times
 from .strategies import DeterministicStrategy, step_strategy
 from .utility import UtilityParams
 
@@ -142,8 +142,9 @@ def cmd_solve(args) -> int:
         _write_failure(out_dir, exc)
         raise
     sol.write_json(out_dir / "solution.json")
-    sol.write_controls_csv(out_dir / "controls.csv", n=args.grid)
-    sol.write_wealth_csv(out_dir / "wealth.csv", n=args.grid)
+    times = curve_times(spec.model, args.grid)
+    sol.write_controls_csv(out_dir / "controls.csv", times)
+    sol.write_wealth_csv(out_dir / "wealth.csv", times)
     if sol.feedback is not None:
         sol.write_feedback_grids(out_dir / "p_grid.csv", out_dir / "c_grid.csv")
     if args.oracle:

@@ -64,26 +64,27 @@ class HjbReport:
                     ["s", "s", ".6g"])
 
 
+def _on_breakpoint(model: MarketModel, t) -> np.ndarray:
+    """Which times snap to the tick of a coefficient breakpoint."""
+    return np.isin(to_ticks(t), model.node_ticks)
+
+
 def off_breakpoint_grid(model: MarketModel, n_t: int) -> np.ndarray:
-    """Interior time nodes avoiding every coefficient breakpoint."""
+    """Interior time nodes avoiding every coefficient breakpoint: a node on
+    one moves right by a fixed shift until it is off every breakpoint."""
     ts = np.linspace(0.0, model.horizon, n_t + 2)[1:-1]
-    bp = set(model.node_ticks.tolist())
     shift = (model.horizon / (n_t + 2)) * 0.37
-    out = []
-    for t in ts:
-        tt = t
-        while int(to_ticks(tt)) in bp:
-            tt = tt + shift
-        out.append(tt)
-    return np.asarray(out)
+    for i in np.flatnonzero(_on_breakpoint(model, ts)):
+        while _on_breakpoint(model, ts[i]):
+            ts[i] = ts[i] + shift
+    return ts
 
 
 def _check_grid(model: MarketModel, t_nodes: np.ndarray) -> None:
-    bp = set(model.node_ticks.tolist())
-    for t in np.asarray(t_nodes, dtype=np.float64):
-        if int(to_ticks(t)) in bp:
-            raise GridTouchesBreakpoint(
-                f"t = {t} coincides with a coefficient breakpoint")
+    hits = np.flatnonzero(_on_breakpoint(model, t_nodes))
+    if hits.size:
+        raise GridTouchesBreakpoint(
+            f"t = {t_nodes[hits[0]]} coincides with a coefficient breakpoint")
 
 
 def _grid(model: MarketModel, t_nodes, n_t: int, n_x: int):

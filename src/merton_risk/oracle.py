@@ -84,15 +84,16 @@ def _cost_pieces(cum: Cumulants, utility: UtilityParams, plan: EvaluationPlan):
     g1, g2 = utility.gamma1, utility.gamma2
     ydt_nodes = cum.ydt.values
     ynn_nodes = cum.ynn.values
+    V_T, cons_a, cons_b = cum.cost_terms()
 
     k1 = 0.5 * g1 * (1.0 - g1)
-    offsets = (g1 * cum.cons_a + g1 * plan.R[:-1]
+    offsets = (g1 * cons_a + g1 * plan.R[:-1]
                + g1 * ydt_nodes[..., :-1] - k1 * ynn_nodes[..., :-1])
-    slopes = (g1 * cum.cons_b + g1 * plan.R_slopes
+    slopes = (g1 * cons_b + g1 * plan.R_slopes
               + g1 * (np.diff(ydt_nodes) / dt) - k1 * (np.diff(ynn_nodes) / dt))
 
     k2 = 0.5 * g2 * (1.0 - g2)
-    terminal = np.exp(g2 * (plan.R[-1] - cum.V_T)
+    terminal = np.exp(g2 * (plan.R[-1] - V_T)
                       + g2 * ydt_nodes[..., -1] - k2 * ynn_nodes[..., -1])
     return dt, offsets, slopes, terminal
 

@@ -14,6 +14,14 @@ from .strategies import DeterministicStrategy, cumulants
 from .utility import UtilityParams
 
 
+def curve_times(model: MarketModel, n: int = 201) -> tuple:
+    """(grid, text): the times at which solve samples a solution's curves,
+    every market node and n uniform times, and each time in '.12g', built
+    once for the t column of both controls.csv and wealth.csv."""
+    grid = profile_grid(model.node_ticks, model.horizon, n)
+    return grid, ["%.12g" % t for t in grid.tolist()]
+
+
 @dataclass(frozen=True)
 class ConditionCheck:
     """One solvability hypothesis with its numeric margin (>= 0 iff satisfied)."""
@@ -81,22 +89,24 @@ class Solution:
     def write_json(self, path) -> None:
         write_json(path, self.to_json_dict())
 
-    def write_controls_csv(self, path, n: int = 201) -> None:
-        """Sampled (t, pi*, v*) curves; deterministic-class solutions only."""
-        grid = profile_grid(self.model.node_ticks, self.model.horizon, n)
+    def write_controls_csv(self, path, times=None) -> None:
+        """Sampled (t, pi*, v*) curves at curve_times (n = 201 by default);
+        deterministic-class solutions only."""
+        grid, text = curve_times(self.model) if times is None else times
         d = self.model.dimension
         header = ["t"] + [f"pi_{j+1}" for j in range(d)] + ["v"]
         columns = []
         if self.strategy is not None:
             pis = np.reshape(self.strategy.pi_at(self.model, grid), (grid.size, d))
             vs = np.broadcast_to(self.strategy.v_at(self.model, grid), grid.shape)
-            columns = [grid, *pis.T, vs]
-        write_table(path, header, columns, [".12g"] * len(columns))
+            columns = [text, *pis.T, vs]
+        write_table(path, header, columns, ["s"] + [".12g"] * (len(columns) - 1))
 
-    def write_wealth_csv(self, path, n: int = 201) -> None:
-        grid = profile_grid(self.model.node_ticks, self.model.horizon, n)
-        write_table(path, ["t", "wealth_mean"], [grid, self.wealth_mean(grid)],
-                    [".12g", ".12g"])
+    def write_wealth_csv(self, path, times=None) -> None:
+        """E[X*_t] at curve_times (n = 201 by default)."""
+        grid, text = curve_times(self.model) if times is None else times
+        write_table(path, ["t", "wealth_mean"], [text, self.wealth_mean(grid)],
+                    ["s", ".12g"])
 
     def write_feedback_grids(self, path_p, path_c, n_t: int = 51,
                              n_x: int = 51) -> None:

@@ -200,7 +200,8 @@ class Cumulants:
     Holds one strategy, or a batch of K strategies on one shared partition
     (see step_cumulants): then every curve and per-interval array carries a
     leading candidate axis, of length 1 where a factor is shared, and the
-    risk and cost formulas broadcast over it.
+    risk and cost formulas broadcast over it.  What only the cost reads is
+    built when it asks (cost_terms), not with the curves.
     """
 
     model: MarketModel
@@ -208,9 +209,8 @@ class Cumulants:
     ydt: PiecewiseLinear         # (y,theta)_t
     ynn: PiecewiseLinear         # ||y||_t^2, the variance of ln X_t
     V_of: object                 # t -> V_t = int_0^t v
-    V_T: np.ndarray              # V at the horizon
-    cons_a: np.ndarray           # per-interval log-affine of v e^{-V}
-    cons_b: np.ndarray
+    cost_terms: object           # () -> (V_T, a, b): V at the horizon and the
+                                 # per-interval log-affine v e^{-V} = e^{a + b (t - node)}
 
     def V(self, t):
         return np.asarray(self.V_of(t), dtype=np.float64)
@@ -235,12 +235,12 @@ def cumulants(model: MarketModel, strategy: DeterministicStrategy) -> Cumulants:
     theta = model.theta_step[segment_index(model.node_ticks, node_ticks[:-1])]
     ydt = cumulative_linear(node_ticks, np.sum(y * theta, axis=-1))
     ynn = cumulative_linear(node_ticks, np.sum(y * y, axis=-1))
-    cons_a, cons_b = strategy.consumption.log_affine(model, node_ticks)
+    consumption = strategy.consumption
     return Cumulants(
         model=model, node_ticks=node_ticks, ydt=ydt, ynn=ynn,
-        V_of=partial(strategy.consumption.V_of, model),
-        V_T=strategy.consumption.V_of(model, model.horizon),
-        cons_a=cons_a, cons_b=cons_b,
+        V_of=partial(consumption.V_of, model),
+        cost_terms=lambda: (consumption.V_of(model, model.horizon),
+                            *consumption.log_affine(model, node_ticks)),
     )
 
 
@@ -315,8 +315,8 @@ def step_cumulants(plan: EvaluationPlan, y, v) -> Cumulants:
         raise MismatchedPaths("consumption rates must be >= 0")
     nodes, dt = plan.node_ticks, plan.dt
     V = integrate_steps(nodes, dt, v)
-    cons_a, cons_b = _step_log_affine(v, V.values[..., :-1])
     return Cumulants(model=plan.model, node_ticks=nodes,
                      ydt=integrate_steps(nodes, dt, np.sum(y * plan.theta, axis=-1)),
                      ynn=integrate_steps(nodes, dt, np.sum(y * y, axis=-1)), V_of=V,
-                     V_T=V.values[..., -1], cons_a=cons_a, cons_b=cons_b)
+                     cost_terms=lambda: (V.values[..., -1],
+                                         *_step_log_affine(v, V.values[..., :-1])))

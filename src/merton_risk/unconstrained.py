@@ -15,6 +15,14 @@ growth coefficients
     A2(t) = gamma2^{q2} exp(int_t^T beta2)
     beta_i(t) = (q_i - 1)(r_t + q_i |theta_t|^2 / 2),  q_i = 1/(1-gamma_i).
 
+The root is found in u = ln g by Newton's method on the log residual
+ln(A1 e^{-q1 u} + A2 e^{-q2 u}) - ln x, convex and decreasing, from the
+low end of its bracket: a few steps even where q1 is in the hundreds and
+the first term swamps the second above the root.  Each (t, x) point stops
+on its own step test, so a grid gives each point the bits of its own call,
+and one Newton step on the linear residual settles its last bits; at
+t = T, where A1 = 0, g = (A2/x)^{1/q2} in closed form.
+
 The optimal feedback control is y*(t,x) = p(t,x)/x * theta_t and
 c*(t,x) = (gamma1/g(t,x))^{q1} with p = q1 A1 g^{-q1} + q2 A2 g^{-q2}.
 For equal exponents everything collapses to an explicit deterministic
@@ -38,64 +46,58 @@ from .utility import UtilityParams
 
 G_RESIDUAL_RTOL = 1e-12
 _G_MAX_ITER = 200
+_G_STEP_TOL = 2.0 ** -40     # after a Newton step this small the next is below rounding
 
 
 def _solve_g(A1, A2, q1: float, q2: float, x):
     """Vectorized root of A1 g^{-q1} + A2 g^{-q2} = x (g > 0, unique).
 
-    Newton iteration on u = ln g (the residual is convex, decreasing in u)
-    clamped to an analytic bracket, with a bisection sweep as fallback.
-    Leading axes hold independent problems: each row along the last axis
-    stops on its own test and then leaves the iteration, so a (t, x) grid
-    gives exactly what one call per row of times gives.  Where A1 = 0
-    (t = T) the root is the bracket's end g_lo = (A2/x)^{1/q2} itself.
+    Newton iteration in u = ln g on the log residual
+    F(u) = ln(A1 e^{-q1 u} + A2 e^{-q2 u}) - ln x, a log-sum-exp of the
+    terms b_i - q_i u, b_i = ln(A_i/x).  It starts at the bracket's low end
+    max_i b_i/q_i, where F >= 0; F is convex and decreasing, so every step
+    stays left of the root, where no term exceeds x and the exponentials
+    shifted by ln x lie in [0, 1].  Each element stops on its own step
+    test: it leaves the iteration after a step below _G_STEP_TOL, or at a
+    step at or below zero (rounding noise at the root), which it does not
+    take.  So a batch of (t, x) points gives each point the bits of its own
+    scalar call.  One Newton step on the linear residual
+    f = A1 e^{-q1 u} + A2 e^{-q2 u} - x, whose A_i enter without the
+    rounding of a log, then settles the last bits; f before that step is
+    gated on |f| <= G_RESIDUAL_RTOL x.  Where A1 = 0 (t = T) the root is
+    (A2/x)^{1/q2} in closed form.
     """
     shape = np.broadcast_shapes(np.shape(A1), np.shape(A2), np.shape(x))
-    rows = (int(np.prod(shape[:-1])), shape[-1]) if shape else (1, 1)
-    A1, A2, x = (np.broadcast_to(np.asarray(a, dtype=np.float64), shape).reshape(rows)
+    A1, A2, x = (np.broadcast_to(np.asarray(a, dtype=np.float64), shape).ravel()
                  for a in (A1, A2, x))
     if np.any(x <= 0):
         raise ValueError("wealth argument must be positive")
 
-    # f(g) >= x at g_lo (second term alone reaches x); f(g_hi) <= x.
-    g_lo = (A2 / x) ** (1.0 / q2)
+    closed = A1 == 0                         # t = T: the closed form
+    g = np.empty(A1.shape)
+    g[closed] = (A2[closed] / x[closed]) ** (1.0 / q2)
+    A1, A2, x = (a[~closed] for a in (A1, A2, x))
     with np.errstate(divide="ignore"):
-        h1 = np.where(A1 > 0, (2.0 * A1 / x) ** (1.0 / q1), 0.0)
-    g_hi = np.maximum(h1, (2.0 * A2 / x) ** (1.0 / q2))
-    lo = np.log(g_lo)
-    hi = np.log(np.maximum(g_hi, g_lo * (1 + 1e-12)))
-
-    u = 0.5 * (lo + hi)
-    closed = A1 == 0                          # solved: the root is g_lo
-    best_u, best_res = u.copy(), np.where(closed, 0.0, np.inf)
-    out_u, out_res, x_all = best_u.copy(), best_res.copy(), x
-    live = np.arange(rows[0])                 # rows still iterating
+        b1, b2 = np.log(A1 / x), np.log(A2 / x)
+    u = np.maximum(b1 / q1, b2 / q2)
+    live, lu = np.arange(u.size), u          # the iterating elements, their points
     for _ in range(_G_MAX_ITER):
-        e1 = A1 * np.exp(-q1 * u)
-        e2 = A2 * np.exp(-q2 * u)
-        f = e1 + e2 - x
-        res = np.abs(f)
-        improved = res < best_res
-        best_u = np.where(improved, u, best_u)
-        best_res = np.where(improved, res, best_res)
-        out_u[live], out_res[live] = best_u, best_res
-        # polish to the float floor; the 1e-12 target is the hard gate
-        going = ~(best_res <= 2e-16 * x).all(axis=1) & improved.any(axis=1)
-        if not going.any():
+        if not live.size:
             break
-        if not going.all():                   # drop the rows that stopped
-            live = live[going]
-            A1, A2, x, u, lo, hi, best_u, best_res, f, e1, e2 = (a[going] for a in (
-                A1, A2, x, u, lo, hi, best_u, best_res, f, e1, e2))
-        lo = np.where(f > 0, np.maximum(lo, u), lo)
-        hi = np.where(f < 0, np.minimum(hi, u), hi)
-        fprime = -(q1 * e1 + q2 * e2)
-        u_new = u - f / fprime
-        bad = (u_new <= lo) | (u_new >= hi)
-        u = np.where(bad, 0.5 * (lo + hi), u_new)
-    if np.any(out_res > G_RESIDUAL_RTOL * x_all):
+        e1, e2 = np.exp(b1 - q1 * lu), np.exp(b2 - q2 * lu)
+        total = e1 + e2
+        step = np.log(total) * total / (q1 * e1 + q2 * e2)     # F / |F'|
+        lu = np.where(step > 0, lu + step, lu)
+        u[live] = lu
+        going = step > _G_STEP_TOL
+        if not going.all():
+            live, b1, b2, lu = (a[going] for a in (live, b1, b2, lu))
+    t1, t2 = A1 * np.exp(-q1 * u), A2 * np.exp(-q2 * u)
+    f = t1 + t2 - x
+    if not np.all(np.abs(f) <= G_RESIDUAL_RTOL * x):
         raise ConvergenceFailure("g-root iteration did not converge")
-    return np.where(closed, g_lo, np.exp(out_u)).reshape(shape)
+    g[~closed] = np.exp(u + f / (q1 * t1 + q2 * t2))
+    return g.reshape(shape)
 
 
 @dataclass(frozen=True)

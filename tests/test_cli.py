@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -133,6 +134,30 @@ def test_solve_unequal_exponents_feedback_outputs(tmp_path):
     assert np.allclose(c_grid[:, 2], c_star, rtol=1e-11, atol=0.0)
     with open(out / "p_grid.csv") as fh:
         assert next(csv.reader(fh)) == ["t", "x", "p"]
+
+
+def test_solve_feedback_with_gamma1_near_one(tmp_path):
+    # (0.99, 0.5) on r = 0.03, mu = 0.08, sigma = 0.2: with q1 = 100 the first
+    # term swamps the second above the root, where a Newton step on the
+    # linear residual moves u = ln g by only about 1/q1
+    spec = write_spec(tmp_path / "p.json", utility={"gamma1": 0.99, "gamma2": 0.5},
+                      market=market_doc(r=0.03, mu=0.08))
+    out = tmp_path / "out"
+    assert main(["solve", str(spec), "--out", str(out)]) == 0
+    law = json.loads((out / "solution.json").read_text())["wealth_law"]
+    with mpmath.workdps(50):
+        r, theta_sq, T = mpmath.mpf("0.03"), (mpmath.mpf("0.05") / mpmath.mpf("0.2")) ** 2, 1
+        q1, q2 = 1 / (1 - mpmath.mpf("0.99")), mpmath.mpf(2)
+        beta1, beta2 = ((q - 1) * (r + q * theta_sq / 2) for q in (q1, q2))
+        A1 = mpmath.mpf("0.99") ** q1 * mpmath.expm1(beta1 * T) / beta1
+        A2 = mpmath.mpf("0.5") ** q2 * mpmath.exp(beta2 * T)
+        g0 = mpmath.exp(mpmath.findroot(
+            lambda u: mpmath.log(A1 * mpmath.exp(-q1 * u) + A2 * mpmath.exp(-q2 * u)),
+            (mpmath.mpf(0), mpmath.mpf(5)), solver="anderson"))
+        # the rounding of the float inputs, amplified by q1 = 100, moves
+        # A1 = 5.2e132 by about 5e-13 and g0 by about 3e-15
+        assert abs(mpmath.mpf(law["g0"]) / g0 - 1) <= 1e-13
+    assert law["q1"] == pytest.approx(100.0, rel=1e-12)
 
 
 def test_solve_linear_below_var_window_floor(tmp_path):

@@ -87,3 +87,28 @@ def test_signed_zero_differs_in_bytes(tmp_path):
                                           "solution.json": '{"value": -0.0}\n'})
     assert diff_outputs.compare_trees(parent, change) == {
         "controls.csv": {"(bytes)": math.inf}, "solution.json": {"(bytes)": math.inf}}
+
+
+def test_report_prints_absolute_beside_relative(tmp_path, capsys):
+    # a residual near 3e-16 that moves by 19% relative moves by 6e-17
+    parent = _write(tmp_path / "parent", {
+        "hjb_report.json": '{"max_abs_residual": 3.1e-16, "n_t": 5, "note": "a"}\n',
+        "wealth.csv": "t,wealth_mean\n0,1.5\n1,1000\n"})
+    change = _write(tmp_path / "change", {
+        "hjb_report.json": '{"max_abs_residual": 2.5e-16, "n_t": 5, "note": "b"}\n',
+        "wealth.csv": "t,wealth_mean\n0,1.6\n1,1000.5\n"})
+    rel = diff_outputs.compare_trees(parent, change)
+    ab = diff_outputs.compare_trees(parent, change, metric=diff_outputs.absolute)
+    assert rel["hjb_report.json"]["max_abs_residual"] == pytest.approx(0.06 / 0.31)
+    assert ab["hjb_report.json"] == {"max_abs_residual": pytest.approx(6e-17),
+                                     "note": math.inf}
+    # the largest absolute and relative differences may come from different rows
+    assert rel["wealth.csv"] == {"wealth_mean": pytest.approx(0.1 / 1.6)}
+    assert ab["wealth.csv"] == {"wealth_mean": pytest.approx(0.5)}
+    assert diff_outputs.absolute(1.0, math.nan) == math.inf
+    assert diff_outputs.absolute(math.nan, math.nan) == 0.0
+    assert diff_outputs.report(rel, 0.0, 2, ab) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["max_abs_residual", "0.194", "(abs", "6e-17)"]
+    assert lines[2].split() == ["note", "inf", "(abs", "inf)"]
+    assert lines[4].split() == ["wealth_mean", "0.0625", "(abs", "0.5)"]

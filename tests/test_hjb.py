@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from merton_risk._piecewise import from_ticks, to_ticks
 from merton_risk.errors import GridTouchesBreakpoint
 from merton_risk.hjb import (
     _h0,
@@ -204,6 +205,31 @@ def test_grid_touching_breakpoint_rejected():
     # the default grid places itself off the breakpoints
     rep = hjb_residual(m, u, unit_feedback(m, u), n_t=20, n_x=10)
     assert rep.max_abs_residual < 1e-8
+
+
+def test_off_breakpoint_grid_matches_node_by_node_shifts():
+    # n_t = 7 on [0, 1]: nodes k/8; 1/4 sits on a breakpoint and, shifted
+    # once, on another; 1/2 on a third
+    n_t = 7
+    shift = (1.0 / (n_t + 2)) * 0.37
+    again = float(from_ticks(to_ticks(0.25 + shift)))
+    m = build_market(
+        CoefficientPath.from_segments(
+            [(0.0, 0.02), (0.25, 0.03), (again, 0.01), (0.5, 0.04)], 1.0),
+        CoefficientPath.from_segments([(0.0, [0.08])], 1.0),
+        CoefficientPath.from_segments([(0.0, [[0.2]])], 1.0))
+    breakpoints = set(m.node_ticks.tolist())
+    want = []
+    for t in np.linspace(0.0, 1.0, n_t + 2)[1:-1]:
+        while int(to_ticks(t)) in breakpoints:
+            t = t + shift
+        want.append(t)
+    got = off_breakpoint_grid(m, n_t)
+    assert got.tobytes() == np.asarray(want).tobytes()
+    assert got[1] == 0.25 + shift + shift and got[3] == 0.5 + shift
+    with pytest.raises(GridTouchesBreakpoint, match=f"t = {again} coincides"):
+        hjb_residual(m, UtilityParams(0.3, 0.6), unit_feedback(m, UtilityParams(0.3, 0.6)),
+                     t_nodes=np.array([0.1, again, 0.5]))
 
 
 def test_moment_stability_heuristic(standard_market):

@@ -221,7 +221,7 @@ def test_oracle_tight_instance_structure(standard_market):
     cum = cumulants(standard_market,
                     _rebuild_candidate(standard_market, best.rho, best.v_levels))
     assert np.sqrt(cum.ynn.end_value) == pytest.approx(0.0, abs=1e-12)
-    assert float(cum.V_T) == pytest.approx(-np.log1p(-0.1), abs=5e-3)
+    assert float(cum.V(standard_market.horizon)) == pytest.approx(-np.log1p(-0.1), abs=5e-3)
 
 
 def _rebuild_candidate(model, rho, v_levels):

@@ -1,5 +1,6 @@
 """Unconstrained solvers: linear, implicit feedback, equal exponents."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -80,8 +81,12 @@ def test_g_grid_matches_row_by_row():
         ts = np.concatenate([np.sort(rng.uniform(0.0, m.horizon, 40)),
                              [0.0, m.horizon]])
         xs = np.linspace(0.05, 8.0, 60)
-        np.testing.assert_array_equal(fb.g(ts[:, None], xs),
+        grid = fb.g(ts[:, None], xs)
+        np.testing.assert_array_equal(grid,
                                       np.array([fb.g(t, xs) for t in ts]))
+        # and each element as its own scalar call does, on a seeded sample
+        for i, j in zip(rng.integers(0, len(ts), 160), rng.integers(0, len(xs), 160)):
+            assert grid[i, j] == fb.g(ts[i], xs[j]), (ts[i], xs[j])
 
 
 def test_g_grid_row_without_root_raises():
@@ -92,6 +97,20 @@ def test_g_grid_row_without_root_raises():
     _solve_g(A1[[0, 2]], A2[[0, 2]], 2.0, 3.0, xs)
     with pytest.raises(ConvergenceFailure):
         _solve_g(A1, A2, 2.0, 3.0, xs)
+
+
+def test_g_converges_when_one_term_swamps_the_other():
+    # d = 3 market at T = 1e-3, gamma1 = 0.99, gamma2 = 0.01: above the root
+    # the first term dominates, where a Newton step on the linear residual
+    # moves u = ln g by only about 1/q1
+    A1, A2, q1, q2, x = 8.5e8, 0.0095, 100.0, 1 / 0.99, 1.0
+    g = _solve_g(A1, A2, q1, q2, x)
+    with mpmath.workdps(50):
+        exact = mpmath.exp(mpmath.findroot(
+            lambda u: mpmath.log(mpmath.mpf(A1) * mpmath.exp(-q1 * u)
+                                 + mpmath.mpf(A2) * mpmath.exp(-q2 * u)) - mpmath.log(x),
+            (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson"))
+        assert abs(mpmath.mpf(float(g)) / exact - 1) <= 2e-16
 
 
 def test_g_equal_gamma_reduction():
@@ -184,7 +203,7 @@ def test_equal_gamma_flat_market_controls():
     v = sol.strategy.v_at(m, ts)
     assert np.allclose(v, 1.0 / (2.0 - ts), rtol=1e-12)
     cum = cumulants(m, sol.strategy)
-    assert float(cum.V_T) == pytest.approx(np.log(2.0), rel=1e-12)
+    assert float(cum.V(m.horizon)) == pytest.approx(np.log(2.0), rel=1e-12)
     assert kappa_tilde(m, 0.5) == pytest.approx(0.5, rel=1e-13)
     # quadrature oracle for V_T = int v
     ts_fine = np.linspace(0, 1, 20001)

@@ -229,7 +229,7 @@ def test_tight_standard_instance(standard_market):
     # riskless: zero exposure everywhere
     assert np.all(sol.strategy.y_path.values == 0.0)
     cum = cumulants(standard_market, sol.strategy)
-    assert float(cum.V_T) == pytest.approx(-np.log1p(-0.1), abs=1e-12)
+    assert float(cum.V(standard_market.horizon)) == pytest.approx(-np.log1p(-0.1), abs=1e-12)
     assert x_star[-1] == pytest.approx(0.9, rel=1e-12)
 
 

@@ -21,8 +21,10 @@ key by key and CSV files column by column, number by number (a field of
 space-separated numbers counts each); for each file that differs the
 largest relative difference |a - b| / max(|a|, |b|) is printed per key or
 column, and inf where a text field, a row count, a key or a whole file
-differs. Exit 1 when any difference is above --rtol (default 0, so any
-difference at all), else 0.
+differs. Beside each relative difference the largest absolute difference
+|a - b| of the same key or column is printed: a relative move of an error
+measure near 1e-16 means nothing without it. Exit 1 when any relative
+difference is above --rtol (default 0, so any difference at all), else 0.
 """
 
 from __future__ import annotations
@@ -61,13 +63,20 @@ print(json.dumps(results))
 """
 
 
-def relative(a: float, b: float) -> float:
-    """|a - b| / max(|a|, |b|); 0 for equal values (NaN equals NaN)."""
+def absolute(a: float, b: float) -> float:
+    """|a - b|; 0 for equal values (NaN equals NaN), inf where only one is
+    NaN or either is infinite."""
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     if math.isnan(a) or math.isnan(b) or math.isinf(a) or math.isinf(b):
         return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
+    return abs(a - b)
+
+
+def relative(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|), with absolute's 0 and inf."""
+    diff = absolute(a, b)
+    return diff if diff in (0.0, math.inf) else diff / max(abs(a), abs(b))
 
 
 def _numbers(text: str):
@@ -78,14 +87,14 @@ def _numbers(text: str):
         return None
 
 
-def field_difference(a: str, b: str) -> float:
-    """Largest relative difference between two text fields."""
+def field_difference(a: str, b: str, metric=relative) -> float:
+    """Largest difference (relative, or the given metric) between two text fields."""
     if a == b:
         return 0.0
     xs, ys = _numbers(a), _numbers(b)
     if xs is None or ys is None or len(xs) != len(ys):
         return math.inf
-    return max(map(relative, xs, ys), default=0.0)
+    return max(map(metric, xs, ys), default=0.0)
 
 
 def _flatten(value, key: str, out: dict) -> None:
@@ -107,8 +116,8 @@ def _group(key: str) -> str:
     return "".join(part.split("]")[-1] for part in key.split("["))
 
 
-def json_differences(a: str, b: str) -> dict:
-    """Largest relative difference per key of two JSON documents."""
+def json_differences(a: str, b: str, metric=relative) -> dict:
+    """Largest difference per key of two JSON documents."""
     flat_a, flat_b = {}, {}
     _flatten(json.loads(a), "", flat_a)
     _flatten(json.loads(b), "", flat_b)
@@ -116,15 +125,15 @@ def json_differences(a: str, b: str) -> dict:
     for key in flat_a.keys() | flat_b.keys():
         x, y = flat_a.get(key), flat_b.get(key)
         if isinstance(x, float) and isinstance(y, float):
-            diff = relative(x, y)
+            diff = metric(x, y)
         else:
             diff = 0.0 if x == y else math.inf
         worst[_group(key)] = max(worst[_group(key)], diff)
     return dict(worst)
 
 
-def csv_differences(a: str, b: str) -> dict:
-    """Largest relative difference per column of two CSV tables."""
+def csv_differences(a: str, b: str, metric=relative) -> dict:
+    """Largest difference per column of two CSV tables."""
     rows_a, rows_b = list(csv.reader(a.splitlines())), list(csv.reader(b.splitlines()))
     if not rows_a or not rows_b or rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
         return {"(header or row count)": math.inf}
@@ -133,14 +142,15 @@ def csv_differences(a: str, b: str) -> dict:
         if len(ra) != len(rb):
             return {"(row length)": math.inf}
         for name, x, y in zip(rows_a[0], ra, rb):
-            worst[name] = max(worst[name], field_difference(x, y))
+            worst[name] = max(worst[name], field_difference(x, y, metric))
     return worst
 
 
-def compare_trees(a: Path, b: Path) -> dict:
-    """{relative path: {key or column: largest relative difference}} for
-    every file that differs between the trees or exists in one only; keys
-    and columns that agree are left out."""
+def compare_trees(a: Path, b: Path, metric=relative) -> dict:
+    """{relative path: {key or column: largest difference}} for every file
+    that differs between the trees or exists in one only; keys and columns
+    that agree are left out.  The difference is relative, or the given
+    metric of two numbers."""
     names = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     names |= {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
     out = {}
@@ -154,9 +164,9 @@ def compare_trees(a: Path, b: Path) -> dict:
         if ta == tb:
             continue
         if name.suffix == ".json":
-            diffs = json_differences(ta.decode(), tb.decode())
+            diffs = json_differences(ta.decode(), tb.decode(), metric)
         elif name.suffix == ".csv":
-            diffs = csv_differences(ta.decode(), tb.decode())
+            diffs = csv_differences(ta.decode(), tb.decode(), metric)
         else:
             diffs = {"(bytes)": math.inf}
         out[str(name)] = {k: v for k, v in diffs.items() if v != 0.0} or {"(bytes)": math.inf}
@@ -206,13 +216,18 @@ def produce(work: Path, parent_src: Path, mix) -> None:
                 json.dumps(record, indent=1) + "\n")
 
 
-def report(diffs: dict, rtol: float, n_files: int) -> int:
-    """Print each differing file with its keys or columns; the exit status."""
+def report(diffs: dict, rtol: float, n_files: int, absolute_diffs=None) -> int:
+    """Print each differing file with its keys or columns, each with its
+    relative difference and, from absolute_diffs (compare_trees with the
+    absolute metric), its absolute one; the exit status."""
     worst = 0.0
     for name, keys in diffs.items():
         print(name)
         for key, diff in sorted(keys.items()):
-            print(f"  {key:<32} {diff:.3g}")
+            line = f"  {key:<32} {diff:.3g}"
+            if absolute_diffs is not None:
+                line += f"  (abs {absolute_diffs[name].get(key, math.nan):.3g})"
+            print(line)
             worst = max(worst, diff)
     print(f"{n_files} files compared, {len(diffs)} differ, "
           f"largest relative difference {worst:.3g} (rtol {rtol:g})")
@@ -239,7 +254,9 @@ def main(argv=None) -> int:
         work = args.work or Path(tmp) / "work"
         produce(work, parent_root / "src", args.mix or DEFAULT_MIX)
         n_files = sum(1 for p in (work / "change").rglob("*") if p.is_file())
-        return report(compare_trees(work / "parent", work / "change"), args.rtol, n_files)
+        trees = work / "parent", work / "change"
+        return report(compare_trees(*trees), args.rtol, n_files,
+                      compare_trees(*trees, metric=absolute))
 
 
 if __name__ == "__main__":
