@@ -225,14 +225,15 @@ def cmd_simulate(args) -> int:
             raise UnsupportedSolution("cannot simulate an unbounded regime")
         closed_form = sol.value
         strategy = sol.strategy
-    if strategy is not None:
-        ensemble = mc.simulate_deterministic(spec.model, strategy, spec.x0, config)
-    else:
-        ensemble = mc.simulate_hara_feedback(spec.model, spec.utility, spec.x0,
-                                             config)
-    est, se = mc.estimate_cost(ensemble, spec.utility)
     risk = spec.risk if spec.risk is not None else RiskSpec(
         alpha=0.01, zeta=0.5, kind=MeasureKind.VAR)
+    if strategy is not None:
+        ensemble = mc.simulate_deterministic(spec.model, strategy, spec.utility,
+                                             spec.x0, config, alpha=risk.alpha)
+    else:
+        ensemble = mc.simulate_hara_feedback(spec.model, spec.utility, spec.x0,
+                                             config, alpha=risk.alpha)
+    est, se = mc.estimate_cost(ensemble, spec.utility)
     empirical = mc.empirical_risk_curve(ensemble, risk, spec.x0, spec.model)
 
     write_json(out_dir / "summary.json", {

@@ -7,24 +7,26 @@ not change the law at fixed monitoring times (no Euler bias).
 
 Streams are counter-based (Philox) and indexed by (seed, path block), so
 ensembles are bit-reproducible regardless of how path blocks would be
-scheduled.  Sampling and cost estimation stream through fixed row chunks
-of the one time-major (n, m) wealth matrix, so memory beyond it is a few
-chunk buffers and per-path vectors; consumption is rebuilt from a replay
-of the stream, and each ensemble carries its own law's cost integral.
-Under a deterministic strategy that integral is exact given the skeleton:
+scheduled.  Sampling is one pass over fixed row chunks of the stream that
+keeps no wealth matrix: each chunk's wealth is reduced to each path's
+terminal wealth and cost of consumption, and to each time's tail
+candidates for the empirical risk's alpha, so memory is a few chunk
+buffers, a gathering block, O(n) scalars and O(alpha n) values per time.
+Wealth and consumption are rebuilt from a replay of the stream.  Under a
+deterministic strategy the cost integral is exact given the skeleton:
 per step the integral of an exp-quadratic, summed as a series about the
 step's midpoint (one exp per element, no special function), with an
 erf/erfcx closed form for the rare steps outside the series' range.
-A strategy with no risky exposure has one wealth path: its (n, m) wealth
-is a read-only broadcast of one row, and cost and empirical risk are
-computed on that row, so it needs O(m) memory.
+A strategy with no risky exposure has one wealth path, sampled once, and
+its per-path results are read-only broadcasts of that path's, so it
+needs O(m) memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,6 +44,8 @@ from .utility import UtilityParams
 _BLOCK = 1 << 16
 # rows per streamed chunk; divides _BLOCK, and (chunk, m) temporaries fit L2
 _CHUNK = 1 << 10
+# rows of wealth gathered before each time's tail candidates are selected
+_TAIL_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -86,35 +90,172 @@ def _log_paths(config: SimConfig, mean_inc: np.ndarray, sd_inc: np.ndarray):
         yield slice(r0, r0 + k), xi[:k]
 
 
+def _chunks(config: SimConfig, mean_inc: np.ndarray, sd_inc: np.ndarray):
+    """_log_paths' chunks, or, with no variance on any step, one chunk of
+    rows that all hold the one path.  That chunk is shaped like a stream's
+    first, so cumsum, exp and the exact cost give the bits of streamed rows."""
+    if np.any(sd_inc):
+        return _log_paths(config, mean_inc, sd_inc)
+    half = (config.n_paths + 1) // 2 if config.antithetic else config.n_paths
+    xi = np.zeros((min(_CHUNK, half), len(mean_inc) + 1))
+    np.cumsum(np.broadcast_to(mean_inc, (len(xi), len(mean_inc))), axis=1,
+              out=xi[:, 1:])
+    return [(slice(0, len(xi)), xi)]
+
+
+def _tail_ranks(n: int, alpha: float) -> tuple[int, int, float]:
+    """np.quantile's type-7 ranks q_lo, q_hi and weight of the alpha-quantile
+    of n values, in its own arithmetic."""
+    if n * alpha < 100:
+        raise InsufficientPaths(
+            f"need n_paths * alpha >= 100, got {n * alpha:.1f}")
+    virt = (n - 1) * alpha
+    q_lo = int(np.floor(virt))
+    return q_lo, min(q_lo + 1, n - 1), virt - q_lo
+
+
+class _WealthPass:
+    """One pass over the wealth rows of a stream, taken in any row order.
+
+    It keeps each path's terminal wealth and, given alpha, each time's tail
+    candidates with their path indices: the values at or below a running
+    threshold, the (q_hi + 1)-th smallest value kept so far.  So every value
+    at or below the time's final q_hi-th order statistic survives, ties
+    included.  Rows are gathered in a column-major block, and each block is
+    selected column by column; a time's candidates are cut back to the
+    threshold once they outgrow by half what the last cut kept (at least
+    q_hi + 1).  A time before any step with variance holds one value on
+    every path, kept once.
+    """
+
+    def __init__(self, config: SimConfig, mean_inc: np.ndarray,
+                 sd_inc: np.ndarray, alpha: float | None):
+        n = config.n_paths
+        self.q_hi = None if alpha is None else _tail_ranks(n, alpha)[1]
+        self.chunks = _chunks(config, mean_inc, sd_inc)
+        self.one_path = not np.any(sd_inc)
+        # the one path's single chunk holds a stream chunk's rows, not n
+        rows = self.chunks[0][0].stop if self.one_path else n
+        self.n_paths = n
+        self.terminal = np.empty(rows)
+        m = len(sd_inc) + 1
+        self.block = np.empty((min(_TAIL_BLOCK, rows), m), order="F")
+        self.paths = np.empty(len(self.block), dtype=np.min_scalar_type(n))
+        self.filled = 0
+        varied = np.cumsum(np.concatenate([[0.0], sd_inc])) > 0
+        self.columns = [] if alpha is None else np.flatnonzero(varied).tolist()
+        self.threshold = [np.inf] * m
+        self.limit = [0] * m
+        self.kept = {k: ([], []) for k in self.columns}
+
+    def add(self, rows: slice, wealth: np.ndarray) -> np.ndarray:
+        """Take the wealth rows of paths rows; return them as rows of the
+        block, in column-major order."""
+        k = len(wealth)
+        if self.filled + k > len(self.block):
+            self._select()
+        view = self.block[self.filled:self.filled + k]
+        view[...] = wealth
+        self.paths[self.filled:self.filled + k] = np.arange(rows.start, rows.stop)
+        self.filled += k
+        self.terminal[rows] = wealth[:, -1]
+        return view
+
+    def _select(self) -> None:
+        f, self.filled = self.filled, 0
+        paths = self.paths[:f]
+        for k in self.columns:
+            col = self.block[:f, k]
+            at = np.flatnonzero(col <= self.threshold[k])
+            values, ids = self.kept[k]
+            values.append(col[at])
+            ids.append(paths[at])
+            if sum(map(len, values)) > self.limit[k]:
+                self._cut(k)
+
+    def _cut(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        values, ids = (np.concatenate(v) for v in self.kept[k])
+        if len(values) > self.q_hi + 1:
+            self.threshold[k] = np.partition(values, self.q_hi)[self.q_hi]
+            at = np.flatnonzero(values <= self.threshold[k])
+            values, ids = values[at], ids[at]
+        self.kept[k] = [values], [ids]
+        self.limit[k] = 3 * max(self.q_hi + 1, len(values)) // 2
+        return values, ids
+
+    def per_path(self, values: np.ndarray) -> np.ndarray:
+        """Per-path values: a read-only broadcast of the one path's value if
+        every path is the same."""
+        if self.one_path:
+            return np.broadcast_to(values[0], (self.n_paths,))
+        return values
+
+    def tails(self) -> list[np.ndarray] | None:
+        """Each time's tail candidates in path order; at a time that holds
+        one value, a read-only zero-stride view of it over every path."""
+        if self.q_hi is None:
+            return None
+        self._select()
+        # any row of the block holds every one-value time's value
+        out = [np.broadcast_to(v, (self.n_paths,)) for v in self.block[0]]
+        self.block = None
+        for k in self.columns:
+            values, ids = self._cut(k)
+            del self.kept[k]
+            out[k] = values[np.argsort(ids)]
+        return out
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Simulated wealth skeletons plus what each law needs for c and its cost.
+    """What one pass over the simulated wealth skeletons keeps.
 
-    Consumption is rebuilt as c = rate(xi) by replaying the xi stream, and
-    consumption_cost(gamma1) gives each path's int_0^T c_t^gamma1 dt.
+    Each path's terminal wealth and its consumption cost
+    int_0^T c_t^gamma1 dt for the gamma1 it was sampled for; and, for the
+    alpha it was sampled for, each time's tail candidates (_WealthPass).
+    Wealth and consumption are rebuilt as X = wealth_of(xi) and
+    c = rate(xi) by replaying the xi stream.
     """
 
     times: np.ndarray            # (m,)
-    wealth: np.ndarray           # (n, m) time-major (F order), all > 0; one
-                                 # read-only broadcast row if riskless
     kind: str                    # "deterministic" | "feedback"
-    antithetic: bool
     replay: tuple                # _log_paths' (config, mean, sd)
+    wealth_of: Callable[[np.ndarray], np.ndarray]
     rate: Callable[[np.ndarray], np.ndarray]
-    consumption_cost: Callable[[float], np.ndarray]
+    gamma1: float
+    alpha: float | None          # None: no tails kept
+    # (n,) per path, read-only broadcasts if every path is the same
+    terminal: np.ndarray         # X_T
+    consumption_cost: np.ndarray  # int_0^T c_t^gamma1 dt
+    tails: list | None           # per time, candidates in path order
 
     @property
     def n_paths(self) -> int:
-        return self.wealth.shape[0]
+        return self.replay[0].n_paths
 
     @property
-    def terminal(self) -> np.ndarray:
-        return self.wealth[:, -1]
+    def antithetic(self) -> bool:
+        return self.replay[0].antithetic
 
-    def _consumption_chunks(self, stop: int):
-        """Yield (first row, c) for consecutive chunks of rows 0:stop, in row
-        order.  The stream yields an antithetic run's second half beside its
-        first, so rows past the first half come from a second replay."""
+    @cached_property
+    def wealth(self) -> np.ndarray:
+        """The (n, m) wealth, time-major (F order), rebuilt by a replay of
+        the stream: one read-only broadcast row if no step has variance.
+        No stage of the program reads it."""
+        config, mean_inc, sd_inc = self.replay
+        shape = (config.n_paths, len(self.times))
+        if not np.any(sd_inc):
+            (_, xi), = _chunks(*self.replay)
+            return np.broadcast_to(self.wealth_of(xi)[0], shape)
+        out = np.empty(shape, order="F")
+        for rows, xi in _log_paths(*self.replay):
+            out[rows] = self.wealth_of(xi)
+        return out
+
+    def _replay(self, stop: int):
+        """Yield (first row, xi) for consecutive chunks of rows 0:stop, in
+        row order.  The stream yields an antithetic run's second half beside
+        its first, so rows past the first half come from a second replay."""
         half = (self.n_paths + 1) // 2 if self.antithetic else self.n_paths
         for lo, hi in ((0, min(stop, half)), (half, stop)):
             if lo >= hi:
@@ -122,7 +263,7 @@ class PathEnsemble:
             for got, xi in _log_paths(*self.replay):
                 a, b = max(got.start, lo), min(got.stop, hi)
                 if a < b:
-                    yield a, self.rate(xi[a - got.start:b - got.start])
+                    yield a, xi[a - got.start:b - got.start]
                 if got.start < hi <= got.stop:
                     break
 
@@ -132,20 +273,15 @@ class PathEnsemble:
         per = max(1, _BLOCK_ROWS // len(self.times))
 
         def blocks():
-            for first, c in self._consumption_chunks(min(max_paths, self.n_paths)):
-                for lo in range(0, len(c), per):
-                    part = c[lo:lo + per]
+            for first, xi in self._replay(min(max_paths, self.n_paths)):
+                for lo in range(0, len(xi), per):
+                    part = xi[lo:lo + per]
                     rows = range(first + lo, first + lo + len(part))
                     yield [*grid_axes(rows, self.times),
-                           self.wealth[rows.start:rows.stop].ravel(), part.ravel()]
+                           self.wealth_of(part).ravel(), self.rate(part).ravel()]
 
         write_table(path, ["path_id", "t", "X", "c"], blocks(),
                     ["s", "s", ".12g", ".12g"])
-
-
-def _one_path(wealth: np.ndarray) -> bool:
-    """Whether every path is the same row: a riskless ensemble's broadcast."""
-    return wealth.strides[0] == 0
 
 
 def simulation_grid(model: MarketModel, strategy_nodes: np.ndarray,
@@ -160,27 +296,43 @@ def simulation_grid(model: MarketModel, strategy_nodes: np.ndarray,
     return from_ticks(ticks)
 
 
-def simulate_deterministic(model: MarketModel,
-                           strategy: DeterministicStrategy, x: float,
-                           config: SimConfig) -> PathEnsemble:
-    """Exact sampling of lognormal wealth under a deterministic strategy."""
+def simulate_deterministic(model: MarketModel, strategy: DeterministicStrategy,
+                           utility: UtilityParams, x: float, config: SimConfig,
+                           alpha: float | None = None) -> PathEnsemble:
+    """Exact sampling of lognormal wealth under a deterministic strategy,
+    with each path's exact consumption cost for utility's gamma1 and, given
+    alpha, each time's tail candidates."""
     cum = cumulants(model, strategy)
     grid = simulation_grid(model, cum.node_ticks, config)
     mean_inc = np.diff(cum.log_drift(grid))
     sd_inc = np.sqrt(np.maximum(np.diff(cum.ynn(grid)), 0.0))
+    run = _WealthPass(config, mean_inc, sd_inc, alpha)
+    g = utility.gamma1
+    shift, idx, m0, a, dts, coeffs = _exact_cost_terms(
+        cum, strategy.consumption, grid, g)
 
-    if np.any(sd_inc):
-        wealth = np.empty((config.n_paths, len(grid)), order="F")
-        for rows, xi in _log_paths(config, mean_inc, sd_inc):
-            wealth[rows] = np.exp(xi) * x   # a ufunc into strided rows is slow
-    else:
-        # one path: its row is evaluated in a first-chunk-shaped buffer, so
-        # that cumsum and exp give the bits of the streamed rows
-        half = (config.n_paths + 1) // 2 if config.antithetic else config.n_paths
-        xi = np.zeros((min(_CHUNK, half), len(grid)))
-        np.cumsum(np.broadcast_to(mean_inc, (len(xi), len(mean_inc))), axis=1,
-                  out=xi[:, 1:])
-        wealth = np.broadcast_to((np.exp(xi) * x)[0], (config.n_paths, len(grid)))
+    def wealth_of(xi):
+        return np.exp(xi) * x
+
+    # the per-chunk cost stays in this loop, not a function: a function's
+    # return frees all of a chunk's temporaries at once, the allocator trims
+    # the heap, and the next chunk faults it back in (measured at about 1.6x
+    # the cost's time)
+    cost = np.empty(len(run.terminal))
+    for rows, xi in run.chunks:
+        # the cost reads the block's column-major rows: the per-step sums
+        # run in time order, as over rows of the whole time-major matrix
+        L = np.log(run.add(rows, wealth_of(xi)))
+        L += shift
+        L_a = L[:, idx]
+        L_b = L[:, idx + 1]
+        # the step's log-integrand is m + z v - a v^2 about its midpoint
+        m = np.add(L_a, L_b)
+        m *= 0.5 * g
+        m += m0
+        L_b -= L_a
+        L_b *= g
+        cost[rows] = np.sum(_int_exp_quadratic(L_b, m, a, dts, coeffs), axis=1)
 
     v_grid = np.broadcast_to(strategy.v_at(model, grid), grid.shape)
 
@@ -188,17 +340,19 @@ def simulate_deterministic(model: MarketModel,
         return np.exp(xi) * x * v_grid
 
     return PathEnsemble(
-        times=grid, wealth=wealth, kind="deterministic",
-        antithetic=config.antithetic,
-        replay=(config, mean_inc, sd_inc), rate=rate,
-        consumption_cost=partial(_consumption_integral_exact, cum,
-                                 strategy.consumption, grid, wealth),
+        times=grid, kind="deterministic", replay=(config, mean_inc, sd_inc),
+        wealth_of=wealth_of, rate=rate, gamma1=g, alpha=alpha,
+        terminal=run.per_path(run.terminal), consumption_cost=run.per_path(cost),
+        tails=run.tails(),
     )
 
 
 def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
-                           x: float, config: SimConfig) -> PathEnsemble:
-    """Exact sampling of the feedback-optimal wealth mixture."""
+                           x: float, config: SimConfig,
+                           alpha: float | None = None) -> PathEnsemble:
+    """Exact sampling of the feedback-optimal wealth mixture, with each
+    path's trapezoid cost for utility's gamma1 and, given alpha, each
+    time's tail candidates."""
     sol = solve_hara_unconstrained(model, utility, x)
     fb: HaraFeedback = sol.feedback
     grid = simulation_grid(model, model.node_ticks, config)
@@ -206,6 +360,7 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
     TS = model.theta_sq_cum(grid)
     mean_inc = -np.diff(R + 0.5 * TS)
     sd_inc = np.sqrt(np.maximum(np.diff(TS), 0.0))
+    run = _WealthPass(config, mean_inc, sd_inc, alpha)
 
     g0 = fb.g(0.0, x)
     q1, q2 = utility.q1, utility.q2
@@ -213,30 +368,27 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
     c2 = fb.A2(grid) * g0 ** -q2
     dt = np.diff(grid)
 
+    def wealth_of(xi):
+        return c1 * np.exp(-q1 * xi) + c2 * np.exp(-q2 * xi)
+
     def rate(xi):
         return (utility.gamma1 / (g0 * np.exp(xi))) ** q1
 
-    # rate(xi) ** gamma1 with one exp
+    # rate(xi) ** gamma1 with one exp; the trapezoid of c^gamma1 on the grid
+    # (bias O(dt^2))
     k1 = q1 * utility.gamma1
     scale1 = (utility.gamma1 / g0) ** k1
-    wealth = np.empty((config.n_paths, len(grid)), order="F")
-    trapezoid = np.empty(config.n_paths)
-    for rows, xi in _log_paths(config, mean_inc, sd_inc):
-        wealth[rows] = c1 * np.exp(-q1 * xi) + c2 * np.exp(-q2 * xi)
+    trapezoid = np.empty(len(run.terminal))
+    for rows, xi in run.chunks:
+        run.add(rows, wealth_of(xi))
         cg = scale1 * np.exp(-k1 * xi)
         trapezoid[rows] = np.sum(0.5 * (cg[:, :-1] + cg[:, 1:]) * dt, axis=1)
 
-    def consumption_cost(gamma1):
-        # the trapezoid of c^gamma1 on the grid (bias O(dt^2)), summed above
-        if gamma1 != utility.gamma1:
-            raise MismatchedPaths(f"paths sampled for gamma1={utility.gamma1}")
-        return trapezoid
-
     return PathEnsemble(
-        times=grid, wealth=wealth, kind="feedback",
-        antithetic=config.antithetic,
-        replay=(config, mean_inc, sd_inc), rate=rate,
-        consumption_cost=consumption_cost,
+        times=grid, kind="feedback", replay=(config, mean_inc, sd_inc),
+        wealth_of=wealth_of, rate=rate, gamma1=utility.gamma1, alpha=alpha,
+        terminal=run.per_path(run.terminal),
+        consumption_cost=run.per_path(trapezoid), tails=run.tails(),
     )
 
 
@@ -331,15 +483,19 @@ def _exp_quadratic_tail(z, m, a, dt):
     return out
 
 
-def _consumption_integral_exact(cum: Cumulants, consumption, grid: np.ndarray,
-                                wealth: np.ndarray, g: float) -> np.ndarray:
-    """Unbiased per-path value of int_0^T c_t^g dt for a deterministic strategy.
+def _exact_cost_terms(cum: Cumulants, consumption, grid: np.ndarray,
+                      g: float) -> tuple:
+    """Per-step terms of the unbiased per-path value of int_0^T c_t^g dt
+    under a deterministic strategy: (shift, idx, m0, a, dts, coeffs).
 
     Conditional on the sampled skeleton, the within-step law of wealth is a
     lognormal bridge, so E[int c^g dt | skeleton] is the integral of an
     exp-quadratic over each step, which _int_exp_quadratic evaluates; by
     the tower property its path average is unbiased for the true cost term
-    with strictly smaller variance than any within-step sampling.
+    with strictly smaller variance than any within-step sampling.  On a
+    path with log-wealth L = ln X + shift, step idx[j] contributes
+    _int_exp_quadratic(g (L_b - L_a), g (L_a + L_b) / 2 + m0, a, dts, coeffs)
+    at its columns idx[j] and idx[j] + 1.
     """
     dt = np.diff(grid)
     # per-step exp-affine form of v e^{-V} straight from the consumption
@@ -356,59 +512,34 @@ def _consumption_integral_exact(cum: Cumulants, consumption, grid: np.ndarray,
     shift = cum.V(grid) + S
     a = 0.5 * g * g * np.diff(cum.ynn(grid))[idx]
     m0 = g * (cons_log0[idx] - S[idx]) + 0.25 * a
-    coeffs = _midpoint_series(a, dts)
-    n = len(wealth)
-    one_path = _one_path(wealth)
-    if one_path:
-        # cost the row inside a first-chunk-shaped block, for the streamed bits
-        wealth = np.array(wealth[:_CHUNK], order="F")
-    out = np.empty(len(wealth))
-    # one loop, not a per-chunk function: a function's return frees all of a
-    # chunk's temporaries at once, the allocator trims the heap, and the next
-    # chunk faults it back in (measured at about 1.6x this stage's time)
-    for r0 in range(0, len(wealth), _CHUNK):
-        rows = slice(r0, r0 + _CHUNK)
-        L = np.log(wealth[rows])
-        L += shift
-        L_a = L[:, idx]
-        L_b = L[:, idx + 1]
-        # the step's log-integrand is m + z v - a v^2 about its midpoint
-        m = np.add(L_a, L_b)
-        m *= 0.5 * g
-        m += m0
-        L_b -= L_a
-        L_b *= g
-        out[rows] = np.sum(_int_exp_quadratic(L_b, m, a, dts, coeffs), axis=1)
-    if one_path:
-        return np.broadcast_to(out[0], (n,))
-    return out
+    return shift, idx, m0, a, dts, _midpoint_series(a, dts)
 
 
 def estimate_cost(ensemble: PathEnsemble,
                   utility: UtilityParams) -> tuple[float, float]:
-    """Monte Carlo estimate of the expected cost with jackknife std error.
+    """Monte Carlo estimate of the expected cost with its std error.
 
-    The consumption term is the ensemble's own: the exact per-step
-    conditional expectation for deterministic strategies, the trapezoid
-    summed while sampling for the feedback law.
+    The consumption term is the ensemble's own, for the gamma1 it was
+    sampled for: the exact per-step conditional expectation for
+    deterministic strategies, the trapezoid for the feedback law.
     """
-    values = (ensemble.consumption_cost(utility.gamma1)
-              + ensemble.terminal ** utility.gamma2)
+    if utility.gamma1 != ensemble.gamma1:
+        raise MismatchedPaths(f"paths sampled for gamma1={ensemble.gamma1}")
+    values = ensemble.consumption_cost + ensemble.terminal ** utility.gamma2
     if ensemble.antithetic:
         half = (len(values) + 1) // 2
         if 2 * half == len(values):
             values = 0.5 * (values[:half] + values[half:])
     n = len(values)
-    mean = float(np.mean(values))
-    # delete-1 jackknife; the rounded means below can leave equal values an ulp apart
+    # for a mean the delete-1 jackknife is the sample std error; np.std's
+    # rounded mean can leave equal values an ulp from it
     if n < 2:
         se = np.inf
     elif np.ptp(values) == 0.0:
         se = 0.0
     else:
-        jk = (n * mean - values) / (n - 1)
-        se = float(np.sqrt((n - 1) / n * np.sum((jk - np.mean(jk)) ** 2)))
-    return mean, se
+        se = float(np.std(values, ddof=1) / np.sqrt(n))
+    return float(np.mean(values)), se
 
 
 # ---------------------------------------------------------------------------
@@ -417,32 +548,25 @@ def estimate_cost(ensemble: PathEnsemble,
 
 def empirical_risk_curve(ensemble: PathEnsemble, spec: RiskSpec, x: float,
                          model: MarketModel) -> RiskProfile:
-    """Empirical quantile / tail-mean risk curves along the ensemble grid."""
-    n = ensemble.n_paths
-    alpha = spec.alpha
-    if n * alpha < 100:
-        raise InsufficientPaths(
-            f"need n_paths * alpha >= 100, got {n * alpha:.1f}")
+    """Empirical quantile / tail-mean risk curves along the ensemble grid,
+    from the tail candidates kept for spec's alpha."""
+    if spec.alpha != ensemble.alpha:
+        raise MismatchedPaths(f"tails kept for alpha={ensemble.alpha}")
+    q_lo, q_hi, gamma = _tail_ranks(ensemble.n_paths, spec.alpha)
     times = ensemble.times
     bond = x * np.exp(model.R(times))
 
-    # np.quantile's type-7 position and weight, in its own arithmetic
-    virt = (n - 1) * alpha
-    q_lo = int(np.floor(virt))
-    q_hi = min(q_lo + 1, n - 1)
-    gamma = virt - q_lo
-
     var_curve = np.zeros_like(times)
     es_curve = np.zeros_like(times)
-    one_path = _one_path(ensemble.wealth)
-    for k in range(len(times)):
-        col = ensemble.wealth[:, k]
-        if one_path:
+    for k, col in enumerate(ensemble.tails):
+        one_value = col.strides == (0,)
+        if one_value:
             # the column's one value is every order statistic, and every path
             # is in the tail: the zero-stride view gives a full column's bits
             lo = hi = col[0]
         else:
-            # select q_hi over the column, then q_lo within the head below it
+            # select q_hi over the candidates, then q_lo within the head
+            # below it: the column's order statistics
             order = np.partition(col, q_hi)
             order[:q_hi + 1].partition(q_lo)
             lo, hi = order[q_lo], order[q_hi]
@@ -450,7 +574,8 @@ def empirical_risk_curve(ensemble: PathEnsemble, spec: RiskSpec, x: float,
         diff = hi - lo
         lam = float(hi - diff * (1 - gamma) if gamma >= 0.5
                     else lo + diff * gamma)
-        tail = col if one_path else col[col <= lam]
+        # every value at or below lam is a candidate, in path order
+        tail = col if one_value else col[col <= lam]
         if tail.size == 0:
             tail = np.array([lam])
         var_curve[k] = bond[k] - lam

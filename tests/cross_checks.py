@@ -281,7 +281,7 @@ def write_oracle_csv_per_field(path, records) -> None:
 def ensemble_consumption(ensemble: PathEnsemble) -> np.ndarray:
     """(n, m) consumption rate c_t of every path at the grid times, from a
     replay of the ensemble's stream."""
-    return np.concatenate([c for _, c in ensemble._consumption_chunks(ensemble.n_paths)])
+    return np.concatenate([ensemble.rate(xi) for _, xi in ensemble._replay(ensemble.n_paths)])
 
 
 def empirical_stderr(ensemble, spec: RiskSpec):

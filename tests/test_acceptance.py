@@ -149,9 +149,10 @@ def test_criterion_4_constraint_saturation():
         assert gap <= 1e-9
         saturation[kind.value] = gap
 
-        ens = simulate_deterministic(m, sol.strategy, x,
+        ens = simulate_deterministic(m, sol.strategy, UtilityParams(1.0, 1.0), x,
                                      SimConfig(n_paths=1_000_000,
-                                               seed=404, time_grid=grid))
+                                               seed=404, time_grid=grid),
+                                     alpha=spec.alpha)
         emp = empirical_risk_curve(ens, spec, x, m)
         var_se, es_se = empirical_stderr(ens, spec)
         stderr = var_se if kind == MeasureKind.VAR else es_se
@@ -303,7 +304,7 @@ def test_criterion_8_risk_measures_vs_monte_carlo():
         es_cf = expected_shortfall(m, s, alpha, x, t)
 
         ens = simulate_deterministic(
-            m, s, x, SimConfig(n_paths=n, seed=900 + k,
+            m, s, UtilityParams(0.5, 0.5), x, SimConfig(n_paths=n, seed=900 + k,
                                time_grid=np.array([0.0, t, m.horizon])))
         # the simulation grid absorbs strategy/market breakpoints: locate t
         k_t = int(np.argmin(np.abs(ens.times - t)))

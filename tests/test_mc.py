@@ -1,16 +1,15 @@
 """Exact-law simulation, estimators, and the Euler cross-check."""
 
-import dataclasses
 import os
 import tracemalloc
-from functools import partial
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
-from merton_risk import mc
+from merton_risk import cli, mc
 from merton_risk.bounded import solve_linear
 from merton_risk.errors import InsufficientPaths, MismatchedPaths
 from merton_risk.mc import (
@@ -40,7 +39,7 @@ from cross_checks import (
 
 def test_pure_bond_paths_exact():
     m = constant_market(0.04, [0.04], [[0.2]], 2.0)
-    ens = simulate_deterministic(m, bond_strategy(m), 1.5,
+    ens = simulate_deterministic(m, bond_strategy(m), STREAM_UTILITY, 1.5,
                                  SimConfig(n_paths=16, seed=1, n_steps=8))
     expected = 1.5 * np.exp(m.R(ens.times))
     assert np.allclose(ens.wealth, expected[None, :], rtol=1e-14)
@@ -50,7 +49,7 @@ def test_pure_bond_paths_exact():
 def test_terminal_mean_within_mc_band(standard_market):
     s = constant_strategy([0.5], 0.0, 1.0)
     cum = cumulants(standard_market, s)
-    ens = simulate_deterministic(standard_market, s, 1.0,
+    ens = simulate_deterministic(standard_market, s, STREAM_UTILITY, 1.0,
                                  SimConfig(n_paths=200_000, seed=11,
                                            n_steps=16))
     target = np.exp(standard_market.R(1.0) - cum.V(1.0) + cum.ydt(1.0))
@@ -62,7 +61,7 @@ def test_empirical_quantile_matches_closed_form(standard_market):
     s = constant_strategy([0.5], 0.1, 1.0)
     alpha = 0.01
     n = 400_000
-    ens = simulate_deterministic(standard_market, s, 1.0,
+    ens = simulate_deterministic(standard_market, s, STREAM_UTILITY, 1.0,
                                  SimConfig(n_paths=n, seed=13, n_steps=4))
     lam_cf = quantile_lambda(standard_market, s, alpha, 1.0, 1.0)
     emp = float(np.quantile(ens.terminal, alpha))
@@ -77,11 +76,12 @@ def test_empirical_quantile_matches_closed_form(standard_market):
 def test_seed_determinism(standard_market):
     s = constant_strategy([0.3], 0.2, 1.0)
     cfg = SimConfig(n_paths=1000, seed=77, n_steps=8)
-    a = simulate_deterministic(standard_market, s, 1.0, cfg)
-    b = simulate_deterministic(standard_market, s, 1.0, cfg)
+    a = simulate_deterministic(standard_market, s, STREAM_UTILITY, 1.0, cfg)
+    b = simulate_deterministic(standard_market, s, STREAM_UTILITY, 1.0, cfg)
     assert np.array_equal(a.wealth, b.wealth)
     other = simulate_deterministic(
-        standard_market, s, 1.0, SimConfig(n_paths=1000, seed=78, n_steps=8))
+        standard_market, s, STREAM_UTILITY, 1.0,
+        SimConfig(n_paths=1000, seed=78, n_steps=8))
     assert not np.array_equal(a.wealth, other.wealth)
 
 
@@ -95,18 +95,19 @@ def test_block_streams_extend_consistently():
 def test_antithetic_variance_reduction(standard_market):
     s = constant_strategy([0.5], 0.0, 1.0)
     n = 40_000
-    plain = simulate_deterministic(standard_market, s, 1.0,
+    u = UtilityParams(1.0, 1.0)
+    plain = simulate_deterministic(standard_market, s, u, 1.0,
                                    SimConfig(n_paths=n, seed=3, n_steps=4))
     anti = simulate_deterministic(
-        standard_market, s, 1.0,
+        standard_market, s, u, 1.0,
         SimConfig(n_paths=n, seed=3, n_steps=4, antithetic=True))
     half = n // 2
     pair_means = 0.5 * (anti.terminal[:half] + anti.terminal[half:])
     var_anti = np.var(pair_means) / half
     var_plain = np.var(plain.terminal) / n
     assert var_anti < 0.5 * var_plain
-    _, se_anti = estimate_cost(anti, UtilityParams(1.0, 1.0))
-    _, se_plain = estimate_cost(plain, UtilityParams(1.0, 1.0))
+    _, se_anti = estimate_cost(anti, u)
+    _, se_plain = estimate_cost(plain, u)
     assert se_anti < se_plain
 
 
@@ -145,10 +146,10 @@ def test_euler_cross_check_distribution(standard_market):
 
 def test_grid_refinement_keeps_the_law(standard_market):
     s = constant_strategy([0.4], 0.3, 1.0)
-    coarse = simulate_deterministic(standard_market, s, 1.0,
+    coarse = simulate_deterministic(standard_market, s, STREAM_UTILITY, 1.0,
                                     SimConfig(n_paths=20_000, seed=41,
                                               n_steps=4))
-    fine = simulate_deterministic(standard_market, s, 1.0,
+    fine = simulate_deterministic(standard_market, s, STREAM_UTILITY, 1.0,
                                   SimConfig(n_paths=20_000, seed=42,
                                             n_steps=64))
     _, p = stats.ks_2samp(coarse.terminal, fine.terminal)
@@ -162,7 +163,7 @@ def test_riskless_ensemble_cost_has_zero_std_error():
     s = constant_strategy([0.0], 0.2, 1.0)
     u = UtilityParams(0.5, 0.5)
     for n, antithetic in ((1001, False), (1002, True), (4096, False)):
-        ens = simulate_deterministic(m, s, 1.2, SimConfig(
+        ens = simulate_deterministic(m, s, u, 1.2, SimConfig(
             n_paths=n, seed=3, n_steps=8, antithetic=antithetic))
         assert np.ptp(ens.wealth, axis=0).max() == 0.0
         est, se = estimate_cost(ens, u)
@@ -177,7 +178,8 @@ def test_profile_on_ensemble_grid_keeps_it():
     for _ in range(5):
         m = random_market(rng, d=2)
         s = random_strategy(rng, m)
-        ens = simulate_deterministic(m, s, 1.0, SimConfig(n_paths=16, seed=2, n_steps=7))
+        ens = simulate_deterministic(m, s, STREAM_UTILITY, 1.0,
+                                     SimConfig(n_paths=16, seed=2, n_steps=7))
         assert len(m.node_ticks) > 2 or len(cumulants(m, s).node_ticks) > 2
         times = constraint_profile(m, s, spec, 1.0, grid=ens.times).times
         assert times.tobytes() == ens.times.tobytes()
@@ -186,8 +188,9 @@ def test_profile_on_ensemble_grid_keeps_it():
 def test_empirical_curve_pure_bond():
     m = constant_market(0.02, [0.02], [[0.2]], 1.0)
     spec = RiskSpec(alpha=0.05, zeta=0.1, kind=MeasureKind.VAR)
-    ens = simulate_deterministic(m, bond_strategy(m), 1.0,
-                                 SimConfig(n_paths=5000, seed=1, n_steps=4))
+    ens = simulate_deterministic(m, bond_strategy(m), STREAM_UTILITY, 1.0,
+                                 SimConfig(n_paths=5000, seed=1, n_steps=4),
+                                 alpha=spec.alpha)
     prof = empirical_risk_curve(ens, spec, 1.0, m)
     assert np.allclose(prof.var_curve, 0.0, atol=1e-12)
     assert np.allclose(prof.es_curve, 0.0, atol=1e-12)
@@ -195,21 +198,33 @@ def test_empirical_curve_pure_bond():
 
 
 def test_empirical_curve_insufficient_paths():
+    # the tail's size is known before sampling, so the sampler refuses
     m = constant_market(0.0, [0.1], [[0.2]], 1.0)
-    ens = simulate_deterministic(m, bond_strategy(m), 1.0,
-                                 SimConfig(n_paths=500, seed=1, n_steps=4))
-    spec = RiskSpec(alpha=0.05, zeta=0.1, kind=MeasureKind.VAR)
     with pytest.raises(InsufficientPaths):
-        empirical_risk_curve(ens, spec, 1.0, m)
+        simulate_deterministic(m, bond_strategy(m), STREAM_UTILITY, 1.0,
+                               SimConfig(n_paths=500, seed=1, n_steps=4),
+                               alpha=0.05)
+
+
+def test_empirical_curve_refuses_another_alpha():
+    m = constant_market(0.03, [0.1], [[0.2]], 1.0)
+    spec = RiskSpec(alpha=0.05, zeta=0.1, kind=MeasureKind.VAR)
+    for alpha in (None, 0.1):
+        ens = simulate_deterministic(m, constant_strategy([0.5], 0.3, 1.0),
+                                     STREAM_UTILITY, 1.0,
+                                     SimConfig(n_paths=3000, seed=1, n_steps=4),
+                                     alpha=alpha)
+        with pytest.raises(MismatchedPaths):
+            empirical_risk_curve(ens, spec, 1.0, m)
 
 
 def test_linear_var_optimum_empirical_ratio(standard_market):
     spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
     sol = solve_linear(VAR, standard_market, spec, 1.0)
     ens = simulate_deterministic(
-        standard_market, sol.strategy, 1.0,
+        standard_market, sol.strategy, STREAM_UTILITY, 1.0,
         SimConfig(n_paths=200_000, seed=51,
-                  time_grid=np.linspace(0.0, 1.0, 11)))
+                  time_grid=np.linspace(0.0, 1.0, 11)), alpha=spec.alpha)
     prof = empirical_risk_curve(ens, spec, 1.0, standard_market)
     sig = empirical_stderr(ens, spec)[0] / prof.level_curve
     worst = np.max((prof.ratio_curve - 1.0) / np.maximum(sig, 1e-12))
@@ -228,28 +243,30 @@ STREAM_CASES = [
     ("feedback", 70_001, False), ("feedback", 140_001, True),
 ]
 STREAM_UTILITY = UtilityParams(0.5, 0.4)
-# (estimate, std_error) of estimate_cost from the whole-matrix implementation;
-# the feedback entries follow the last bits of g0, the g-root at t = 0
+# (estimate, std_error) of estimate_cost.  The estimates are those of the
+# whole-matrix implementation; the std errors are within an ulp of the sample
+# std error in exact rational arithmetic.  The feedback entries follow the
+# last bits of g0, the g-root at t = 0
 STREAM_COSTS = {
     ("riskless", 70_001, False): (1.4477411501121724, 0.0),
     ("riskless", 140_001, True): (1.4477411501121722, 0.0),
-    ("risky", 70_001, False): (1.4904002119775988, 0.0008122786640742777),
-    ("risky", 140_001, True): (1.4905358940368445, 0.000574132617353676),
-    ("feedback", 70_001, False): (1.6688103764122688, 0.001355511490923945),
-    ("feedback", 140_001, True): (1.6687179653222215, 0.0009590649689910475),
+    ("risky", 70_001, False): (1.4904002119775988, 0.0008122786640742145),
+    ("risky", 140_001, True): (1.4905358940368445, 0.0005741326173536552),
+    ("feedback", 70_001, False): (1.6688103764122688, 0.001355511490924019),
+    ("feedback", 140_001, True): (1.6687179653222215, 0.0009590649689909633),
 }
 
 
-def _stream_case(kind, n, antithetic):
+def _stream_case(kind, n, antithetic, alpha=None, utility=STREAM_UTILITY):
     m = constant_market(0.03, [0.1], [[0.2]], 1.0)
     cfg = SimConfig(n_paths=n, seed=7, n_steps=12, antithetic=antithetic)
     if kind == "feedback":
-        return m, None, simulate_hara_feedback(m, STREAM_UTILITY, 1.2, cfg)
+        return m, None, simulate_hara_feedback(m, utility, 1.2, cfg, alpha=alpha)
     # dead consumption steps (v = 0) leave gaps in the exact-integral steps
     y = [(0.0, [0.0])] if kind == "riskless" else [(0.0, [0.5]),
                                                    (0.5, [0.2])]
     s = step_strategy(y, [(0.0, 0.3), (0.5, 0.0), (0.75, 0.6)], 1.0)
-    return m, s, simulate_deterministic(m, s, 1.2, cfg)
+    return m, s, simulate_deterministic(m, s, utility, 1.2, cfg, alpha=alpha)
 
 
 def _whole_matrix_xi(m, s, ens, n, antithetic):
@@ -284,15 +301,17 @@ def _whole_matrix_wealth(m, s, ens, n, antithetic):
 
 @pytest.mark.parametrize("kind,n,antithetic", STREAM_CASES)
 def test_streamed_ensemble_matches_whole_matrix(kind, n, antithetic):
-    m, s, ens = _stream_case(kind, n, antithetic)
-    assert np.array_equal(ens.wealth,
-                          _whole_matrix_wealth(m, s, ens, n, antithetic))
-    assert estimate_cost(ens, STREAM_UTILITY) == STREAM_COSTS[
-        (kind, n, antithetic)]
-
-    bond = 1.2 * np.exp(m.R(ens.times))
-    # type-7 interpolation weights (n - 1) alpha mod 1 near 0, and 3/4 or 1/2
+    # type-7 interpolation weights (n - 1) alpha mod 1 near 0, and 3/4 or 1/2;
+    # the tails are kept for one alpha, so each alpha samples its ensemble
     for alpha in (0.01, 1 / 64):
+        m, s, ens = _stream_case(kind, n, antithetic, alpha)
+        if alpha == 0.01:
+            assert np.array_equal(ens.wealth,
+                                  _whole_matrix_wealth(m, s, ens, n, antithetic))
+        assert estimate_cost(ens, STREAM_UTILITY) == STREAM_COSTS[
+            (kind, n, antithetic)]
+
+        bond = 1.2 * np.exp(m.R(ens.times))
         spec = RiskSpec(alpha=alpha, zeta=0.1, kind=MeasureKind.ES)
         prof = empirical_risk_curve(ens, spec, 1.2, m)
         var_se, es_se = empirical_stderr(ens, spec)
@@ -317,7 +336,7 @@ def test_cost_and_sampling_memory_bounded_by_wealth():
     s = constant_strategy([0.5], 0.3, 1.0)
     cfg = SimConfig(n_paths=131_072, seed=3, n_steps=15)
     # the wealth matrix is the only path-sized array, for both laws
-    for sample in (lambda: simulate_deterministic(m, s, 1.0, cfg),
+    for sample in (lambda: simulate_deterministic(m, s, STREAM_UTILITY, 1.0, cfg),
                    lambda: simulate_hara_feedback(m, STREAM_UTILITY, 1.0, cfg)):
         tracemalloc.start()
         try:
@@ -367,7 +386,7 @@ def _replayed_consumption(kind, n, antithetic):
 def _replayed_rows(ens, rows):
     """rows of the consumption chunks replayed for rows 0:rows.stop, which
     must follow one another from row 0."""
-    firsts, chunks = zip(*ens._consumption_chunks(rows.stop))
+    firsts, chunks = zip(*((a, ens.rate(xi)) for a, xi in ens._replay(rows.stop)))
     assert list(firsts) == np.cumsum([0] + [len(c) for c in chunks[:-1]]).tolist()
     return np.concatenate(chunks)[rows]
 
@@ -412,16 +431,38 @@ def test_feedback_cost_refuses_another_gamma1():
 
 
 @pytest.mark.parametrize("kind", ["riskless", "risky"])
-def test_deterministic_cost_takes_any_gamma1(kind):
-    # the exact integral is built per call, so one ensemble serves every gamma1
-    m, s, ens = _stream_case(kind, 3000, False)
+def test_deterministic_cost_is_exact_for_its_gamma1(kind):
+    # the exact integral is summed while sampling, for the sampled gamma1 only
     estimates = []
     for gamma1 in (0.5, 0.3):
         u = UtilityParams(gamma1, STREAM_UTILITY.gamma2)
+        m, s, ens = _stream_case(kind, 3000, False, utility=u)
         est, se = estimate_cost(ens, u)
         assert abs(est - cost_closed_form(m, s, u, 1.2)) <= 4 * se + 1e-12
         estimates.append(est)
+        with pytest.raises(MismatchedPaths):
+            estimate_cost(ens, UtilityParams(0.8, STREAM_UTILITY.gamma2))
     assert estimates[0] != estimates[1]
+
+
+def _reference_curves(ens, spec, x, model):
+    """VaR and ES curves from every column of the whole wealth matrix."""
+    n = ens.n_paths
+    virt = (n - 1) * spec.alpha
+    q_lo = int(np.floor(virt))
+    q_hi, gamma = min(q_lo + 1, n - 1), virt - q_lo
+    bond = x * np.exp(model.R(ens.times))
+    var, es = np.zeros_like(bond), np.zeros_like(bond)
+    wealth = np.array(ens.wealth, order="F")
+    for k in range(len(ens.times)):
+        col = wealth[:, k]
+        order = np.partition(col, [q_lo, q_hi])
+        lo, hi = order[q_lo], order[q_hi]
+        lam = float(hi - (hi - lo) * (1 - gamma) if gamma >= 0.5
+                    else lo + (hi - lo) * gamma)
+        var[k] = bond[k] - lam
+        es[k] = bond[k] - float(np.mean(col[col <= lam]))
+    return var, es
 
 
 @pytest.mark.parametrize("n,antithetic", [(70_001, False), (140_001, True)])
@@ -431,7 +472,7 @@ def test_riskless_ensemble_is_one_path(n, antithetic):
     spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.ES)
     tracemalloc.start()
     try:
-        m, s, ens = _stream_case("riskless", n, antithetic)
+        m, s, ens = _stream_case("riskless", n, antithetic, spec.alpha)
         cost = estimate_cost(ens, STREAM_UTILITY)
         prof = empirical_risk_curve(ens, spec, 1.2, m)
         peak = tracemalloc.get_traced_memory()[1]
@@ -442,15 +483,100 @@ def test_riskless_ensemble_is_one_path(n, antithetic):
     assert ens.wealth.shape == (n, len(ens.times))
     assert not ens.wealth.flags.writeable
 
-    full = np.array(ens.wealth, order="F")
-    integral = ens.consumption_cost
-    general = dataclasses.replace(ens, wealth=full, consumption_cost=partial(
-        integral.func, *integral.args[:-1], full))
-    assert not mc._one_path(general.wealth)
-    assert cost == estimate_cost(general, STREAM_UTILITY)
-    want = empirical_risk_curve(general, spec, 1.2, m)
-    for curve in ("var_curve", "es_curve"):
-        assert np.array_equal(getattr(prof, curve), getattr(want, curve)), curve
+    assert cost == STREAM_COSTS[("riskless", n, antithetic)]
+    want = _reference_curves(ens, spec, 1.2, m)
+    for curve, ref in zip(("var_curve", "es_curve"), want):
+        assert np.array_equal(getattr(prof, curve), ref), curve
+
+
+# zero exposure before t = 0.5 leaves every path at the same wealth there, so
+# each of those times has one value and its tail is every path; an exposure
+# of 1e-15 leaves a few values there, so ties at the running threshold are
+# selected as candidates
+@pytest.mark.parametrize("exposure", [0.0, 1e-15])
+@pytest.mark.parametrize("n,antithetic", [(70_001, False), (140_001, True)])
+def test_tail_candidates_keep_ties(exposure, n, antithetic):
+    m = constant_market(0.03, [0.1], [[0.2]], 1.0)
+    s = step_strategy([(0.0, [exposure]), (0.5, [0.5])], [(0.0, 0.3)], 1.0)
+    cfg = SimConfig(n_paths=n, seed=7, n_steps=12, antithetic=antithetic)
+    for alpha in (0.01, 1 / 64, 0.3):
+        ens = simulate_deterministic(m, s, STREAM_UTILITY, 1.2, cfg, alpha=alpha)
+        head = ens.wealth[:, ens.times <= 0.5]
+        distinct = max(len(np.unique(col)) for col in head.T)
+        assert distinct == 1 if exposure == 0.0 else 1 < distinct < 100
+        spec = RiskSpec(alpha=alpha, zeta=0.1, kind=MeasureKind.ES)
+        prof = empirical_risk_curve(ens, spec, 1.2, m)
+        var, es = _reference_curves(ens, spec, 1.2, m)
+        assert np.array_equal(prof.var_curve, var), alpha
+        assert np.array_equal(prof.es_curve, es), alpha
+
+
+def test_sample_cost_and_risk_memory_per_path():
+    # a pass keeps a few scalars per path and about alpha n values per time;
+    # the whole wealth matrix would hold 8 (m + 1) = 264 B per path
+    m = constant_market(0.03, [0.1], [[0.2]], 1.0)
+    s = constant_strategy([0.5], 0.3, 1.0)
+    spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
+    samplers = {
+        "deterministic": lambda cfg: simulate_deterministic(
+            m, s, STREAM_UTILITY, 1.0, cfg, alpha=spec.alpha),
+        "feedback": lambda cfg: simulate_hara_feedback(
+            m, STREAM_UTILITY, 1.0, cfg, alpha=spec.alpha),
+    }
+
+    def peak(sample, n):
+        tracemalloc.start()
+        try:
+            ens = sample(SimConfig(n_paths=n, seed=3, n_steps=32))
+            assert len(ens.times) == 33
+            estimate_cost(ens, STREAM_UTILITY)
+            empirical_risk_curve(ens, spec, 1.0, m)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for kind, sample in samplers.items():
+        grown = peak(sample, 262_144) - peak(sample, 65_536)
+        assert grown <= 64 * (262_144 - 65_536), (kind, grown / (262_144 - 65_536))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("problem", ["unconstrained_unequal", "var_loose"])
+@pytest.mark.parametrize("extra", [[], ["--antithetic", "--dump-paths", "40"]])
+def test_simulate_never_builds_the_wealth_matrix(tmp_path, monkeypatch, problem, extra):
+    def refuse(self):
+        raise AssertionError("simulate built the whole wealth matrix")
+
+    monkeypatch.setattr(mc.PathEnsemble, "wealth", property(refuse))
+    assert cli.main(["simulate", str(GOLDEN / problem / "problem.json"),
+                     "--out", str(tmp_path), "--paths", "20000", "--steps", "8",
+                     *extra]) == 0
+    assert (tmp_path / "risk_profile.csv").is_file()
+
+
+def test_simulate_refuses_too_few_tail_paths_before_drawing(tmp_path, monkeypatch,
+                                                             capsys):
+    drawn = []
+    log_paths = mc._log_paths
+
+    def counting(*args):
+        for rows, xi in log_paths(*args):
+            drawn.append(rows)
+            yield rows, xi
+
+    monkeypatch.setattr(mc, "_log_paths", counting)
+    # var_loose bounds the risk at alpha = 0.05; simulate's default is 0.01
+    for problem, alpha in (("var_loose", 0.05), ("unconstrained_unequal", 0.01)):
+        out = tmp_path / problem
+        assert cli.main(["simulate", str(GOLDEN / problem / "problem.json"),
+                         "--out", str(out), "--paths", "1000"]) == 2
+        assert capsys.readouterr().err == (
+            "insufficient paths: need n_paths * alpha >= 100, "
+            f"got {1000 * alpha:.1f}\n")
+        assert list(out.iterdir()) == []
+    assert drawn == []
 
 
 # ---------------------------------------------------------------------------

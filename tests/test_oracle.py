@@ -147,7 +147,7 @@ def test_cost_vs_monte_carlo_random_strategies():
         u = UtilityParams(float(rng.uniform(0.3, 1.0)),
                           float(rng.uniform(0.3, 1.0)))
         cf = cost_closed_form(m, s, u, 1.0)
-        ens = simulate_deterministic(m, s, 1.0, SimConfig(
+        ens = simulate_deterministic(m, s, u, 1.0, SimConfig(
             n_paths=20_000, seed=1000 + k, n_steps=12))
         est, se = estimate_cost(ens, u)
         if abs(est - cf) > 4 * se:

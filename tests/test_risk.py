@@ -12,6 +12,7 @@ from merton_risk.risk import (
     constraint_profile,
 )
 from merton_risk.strategies import cumulants, scaled_theta_strategy
+from merton_risk.utility import UtilityParams
 from merton_risk.var_bound import VAR, rho_var
 
 from conftest import bond_strategy, constant_market, random_market, random_strategy
@@ -167,7 +168,8 @@ def test_closed_forms_match_monte_carlo(standard_market):
     s = constant_strategy([0.45], 0.25, 1.0)
     config = SimConfig(n_paths=200_000, seed=99,
                        time_grid=np.array([0.0, 0.6, 1.0]))
-    ens = simulate_deterministic(standard_market, s, 1.0, config)
+    ens = simulate_deterministic(standard_market, s, UtilityParams(0.5, 0.5), 1.0,
+                                 config, alpha=spec.alpha)
     prof = empirical_risk_curve(ens, spec, 1.0, standard_market)
     var_se, es_se = empirical_stderr(ens, spec)
     for k, t in enumerate(prof.times):

@@ -196,11 +196,18 @@ def test_paths_csv_bytes_equal_per_field_writer(tmp_path, kind):
         ens = mc.simulate_hara_feedback(model, UtilityParams(0.5, 0.3), 1.0, config)
     else:
         strategy = constant_strategy([0.3, -0.2], 0.4, model.horizon)
-        ens = mc.simulate_deterministic(model, strategy, 1.0, config)
-    wealth = np.array(ens.wealth, order="F")
-    k = np.arange(len(SPECIAL))
-    wealth[3 * k, k % wealth.shape[1]] = SPECIAL
-    ens = dataclasses.replace(ens, wealth=wealth)
+        ens = mc.simulate_deterministic(model, strategy, UtilityParams(0.5, 0.3), 1.0,
+                                        config)
+    wealth_of = ens.wealth_of
+
+    def special(xi):
+        # X of a chunk of rows, with the special values at rows 3k of it
+        wealth = wealth_of(xi)
+        k = np.arange(min(len(SPECIAL), (len(wealth) + 2) // 3))
+        wealth[3 * k, k % wealth.shape[1]] = SPECIAL[:len(k)]
+        return wealth
+
+    ens = dataclasses.replace(ens, wealth_of=special)
     for max_paths in (40, 100):
         ens.write_csv(tmp_path / "new.csv", max_paths=max_paths)
         paths_csv_per_field(tmp_path / "ref.csv", ens, max_paths)
@@ -211,7 +218,7 @@ def test_paths_csv_memory_bounded_by_block_rows(tmp_path):
     """Past one stream chunk of paths, dumping more paths holds no more."""
     model = constant_market(0.02, [0.1, 0.07], [[0.2, 0.0], [0.05, 0.3]], 1.0)
     strategy = constant_strategy([0.3, -0.2], 0.4, model.horizon)
-    ens = mc.simulate_deterministic(model, strategy, 1.0,
+    ens = mc.simulate_deterministic(model, strategy, UtilityParams(0.5, 0.3), 1.0,
                                     mc.SimConfig(n_paths=8192, seed=3, n_steps=32))
 
     def peak(n):
