@@ -62,45 +62,62 @@ class SimConfig:
         if self.n_paths < 2:
             raise MismatchedPaths("n_paths must be at least 2")
 
+    @property
+    def drawn_rows(self) -> int:
+        """Rows of normals drawn: an antithetic run mirrors its first half."""
+        return (self.n_paths + 1) // 2 if self.antithetic else self.n_paths
+
 
 def _log_paths(config: SimConfig, mean_inc: np.ndarray, sd_inc: np.ndarray):
     """Yield (rows, xi): cumulative log increments of each path's rows.
 
     Row block b draws its standard normals from the Philox stream of
     (seed, b) for _BLOCK rows at a time, so a longer ensemble keeps the rows
-    of a shorter one.  xi is a buffer reused by each _CHUNK rows; antithetic
+    of a shorter one.  Each _CHUNK rows are built time-major in reused
+    buffers, and xi is their (paths, times) view, column-major; antithetic
     runs mirror each chunk into the second half (increments mean - sd z)."""
     n = config.n_paths
-    half = (n + 1) // 2 if config.antithetic else n
+    half = config.drawn_rows
     base = np.random.Philox(key=config.seed)
-    buf = np.empty((min(_CHUNK, half), len(mean_inc)))
-    xi = np.zeros((len(buf), len(mean_inc) + 1))
+    width = min(_CHUNK, half)
+    z = np.empty((width, len(mean_inc)))
+    scaled = np.empty((len(mean_inc), width))
+    xi = np.zeros((len(mean_inc) + 1, width))
+    mean, sd = mean_inc[:, None], sd_inc[:, None]
     for r0 in range(0, half, _CHUNK):
         if r0 % _BLOCK == 0:
             gen = np.random.Generator(base.jumped(r0 // _BLOCK))
         k = min(_CHUNK, half - r0)
-        z = gen.standard_normal(out=buf[:k])
-        z *= sd_inc
+        gen.standard_normal(out=z[:k])
+        np.multiply(z[:k].T, sd, out=scaled[:, :k])
         mirror = min(k, n - half - r0)
         if mirror > 0:
-            np.cumsum(mean_inc - z[:mirror], axis=1, out=xi[:mirror, 1:])
-            yield slice(half + r0, half + r0 + mirror), xi[:mirror]
-        z += mean_inc
-        np.cumsum(z, axis=1, out=xi[:k, 1:])
-        yield slice(r0, r0 + k), xi[:k]
+            np.subtract(mean, scaled[:, :mirror], out=xi[1:, :mirror])
+            yield slice(half + r0, half + r0 + mirror), _cumulate(xi, mirror)
+        np.add(scaled[:, :k], mean, out=xi[1:, :k])
+        yield slice(r0, r0 + k), _cumulate(xi, k)
+
+
+def _cumulate(xi: np.ndarray, k: int) -> np.ndarray:
+    """Sum the increments in rows 1: of xi's first k columns along time, in
+    place, one time at a time (the bits of a row-wise cumsum); return the
+    (paths, times) view."""
+    xi = xi[:, :k]
+    for j in range(2, len(xi)):
+        np.add(xi[j], xi[j - 1], out=xi[j])
+    return xi.T
 
 
 def _chunks(config: SimConfig, mean_inc: np.ndarray, sd_inc: np.ndarray):
     """_log_paths' chunks, or, with no variance on any step, one chunk of
     rows that all hold the one path.  That chunk is shaped like a stream's
-    first, so cumsum, exp and the exact cost give the bits of streamed rows."""
+    first, so the sums, exp and the exact cost give the bits of streamed
+    rows."""
     if np.any(sd_inc):
         return _log_paths(config, mean_inc, sd_inc)
-    half = (config.n_paths + 1) // 2 if config.antithetic else config.n_paths
-    xi = np.zeros((min(_CHUNK, half), len(mean_inc) + 1))
-    np.cumsum(np.broadcast_to(mean_inc, (len(xi), len(mean_inc))), axis=1,
-              out=xi[:, 1:])
-    return [(slice(0, len(xi)), xi)]
+    xi = np.zeros((len(mean_inc) + 1, min(_CHUNK, config.drawn_rows)))
+    xi[1:] = mean_inc[:, None]
+    return [(slice(0, xi.shape[1]), _cumulate(xi, xi.shape[1]))]
 
 
 def _tail_ranks(n: int, alpha: float) -> tuple[int, int, float]:
@@ -133,6 +150,8 @@ class _WealthPass:
         n = config.n_paths
         self.q_hi = None if alpha is None else _tail_ranks(n, alpha)[1]
         self.chunks = _chunks(config, mean_inc, sd_inc)
+        # columns of the chunks' time-major buffers
+        self.width = min(_CHUNK, config.drawn_rows)
         self.one_path = not np.any(sd_inc)
         # the one path's single chunk holds a stream chunk's rows, not n
         rows = self.chunks[0][0].stop if self.one_path else n
@@ -148,17 +167,18 @@ class _WealthPass:
         self.limit = [0] * m
         self.kept = {k: ([], []) for k in self.columns}
 
-    def add(self, rows: slice, wealth: np.ndarray) -> np.ndarray:
-        """Take the wealth rows of paths rows; return them as rows of the
-        block, in column-major order."""
-        k = len(wealth)
+    def add(self, rows: slice, fill: Callable[[np.ndarray], object]) -> np.ndarray:
+        """Take the wealth rows of paths rows, which fill writes into the
+        (paths, times) view it is given; return that view, rows of the
+        block in column-major order."""
+        k = rows.stop - rows.start
         if self.filled + k > len(self.block):
             self._select()
         view = self.block[self.filled:self.filled + k]
-        view[...] = wealth
+        fill(view)
         self.paths[self.filled:self.filled + k] = np.arange(rows.start, rows.stop)
         self.filled += k
-        self.terminal[rows] = wealth[:, -1]
+        self.terminal[rows] = view[:, -1]
         return view
 
     def _select(self) -> None:
@@ -256,7 +276,7 @@ class PathEnsemble:
         """Yield (first row, xi) for consecutive chunks of rows 0:stop, in
         row order.  The stream yields an antithetic run's second half beside
         its first, so rows past the first half come from a second replay."""
-        half = (self.n_paths + 1) // 2 if self.antithetic else self.n_paths
+        half = self.replay[0].drawn_rows
         for lo, hi in ((0, min(stop, half)), (half, stop)):
             if lo >= hi:
                 continue
@@ -311,28 +331,36 @@ def simulate_deterministic(model: MarketModel, strategy: DeterministicStrategy,
     shift, idx, m0, a, dts, coeffs = _exact_cost_terms(
         cum, strategy.consumption, grid, g)
 
-    def wealth_of(xi):
-        return np.exp(xi) * x
+    def wealth_of(xi, out=None):
+        out = np.exp(xi, out=out)
+        out *= x
+        return out
 
-    # the per-chunk cost stays in this loop, not a function: a function's
-    # return frees all of a chunk's temporaries at once, the allocator trims
-    # the heap, and the next chunk faults it back in (measured at about 1.6x
-    # the cost's time)
+    # the consuming steps come in runs [s, e) of consecutive steps, read as
+    # slices of the time-major buffers into rows p:q of the step buffers
+    cuts = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1), len(idx)]
+    runs = [(idx[p], idx[q - 1] + 1, p, q) for p, q in zip(cuts, cuts[1:]) if p < q]
+    width = run.width
+    L = np.empty((len(grid), width))
+    z = np.empty((len(idx), width))
+    mid = np.empty((len(idx), width))
     cost = np.empty(len(run.terminal))
     for rows, xi in run.chunks:
-        # the cost reads the block's column-major rows: the per-step sums
-        # run in time order, as over rows of the whole time-major matrix
-        L = np.log(run.add(rows, wealth_of(xi)))
-        L += shift
-        L_a = L[:, idx]
-        L_b = L[:, idx + 1]
+        k = len(xi)
+        wealth = run.add(rows, lambda view: wealth_of(xi, view))
+        Lk = np.log(wealth.T, out=L[:, :k])
+        Lk += shift
+        zk, mk = z[:, :k], mid[:, :k]
         # the step's log-integrand is m + z v - a v^2 about its midpoint
-        m = np.add(L_a, L_b)
-        m *= 0.5 * g
-        m += m0
-        L_b -= L_a
-        L_b *= g
-        cost[rows] = np.sum(_int_exp_quadratic(L_b, m, a, dts, coeffs), axis=1)
+        for s, e, p, q in runs:
+            np.add(Lk[s:e], Lk[s + 1:e + 1], out=mk[p:q])
+            np.subtract(Lk[s + 1:e + 1], Lk[s:e], out=zk[p:q])
+        mk *= 0.5 * g
+        mk += m0
+        zk *= g
+        # each path's steps are summed in time order, as over rows of the
+        # whole time-major matrix
+        cost[rows] = np.sum(_int_exp_quadratic(zk, mk, a, dts, coeffs), axis=0)
 
     v_grid = np.broadcast_to(strategy.v_at(model, grid), grid.shape)
 
@@ -368,21 +396,38 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
     c2 = fb.A2(grid) * g0 ** -q2
     dt = np.diff(grid)
 
-    def wealth_of(xi):
-        return c1 * np.exp(-q1 * xi) + c2 * np.exp(-q2 * xi)
+    def wealth_of(xi, out=None):
+        out = np.multiply(xi, -q1, out=out)
+        np.exp(out, out=out)
+        out *= c1
+        second = np.multiply(xi, -q2)
+        np.exp(second, out=second)
+        second *= c2
+        out += second
+        return out
 
     def rate(xi):
         return (utility.gamma1 / (g0 * np.exp(xi))) ** q1
 
     # rate(xi) ** gamma1 with one exp; the trapezoid of c^gamma1 on the grid
-    # (bias O(dt^2))
+    # (bias O(dt^2)).  Each path's terms are summed from a C-ordered buffer:
+    # numpy sums a C row pairwise
     k1 = q1 * utility.gamma1
     scale1 = (utility.gamma1 / g0) ** k1
+    half_dt = (0.5 * dt)[:, None]
+    width = run.width
+    cg = np.empty((len(grid), width))
+    terms = np.empty((width, len(dt)))
     trapezoid = np.empty(len(run.terminal))
     for rows, xi in run.chunks:
-        run.add(rows, wealth_of(xi))
-        cg = scale1 * np.exp(-k1 * xi)
-        trapezoid[rows] = np.sum(0.5 * (cg[:, :-1] + cg[:, 1:]) * dt, axis=1)
+        k = len(xi)
+        run.add(rows, lambda view: wealth_of(xi, view))
+        c = np.multiply(xi.T, -k1, out=cg[:, :k])
+        np.exp(c, out=c)
+        c *= scale1
+        step = np.add(c[:-1], c[1:], out=terms[:k].T)
+        step *= half_dt
+        trapezoid[rows] = np.sum(terms[:k], axis=1)
 
     return PathEnsemble(
         times=grid, kind="feedback", replay=(config, mean_inc, sd_inc),
@@ -423,8 +468,10 @@ def _int_exp_quadratic(z: np.ndarray, m: np.ndarray, a: np.ndarray,
                        dt: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """int_0^dt exp(m + z v - a v^2) ds, v = s/dt - 1/2, per element.
 
-    z and m are (paths, steps) chunk buffers, and both are overwritten;
-    a >= 0, dt and coeffs = _midpoint_series(a, dt) are per step.  Expanded
+    z and m are chunk buffers, and both are overwritten; a >= 0, dt and
+    coeffs = _midpoint_series(a, dt) are per step, shaped to broadcast
+    against them, as (steps,) beside (paths, steps) or as (steps, 1) beside
+    time-major (steps, paths) buffers.  Expanded
     about the step's midpoint v = 0 the integral is
 
         dt e^m sum_j c_j(a) (z^2/4)^j,
@@ -486,7 +533,8 @@ def _exp_quadratic_tail(z, m, a, dt):
 def _exact_cost_terms(cum: Cumulants, consumption, grid: np.ndarray,
                       g: float) -> tuple:
     """Per-step terms of the unbiased per-path value of int_0^T c_t^g dt
-    under a deterministic strategy: (shift, idx, m0, a, dts, coeffs).
+    under a deterministic strategy: (shift, idx, m0, a, dts, coeffs), as
+    columns that broadcast against time-major (times or steps, paths) buffers.
 
     Conditional on the sampled skeleton, the within-step law of wealth is a
     lognormal bridge, so E[int c^g dt | skeleton] is the integral of an
@@ -495,7 +543,7 @@ def _exact_cost_terms(cum: Cumulants, consumption, grid: np.ndarray,
     with strictly smaller variance than any within-step sampling.  On a
     path with log-wealth L = ln X + shift, step idx[j] contributes
     _int_exp_quadratic(g (L_b - L_a), g (L_a + L_b) / 2 + m0, a, dts, coeffs)
-    at its columns idx[j] and idx[j] + 1.
+    at its times idx[j] and idx[j] + 1.
     """
     dt = np.diff(grid)
     # per-step exp-affine form of v e^{-V} straight from the consumption
@@ -512,7 +560,8 @@ def _exact_cost_terms(cum: Cumulants, consumption, grid: np.ndarray,
     shift = cum.V(grid) + S
     a = 0.5 * g * g * np.diff(cum.ynn(grid))[idx]
     m0 = g * (cons_log0[idx] - S[idx]) + 0.25 * a
-    return shift, idx, m0, a, dts, _midpoint_series(a, dts)
+    return (shift[:, None], idx, m0[:, None], a[:, None], dts[:, None],
+            _midpoint_series(a, dts)[:, :, None])
 
 
 def estimate_cost(ensemble: PathEnsemble,
