@@ -5,18 +5,22 @@ skeletons are sampled exactly: per grid step the log-increment mean and
 variance come from the exact cumulant tables, and refining the grid does
 not change the law at fixed monitoring times (no Euler bias).
 
-Streams are counter-based (Philox) and indexed by (seed, path block), so
-ensembles are bit-reproducible regardless of how path blocks would be
+Each path block draws from its own SFC64 stream, keyed by (seed, block),
+so ensembles are bit-reproducible regardless of how path blocks would be
 scheduled.  Sampling is one pass over fixed row chunks of the stream that
-keeps no wealth matrix: each chunk's wealth is reduced to each path's
-terminal wealth and cost of consumption, and to each time's tail
-candidates for the empirical risk's alpha, so memory is a few chunk
-buffers, a gathering block, O(n) scalars and O(alpha n) values per time.
+keeps no wealth matrix.  Each chunk is built time-major, so its sums along
+time, its exp and its cost read contiguous rows of one time each, and its
+wealth is written straight into a column-major gathering block.  Each
+chunk's wealth is reduced to each path's terminal wealth and cost of
+consumption, and to each time's tail candidates for the empirical risk's
+alpha, so memory is a few chunk buffers, a gathering block, O(n) scalars
+and O(alpha n) values per time.
 Wealth and consumption are rebuilt from a replay of the stream.  Under a
 deterministic strategy the cost integral is exact given the skeleton:
 per step the integral of an exp-quadratic, summed as a series about the
-step's midpoint (one exp per element, no special function), with an
-erf/erfcx closed form for the rare steps outside the series' range.
+step's midpoint (one exp per element, no special function) with as many
+terms as the chunk's largest step needs, with an erf/erfcx closed form for
+the rare steps outside the series' range.
 A strategy with no risky exposure has one wealth path, sampled once, and
 its per-path results are read-only broadcasts of that path's, so it
 needs O(m) memory.
@@ -61,6 +65,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 2:
             raise MismatchedPaths("n_paths must be at least 2")
+        if not 0 <= self.seed < 1 << 128:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
     @property
     def drawn_rows(self) -> int:
@@ -71,14 +77,14 @@ class SimConfig:
 def _log_paths(config: SimConfig, mean_inc: np.ndarray, sd_inc: np.ndarray):
     """Yield (rows, xi): cumulative log increments of each path's rows.
 
-    Row block b draws its standard normals from the Philox stream of
-    (seed, b) for _BLOCK rows at a time, so a longer ensemble keeps the rows
-    of a shorter one.  Each _CHUNK rows are built time-major in reused
-    buffers, and xi is their (paths, times) view, column-major; antithetic
-    runs mirror each chunk into the second half (increments mean - sd z)."""
+    Row block b draws its standard normals for _BLOCK rows at a time from the
+    SFC64 stream keyed by (seed, b), the seed's spawned child b, so a longer
+    ensemble keeps the rows of a shorter one.  Each _CHUNK rows are built
+    time-major in reused buffers, and xi is their (paths, times) view,
+    column-major; antithetic runs mirror each chunk into the second half
+    (increments mean - sd z)."""
     n = config.n_paths
     half = config.drawn_rows
-    base = np.random.Philox(key=config.seed)
     width = min(_CHUNK, half)
     z = np.empty((width, len(mean_inc)))
     scaled = np.empty((len(mean_inc), width))
@@ -86,7 +92,8 @@ def _log_paths(config: SimConfig, mean_inc: np.ndarray, sd_inc: np.ndarray):
     mean, sd = mean_inc[:, None], sd_inc[:, None]
     for r0 in range(0, half, _CHUNK):
         if r0 % _BLOCK == 0:
-            gen = np.random.Generator(base.jumped(r0 // _BLOCK))
+            gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+                config.seed, spawn_key=(r0 // _BLOCK,))))
         k = min(_CHUNK, half - r0)
         gen.standard_normal(out=z[:k])
         np.multiply(z[:k].T, sd, out=scaled[:, :k])
@@ -167,19 +174,17 @@ class _WealthPass:
         self.limit = [0] * m
         self.kept = {k: ([], []) for k in self.columns}
 
-    def add(self, rows: slice, fill: Callable[[np.ndarray], object]) -> np.ndarray:
+    def add(self, rows: slice, fill: Callable[[np.ndarray], object]) -> None:
         """Take the wealth rows of paths rows, which fill writes into the
-        (paths, times) view it is given; return that view, rows of the
-        block in column-major order."""
+        (paths, times) view of the block it is given."""
         k = rows.stop - rows.start
         if self.filled + k > len(self.block):
             self._select()
-        view = self.block[self.filled:self.filled + k]
-        fill(view)
+        wealth = self.block[self.filled:self.filled + k]
+        fill(wealth)
         self.paths[self.filled:self.filled + k] = np.arange(rows.start, rows.stop)
         self.filled += k
-        self.terminal[rows] = view[:, -1]
-        return view
+        self.terminal[rows] = wealth[:, -1]
 
     def _select(self) -> None:
         f, self.filled = self.filled, 0
@@ -331,11 +336,13 @@ def simulate_deterministic(model: MarketModel, strategy: DeterministicStrategy,
     shift, idx, m0, a, dts, coeffs = _exact_cost_terms(
         cum, strategy.consumption, grid, g)
 
-    def wealth_of(xi, out=None):
-        out = np.exp(xi, out=out)
-        out *= x
-        return out
+    # the sampling loop passes work buffers, so that only the last pass
+    # writes the gathering block
+    def wealth_of(xi, out=None, work=None):
+        return np.multiply(np.exp(xi, out=work), x, out=out)
 
+    # ln X = xi + ln x, so the log-wealth needs no log of the wealth
+    log_shift = math.log(x) + shift
     # the consuming steps come in runs [s, e) of consecutive steps, read as
     # slices of the time-major buffers into rows p:q of the step buffers
     cuts = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1), len(idx)]
@@ -346,11 +353,10 @@ def simulate_deterministic(model: MarketModel, strategy: DeterministicStrategy,
     mid = np.empty((len(idx), width))
     cost = np.empty(len(run.terminal))
     for rows, xi in run.chunks:
-        k = len(xi)
-        wealth = run.add(rows, lambda view: wealth_of(xi, view))
-        Lk = np.log(wealth.T, out=L[:, :k])
-        Lk += shift
-        zk, mk = z[:, :k], mid[:, :k]
+        Lk = L[:, :len(xi)]
+        run.add(rows, lambda wealth: wealth_of(xi, wealth, Lk.T))
+        np.add(xi.T, log_shift, out=Lk)
+        zk, mk = z[:, :len(xi)], mid[:, :len(xi)]
         # the step's log-integrand is m + z v - a v^2 about its midpoint
         for s, e, p, q in runs:
             np.add(Lk[s:e], Lk[s + 1:e + 1], out=mk[p:q])
@@ -358,9 +364,7 @@ def simulate_deterministic(model: MarketModel, strategy: DeterministicStrategy,
         mk *= 0.5 * g
         mk += m0
         zk *= g
-        # each path's steps are summed in time order, as over rows of the
-        # whole time-major matrix
-        cost[rows] = np.sum(_int_exp_quadratic(zk, mk, a, dts, coeffs), axis=0)
+        cost[rows] = _sum_in_time_order(_int_exp_quadratic(zk, mk, a, dts, coeffs))
 
     v_grid = np.broadcast_to(strategy.v_at(model, grid), grid.shape)
 
@@ -396,15 +400,16 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
     c2 = fb.A2(grid) * g0 ** -q2
     dt = np.diff(grid)
 
-    def wealth_of(xi, out=None):
-        out = np.multiply(xi, -q1, out=out)
-        np.exp(out, out=out)
-        out *= c1
-        second = np.multiply(xi, -q2)
+    # as in simulate_deterministic, work buffers keep all but the last pass
+    # out of the gathering block
+    def wealth_of(xi, out=None, first=None, second=None):
+        first = np.multiply(xi, -q1, out=first)
+        np.exp(first, out=first)
+        first *= c1
+        second = np.multiply(xi, -q2, out=second)
         np.exp(second, out=second)
         second *= c2
-        out += second
-        return out
+        return np.add(first, second, out=out)
 
     def rate(xi):
         return (utility.gamma1 / (g0 * np.exp(xi))) ** q1
@@ -416,13 +421,14 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
     scale1 = (utility.gamma1 / g0) ** k1
     half_dt = (0.5 * dt)[:, None]
     width = run.width
-    cg = np.empty((len(grid), width))
+    work = np.empty((2, len(grid), width))
     terms = np.empty((width, len(dt)))
     trapezoid = np.empty(len(run.terminal))
     for rows, xi in run.chunks:
         k = len(xi)
-        run.add(rows, lambda view: wealth_of(xi, view))
-        c = np.multiply(xi.T, -k1, out=cg[:, :k])
+        first, second = work[:, :, :k]
+        run.add(rows, lambda wealth: wealth_of(xi, wealth, first.T, second.T))
+        c = np.multiply(xi.T, -k1, out=first)
         np.exp(c, out=c)
         c *= scale1
         step = np.add(c[:-1], c[1:], out=terms[:k].T)
@@ -443,9 +449,30 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
 
 # _int_exp_quadratic's series serves |z| <= 2 and a <= 0.05: nine powers of
 # z^2/4 <= 1 leave a tail below 1e-17 of the sum, and eight terms of each
-# c_j(a) one below 1e-19.
+# c_j(a) one below 1e-19.  A call with smaller z takes fewer powers: those it
+# drops sum to at most _SERIES_CUT of the leading term.
 _SERIES_TERMS = 9
 _SERIES_MAX_A = 0.05
+_SERIES_CUT = 2.0 ** -56
+
+
+def _sum_in_time_order(terms: np.ndarray) -> np.ndarray:
+    """Each path's sum of its time-major (steps, paths) terms, added in time
+    order whatever the number of paths: numpy sums a lone path pairwise."""
+    if terms.shape[1] == 1:
+        return np.cumsum(terms[:, 0])[-1:]
+    return np.sum(terms, axis=0)
+
+
+def _series_terms(zz_max: float, coeffs: np.ndarray) -> int:
+    """The fewest terms, at least two, of _int_exp_quadratic's series whose
+    dropped terms sum to at most _SERIES_CUT of the leading term on every
+    step at z^2 = zz_max; all terms are positive."""
+    terms = (coeffs.reshape(_SERIES_TERMS, -1)
+             * zz_max ** np.arange(_SERIES_TERMS)[:, None])
+    dropped = np.cumsum(terms[::-1], axis=0)[::-1]
+    fits = np.all(dropped <= _SERIES_CUT * terms[0], axis=1)
+    return max(2, int(np.argmax(fits))) if fits.any() else _SERIES_TERMS
 
 
 def _midpoint_series(a: np.ndarray, dt: np.ndarray) -> np.ndarray:
@@ -477,7 +504,9 @@ def _int_exp_quadratic(z: np.ndarray, m: np.ndarray, a: np.ndarray,
         dt e^m sum_j c_j(a) (z^2/4)^j,
 
     a sum of positive terms, evaluated by Horner's rule where |z| <= 2 and
-    a <= 0.05.  Other elements take _exp_quadratic_tail's closed form.
+    a <= 0.05, from the highest term that the largest such z^2 of the call
+    needs (_series_terms).  Other elements take _exp_quadratic_tail's closed
+    form.
     """
     # elements outside the series range may overflow; they are replaced
     with np.errstate(over="ignore", invalid="ignore"):
@@ -489,8 +518,11 @@ def _int_exp_quadratic(z: np.ndarray, m: np.ndarray, a: np.ndarray,
         if tail is not None:
             rest = (z[tail], m[tail]) + tuple(np.broadcast_to(v, z.shape)[tail]
                                               for v in (a, dt))
-        out = np.multiply(zz, coeffs[-1], out=z)
-        for c in coeffs[-2:0:-1]:
+        zz_max = (zz.max(initial=0.0) if tail is None
+                  else np.max(zz, where=series, initial=0.0))
+        terms = _series_terms(zz_max, coeffs)
+        out = np.multiply(zz, coeffs[terms - 1], out=z)
+        for c in coeffs[terms - 2:0:-1]:
             out += c
             out *= zz
         out += coeffs[0]

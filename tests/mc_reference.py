@@ -13,12 +13,13 @@ from conftest import theta_at
 
 
 def block_normals(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """(n_paths, n_steps) standard normals from per-block Philox streams."""
-    base = np.random.Philox(key=seed)
+    """(n_paths, n_steps) standard normals from per-block SFC64 streams, the
+    stream of block b keyed by (seed, b) as the seed's spawned child b."""
+    children = np.random.SeedSequence(seed).spawn(-(-n_paths // _BLOCK))
     return np.vstack([
-        np.random.Generator(base.jumped(b0 // _BLOCK)).standard_normal(
+        np.random.Generator(np.random.SFC64(child)).standard_normal(
             (min(_BLOCK, n_paths - b0), n_steps))
-        for b0 in range(0, n_paths, _BLOCK)])
+        for b0, child in zip(range(0, n_paths, _BLOCK), children)])
 
 
 def simulate_feedback_euler(model: MarketModel, utility: UtilityParams,

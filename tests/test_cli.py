@@ -242,6 +242,8 @@ BAD_TABLES = {"nan_pi.csv": "t,pi_1,v\n0.0,nan,0.1\n0.5,0.2,0.1\n",
     ({}, ["solve", "--grid", "-1"]),
     ({}, ["simulate", "--steps", "-3"]),
     ({}, ["simulate", "--dump-paths", "-5"]),
+    ({}, ["simulate", "--seed", "-1"]),
+    ({}, ["simulate", "--seed", str(2 ** 128)]),
     ({}, ["simulate", "--strategy", "nan_pi.csv"]),
     ({}, ["simulate", "--strategy", "no_v.csv"]),
     ({}, ["simulate", "--strategy", "empty.csv"]),
@@ -261,7 +263,8 @@ BAD_TABLES = {"nan_pi.csv": "t,pi_1,v\n0.0,nan,0.1\n0.5,0.2,0.1\n",
 ], ids=["utility_number", "x0_null", "x0_list", "risk_number", "gamma1_null",
         "rho_step_zero", "rho_step_nan", "rho_step_negative",
         "missing_strategy_file", "zero_paths", "negative_grid", "negative_steps",
-        "negative_dump_paths", "nan_strategy_field", "short_strategy_row",
+        "negative_dump_paths", "negative_seed", "seed_past_128_bits",
+        "nan_strategy_field", "short_strategy_row",
         "empty_strategy_table", "x0_string", "x0_bool", "x0_beyond_float",
         "gamma1_string", "alpha_string", "T_string", "d_fraction", "d_bool",
         "t0_string", "r_string", "mu_string", "sigma_bool"])
@@ -614,6 +617,15 @@ def test_outputs_deterministic_given_seed(tmp_path):
         outs.append(((out / "summary.json").read_text(),
                      (out / "risk_profile.csv").read_text()))
     assert outs[0] == outs[1]
+
+
+def test_simulate_takes_the_largest_seed(tmp_path):
+    # seeds are pinned to [0, 2**128): -1 and 2**128 are input errors
+    spec = write_spec(tmp_path / "p.json", **TIGHT_VAR)
+    out = tmp_path / "out"
+    assert main(["simulate", str(spec), "--out", str(out), "--paths", "20000",
+                 "--steps", "4", "--seed", str(2 ** 128 - 1)]) == 0
+    assert json.loads((out / "summary.json").read_text())["seed"] == 2 ** 128 - 1
 
 
 def test_oracle_command(tmp_path):

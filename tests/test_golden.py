@@ -37,7 +37,8 @@ from conftest import strict_json
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {"solve": ["solve", "--grid", "21"],
             "verify": ["verify", "--nt", "5", "--nx", "5"]}
-# 70,001 paths cross a 65,536-path Philox block and end in a partial chunk
+# 70,001 paths cross a 65,536-path block of the SFC64 stream keyed by
+# (seed, block), and end in a partial chunk
 _SIMULATE = ["simulate", "--paths", "70001", "--steps", "8", "--seed", "5",
              "--dump-paths", "40"]
 SIMULATE = {"plain": _SIMULATE, "antithetic": _SIMULATE + ["--antithetic"]}

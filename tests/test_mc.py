@@ -235,7 +235,7 @@ def test_linear_var_optimum_empirical_ratio(standard_market):
 # Streamed ensembles against the whole-matrix formulas
 # ---------------------------------------------------------------------------
 
-# Path counts spanning two 65,536-path Philox blocks (of drawn normals) and
+# Path counts spanning two 65,536-path stream blocks (of drawn normals) and
 # ending in a partial row chunk; antithetic runs draw (n + 1) // 2 rows.
 STREAM_CASES = [
     ("riskless", 70_001, False), ("riskless", 140_001, True),
@@ -243,23 +243,26 @@ STREAM_CASES = [
     ("feedback", 70_001, False), ("feedback", 140_001, True),
 ]
 STREAM_UTILITY = UtilityParams(0.5, 0.4)
-# (estimate, std_error) of estimate_cost.  The estimates are those of the
-# whole-matrix implementation; the std errors are within an ulp of the sample
-# std error in exact rational arithmetic.  The feedback entries follow the
+# (estimate, std_error) of estimate_cost.  The risky and feedback entries
+# were computed over the whole matrix of block_normals' per-block SFC64
+# streams: the feedback trapezoid summed pairwise along each row, the exact
+# cost's kernel called once on every path and summed in time order.  The
+# streamed figures equal them bit for bit.  The feedback entries follow the
 # last bits of g0, the g-root at t = 0
 STREAM_COSTS = {
     ("riskless", 70_001, False): (1.4477411501121724, 0.0),
     ("riskless", 140_001, True): (1.4477411501121722, 0.0),
-    ("risky", 70_001, False): (1.4904002119775988, 0.0008122786640742145),
-    ("risky", 140_001, True): (1.4905358940368445, 0.0005741326173536552),
-    ("feedback", 70_001, False): (1.6688103764122688, 0.001355511490924019),
-    ("feedback", 140_001, True): (1.6687179653222215, 0.0009590649689909633),
+    ("risky", 70_001, False): (1.4909465121294059, 0.0008090850948815915),
+    ("risky", 140_001, True): (1.4903865209944662, 0.0005712296533064312),
+    ("feedback", 70_001, False): (1.6670717178003225, 0.0013482147528273507),
+    ("feedback", 140_001, True): (1.6685286811373838, 0.0009565264176839076),
 }
 
 
-def _stream_case(kind, n, antithetic, alpha=None, utility=STREAM_UTILITY):
+def _stream_case(kind, n, antithetic, alpha=None, utility=STREAM_UTILITY,
+                 n_steps=12):
     m = constant_market(0.03, [0.1], [[0.2]], 1.0)
-    cfg = SimConfig(n_paths=n, seed=7, n_steps=12, antithetic=antithetic)
+    cfg = SimConfig(n_paths=n, seed=7, n_steps=n_steps, antithetic=antithetic)
     if kind == "feedback":
         return m, None, simulate_hara_feedback(m, utility, 1.2, cfg, alpha=alpha)
     # dead consumption steps (v = 0) leave gaps in the exact-integral steps
@@ -362,7 +365,7 @@ def test_wealth_is_time_major(kind):
                for k in range(len(ens.times)))
 
 
-# chunk edges at multiples of 1,024 rows, the Philox block edge at 65,536
+# chunk edges at multiples of 1,024 rows, the stream block edge at 65,536
 # drawn rows, and (antithetic, n = 140,001) the mirrored half from row 70,001
 REPLAY_SLICES = [slice(0, 40), slice(1000, 1100), slice(65_500, 65_600),
                  slice(69_990, 70_001)]
@@ -443,6 +446,25 @@ def test_deterministic_cost_is_exact_for_its_gamma1(kind):
         with pytest.raises(MismatchedPaths):
             estimate_cost(ens, UtilityParams(0.8, STREAM_UTILITY.gamma2))
     assert estimates[0] != estimates[1]
+
+
+# the last row of n = 2,049 or 4,097, and of an antithetic half of 1,025 or
+# 2,049 rows, is a stream chunk of one row, while n = 2,050 or 4,098 (plain)
+# and 2,052 or 4,100 (antithetic) put those rows in chunks of two; either way
+# a row's 64 steps are summed in time order (numpy would sum a lone row
+# pairwise), so a path's cost does not depend on n
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_path_cost_does_not_depend_on_n(antithetic):
+    costs = {}
+    for n in (2048, 2049, 2050, 2052, 4097, 4098, 4100):
+        _, _, ens = _stream_case("risky", n, antithetic, n_steps=64)
+        half = ens.replay[0].drawn_rows
+        # each drawn row's plain path, and its mirror
+        costs[n] = (ens.consumption_cost[:half], ens.consumption_cost[half:])
+    for a, b in zip(costs, list(costs)[1:]):
+        for got, want in zip(costs[a], costs[b]):
+            k = min(len(got), len(want))
+            assert np.array_equal(got[:k], want[:k]), (a, b)
 
 
 def _reference_curves(ens, spec, x, model):
@@ -638,3 +660,34 @@ def test_int_exp_quadratic_special_inputs():
                                 mc._midpoint_series(a, dt))[0]
     assert np.array_equal(got[:5], [np.inf, np.inf, np.inf, 0.0, 0.0])
     assert np.all(np.isnan(got[5:]))
+
+
+def test_int_exp_quadratic_term_cut_within_an_ulp():
+    # the series is cut to the terms the call's largest z^2 needs; on either
+    # side of each cut-off it stays within an ulp of all nine terms
+    rng = np.random.default_rng(31)
+    a = np.concatenate([[0.0, 0.05], rng.uniform(0.0, 0.05, 14)])
+    dt = rng.uniform(1e-3, 0.5, len(a))
+    coeffs = mc._midpoint_series(a, dt)
+
+    def nine_terms(z):
+        zz = z * z
+        out = zz * coeffs[-1]
+        for c in coeffs[-2:0:-1]:
+            out = (out + c) * zz
+        return out + coeffs[0]
+
+    assert mc._series_terms(0.0, coeffs) == 2
+    assert mc._series_terms(4.0, coeffs) == 9
+    for terms in range(2, 9):
+        lo, hi = 0.0, 4.0      # the largest z^2 that takes at most `terms`
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if mc._series_terms(mid, coeffs) <= terms else (lo, mid)
+        for zz_max, more in ((lo * (1 - 1e-9), False), (hi * (1 + 1e-9), True)):
+            z = np.sqrt(zz_max) * rng.uniform(-1.0, 1.0, (64, len(a)))
+            z[0, 0] = np.sqrt(zz_max)
+            assert (mc._series_terms(np.max(z * z), coeffs) > terms) == more
+            got = mc._int_exp_quadratic(z.copy(), np.zeros_like(z), a, dt, coeffs)
+            want = nine_terms(z)
+            assert np.all(np.abs(got - want) <= np.spacing(want)), (terms, more)
