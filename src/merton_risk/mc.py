@@ -353,6 +353,7 @@ def simulate_deterministic(model: MarketModel, strategy: DeterministicStrategy,
     mid = np.empty((len(idx), width))
     cost = np.empty(len(run.terminal))
     for rows, xi in run.chunks:
+        # Lk is the exp's work buffer, then the log-wealth
         Lk = L[:, :len(xi)]
         run.add(rows, lambda wealth: wealth_of(xi, wealth, Lk.T))
         np.add(xi.T, log_shift, out=Lk)
@@ -415,8 +416,8 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
         return (utility.gamma1 / (g0 * np.exp(xi))) ** q1
 
     # rate(xi) ** gamma1 with one exp; the trapezoid of c^gamma1 on the grid
-    # (bias O(dt^2)).  Each path's terms are summed from a C-ordered buffer:
-    # numpy sums a C row pairwise
+    # (bias O(dt^2)).  Each path's terms are summed pairwise, as numpy sums a
+    # row of a C-ordered buffer, in chunks of every size
     k1 = q1 * utility.gamma1
     scale1 = (utility.gamma1 / g0) ** k1
     half_dt = (0.5 * dt)[:, None]

@@ -452,7 +452,7 @@ def test_deterministic_cost_is_exact_for_its_gamma1(kind):
 # 2,049 rows, is a stream chunk of one row, while n = 2,050 or 4,098 (plain)
 # and 2,052 or 4,100 (antithetic) put those rows in chunks of two; either way
 # a row's 64 steps are summed in time order (numpy would sum a lone row
-# pairwise), so a path's cost does not depend on n
+# pairwise), and the row's cost is the same at every n
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_path_cost_does_not_depend_on_n(antithetic):
     costs = {}
