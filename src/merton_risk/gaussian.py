@@ -10,7 +10,7 @@ Tails are kept in the e^{-t^2/2} normalization and evaluated through the
 scaled complementary error function, so F_alpha and its logarithm stay
 accurate out to z = 40 where the plain tail underflows.
 
-erf, erfc and erfcx are W. J. Cody's rational Chebyshev approximations
+erfc and erfcx are W. J. Cody's rational Chebyshev approximations
 (the CALERF scheme; "Rational Chebyshev approximations for the error
 function", Math. Comp. 23 (1969) 631-637) on three intervals of |x|:
 [0, 0.46875], (0.46875, 4] and beyond 4.  They need numpy only, so the
@@ -154,20 +154,6 @@ def erfc(x):
     out[tail] = _exp_square(yt, -1.0) * _erfcx_tail(yt)
     neg = x < -_THRESH
     out[neg] = 2.0 - out[neg]
-    return out
-
-
-def erf(x):
-    """Error function: Cody's rational for |x| <= 0.46875, else
-    sign(x) (1 - e^{-x^2} erfcx(|x|)).  A float for a scalar argument."""
-    x = _real(x)
-    if not isinstance(x, np.ndarray):
-        if abs(x) <= _THRESH:
-            return _erf_small(x)
-        return math.copysign(1.0 - erfc(abs(x)), x)
-    out = np.copysign(1.0 - erfc(np.abs(x)), x)
-    small = np.abs(x) <= _THRESH
-    out[small] = _erf_small(x[small])
     return out
 
 

@@ -15,12 +15,14 @@ chunk's wealth is reduced to each path's terminal wealth and cost of
 consumption, and to each time's tail candidates for the empirical risk's
 alpha, so memory is a few chunk buffers, a gathering block, O(n) scalars
 and O(alpha n) values per time.
-Wealth and consumption are rebuilt from a replay of the stream.  Under a
-deterministic strategy the cost integral is exact given the skeleton:
-per step the integral of an exp-quadratic, summed as a series about the
-step's midpoint (one exp per element, no special function) with as many
-terms as the chunk's largest step needs, with an erf/erfcx closed form for
-the rare steps outside the series' range.
+Wealth and consumption are rebuilt from a replay of the stream.  Both
+laws go through one sampling loop, and both costs are exact given the
+skeleton: under either law ln c^gamma1 is affine in t and in the Gaussian
+driver xi on each step, so per step the cost is the integral of an
+exp-quadratic, summed as a series about the step's midpoint (one exp per
+element, no special function) with as many terms as the chunk's largest
+step needs, and split into halves where a step is outside the series'
+range.
 A strategy with no risky exposure has one wealth path, sampled once, and
 its per-path results are read-only broadcasts of that path's, so it
 needs O(m) memory.
@@ -38,11 +40,10 @@ import numpy as np
 from ._piecewise import merge_ticks, from_ticks, to_ticks
 from ._table import _BLOCK_ROWS, grid_axes, write_table
 from .errors import InsufficientPaths, MismatchedPaths
-from .gaussian import erf, erfcx
 from .market import MarketModel
 from .risk import RiskProfile, RiskSpec
-from .strategies import Cumulants, DeterministicStrategy, cumulants
-from .unconstrained import HaraFeedback, solve_hara_unconstrained
+from .strategies import DeterministicStrategy, cumulants
+from .unconstrained import solve_hara_unconstrained
 from .utility import UtilityParams
 
 _BLOCK = 1 << 16
@@ -180,11 +181,11 @@ class _WealthPass:
         k = rows.stop - rows.start
         if self.filled + k > len(self.block):
             self._select()
-        wealth = self.block[self.filled:self.filled + k]
-        fill(wealth)
+        view = self.block[self.filled:self.filled + k]
+        fill(view)
         self.paths[self.filled:self.filled + k] = np.arange(rows.start, rows.stop)
         self.filled += k
-        self.terminal[rows] = wealth[:, -1]
+        self.terminal[rows] = view[:, -1]
 
     def _select(self) -> None:
         f, self.filled = self.filled, 0
@@ -321,6 +322,61 @@ def simulation_grid(model: MarketModel, strategy_nodes: np.ndarray,
     return from_ticks(ticks)
 
 
+def _sample(kind: str, config: SimConfig, alpha: float | None, grid: np.ndarray,
+            wealth_of: Callable, rate: Callable, gamma1: float, *,
+            drift: np.ndarray, var: np.ndarray, log_shift, factor: float,
+            idx: np.ndarray, log0) -> PathEnsemble:
+    """One pass over the stream of a law's Gaussian driver xi, whose steps
+    have mean drift and variance var: its wealth X = wealth_of(xi), and
+    each path's unbiased value of int_0^T c_t^gamma1 dt.
+
+    On each consuming step idx[j], gamma1 ln c_t = factor L_t + log0[j] at
+    both ends, with L = xi + log_shift.  Given the sampled ends, xi is a
+    Brownian bridge across the step, so E[c^gamma1 | skeleton] is an
+    exp-quadratic over it with curvature a = factor^2 var / 2, and the step
+    contributes _int_exp_quadratic(z, m, a, dt, coeffs) with
+    z = factor (L_b - L_a) and m = factor (L_a + L_b) / 2 + log0[j] + a/4.
+    By the tower property the path average is unbiased for the cost term,
+    with smaller variance than any within-step sampling.
+    """
+    sd = np.sqrt(np.maximum(var, 0.0))
+    run = _WealthPass(config, drift, sd, alpha)
+    # per-step terms, as columns beside time-major (steps, paths) buffers
+    dts = np.diff(grid)[idx]
+    a = 0.5 * factor * factor * var[idx]
+    m0 = (log0 + 0.25 * a)[:, None]
+    coeffs = _midpoint_series(a, dts)[:, :, None]
+    a, dts = a[:, None], dts[:, None]
+    # the consuming steps come in runs [s, e) of consecutive steps, read as
+    # slices of the time-major buffers into rows p:q of the step buffers
+    cuts = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1), len(idx)]
+    runs = [(idx[p], idx[q - 1] + 1, p, q) for p, q in zip(cuts, cuts[1:]) if p < q]
+    # wealth_of's work buffers, then L and the steps' z, so that only
+    # wealth_of's last pass writes the gathering block
+    work = np.empty((2, len(grid), run.width))
+    mid = np.empty((len(idx), run.width))
+    cost = np.empty(len(run.terminal))
+    for rows, xi in run.chunks:
+        k = len(xi)
+        first, second = work[:, :, :k]
+        run.add(rows, lambda block: wealth_of(xi, block, (first.T, second.T)))
+        L = np.add(xi.T, log_shift, out=first)
+        zk, mk = second[:len(idx)], mid[:, :k]
+        for s, e, p, q in runs:
+            np.add(L[s:e], L[s + 1:e + 1], out=mk[p:q])
+            np.subtract(L[s + 1:e + 1], L[s:e], out=zk[p:q])
+        mk *= 0.5 * factor
+        mk += m0
+        zk *= factor
+        cost[rows] = _sum_in_time_order(_int_exp_quadratic(zk, mk, a, dts, coeffs))
+    return PathEnsemble(
+        times=grid, kind=kind, replay=(config, drift, sd),
+        wealth_of=wealth_of, rate=rate, gamma1=gamma1, alpha=alpha,
+        terminal=run.per_path(run.terminal), consumption_cost=run.per_path(cost),
+        tails=run.tails(),
+    )
+
+
 def simulate_deterministic(model: MarketModel, strategy: DeterministicStrategy,
                            utility: UtilityParams, x: float, config: SimConfig,
                            alpha: float | None = None) -> PathEnsemble:
@@ -329,132 +385,80 @@ def simulate_deterministic(model: MarketModel, strategy: DeterministicStrategy,
     alpha, each time's tail candidates."""
     cum = cumulants(model, strategy)
     grid = simulation_grid(model, cum.node_ticks, config)
-    mean_inc = np.diff(cum.log_drift(grid))
-    sd_inc = np.sqrt(np.maximum(np.diff(cum.ynn(grid)), 0.0))
-    run = _WealthPass(config, mean_inc, sd_inc, alpha)
     g = utility.gamma1
-    shift, idx, m0, a, dts, coeffs = _exact_cost_terms(
-        cum, strategy.consumption, grid, g)
+    # per-step exp-affine form of v e^{-V} straight from the consumption
+    # family (cadlag: the left value rules the step, jumps never leak in)
+    cons_log0, cons_slope = strategy.consumption.log_affine(model, to_ticks(grid))
+    idx = np.flatnonzero(np.isfinite(cons_log0))
+    # on step j, ln c_t = ln X_t + V_t + a0_j + slope_j (t - t_j).  With S the
+    # running integral of the slopes and L = ln X + V + S, ln c = L - S_j + a0_j
+    # at both ends of the step; ln X = xi + ln x needs no log of the wealth
+    S = np.zeros(len(grid))
+    np.cumsum(np.where(np.isfinite(cons_log0), cons_slope, 0.0) * np.diff(grid),
+              out=S[1:])
 
-    # the sampling loop passes work buffers, so that only the last pass
-    # writes the gathering block
-    def wealth_of(xi, out=None, work=None):
-        return np.multiply(np.exp(xi, out=work), x, out=out)
-
-    # ln X = xi + ln x, so the log-wealth needs no log of the wealth
-    log_shift = math.log(x) + shift
-    # the consuming steps come in runs [s, e) of consecutive steps, read as
-    # slices of the time-major buffers into rows p:q of the step buffers
-    cuts = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1), len(idx)]
-    runs = [(idx[p], idx[q - 1] + 1, p, q) for p, q in zip(cuts, cuts[1:]) if p < q]
-    width = run.width
-    L = np.empty((len(grid), width))
-    z = np.empty((len(idx), width))
-    mid = np.empty((len(idx), width))
-    cost = np.empty(len(run.terminal))
-    for rows, xi in run.chunks:
-        # Lk is the exp's work buffer, then the log-wealth
-        Lk = L[:, :len(xi)]
-        run.add(rows, lambda wealth: wealth_of(xi, wealth, Lk.T))
-        np.add(xi.T, log_shift, out=Lk)
-        zk, mk = z[:, :len(xi)], mid[:, :len(xi)]
-        # the step's log-integrand is m + z v - a v^2 about its midpoint
-        for s, e, p, q in runs:
-            np.add(Lk[s:e], Lk[s + 1:e + 1], out=mk[p:q])
-            np.subtract(Lk[s + 1:e + 1], Lk[s:e], out=zk[p:q])
-        mk *= 0.5 * g
-        mk += m0
-        zk *= g
-        cost[rows] = _sum_in_time_order(_int_exp_quadratic(zk, mk, a, dts, coeffs))
+    def wealth_of(xi, out=None, work=(None, None)):
+        return np.multiply(np.exp(xi, out=work[0]), x, out=out)
 
     v_grid = np.broadcast_to(strategy.v_at(model, grid), grid.shape)
 
     def rate(xi):
         return np.exp(xi) * x * v_grid
 
-    return PathEnsemble(
-        times=grid, kind="deterministic", replay=(config, mean_inc, sd_inc),
-        wealth_of=wealth_of, rate=rate, gamma1=g, alpha=alpha,
-        terminal=run.per_path(run.terminal), consumption_cost=run.per_path(cost),
-        tails=run.tails(),
-    )
+    return _sample("deterministic", config, alpha, grid, wealth_of, rate, g,
+                   drift=np.diff(cum.log_drift(grid)), var=np.diff(cum.ynn(grid)),
+                   log_shift=math.log(x) + (cum.V(grid) + S)[:, None], factor=g,
+                   idx=idx, log0=g * (cons_log0[idx] - S[idx]))
 
 
 def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
                            x: float, config: SimConfig,
                            alpha: float | None = None) -> PathEnsemble:
     """Exact sampling of the feedback-optimal wealth mixture, with each
-    path's trapezoid cost for utility's gamma1 and, given alpha, each
-    time's tail candidates."""
-    sol = solve_hara_unconstrained(model, utility, x)
-    fb: HaraFeedback = sol.feedback
+    path's exact consumption cost for utility's gamma1 and, given alpha,
+    each time's tail candidates."""
+    fb = solve_hara_unconstrained(model, utility, x).feedback
     grid = simulation_grid(model, model.node_ticks, config)
-    R = model.R(grid)
     TS = model.theta_sq_cum(grid)
-    mean_inc = -np.diff(R + 0.5 * TS)
-    sd_inc = np.sqrt(np.maximum(np.diff(TS), 0.0))
-    run = _WealthPass(config, mean_inc, sd_inc, alpha)
-
     g0 = fb.g(0.0, x)
     q1, q2 = utility.q1, utility.q2
     c1 = fb.A1(grid) * g0 ** -q1
     c2 = fb.A2(grid) * g0 ** -q2
-    dt = np.diff(grid)
 
-    # as in simulate_deterministic, work buffers keep all but the last pass
-    # out of the gathering block
-    def wealth_of(xi, out=None, first=None, second=None):
-        first = np.multiply(xi, -q1, out=first)
-        np.exp(first, out=first)
+    def wealth_of(xi, out=None, work=(None, None)):
+        first, second = (np.exp(np.multiply(xi, -q, out=w), out=w)
+                         for q, w in zip((q1, q2), work))
         first *= c1
-        second = np.multiply(xi, -q2, out=second)
-        np.exp(second, out=second)
         second *= c2
         return np.add(first, second, out=out)
 
     def rate(xi):
         return (utility.gamma1 / (g0 * np.exp(xi))) ** q1
 
-    # rate(xi) ** gamma1 with one exp; the trapezoid of c^gamma1 on the grid
-    # (bias O(dt^2)).  Each path's terms are summed pairwise, as numpy sums a
-    # row of a C-ordered buffer, in chunks of every size
+    # c^gamma1 = (gamma1 / g0)^k1 e^{-k1 xi} on every step; the grid holds
+    # every market node, so xi's drift and variance are constant on each
     k1 = q1 * utility.gamma1
-    scale1 = (utility.gamma1 / g0) ** k1
-    half_dt = (0.5 * dt)[:, None]
-    width = run.width
-    work = np.empty((2, len(grid), width))
-    terms = np.empty((width, len(dt)))
-    trapezoid = np.empty(len(run.terminal))
-    for rows, xi in run.chunks:
-        k = len(xi)
-        first, second = work[:, :, :k]
-        run.add(rows, lambda wealth: wealth_of(xi, wealth, first.T, second.T))
-        c = np.multiply(xi.T, -k1, out=first)
-        np.exp(c, out=c)
-        c *= scale1
-        step = np.add(c[:-1], c[1:], out=terms[:k].T)
-        step *= half_dt
-        trapezoid[rows] = np.sum(terms[:k], axis=1)
-
-    return PathEnsemble(
-        times=grid, kind="feedback", replay=(config, mean_inc, sd_inc),
-        wealth_of=wealth_of, rate=rate, gamma1=utility.gamma1, alpha=alpha,
-        terminal=run.per_path(run.terminal),
-        consumption_cost=run.per_path(trapezoid), tails=run.tails(),
-    )
+    return _sample("feedback", config, alpha, grid, wealth_of, rate, utility.gamma1,
+                   drift=-np.diff(model.R(grid) + 0.5 * TS), var=np.diff(TS),
+                   log_shift=0.0, factor=-k1, idx=np.arange(len(grid) - 1),
+                   log0=k1 * math.log(utility.gamma1 / g0))
 
 
 # ---------------------------------------------------------------------------
 # Cost estimation
 # ---------------------------------------------------------------------------
 
-# _int_exp_quadratic's series serves |z| <= 2 and a <= 0.05: nine powers of
-# z^2/4 <= 1 leave a tail below 1e-17 of the sum, and eight terms of each
-# c_j(a) one below 1e-19.  A call with smaller z takes fewer powers: those it
-# drops sum to at most _SERIES_CUT of the leading term.
+# _int_exp_quadratic's series serves |z| <= 2 and a <= 4: nine powers of
+# z^2/4 <= 1 leave a tail below 1e-17 of the sum; eight terms of each c_j(a)
+# leave one below 1e-19 where a <= 0.05, and twenty one below 1e-18 where
+# a <= 4, where no term (a/4)^k / k! exceeds 1, so the sum does not cancel.
+# A call with smaller z takes fewer powers: those it drops sum to at most
+# _SERIES_CUT of the leading term.
 _SERIES_TERMS = 9
-_SERIES_MAX_A = 0.05
+_SERIES_MAX_A = 4.0
 _SERIES_CUT = 2.0 ** -56
+# _halved's reach: at most 2^16 pieces of one element
+_HALVINGS = 16
 
 
 def _sum_in_time_order(terms: np.ndarray) -> np.ndarray:
@@ -480,14 +484,16 @@ def _midpoint_series(a: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """(terms, steps) coefficients dt c_j(a) / 4^j of _int_exp_quadratic.
 
     c_j(a) = 1/(2j)! sum_k (-a/4)^k / (k! (2k + 2j + 1)) > 0, summed from
-    its smallest term.  Steps with a > 0.05 get the coefficients of 0.05:
-    the kernel never uses them there.
+    its smallest term, k < 8 where a <= 0.05 and k < 20 elsewhere.  Steps
+    with a > 4 get the coefficients of 4: the kernel never uses them there.
     """
     q = -0.25 * np.minimum(a, _SERIES_MAX_A)
     j = np.arange(_SERIES_TERMS)[:, None]
+    wide = a > 0.05
     c = np.zeros((_SERIES_TERMS, len(a)))
-    for k in reversed(range(8)):
-        c += q ** k / (math.factorial(k) * (2 * k + 2 * j + 1))
+    for k in reversed(range(20 if wide.any() else 8)):
+        term = q ** k / (math.factorial(k) * (2 * k + 2 * j + 1))
+        c += np.where(wide | (k < 8), term, 0.0)
     c /= [[4 ** i * math.factorial(2 * i)] for i in range(_SERIES_TERMS)]
     return c * dt
 
@@ -505,9 +511,8 @@ def _int_exp_quadratic(z: np.ndarray, m: np.ndarray, a: np.ndarray,
         dt e^m sum_j c_j(a) (z^2/4)^j,
 
     a sum of positive terms, evaluated by Horner's rule where |z| <= 2 and
-    a <= 0.05, from the highest term that the largest such z^2 of the call
-    needs (_series_terms).  Other elements take _exp_quadratic_tail's closed
-    form.
+    a <= 4, from the highest term that the largest such z^2 of the call
+    needs (_series_terms).  Other elements are split into halves (_halved).
     """
     # elements outside the series range may overflow; they are replaced
     with np.errstate(over="ignore", invalid="ignore"):
@@ -517,93 +522,76 @@ def _int_exp_quadratic(z: np.ndarray, m: np.ndarray, a: np.ndarray,
             series &= a <= _SERIES_MAX_A
         tail = None if series.all() else ~series
         if tail is not None:
-            rest = (z[tail], m[tail]) + tuple(np.broadcast_to(v, z.shape)[tail]
-                                              for v in (a, dt))
+            # each element's step, as an index into the flat a and dt
+            step = np.broadcast_to(np.arange(a.size).reshape(a.shape), z.shape)
+            rest = z[tail], m[tail], step[tail], np.ravel(a), np.ravel(dt)
         zz_max = (zz.max(initial=0.0) if tail is None
                   else np.max(zz, where=series, initial=0.0))
-        terms = _series_terms(zz_max, coeffs)
-        out = np.multiply(zz, coeffs[terms - 1], out=z)
-        for c in coeffs[terms - 2:0:-1]:
-            out += c
-            out *= zz
-        out += coeffs[0]
-        out *= np.exp(m, out=m)
+        out = _series(zz, m, coeffs, _series_terms(zz_max, coeffs), z)
     if tail is not None:
-        out[tail] = _exp_quadratic_tail(*rest)
+        out[tail] = _halved(*rest)
     return out
 
 
-def _exp_quadratic_tail(z, m, a, dt):
-    """int_0^dt exp(m + z v - a v^2) ds, v = s/dt - 1/2, in closed form.
+def _series(zz, m, coeffs, terms: int, out):
+    """e^m sum_j coeffs_j zz^j over the first terms coefficients, by
+    Horner's rule into out; m is overwritten."""
+    out = np.multiply(zz, coeffs[terms - 1], out=out)
+    for c in coeffs[terms - 2:0:-1]:
+        out += c
+        out *= zz
+    out += coeffs[0]
+    out *= np.exp(m, out=m)
+    return out
 
-    For 1-d element arrays.  With r = sqrt(a), P = (a - |z|) / 2r and
-    Q = (a + |z|) / 2r it is dt sqrt(pi) / 2r times
 
-        e^{m + z^2/4a} (erf(P) + erf(Q))                 if P > 0,
-        e^{m + |z|/2 - a/4} (erfcx(-P) - e^{-|z|} erfcx(Q))   otherwise:
+def _halved(z, m, step, a, dt):
+    """_int_exp_quadratic of 1-d elements outside the series range, whose
+    step indexes the per-step a and dt, as a sum over the step's halves.
 
-    the peak v = z/2a lies inside the step, or the integrand is monotone
-    and the subtracted term is below e^{-|z|} of the first.  Outside the
-    series range (|z| > 2, or a > 0.05) neither cancels.
+    The first half is the same integral with dt/2, a/4, z/2 + a/4 and
+    m - z/4 - a/16, the second with z/2 - a/4 and m + z/4 - a/16.  Each
+    depth halves the pieces still outside the series range, with the
+    coefficients of each step at that depth, and adds the others; the
+    pieces are positive, so the sum never cancels.  A piece at depth k has
+    |z| below (|z| + a) / 2^k, so where |z| + a <= 2^(_HALVINGS + 1) every
+    piece is in range within _HALVINGS levels.  Beyond that reach, or for
+    non-finite input, an element lies between
+    dt e^{m + |z|/2 - a/4 - 1} / (|z| + a) and dt e^{m + |z|/2}: it is inf
+    where the first overflows, 0 where the second underflows, else nan.
     """
-    z = np.abs(z)
-    # a = 0 is the limit of a tiny a; inf and nan inputs give inf or nan
-    r = np.sqrt(np.maximum(a, 1e-300))
-    out = dt * (0.5 * math.sqrt(math.pi)) / r
+    # pieces of an integral beyond the float range overflow to inf
     with np.errstate(over="ignore", invalid="ignore"):
-        P = (a - z) / (2.0 * r)
-        Q = (a + z) / (2.0 * r)
-        inside = P > 0.0
-        before = ~inside
-        out[inside] *= ((erf(P[inside]) + erf(Q[inside]))
-                        * np.exp(m[inside] + 0.25 * z[inside] ** 2 / a[inside]))
-        zb = z[before]
-        out[before] *= ((erfcx(-P[before]) - np.exp(-zb) * erfcx(Q[before]))
-                        * np.exp(m[before] + 0.5 * zb - 0.25 * a[before]))
+        size = np.abs(z) + a[step]
+        top = m + 0.5 * np.abs(z)
+        low = dt[step] * np.exp(top - 0.25 * a[step] - 1.0) / size
+        out = np.where((low == np.inf) | (dt[step] * np.exp(top) == 0.0), low, np.nan)
+        owner = np.flatnonzero(size <= 2.0 ** (_HALVINGS + 1))
+        out[owner] = 0.0
+        z, m, step = z[owner], m[owner], step[owner]
+        while len(owner):
+            a, dt = 0.25 * a, 0.5 * dt
+            zh, ah = 0.5 * z, a[step]
+            mh = m - 0.25 * ah
+            z = np.concatenate([zh + ah, zh - ah])
+            m = np.concatenate([mh - 0.5 * zh, mh + 0.5 * zh])
+            step, owner = np.tile(step, 2), np.tile(owner, 2)
+            zz = z * z
+            done = (zz <= 4.0) & (a[step] <= _SERIES_MAX_A)
+            coeffs = _midpoint_series(a, dt)
+            terms = _series_terms(zz.max(where=done, initial=0.0), coeffs)
+            out += np.bincount(owner[done], _series(
+                zz[done], m[done], coeffs[:terms, step[done]], terms, None), len(out))
+            z, m, step, owner = z[~done], m[~done], step[~done], owner[~done]
     return out
-
-
-def _exact_cost_terms(cum: Cumulants, consumption, grid: np.ndarray,
-                      g: float) -> tuple:
-    """Per-step terms of the unbiased per-path value of int_0^T c_t^g dt
-    under a deterministic strategy: (shift, idx, m0, a, dts, coeffs), as
-    columns that broadcast against time-major (times or steps, paths) buffers.
-
-    Conditional on the sampled skeleton, the within-step law of wealth is a
-    lognormal bridge, so E[int c^g dt | skeleton] is the integral of an
-    exp-quadratic over each step, which _int_exp_quadratic evaluates; by
-    the tower property its path average is unbiased for the true cost term
-    with strictly smaller variance than any within-step sampling.  On a
-    path with log-wealth L = ln X + shift, step idx[j] contributes
-    _int_exp_quadratic(g (L_b - L_a), g (L_a + L_b) / 2 + m0, a, dts, coeffs)
-    at its times idx[j] and idx[j] + 1.
-    """
-    dt = np.diff(grid)
-    # per-step exp-affine form of v e^{-V} straight from the consumption
-    # family (cadlag: the left value rules the step, jumps never leak in)
-    cons_log0, cons_slope = consumption.log_affine(cum.model, to_ticks(grid))
-    idx = np.flatnonzero(np.isfinite(cons_log0))
-    dts = dt[idx]
-    # on step j, ln c_t = ln X_t + V_t + a0_j + slope_j (t - t_j).  With S the
-    # running integral of the slopes and L = ln X + V + S, ln c = L - S_j + a0_j
-    # at both ends of the step; between them the lognormal bridge of ln X
-    # makes g ln c quadratic in expectation, with curvature a
-    S = np.zeros(len(grid))
-    np.cumsum(np.where(np.isfinite(cons_log0), cons_slope, 0.0) * dt, out=S[1:])
-    shift = cum.V(grid) + S
-    a = 0.5 * g * g * np.diff(cum.ynn(grid))[idx]
-    m0 = g * (cons_log0[idx] - S[idx]) + 0.25 * a
-    return (shift[:, None], idx, m0[:, None], a[:, None], dts[:, None],
-            _midpoint_series(a, dts)[:, :, None])
 
 
 def estimate_cost(ensemble: PathEnsemble,
                   utility: UtilityParams) -> tuple[float, float]:
     """Monte Carlo estimate of the expected cost with its std error.
 
-    The consumption term is the ensemble's own, for the gamma1 it was
-    sampled for: the exact per-step conditional expectation for
-    deterministic strategies, the trapezoid for the feedback law.
+    The consumption term is the ensemble's own exact one, for the gamma1
+    it was sampled for.
     """
     if utility.gamma1 != ensemble.gamma1:
         raise MismatchedPaths(f"paths sampled for gamma1={ensemble.gamma1}")

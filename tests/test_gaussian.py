@@ -15,7 +15,6 @@ from scipy import special
 
 from merton_risk.errors import AlphaOutOfRange, NegativeArgument
 from merton_risk.gaussian import (
-    erf,
     erfc,
     erfcx,
     gauss_hazard,
@@ -168,21 +167,6 @@ def test_erfcx_against_mpmath_and_scipy():
         assert _relative_error(erfcx(ERFCX_GRID), exact) <= 1e-15
     np.testing.assert_allclose(erfcx(ERFCX_GRID), special.erfcx(ERFCX_GRID),
                                rtol=2e-15, atol=0.0)
-
-
-def test_erf_against_mpmath_and_scipy():
-    # both signs on every CALERF interval, out to where erf rounds to +-1,
-    # and tiny arguments, where 1 - erfc would lose every digit
-    grid = np.concatenate([np.linspace(-6.0, 6.0, 2400), [-0.46875, 0.46875, 4.0],
-                           [1e-300, -1e-12, 1e-8]])
-    with mpmath.workdps(40):
-        exact = [mpmath.erf(mpmath.mpf(float(x))) for x in grid]
-        assert _relative_error(erf(grid), exact) <= 1e-15
-    np.testing.assert_allclose(erf(grid), special.erf(grid), rtol=1e-15, atol=0.0)
-    assert np.array_equal(erf(grid), [erf(float(x)) for x in grid])
-    special_values = erf(np.array([-np.inf, -30.0, 0.0, 30.0, np.inf, np.nan]))
-    assert np.array_equal(special_values[:5], [-1.0, -1.0, 0.0, 1.0, 1.0])
-    assert np.isnan(special_values[-1])
 
 
 def test_scalar_and_array_paths_agree_bitwise():

@@ -120,6 +120,17 @@ def test_feedback_zero_theta_deterministic():
     est, se = estimate_cost(ens, u)
     assert est == pytest.approx(np.sqrt(2.0), rel=1e-12)
     assert se == pytest.approx(0.0, abs=1e-12)
+    # with r > 0 consumption moves along the one path, and its cost on a
+    # coarse grid is the value exactly: a trapezoid misses it by 8.5e-6 and
+    # 1.5e-6 relative
+    m = constant_market(0.05, [0.05], [[0.2]], 2.0)
+    for u in (UtilityParams(0.5, 0.5), UtilityParams(0.3, 0.7)):
+        ens = simulate_hara_feedback(m, u, 1.0, SimConfig(n_paths=32, seed=9,
+                                                          n_steps=8))
+        est, se = estimate_cost(ens, u)
+        assert est == pytest.approx(solve_hara_unconstrained(m, u, 1.0).value,
+                                    rel=1e-12)
+        assert se == 0.0
 
 
 def test_feedback_cost_matches_value(standard_market):
@@ -129,8 +140,7 @@ def test_feedback_cost_matches_value(standard_market):
                                  SimConfig(n_paths=100_000, seed=21,
                                            n_steps=64))
     est, se = estimate_cost(ens, u)
-    # trapezoid consumption bias is O(dt^2), folded into the tolerance
-    assert abs(est - sol.value) <= 4 * se + 1e-3
+    assert abs(est - sol.value) <= 4 * se
 
 
 def test_euler_cross_check_distribution(standard_market):
@@ -245,17 +255,16 @@ STREAM_CASES = [
 STREAM_UTILITY = UtilityParams(0.5, 0.4)
 # (estimate, std_error) of estimate_cost.  The risky and feedback entries
 # were computed over the whole matrix of block_normals' per-block SFC64
-# streams: the feedback trapezoid summed pairwise along each row, the exact
-# cost's kernel called once on every path and summed in time order.  The
-# streamed figures equal them bit for bit.  The feedback entries follow the
-# last bits of g0, the g-root at t = 0
+# streams, each law's exact cost kernel called once on every path and
+# summed in time order.  The streamed figures equal them bit for bit.  The
+# feedback entries follow the last bits of g0, the g-root at t = 0
 STREAM_COSTS = {
     ("riskless", 70_001, False): (1.4477411501121724, 0.0),
     ("riskless", 140_001, True): (1.4477411501121722, 0.0),
     ("risky", 70_001, False): (1.4909465121294059, 0.0008090850948815915),
     ("risky", 140_001, True): (1.4903865209944662, 0.0005712296533064312),
-    ("feedback", 70_001, False): (1.6670717178003225, 0.0013482147528273507),
-    ("feedback", 140_001, True): (1.6685286811373838, 0.0009565264176839076),
+    ("feedback", 70_001, False): (1.6670615491757947, 0.0013479668318807112),
+    ("feedback", 140_001, True): (1.6685172584605055, 0.0009563365344000533),
 }
 
 
@@ -453,11 +462,13 @@ def test_deterministic_cost_is_exact_for_its_gamma1(kind):
 # and 2,052 or 4,100 (antithetic) put those rows in chunks of two; either way
 # a row's 64 steps are summed in time order (numpy would sum a lone row
 # pairwise), and the row's cost is the same at every n
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_path_cost_does_not_depend_on_n(antithetic):
+@pytest.mark.parametrize("kind,antithetic", [
+    ("risky", False), ("risky", True), ("feedback", False), ("feedback", True)],
+    ids=["False", "True", "feedback-False", "feedback-True"])
+def test_path_cost_does_not_depend_on_n(kind, antithetic):
     costs = {}
     for n in (2048, 2049, 2050, 2052, 4097, 4098, 4100):
-        _, _, ens = _stream_case("risky", n, antithetic, n_steps=64)
+        _, _, ens = _stream_case(kind, n, antithetic, n_steps=64)
         half = ens.replay[0].drawn_rows
         # each drawn row's plain path, and its mirror
         costs[n] = (ens.consumption_cost[:half], ens.consumption_cost[half:])
@@ -691,3 +702,28 @@ def test_int_exp_quadratic_term_cut_within_an_ulp():
             got = mc._int_exp_quadratic(z.copy(), np.zeros_like(z), a, dt, coeffs)
             want = nine_terms(z)
             assert np.all(np.abs(got - want) <= np.spacing(want)), (terms, more)
+
+
+def test_int_exp_quadratic_halves_outside_the_series_range(monkeypatch):
+    # steps far outside the series range are split into halves, a few
+    # levels deep, and stay within 1e-13 of quadrature; the series' twenty
+    # terms of c_j(a) for 0.05 < a <= 4 stay within 1e-15
+    z, a, dt = (np.ravel(v) for v in np.meshgrid(
+        (-150.0, -20.0, -2.5, 0.0, 2.5, 20.0, 150.0), (0.0, 0.06, 1.0, 8.0, 30.0),
+        (1e-3, 0.03, 1.0)))
+    m = np.zeros_like(z)
+    coeffs = mc._midpoint_series(a, dt)
+    # each level of halving takes its steps' coefficients once
+    levels = []
+    midpoint_series = mc._midpoint_series
+    monkeypatch.setattr(mc, "_midpoint_series",
+                        lambda *args: levels.append(1) or midpoint_series(*args))
+    got = mc._int_exp_quadratic(z[None].copy(), m[None].copy(), a, dt, coeffs)[0]
+    with mpmath.workdps(30):
+        err = np.array([float(abs(mpmath.mpf(float(v)) / _exp_quadratic_exact(*e) - 1))
+                        for v, e in zip(got, zip(z, m, a, dt))])
+    series = (z * z <= 4.0) & (a <= 4.0)
+    assert len(z) == 105 and (~series).sum() == 96
+    assert err[series].max() <= 1e-15
+    assert err[~series].max() <= 1e-13
+    assert 0 < len(levels) <= 8
