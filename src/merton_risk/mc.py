@@ -18,7 +18,7 @@ and O(alpha n) values per time.
 Wealth and consumption are rebuilt from a replay of the stream.  Both
 laws go through one sampling loop, and both costs are exact given the
 skeleton: under either law ln c^gamma1 is affine in t and in the Gaussian
-driver xi on each step, so per step the cost is the integral of an
+process xi on each step, so per step the cost is the integral of an
 exp-quadratic, summed as a series about the step's midpoint (one exp per
 element, no special function) with as many terms as the chunk's largest
 step needs, and split into halves where a step is outside the series'
@@ -326,7 +326,7 @@ def _sample(kind: str, config: SimConfig, alpha: float | None, grid: np.ndarray,
             wealth_of: Callable, rate: Callable, gamma1: float, *,
             drift: np.ndarray, var: np.ndarray, log_shift, factor: float,
             idx: np.ndarray, log0) -> PathEnsemble:
-    """One pass over the stream of a law's Gaussian driver xi, whose steps
+    """One pass over the stream of a law's Gaussian process xi, whose steps
     have mean drift and variance var: its wealth X = wealth_of(xi), and
     each path's unbiased value of int_0^T c_t^gamma1 dt.
 
@@ -491,7 +491,7 @@ def _midpoint_series(a: np.ndarray, dt: np.ndarray) -> np.ndarray:
     j = np.arange(_SERIES_TERMS)[:, None]
     wide = a > 0.05
     c = np.zeros((_SERIES_TERMS, len(a)))
-    for k in reversed(range(20 if wide.any() else 8)):
+    for k in reversed(range(20)):
         term = q ** k / (math.factorial(k) * (2 * k + 2 * j + 1))
         c += np.where(wide | (k < 8), term, 0.0)
     c /= [[4 ** i * math.factorial(2 * i)] for i in range(_SERIES_TERMS)]
