@@ -555,7 +555,8 @@ def _halved(z, m, step, a, dt):
     coefficients of each step at that depth, and adds the others; the
     pieces are positive, so the sum never cancels.  A piece at depth k has
     |z| below (|z| + a) / 2^k, so where |z| + a <= 2^(_HALVINGS + 1) every
-    piece is in range within _HALVINGS levels.  Beyond that reach, or for
+    piece is in range within _HALVINGS levels, and elements are halved in
+    batches of bounded size.  Beyond that reach, or for
     non-finite input, an element lies between
     dt e^{m + |z|/2 - a/4 - 1} / (|z| + a) and dt e^{m + |z|/2}: it is inf
     where the first overflows, 0 where the second underflows, else nan.
@@ -566,23 +567,28 @@ def _halved(z, m, step, a, dt):
         top = m + 0.5 * np.abs(z)
         low = dt[step] * np.exp(top - 0.25 * a[step] - 1.0) / size
         out = np.where((low == np.inf) | (dt[step] * np.exp(top) == 0.0), low, np.nan)
-        owner = np.flatnonzero(size <= 2.0 ** (_HALVINGS + 1))
-        out[owner] = 0.0
-        z, m, step = z[owner], m[owner], step[owner]
-        while len(owner):
-            a, dt = 0.25 * a, 0.5 * dt
-            zh, ah = 0.5 * z, a[step]
-            mh = m - 0.25 * ah
-            z = np.concatenate([zh + ah, zh - ah])
-            m = np.concatenate([mh - 0.5 * zh, mh + 0.5 * zh])
-            step, owner = np.tile(step, 2), np.tile(owner, 2)
-            zz = z * z
-            done = (zz <= 4.0) & (a[step] <= _SERIES_MAX_A)
-            coeffs = _midpoint_series(a, dt)
-            terms = _series_terms(zz.max(where=done, initial=0.0), coeffs)
-            out += np.bincount(owner[done], _series(
-                zz[done], m[done], coeffs[:terms, step[done]], terms, None), len(out))
-            z, m, step, owner = z[~done], m[~done], step[~done], owner[~done]
+        reach = 2.0 ** (_HALVINGS + 1)
+        near = np.flatnonzero(size <= reach)
+        out[near] = 0.0
+        # an element makes fewer than 2 (|z| + a + 1) pieces in all, so a
+        # batch whose sizes sum to about the reach holds a bounded number
+        for owner in np.split(near, np.flatnonzero(
+                np.diff(np.cumsum(size[near] + 1.0) // reach)) + 1):
+            zp, mp, sp, ap, dp = z[owner], m[owner], step[owner], a, dt
+            while len(owner):
+                ap, dp = 0.25 * ap, 0.5 * dp
+                zh, ah = 0.5 * zp, ap[sp]
+                mh = mp - 0.25 * ah
+                zp = np.concatenate([zh + ah, zh - ah])
+                mp = np.concatenate([mh - 0.5 * zh, mh + 0.5 * zh])
+                sp, owner = np.tile(sp, 2), np.tile(owner, 2)
+                zz = zp * zp
+                done = (zz <= 4.0) & (ap[sp] <= _SERIES_MAX_A)
+                coeffs = _midpoint_series(ap, dp)
+                terms = _series_terms(zz.max(where=done, initial=0.0), coeffs)
+                out += np.bincount(owner[done], _series(
+                    zz[done], mp[done], coeffs[:terms, sp[done]], terms, None), len(out))
+                zp, mp, sp, owner = zp[~done], mp[~done], sp[~done], owner[~done]
     return out
 
 
