@@ -11,6 +11,7 @@ between without quadrature error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,9 +71,10 @@ class PiecewiseLinear:
         out = np.interp(np.asarray(t, dtype=np.float64), self.nodes, self.values)
         return out if out.ndim else float(out)
 
+    @cached_property
     def slopes(self) -> np.ndarray:
-        dt = np.diff(self.nodes)
-        return np.diff(self.values) / dt
+        """Slope on each interval, (..., k); computed once per curve."""
+        return np.diff(self.values) / np.diff(self.nodes)
 
 
 def cumulative_linear(node_ticks: np.ndarray, rates: np.ndarray) -> PiecewiseLinear:
@@ -143,7 +145,7 @@ def cumulative_exp_affine(exponent: PiecewiseLinear) -> ExpAffineIntegral:
     nodes = exponent.nodes
     dt = np.diff(nodes)
     offsets = exponent.values[:-1]
-    slopes = exponent.slopes()
+    slopes = exponent.slopes
     seg = exp_affine_segment(offsets, slopes, dt)
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     return ExpAffineIntegral(

@@ -10,13 +10,14 @@ Tails are kept in the e^{-t^2/2} normalization and evaluated through the
 scaled complementary error function, so F_alpha and its logarithm stay
 accurate out to z = 40 where the plain tail underflows.
 
-erfc and erfcx are W. J. Cody's rational Chebyshev approximations
-(the CALERF scheme; "Rational Chebyshev approximations for the error
-function", Math. Comp. 23 (1969) 631-637) on three intervals of |x|:
-[0, 0.46875], (0.46875, 4] and beyond 4.  They need numpy only, so the
-package imports no scipy.  A scalar argument runs the same rationals, in
-the same operation order, on Python floats, so scalar and array calls
-agree bit for bit.
+erfcx is W. J. Cody's rational Chebyshev approximation (the CALERF
+scheme; "Rational Chebyshev approximations for the error function",
+Math. Comp. 23 (1969) 631-637) on [0, 0.46875], (0.46875, 4] and beyond
+4, on the tails' domain [0, inf) only.  erfc, a scalar for the
+quantile's CDF, takes x > -0.46875, where Cody's small-argument erf
+covers the negative side.  They need numpy only, so the package imports
+no scipy.  A scalar runs the same rationals in the same operation order
+on Python floats, so scalar and array calls agree bit for bit.
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _STANDARD = NormalDist()
 
-# Cody's CALERF constants: interval ends, 1/sqrt(pi), the argument past
-# which erfc underflows and the one below which erfcx overflows
+# Cody's CALERF constants: interval end, 1/sqrt(pi) and the argument past
+# which erfc underflows
 _THRESH = 0.46875
 _SQRPI = 5.6418958354775628695e-1
 _XBIG = 26.543
-_XNEG = -26.628
 # erf(x) = x P(x^2)/Q(x^2) for |x| <= 0.46875
 _A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
       3.20937758913846947e03, 1.85777706184603153e-1)
@@ -121,11 +121,11 @@ def _erfcx_tail(y):
     return out
 
 
-def _exp_square(v, sign):
-    """exp(sign v^2), with v^2 split so the exponent carries no rounding."""
+def _exp_square(v):
+    """exp(-v^2), with v^2 split so the exponent carries no rounding."""
     head = np.trunc(v * 16.0) / 16.0
     rest = (v - head) * (v + head)
-    return np.exp(sign * head * head) * np.exp(sign * rest)
+    return np.exp(-head * head) * np.exp(-rest)
 
 
 def _real(x):
@@ -136,65 +136,44 @@ def _real(x):
     return x if x.ndim else float(x)
 
 
-def erfc(x):
-    """Complementary error function; a float for a scalar argument."""
-    x = _real(x)
-    if not isinstance(x, np.ndarray):
-        y = abs(x)
-        if y <= _THRESH:
-            return 1.0 - _erf_small(x)
-        r = 0.0 if y >= _XBIG else float(_exp_square(y, -1.0) * _erfcx_tail(y))
-        return 2.0 - r if x < 0.0 else r
-    y = np.abs(x)
-    out = np.zeros_like(y)
-    small = y <= _THRESH
-    out[small] = 1.0 - _erf_small(x[small])
-    tail = ~(small | (y >= _XBIG))
-    yt = y[tail]
-    out[tail] = _exp_square(yt, -1.0) * _erfcx_tail(yt)
-    neg = x < -_THRESH
-    out[neg] = 2.0 - out[neg]
-    return out
+def erfc(x: float) -> float:
+    """Complementary error function of a float x > -0.46875."""
+    if abs(x) <= _THRESH:
+        return 1.0 - _erf_small(x)
+    return 0.0 if x >= _XBIG else float(_exp_square(x) * erfcx(x))
 
 
 def erfcx(x):
-    """Scaled complementary error function exp(x^2) erfc(x).
-
-    Defined on the whole line; it overflows to inf below x = -26.628.
-    A float for a scalar argument.
-    """
+    """Scaled complementary error function exp(x^2) erfc(x) for x >= 0, a
+    float for a scalar argument; NegativeArgument for any x < 0."""
     x = _real(x)
     if not isinstance(x, np.ndarray):
-        y = abs(x)
-        if y <= _THRESH:
-            return float(np.exp(x * x) * (1.0 - _erf_small(x)))
-        r = _erfcx_tail(y)
         if x < 0.0:
-            r = math.inf if x < _XNEG else float(2.0 * _exp_square(x, 1.0) - r)
-        return r
-    if x.min(initial=math.inf) > _THRESH:
+            raise NegativeArgument(f"erfcx argument must be nonnegative, got {x}")
+        if x <= _THRESH:
+            return float(np.exp(x * x) * (1.0 - _erf_small(x)))
         return _erfcx_tail(x)
-    y = np.abs(x)
-    out = np.empty_like(y)
-    small = y <= _THRESH
+    # the least argument, NaNs aside, so that a NaN hides no negative entry
+    least = np.fmin.reduce(x, axis=None, initial=math.inf)
+    if least > _THRESH:
+        return _erfcx_tail(x)
+    if least < 0.0:
+        raise NegativeArgument(f"erfcx argument must be nonnegative, got {least}")
+    out = np.empty_like(x)
+    small = x <= _THRESH
     xs = x[small]
     out[small] = np.exp(xs * xs) * (1.0 - _erf_small(xs))
     tail = ~small
-    out[tail] = _erfcx_tail(y[tail])
-    neg = x < -_THRESH
-    xn = x[neg]
-    grown = 2.0 * _exp_square(np.maximum(xn, _XNEG), 1.0) - out[neg]
-    out[neg] = np.where(xn < _XNEG, math.inf, grown)
+    out[tail] = _erfcx_tail(x[tail])
     return out
 
 
-def norm_cdf(z):
-    return 0.5 * erfc(-_real(z) / _SQRT2)
+def norm_cdf(z: float) -> float:
+    return 0.5 * erfc(-z / _SQRT2)
 
 
-def norm_pdf(z):
-    z = _real(z)
-    return np.exp(-0.5 * z * z) / _SQRT_2PI
+def norm_pdf(z: float) -> float:
+    return float(np.exp(-0.5 * z * z)) / _SQRT_2PI
 
 
 def log_gauss_tail(z):
@@ -223,7 +202,7 @@ def normal_quantile(alpha: float) -> float:
         raise AlphaOutOfRange(f"alpha must lie in (0, 1/2), got {alpha}")
     z = _STANDARD.inv_cdf(alpha)
     for _ in range(2):
-        z -= (norm_cdf(z) - alpha) / float(norm_pdf(z))
+        z -= (norm_cdf(z) - alpha) / norm_pdf(z)
     return z
 
 
@@ -235,9 +214,7 @@ def tail_ratio(abs_z: float, z):
 
 
 def log_tail_ratio(abs_z: float, z):
-    """log F_alpha(z), abs_z = |z_alpha|, as a difference of log tail integrals."""
-    z = _real(z)
-    if np.any(z < 0):
-        raise NegativeArgument("tail ratio argument must be nonnegative")
+    """log F_alpha(z), abs_z = |z_alpha|, as a difference of log tail integrals;
+    NegativeArgument for z < 0."""
     out = log_gauss_tail(z) - log_gauss_tail(abs_z)
     return out if np.ndim(out) else float(out)

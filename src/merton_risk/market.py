@@ -226,6 +226,6 @@ def market_from_dict(doc: dict) -> MarketModel:
     # a NaN or infinite coefficient is an input error, never a regime verdict
     if not all(np.isfinite(p.values).all() for p in (r_path, mu_path, sg_path)):
         raise MismatchedPaths("non-finite r, mu or sigma value")
-    if mu_path.values.shape[1] != d:
+    if mu_path.values.shape[1:] != (d,):
         raise MismatchedPaths("mu entries disagree with declared dimension")
     return build_market(r_path, mu_path, sg_path)

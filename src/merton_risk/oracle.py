@@ -90,7 +90,7 @@ def _cost_pieces(cum: Cumulants, utility: UtilityParams, plan: EvaluationPlan):
     offsets = (g1 * cons_a + g1 * plan.R[:-1]
                + g1 * ydt_nodes[..., :-1] - k1 * ynn_nodes[..., :-1])
     slopes = (g1 * cons_b + g1 * plan.R_slopes
-              + g1 * (np.diff(ydt_nodes) / dt) - k1 * (np.diff(ynn_nodes) / dt))
+              + g1 * cum.ydt.slopes - k1 * cum.ynn.slopes)
 
     k2 = 0.5 * g2 * (1.0 - g2)
     terminal = np.exp(g2 * (plan.R[-1] - V_T)

@@ -34,7 +34,6 @@ from .market import MarketModel
 from .strategies import Cumulants, DeterministicStrategy, EvaluationPlan, GridPoints, cumulants
 
 SATURATION_TOL = 1e-9
-PROFILE_REFINE = 10_000
 # certified_feasible's rounding margin per unit of term size (128 float64
 # unit roundoffs) and its range limit in log units (see its comments)
 _CERT_MARGIN = 128 * 2.0 ** -53
@@ -105,26 +104,18 @@ class RiskProfile:
         return measure / self.level_curve
 
 
-def profile_grid(node_ticks: np.ndarray, horizon: float,
-                 n_refine: int = PROFILE_REFINE) -> np.ndarray:
+def profile_grid(node_ticks: np.ndarray, horizon: float, n_refine: int) -> np.ndarray:
     """Union of the breakpoints node_ticks with a uniform refinement of [0, T]."""
     uniform = to_ticks(np.linspace(0.0, horizon, n_refine))
     return from_ticks(merge_ticks(node_ticks, uniform))
 
 
 def constraint_profile(model: MarketModel, strategy: DeterministicStrategy,
-                       spec: RiskSpec, x: float,
-                       grid=None, n_refine: int = PROFILE_REFINE) -> RiskProfile:
-    """Evaluate VaR/ES against the level fraction along a grid.
-
-    The grid always includes every coefficient and strategy breakpoint; by
-    default a 10^4-point uniform refinement is added.
-    """
+                       spec: RiskSpec, x: float, grid) -> RiskProfile:
+    """Evaluate VaR/ES against the level fraction along the times grid, to
+    which every coefficient and strategy breakpoint is added."""
     cum = cumulants(model, strategy)
-    if grid is None:
-        grid = profile_grid(cum.node_ticks, model.horizon, n_refine)
-    else:
-        grid = from_ticks(merge_ticks(cum.node_ticks, to_ticks(grid)))
+    grid = from_ticks(merge_ticks(cum.node_ticks, to_ticks(grid)))
 
     def at(curve):
         return curve(grid)

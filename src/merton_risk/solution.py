@@ -108,12 +108,11 @@ class Solution:
         write_table(path, ["t", "wealth_mean"], [text, self.wealth_mean(grid)],
                     ["s", ".12g"])
 
-    def write_feedback_grids(self, path_p, path_c, n_t: int = 51,
-                             n_x: int = 51) -> None:
-        """Dump grids of a feedback solution's handles p and c* over t and x/x0
-        in [0.2, 5]."""
-        ts = np.linspace(0.0, self.model.horizon, n_t)
-        xs = np.linspace(0.2 * self.x, 5.0 * self.x, n_x)
+    def write_feedback_grids(self, path_p, path_c) -> None:
+        """Dump 51 x 51 grids of a feedback solution's handles p and c* over t
+        and x/x0 in [0.2, 5]."""
+        ts = np.linspace(0.0, self.model.horizon, 51)
+        xs = np.linspace(0.2 * self.x, 5.0 * self.x, 51)
         gs = self.feedback.g(ts[:, None], xs)
         axes = grid_axes(ts, xs)
         for path, name, values in ((path_p, "p", self.feedback.p_from_g(ts[:, None], gs)),

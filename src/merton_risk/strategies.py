@@ -246,20 +246,20 @@ def cumulants(model: MarketModel, strategy: DeterministicStrategy) -> Cumulants:
 
 @dataclass(frozen=True)
 class GridPoints:
-    """Ascending times t on a partition with intervals dt: how many fall at each
-    node j (t in [node_j, node_{j+1}), or T), t - node_j, R_t and x e^{R_t}."""
+    """Ascending times t on a partition: how many fall at each node j (t in
+    [node_j, node_{j+1}), or T), t - node_j, R_t and x e^{R_t}."""
 
-    dt: np.ndarray
     runs: np.ndarray
     offsets: np.ndarray
     R: np.ndarray
     bond: np.ndarray
 
     def __call__(self, curve: PiecewiseLinear) -> np.ndarray:
-        """A batch of curves at the times: np.interp row by row (zero slope past T)."""
+        """A batch of curves on the partition at the times: np.interp row by
+        row (zero slope past T)."""
         values = curve.values
-        slopes = np.concatenate((np.diff(values) / self.dt,
-                                 np.zeros(values.shape[:-1] + (1,))), axis=-1)
+        slopes = np.concatenate((curve.slopes, np.zeros(values.shape[:-1] + (1,))),
+                                axis=-1)
         return (np.repeat(slopes, self.runs, axis=-1) * self.offsets
                 + np.repeat(values, self.runs, axis=-1))
 
@@ -290,7 +290,7 @@ class EvaluationPlan:
         def points(t):
             j = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 1)
             R = model.R(t)
-            return GridPoints(dt, np.bincount(j, minlength=len(nodes)), t - nodes[j],
+            return GridPoints(np.bincount(j, minlength=len(nodes)), t - nodes[j],
                               R, x * np.exp(R))
 
         R = model.R(nodes)

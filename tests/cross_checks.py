@@ -19,6 +19,7 @@ solvers never need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -26,7 +27,7 @@ from itertools import product
 import numpy as np
 
 from merton_risk._piecewise import PiecewiseLinear
-from merton_risk.gaussian import _SQRT2, _real, erfc, gauss_hazard, log_tail_ratio, normal_quantile
+from merton_risk.gaussian import gauss_hazard, log_tail_ratio, normal_quantile
 from merton_risk.hjb import _grid, _reduced_hamiltonian_terms
 from merton_risk.market import MarketModel
 from merton_risk.mc import PathEnsemble
@@ -99,8 +100,9 @@ def exposure_growth_factor(model: MarketModel, gamma: float, rho) -> np.ndarray:
     return np.exp(gamma * rho * tn - 0.5 * gamma * (1.0 - gamma) * rho ** 2)
 
 
-def norm_sf(z):
-    return 0.5 * erfc(_real(z) / _SQRT2)
+def norm_sf(z: float) -> float:
+    """The standard normal upper tail, from the standard library's erfc."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 def mills_bounds(x: float) -> tuple[float, float]:
@@ -185,7 +187,7 @@ def curve_at(curve: PiecewiseLinear, t):
     nodes = curve.nodes
     j = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, len(nodes) - 1)
     pad = np.zeros(curve.values.shape[:-1] + (1,))
-    slopes = np.concatenate((curve.slopes(), pad), axis=-1)
+    slopes = np.concatenate((np.diff(curve.values) / np.diff(nodes), pad), axis=-1)
     if j.ndim == 1 and np.all(j[1:] >= j[:-1]):
         # ascending times: each node's column repeats over a run of times
         runs = np.bincount(j, minlength=len(nodes))

@@ -143,7 +143,8 @@ def test_criterion_4_constraint_saturation():
                                   (MeasureKind.ES, ES, log_risk_es)):
         spec = RiskSpec(alpha=0.01, zeta=0.1, kind=kind)
         sol = solve_linear(rules, m, spec, x)
-        prof = constraint_profile(m, sol.strategy, spec, x, n_refine=10_000)
+        prof = constraint_profile(m, sol.strategy, spec, x,
+                                  np.linspace(0.0, m.horizon, 10_000))
         log_curve = log_form(cumulants(m, sol.strategy), spec.abs_z, prof.times)
         gap = abs(float(np.min(log_curve)) - spec.log_bound())
         assert gap <= 1e-9

@@ -260,6 +260,17 @@ BAD_TABLES = {"nan_pi.csv": "t,pi_1,v\n0.0,nan,0.1\n0.5,0.2,0.1\n",
     ({"market": {**market_doc(), "r": [{"t0": 0.0, "value": "0.0"}]}}, ["solve"]),
     ({"market": {**market_doc(), "mu": [{"t0": 0.0, "value": ["0.1"]}]}}, ["solve"]),
     ({"market": {**market_doc(), "sigma": [{"t0": 0.0, "value": [[True]]}]}}, ["solve"]),
+    # a mu value is a list of d numbers, never a bare number
+    ({"market": {**market_doc(), "mu": [{"t0": 0.0, "value": 0.08}]}}, ["solve"]),
+    # breakpoints start at 0, increase and stay before T; d matches mu and
+    # sigma is d x d
+    ({"market": {**market_doc(), "r": [{"t0": 0.5, "value": 0.0}]}}, ["solve"]),
+    ({"market": {**market_doc(), "r": [{"t0": 0.0, "value": 0.0}, {"t0": 0.5, "value": 0.01},
+                                       {"t0": 0.5, "value": 0.02}]}}, ["solve"]),
+    ({"market": {**market_doc(), "r": [{"t0": 0.0, "value": 0.0},
+                                       {"t0": 1.0, "value": 0.01}]}}, ["solve"]),
+    ({"market": {**market_doc(), "d": 2}}, ["solve"]),
+    ({"market": {**market_doc(), "sigma": [{"t0": 0.0, "value": [[0.2, 0.0]]}]}}, ["solve"]),
 ], ids=["utility_number", "x0_null", "x0_list", "risk_number", "gamma1_null",
         "rho_step_zero", "rho_step_nan", "rho_step_negative",
         "missing_strategy_file", "zero_paths", "negative_grid", "negative_steps",
@@ -267,7 +278,9 @@ BAD_TABLES = {"nan_pi.csv": "t,pi_1,v\n0.0,nan,0.1\n0.5,0.2,0.1\n",
         "nan_strategy_field", "short_strategy_row",
         "empty_strategy_table", "x0_string", "x0_bool", "x0_beyond_float",
         "gamma1_string", "alpha_string", "T_string", "d_fraction", "d_bool",
-        "t0_string", "r_string", "mu_string", "sigma_bool"])
+        "t0_string", "r_string", "mu_string", "sigma_bool", "mu_number",
+        "first_breakpoint_after_0", "breakpoints_not_increasing",
+        "breakpoint_at_T", "d_disagrees_with_mu", "sigma_not_square"])
 def test_malformed_input_is_input_error(tmp_path, capsys, patch, command):
     for name, text in BAD_TABLES.items():
         (tmp_path / name).write_text(text)
@@ -281,6 +294,15 @@ def test_malformed_input_is_input_error(tmp_path, capsys, patch, command):
     assert capsys.readouterr().err.startswith("input error: ")
     assert not (tmp_path / "out" / "solution.json").exists()
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("text", ["[]", "3"], ids=["list", "number"])
+def test_non_object_document_is_input_error(tmp_path, capsys, text):
+    spec = tmp_path / "p.json"
+    spec.write_text(text)
+    assert main(["solve", str(spec), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not (tmp_path / "out" / "solution.json").exists()
 
 
 @pytest.mark.parametrize("options", [["--out", "OUT", "--grid", "abc"], [],
@@ -571,7 +593,8 @@ def test_round_trip_strategy_reproduces_profile(tmp_path):
     model = market_from_dict(market_doc())
     strategy = strategy_from_csv(out / "controls.csv", model)
     spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
-    prof = constraint_profile(model, strategy, spec, 1.0)
+    prof = constraint_profile(model, strategy, spec, 1.0,
+                              np.linspace(0.0, model.horizon, 10_000))
     assert max_ratio(prof) == pytest.approx(1.0, abs=1e-9)
     assert satisfied(prof, 1e-9)
 

@@ -150,7 +150,8 @@ def test_es_linear_standard_instance(standard_market):
     sol = solve_linear(ES, standard_market, spec, 1.0)
     assert sol.value == pytest.approx(J_ES_LINEAR, rel=1e-11)
     # saturation of the ES log functional, attained at T
-    prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
+    prof = constraint_profile(standard_market, sol.strategy, spec, 1.0,
+                              np.linspace(0.0, standard_market.horizon, 10_000))
     log_curve = log_risk_es(cumulants(standard_market, sol.strategy),
                             spec.abs_z, prof.times)
     assert np.min(log_curve) == pytest.approx(spec.log_bound(), abs=1e-9)
@@ -166,7 +167,8 @@ def test_es_linear_below_var_linear(standard_market):
     assert j_es <= j_var
     # and the VaR optimum violates the ES bound (the measure is tighter)
     sol_v = solve_linear(VAR, standard_market, spec_v, 1.0)
-    prof = constraint_profile(standard_market, sol_v.strategy, spec_e, 1.0)
+    prof = constraint_profile(standard_market, sol_v.strategy, spec_e, 1.0,
+                              np.linspace(0.0, standard_market.horizon, 10_000))
     assert max_ratio(prof) > 1.0
 
 
@@ -203,7 +205,8 @@ def test_es_loose_large_zeta(standard_market):
     ok, margin = loose_bound_check(ES, standard_market, 0.5, spec)
     assert ok and margin > 0
     sol = solve_equal_gamma(standard_market, 0.5, 1.0)
-    prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
+    prof = constraint_profile(standard_market, sol.strategy, spec, 1.0,
+                              np.linspace(0.0, standard_market.horizon, 10_000))
     log_curve = log_risk_es(cumulants(standard_market, sol.strategy),
                             spec.abs_z, prof.times)
     assert satisfied(prof, 1e-9) and np.min(log_curve) >= spec.log_bound() - 1e-9
@@ -240,7 +243,8 @@ def test_es_tight_standard_instance(standard_market):
     assert sol.value == pytest.approx(np.sqrt(0.1) + np.sqrt(0.9), rel=1e-14)
     assert np.all(sol.strategy.y_path.values == 0.0)
     assert sol.regime == "es_tight"
-    prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
+    prof = constraint_profile(standard_market, sol.strategy, spec, 1.0,
+                              np.linspace(0.0, standard_market.horizon, 10_000))
     assert satisfied(prof, 1e-9)
 
 

@@ -27,12 +27,13 @@ from merton_risk.gaussian import (
 
 from cross_checks import mills_bounds, norm_sf
 
-# every CALERF interval, both signs, and the interval ends themselves
-ERFC_GRID = np.concatenate([np.linspace(-6.0, 26.0, 3201),
-                            [-4.0, -0.46875, 0.46875, 4.0, 26.5]])
-ERFCX_GRID = np.concatenate([np.linspace(-0.5, 10.0, 2101),
+# every CALERF interval on the kept domains, and the interval ends
+# themselves: erfc on x > -0.46875, erfcx on x >= 0
+ERFC_GRID = np.concatenate([np.linspace(-0.46875, 26.5, 3201)[1:],
+                            [-0.4687, 0.0, 0.46875, 4.0]])
+ERFCX_GRID = np.concatenate([np.linspace(0.0, 10.0, 2101),
                              np.geomspace(10.0, 1e6, 1001),
-                             [-0.46875, 0.46875, 4.0]])
+                             [0.46875, 4.0]])
 
 # mpmath, 50 digits
 Z_005 = -1.6448536269514727149
@@ -143,9 +144,10 @@ def test_mills_sandwich_moderate_grid_direct():
 
 
 def test_hazard_consistent_with_log_tail():
-    # d/dz (-log tail) equals the hazard; check by central differences
-    for z in (0.0, 1.3, 4.0, 12.0):
-        h = 1e-6
+    # d/dz (-log tail) equals the hazard; check by central differences, the
+    # first from z - h = 0, the end of the tails' domain
+    h = 1e-6
+    for z in (h, 1.3, 4.0, 12.0):
         fd = -(log_gauss_tail(z + h) - log_gauss_tail(z - h)) / (2 * h)
         assert gauss_hazard(z) == pytest.approx(float(fd), rel=1e-8)
 
@@ -157,7 +159,9 @@ def _relative_error(values, exact):
 def test_erfc_against_mpmath():
     with mpmath.workdps(40):
         exact = [mpmath.erfc(mpmath.mpf(float(x))) for x in ERFC_GRID]
-        assert _relative_error(erfc(ERFC_GRID), exact) <= 1e-15
+        values = [erfc(float(x)) for x in ERFC_GRID]
+        assert all(type(v) is float for v in values)
+        assert _relative_error(values, exact) <= 1e-15
 
 
 def test_erfcx_against_mpmath_and_scipy():
@@ -170,26 +174,42 @@ def test_erfcx_against_mpmath_and_scipy():
 
 
 def test_scalar_and_array_paths_agree_bitwise():
-    grid = np.concatenate([ERFC_GRID, -ERFCX_GRID, ERFCX_GRID])
-    for fn in (erfc, erfcx, log_gauss_tail, gauss_hazard, norm_cdf):
+    grid = np.concatenate([ERFCX_GRID, np.linspace(0.0, 40.0, 3200)])
+    for fn in (erfcx, log_gauss_tail, gauss_hazard):
         batch = fn(grid.reshape(2, -1)).ravel()
         single = np.array([fn(float(x)) for x in grid])
-        assert np.array_equal(batch, single, equal_nan=True), fn.__name__
+        assert np.array_equal(batch, single), fn.__name__
 
 
 def test_error_functions_at_special_arguments():
-    # no RuntimeWarning (an error in this suite) where erfcx overflows or
-    # erfc underflows; NaN propagates
-    x = np.array([-np.inf, -30.0, -26.7, 30.0, 1e300, np.inf, np.nan])
-    assert np.array_equal(erfcx(x)[:3], [np.inf] * 3)
-    assert erfcx(-30.0) == np.inf
+    # no RuntimeWarning (an error in this suite) where erfc underflows;
+    # NaN propagates
     assert erfcx(1e300) == pytest.approx(1.0 / (math.sqrt(math.pi) * 1e300),
                                          rel=1e-15)
     assert erfcx(np.inf) == 0.0
-    assert np.array_equal(erfc(x)[:6], [2.0, 2.0, 2.0, 0.0, 0.0, 0.0])
-    assert np.isnan(erfc(x)[-1]) and np.isnan(erfcx(x)[-1])
-    assert erfc(np.array([])).shape == (0,)
+    # -0.0 is no negative argument
+    assert erfcx(-0.0) == 1.0 and erfcx(np.array([-0.0, 1.0]))[0] == 1.0
+    x = np.array([30.0, 1e300, np.inf, np.nan])
+    assert np.array_equal(erfcx(x)[:3], [erfcx(30.0), erfcx(1e300), 0.0])
+    assert np.isnan(erfcx(x)[-1]) and math.isnan(erfcx(math.nan))
+    assert [erfc(v) for v in (30.0, 1e300, math.inf)] == [0.0, 0.0, 0.0]
+    assert math.isnan(erfc(math.nan))
+    assert erfcx(np.array([])).shape == (0,)
     assert erfcx(np.zeros((0, 3))).shape == (0, 3)
+    assert log_gauss_tail(np.array([])).shape == (0,)
+    assert gauss_hazard(np.zeros((0, 3))).shape == (0, 3)
+
+
+# erfc below -0.46875 reaches erfcx's check
+@pytest.mark.parametrize("fn, x", [(erfcx, -1.0), (erfcx, -1e-300), (erfcx, -math.inf),
+                                   (erfcx, np.array([0.5, -1.0])),
+                                   (erfcx, np.array([[np.nan, 2.0], [5.0, -0.1]])),
+                                   (erfc, -0.5)],
+                         ids=["scalar", "tiny", "minus_inf", "array", "array_with_nan",
+                              "erfc_below_its_domain"])
+def test_erfcx_refuses_negative_arguments(fn, x):
+    with pytest.raises(NegativeArgument):
+        fn(x)
 
 
 def test_quantile_against_ndtri_start():

@@ -185,7 +185,7 @@ def test_oracle_dominated_by_solver_on_random_feasible():
     for _ in range(2000):
         # scales matched to the tight budget so the sweep stays feasible often
         s = random_strategy(rng, m, y_scale=0.05, v_scale=0.12)
-        prof = constraint_profile(m, s, spec, 1.0, n_refine=301)
+        prof = constraint_profile(m, s, spec, 1.0, np.linspace(0.0, m.horizon, 301))
         if not satisfied(prof, 1e-9):
             continue
         checked += 1
@@ -266,7 +266,8 @@ def _profile_edge(model, spec, x):
     by bisection on its verdict."""
     def passes(rho):
         strategy = scaled_theta_strategy(model, rho / model.theta_norm_T)
-        return satisfied(constraint_profile(model, strategy, spec, x, n_refine=N_PROFILE))
+        return satisfied(constraint_profile(model, strategy, spec, x,
+                                            np.linspace(0.0, model.horizon, N_PROFILE)))
     return _flip_point(passes, 0.0, 1.0)[0]
 
 
@@ -299,7 +300,8 @@ def test_oracle_batched_matches_looped(kind, v_pieces, large_theta):
     for b in blocks:
         for rho, levels, ok, rec_cost in zip(b.rho, b.v_levels, b.feasible, b.cost):
             s = _rebuild_candidate(model, rho, levels)
-            prof = constraint_profile(model, s, spec, 1.2, n_refine=N_PROFILE)
+            prof = constraint_profile(model, s, spec, 1.2,
+                                      np.linspace(0.0, model.horizon, N_PROFILE))
             assert ok == satisfied(prof)
             inner_breaks += prof.ratio_curve[-1] <= 1.0 + SATURATION_TOL and not ok
             if ok:

@@ -112,7 +112,7 @@ def test_ratio_and_log_verdicts_agree():
                                (MeasureKind.ES, log_risk_es)):
             spec = RiskSpec(alpha=float(rng.uniform(0.01, 0.4)),
                             zeta=float(rng.uniform(0.05, 0.9)), kind=kind)
-            prof = constraint_profile(m, s, spec, 1.0, n_refine=500)
+            prof = constraint_profile(m, s, spec, 1.0, np.linspace(0.0, m.horizon, 500))
             log_curve = log_form(cumulants(m, s), spec.abs_z, prof.times)
             assert satisfied(prof, 1e-9) == bool(
                 np.min(log_curve) >= spec.log_bound() - 1e-9)
@@ -121,7 +121,7 @@ def test_ratio_and_log_verdicts_agree():
 def test_profile_trivial_strategy(standard_market):
     spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
     prof = constraint_profile(standard_market, bond_strategy(standard_market),
-                              spec, 1.0, n_refine=100)
+                              spec, 1.0, np.linspace(0.0, standard_market.horizon, 100))
     assert max_ratio(prof) == 0.0
     assert satisfied(prof)
 
@@ -129,7 +129,8 @@ def test_profile_trivial_strategy(standard_market):
 def test_profile_saturates_at_linear_var_optimum(standard_market):
     spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
     sol = solve_linear(VAR, standard_market, spec, 1.0)
-    prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
+    prof = constraint_profile(standard_market, sol.strategy, spec, 1.0,
+                              np.linspace(0.0, standard_market.horizon, 10_000))
     assert max_ratio(prof) == pytest.approx(1.0, abs=1e-9)
     assert prof.times[np.argmax(prof.ratio_curve)] == pytest.approx(1.0, abs=1e-9)
 
@@ -138,7 +139,8 @@ def test_profile_violated_when_exposure_doubled(standard_market):
     spec = RiskSpec(alpha=0.01, zeta=0.1, kind=MeasureKind.VAR)
     rho = rho_var(standard_market, spec)
     s = scaled_theta_strategy(standard_market, 2.0 * rho / standard_market.theta_norm_T)
-    prof = constraint_profile(standard_market, s, spec, 1.0)
+    prof = constraint_profile(standard_market, s, spec, 1.0,
+                              np.linspace(0.0, standard_market.horizon, 10_000))
     assert max_ratio(prof) > 1.0 + 1e-6
     log_curve = log_risk_var(cumulants(standard_market, s), spec.abs_z, prof.times)
     assert not np.min(log_curve) >= spec.log_bound() - SATURATION_TOL

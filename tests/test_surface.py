@@ -57,14 +57,8 @@ KEPT_UNREFERENCED = {
 KEPT_DEFAULTS = {
     ("mc", "SimConfig", "time_grid"):
         "tests pin the monitoring times of a simulation",
-    ("risk", "constraint_profile", "n_refine"):
-        "tests shrink the 10^4-point profile grid to keep them fast",
     ("hjb", "hamiltonian_argmax_check", "n_probes"):
         "tests vary the probe count of the Hamiltonian check",
-    ("solution", "Solution.write_feedback_grids", "n_t"):
-        "tests write small feedback grids",
-    ("solution", "Solution.write_feedback_grids", "n_x"):
-        "tests write small feedback grids",
     ("cli", "main", "argv"):
         "the in-process seam through which tests and the benchmark call the CLI",
 }

@@ -285,6 +285,5 @@ def test_feedback_json_surface(tmp_path):
     m = constant_market(0.02, [0.08], [[0.25]], 1.0)
     sol = solve_hara_unconstrained(m, UtilityParams(0.3, 0.6), 1.0)
     sol.write_json(tmp_path / "solution.json")
-    sol.write_feedback_grids(tmp_path / "p.csv", tmp_path / "c.csv",
-                             n_t=5, n_x=5)
+    sol.write_feedback_grids(tmp_path / "p.csv", tmp_path / "c.csv")
     assert (tmp_path / "p.csv").read_text().startswith("t,x,p")

@@ -75,7 +75,8 @@ def test_var_linear_standard_instance(standard_market):
     cum = cumulants(standard_market, sol.strategy)
     assert np.sqrt(cum.ynn.end_value) == pytest.approx(RHO_VAR_STD, rel=1e-12)
     # saturation: inf_t of the log functional is exactly the bound at t = T
-    prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
+    prof = constraint_profile(standard_market, sol.strategy, spec, 1.0,
+                              np.linspace(0.0, standard_market.horizon, 10_000))
     log_curve = log_risk_var(cum, spec.abs_z, prof.times)
     assert np.min(log_curve) == pytest.approx(spec.log_bound(), abs=1e-9)
 
@@ -104,7 +105,8 @@ def test_var_linear_zeta_window_violated():
     # a zeta above the floor is accepted
     sol = solve_linear(VAR, m, RiskSpec(alpha=0.25, zeta=0.6, kind=MeasureKind.VAR),
                        1.0)
-    prof = constraint_profile(m, sol.strategy, sol.risk, 1.0)
+    prof = constraint_profile(m, sol.strategy, sol.risk, 1.0,
+                              np.linspace(0.0, m.horizon, 10_000))
     assert satisfied(prof, 1e-9)
 
 
@@ -179,7 +181,8 @@ def test_loose_bound_large_zeta(standard_market):
     assert ok and margin > 0
     # post-hoc: the unconstrained optimum indeed satisfies the bound
     sol = solve_equal_gamma(standard_market, 0.5, 1.0)
-    prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
+    prof = constraint_profile(standard_market, sol.strategy, spec, 1.0,
+                              np.linspace(0.0, standard_market.horizon, 10_000))
     log_curve = log_risk_var(cumulants(standard_market, sol.strategy),
                              spec.abs_z, prof.times)
     assert satisfied(prof, 1e-9) and np.min(log_curve) >= spec.log_bound() - 1e-9
@@ -311,7 +314,8 @@ def test_tight_feasibility_and_dominance(standard_market):
     spec = RiskSpec(**VAR01)
     u = UtilityParams(0.5, 0.5)
     sol = solve_tight(VAR, standard_market, u, spec, 1.0)
-    prof = constraint_profile(standard_market, sol.strategy, spec, 1.0)
+    prof = constraint_profile(standard_market, sol.strategy, spec, 1.0,
+                              np.linspace(0.0, standard_market.horizon, 10_000))
     assert satisfied(prof, 1e-9)
     res = grid_search_oracle(standard_market, u, spec, 1.0, np.arange(0.0, 0.1, 2e-3),
                              v_levels=np.linspace(0.0, 0.25, 126), v_pieces=4)
