@@ -13,10 +13,11 @@ Each check has one route: ``solve --oracle`` runs the grid-search oracle
 on the solution it writes, ``simulate`` the exact-law Monte Carlo and
 ``verify`` the dynamic-programming residual.
 
-Exit codes: 0 success, 1 input error (a usage error included), 2
-regime/tolerance failure or a solution the check cannot take; ``main``
-maps exceptions to codes through ``EXIT_CODES``.  ``solve`` also writes
-the reason for a missing closed form to solution.json.
+``main`` is the one path from argv to a command: parse (each flag checked
+by its argparse type), load the document, make ``--out``, run.  A failure
+exits with its error's ``exit_code`` and prints its ``label`` (errors.py);
+``ValueError`` and ``OSError``, a usage error included, exit 1.  ``solve``
+also writes the reason for a missing closed form to solution.json.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from . import es_bound, hjb, mc, oracle, unconstrained, var_bound
 from ._table import write_json, write_table
 from .errors import (
     ConditionViolated,
-    HypothesisViolated,
-    InsufficientPaths,
     MertonRiskError,
+    NoClosedForm,
     NoClosedFormRegime,
     ToleranceExceeded,
     UnsupportedSolution,
@@ -48,17 +48,6 @@ from .risk import MeasureKind, RiskSpec, constraint_profile
 from .solution import Solution, curve_times
 from .strategies import DeterministicStrategy, step_strategy
 from .utility import UtilityParams
-
-NO_CLOSED_FORM = (ConditionViolated, NoClosedFormRegime, HypothesisViolated)
-# exception class -> (exit code, stderr prefix); the most derived class wins
-EXIT_CODES = {
-    **{cls: (2, "no closed-form solution") for cls in NO_CLOSED_FORM},
-    InsufficientPaths: (2, "insufficient paths"),
-    UnsupportedSolution: (2, "unsupported solution"),
-    ToleranceExceeded: (2, "verification tolerances exceeded"),
-    **{cls: (1, "input error") for cls in (ValueError, OSError, MertonRiskError)},
-}
-
 
 class ProblemSpec:
     """Validated problem document."""
@@ -108,7 +97,7 @@ def _solve(spec: ProblemSpec) -> Solution:
     return es_bound.solve_es(spec.model, spec.utility, spec.risk, spec.x0)
 
 
-def _write_failure(out_dir: Path, exc: MertonRiskError) -> None:
+def _write_failure(out_dir: Path, exc: NoClosedForm) -> None:
     doc = {"status": "failed", "error": type(exc).__name__,
            "message": str(exc)}
     if isinstance(exc, ConditionViolated):
@@ -119,26 +108,10 @@ def _write_failure(out_dir: Path, exc: MertonRiskError) -> None:
     write_json(out_dir / "solution.json", doc)
 
 
-def _require(ok: bool, flag: str, what: str, value) -> None:
-    if not ok:
-        raise ValueError(f"{flag} must be {what}, got {value}")
-
-
-def _check_counts(*flags) -> None:
-    for flag, value in flags:
-        _require(value >= 0, flag, "non-negative", value)
-
-
-def cmd_solve(args) -> int:
-    spec = ProblemSpec.load(args.spec)
-    _require(math.isfinite(args.rho_step) and args.rho_step > 0.0,
-             "--rho-step", "positive and finite", args.rho_step)
-    _check_counts(("--grid", args.grid))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_solve(args, spec: ProblemSpec, out_dir: Path) -> int:
     try:
         sol = _solve(spec)
-    except NO_CLOSED_FORM as exc:
+    except NoClosedForm as exc:
         _write_failure(out_dir, exc)
         raise
     sol.write_json(out_dir / "solution.json")
@@ -160,10 +133,8 @@ def _write_oracle(out_dir: Path, spec: ProblemSpec, sol: Solution,
     model = spec.model
     rho_hint = 1.0
     if spec.risk is not None:
-        if spec.risk.kind == MeasureKind.VAR:
-            rho_hint = var_bound.rho_var(model, spec.risk)
-        else:
-            rho_hint = es_bound.rho_es(model, spec.risk)
+        rules = var_bound.VAR if spec.risk.kind == MeasureKind.VAR else es_bound.ES
+        rho_hint = rules.budget(model, spec.risk)
     rho_grid = np.arange(0.0, max(2.0 * rho_hint, 10 * rho_step), rho_step)
     v_hint = float(np.max(sol.strategy.v_at(model, model.nodes)))
     if v_hint > 0:
@@ -208,11 +179,7 @@ def strategy_from_csv(path, model: MarketModel) -> DeterministicStrategy:
     return step_strategy(y_segments, v_segments, model.horizon)
 
 
-def cmd_simulate(args) -> int:
-    spec = ProblemSpec.load(args.spec)
-    _check_counts(("--steps", args.steps), ("--dump-paths", args.dump_paths))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(args, spec: ProblemSpec, out_dir: Path) -> int:
     config = mc.SimConfig(n_paths=args.paths, seed=args.seed,
                           n_steps=args.steps, antithetic=args.antithetic)
     if args.strategy is not None:
@@ -263,28 +230,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    spec = ProblemSpec.load(args.spec)
-    if not spec.utility.is_hara:
-        raise ValueError("verification needs gamma1, gamma2 in (0,1)")
-    if args.nt < 1 or args.nx < 1:
-        raise ValueError("--nt and --nx must be at least 1")
-    for flag, tol in (("--residual-tol", args.residual_tol),
-                      ("--terminal-tol", args.terminal_tol),
-                      ("--gap-tol", args.gap_tol)):
-        _require(math.isfinite(tol) and tol >= 0.0, flag,
-                 "non-negative and finite", tol)
-    t_nodes = None
-    if args.t_nodes is not None:
-        t_nodes = np.asarray([float(v) for v in args.t_nodes.split(",")])
-        if not np.all((t_nodes >= 0.0) & (t_nodes < spec.model.horizon)):
-            raise ValueError("time nodes must be finite and in [0, T)")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_verify(args, spec: ProblemSpec, out_dir: Path) -> int:
+    if args.t_nodes is not None and not np.all(args.t_nodes < spec.model.horizon):
+        raise ValueError("time nodes must lie in (0, T)")
     feedback = unconstrained.solve_hara_unconstrained(
         spec.model, spec.utility, spec.x0).feedback
     report = hjb.hjb_residual(spec.model, spec.utility, feedback,
-                              t_nodes=t_nodes, n_t=args.nt, n_x=args.nx)
+                              t_nodes=args.t_nodes, n_t=args.nt, n_x=args.nx)
     gap_report = hjb.hamiltonian_argmax_check(
         spec.model, spec.utility, feedback, n_t=max(4, args.nt // 5),
         n_x=max(4, args.nx // 5), seed=args.seed)
@@ -308,6 +260,32 @@ def _usage_error(prog: str, message: str):
     raise ValueError(f"{prog}: {message}")
 
 
+def _checked(convert, ok, what: str):
+    """An argparse type: convert the text, then refuse a value that fails ok.
+    Text convert cannot take is reported by argparse under convert's name."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _times(text: str) -> np.ndarray:
+    return np.asarray([float(v) for v in text.split(",")])
+
+
+_COUNT = _checked(int, lambda n: n >= 0, "non-negative")
+_NODES = _checked(int, lambda n: n >= 1, "at least 1")
+_STEP = _checked(float, lambda v: math.isfinite(v) and v > 0.0,
+                 "positive and finite")
+_TOL = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
+                "non-negative and finite")
+_TIMES = _checked(_times, lambda t: np.all(np.isfinite(t) & (t > 0.0)),
+                  "finite positive times")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="merton-risk",
@@ -320,38 +298,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a problem spec")
     p_solve.add_argument("spec")
     p_solve.add_argument("--out", required=True)
-    p_solve.add_argument("--grid", type=int, default=201)
+    p_solve.add_argument("--grid", type=_COUNT, default=201)
     p_solve.add_argument("--oracle", action="store_true",
                          help="cross-check with the grid-search oracle")
-    p_solve.add_argument("--rho-step", type=float, default=1e-3)
+    p_solve.add_argument("--rho-step", type=_STEP, default=1e-3)
     p_solve.set_defaults(func=cmd_solve)
 
     p_sim = sub.add_parser("simulate", help="simulate a solved or given strategy")
     p_sim.add_argument("spec")
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--paths", type=int, default=100_000)
-    p_sim.add_argument("--steps", type=int, default=64)
+    p_sim.add_argument("--steps", type=_COUNT, default=64)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--antithetic", action="store_true")
     p_sim.add_argument("--strategy", default=None,
                        help="controls.csv table to simulate instead of solving")
-    p_sim.add_argument("--dump-paths", type=int, default=0, metavar="N",
+    p_sim.add_argument("--dump-paths", type=_COUNT, default=0, metavar="N",
                        help="spill the first N paths to paths.csv")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="dynamic-programming verification")
     p_ver.add_argument("spec")
     p_ver.add_argument("--out", required=True)
-    p_ver.add_argument("--nt", type=int, default=50)
-    p_ver.add_argument("--nx", type=int, default=50)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--t-nodes", default=None,
+    p_ver.add_argument("--nt", type=_NODES, default=50)
+    p_ver.add_argument("--nx", type=_NODES, default=50)
+    p_ver.add_argument("--seed", type=_COUNT, default=0)
+    p_ver.add_argument("--t-nodes", type=_TIMES, default=None,
                        help="comma-separated time nodes of the residual grid; "
                             "the probe check keeps its own grid of "
                             "max(4, nt/5) x max(4, nx/5) nodes")
-    p_ver.add_argument("--residual-tol", type=float, default=1e-7)
-    p_ver.add_argument("--terminal-tol", type=float, default=1e-12)
-    p_ver.add_argument("--gap-tol", type=float, default=hjb.HAMILTONIAN_GAP_TOL)
+    p_ver.add_argument("--residual-tol", type=_TOL, default=1e-7)
+    p_ver.add_argument("--terminal-tol", type=_TOL, default=1e-12)
+    p_ver.add_argument("--gap-tol", type=_TOL, default=hjb.HAMILTONIAN_GAP_TOL)
     p_ver.set_defaults(func=cmd_verify)
     for p in (parser, *sub.choices.values()):
         p.error = partial(_usage_error, p.prog)
@@ -364,12 +342,13 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        return args.func(args)
-    except tuple(EXIT_CODES) as exc:
-        code, label = next(EXIT_CODES[cls] for cls in type(exc).__mro__
-                           if cls in EXIT_CODES)
-        print(f"{label}: {exc}", file=sys.stderr)
-        return code
+        spec = ProblemSpec.load(args.spec)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return args.func(args, spec, out_dir)
+    except (MertonRiskError, ValueError, OSError) as exc:
+        print(f"{getattr(exc, 'label', 'input error')}: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 1)
 
 
 if __name__ == "__main__":

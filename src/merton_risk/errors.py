@@ -1,10 +1,13 @@
-"""Domain error types shared across the package."""
+"""Domain error types shared across the package, each with the exit code
+and stderr label by which ``cli.main`` reports it."""
 
 from __future__ import annotations
 
 
 class MertonRiskError(Exception):
     """Base class for all domain errors."""
+
+    exit_code, label = 1, "input error"
 
 
 class MismatchedPaths(MertonRiskError):
@@ -35,11 +38,17 @@ class UnsupportedRegime(MertonRiskError):
     """Parameter combination outside every closed-form result."""
 
 
-class HypothesisViolated(MertonRiskError):
+class NoClosedForm(MertonRiskError):
+    """None of the paper's explicit optima applies; solve writes why."""
+
+    exit_code, label = 2, "no closed-form solution"
+
+
+class HypothesisViolated(NoClosedForm):
     """A structural hypothesis (e.g. |z_alpha| >= 2*theta-norm) fails."""
 
 
-class ConditionViolated(MertonRiskError):
+class ConditionViolated(NoClosedForm):
     """A named solvability condition fails; carries its numeric margin."""
 
     def __init__(self, condition: str, margin: float, detail: str = ""):
@@ -52,7 +61,7 @@ class ConditionViolated(MertonRiskError):
         super().__init__(msg)
 
 
-class NoClosedFormRegime(MertonRiskError):
+class NoClosedFormRegime(NoClosedForm):
     """Neither the loose-bound nor the tight-bound regime applies."""
 
     def __init__(self, margins: dict | None = None):
@@ -70,13 +79,19 @@ class EmptyFeasibleSet(MertonRiskError):
 class InsufficientPaths(MertonRiskError):
     """Too few Monte Carlo paths for a stable tail estimate."""
 
+    exit_code, label = 2, "insufficient paths"
+
 
 class UnsupportedSolution(MertonRiskError):
     """The solved optimum is of a kind the command cannot take."""
 
+    exit_code, label = 2, "unsupported solution"
+
 
 class ToleranceExceeded(MertonRiskError):
     """A verification residual exceeds its requested tolerance."""
+
+    exit_code, label = 2, "verification tolerances exceeded"
 
 
 class GridTouchesBreakpoint(MertonRiskError):

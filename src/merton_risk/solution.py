@@ -14,7 +14,7 @@ from .strategies import DeterministicStrategy, cumulants
 from .utility import UtilityParams
 
 
-def curve_times(model: MarketModel, n: int = 201) -> tuple:
+def curve_times(model: MarketModel, n: int) -> tuple:
     """(grid, text): the times at which solve samples a solution's curves,
     every market node and n uniform times, and each time in '.12g', built
     once for the t column of both controls.csv and wealth.csv."""
@@ -89,10 +89,10 @@ class Solution:
     def write_json(self, path) -> None:
         write_json(path, self.to_json_dict())
 
-    def write_controls_csv(self, path, times=None) -> None:
-        """Sampled (t, pi*, v*) curves at curve_times (n = 201 by default);
-        deterministic-class solutions only."""
-        grid, text = curve_times(self.model) if times is None else times
+    def write_controls_csv(self, path, times: tuple) -> None:
+        """Sampled (t, pi*, v*) curves at times, curve_times' (grid, text)
+        pair; deterministic-class solutions only."""
+        grid, text = times
         d = self.model.dimension
         header = ["t"] + [f"pi_{j+1}" for j in range(d)] + ["v"]
         columns = []
@@ -102,9 +102,9 @@ class Solution:
             columns = [text, *pis.T, vs]
         write_table(path, header, columns, ["s"] + [".12g"] * (len(columns) - 1))
 
-    def write_wealth_csv(self, path, times=None) -> None:
-        """E[X*_t] at curve_times (n = 201 by default)."""
-        grid, text = curve_times(self.model) if times is None else times
+    def write_wealth_csv(self, path, times: tuple) -> None:
+        """E[X*_t] at times, curve_times' (grid, text) pair."""
+        grid, text = times
         write_table(path, ["t", "wealth_mean"], [text, self.wealth_mean(grid)],
                     ["s", ".12g"])
 

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import merton_risk
-from merton_risk import unconstrained
+from merton_risk import cli, errors, unconstrained
 from merton_risk.cli import build_parser, main, strategy_from_csv
 from merton_risk.market import market_from_dict
 from merton_risk.oracle import cost_closed_form
@@ -328,7 +329,8 @@ def test_simulate_negative_count_names_the_flag(tmp_path, capsys, flag):
     assert main(["simulate", str(spec), "--out", str(tmp_path / "out"),
                  flag, "-1"]) == 1
     assert capsys.readouterr().err == (
-        f"input error: {flag} must be non-negative, got -1\n")
+        f"input error: merton-risk simulate: argument {flag}: "
+        "must be non-negative, got -1\n")
 
 
 def test_simulate_zero_steps_monitors_the_breakpoints(tmp_path):
@@ -500,6 +502,74 @@ def test_exit2_paths_go_through_exit_codes(tmp_path, capsys, path):
     assert {p.name for p in out.glob("*")} == files
 
 
+# exception class -> (exit code, stderr label) with which main reports it
+EXIT_CONTRACT = {
+    "MertonRiskError": (1, "input error"),
+    "MismatchedPaths": (1, "input error"),
+    "SingularVolatility": (1, "input error"),
+    "AlphaOutOfRange": (1, "input error"),
+    "NegativeArgument": (1, "input error"),
+    "ConvergenceFailure": (1, "input error"),
+    "NegativeRate": (1, "input error"),
+    "UnsupportedRegime": (1, "input error"),
+    "EmptyFeasibleSet": (1, "input error"),
+    "GridTouchesBreakpoint": (1, "input error"),
+    "NoClosedForm": (2, "no closed-form solution"),
+    "HypothesisViolated": (2, "no closed-form solution"),
+    "ConditionViolated": (2, "no closed-form solution"),
+    "NoClosedFormRegime": (2, "no closed-form solution"),
+    "InsufficientPaths": (2, "insufficient paths"),
+    "UnsupportedSolution": (2, "unsupported solution"),
+    "ToleranceExceeded": (2, "verification tolerances exceeded"),
+    "ValueError": (1, "input error"),
+    "OSError": (1, "input error"),
+}
+ERROR_ARGS = {"ConditionViolated": ("cond", -1.0), "NoClosedFormRegime": ({"m": -1.0},)}
+# every class errors.py defines: a new one fails here until its code is decided
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                 if cls.__module__ == errors.__name__] + [ValueError, OSError]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_and_label_per_exception_class(tmp_path, capsys, monkeypatch, cls):
+    code, label = EXIT_CONTRACT[cls.__name__]
+    exc = cls(*ERROR_ARGS.get(cls.__name__, ("injected",)))
+
+    def fail(spec):
+        raise exc
+
+    monkeypatch.setattr(cli, "_solve", fail)
+    spec = write_spec(tmp_path / "p.json", **TIGHT_VAR)
+    assert main(["solve", str(spec), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(label + ": ")
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # python -m merton_risk.cli goes through sys.exit(main()), which the
+    # in-process tests never reach
+    golden = Path(__file__).resolve().parent / "golden"
+    src = str(Path(merton_risk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    cases = [(["--help"], 0, ""),
+             (["solve", str(golden / "var_tight" / "problem.json"), "--out",
+               str(tmp_path / "bad"), "--grid", "-1"], 1, "input error: "),
+             (["solve", str(golden / "var_refused" / "problem.json"), "--out",
+               str(tmp_path / "refused")], 2, "no closed-form solution: ")]
+    for argv, code, prefix in cases:
+        run = subprocess.run([sys.executable, "-m", "merton_risk.cli", *argv],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == code, run.stderr
+        if code == 0:
+            assert run.stdout.startswith("usage: merton-risk") and run.stderr == ""
+        else:
+            assert run.stderr.count("\n") == 1 and run.stderr.startswith(prefix)
+    assert (tmp_path / "refused" / "solution.json").exists()
+    assert not (tmp_path / "bad").exists()
+
+
 class ScaledTerminalFeedback(unconstrained.HaraFeedback):
     """The feedback law with A2 (and so its derivative) scaled by 1.01."""
 
@@ -572,16 +642,19 @@ def test_verify_rejects_linear_utility(tmp_path):
     ["--nx", "0"], ["--nt", "0"], ["--t-nodes", "abc"],
     ["--t-nodes", "0.3,nan"], ["--t-nodes", "5.0"], ["--t-nodes", "-0.5"],
     ["--residual-tol", "nan"], ["--terminal-tol", "-1"], ["--gap-tol", "inf"],
-    ["--t-nodes", ""],
+    ["--t-nodes", ""], ["--t-nodes", "0,0.5"], ["--seed", "-1"],
 ], ids=["nx0", "nt0", "abc", "nan", "beyond_T", "negative", "nan_residual_tol",
-        "negative_terminal_tol", "inf_gap_tol", "empty"])
-def test_verify_bad_grid_is_input_error(tmp_path, grid):
+        "negative_terminal_tol", "inf_gap_tol", "empty", "zero", "negative_seed"])
+def test_verify_bad_grid_is_input_error(tmp_path, capsys, grid):
     spec = write_spec(tmp_path / "p.json",
                       utility={"gamma1": 0.5, "gamma2": 0.3},
                       market=market_doc(r=0.03))
     assert main(["verify", str(spec), "--out", str(tmp_path / "o")]
                 + grid) == 1
     assert not (tmp_path / "o" / "hjb_report.json").exists()
+    # a value refused for its own sake names its flag; T is known only later
+    if grid != ["--t-nodes", "5.0"]:
+        assert f"argument {grid[0]}: " in capsys.readouterr().err
 
 
 def test_round_trip_strategy_reproduces_profile(tmp_path):
@@ -684,6 +757,9 @@ def test_readme_cli_block_matches_the_parser():
                 assert flags[flag] == "", flag
             elif action.default is not None:
                 assert action.type(flags[flag]) == action.default, flag
+            elif action.type is not None:
+                # a shown value with no default must be one the flag takes
+                action.type(flags[flag])
 
 
 STARTUP_SCRIPT = """

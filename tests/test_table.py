@@ -16,7 +16,7 @@ from merton_risk.oracle import (
     grid_search_oracle,
 )
 from merton_risk.risk import MeasureKind, RiskSpec, profile_grid
-from merton_risk.solution import Solution
+from merton_risk.solution import Solution, curve_times
 from merton_risk.utility import UtilityParams
 
 from conftest import constant_market, random_market
@@ -152,7 +152,7 @@ def test_controls_csv_bytes_equal_per_field_writer(tmp_path, d):
     vs = with_special(rng.random(n), 3) if d == 1 else np.float64(0.37)
     sol = Solution(value=1.0, regime="test", model=model, x=1.0,
                    strategy=FixedControls(pis, vs))
-    sol.write_controls_csv(tmp_path / "new.csv")
+    sol.write_controls_csv(tmp_path / "new.csv", curve_times(model, 201))
     controls_csv_per_field(tmp_path / "ref.csv", sol)
     assert_same_bytes(tmp_path, n, SPECIAL_TOKENS)
 
@@ -160,7 +160,7 @@ def test_controls_csv_bytes_equal_per_field_writer(tmp_path, d):
 def test_controls_csv_header_only_without_strategy(tmp_path):
     model = random_market(np.random.default_rng(7), d=2)
     sol = Solution(value=1.0, regime="test", model=model, x=1.0, feedback=object())
-    sol.write_controls_csv(tmp_path / "new.csv")
+    sol.write_controls_csv(tmp_path / "new.csv", curve_times(model, 201))
     controls_csv_per_field(tmp_path / "ref.csv", sol)
     assert_same_bytes(tmp_path, 0)
     assert (tmp_path / "new.csv").read_text() == "t,pi_1,pi_2,v\n"
@@ -173,7 +173,7 @@ def test_wealth_csv_bytes_equal_per_field_writer(tmp_path, monkeypatch):
     means = with_special(rng.random(grid.size) * 10.0 ** rng.integers(-8, 8, grid.size), 5)
     monkeypatch.setattr(Solution, "wealth_mean", lambda self, t: means)
     Solution(value=1.0, regime="test", model=model, x=1.0).write_wealth_csv(
-        tmp_path / "new.csv")
+        tmp_path / "new.csv", curve_times(model, 201))
     write_rows(tmp_path / "ref.csv", ["t", "wealth_mean"], zip(fmt(grid), fmt(means)))
     assert_same_bytes(tmp_path, grid.size, SPECIAL_TOKENS)
 
