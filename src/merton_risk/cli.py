@@ -273,7 +273,11 @@ def _checked(convert, ok, what: str):
 
 
 def _times(text: str) -> np.ndarray:
-    return np.asarray([float(v) for v in text.split(",")])
+    try:
+        return np.asarray([float(v) for v in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated numbers, got {text}") from None
 
 
 _COUNT = _checked(int, lambda n: n >= 0, "non-negative")

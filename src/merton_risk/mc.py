@@ -9,12 +9,14 @@ Each path block draws from its own SFC64 stream, keyed by (seed, block),
 so ensembles are bit-reproducible regardless of how path blocks would be
 scheduled.  Sampling is one pass over fixed row chunks of the stream that
 keeps no wealth matrix.  Each chunk is built time-major, so its sums along
-time, its exp and its cost read contiguous rows of one time each, and its
-wealth is written straight into a column-major gathering block.  Each
-chunk's wealth is reduced to each path's terminal wealth and cost of
-consumption, and to each time's tail candidates for the empirical risk's
-alpha, so memory is a few chunk buffers, a gathering block, O(n) scalars
-and O(alpha n) values per time.
+time and its cost read contiguous rows of one time each.  Wealth at each
+time is monotone in xi, so each chunk's xi is gathered, as a key along
+which wealth never falls, into a column-major block, and reduced to each
+path's terminal wealth and cost of consumption, and to each time's tail
+candidates for the empirical risk's alpha, selected on the key: wealth is
+evaluated on the terminal row and on the kept keys alone.  Memory is a few
+chunk buffers, a gathering block, O(n) scalars and O(alpha n) values per
+time.
 Wealth and consumption are rebuilt from a replay of the stream.  Both
 laws go through one sampling loop, and both costs are exact given the
 skeleton: under either law ln c^gamma1 is affine in t and in the Gaussian
@@ -47,10 +49,11 @@ from .unconstrained import solve_hara_unconstrained
 from .utility import UtilityParams
 
 _BLOCK = 1 << 16
-# rows per streamed chunk; divides _BLOCK, and (chunk, m) temporaries fit L2
-_CHUNK = 1 << 10
-# rows of wealth gathered before each time's tail candidates are selected
-_TAIL_BLOCK = 1 << 14
+# rows per streamed chunk; divides _BLOCK, and a (chunk, m) buffer on 32 steps
+# takes about 0.5 MB
+_CHUNK = 1 << 11
+# rows of keys gathered before each time's tail candidates are selected
+_TAIL_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -133,28 +136,35 @@ def _tail_ranks(n: int, alpha: float) -> tuple[int, int, float]:
     of n values, in its own arithmetic."""
     if n * alpha < 100:
         raise InsufficientPaths(
-            f"need n_paths * alpha >= 100, got {n * alpha:.1f}")
+            f"need n_paths * alpha >= 100, got {n * alpha:g}")
     virt = (n - 1) * alpha
     q_lo = int(np.floor(virt))
     return q_lo, min(q_lo + 1, n - 1), virt - q_lo
 
 
 class _WealthPass:
-    """One pass over the wealth rows of a stream, taken in any row order.
+    """One pass over the xi rows of a stream, taken in any row order.
 
-    It keeps each path's terminal wealth and, given alpha, each time's tail
-    candidates with their path indices: the values at or below a running
-    threshold, the (q_hi + 1)-th smallest value kept so far.  So every value
-    at or below the time's final q_hi-th order statistic survives, ties
-    included.  Rows are gathered in a column-major block, and each block is
-    selected column by column; a time's candidates are cut back to the
-    threshold once they outgrow by half what the last cut kept (at least
-    q_hi + 1).  A time before any step with variance holds one value on
-    every path, kept once.
+    Wealth at each time is monotone in xi, so each row is gathered as a key,
+    key_sign xi, along which wealth never falls.  The pass keeps each path's
+    terminal wealth and, given alpha, each time's tail candidates with their
+    path indices: the keys strictly below a running threshold.  Rows are
+    gathered in a column-major block, and each block is selected column by
+    column; a time's candidates are cut once they outgrow by half what the
+    last cut kept (at least q_hi + 1).  A cut keeps the keys whose wealth is
+    at or below the q_hi-th wealth of those it holds, and lowers the
+    threshold to the least key it drops: that order statistic never rises,
+    so every later key at or past the threshold has more wealth than the
+    time's final q_hi-th, and every path at or below it survives, ties
+    included, even where distinct keys round to one wealth.  Wealth is
+    evaluated only on the terminal row and on the keys a cut compares or
+    keeps.  A time before any step with variance holds one value on every
+    path, kept once.
     """
 
     def __init__(self, config: SimConfig, mean_inc: np.ndarray,
-                 sd_inc: np.ndarray, alpha: float | None):
+                 sd_inc: np.ndarray, alpha: float | None,
+                 wealth_of: Callable, key_sign: float):
         n = config.n_paths
         self.q_hi = None if alpha is None else _tail_ranks(n, alpha)[1]
         self.chunks = _chunks(config, mean_inc, sd_inc)
@@ -164,6 +174,7 @@ class _WealthPass:
         # the one path's single chunk holds a stream chunk's rows, not n
         rows = self.chunks[0][0].stop if self.one_path else n
         self.n_paths = n
+        self.wealth_of, self.key_sign = wealth_of, key_sign
         self.terminal = np.empty(rows)
         m = len(sd_inc) + 1
         self.block = np.empty((min(_TAIL_BLOCK, rows), m), order="F")
@@ -175,39 +186,55 @@ class _WealthPass:
         self.limit = [0] * m
         self.kept = {k: ([], []) for k in self.columns}
 
-    def add(self, rows: slice, fill: Callable[[np.ndarray], object]) -> None:
-        """Take the wealth rows of paths rows, which fill writes into the
-        (paths, times) view of the block it is given."""
+    def _wealth(self, keys: np.ndarray, k) -> np.ndarray:
+        return self.wealth_of(self.key_sign * keys, k)
+
+    def add(self, rows: slice, xi: np.ndarray) -> None:
+        """Take the (paths, times) xi of paths rows."""
         k = rows.stop - rows.start
         if self.filled + k > len(self.block):
             self._select()
-        view = self.block[self.filled:self.filled + k]
-        fill(view)
+        np.multiply(xi, self.key_sign, out=self.block[self.filled:self.filled + k])
         self.paths[self.filled:self.filled + k] = np.arange(rows.start, rows.stop)
         self.filled += k
-        self.terminal[rows] = view[:, -1]
+        self.terminal[rows] = self.wealth_of(xi[:, -1], -1)
 
     def _select(self) -> None:
         f, self.filled = self.filled, 0
         paths = self.paths[:f]
         for k in self.columns:
             col = self.block[:f, k]
-            at = np.flatnonzero(col <= self.threshold[k])
-            values, ids = self.kept[k]
-            values.append(col[at])
+            at = np.flatnonzero(col < self.threshold[k])
+            keys, ids = self.kept[k]
+            keys.append(col[at])
             ids.append(paths[at])
-            if sum(map(len, values)) > self.limit[k]:
+            if sum(map(len, keys)) > self.limit[k]:
                 self._cut(k)
 
     def _cut(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        values, ids = (np.concatenate(v) for v in self.kept[k])
-        if len(values) > self.q_hi + 1:
-            self.threshold[k] = np.partition(values, self.q_hi)[self.q_hi]
-            at = np.flatnonzero(values <= self.threshold[k])
-            values, ids = values[at], ids[at]
-        self.kept[k] = [values], [ids]
-        self.limit[k] = 3 * max(self.q_hi + 1, len(values)) // 2
-        return values, ids
+        keys, ids = (np.concatenate(v) for v in self.kept[k])
+        q = self.q_hi
+        if len(keys) > q + 1:
+            part = np.partition(keys, q)
+            edge, beyond = part[q], part[q + 1:].min()
+            # wealth never falls along the key, so edge holds the q_hi-th
+            # wealth; if beyond, the least key past it, holds more, so does
+            # every key at or past beyond
+            ends = self._wealth(np.array([edge, beyond]), k)
+            if ends[0] < ends[1]:
+                at = np.flatnonzero(keys <= edge)
+            else:
+                # keys that tie, or distinct keys that round to one wealth:
+                # rank the wealth itself
+                values = self._wealth(keys, k)
+                top = np.partition(values, q)[q]
+                at = np.flatnonzero(values <= top)
+                beyond = np.min(keys, where=values > top, initial=np.inf)
+            self.threshold[k] = min(self.threshold[k], beyond)
+            keys, ids = keys[at], ids[at]
+        self.kept[k] = [keys], [ids]
+        self.limit[k] = 3 * max(q + 1, len(keys)) // 2
+        return keys, ids
 
     def per_path(self, values: np.ndarray) -> np.ndarray:
         """Per-path values: a read-only broadcast of the one path's value if
@@ -217,18 +244,19 @@ class _WealthPass:
         return values
 
     def tails(self) -> list[np.ndarray] | None:
-        """Each time's tail candidates in path order; at a time that holds
-        one value, a read-only zero-stride view of it over every path."""
+        """Each time's tail candidates' wealth in path order; at a time that
+        holds one value, a read-only zero-stride view of it over every path."""
         if self.q_hi is None:
             return None
         self._select()
         # any row of the block holds every one-value time's value
-        out = [np.broadcast_to(v, (self.n_paths,)) for v in self.block[0]]
+        out = [np.broadcast_to(v, (self.n_paths,))
+               for v in self._wealth(self.block[0], slice(None))]
         self.block = None
         for k in self.columns:
-            values, ids = self._cut(k)
+            keys, ids = self._cut(k)
             del self.kept[k]
-            out[k] = values[np.argsort(ids)]
+            out[k] = self._wealth(keys[np.argsort(ids)], k)
         return out
 
 
@@ -246,7 +274,7 @@ class PathEnsemble:
     times: np.ndarray            # (m,)
     kind: str                    # "deterministic" | "feedback"
     replay: tuple                # _log_paths' (config, mean, sd)
-    wealth_of: Callable[[np.ndarray], np.ndarray]
+    wealth_of: Callable[..., np.ndarray]   # (xi, time index or slice)
     rate: Callable[[np.ndarray], np.ndarray]
     gamma1: float
     alpha: float | None          # None: no tails kept
@@ -324,11 +352,12 @@ def simulation_grid(model: MarketModel, strategy_nodes: np.ndarray,
 
 def _sample(kind: str, config: SimConfig, alpha: float | None, grid: np.ndarray,
             wealth_of: Callable, rate: Callable, gamma1: float, *,
-            drift: np.ndarray, var: np.ndarray, log_shift, factor: float,
-            idx: np.ndarray, log0) -> PathEnsemble:
+            key_sign: float, drift: np.ndarray, var: np.ndarray, log_shift,
+            factor: float, idx: np.ndarray, log0) -> PathEnsemble:
     """One pass over the stream of a law's Gaussian process xi, whose steps
-    have mean drift and variance var: its wealth X = wealth_of(xi), and
-    each path's unbiased value of int_0^T c_t^gamma1 dt.
+    have mean drift and variance var: its wealth X = wealth_of(xi), which
+    never falls along key_sign xi, and each path's unbiased value of
+    int_0^T c_t^gamma1 dt.
 
     On each consuming step idx[j], gamma1 ln c_t = factor L_t + log0[j] at
     both ends, with L = xi + log_shift.  Given the sampled ends, xi is a
@@ -340,7 +369,7 @@ def _sample(kind: str, config: SimConfig, alpha: float | None, grid: np.ndarray,
     with smaller variance than any within-step sampling.
     """
     sd = np.sqrt(np.maximum(var, 0.0))
-    run = _WealthPass(config, drift, sd, alpha)
+    run = _WealthPass(config, drift, sd, alpha, wealth_of, key_sign)
     # per-step terms, as columns beside time-major (steps, paths) buffers
     dts = np.diff(grid)[idx]
     a = 0.5 * factor * factor * var[idx]
@@ -351,17 +380,15 @@ def _sample(kind: str, config: SimConfig, alpha: float | None, grid: np.ndarray,
     # slices of the time-major buffers into rows p:q of the step buffers
     cuts = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1), len(idx)]
     runs = [(idx[p], idx[q - 1] + 1, p, q) for p, q in zip(cuts, cuts[1:]) if p < q]
-    # wealth_of's work buffers, then L and the steps' z, so that only
-    # wealth_of's last pass writes the gathering block
-    work = np.empty((2, len(grid), run.width))
-    mid = np.empty((len(idx), run.width))
+    # buffers of L, the steps' z and their midpoint terms
+    work = np.empty((len(grid), run.width))
+    step = np.empty((2, len(idx), run.width))
     cost = np.empty(len(run.terminal))
     for rows, xi in run.chunks:
         k = len(xi)
-        first, second = work[:, :, :k]
-        run.add(rows, lambda block: wealth_of(xi, block, (first.T, second.T)))
-        L = np.add(xi.T, log_shift, out=first)
-        zk, mk = second[:len(idx)], mid[:, :k]
+        run.add(rows, xi)
+        L = np.add(xi.T, log_shift, out=work[:, :k])
+        zk, mk = step[:, :, :k]
         for s, e, p, q in runs:
             np.add(L[s:e], L[s + 1:e + 1], out=mk[p:q])
             np.subtract(L[s + 1:e + 1], L[s:e], out=zk[p:q])
@@ -397,8 +424,8 @@ def simulate_deterministic(model: MarketModel, strategy: DeterministicStrategy,
     np.cumsum(np.where(np.isfinite(cons_log0), cons_slope, 0.0) * np.diff(grid),
               out=S[1:])
 
-    def wealth_of(xi, out=None, work=(None, None)):
-        return np.multiply(np.exp(xi, out=work[0]), x, out=out)
+    def wealth_of(xi, k=slice(None)):
+        return np.exp(xi) * x
 
     v_grid = np.broadcast_to(strategy.v_at(model, grid), grid.shape)
 
@@ -406,7 +433,8 @@ def simulate_deterministic(model: MarketModel, strategy: DeterministicStrategy,
         return np.exp(xi) * x * v_grid
 
     return _sample("deterministic", config, alpha, grid, wealth_of, rate, g,
-                   drift=np.diff(cum.log_drift(grid)), var=np.diff(cum.ynn(grid)),
+                   key_sign=1.0, drift=np.diff(cum.log_drift(grid)),
+                   var=np.diff(cum.ynn(grid)),
                    log_shift=math.log(x) + (cum.V(grid) + S)[:, None], factor=g,
                    idx=idx, log0=g * (cons_log0[idx] - S[idx]))
 
@@ -425,12 +453,9 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
     c1 = fb.A1(grid) * g0 ** -q1
     c2 = fb.A2(grid) * g0 ** -q2
 
-    def wealth_of(xi, out=None, work=(None, None)):
-        first, second = (np.exp(np.multiply(xi, -q, out=w), out=w)
-                         for q, w in zip((q1, q2), work))
-        first *= c1
-        second *= c2
-        return np.add(first, second, out=out)
+    # q1, q2 > 1 and A1, A2 >= 0: wealth falls as xi rises
+    def wealth_of(xi, k=slice(None)):
+        return np.exp(-q1 * xi) * c1[k] + np.exp(-q2 * xi) * c2[k]
 
     def rate(xi):
         return (utility.gamma1 / (g0 * np.exp(xi))) ** q1
@@ -439,9 +464,9 @@ def simulate_hara_feedback(model: MarketModel, utility: UtilityParams,
     # every market node, so xi's drift and variance are constant on each
     k1 = q1 * utility.gamma1
     return _sample("feedback", config, alpha, grid, wealth_of, rate, utility.gamma1,
-                   drift=-np.diff(model.R(grid) + 0.5 * TS), var=np.diff(TS),
-                   log_shift=0.0, factor=-k1, idx=np.arange(len(grid) - 1),
-                   log0=k1 * math.log(utility.gamma1 / g0))
+                   key_sign=-1.0, drift=-np.diff(model.R(grid) + 0.5 * TS),
+                   var=np.diff(TS), log_shift=0.0, factor=-k1,
+                   idx=np.arange(len(grid) - 1), log0=k1 * math.log(utility.gamma1 / g0))
 
 
 # ---------------------------------------------------------------------------
@@ -517,16 +542,16 @@ def _int_exp_quadratic(z: np.ndarray, m: np.ndarray, a: np.ndarray,
     # elements outside the series range may overflow; they are replaced
     with np.errstate(over="ignore", invalid="ignore"):
         zz = np.multiply(z, z)
-        series = zz <= 4.0
-        if np.any(a > _SERIES_MAX_A):
-            series &= a <= _SERIES_MAX_A
-        tail = None if series.all() else ~series
-        if tail is not None:
+        zz_max = zz.max(initial=0.0)
+        # a nan max is outside the range too
+        tail = None
+        if not zz_max <= 4.0 or np.any(a > _SERIES_MAX_A):
+            series = (zz <= 4.0) & (a <= _SERIES_MAX_A)
+            tail = ~series
             # each element's step, as an index into the flat a and dt
             step = np.broadcast_to(np.arange(a.size).reshape(a.shape), z.shape)
             rest = z[tail], m[tail], step[tail], np.ravel(a), np.ravel(dt)
-        zz_max = (zz.max(initial=0.0) if tail is None
-                  else np.max(zz, where=series, initial=0.0))
+            zz_max = np.max(zz, where=series, initial=0.0)
         out = _series(zz, m, coeffs, _series_terms(zz_max, coeffs), z)
     if tail is not None:
         out[tail] = _halved(*rest)

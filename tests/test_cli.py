@@ -653,8 +653,12 @@ def test_verify_bad_grid_is_input_error(tmp_path, capsys, grid):
                 + grid) == 1
     assert not (tmp_path / "o" / "hjb_report.json").exists()
     # a value refused for its own sake names its flag; T is known only later
+    err = capsys.readouterr().err
     if grid != ["--t-nodes", "5.0"]:
-        assert f"argument {grid[0]}: " in capsys.readouterr().err
+        assert f"argument {grid[0]}: " in err
+    if grid[1] in ("abc", ""):
+        assert f"argument --t-nodes: must be comma-separated numbers, got {grid[1]}\n" \
+            in err
 
 
 def test_round_trip_strategy_reproduces_profile(tmp_path):

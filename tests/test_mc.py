@@ -374,11 +374,13 @@ def test_wealth_is_time_major(kind):
                for k in range(len(ens.times)))
 
 
-# chunk edges at multiples of 1,024 rows, the stream block edge at 65,536
-# drawn rows, and (antithetic, n = 140,001) the mirrored half from row 70,001
-REPLAY_SLICES = [slice(0, 40), slice(1000, 1100), slice(65_500, 65_600),
-                 slice(69_990, 70_001)]
-MIRROR_SLICES = [slice(69_990, 70_020), slice(71_000, 71_100),
+# chunk edges at multiples of mc._CHUNK rows, the stream block edge at
+# 65,536 drawn rows, and (antithetic, n = 140,001) the mirrored half from
+# row 70,001, whose chunk edges lie 70,001 rows past those of the first
+REPLAY_SLICES = [slice(0, 40), slice(mc._CHUNK - 24, mc._CHUNK + 76),
+                 slice(65_500, 65_600), slice(69_990, 70_001)]
+MIRROR_SLICES = [slice(69_990, 70_020),
+                 slice(70_001 + mc._CHUNK - 24, 70_001 + mc._CHUNK + 76),
                  slice(135_500, 135_600), slice(139_990, 140_001)]
 
 
@@ -431,7 +433,7 @@ def test_feedback_consumption_replay_stops_at_the_last_row(monkeypatch):
         _, _, ens = _stream_case(kind, 70_001, False)
         drawn.clear()
         ens.write_csv(os.devnull, max_paths=40)
-        assert drawn == [slice(0, 1024)], kind
+        assert drawn == [slice(0, mc._CHUNK)], kind
 
 
 def test_feedback_cost_refuses_another_gamma1():
@@ -457,17 +459,19 @@ def test_deterministic_cost_is_exact_for_its_gamma1(kind):
     assert estimates[0] != estimates[1]
 
 
-# the last row of n = 2,049 or 4,097, and of an antithetic half of 1,025 or
-# 2,049 rows, is a stream chunk of one row, while n = 2,050 or 4,098 (plain)
-# and 2,052 or 4,100 (antithetic) put those rows in chunks of two; either way
-# a row's 64 steps are summed in time order (numpy would sum a lone row
-# pairwise), and the row's cost is the same at every n
+# with C = mc._CHUNK, the last row of n = 2C + 1 or 4C + 1, and of an
+# antithetic half of C + 1 or 2C + 1 rows, is a stream chunk of one row, while
+# n = 2C + 2 or 4C + 2 (plain) and 2C + 4 or 4C + 4 (antithetic) put those
+# rows in chunks of two; either way a row's 64 steps are summed in time order
+# (numpy would sum a lone row pairwise), and the row's cost is the same at
+# every n
 @pytest.mark.parametrize("kind,antithetic", [
     ("risky", False), ("risky", True), ("feedback", False), ("feedback", True)],
     ids=["False", "True", "feedback-False", "feedback-True"])
 def test_path_cost_does_not_depend_on_n(kind, antithetic):
     costs = {}
-    for n in (2048, 2049, 2050, 2052, 4097, 4098, 4100):
+    c = mc._CHUNK
+    for n in (2 * c, 2 * c + 1, 2 * c + 2, 2 * c + 4, 4 * c + 1, 4 * c + 2, 4 * c + 4):
         _, _, ens = _stream_case(kind, n, antithetic, n_steps=64)
         half = ens.replay[0].drawn_rows
         # each drawn row's plain path, and its mirror
@@ -544,6 +548,47 @@ def test_tail_candidates_keep_ties(exposure, n, antithetic):
         assert np.array_equal(prof.es_curve, es), alpha
 
 
+# a feedback market with ||theta|| about 1e-15 spreads xi over about a
+# thousand ulps, which its wealth, falling in xi, rounds to a few dozen
+# values; tails selected on xi must keep every key whose wealth ties at a cut
+@pytest.mark.parametrize("n,antithetic", [(70_001, False), (140_001, True)])
+def test_feedback_tail_candidates_keep_wealth_ties(n, antithetic):
+    m = constant_market(0.03, [0.03 + 2e-16], [[0.2]], 1.0)
+    cfg = SimConfig(n_paths=n, seed=7, n_steps=12, antithetic=antithetic)
+    for alpha in (0.01, 1 / 64, 0.3):
+        ens = simulate_hara_feedback(m, STREAM_UTILITY, 1.2, cfg, alpha=alpha)
+        xi = np.concatenate([x for _, x in mc._log_paths(*ens.replay)])
+        end = [len(np.unique(col)) for col in (xi[:, -1], ens.wealth[:, -1])]
+        assert end[0] > 10 * end[1] > 100, end
+        spec = RiskSpec(alpha=alpha, zeta=0.1, kind=MeasureKind.ES)
+        prof = empirical_risk_curve(ens, spec, 1.2, m)
+        var, es = _reference_curves(ens, spec, 1.2, m)
+        assert np.array_equal(prof.var_curve, var), alpha
+        assert np.array_equal(prof.es_curve, es), alpha
+
+
+def test_wealth_evaluated_on_terminal_row_and_tail_keys(monkeypatch):
+    # wealth is monotone in xi, so tails are selected on xi: a pass evaluates
+    # wealth on each path's terminal value and on about alpha n keys per time,
+    # not on all n m path-steps
+    evaluated = []
+    sample = mc._sample
+
+    def counting(kind, config, alpha, grid, wealth_of, *args, **kwargs):
+        def counted(xi, k=slice(None)):
+            evaluated.append(np.size(xi))
+            return wealth_of(xi, k)
+        return sample(kind, config, alpha, grid, counted, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "_sample", counting)
+    n, alpha, c = 70_001, 0.01, 1.5
+    for kind in ("risky", "feedback"):
+        evaluated.clear()
+        _, _, ens = _stream_case(kind, n, False, alpha)
+        m = len(ens.times)
+        assert n < sum(evaluated) <= n + c * alpha * n * m, (kind, sum(evaluated))
+
+
 def test_sample_cost_and_risk_memory_per_path():
     # a pass keeps a few scalars per path and about alpha n values per time;
     # the whole wealth matrix would hold 8 (m + 1) = 264 B per path
@@ -601,13 +646,14 @@ def test_simulate_refuses_too_few_tail_paths_before_drawing(tmp_path, monkeypatc
 
     monkeypatch.setattr(mc, "_log_paths", counting)
     # var_loose bounds the risk at alpha = 0.05; simulate's default is 0.01
-    for problem, alpha in (("var_loose", 0.05), ("unconstrained_unequal", 0.01)):
-        out = tmp_path / problem
+    for problem, paths, got in (("var_loose", "1000", "50"),
+                                ("unconstrained_unequal", "1000", "10"),
+                                ("unconstrained_unequal", "3", "0.03")):
+        out = tmp_path / problem / paths
         assert cli.main(["simulate", str(GOLDEN / problem / "problem.json"),
-                         "--out", str(out), "--paths", "1000"]) == 2
+                         "--out", str(out), "--paths", paths]) == 2
         assert capsys.readouterr().err == (
-            "insufficient paths: need n_paths * alpha >= 100, "
-            f"got {1000 * alpha:.1f}\n")
+            f"insufficient paths: need n_paths * alpha >= 100, got {got}\n")
         assert list(out.iterdir()) == []
     assert drawn == []
 

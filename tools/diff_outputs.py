@@ -7,7 +7,8 @@ The tasks are generated with this checkout's perfbench/inputs.py
 (``make_round``, ``write_task``): a ``--mix`` entry WORKLOAD:SEEDS:ROUNDS
 takes every task of those rounds of those seeds, with SEEDS and ROUNDS
 written as in bench_pairs ("0-3" or "0,2"). Without ``--mix`` the mix is
-DEFAULT_MIX: seeds 0-1, rounds 0-1 of solve_verify and mc_simulate, and
+DEFAULT_MIX: seeds 0-1, rounds 0-1 of solve_verify; seeds 0-3, rounds 0-3
+of mc_simulate, which cover every Monte Carlo kind under both measures; and
 seeds 0-3, rounds 0-5 of oracle_xcheck (72 ``solve --oracle`` tasks), the
 oracle tasks that a change to the oracle's search must leave byte-identical.
 The parent commit is extracted with ``git archive`` into a temporary
@@ -42,7 +43,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_pairs import ROOT, extract, parse_seeds  # noqa: E402
 
-DEFAULT_MIX = ("solve_verify:0-1:0-1", "mc_simulate:0-1:0-1", "oracle_xcheck:0-3:0-5")
+DEFAULT_MIX = ("solve_verify:0-1:0-1", "mc_simulate:0-3:0-3", "oracle_xcheck:0-3:0-5")
 
 # Runs in each side's interpreter: argv lists on stdin, [exit code, stderr] per
 # command on stdout; a crash is recorded as its exception, not raised.
