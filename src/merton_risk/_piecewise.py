@@ -16,6 +16,9 @@ from functools import cached_property
 import numpy as np
 
 TICK = 1e-9  # years per tick
+# the grid's range in years: int64 ticks hold any time below it, and the
+# difference of two such times
+TIME_LIMIT = 2.0 ** 62 * TICK
 
 
 def to_ticks(t) -> np.ndarray:
@@ -27,12 +30,21 @@ def from_ticks(ticks) -> np.ndarray:
     return np.asarray(ticks, dtype=np.float64) * TICK
 
 
+def ascending_unique(values) -> np.ndarray:
+    """np.unique of NaN-free values, by the sort and the drop of repeats that
+    np.unique runs, but without numpy's set routines, which import numpy.ma.
+    The same sort leaves equal values (0.0 and -0.0) in the same order, so
+    the first one kept is np.unique's."""
+    ordered = np.sort(values, axis=None)
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def merge_ticks(*tick_arrays) -> np.ndarray:
     """Ascending union of breakpoint tick arrays."""
-    merged = tick_arrays[0]
-    for arr in tick_arrays[1:]:
-        merged = np.union1d(merged, arr)
-    return merged.astype(np.int64)
+    return ascending_unique(np.concatenate(tick_arrays)).astype(np.int64, copy=False)
 
 
 def segment_index(node_ticks: np.ndarray, t_ticks: np.ndarray) -> np.ndarray:
@@ -42,7 +54,7 @@ def segment_index(node_ticks: np.ndarray, t_ticks: np.ndarray) -> np.ndarray:
     evaluation works.
     """
     idx = np.searchsorted(node_ticks, t_ticks, side="right") - 1
-    return np.clip(idx, 0, len(node_ticks) - 2)
+    return np.minimum(np.maximum(idx, 0), len(node_ticks) - 2)
 
 
 @dataclass(frozen=True)
@@ -88,7 +100,7 @@ def cumulative_linear(node_ticks: np.ndarray, rates: np.ndarray) -> PiecewiseLin
 def integrate_steps(node_ticks: np.ndarray, dt: np.ndarray,
                     rates: np.ndarray) -> PiecewiseLinear:
     """cumulative_linear with the interval lengths dt of node_ticks given."""
-    steps = np.cumsum(rates * dt, axis=-1)
+    steps = (rates * dt).cumsum(axis=-1)
     vals = np.concatenate((np.zeros(steps.shape[:-1] + (1,)), steps), axis=-1)
     return PiecewiseLinear(node_ticks=node_ticks, values=vals)
 

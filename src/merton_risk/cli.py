@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import sys
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import es_bound, hjb, mc, oracle, unconstrained, var_bound
+from . import es_bound, unconstrained, var_bound
 from ._table import write_json, write_table
 from .errors import (
     ConditionViolated,
@@ -48,6 +49,27 @@ from .risk import MeasureKind, RiskSpec, constraint_profile
 from .solution import Solution, curve_times
 from .strategies import DeterministicStrategy, step_strategy
 from .utility import UtilityParams
+
+HAMILTONIAN_GAP_TOL = 1e-10    # default gate of `verify --gap-tol`
+
+
+def _lazy(name: str):
+    """Submodule name, run on its first attribute access (LazyLoader); it is
+    in sys.modules and on the package at once, as an import leaves it, and
+    one already imported is reused, so every caller shares one module."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+# only the commands that use them run these: verify, simulate, solve --oracle
+hjb, mc, oracle = _lazy("hjb"), _lazy("mc"), _lazy("oracle")
+
 
 class ProblemSpec:
     """Validated problem document."""
@@ -65,7 +87,7 @@ class ProblemSpec:
             raise ValueError(f"missing required field {exc}") from exc
         except TypeError as exc:
             raise ValueError(f"malformed problem document: {exc}") from exc
-        if not np.isfinite(self.x0) or self.x0 <= 0:
+        if not math.isfinite(self.x0) or self.x0 <= 0:
             raise ValueError(f"x0 must be positive and finite, got {self.x0}")
         self.risk: RiskSpec | None = None
         if doc.get("risk") is not None:
@@ -333,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "max(4, nt/5) x max(4, nx/5) nodes")
     p_ver.add_argument("--residual-tol", type=_TOL, default=1e-7)
     p_ver.add_argument("--terminal-tol", type=_TOL, default=1e-12)
-    p_ver.add_argument("--gap-tol", type=_TOL, default=hjb.HAMILTONIAN_GAP_TOL)
+    p_ver.add_argument("--gap-tol", type=_TOL, default=HAMILTONIAN_GAP_TOL)
     p_ver.set_defaults(func=cmd_verify)
     for p in (parser, *sub.choices.values()):
         p.error = partial(_usage_error, p.prog)

@@ -32,8 +32,6 @@ from .market import MarketModel
 from .unconstrained import HaraFeedback
 from .utility import UtilityParams
 
-HAMILTONIAN_GAP_TOL = 1e-10    # default gate of `verify --gap-tol`
-
 
 @dataclass(frozen=True)
 class HjbReport:
@@ -170,9 +168,10 @@ def hamiltonian_argmax_check(model: MarketModel, utility: UtilityParams,
 
     The nodes are off_breakpoint_grid(model, n_t) in t and n_x wealths on
     [0.25, 4].  Probes mix random controls with scaled perturbations of the
-    optimum; the report's hamiltonian_gap is the worst probe advantage
-    (should not exceed HAMILTONIAN_GAP_TOL).  Probes are drawn node by node, t slowest,
-    four draws per node; each time row is then evaluated in one pass.
+    optimum; the report's hamiltonian_gap is the worst probe advantage, which
+    `verify` gates by --gap-tol (default cli.HAMILTONIAN_GAP_TOL).  Probes are
+    drawn node by node, t slowest, four draws per node; each time row is then
+    evaluated in one pass.
     """
     t_nodes, x_nodes = _grid(model, None, n_t, n_x)
     gs, ps, _, rs, thetas = _feedback_at(model, feedback, t_nodes[:, None], x_nodes)

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._piecewise import (
+    TIME_LIMIT,
     PiecewiseLinear,
     cumulative_exp_affine,
-    cumulative_linear,
     from_ticks,
+    integrate_steps,
     merge_ticks,
-    segment_index,
     to_ticks,
 )
 from .errors import MismatchedPaths, SingularVolatility
@@ -47,10 +47,11 @@ class CoefficientPath:
     horizon_ticks: int
 
     def __post_init__(self):
-        bp = self.breakpoint_ticks
-        if bp[0] != 0:
+        # a few breakpoints: Python ints are cheaper here than numpy reductions
+        bp = self.breakpoint_ticks.tolist()
+        if not bp or bp[0] != 0:
             raise MismatchedPaths("first breakpoint must be t = 0")
-        if np.any(np.diff(bp) <= 0):
+        if any(b <= a for a, b in zip(bp, bp[1:])):
             raise MismatchedPaths("breakpoints must be strictly increasing")
         if self.horizon_ticks <= bp[-1]:
             raise MismatchedPaths("horizon must exceed the last breakpoint")
@@ -59,13 +60,13 @@ class CoefficientPath:
 
     @classmethod
     def from_segments(cls, segments, horizon: float) -> "CoefficientPath":
-        """Build from [(t0, value), ...] with the last segment closing at T."""
-        times = [seg[0] for seg in segments]
-        vals = [np.asarray(seg[1], dtype=np.float64) for seg in segments]
+        """Build from [(t0, value), ...] with the last segment closing at T;
+        the values must share one shape."""
+        ticks = to_ticks([seg[0] for seg in segments] + [horizon])
         return cls(
-            breakpoint_ticks=to_ticks(times),
-            values=np.stack(vals),
-            horizon_ticks=int(to_ticks(horizon)),
+            breakpoint_ticks=ticks[:-1],
+            values=np.array([seg[1] for seg in segments], dtype=np.float64),
+            horizon_ticks=int(ticks[-1]),
         )
 
     @classmethod
@@ -75,9 +76,10 @@ class CoefficientPath:
     def node_ticks(self) -> np.ndarray:
         return np.concatenate([self.breakpoint_ticks, [self.horizon_ticks]])
 
-    def value_at(self, t_ticks: np.ndarray) -> np.ndarray:
-        idx = segment_index(self.node_ticks(), np.asarray(t_ticks))
-        return self.values[idx]
+    def value_at(self, t_ticks) -> np.ndarray:
+        """The value at each time; times past the horizon take the last one."""
+        idx = self.breakpoint_ticks.searchsorted(t_ticks, side="right") - 1
+        return self.values[np.maximum(idx, 0)]
 
 
 @dataclass(frozen=True)
@@ -148,9 +150,8 @@ def build_market(rates: CoefficientPath, drifts: CoefficientPath,
     if vols.values.ndim != 3 or vols.values.shape[1:] != (d, d):
         raise MismatchedPaths("vol values must be d x d matrices")
 
-    node_ticks = merge_ticks(
-        rates.node_ticks(), drifts.node_ticks(), vols.node_ticks()
-    )
+    node_ticks = merge_ticks(rates.breakpoint_ticks, drifts.breakpoint_ticks,
+                             vols.breakpoint_ticks, [rates.horizon_ticks])
     left = node_ticks[:-1]
     r_step = rates.value_at(left)
     mu_step = drifts.value_at(left)
@@ -159,7 +160,9 @@ def build_market(rates: CoefficientPath, drifts: CoefficientPath,
     svals = np.linalg.svd(sigma_step, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         rcond = svals[:, -1] / svals[:, 0]
-    if np.any(~np.isfinite(rcond)) or np.any(rcond < SINGULARITY_RTOL):
+    # singular values are finite and s_min <= s_max, so a NaN (a zero block)
+    # is the only non-finite ratio, and it fails the comparison
+    if not np.all(rcond >= SINGULARITY_RTOL):
         j = int(np.argmin(np.where(np.isfinite(rcond), rcond, -np.inf)))
         raise SingularVolatility(
             f"sigma block starting at t={from_ticks(left[j]):.6g} has relative "
@@ -168,8 +171,10 @@ def build_market(rates: CoefficientPath, drifts: CoefficientPath,
     excess = mu_step - r_step[:, None]
     theta_step = np.linalg.solve(sigma_step, excess[..., None])[..., 0]
 
-    cum_r = cumulative_linear(node_ticks, r_step)
-    cum_theta_sq = cumulative_linear(node_ticks, np.sum(theta_step ** 2, axis=1))
+    nodes = from_ticks(node_ticks)
+    dt = nodes[1:] - nodes[:-1]
+    cum_r = integrate_steps(node_ticks, dt, r_step)
+    cum_theta_sq = integrate_steps(node_ticks, dt, (theta_step ** 2).sum(axis=1))
     return MarketModel(
         node_ticks=node_ticks, r_step=r_step, mu_step=mu_step,
         sigma_step=sigma_step, theta_step=theta_step,
@@ -197,11 +202,11 @@ def json_number(value, name: str) -> float:
         raise ValueError(f"{name} is out of the float range") from exc
 
 
-def _json_array(value, name: str) -> np.ndarray:
-    """A JSON number, or nested lists of them, as a float64 array."""
-    def numbers(v):
-        return [numbers(item) for item in v] if isinstance(v, list) else json_number(v, name)
-    return np.asarray(numbers(value), dtype=np.float64)
+def _json_numbers(value, name: str):
+    """A JSON number, or nested lists of them, as floats in the same nesting."""
+    if isinstance(value, list):
+        return [_json_numbers(item, name) for item in value]
+    return json_number(value, name)
 
 
 def market_from_dict(doc: dict) -> MarketModel:
@@ -210,17 +215,20 @@ def market_from_dict(doc: dict) -> MarketModel:
         d = doc["d"]
         if isinstance(d, bool) or not isinstance(d, int):
             raise TypeError(f"d must be an integer, got {d!r}")
-        segments = {k: [(json_number(seg["t0"], f"{k} t0"), seg["value"]) for seg in doc[k]]
+        segments = {k: [(json_number(seg["t0"], f"{k} t0"),
+                         _json_numbers(seg["value"], f"{k} value")) for seg in doc[k]]
                     for k in ("r", "mu", "sigma")}
-        times = [horizon] + [t for segs in segments.values() for t, _ in segs]
-        if not np.all(np.isfinite(times)):
-            raise MismatchedPaths("non-finite horizon or breakpoint")
-        r_path = CoefficientPath.from_segments(
-            [(t, json_number(v, "r value")) for t, v in segments["r"]], horizon)
-        mu_path = CoefficientPath.from_segments(
-            [(t, _json_array(v, "mu value")) for t, v in segments["mu"]], horizon)
-        sg_path = CoefficientPath.from_segments(
-            [(t, _json_array(v, "sigma value")) for t, v in segments["sigma"]], horizon)
+        times = [("T", horizon)]
+        for k, segs in segments.items():
+            if not segs:
+                raise MismatchedPaths(f"{k} needs at least one segment")
+            times += [(f"{k} t0", t) for t, _ in segs]
+        for name, t in times:
+            if not abs(t) < TIME_LIMIT:       # a NaN fails too
+                raise MismatchedPaths(f"{name} = {t:g} is off the tick grid, which "
+                                      f"holds times below {TIME_LIMIT:.3g} years")
+        r_path, mu_path, sg_path = (CoefficientPath.from_segments(segments[k], horizon)
+                                    for k in ("r", "mu", "sigma"))
     except (KeyError, TypeError, ValueError) as exc:
         raise MismatchedPaths(f"malformed market document: {exc}") from exc
     # a NaN or infinite coefficient is an input error, never a regime verdict

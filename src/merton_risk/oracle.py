@@ -43,7 +43,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._piecewise import exp_affine_segment, merge_ticks, segment_index, to_ticks
+from ._piecewise import ascending_unique, exp_affine_segment, merge_ticks, segment_index, to_ticks
 from ._table import write_table
 from .errors import EmptyFeasibleSet
 from .market import MarketModel
@@ -329,10 +329,10 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
     lvl_in = np.asarray(v_levels, dtype=np.float64)
     if rho_in.size == 0 and lvl_in.size == 0:
         raise EmptyFeasibleSet("the candidate family is empty")
-    rhos = np.unique(np.concatenate([[0.0], rho_in]))
+    rhos = ascending_unique(np.concatenate([[0.0], rho_in]))
     if model.theta_norm_T == 0.0:
         rhos = np.array([0.0])
-    levels = np.unique(lvl_in) if lvl_in.size else np.array([0.0])
+    levels = ascending_unique(lvl_in) if lvl_in.size else np.array([0.0])
     horizon = model.horizon
 
     def plan_on(node_ticks):

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -272,6 +273,13 @@ BAD_TABLES = {"nan_pi.csv": "t,pi_1,v\n0.0,nan,0.1\n0.5,0.2,0.1\n",
                                        {"t0": 1.0, "value": 0.01}]}}, ["solve"]),
     ({"market": {**market_doc(), "d": 2}}, ["solve"]),
     ({"market": {**market_doc(), "sigma": [{"t0": 0.0, "value": [[0.2, 0.0]]}]}}, ["solve"]),
+    # every time fits the tick grid; every coefficient has a segment
+    ({"market": {**market_doc(), "T": 1e300}}, ["solve"]),
+    ({"market": {**market_doc(), "r": [{"t0": 0.0, "value": 0.0},
+                                       {"t0": 1e300, "value": 0.01}]}}, ["solve"]),
+    ({"market": {**market_doc(), "r": []}}, ["solve"]),
+    ({"market": {**market_doc(), "mu": []}}, ["solve"]),
+    ({"market": {**market_doc(), "sigma": []}}, ["solve"]),
 ], ids=["utility_number", "x0_null", "x0_list", "risk_number", "gamma1_null",
         "rho_step_zero", "rho_step_nan", "rho_step_negative",
         "missing_strategy_file", "zero_paths", "negative_grid", "negative_steps",
@@ -281,7 +289,9 @@ BAD_TABLES = {"nan_pi.csv": "t,pi_1,v\n0.0,nan,0.1\n0.5,0.2,0.1\n",
         "gamma1_string", "alpha_string", "T_string", "d_fraction", "d_bool",
         "t0_string", "r_string", "mu_string", "sigma_bool", "mu_number",
         "first_breakpoint_after_0", "breakpoints_not_increasing",
-        "breakpoint_at_T", "d_disagrees_with_mu", "sigma_not_square"])
+        "breakpoint_at_T", "d_disagrees_with_mu", "sigma_not_square",
+        "T_beyond_tick_grid", "t0_beyond_tick_grid", "r_empty", "mu_empty",
+        "sigma_empty"])
 def test_malformed_input_is_input_error(tmp_path, capsys, patch, command):
     for name, text in BAD_TABLES.items():
         (tmp_path / name).write_text(text)
@@ -295,6 +305,31 @@ def test_malformed_input_is_input_error(tmp_path, capsys, patch, command):
     assert capsys.readouterr().err.startswith("input error: ")
     assert not (tmp_path / "out" / "solution.json").exists()
     assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("market, field", [
+    ({"T": 1e300}, "T = 1e+300"),
+    ({"T": float("nan")}, "T = nan"),
+    ({"mu": [{"t0": 0.0, "value": [0.1]}, {"t0": 1e300, "value": [0.2]}]}, "mu t0 = 1e+300"),
+    ({"sigma": [{"t0": 0.0, "value": [[0.2]]}, {"t0": -1e300, "value": [[0.3]]}]},
+     "sigma t0 = -1e+300"),
+    ({"r": []}, "r needs at least one segment"),
+    ({"mu": []}, "mu needs at least one segment"),
+    ({"sigma": []}, "sigma needs at least one segment"),
+], ids=["T_huge", "T_nan", "mu_t0_huge", "sigma_t0_huge", "r_empty", "mu_empty",
+        "sigma_empty"])
+def test_market_refusal_names_the_field(tmp_path, capsys, market, field):
+    # a time the int64 tick grid cannot hold would overflow it, with numpy
+    # warnings and a reason about the breakpoints' order
+    spec = tmp_path / "p.json"
+    spec.write_text(json.dumps({"market": {**market_doc(), **market}, "x0": 1.0,
+                                **TIGHT_VAR}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(spec), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("input error: ")
+    assert field in err
 
 
 @pytest.mark.parametrize("text", ["[]", "3"], ids=["list", "number"])
@@ -767,22 +802,26 @@ def test_readme_cli_block_matches_the_parser():
 
 
 STARTUP_SCRIPT = """
-import sys
+import json, sys, types
 from merton_risk.cli import main
-spec, out = sys.argv[1:]
-def scipy_modules():
-    print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
-assert main(["solve", spec, "--out", out + "/solve", "--oracle",
-             "--rho-step", "5e-3"]) == 0
-assert main(["verify", spec, "--out", out + "/verify"]) == 0
-scipy_modules()
-assert main(["simulate", spec, "--out", out + "/simulate", "--paths", "2000"]) == 0
-scipy_modules()
+spec, out, command = sys.argv[1:]
+argv = {"solve": ["solve"], "solve --oracle": ["solve", "--oracle", "--rho-step", "5e-3"],
+        "verify": ["verify"], "simulate": ["simulate", "--paths", "2000"]}[command]
+assert main([argv[0], spec, "--out", out, *argv[1:]]) == 0
+# a lazily loaded module sits in sys.modules before it runs, as an instance
+# of a ModuleType subclass, and becomes a plain module when it runs
+ran = [name for name in ("mc", "oracle", "hjb")
+       if type(sys.modules["merton_risk." + name]) is types.ModuleType]
+print(json.dumps({"scipy": sorted(name for name in sys.modules
+                                  if name.split(".")[0] == "scipy"),
+                  "numpy.ma": "numpy.ma" in sys.modules, "ran": ran}))
 """
 
 
 def test_solve_and_verify_import_no_scipy(tmp_path):
-    # a fresh interpreter: this test process has scipy loaded already
+    # each command in a fresh interpreter: this test process has scipy,
+    # numpy.ma and every module loaded already.  No command loads scipy or
+    # numpy.ma, and each runs only the verification module it uses.
     spec = write_spec(tmp_path / "p.json",
                       utility={"gamma1": 0.5, "gamma2": 0.5},
                       risk={"kind": "es", "alpha": 0.05, "zeta": 0.1})
@@ -790,12 +829,18 @@ def test_solve_and_verify_import_no_scipy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    run = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(spec),
-                          str(tmp_path / "out")],
-                         env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["[]"] * 2
-    assert (tmp_path / "out" / "simulate" / "summary.json").exists()
+    modules = {"solve": [], "solve --oracle": ["oracle"], "verify": ["hjb"],
+               "simulate": ["mc"]}
+    for command, ran in modules.items():
+        out = tmp_path / command.replace(" --", "_")
+        run = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(spec),
+                              str(out), command],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == {"scipy": [], "numpy.ma": False,
+                                          "ran": ran}, command
+    assert (tmp_path / "simulate" / "summary.json").exists()
+    assert (tmp_path / "solve_oracle" / "oracle.json").exists()
 
 
 def test_package_import_loads_no_submodule(tmp_path):
@@ -824,11 +869,16 @@ def test_benchmark_tracer_installs_on_every_target():
               f"sys.path.insert(0, {str(root / 'perfbench')!r}); "
               "from tracing import Tracer; Tracer().install(); "
               "from merton_risk.solution import Solution; "
-              "print(hasattr(Solution.write_json, '__wrapped__'))")
+              "cli = merton_risk.cli; "
+              "print(*(hasattr(f, '__wrapped__') for f in (Solution.write_json, "
+              "cli.mc.simulate_deterministic, cli.oracle.grid_search_oracle, "
+              "cli.hjb.hjb_residual)))")
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["True"]
+    # the verification modules load lazily: the functions the commands call
+    # through cli's bindings must be the traced ones
+    assert run.stdout.split() == ["True"] * 4
 
 
 def test_benchmark_tracer_counts_the_oracle_csv_rows(tmp_path):

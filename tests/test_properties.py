@@ -6,13 +6,14 @@ Runs are derandomized and keep no example database, so the suite stays
 deterministic.
 """
 
+import functools
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from merton_risk._piecewise import from_ticks, merge_ticks, to_ticks
+from merton_risk._piecewise import ascending_unique, from_ticks, merge_ticks, to_ticks
 from merton_risk.bounded import big_g, kappa_star, solve_tight
 from merton_risk.errors import (
     ConditionViolated,
@@ -375,3 +376,40 @@ def test_batch_cost_equals_chunked_cost(batch, x0):
               for lo in range(0, n, _CHUNK)]
     assert whole.shape == (n,)
     assert np.array_equal(whole, np.concatenate(pieces), equal_nan=True)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# small ticks repeat within and across arrays; the large ones sit near the
+# top of the tick grid
+TICKS = st.integers(0, 12) | st.integers(2 ** 62 - 3, 2 ** 62)
+
+
+@PROPERTY
+@given(st.lists(st.lists(TICKS, max_size=6), min_size=1, max_size=4), TICKS)
+def test_tick_merge_is_the_union(arrays, horizon):
+    """merge_ticks gives np.union1d's ticks and dtype, bit for bit, for one
+    array or several, with or without the horizon tick appended as
+    build_market appends it."""
+    ticks = [np.array(a, dtype=np.int64) for a in arrays]
+    union = functools.reduce(np.union1d, ticks, np.empty(0, dtype=np.int64))
+    assert _same_bits(merge_ticks(*ticks), union)
+    assert _same_bits(merge_ticks(*ticks, [horizon]), np.union1d(union, [horizon]))
+
+
+# repeats, both zeros and both infinities; NaN is outside the helper's domain
+LEVELS = (st.sampled_from([0.0, -0.0, 1e-3, 0.5, 0.5 + 2 ** -53, 1.0, np.inf, -np.inf])
+          | st.floats(allow_nan=False))
+
+
+@PROPERTY
+@given(st.lists(LEVELS, max_size=12))
+def test_oracle_dedupe_is_np_unique(values):
+    """The oracle's rhos and levels come out as np.unique gives them, bit for
+    bit, including which of 0.0 and -0.0 is kept."""
+    a = np.array(values, dtype=np.float64)
+    rhos = np.concatenate([[0.0], a])
+    assert _same_bits(ascending_unique(rhos), np.unique(rhos))
+    assert _same_bits(ascending_unique(a), np.unique(a))
