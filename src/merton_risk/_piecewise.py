@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import InputError
+
 TICK = 1e-9  # years per tick
 # the grid's range in years: int64 ticks hold any time below it, and the
 # difference of two such times
@@ -24,6 +26,15 @@ TIME_LIMIT = 2.0 ** 62 * TICK
 def to_ticks(t) -> np.ndarray:
     """Snap times (years) to the integer tick grid."""
     return np.rint(np.asarray(t, dtype=np.float64) / TICK).astype(np.int64)
+
+
+def check_on_grid(times) -> None:
+    """Refuse the first of the (name, t) pairs whose time the tick grid
+    cannot hold, before to_ticks would overflow on it."""
+    for name, t in times:
+        if not abs(t) < TIME_LIMIT:       # a NaN fails too
+            raise InputError(f"{name} = {t:g} is off the tick grid, which "
+                             f"holds times below {TIME_LIMIT:.3g} years")
 
 
 def from_ticks(ticks) -> np.ndarray:

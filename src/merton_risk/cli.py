@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import es_bound, unconstrained, var_bound
+from ._piecewise import check_on_grid, segment_index, to_ticks
 from ._table import write_json, write_table
 from .errors import (
     ConditionViolated,
@@ -175,7 +176,9 @@ def _write_oracle(out_dir: Path, spec: ProblemSpec, sol: Solution,
 
 
 def strategy_from_csv(path, model: MarketModel) -> DeterministicStrategy:
-    """Rebuild a piecewise-constant strategy from a controls.csv table."""
+    """Rebuild a piecewise-constant strategy from a controls.csv table: each
+    row (t, pi, v) before T starts a segment, y = sigma' pi with the sigma
+    of t's tick, and the first row of each tick wins."""
     with open(path, "r", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -187,17 +190,15 @@ def strategy_from_csv(path, model: MarketModel) -> DeterministicStrategy:
         if len(row) < 2 + d or not all(map(math.isfinite, row)):
             raise ValueError(f"strategy table rows need {2 + d} finite fields "
                              f"(t, pi_1..pi_d, v), got {row}")
-    y_segments, v_segments = [], []
-    seen = set()
-    for row in rows:
-        t, pis, v = row[0], np.asarray(row[1:1 + d]), row[1 + d]
-        if t >= model.horizon or t in seen:
-            continue
-        seen.add(t)
-        idx = np.searchsorted(model.nodes, t, side="right") - 1
-        sigma = model.sigma_step[idx]
-        y_segments.append((t, sigma.T @ pis))
-        v_segments.append((t, max(v, 0.0)))
+    check_on_grid(("strategy table t", row[0]) for row in rows)
+    ticks = to_ticks([row[0] for row in rows])
+    segments = segment_index(model.node_ticks, ticks)
+    y_segments, v_segments, seen = [], [], set()
+    for row, tick, j in zip(rows, ticks.tolist(), segments.tolist()):
+        if tick < model.node_ticks[-1] and tick not in seen:
+            seen.add(tick)
+            y_segments.append((row[0], model.sigma_step[j].T @ np.asarray(row[1:1 + d])))
+            v_segments.append((row[0], row[1 + d]))
     return step_strategy(y_segments, v_segments, model.horizon)
 
 
@@ -253,8 +254,6 @@ def cmd_simulate(args, spec: ProblemSpec, out_dir: Path) -> int:
 
 
 def cmd_verify(args, spec: ProblemSpec, out_dir: Path) -> int:
-    if args.t_nodes is not None and not np.all(args.t_nodes < spec.model.horizon):
-        raise ValueError("time nodes must lie in (0, T)")
     feedback = unconstrained.solve_hara_unconstrained(
         spec.model, spec.utility, spec.x0).feedback
     report = hjb.hjb_residual(spec.model, spec.utility, feedback,

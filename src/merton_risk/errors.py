@@ -1,5 +1,7 @@
 """Domain error types shared across the package, each with the exit code
-and stderr label by which ``cli.main`` reports it."""
+and stderr label by which ``cli.main`` reports it.  The modules refuse
+outside input with InputError, whatever the field, and name the field in
+its message; cli's own parsing raises ValueError, reported alike."""
 
 from __future__ import annotations
 
@@ -10,16 +12,8 @@ class MertonRiskError(Exception):
     exit_code, label = 1, "input error"
 
 
-class MismatchedPaths(MertonRiskError):
-    """Coefficient paths disagree on horizon or dimension."""
-
-
-class SingularVolatility(MertonRiskError):
-    """A volatility block is numerically singular."""
-
-
-class AlphaOutOfRange(MertonRiskError):
-    """Quantile level outside the supported open interval (0, 1/2)."""
+class InputError(MertonRiskError):
+    """Outside input the program refuses; exit 1, "input error"."""
 
 
 class NegativeArgument(MertonRiskError):
@@ -92,7 +86,3 @@ class ToleranceExceeded(MertonRiskError):
     """A verification residual exceeds its requested tolerance."""
 
     exit_code, label = 2, "verification tolerances exceeded"
-
-
-class GridTouchesBreakpoint(MertonRiskError):
-    """A verification grid node coincides with a coefficient breakpoint."""

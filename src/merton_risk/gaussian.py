@@ -27,7 +27,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, NegativeArgument
+from .errors import InputError, NegativeArgument
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_PI_OVER_2 = 0.5 * math.log(math.pi / 2.0)
@@ -199,7 +199,7 @@ def normal_quantile(alpha: float) -> float:
     so the round-trip residual is at the double-precision floor.
     """
     if not 0.0 < alpha < 0.5:
-        raise AlphaOutOfRange(f"alpha must lie in (0, 1/2), got {alpha}")
+        raise InputError(f"alpha must lie in (0, 1/2), got {alpha}")
     z = _STANDARD.inv_cdf(alpha)
     for _ in range(2):
         z -= (norm_cdf(z) - alpha) / norm_pdf(z)

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._piecewise import segment_index, to_ticks
 from ._table import grid_axes, write_json, write_table
-from .errors import GridTouchesBreakpoint
+from .errors import InputError
 from .market import MarketModel
 from .unconstrained import HaraFeedback
 from .utility import UtilityParams
@@ -79,17 +79,19 @@ def off_breakpoint_grid(model: MarketModel, n_t: int) -> np.ndarray:
 
 
 def _check_grid(model: MarketModel, t_nodes: np.ndarray) -> None:
+    """Refuse nodes outside (0, T), a NaN included, or on a breakpoint."""
+    if not np.all((t_nodes > 0.0) & (t_nodes < model.horizon)):
+        raise InputError("time nodes must lie in (0, T)")
     hits = np.flatnonzero(_on_breakpoint(model, t_nodes))
     if hits.size:
-        raise GridTouchesBreakpoint(
+        raise InputError(
             f"t = {t_nodes[hits[0]]} coincides with a coefficient breakpoint")
 
 
 def _grid(model: MarketModel, t_nodes, n_t: int, n_x: int):
     """Checked time nodes and the wealth nodes on [0.25, 4]."""
-    if t_nodes is None:
-        t_nodes = off_breakpoint_grid(model, n_t)
-    t_nodes = np.asarray(t_nodes, dtype=np.float64)
+    t_nodes = (off_breakpoint_grid(model, n_t) if t_nodes is None
+               else np.asarray(t_nodes, dtype=np.float64))
     _check_grid(model, t_nodes)
     return t_nodes, np.linspace(0.25, 4.0, n_x)
 
@@ -138,8 +140,7 @@ def hjb_residual(model: MarketModel, utility: UtilityParams, feedback: HaraFeedb
 
     z_T = feedback.value_function(model.horizon, x_nodes)
     terminal_error = float(np.max(np.abs(z_T - x_nodes ** utility.gamma2)))
-    interior_jumps = tuple(
-        float(t) for t in model.nodes[1:-1])
+    interior_jumps = tuple(float(t) for t in model.nodes[1:-1])
     return HjbReport(
         t_nodes=t_nodes, x_nodes=x_nodes, residuals=residuals,
         max_abs_residual=float(np.max(np.abs(residuals))),

@@ -20,15 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._piecewise import (
-    TIME_LIMIT,
     PiecewiseLinear,
+    check_on_grid,
     cumulative_exp_affine,
     from_ticks,
     integrate_steps,
     merge_ticks,
     to_ticks,
 )
-from .errors import MismatchedPaths, SingularVolatility
+from .errors import InputError
 
 SINGULARITY_RTOL = 1e-10  # reject sigma blocks with s_min/s_max below this
 
@@ -50,13 +50,13 @@ class CoefficientPath:
         # a few breakpoints: Python ints are cheaper here than numpy reductions
         bp = self.breakpoint_ticks.tolist()
         if not bp or bp[0] != 0:
-            raise MismatchedPaths("first breakpoint must be t = 0")
+            raise InputError("first breakpoint must be t = 0")
         if any(b <= a for a, b in zip(bp, bp[1:])):
-            raise MismatchedPaths("breakpoints must be strictly increasing")
+            raise InputError("breakpoints must be strictly increasing")
         if self.horizon_ticks <= bp[-1]:
-            raise MismatchedPaths("horizon must exceed the last breakpoint")
+            raise InputError("horizon must exceed the last breakpoint")
         if len(self.values) != len(bp):
-            raise MismatchedPaths("one value per breakpoint interval required")
+            raise InputError("one value per breakpoint interval required")
 
     @classmethod
     def from_segments(cls, segments, horizon: float) -> "CoefficientPath":
@@ -136,19 +136,18 @@ def build_market(rates: CoefficientPath, drifts: CoefficientPath,
                  vols: CoefficientPath) -> MarketModel:
     """Assemble a MarketModel; solves theta per interval by linear solve.
 
-    Raises MismatchedPaths when horizons/dimensions disagree and
-    SingularVolatility when a sigma block fails the relative singular-value
-    test at 1e-10.
+    Raises InputError when horizons or dimensions disagree or a sigma
+    block fails the relative singular-value test at 1e-10.
     """
     if not (rates.horizon_ticks == drifts.horizon_ticks == vols.horizon_ticks):
-        raise MismatchedPaths("coefficient paths must share the horizon")
+        raise InputError("coefficient paths must share the horizon")
     if rates.values.ndim != 1:
-        raise MismatchedPaths("rate values must be scalars")
+        raise InputError("rate values must be scalars")
     if drifts.values.ndim != 2:
-        raise MismatchedPaths("drift values must be d-vectors")
+        raise InputError("drift values must be d-vectors")
     d = drifts.values.shape[1]
     if vols.values.ndim != 3 or vols.values.shape[1:] != (d, d):
-        raise MismatchedPaths("vol values must be d x d matrices")
+        raise InputError("vol values must be d x d matrices")
 
     node_ticks = merge_ticks(rates.breakpoint_ticks, drifts.breakpoint_ticks,
                              vols.breakpoint_ticks, [rates.horizon_ticks])
@@ -164,7 +163,7 @@ def build_market(rates: CoefficientPath, drifts: CoefficientPath,
     # is the only non-finite ratio, and it fails the comparison
     if not np.all(rcond >= SINGULARITY_RTOL):
         j = int(np.argmin(np.where(np.isfinite(rcond), rcond, -np.inf)))
-        raise SingularVolatility(
+        raise InputError(
             f"sigma block starting at t={from_ticks(left[j]):.6g} has relative "
             f"condition {rcond[j]:.3g} < {SINGULARITY_RTOL:g}")
 
@@ -218,22 +217,18 @@ def market_from_dict(doc: dict) -> MarketModel:
         segments = {k: [(json_number(seg["t0"], f"{k} t0"),
                          _json_numbers(seg["value"], f"{k} value")) for seg in doc[k]]
                     for k in ("r", "mu", "sigma")}
-        times = [("T", horizon)]
         for k, segs in segments.items():
             if not segs:
-                raise MismatchedPaths(f"{k} needs at least one segment")
-            times += [(f"{k} t0", t) for t, _ in segs]
-        for name, t in times:
-            if not abs(t) < TIME_LIMIT:       # a NaN fails too
-                raise MismatchedPaths(f"{name} = {t:g} is off the tick grid, which "
-                                      f"holds times below {TIME_LIMIT:.3g} years")
+                raise InputError(f"{k} needs at least one segment")
+        check_on_grid([("T", horizon)] + [(f"{k} t0", t) for k, segs in segments.items()
+                                          for t, _ in segs])
         r_path, mu_path, sg_path = (CoefficientPath.from_segments(segments[k], horizon)
                                     for k in ("r", "mu", "sigma"))
     except (KeyError, TypeError, ValueError) as exc:
-        raise MismatchedPaths(f"malformed market document: {exc}") from exc
+        raise InputError(f"malformed market document: {exc}") from exc
     # a NaN or infinite coefficient is an input error, never a regime verdict
     if not all(np.isfinite(p.values).all() for p in (r_path, mu_path, sg_path)):
-        raise MismatchedPaths("non-finite r, mu or sigma value")
+        raise InputError("non-finite r, mu or sigma value")
     if mu_path.values.shape[1:] != (d,):
-        raise MismatchedPaths("mu entries disagree with declared dimension")
+        raise InputError("mu entries disagree with declared dimension")
     return build_market(r_path, mu_path, sg_path)

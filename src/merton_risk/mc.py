@@ -41,7 +41,7 @@ import numpy as np
 
 from ._piecewise import merge_ticks, from_ticks, to_ticks
 from ._table import _BLOCK_ROWS, grid_axes, write_table
-from .errors import InsufficientPaths, MismatchedPaths
+from .errors import InputError, InsufficientPaths
 from .market import MarketModel
 from .risk import RiskProfile, RiskSpec
 from .strategies import DeterministicStrategy, cumulants
@@ -68,7 +68,7 @@ class SimConfig:
 
     def __post_init__(self):
         if self.n_paths < 2:
-            raise MismatchedPaths("n_paths must be at least 2")
+            raise InputError("n_paths must be at least 2")
         if not 0 <= self.seed < 1 << 128:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
@@ -346,7 +346,7 @@ def simulation_grid(model: MarketModel, strategy_nodes: np.ndarray,
         base = to_ticks(np.linspace(0.0, model.horizon, config.n_steps + 1))
     ticks = merge_ticks(base, strategy_nodes, model.node_ticks)
     if ticks[0] != 0 or ticks[-1] != model.node_ticks[-1]:
-        raise MismatchedPaths("grid must span [0, T]")
+        raise InputError("grid must span [0, T]")
     return from_ticks(ticks)
 
 
@@ -625,7 +625,7 @@ def estimate_cost(ensemble: PathEnsemble,
     it was sampled for.
     """
     if utility.gamma1 != ensemble.gamma1:
-        raise MismatchedPaths(f"paths sampled for gamma1={ensemble.gamma1}")
+        raise InputError(f"paths sampled for gamma1={ensemble.gamma1}")
     values = ensemble.consumption_cost + ensemble.terminal ** utility.gamma2
     if ensemble.antithetic:
         half = (len(values) + 1) // 2
@@ -652,7 +652,7 @@ def empirical_risk_curve(ensemble: PathEnsemble, spec: RiskSpec, x: float,
     """Empirical quantile / tail-mean risk curves along the ensemble grid,
     from the tail candidates kept for spec's alpha."""
     if spec.alpha != ensemble.alpha:
-        raise MismatchedPaths(f"tails kept for alpha={ensemble.alpha}")
+        raise InputError(f"tails kept for alpha={ensemble.alpha}")
     q_lo, q_hi, gamma = _tail_ranks(ensemble.n_paths, spec.alpha)
     times = ensemble.times
     bond = x * np.exp(model.R(times))

@@ -30,7 +30,7 @@ from ._piecewise import (
     segment_index,
     to_ticks,
 )
-from .errors import MismatchedPaths
+from .errors import InputError
 from .market import CoefficientPath, MarketModel
 
 _LOG_ZERO = -np.inf
@@ -48,7 +48,7 @@ class StepConsumption:
 
     def __post_init__(self):
         if self.v_path.values.ndim != 1 or np.any(self.v_path.values < 0):
-            raise MismatchedPaths("consumption rate must be scalar and >= 0")
+            raise InputError("consumption rate must be scalar and >= 0")
 
     def breakpoints(self) -> np.ndarray:
         return self.v_path.node_ticks()
@@ -223,9 +223,9 @@ class Cumulants:
 
 def cumulants(model: MarketModel, strategy: DeterministicStrategy) -> Cumulants:
     if strategy.dimension() != model.dimension:
-        raise MismatchedPaths("strategy and market dimensions disagree")
+        raise InputError("strategy and market dimensions disagree")
     if strategy.y_path.horizon_ticks != model.node_ticks[-1]:
-        raise MismatchedPaths("strategy and market horizons disagree")
+        raise InputError("strategy and market horizons disagree")
     node_ticks = merge_ticks(
         model.node_ticks,
         strategy.y_path.node_ticks(),
@@ -312,7 +312,7 @@ def step_cumulants(plan: EvaluationPlan, y, v) -> Cumulants:
     """
     v = np.asarray(v, dtype=np.float64)
     if np.any(v < 0):
-        raise MismatchedPaths("consumption rates must be >= 0")
+        raise InputError("consumption rates must be >= 0")
     nodes, dt = plan.node_ticks, plan.dt
     V = integrate_steps(nodes, dt, v)
     return Cumulants(model=plan.model, node_ticks=nodes,

@@ -227,7 +227,9 @@ TIGHT_VAR = {"utility": {"gamma1": 0.5, "gamma2": 0.5},
 # malformed controls.csv tables for simulate --strategy (d = 1)
 BAD_TABLES = {"nan_pi.csv": "t,pi_1,v\n0.0,nan,0.1\n0.5,0.2,0.1\n",
               "no_v.csv": "t,pi_1,v\n0.0,0.2,0.1\n0.5,0.2\n",
-              "empty.csv": ""}
+              "empty.csv": "",
+              "huge_t.csv": "t,pi_1,v\n-1e300,0.1,0.5\n0.0,0.1,0.5\n",
+              "negative_v.csv": "t,pi_1,v\n0.0,0.1,0.1\n0.5,0.2,-0.5\n"}
 
 
 @pytest.mark.parametrize("patch, command", [
@@ -249,6 +251,8 @@ BAD_TABLES = {"nan_pi.csv": "t,pi_1,v\n0.0,nan,0.1\n0.5,0.2,0.1\n",
     ({}, ["simulate", "--strategy", "nan_pi.csv"]),
     ({}, ["simulate", "--strategy", "no_v.csv"]),
     ({}, ["simulate", "--strategy", "empty.csv"]),
+    ({}, ["simulate", "--strategy", "huge_t.csv"]),
+    ({}, ["simulate", "--strategy", "negative_v.csv"]),
     # a number field takes a JSON number only, d a JSON integer only
     ({"x0": "1.5"}, ["solve"]),
     ({"x0": True}, ["solve"]),
@@ -285,7 +289,8 @@ BAD_TABLES = {"nan_pi.csv": "t,pi_1,v\n0.0,nan,0.1\n0.5,0.2,0.1\n",
         "missing_strategy_file", "zero_paths", "negative_grid", "negative_steps",
         "negative_dump_paths", "negative_seed", "seed_past_128_bits",
         "nan_strategy_field", "short_strategy_row",
-        "empty_strategy_table", "x0_string", "x0_bool", "x0_beyond_float",
+        "empty_strategy_table", "strategy_t_beyond_tick_grid",
+        "negative_strategy_v", "x0_string", "x0_bool", "x0_beyond_float",
         "gamma1_string", "alpha_string", "T_string", "d_fraction", "d_bool",
         "t0_string", "r_string", "mu_string", "sigma_bool", "mu_number",
         "first_breakpoint_after_0", "breakpoints_not_increasing",
@@ -330,6 +335,41 @@ def test_market_refusal_names_the_field(tmp_path, capsys, market, field):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("input error: ")
     assert field in err
+
+
+def test_strategy_table_refusal_names_the_time(tmp_path, capsys):
+    # the table's times take the document's tick-grid check before any
+    # to_ticks, which would overflow with numpy warnings
+    (tmp_path / "huge_t.csv").write_text(BAD_TABLES["huge_t.csv"])
+    spec = write_spec(tmp_path / "p.json", **TIGHT_VAR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", str(spec), "--out", str(tmp_path / "out"),
+                     "--strategy", str(tmp_path / "huge_t.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("input error: strategy table t = -1e+300 is off the tick grid")
+
+
+# sigma goes from 0.2 to 0.4 at t = 0.5
+TWO_SIGMAS = {**market_doc(), "sigma": [{"t0": 0.0, "value": [[0.2]]},
+                                        {"t0": 0.5, "value": [[0.4]]}]}
+
+
+@pytest.mark.parametrize("rows, want_y, want_v", [
+    # 0.4999999999 snaps to the tick of 0.5, so its row starts [0.5, 1)
+    ("0.0,0.1,0.1\n0.4999999999,0.3,0.2\n", [0.2 * 0.1, 0.4 * 0.3], [0.1, 0.2]),
+    # 0.5000000001 snaps to the same tick as 0.5: the first row wins
+    ("0.0,0.1,0.1\n0.5,0.3,0.2\n0.5000000001,0.9,0.7\n", [0.2 * 0.1, 0.4 * 0.3],
+     [0.1, 0.2]),
+], ids=["just_below_breakpoint", "two_rows_one_tick"])
+def test_strategy_table_reads_sigma_on_ticks(tmp_path, rows, want_y, want_v):
+    table = tmp_path / "controls.csv"
+    table.write_text("t,pi_1,v\n" + rows)
+    strategy = strategy_from_csv(table, market_from_dict(TWO_SIGMAS))
+    assert strategy.y_path.breakpoint_ticks.tolist() == [0, 500_000_000]
+    assert strategy.y_path.values[:, 0].tolist() == want_y
+    assert strategy.consumption.v_path.values.tolist() == want_v
 
 
 @pytest.mark.parametrize("text", ["[]", "3"], ids=["list", "number"])
@@ -540,15 +580,12 @@ def test_exit2_paths_go_through_exit_codes(tmp_path, capsys, path):
 # exception class -> (exit code, stderr label) with which main reports it
 EXIT_CONTRACT = {
     "MertonRiskError": (1, "input error"),
-    "MismatchedPaths": (1, "input error"),
-    "SingularVolatility": (1, "input error"),
-    "AlphaOutOfRange": (1, "input error"),
+    "InputError": (1, "input error"),
     "NegativeArgument": (1, "input error"),
     "ConvergenceFailure": (1, "input error"),
     "NegativeRate": (1, "input error"),
     "UnsupportedRegime": (1, "input error"),
     "EmptyFeasibleSet": (1, "input error"),
-    "GridTouchesBreakpoint": (1, "input error"),
     "NoClosedForm": (2, "no closed-form solution"),
     "HypothesisViolated": (2, "no closed-form solution"),
     "ConditionViolated": (2, "no closed-form solution"),

@@ -1,6 +1,7 @@
-"""Tree comparison of tools/diff_outputs.py on small hand-written trees.
+"""Tree comparison of tools/diff_outputs.py on small hand-written trees,
+and the steps of its ``golden`` mix entry.
 
-Only the comparison and report functions are called: no command is run.
+Only the comparison, report and mix functions are called: no command is run.
 """
 
 import importlib.util
@@ -112,3 +113,24 @@ def test_report_prints_absolute_beside_relative(tmp_path, capsys):
     assert lines[1].split() == ["max_abs_residual", "0.194", "(abs", "6e-17)"]
     assert lines[2].split() == ["note", "inf", "(abs", "inf)"]
     assert lines[4].split() == ["wealth_mean", "0.0625", "(abs", "0.5)"]
+
+
+def test_golden_mix_runs_every_golden_case(tmp_path):
+    # the commands of tests/test_golden.py, flags the benchmark's mix never
+    # passes included, on the committed problem files
+    steps = diff_outputs.write_mix(["golden"], tmp_path / "docs")
+    golden = ROOT / "tests" / "golden"
+    problems = sorted(p.parent.name for p in golden.glob("*/problem.json"))
+    by_step = {(str(task_dir), name): head + tail for task_dir, name, head, tail in steps}
+    assert len(by_step) == len(steps) == 2 * len(problems) + 3 * 2 + 4 + 1
+    for name in problems:
+        assert by_step[(f"golden/{name}", "solve")] == [
+            "solve", str(golden / name / "problem.json"), "--grid", "21"]
+        assert by_step[(f"golden/{name}", "verify")][0] == "verify"
+    assert "--antithetic" in by_step[("golden/var_loose/simulate", "antithetic")]
+    assert "--oracle" in by_step[("golden/es_linear/oracle", "oracle")]
+    strategy = by_step[("golden/var_tight/strategy", "plain")]
+    assert strategy[:2] == ["simulate", str(golden / "var_tight" / "problem.json")]
+    assert strategy[-2:] == ["--strategy",
+                             str(golden / "var_tight" / "expected" / "solve" / "controls.csv")]
+    assert not (tmp_path / "docs").exists()

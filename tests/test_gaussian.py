@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from merton_risk.errors import AlphaOutOfRange, NegativeArgument
+from merton_risk.errors import InputError, NegativeArgument
 from merton_risk.gaussian import (
     erfc,
     erfcx,
@@ -65,7 +65,7 @@ def test_quantile_round_trip_1e12():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.7, -0.1, 1.0])
 def test_alpha_out_of_range(alpha):
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(InputError):
         normal_quantile(alpha)
 
 

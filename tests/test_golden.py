@@ -1,12 +1,8 @@
 """Golden outputs: every file the CLI writes for a fixed set of problems.
 
-Each problem under ``tests/golden/`` runs through ``solve --grid 21`` and
-``verify --nt 5 --nx 5``, and three of them (riskless tight, risky loose and
-the feedback optimum) also through ``simulate``, plain and antithetic, with
-results under ``<problem>/simulate/``. Four bounded problems (VaR and ES,
-tight and linear) also run through ``solve --grid 21 --oracle``, with results
-under ``<problem>/oracle/``. The files written, the exit codes and the stderr
-labels must match the committed expected outputs:
+The cases, which commands run on which problem under ``tests/golden/``, are
+listed in ``golden_cases.py``. The files written, the exit codes and the
+stderr labels must match the committed expected outputs:
 
 - labels, regimes, exit codes and other text exactly;
 - JSON numbers within 1e-12 relative;
@@ -33,25 +29,15 @@ import pytest
 from merton_risk.cli import main
 
 from conftest import strict_json
+from golden_cases import (COMMANDS, GOLDEN, ORACLE, ORACLE_PROBLEMS, PROBLEMS, SIMULATE,
+                          SIMULATE_PROBLEMS, STRATEGY, cases)
 
-GOLDEN = Path(__file__).parent / "golden"
-COMMANDS = {"solve": ["solve", "--grid", "21"],
-            "verify": ["verify", "--nt", "5", "--nx", "5"]}
-# 70,001 paths cross a 65,536-path block of the SFC64 stream keyed by
-# (seed, block), and end in a partial chunk
-_SIMULATE = ["simulate", "--paths", "70001", "--steps", "8", "--seed", "5",
-             "--dump-paths", "40"]
-SIMULATE = {"plain": _SIMULATE, "antithetic": _SIMULATE + ["--antithetic"]}
-SIMULATE_PROBLEMS = ["var_tight", "var_loose", "unconstrained_unequal"]
-ORACLE = {"oracle": COMMANDS["solve"] + ["--oracle"]}
-ORACLE_PROBLEMS = ["var_tight", "es_tight_unequal", "var_linear", "es_linear"]
 JSON_RTOL = 1e-12
 ERROR_ATOL = 1e-12
 ERROR_FIELDS = {"max_abs_residual", "terminal_error", "hamiltonian_gap", "residual"}
-PROBLEMS = sorted(p.name for p in GOLDEN.iterdir() if (p / "problem.json").is_file())
 
 
-def run_problem(name: str, out: Path, commands: dict = COMMANDS) -> dict:
+def run_problem(name: str, out: Path, commands: dict) -> dict:
     """Run each command on one problem into out/<run>; returns {run: [exit code, label]}."""
     codes = {}
     for run, (command, *options) in commands.items():
@@ -145,13 +131,12 @@ def test_golden_oracle_outputs(tmp_path, name):
     check_case(GOLDEN / name / "oracle", name, ORACLE, tmp_path)
 
 
+def test_golden_strategy_outputs(tmp_path):
+    check_case(GOLDEN / "var_tight" / "strategy", "var_tight", STRATEGY, tmp_path)
+
+
 def regenerate() -> None:
-    cases = [(GOLDEN / name, name, COMMANDS) for name in PROBLEMS]
-    cases += [(GOLDEN / name / "simulate", name, SIMULATE)
-              for name in SIMULATE_PROBLEMS]
-    cases += [(GOLDEN / name / "oracle", name, ORACLE)
-              for name in ORACLE_PROBLEMS]
-    for base, name, commands in cases:
+    for base, name, commands in cases():
         shutil.rmtree(base / "expected", ignore_errors=True)
         codes = run_problem(name, base / "expected", commands)
         with open(base / "exit_codes.json", "w", encoding="utf-8") as fh:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from merton_risk._piecewise import from_ticks, to_ticks
-from merton_risk.errors import GridTouchesBreakpoint
+from merton_risk.errors import InputError
 from merton_risk.hjb import (
     _h0,
     _reduced_hamiltonian_terms,
@@ -200,11 +200,23 @@ def test_grid_touching_breakpoint_rejected():
     sp = CoefficientPath.from_segments([(0.0, [[0.2]])], 1.0)
     m = build_market(rp, mp, sp)
     u = UtilityParams(0.5, 0.5)
-    with pytest.raises(GridTouchesBreakpoint):
+    with pytest.raises(InputError):
         hjb_residual(m, u, unit_feedback(m, u), t_nodes=np.array([0.25, 0.5, 0.75]))
     # the default grid places itself off the breakpoints
     rep = hjb_residual(m, u, unit_feedback(m, u), n_t=20, n_x=10)
     assert rep.max_abs_residual < 1e-8
+
+
+@pytest.mark.parametrize("t", [1.5, 1.0, -0.2, 0.0, np.nan])
+def test_time_nodes_outside_the_horizon_rejected(t):
+    # a node past T would read the log of a negative remaining time; one
+    # before 0 a residual of no market segment
+    m = build_market(CoefficientPath.from_segments([(0.0, 0.02), (0.5, 0.04)], 1.0),
+                     CoefficientPath.from_segments([(0.0, [0.08])], 1.0),
+                     CoefficientPath.from_segments([(0.0, [[0.2]])], 1.0))
+    u = UtilityParams(0.5, 0.3)
+    with pytest.raises(InputError, match=r"time nodes must lie in \(0, T\)"):
+        hjb_residual(m, u, unit_feedback(m, u), t_nodes=np.array([0.25, t]))
 
 
 def test_off_breakpoint_grid_matches_node_by_node_shifts():
@@ -227,7 +239,7 @@ def test_off_breakpoint_grid_matches_node_by_node_shifts():
     got = off_breakpoint_grid(m, n_t)
     assert got.tobytes() == np.asarray(want).tobytes()
     assert got[1] == 0.25 + shift + shift and got[3] == 0.5 + shift
-    with pytest.raises(GridTouchesBreakpoint, match=f"t = {again} coincides"):
+    with pytest.raises(InputError, match=f"t = {again} coincides"):
         hjb_residual(m, UtilityParams(0.3, 0.6), unit_feedback(m, UtilityParams(0.3, 0.6)),
                      t_nodes=np.array([0.1, again, 0.5]))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from merton_risk._piecewise import segment_index
-from merton_risk.errors import MismatchedPaths, SingularVolatility
+from merton_risk.errors import InputError
 from merton_risk.market import CoefficientPath, build_market, market_from_dict
 from merton_risk.strategies import GrowthFractionConsumption
 
@@ -125,7 +125,7 @@ def test_cum_theta_sq_monotone():
 
 def test_singular_volatility_rejected():
     sigma = np.array([[0.2, 0.2], [0.2, 0.2 + 1e-12]])
-    with pytest.raises(SingularVolatility):
+    with pytest.raises(InputError):
         constant_market(0.0, [0.1, 0.1], sigma, 1.0)
 
 
@@ -133,15 +133,15 @@ def test_mismatched_horizons_rejected():
     rp = CoefficientPath.from_segments([(0.0, 0.01)], 1.0)
     mp = CoefficientPath.from_segments([(0.0, [0.1])], 2.0)
     sp = CoefficientPath.from_segments([(0.0, [[0.2]])], 1.0)
-    with pytest.raises(MismatchedPaths):
+    with pytest.raises(InputError):
         build_market(rp, mp, sp)
 
 
 def test_breakpoints_must_increase():
-    with pytest.raises(MismatchedPaths):
+    with pytest.raises(InputError):
         CoefficientPath.from_segments([(0.0, 0.1), (0.5, 0.2), (0.5, 0.3)],
                                       1.0)
-    with pytest.raises(MismatchedPaths):
+    with pytest.raises(InputError):
         CoefficientPath.from_segments([(0.1, 0.1)], 1.0)
 
 
@@ -172,7 +172,7 @@ def test_json_round_trip():
 
 
 def test_malformed_market_document():
-    with pytest.raises(MismatchedPaths):
+    with pytest.raises(InputError):
         market_from_dict({"T": 1.0, "d": 1, "r": [{"t0": 0.0}],
                           "mu": [], "sigma": []})
 
@@ -190,6 +190,6 @@ def test_non_finite_market_document(where, bad):
     for key in where[:-1]:
         node = node[key]
     node[where[-1]] = bad
-    with pytest.raises(MismatchedPaths):
+    with pytest.raises(InputError):
         market_from_dict(doc)
 

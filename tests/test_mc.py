@@ -11,7 +11,7 @@ from scipy import stats
 
 from merton_risk import cli, mc
 from merton_risk.bounded import solve_linear
-from merton_risk.errors import InsufficientPaths, MismatchedPaths
+from merton_risk.errors import InputError, InsufficientPaths
 from merton_risk.mc import (
     SimConfig,
     empirical_risk_curve,
@@ -224,7 +224,7 @@ def test_empirical_curve_refuses_another_alpha():
                                      STREAM_UTILITY, 1.0,
                                      SimConfig(n_paths=3000, seed=1, n_steps=4),
                                      alpha=alpha)
-        with pytest.raises(MismatchedPaths):
+        with pytest.raises(InputError):
             empirical_risk_curve(ens, spec, 1.0, m)
 
 
@@ -438,7 +438,7 @@ def test_feedback_consumption_replay_stops_at_the_last_row(monkeypatch):
 
 def test_feedback_cost_refuses_another_gamma1():
     _, _, ens = _stream_case("feedback", 3000, False)
-    with pytest.raises(MismatchedPaths):
+    with pytest.raises(InputError):
         estimate_cost(ens, UtilityParams(0.3, STREAM_UTILITY.gamma2))
     # the terminal term is read from the wealth, so gamma2 may differ
     estimate_cost(ens, UtilityParams(STREAM_UTILITY.gamma1, 0.7))
@@ -454,7 +454,7 @@ def test_deterministic_cost_is_exact_for_its_gamma1(kind):
         est, se = estimate_cost(ens, u)
         assert abs(est - cost_closed_form(m, s, u, 1.2)) <= 4 * se + 1e-12
         estimates.append(est)
-        with pytest.raises(MismatchedPaths):
+        with pytest.raises(InputError):
             estimate_cost(ens, UtilityParams(0.8, STREAM_UTILITY.gamma2))
     assert estimates[0] != estimates[1]
 

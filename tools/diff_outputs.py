@@ -11,6 +11,10 @@ DEFAULT_MIX: seeds 0-1, rounds 0-1 of solve_verify; seeds 0-3, rounds 0-3
 of mc_simulate, which cover every Monte Carlo kind under both measures; and
 seeds 0-3, rounds 0-5 of oracle_xcheck (72 ``solve --oracle`` tasks), the
 oracle tasks that a change to the oracle's search must leave byte-identical.
+The entry ``golden`` runs every golden case of tests/golden_cases.py, the
+commands of tests/test_golden.py on the committed problem files, with
+outputs under golden/<problem>/: it reaches ``simulate --strategy``,
+``--antithetic`` and ``--dump-paths``, which the benchmark's mix never runs.
 The parent commit is extracted with ``git archive`` into a temporary
 directory. Each side then runs every command of the mix in one fresh
 interpreter that imports ``merton_risk`` from its own ``src/`` and calls
@@ -183,6 +187,17 @@ def run_side(src: Path, commands: list) -> list:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def golden_steps() -> list:
+    """write_mix's steps of the golden cases, which read the committed
+    problem files in place."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    import golden_cases
+    return [(Path("golden", base.relative_to(golden_cases.GOLDEN)), run,
+             [command, str(golden_cases.GOLDEN / name / "problem.json")], options)
+            for base, name, commands in golden_cases.cases()
+            for run, (command, *options) in commands.items()]
+
+
 def write_mix(mix, docs: Path) -> list:
     """Write the documents of the mix's tasks under docs; (task directory,
     step name, argv before --out, argv after it) of each step, in order."""
@@ -190,6 +205,9 @@ def write_mix(mix, docs: Path) -> list:
     import inputs
     steps = []
     for entry in mix:
+        if entry == "golden":
+            steps.extend(golden_steps())
+            continue
         workload, seeds, rounds = entry.split(":")
         for seed in parse_seeds(seeds):
             for round_no in parse_seeds(rounds):
@@ -239,7 +257,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--mix", action="append",
-                        help="WORKLOAD:SEEDS:ROUNDS, repeatable (default: "
+                        help="WORKLOAD:SEEDS:ROUNDS or golden, repeatable (default: "
                              + " ".join(DEFAULT_MIX) + ")")
     parser.add_argument("--rtol", type=float, default=0.0,
                         help="largest relative difference allowed (default 0)")

@@ -3,14 +3,14 @@
     python3 tools/traffic_coverage.py
     python3 tools/traffic_coverage.py --mix oracle_xcheck:0:0 --show oracle
 
-The mix is written as in diff_outputs.py (WORKLOAD:SEEDS:ROUNDS, repeatable;
-its DEFAULT_MIX when omitted) and generated with perfbench/inputs.py. Every
-command runs through ``cli.main`` in this interpreter under the stdlib
-``trace`` module, started before ``merton_risk`` is imported, so that the
-statements run at import (imports, definitions, constants) count too. One
-line per module of src/merton_risk gives the statements that ran and the
-statements there are; ``--show MODULE`` lists the statements of that module
-that never ran, by line.
+The mix is written as in diff_outputs.py (WORKLOAD:SEEDS:ROUNDS or golden,
+repeatable; its DEFAULT_MIX when omitted) and generated with
+perfbench/inputs.py. Every command runs through ``cli.main`` in this
+interpreter under the stdlib ``trace`` module, started before
+``merton_risk`` is imported, so that the statements run at import (imports,
+definitions, constants) count too. One line per module of src/merton_risk
+gives the statements that ran and the statements there are;
+``--show MODULE`` lists the statements of that module that never ran, by line.
 
 A statement is an ``ast`` statement other than a bare string, which compiles
 to no code (a docstring). It ran when a line it owns gave a line event: a
@@ -98,7 +98,7 @@ def report(ran: dict, show: str | None) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--mix", action="append",
-                        help="WORKLOAD:SEEDS:ROUNDS, repeatable (default: "
+                        help="WORKLOAD:SEEDS:ROUNDS or golden, repeatable (default: "
                              + " ".join(DEFAULT_MIX) + ")")
     parser.add_argument("--show", metavar="MODULE",
                         help="list the statements of src/merton_risk/MODULE.py that never ran")
