@@ -600,12 +600,28 @@ ERROR_ARGS = {"ConditionViolated": ("cond", -1.0), "NoClosedFormRegime": ({"m": 
 # every class errors.py defines: a new one fails here until its code is decided
 ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
                  if cls.__module__ == errors.__name__] + [ValueError, OSError]
+# refusals that once had a class each and are now InputError, by their old
+# name and one message each raised; the message reaches stderr word for word
+FOLDED_REFUSALS = {
+    "MismatchedPaths": "first breakpoint must be t = 0",
+    "SingularVolatility": "sigma block starting at t=0 has relative condition "
+                          "0 < 1e-10",
+    "AlphaOutOfRange": "alpha must lie in (0, 1/2), got 0.7",
+    "GridTouchesBreakpoint": "t = 0.5 coincides with a coefficient breakpoint",
+}
+EXIT_CASES = ([pytest.param(cls, None, id=cls.__name__) for cls in ERROR_CLASSES]
+              + [pytest.param(errors.InputError, message, id=name)
+                 for name, message in FOLDED_REFUSALS.items()])
 
 
-@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
-def test_exit_code_and_label_per_exception_class(tmp_path, capsys, monkeypatch, cls):
+@pytest.mark.parametrize("cls, message", EXIT_CASES)
+def test_exit_code_and_label_per_exception_class(tmp_path, capsys, monkeypatch,
+                                                 cls, message):
     code, label = EXIT_CONTRACT[cls.__name__]
-    exc = cls(*ERROR_ARGS.get(cls.__name__, ("injected",)))
+    if message is None:
+        exc = cls(*ERROR_ARGS.get(cls.__name__, ("injected",)))
+    else:
+        exc = cls(message)
 
     def fail(spec):
         raise exc
@@ -615,6 +631,8 @@ def test_exit_code_and_label_per_exception_class(tmp_path, capsys, monkeypatch, 
     assert main(["solve", str(spec), "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(label + ": ")
+    if message is not None:
+        assert err == f"{label}: {message}\n"
 
 
 def test_module_entry_point_exit_codes(tmp_path):
