@@ -2,8 +2,9 @@
 
 Every problem runs through COMMANDS; three of them (riskless tight, risky
 loose and the feedback optimum) also through SIMULATE, plain and antithetic,
-with results under ``<problem>/simulate/``; four bounded problems (VaR and
-ES, tight and linear) through ORACLE, under ``<problem>/oracle/``; and
+with results under ``<problem>/simulate/``; seven problems (VaR and ES,
+tight, linear and loose, and the unconstrained equal-gamma optimum) through
+ORACLE, under ``<problem>/oracle/``; and
 ``var_tight`` through STRATEGY, which simulates its committed ``solve``
 controls.csv with the plain SIMULATE flags, under ``var_tight/strategy/``.
 
@@ -26,7 +27,8 @@ _SIMULATE = ["simulate", "--paths", "70001", "--steps", "8", "--seed", "5",
 SIMULATE = {"plain": _SIMULATE, "antithetic": _SIMULATE + ["--antithetic"]}
 SIMULATE_PROBLEMS = ["var_tight", "var_loose", "unconstrained_unequal"]
 ORACLE = {"oracle": COMMANDS["solve"] + ["--oracle"]}
-ORACLE_PROBLEMS = ["var_tight", "es_tight_unequal", "var_linear", "es_linear"]
+ORACLE_PROBLEMS = ["var_tight", "es_tight_unequal", "var_linear", "es_linear",
+                   "var_loose", "es_loose", "unconstrained_equal"]
 STRATEGY = {"plain": _SIMULATE + [
     "--strategy", str(GOLDEN / "var_tight" / "expected" / "solve" / "controls.csv")]}
 PROBLEMS = sorted(p.name for p in GOLDEN.iterdir() if (p / "problem.json").is_file())

@@ -122,13 +122,14 @@ def test_golden_mix_runs_every_golden_case(tmp_path):
     golden = ROOT / "tests" / "golden"
     problems = sorted(p.parent.name for p in golden.glob("*/problem.json"))
     by_step = {(str(task_dir), name): head + tail for task_dir, name, head, tail in steps}
-    assert len(by_step) == len(steps) == 2 * len(problems) + 3 * 2 + 4 + 1
+    assert len(by_step) == len(steps) == 2 * len(problems) + 3 * 2 + 7 + 1
     for name in problems:
         assert by_step[(f"golden/{name}", "solve")] == [
             "solve", str(golden / name / "problem.json"), "--grid", "21"]
         assert by_step[(f"golden/{name}", "verify")][0] == "verify"
     assert "--antithetic" in by_step[("golden/var_loose/simulate", "antithetic")]
-    assert "--oracle" in by_step[("golden/es_linear/oracle", "oracle")]
+    for name in ("es_linear", "var_loose", "es_loose", "unconstrained_equal"):
+        assert "--oracle" in by_step[(f"golden/{name}/oracle", "oracle")]
     strategy = by_step[("golden/var_tight/strategy", "plain")]
     assert strategy[:2] == ["simulate", str(golden / "var_tight" / "problem.json")]
     assert strategy[-2:] == ["--strategy",
