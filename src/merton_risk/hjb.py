@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._piecewise import segment_index, to_ticks
+from ._piecewise import from_ticks, segment_index, to_ticks
 from ._table import grid_axes, write_json, write_table
 from .errors import InputError
 from .market import MarketModel
@@ -69,12 +69,20 @@ def _on_breakpoint(model: MarketModel, t) -> np.ndarray:
 
 def off_breakpoint_grid(model: MarketModel, n_t: int) -> np.ndarray:
     """Interior time nodes avoiding every coefficient breakpoint: a node on
-    one moves right by a fixed shift until it is off every breakpoint."""
+    one moves right by a fixed shift until it is off every breakpoint; if
+    that takes it to T or past, it goes instead to the middle of the
+    coefficient interval that starts at its breakpoint."""
     ts = np.linspace(0.0, model.horizon, n_t + 2)[1:-1]
     shift = (model.horizon / (n_t + 2)) * 0.37
+    nodes = model.node_ticks
     for i in np.flatnonzero(_on_breakpoint(model, ts)):
-        while _on_breakpoint(model, ts[i]):
-            ts[i] = ts[i] + shift
+        t = ts[i]
+        while _on_breakpoint(model, t):
+            t = t + shift
+        if t >= model.horizon:
+            j = segment_index(nodes, to_ticks(ts[i]))
+            t = from_ticks((nodes[j] + nodes[j + 1]) // 2)
+        ts[i] = t
     return ts
 
 
@@ -171,8 +179,9 @@ def hamiltonian_argmax_check(model: MarketModel, utility: UtilityParams,
     [0.25, 4].  Probes mix random controls with scaled perturbations of the
     optimum; the report's hamiltonian_gap is the worst probe advantage, which
     `verify` gates by --gap-tol (default cli.HAMILTONIAN_GAP_TOL).  Probes are
-    drawn node by node, t slowest, four draws per node; each time row is then
-    evaluated in one pass.
+    drawn node by node, t slowest, in the stream order of rng.uniform(0.25,
+    4, m), standard_normal((m, d)), rng.uniform(0, 4, m) and rng.uniform(0,
+    2, m) per node; each time row is then scaled and evaluated in one pass.
     """
     t_nodes, x_nodes = _grid(model, None, n_t, n_x)
     gs, ps, _, rs, thetas = _feedback_at(model, feedback, t_nodes[:, None], x_nodes)
@@ -181,6 +190,7 @@ def hamiltonian_argmax_check(model: MarketModel, utility: UtilityParams,
     xs = x_nodes[:, None]
     y_probe = np.empty((nx, 2 * m, model.dimension))
     c_probe = np.empty((nx, 2 * m))
+    y_scale, c_scale = np.empty((nx, m)), np.empty((nx, 2 * m))
     gap = -np.inf
     for i in range(len(t_nodes)):
         r, theta = rs[i, 0], thetas[i, 0]
@@ -191,11 +201,16 @@ def hamiltonian_argmax_check(model: MarketModel, utility: UtilityParams,
         c_opt = np.array([(utility.gamma1 / g) ** utility.q1 for g in gs[i]])
         h_opt = _h0(r, theta, xs, z1, z2, y_opt[:, None, :],
                     c_opt[:, None], utility.gamma1)
+        # rng.uniform(low, high) draws low + (high - low) U: the U are drawn
+        # node by node in its order and scaled for the whole row (low = 0
+        # adds nothing, as U >= +0)
         for j in range(nx):
-            y_probe[j, :m] = y_opt[j] * rng.uniform(0.25, 4.0, size=(m, 1))
+            rng.random(out=y_scale[j])
             rng.standard_normal(out=y_probe[j, m:])
-            c_probe[j, :m] = c_opt[j] * rng.uniform(0.0, 4.0, size=m)
-            c_probe[j, m:] = rng.uniform(0.0, 2.0, size=m)
+            rng.random(out=c_scale[j])
+        y_probe[:, :m] = y_opt[:, None, :] * (0.25 + 3.75 * y_scale[:, :, None])
+        c_probe[:, :m] = c_opt[:, None] * (4.0 * c_scale[:, :m])
+        c_probe[:, m:] = 2.0 * c_scale[:, m:]
         h_probe = _h0(r, theta, xs, z1, z2, y_probe, c_probe, utility.gamma1)
         gap = max(gap, *(np.max(h_probe, axis=1) - h_opt[:, 0]).tolist())
     return HjbReport(

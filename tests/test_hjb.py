@@ -1,11 +1,13 @@
 """Dynamic-programming verification: residuals, derivatives, Hamiltonian."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from merton_risk._piecewise import from_ticks, to_ticks
+from merton_risk.cli import main
 from merton_risk.errors import InputError
 from merton_risk.hjb import (
     _h0,
@@ -242,6 +244,45 @@ def test_off_breakpoint_grid_matches_node_by_node_shifts():
     with pytest.raises(InputError, match=f"t = {again} coincides"):
         hjb_residual(m, UtilityParams(0.3, 0.6), unit_feedback(m, UtilityParams(0.3, 0.6)),
                      t_nodes=np.array([0.1, again, 0.5]))
+
+
+def test_off_breakpoint_grid_stays_inside_the_horizon(tmp_path):
+    # T = 1 and r breakpoints at 0.5 + k 0.37/3: with n_t = 1 the node 0.5
+    # and each of its shifts by 0.37/3 land on a breakpoint until the fifth
+    # passes T, so the node goes to the middle of [0.5, 0.5 + 0.37/3)
+    shift = 0.37 / 3
+    segments = [(0.0, 0.02)] + [(0.5 + k * shift, 0.03 + 0.01 * k) for k in range(5)]
+    rates = CoefficientPath.from_segments(segments, 1.0)
+    m = build_market(rates, CoefficientPath.from_segments([(0.0, [0.08])], 1.0),
+                     CoefficientPath.from_segments([(0.0, [[0.2]])], 1.0))
+    breakpoints = set(m.node_ticks.tolist())
+    for n_t in range(1, 12):
+        got = off_breakpoint_grid(m, n_t)
+        assert np.all((got > 0.0) & (got < 1.0)), n_t
+        assert not breakpoints & set(to_ticks(got).tolist()), n_t
+        # a node whose right shifts stay inside keeps their bits
+        want = []
+        for t in np.linspace(0.0, 1.0, n_t + 2)[1:-1]:
+            walked = t
+            while int(to_ticks(walked)) in breakpoints:
+                walked = walked + (1.0 / (n_t + 2)) * 0.37
+            want.append(walked)
+        inside = np.asarray(want) < 1.0
+        assert got[inside].tobytes() == np.asarray(want)[inside].tobytes()
+        assert inside.all() or n_t == 1
+    assert to_ticks(off_breakpoint_grid(m, 1)).tolist() == [
+        (to_ticks(0.5) + to_ticks(0.5 + shift)) // 2]
+    u = UtilityParams(0.5, 0.3)
+    rep = hjb_residual(m, u, unit_feedback(m, u), n_t=1, n_x=5)
+    assert rep.max_abs_residual < 1e-8
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"x0": 1.0, "utility": {"gamma1": 0.5, "gamma2": 0.3},
+                                   "market": {
+        "T": 1.0, "d": 1, "r": [{"t0": t0, "value": r} for t0, r in segments],
+        "mu": [{"t0": 0.0, "value": [0.08]}],
+        "sigma": [{"t0": 0.0, "value": [[0.2]]}]}}))
+    assert main(["verify", str(problem), "--out", str(tmp_path / "out"),
+                 "--nt", "1", "--nx", "5"]) == 0
 
 
 def test_moment_stability_heuristic(standard_market):
