@@ -9,7 +9,10 @@ even as columns comes as an iterator of row blocks, each a list of
 columns built when it is written.  No field holds a comma,
 quote or line break, so fields are written unquoted.  The axes of a grid
 are formatted once by ``grid_axes`` and passed as text columns.  Every
-JSON document is written whole in one call.
+JSON document is written whole in one call.  oracle.csv, whose rho and
+level fields repeat from line to line, has its own writer
+(``oracle.OracleResult.write_csv``), which formats each distinct number
+once.
 """
 
 from __future__ import annotations

@@ -26,25 +26,29 @@ and the profile grid's times fall on its nodes) is built once per search,
 and every evaluation on the partition reads it, its exposures along theta
 included; the screen at T and the grid evaluate the curves alike.
 
-The search keeps its candidates as columns, one numpy record array per
-stage (label, rho, consumption levels, feasible flag and cost), from the
-arrays the evaluation returns to oracle.csv, whose layout is one line per
-candidate as before.  Its answer is the cost of the first best feasible
-record, with no closing evaluation.  The coordinate descent evaluates the
-trials of a run of coordinates in one batch and each distinct trial once
-(_coordinate_descent), and records what one evaluation per coordinate
-would.
+The three theta_direction stages on the market's partition are costed and
+screened in one evaluation (_theta_stages).  The coordinate descent
+evaluates the trials of a run of coordinates in one batch and each
+distinct trial once (_coordinate_descent), and records what one
+evaluation per coordinate would; a tight search makes four evaluations in
+all, a search without descent one.  Each stage keeps its candidates as
+plain columns (OracleStage: the label, and arrays of rho, the consumption
+levels, the feasible flags and the costs), from the arrays the evaluation
+returns to oracle.csv, one line per candidate.  The search's answer is the
+cost of the first best feasible record, with no closing evaluation.
+oracle.csv formats each distinct rho and level once, and the levels of a
+descent block around the one coordinate its rows vary in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from ._piecewise import ascending_unique, exp_affine_segment, merge_ticks, segment_index, to_ticks
-from ._table import write_table
 from .errors import EmptyFeasibleSet
 from .market import MarketModel
 from .risk import (
@@ -118,37 +122,97 @@ def cost_closed_form(model: MarketModel, strategy: DeterministicStrategy,
 # Grid-search oracle
 # ---------------------------------------------------------------------------
 
-def _stage_block(label: str, rho, levels, feasible, cost) -> np.recarray:
-    """One search stage's candidates as a record array: the stage label,
-    rho, the (n, k) consumption levels, the feasibility flag and the cost
-    (-inf when infeasible)."""
-    block = np.recarray(len(levels), dtype=[
-        ("label", f"U{len(label)}"), ("rho", "f8"),
-        ("v_levels", "f8", levels.shape[1:]), ("feasible", "?"), ("cost", "f8")])
-    block["label"], block["rho"], block["v_levels"] = label, rho, levels
-    block["feasible"], block["cost"] = feasible, cost
-    return block
+class OracleStage(NamedTuple):
+    """One search stage's candidates as columns: the stage label, rho, the
+    (n, k) consumption levels, the feasibility flags and the costs (-inf
+    when infeasible)."""
+
+    label: str
+    rho: np.ndarray
+    v_levels: np.ndarray
+    feasible: np.ndarray
+    cost: np.ndarray
 
 
-def _level_text(levels: np.ndarray) -> list:
-    """Each row of the (n, k) levels as k '.8g' fields joined by spaces."""
-    n, k = levels.shape
-    template = ("%.8g " * (k - 1) + "%.8g\n") * n
-    return (template % tuple(levels.ravel().tolist())).splitlines()
+class OracleRecord(NamedTuple):
+    """One candidate of a search: a row of its stage's columns."""
+
+    label: str
+    rho: float
+    v_levels: np.ndarray
+    feasible: bool
+    cost: float
 
 
 @dataclass(frozen=True)
 class OracleRecords:
-    """Every candidate of a search in order, kept as one record array per
-    stage (_stage_block); iteration gives one numpy record per candidate."""
+    """Every candidate of a search in order, kept as the columns of each
+    stage (OracleStage); iteration gives one OracleRecord per candidate."""
 
     stages: tuple
 
     def __len__(self) -> int:
-        return sum(len(stage) for stage in self.stages)
+        return sum(len(stage.cost) for stage in self.stages)
 
     def __iter__(self):
-        return chain.from_iterable(self.stages)
+        for label, rho, levels, feasible, cost in self.stages:
+            yield from map(OracleRecord, repeat(label), rho.tolist(), levels,
+                           feasible.tolist(), cost.tolist())
+
+
+def _texts(values, spec: str) -> np.ndarray:
+    """The %-conversion text of each float64 value, as a flat object array;
+    each distinct bit pattern is formatted once, so that -0.0 and 0.0 keep
+    their own text."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64).ravel()
+    order = bits.argsort()
+    ranked = bits[order]
+    new = np.empty(len(bits), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    texts = np.array([spec % v for v in ranked[new].view(np.float64).tolist()], dtype=object)
+    inverse = np.empty(len(bits), dtype=np.intp)
+    inverse[order] = new.cumsum() - 1
+    return texts[inverse]
+
+
+def _varying(levels: np.ndarray) -> int | None:
+    """The one column of the (n, k) levels whose bits vary from row to row
+    (0 when none does), or None when several do."""
+    if levels.shape[1] == 1:
+        return 0
+    bits = levels.view(np.int64)
+    columns = (bits != bits[0]).any(axis=0).nonzero()[0].tolist()
+    return None if len(columns) > 1 else columns[0] if columns else 0
+
+
+def _level_text(stages) -> list:
+    """Each candidate's levels, stage by stage, as their '.8g' texts joined
+    by spaces.  The rows of a stage that differ in one column c alone (a
+    stage of one level per candidate, or a block of the coordinate descent)
+    are its first row's text with column c's text in its place; the rows of
+    any other stage are joined one by one.  One _texts call formats them."""
+    picks, shapes = [], []
+    for stage in stages:
+        levels = np.ascontiguousarray(stage.v_levels)
+        c = _varying(levels)
+        picks.append(levels.ravel() if c is None
+                     else np.concatenate((levels[0], levels[:, c])))
+        shapes.append((*levels.shape, c))
+    texts = _texts(np.concatenate(picks), "%.8g")
+    lines, at = [], 0
+    for n, k, c in shapes:
+        if c is None:
+            row = "%s " * (k - 1) + "%s\n"
+            lines += (row * n % tuple(texts[at:at + n * k].tolist())).splitlines()
+            at += n * k
+        else:
+            fixed = texts[at:at + k].tolist()
+            head = "".join(text + " " for text in fixed[:c])
+            tail = "".join(" " + text for text in fixed[c + 1:])
+            lines += (head + texts[at + k:at + k + n] + tail).tolist()
+            at += k + n
+    return lines
 
 
 @dataclass(frozen=True)
@@ -157,19 +221,29 @@ class OracleResult:
     records: OracleRecords
 
     def write_csv(self, path) -> None:
-        """One line per candidate, stage by stage; a non-finite cost is
-        written as nan."""
-        stages = self.records.stages
+        """One line per candidate, stage by stage: label, rho (.12g), the
+        levels (.8g, space-separated), the feasible flag and the cost (.12g;
+        a non-finite cost is written as nan).  Each distinct rho and level is
+        formatted once (_texts, _level_text), and the file is written in one
+        call."""
+        stages = [stage for stage in self.records.stages if len(stage.cost)]
+        text = "label,rho,v_levels,feasible,cost\n"
+        if stages:
+            def column(name):
+                return np.concatenate([getattr(stage, name) for stage in stages])
 
-        def column(name):
-            return np.concatenate([stage[name] for stage in stages])
-
-        cost = column("cost")
-        write_table(path, ["label", "rho", "v_levels", "feasible", "cost"], [
-            column("label"), column("rho"),
-            list(chain.from_iterable(_level_text(stage.v_levels) for stage in stages)),
-            column("feasible"), np.where(np.isfinite(cost), cost, np.nan),
-        ], ["s", ".12g", "s", "d", ".12g"])
+            cost = column("cost")
+            n = len(cost)
+            fields = [None] * (5 * n)
+            fields[0::5] = list(chain.from_iterable(
+                repeat(stage.label, len(stage.cost)) for stage in stages))
+            fields[1::5] = _texts(column("rho"), "%.12g").tolist()
+            fields[2::5] = _level_text(stages)
+            fields[3::5] = column("feasible").tolist()
+            fields[4::5] = np.where(np.isfinite(cost), cost, np.nan).tolist()
+            text += "%s,%s,%s,%d,%.12g\n" * n % tuple(fields)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _theta_exposures(plan: EvaluationPlan, rhos):
@@ -231,21 +305,52 @@ def _evaluate(plan: EvaluationPlan, utility: UtilityParams, spec: RiskSpec | Non
     return feasible, np.where(feasible, costs, -np.inf)
 
 
-def _first_best(stages) -> int | None:
-    """Index, over the stages' records in order, of the first largest
-    feasible cost, or None when no record is feasible; a NaN cost never
+def _first_best(stages) -> tuple | None:
+    """The stage and row of the first largest feasible cost over the stages'
+    records in order, or None when no record is feasible; a NaN cost never
     counts."""
     cost = np.concatenate([stage.cost for stage in stages])
     ok = np.concatenate([stage.feasible for stage in stages]) & (cost > -np.inf)
-    return int(np.argmax(np.where(ok, cost, -np.inf))) if ok.any() else None
+    if not ok.any():
+        return None
+    row = int(np.argmax(np.where(ok, cost, -np.inf)))
+    for stage in stages:
+        if row < len(stage.cost):
+            return stage, row
+        row -= len(stage.cost)
+
+
+def _theta_stages(plan: EvaluationPlan, utility: UtilityParams, spec: RiskSpec | None,
+                  x: float, rhos, levels) -> list:
+    """The three theta_direction stages on the market's plan: pure investment
+    along theta (every rho, no consumption), pure constant consumption (no
+    exposure, every positive level) and a coarse cartesian of the two (the
+    fine cross product is never needed: the closed-form optima are attained
+    on the axes or by the piecewise refinement of the descent).  Their
+    candidates are costed and screened in one _evaluate call, whose flags
+    and costs are split back per stage: each row's are the bits of any
+    batch."""
+    rho_coarse = rhos[:: max(1, len(rhos) // 25)]
+    lvl_coarse = levels[:: max(1, len(levels) // 10)]
+    product = np.array([(r, w) for r in rho_coarse if r > 0
+                        for w in lvl_coarse if w > 0]).reshape(-1, 2).T
+    axes = [np.broadcast_arrays(r, w)
+            for r, w in ((rhos, 0.0), (0.0, levels[levels > 0]), product)]
+    rho, level = (np.concatenate(column) for column in zip(*axes))
+    feasible, costs = _evaluate(plan, utility, spec, x, _theta_exposures(plan, rho),
+                                np.repeat(level[:, None], len(plan.dt), axis=1))
+    bounds = np.cumsum([len(r) for r, _ in axes[:-1]])
+    return [OracleStage("theta_direction", *columns) for columns in zip(
+        *(np.split(column, bounds) for column in (rho, level[:, None], feasible, costs)))]
 
 
 def _coordinate_descent(evaluate, rho: float, levels, current,
                         current_cost: float) -> list:
-    """Stage blocks of a coordinate descent from the level row current, of
-    cost current_cost: a pass sets each entry c in turn to every level and
-    moves to the first feasible trial above current_cost + 1e-15; block c
-    keeps every trial but current itself.  Passes stop after one with no
+    """The blocks of a coordinate descent from the level row current, of
+    cost current_cost, each an OracleStage: a pass sets each entry c in turn
+    to every level and moves to the first feasible trial above
+    current_cost + 1e-15; block c keeps every trial but current itself, with
+    its flags and costs as columns.  Passes stop after one with no
     move, or after COORDINATE_PASSES.  evaluate maps (n, len(current)) level
     rows to flags and costs, the same bits in any batch.
 
@@ -295,8 +400,8 @@ def _coordinate_descent(evaluate, rho: float, levels, current,
                     kept.append(j)
                     if ok and cost > current_cost + 1e-15:
                         current_cost, current, moved = cost, block[j], True
-                blocks.append(_stage_block("coordinate_descent", rho, block[kept],
-                                           flags[at[kept]], costs[at[kept]]))
+                blocks.append(OracleStage("coordinate_descent", np.full(len(kept), rho),
+                                          block[kept], flags[at[kept]], costs[at[kept]]))
                 if moved:
                     break
             improved |= moved
@@ -340,46 +445,28 @@ def grid_search_oracle(model: MarketModel, utility: UtilityParams,
         grid = None if spec is None else profile_grid(node_ticks, horizon, N_PROFILE)
         return EvaluationPlan.build(model, node_ticks, x, grid)
 
-    market_plan = plan_on(model.node_ticks)
-    n_steps = len(model.node_ticks) - 1
-
-    # pure investment along theta, pure constant consumption, and a coarse
-    # cartesian of the two (the fine cross product is never needed: the
-    # closed-form optima are attained on the axes or by the piecewise
-    # refinement below); each axis holds its zero factor as one shared row
-    rho_coarse = rhos[:: max(1, len(rhos) // 25)]
-    lvl_coarse = levels[:: max(1, len(levels) // 10)]
-    product = np.array([(r, w) for r in rho_coarse if r > 0
-                        for w in lvl_coarse if w > 0]).reshape(-1, 2).T
-    stages = []
-    for r_b, w_b in ((rhos, [0.0]), ([0.0], levels[levels > 0]), product):
-        rho, level = np.broadcast_arrays(r_b, w_b)
-        feasible, costs = _evaluate(
-            market_plan, utility, spec, x, _theta_exposures(market_plan, r_b),
-            np.repeat(np.reshape(w_b, (-1, 1)), n_steps, axis=1))
-        stages.append(_stage_block("theta_direction", rho, level[:, None],
-                                   feasible, costs))
-
+    stages = _theta_stages(plan_on(model.node_ticks), utility, spec, x, rhos, levels)
     first = _first_best(stages)
     if v_pieces > 1 and first is not None:
         # coordinate descent from the best single-level candidate
-        start = np.concatenate(stages)[first]
+        stage, row = first
         piece_ticks = to_ticks(np.linspace(0.0, horizon, v_pieces + 1))
         node_ticks = merge_ticks(model.node_ticks, piece_ticks)
         piece = segment_index(piece_ticks, node_ticks[:-1])
         plan = plan_on(node_ticks)
-        rho = float(start["rho"])
+        rho = float(stage.rho[row])
         y = _theta_exposures(plan, [rho])
 
         def evaluate(trials):
             return _evaluate(plan, utility, spec, x, y, trials[:, piece])
 
         stages += _coordinate_descent(evaluate, rho, levels,
-                                      np.full(v_pieces, start["v_levels"][0]),
-                                      float(start["cost"]))
+                                      np.full(v_pieces, stage.v_levels[row, 0]),
+                                      float(stage.cost[row]))
 
     best = _first_best(stages)
     if best is None:
         raise EmptyFeasibleSet("no candidate in the family satisfies the bound")
-    best_cost = np.concatenate([stage.cost for stage in stages])[best]
-    return OracleResult(best_cost=float(best_cost), records=OracleRecords(tuple(stages)))
+    stage, row = best
+    return OracleResult(best_cost=float(stage.cost[row]),
+                        records=OracleRecords(tuple(stages)))

@@ -35,9 +35,9 @@ from merton_risk.oracle import (
     _CHUNK,
     COORDINATE_PASSES,
     N_PROFILE,
+    OracleStage,
     _cost,
     _cost_pieces,
-    _stage_block,
 )
 from merton_risk.risk import (
     SATURATION_TOL,
@@ -263,8 +263,8 @@ def coordinate_descent_per_coordinate(evaluate, rho: float, levels, current,
                 kept.append(j)
                 if ok and cost > current_cost + 1e-15:
                     current_cost, current, improved = cost, trials[j], True
-            blocks.append(_stage_block("coordinate_descent", rho, trials[kept],
-                                       feasible[kept], costs[kept]))
+            blocks.append(OracleStage("coordinate_descent", np.full(len(kept), rho),
+                                      trials[kept], feasible[kept], costs[kept]))
         if not improved:
             break
     return blocks

@@ -295,7 +295,7 @@ def test_oracle_batched_matches_looped(kind, v_pieces, large_theta):
                              v_levels=np.linspace(0.0, 0.4, 9), v_pieces=v_pieces)
     blocks = res.records.stages
     stages = {"theta_direction"} | ({"coordinate_descent"} if v_pieces > 1 else set())
-    assert set(np.concatenate([b.label for b in blocks]).tolist()) == stages
+    assert {b.label for b in blocks} == stages
     feasible = inner_breaks = 0
     for b in blocks:
         for rho, levels, ok, rec_cost in zip(b.rho, b.v_levels, b.feasible, b.cost):
@@ -442,7 +442,9 @@ def _assert_same_search(got, want):
     assert _bits(got.best_cost) == _bits(want.best_cost)
     assert len(got.records.stages) == len(want.records.stages)
     for g, w in zip(got.records.stages, want.records.stages):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert g.label == w.label
+        for a, b in zip(g[1:], w[1:]):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _golden_search(problem, out, monkeypatch):
@@ -786,9 +788,10 @@ def test_plan_matches_per_call_evaluation():
 
 @pytest.mark.parametrize("v_pieces,partitions", [(1, 1), (4, 2)])
 def test_search_builds_one_plan_per_partition(v_pieces, partitions, monkeypatch):
-    """A search builds one plan for the market's partition and, with
-    v_pieces > 1, one for the coordinate descent's; every evaluation on a
-    partition runs on its plan, and no plan outlives the search."""
+    """A search builds one plan for the market's partition, evaluated once,
+    and, with v_pieces > 1, one for the coordinate descent's; every
+    evaluation on a partition runs on its plan, and no plan outlives the
+    search."""
     built, used = [], []
     build, evaluate = EvaluationPlan.build, oracle_module._evaluate
 
@@ -798,7 +801,8 @@ def test_search_builds_one_plan_per_partition(v_pieces, partitions, monkeypatch)
         return plan
 
     def noting(plan, *args):
-        used.append(id(plan))
+        # the index of the plan among those built
+        used.append(next(i for i, ref in enumerate(built) if ref() is plan))
         return evaluate(plan, *args)
 
     monkeypatch.setattr(EvaluationPlan, "build", building)
@@ -809,8 +813,50 @@ def test_search_builds_one_plan_per_partition(v_pieces, partitions, monkeypatch)
                              np.arange(0.0, 0.3, 0.02),
                              v_levels=np.linspace(0.0, 0.4, 9), v_pieces=v_pieces)
     assert len(built) == len(set(used)) == partitions
-    assert len(used) > partitions
+    # the market's plan serves the one call of the theta stages, the
+    # descent's plan each call of the descent
+    assert used.count(0) == 1 and (len(used) > 2) == (v_pieces > 1)
     assert len(res.records) > 0 and all(ref() is None for ref in built)
+
+
+@pytest.mark.parametrize("kind", [MeasureKind.VAR, MeasureKind.ES, None])
+def test_theta_stages_one_call_matches_a_call_per_stage(kind, monkeypatch):
+    """The three theta_direction stages, costed and screened in one
+    _evaluate call across a _BATCH_ROWS bound, give each stage's columns,
+    flags and costs bit for bit as a call per stage, with the stage's zero
+    factor as one shared row, would."""
+    model = random_market(np.random.default_rng(53), d=2, max_pieces=3)
+    assert np.any(model.theta_step < 0)        # zero exposures hold -0.0
+    spec = None if kind is None else RiskSpec(alpha=0.025, zeta=0.15, kind=kind)
+    utility, x = UtilityParams(0.6, 0.4), 1.2
+    grid = None if spec is None else profile_grid(model.node_ticks, model.horizon, N_PROFILE)
+    plan = EvaluationPlan.build(model, model.node_ticks, x, grid)
+    rhos, levels = np.linspace(0.0, 0.3, _BATCH_ROWS + 1), np.linspace(0.0, 0.4, 41)
+    evaluate, calls = oracle_module._evaluate, []
+
+    def counting(*args):
+        calls.append(len(args[-1]))
+        return evaluate(*args)
+
+    monkeypatch.setattr(oracle_module, "_evaluate", counting)
+    stages = oracle_module._theta_stages(plan, utility, spec, x, rhos, levels)
+    product = np.array([(r, w) for r in rhos[::len(rhos) // 25] if r > 0
+                        for w in levels[::4] if w > 0]).T
+    axes = [(rhos, [0.0]), ([0.0], levels[1:]), product]
+    assert calls == [sum(np.broadcast(r, w).size for r, w in axes)]
+    assert calls[0] > _BATCH_ROWS + 40 + 200
+    feasible = 0
+    for stage, (r_b, w_b) in zip(stages, axes, strict=True):
+        want = evaluate(plan, utility, spec, x, _theta_exposures(plan, r_b),
+                        np.repeat(np.reshape(w_b, (-1, 1)), len(plan.dt), axis=1))
+        rho, level = np.broadcast_arrays(r_b, w_b)
+        assert stage.label == "theta_direction"
+        assert _bits(stage.rho).tolist() == _bits(rho).tolist()
+        assert _bits(stage.v_levels).tolist() == _bits(level[:, None]).tolist()
+        assert np.array_equal(stage.feasible, want[0])
+        assert np.array_equal(_bits(stage.cost), _bits(want[1]))
+        feasible += np.sum(stage.feasible)
+    assert 0 < feasible < calls[0] or spec is None
 
 
 def test_oracle_csv_export(tmp_path, standard_market):

@@ -9,10 +9,11 @@ import pytest
 from merton_risk import cli, mc
 from merton_risk._table import _BLOCK_ROWS, grid_axes, write_json, write_table
 from merton_risk.cli import main
+from merton_risk import oracle as oracle_module
 from merton_risk.oracle import (
     OracleRecords,
     OracleResult,
-    _stage_block,
+    OracleStage,
     grid_search_oracle,
 )
 from merton_risk.risk import MeasureKind, RiskSpec, profile_grid
@@ -77,31 +78,55 @@ def test_write_json_layout(tmp_path):
         '  "c": {\n    "d": "e",\n    "f": []\n  }\n}\n')
 
 
-def test_oracle_csv_bytes_equal_per_field_writer(tmp_path):
+def test_oracle_csv_bytes_equal_per_field_writer(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     values = np.array(SPECIAL + list(rng.standard_normal(40)
                                      * 10.0 ** rng.integers(-300, 300, 40)))
     n = len(values)
     flags = np.arange(n) % 3 > 0
-    # stages of one, four and two levels per candidate, each holding SPECIAL
-    # in its rho, levels and costs
+    # a descent-shaped stage: one level row with entry 2 set to 0.0 and to
+    # each value, SPECIAL (-0.0 among them) included
+    varied = np.concatenate([[0.0], values])
+    descent = np.tile(values[5:11], (n + 1, 1))
+    descent[:, 2] = varied
+    signed_zeros = np.array([[0.0, -0.0, 0.5], [-0.0, 0.0, 0.0], [0.0, 0.0, -0.0],
+                             [-0.0, -0.0, 0.0], [0.5, 0.0, -0.0]])
+    # stages of one, four, two, three and six levels per candidate, each
+    # holding SPECIAL in its rho, levels or costs
     stages = [
-        _stage_block("theta_direction", values, np.roll(values, 1)[:, None],
-                     flags, values[::-1]),
-        _stage_block("coordinate_descent", values[::-1],
-                     np.stack([np.roll(values, i)[:4] for i in range(n)]),
-                     ~flags, values),
-        _stage_block("coordinate_descent", values[:5], values[:10].reshape(5, 2),
-                     flags[:5], values[-5:]),
+        OracleStage("theta_direction", values, np.roll(values, 1)[:, None],
+                    flags, values[::-1]),
+        OracleStage("coordinate_descent", values[::-1],
+                    np.stack([np.roll(values, i)[:4] for i in range(n)]),
+                    ~flags, values),
+        OracleStage("coordinate_descent", values[:5], values[:10].reshape(5, 2),
+                    flags[:5], values[-5:]),
+        OracleStage("theta_direction", np.array([0.0, -0.0, 0.0, -0.0, 0.1]),
+                    signed_zeros, flags[:5], np.array([0.0, -0.0, -np.inf, 1.0, -0.0])),
+        OracleStage("coordinate_descent", np.full(n + 1, -0.0), descent,
+                    np.arange(n + 1) % 2 > 0, varied[::-1]),
+        OracleStage("coordinate_descent", np.empty(0), np.empty((0, 3)),
+                    np.empty(0, bool), np.empty(0)),
     ]
+    # which column varies, per stage with candidates: None when several do
+    varying = []
+
+    def noting(levels):
+        varying.append(real_varying(levels))
+        return varying[-1]
+
+    real_varying = oracle_module._varying
+    monkeypatch.setattr(oracle_module, "_varying", noting)
     result = OracleResult(best_cost=0.0,
                           records=OracleRecords(tuple(stages)))
     result.write_csv(tmp_path / "new.csv")
     write_oracle_csv_per_field(tmp_path / "ref.csv", result.records)
-    assert_same_bytes(tmp_path, 2 * n + 5)
+    assert_same_bytes(tmp_path, 3 * n + 11)
+    assert varying == [0, None, None, None, 2]
     new = (tmp_path / "new.csv").read_bytes()
     for token in (b",nan\n", b",-0,", b"4.94065645841e-324", b"1e+300", b"-1e+300",
-                  b",nan inf -inf -0,"):
+                  b",nan inf -inf -0,", b",0 -0 0.5,", b",-0 0 0,", b",0.5 0 -0,",
+                  b"theta_direction,-0,-0 -0 0,0,1\n"):
         assert token in new
 
 
