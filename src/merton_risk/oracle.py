@@ -179,8 +179,6 @@ def _texts(values, spec: str) -> np.ndarray:
 def _varying(levels: np.ndarray) -> int | None:
     """The one column of the (n, k) levels whose bits vary from row to row
     (0 when none does), or None when several do."""
-    if levels.shape[1] == 1:
-        return 0
     bits = levels.view(np.int64)
     columns = (bits != bits[0]).any(axis=0).nonzero()[0].tolist()
     return None if len(columns) > 1 else columns[0] if columns else 0

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from merton_risk import cli, mc
+from merton_risk import oracle as oracle_module
 from merton_risk._table import _BLOCK_ROWS, grid_axes, write_json, write_table
 from merton_risk.cli import main
-from merton_risk import oracle as oracle_module
 from merton_risk.oracle import (
     OracleRecords,
     OracleResult,
@@ -92,7 +92,8 @@ def test_oracle_csv_bytes_equal_per_field_writer(tmp_path, monkeypatch):
     signed_zeros = np.array([[0.0, -0.0, 0.5], [-0.0, 0.0, 0.0], [0.0, 0.0, -0.0],
                              [-0.0, -0.0, 0.0], [0.5, 0.0, -0.0]])
     # stages of one, four, two, three and six levels per candidate, each
-    # holding SPECIAL in its rho, levels or costs
+    # holding SPECIAL or both zeros in its rho, levels and costs, and an
+    # empty stage
     stages = [
         OracleStage("theta_direction", values, np.roll(values, 1)[:, None],
                     flags, values[::-1]),
@@ -109,13 +110,12 @@ def test_oracle_csv_bytes_equal_per_field_writer(tmp_path, monkeypatch):
                     np.empty(0, bool), np.empty(0)),
     ]
     # which column varies, per stage with candidates: None when several do
-    varying = []
+    real_varying, varying = oracle_module._varying, []
 
     def noting(levels):
         varying.append(real_varying(levels))
         return varying[-1]
 
-    real_varying = oracle_module._varying
     monkeypatch.setattr(oracle_module, "_varying", noting)
     result = OracleResult(best_cost=0.0,
                           records=OracleRecords(tuple(stages)))
